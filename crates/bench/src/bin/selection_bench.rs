@@ -1,12 +1,12 @@
 //! `selection-bench` — instruction-selection *compile-time* benchmark.
 //!
 //! Compiles every workload for every target with every selector flow
-//! (LLVM-like baseline, Pitchfork, Rake) using `std::time::Instant`
-//! (criterion here is a vendored stub) and writes `BENCH_selection.json`.
+//! (LLVM-like baseline, Pitchfork, Rake) using `std::time::Instant` and
+//! writes `BENCH_selection.json`.
 //! For Pitchfork it times both rewrite engines — the fast engine (DAG
 //! memoization + root-operator rule index + cost cache) and the reference
 //! linear-scan tree-walker — and reports the per-run speedup plus the
-//! geometric mean the PR's acceptance criterion is measured on.
+//! geometric mean the speedup gate is measured on.
 //!
 //! Correctness gates, both fatal (exit 1):
 //! * the fast engine's machine code must be byte-identical to the

@@ -3,7 +3,7 @@
 //! One [`run`] entry point compiles a workload with a chosen
 //! [`Compiler`], prices it with the cycle model, validates it against the
 //! reference interpreter, and reports compile time — everything the
-//! `fig3`/`fig5`/`fig6`/`fig7` binaries and the Criterion benches share.
+//! `fig3`/`fig5`/`fig6`/`fig7` binaries and the speed benches share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

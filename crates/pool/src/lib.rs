@@ -35,7 +35,7 @@
 
 pub mod queue;
 
-pub use queue::{QueueFull, Task, TaskQueue};
+pub use queue::{Task, TaskQueue};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

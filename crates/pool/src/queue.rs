@@ -7,9 +7,9 @@
 //! counterpart:
 //!
 //! * a fixed set of worker threads started once and kept warm;
-//! * a bounded FIFO — [`TaskQueue::try_submit`] refuses (returns
-//!   [`QueueFull`]) when `capacity` tasks are already waiting, so a
-//!   burst beyond the configured depth is rejected in O(1) at admission
+//! * a bounded FIFO — [`TaskQueue::submit_batch`] admits a batch's
+//!   prefix up to `capacity` waiting tasks and reports how many it took,
+//!   so a burst beyond the configured depth is rejected at admission
 //!   time rather than piling up latency for everyone behind it;
 //! * observable depth ([`TaskQueue::depth`]) and in-flight count
 //!   ([`TaskQueue::active`]) for a `/stats` endpoint;
@@ -17,9 +17,9 @@
 //!   workers join, later submissions are refused.
 //!
 //! Tasks are plain `FnOnce` closures; results travel back to the
-//! submitter through whatever channel the closure captured (the service
-//! layer uses a one-shot mutex/condvar cell so a waiter can time out
-//! independently of the task).
+//! submitter through whatever channel the closure captured (the
+//! service's event loop pushes onto a shared completion list and wakes
+//! its poll loop).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,18 +28,6 @@ use std::thread::JoinHandle;
 
 /// A unit of work for a [`TaskQueue`].
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Admission refused: the bounded queue is at capacity (or shut down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFull;
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("task queue at capacity")
-    }
-}
-
-impl std::error::Error for QueueFull {}
 
 struct QueueState {
     tasks: VecDeque<Task>,
@@ -92,30 +80,12 @@ impl TaskQueue {
         TaskQueue { shared, workers }
     }
 
-    /// Admit `task` if the queue has room.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueFull`] when `capacity` tasks are already waiting or the
-    /// queue has been shut down; the task is returned to the caller
-    /// untouched in neither case — it is simply dropped with the error,
-    /// so captured reply channels observe the shed.
-    pub fn try_submit(&self, task: Task) -> Result<(), QueueFull> {
-        let mut st = self.shared.state.lock().expect("queue lock");
-        if st.shutdown || st.tasks.len() >= self.shared.capacity {
-            return Err(QueueFull);
-        }
-        st.tasks.push_back(task);
-        drop(st);
-        self.shared.ready.notify_one();
-        Ok(())
-    }
-
     /// Admit a batch of tasks under one lock acquisition, in order,
     /// stopping at capacity. Returns how many tasks from the front of
     /// `tasks` were admitted; the rest are dropped with the return value
     /// telling the caller which ones (a prefix is always admitted, so
-    /// index `>= admitted` was refused). An event-loop dispatcher uses
+    /// index `>= admitted` was refused). Nothing is admitted once the
+    /// queue has been shut down. An event-loop dispatcher uses
     /// this to push one poll iteration's worth of ready requests without
     /// paying a lock round-trip per task.
     pub fn submit_batch(&self, tasks: Vec<Task>) -> usize {
@@ -216,6 +186,34 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
+    /// Submit one task; whether the queue admitted it.
+    fn submit(q: &TaskQueue, task: impl FnOnce() + Send + 'static) -> bool {
+        q.submit_batch(vec![Box::new(task)]) == 1
+    }
+
+    /// A task that parks its worker until the returned gate opens.
+    fn parked(q: &TaskQueue) -> Arc<(Mutex<bool>, Condvar)> {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        assert!(submit(q, move || {
+            let (m, cv) = &*g;
+            let mut open = m.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        }));
+        // Wait for the worker to pick the blocker up (depth back to 0).
+        while q.active() == 0 {
+            std::thread::yield_now();
+        }
+        gate
+    }
+
+    fn open(gate: &(Mutex<bool>, Condvar)) {
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+    }
+
     #[test]
     fn runs_submitted_tasks() {
         let q = TaskQueue::new(4, 64);
@@ -224,11 +222,10 @@ mod tests {
         for _ in 0..50 {
             let counter = Arc::clone(&counter);
             let tx = tx.clone();
-            q.try_submit(Box::new(move || {
+            assert!(submit(&q, move || {
                 counter.fetch_add(1, Ordering::Relaxed);
                 tx.send(()).unwrap();
-            }))
-            .unwrap();
+            }));
         }
         for _ in 0..50 {
             rx.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -242,27 +239,12 @@ mod tests {
         // One worker blocked on a gate; capacity 2 admits exactly two
         // more tasks, the third submission is refused.
         let q = TaskQueue::new(1, 2);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        q.try_submit(Box::new(move || {
-            let (m, cv) = &*g;
-            let mut open = m.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        }))
-        .unwrap();
-        // Wait for the worker to pick the blocker up (depth back to 0).
-        while q.active() == 0 {
-            std::thread::yield_now();
-        }
-        q.try_submit(Box::new(|| {})).unwrap();
-        q.try_submit(Box::new(|| {})).unwrap();
-        assert_eq!(q.try_submit(Box::new(|| {})), Err(QueueFull));
+        let gate = parked(&q);
+        assert!(submit(&q, || {}));
+        assert!(submit(&q, || {}));
+        assert!(!submit(&q, || {}));
         assert_eq!(q.depth(), 2);
-        let (m, cv) = &*gate;
-        *m.lock().unwrap() = true;
-        cv.notify_all();
+        open(&gate);
         q.shutdown();
     }
 
@@ -271,19 +253,7 @@ mod tests {
         // One worker parked on a gate; capacity 3 means a batch of 5
         // admits exactly the first 3.
         let q = TaskQueue::new(1, 3);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        q.try_submit(Box::new(move || {
-            let (m, cv) = &*g;
-            let mut open = m.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        }))
-        .unwrap();
-        while q.active() == 0 {
-            std::thread::yield_now();
-        }
+        let gate = parked(&q);
         let ran = Arc::new(AtomicU64::new(0));
         let batch: Vec<Task> = (0..5)
             .map(|i| {
@@ -295,9 +265,7 @@ mod tests {
             .collect();
         assert_eq!(q.submit_batch(batch), 3);
         assert_eq!(q.depth(), 3);
-        let (m, cv) = &*gate;
-        *m.lock().unwrap() = true;
-        cv.notify_all();
+        open(&gate);
         q.shutdown();
         // Exactly tasks 0, 1, 2 ran (the admitted prefix).
         assert_eq!(ran.load(Ordering::Relaxed), 0x010101);
@@ -317,10 +285,9 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
-            q.try_submit(Box::new(move || {
+            assert!(submit(&q, move || {
                 counter.fetch_add(1, Ordering::Relaxed);
-            }))
-            .unwrap();
+            }));
         }
         q.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 100);
@@ -330,8 +297,8 @@ mod tests {
     fn panicking_task_does_not_kill_workers() {
         let q = TaskQueue::new(1, 16);
         let (tx, rx) = mpsc::channel();
-        q.try_submit(Box::new(|| panic!("boom"))).unwrap();
-        q.try_submit(Box::new(move || tx.send(7).unwrap())).unwrap();
+        assert!(submit(&q, || panic!("boom")));
+        assert!(submit(&q, move || tx.send(7).unwrap()));
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
         q.shutdown();
     }
@@ -340,7 +307,7 @@ mod tests {
     fn drop_joins_workers() {
         let q = TaskQueue::new(2, 8);
         let (tx, rx) = mpsc::channel();
-        q.try_submit(Box::new(move || tx.send(()).unwrap())).unwrap();
+        assert!(submit(&q, move || tx.send(()).unwrap()));
         drop(q);
         // The task either ran before shutdown or was drained by it.
         assert!(rx.try_recv().is_ok());

@@ -24,8 +24,7 @@ USAGE:
 OPTIONS:
     --socket PATH       listen on a Unix socket at PATH
     --tcp ADDR          listen on a TCP address, e.g. 127.0.0.1:7737
-    --workers N         compile worker threads   [default: #cores, max 8]
-    --queue N           compile queue capacity   [default: workers * 8]
+    --workers N         request worker threads   [default: #cores, max 8]
     --cache-mb N        artifact cache budget    [default: 64]
     --timeout-ms N      default per-request deadline [default: none]
     --max-conns N       concurrent connection cap [default: 128]
@@ -69,12 +68,6 @@ fn main() -> ExitCode {
                     config.workers = take("--workers")?
                         .parse()
                         .map_err(|_| "--workers must be an integer".to_string())?;
-                    config.queue_capacity = config.workers.max(1) * 8;
-                }
-                "--queue" => {
-                    config.queue_capacity = take("--queue")?
-                        .parse()
-                        .map_err(|_| "--queue must be an integer".to_string())?;
                 }
                 "--cache-mb" => {
                     let mb: usize = take("--cache-mb")?
@@ -144,9 +137,8 @@ fn main() -> ExitCode {
 
     install_signal_handlers();
     eprintln!(
-        "pitchforkd: listening on {endpoint} ({} workers, queue {}, cache {} MiB, {} conns)",
+        "pitchforkd: listening on {endpoint} ({} workers, cache {} MiB, {} conns)",
         config.workers,
-        config.queue_capacity,
         config.cache_bytes >> 20,
         opts.max_connections
     );

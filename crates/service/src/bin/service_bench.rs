@@ -283,7 +283,6 @@ fn restart_warm_scenario(
     let config = ServiceConfig {
         cache_bytes: 256 << 20,
         workers: 2,
-        queue_capacity: 64,
         default_timeout_ms: None,
         cache_dir: Some(dir.clone()),
         cache_max_bytes: None,
@@ -297,7 +296,7 @@ fn restart_warm_scenario(
     for ((name, expr, isa), t) in combos.iter().zip(truth) {
         let req = Request::Compile(spec(expr, *isa));
         let t0 = Instant::now();
-        let v = a.handle(&req);
+        let v = a.handle_local(&req);
         cold_ns.push(t0.elapsed().as_nanos());
         if get(&v, "source").and_then(Json::as_str) != Some("computed") || !matches_truth(&v, t) {
             eprintln!("DIVERGENCE {name}/{isa}: cold spill-store response is wrong: {v:?}");
@@ -316,7 +315,7 @@ fn restart_warm_scenario(
     for ((name, expr, isa), t) in combos.iter().zip(truth) {
         let req = Request::Compile(spec(expr, *isa));
         let t0 = Instant::now();
-        let v = b.handle(&req);
+        let v = b.handle_local(&req);
         warm_ns.push(t0.elapsed().as_nanos());
         if get(&v, "source").and_then(Json::as_str) != Some("hit") {
             eprintln!(
@@ -385,7 +384,6 @@ fn fleet_scenario(
             Arc::new(Service::new(ServiceConfig {
                 cache_bytes: 256 << 20,
                 workers: 2,
-                queue_capacity: 64,
                 default_timeout_ms: None,
                 cache_dir: None,
                 cache_max_bytes: None,
@@ -595,7 +593,6 @@ fn main() -> ExitCode {
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 256 << 20,
         workers: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
-        queue_capacity: 256,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -609,7 +606,7 @@ fn main() -> ExitCode {
 
         // Cold: the first request for this key is a guaranteed miss.
         let t0 = Instant::now();
-        let v = svc.handle(&req);
+        let v = svc.handle_local(&req);
         let cold_ns = t0.elapsed().as_nanos();
         if get(&v, "ok").and_then(Json::as_bool) != Some(true) {
             eprintln!("service-bench: {name}/{isa} cold request failed: {v:?}");
@@ -634,7 +631,7 @@ fn main() -> ExitCode {
         let mut warm_ns = u128::MAX;
         for _ in 0..warm_reps {
             let t0 = Instant::now();
-            let w = svc.handle(&req);
+            let w = svc.handle_local(&req);
             warm_ns = warm_ns.min(t0.elapsed().as_nanos());
             if get(&w, "source").and_then(Json::as_str) != Some("hit") {
                 eprintln!("service-bench: {name}/{isa} warm request was not a hit: {w:?}");
@@ -656,7 +653,7 @@ fn main() -> ExitCode {
     // ── socket throughput against the warmed cache ──────────────────
     // One event-loop server in-process; clients are real Unix-socket
     // connections, so the sweep measures the transport the daemon
-    // actually runs, not just `Service::handle`.
+    // actually runs, not just `Service::handle_local`.
     let sock = std::env::temp_dir().join(format!("service-bench-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
     let ep = Endpoint::Unix(sock.clone());

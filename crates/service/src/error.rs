@@ -21,7 +21,8 @@ pub enum ServiceError {
         /// The budget that expired, in milliseconds.
         budget_ms: u64,
     },
-    /// The server shed the request because its compile queue was full.
+    /// The server shed the request: its dispatch queue, the
+    /// connection's response budget, or the connection cap was full.
     /// Retrying after a backoff is reasonable.
     Overloaded,
     /// A server-side invariant failed (a bug, not a bad request).

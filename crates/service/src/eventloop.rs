@@ -20,9 +20,9 @@
 //! Every iteration `poll(2)`s the listener, the wakeup pipe, and every
 //! connection; readable connections feed a buffering [`FrameReader`],
 //! complete frames queue per-connection as *pending* work, and a pump
-//! either answers them inline ([`Service::handle_cached`] — control
-//! ops and cache hits) or collects them into one **dispatch batch**
-//! submitted to the worker queue under a single lock. Workers push
+//! either answers them inline ([`Service::classify`] — control ops and
+//! cache hits) or collects them into one **dispatch batch** submitted
+//! to the worker queue under a single lock. Workers push
 //! completions and write one coalesced byte into the wakeup pipe, so a
 //! slow compile never blocks the loop and a cache hit on any
 //! connection is answered in the iteration it arrives.
@@ -37,7 +37,15 @@
 //! **Backpressure.** Reads pause while a connection's pending frames
 //! or output backlog are over budget; a connection whose output queue
 //! overflows (a client that pipelines but never reads) is sealed with
-//! a final `overloaded` frame and closed once that frame drains.
+//! a final `overloaded` frame and closed once that frame drains. The
+//! dispatch queue is the one admission gate: ready requests past its
+//! bound are shed with `overloaded`.
+//!
+//! **Deadlines.** Every frame is stamped when it arrives, and a worker
+//! charges the time since then (dispatch queue, parked peer fetch)
+//! against the request's `timeout_ms` before it calls
+//! [`Service::handle_local`]; a request whose budget is already spent is
+//! answered `timeout` without compiling.
 
 use crate::error::ServiceError;
 use crate::json::Json;
@@ -81,11 +89,6 @@ pub struct ServeOptions {
     /// Most parsed-but-unanswered frames per connection; reads pause at
     /// the cap (backpressure, not an error).
     pub max_pipeline: usize,
-    /// Dispatch worker threads (0 = derive from the service config).
-    pub dispatch_workers: usize,
-    /// Dispatch queue bound; ready requests past it are shed with
-    /// `overloaded` responses (0 = default).
-    pub dispatch_queue: usize,
     /// Sibling daemons sharing the key space. On a local+disk miss the
     /// key's rendezvous owner is asked for its artifact (`peer_get`)
     /// before compiling locally; every daemon must list the same fleet
@@ -102,8 +105,6 @@ impl Default for ServeOptions {
             max_connections: crate::server::MAX_CONNECTIONS,
             outq_bytes: 8 << 20,
             max_pipeline: 128,
-            dispatch_workers: 0,
-            dispatch_queue: 0,
             peers: Vec::new(),
             peer_timeout_ms: 1500,
         }
@@ -210,7 +211,7 @@ const HOT_MAX_ENTRIES: usize = 2048;
 /// construction — the entire per-request CPU cost of a warm compile —
 /// leaving a hash lookup and a buffer clone. Entries are seeded only
 /// from artifact-cache hits, so the stored body is exactly what
-/// [`Service::handle_cached`] would have produced.
+/// [`Service::classify`] would have produced.
 ///
 /// Every entry is stamped with the service's rule-set generation
 /// ([`Service::rules_generation`]); the loop refreshes `gen` each
@@ -254,8 +255,8 @@ impl HotCache {
 /// What one pending frame still needs.
 enum Work {
     /// A hot-memo hit: the finished response body (tag already
-    /// embedded) and the arrival instant for the latency ring.
-    Hot(String, Instant),
+    /// embedded).
+    Hot(String),
     /// A decoded request, or the transport-level error to answer with.
     Parsed(Result<Request, ServiceError>),
 }
@@ -272,6 +273,9 @@ struct PendingFrame {
     /// The frame's raw bytes, kept for compile requests so a
     /// cache-hit response can seed the hot memo.
     raw: Option<Vec<u8>>,
+    /// When the frame was decoded: the latency ring's start for memo
+    /// hits, and the start of a dispatched request's deadline.
+    arrived: Instant,
 }
 
 /// Per-connection state machine.
@@ -335,6 +339,7 @@ impl Conn {
             work: Work::Parsed(Err(e)),
             close_after: fatal,
             raw: None,
+            arrived: Instant::now(),
         });
         if fatal {
             self.draining = true;
@@ -350,9 +355,10 @@ impl Conn {
             self.pending.push_back(PendingFrame {
                 untagged: entry.untagged,
                 tag: None,
-                work: Work::Hot(entry.body.clone(), Instant::now()),
+                work: Work::Hot(entry.body.clone()),
                 close_after: false,
                 raw: None,
+                arrived: Instant::now(),
             });
             return;
         }
@@ -371,6 +377,7 @@ impl Conn {
                     work: Work::Parsed(work),
                     close_after: false,
                     raw: memoizable.then_some(raw),
+                    arrived: Instant::now(),
                 });
             }
             Err(e) => self.ingest_error(e, false),
@@ -491,6 +498,34 @@ struct DispatchItem {
     tag: Option<Json>,
     untagged: bool,
     req: Request,
+    /// The frame's arrival; its deadline runs from here.
+    arrived: Instant,
+}
+
+/// What a dispatch worker runs for one item. The request's effective
+/// budget (`timeout_ms`, else the service default) runs from the
+/// frame's arrival, so the wait for a worker or a peer is charged
+/// first: the spec keeps only what is left, and a request with nothing
+/// left is answered `timeout` without compiling.
+fn dispatch_one(service: &Service, it: &mut DispatchItem) -> Json {
+    if let Request::Compile(spec)
+    | Request::Run { spec, .. }
+    | Request::RunPipeline { spec, .. }
+    | Request::PeerGet { spec, .. } = &mut it.req
+    {
+        if let Some(budget_ms) = spec.timeout_ms.or(service.config().default_timeout_ms) {
+            let left = Duration::from_millis(budget_ms).saturating_sub(it.arrived.elapsed());
+            if left.is_zero() {
+                Stats::bump(&service.stats().requests);
+                Stats::bump(&service.stats().timeouts);
+                return error_response(&ServiceError::Timeout { budget_ms });
+            }
+            // Round up: a request is refused only once its deadline
+            // has passed.
+            spec.timeout_ms = Some(left.as_nanos().div_ceil(1_000_000) as u64);
+        }
+    }
+    service.handle_local(&it.req)
 }
 
 /// A finished dispatched request on its way back to the loop.
@@ -763,15 +798,16 @@ fn pump(
         }
         let f = conn.pending.pop_front().expect("front exists");
         match f.work {
-            Work::Hot(body, arrived) => {
-                // Same accounting as the handle_cached hit this entry
-                // was seeded from, plus the memo's own counter.
+            Work::Hot(body) => {
+                // Same accounting as the classify hit this entry was
+                // seeded from, plus the memo's own counter.
                 let stats = service.stats();
                 Stats::bump(&stats.requests);
                 Stats::bump(&stats.cache_hits);
                 Stats::bump(&stats.hot_hits);
                 conn.queue_reply(FastReply::Raw(body), None);
-                stats.record_latency_us(u64::try_from(arrived.elapsed().as_micros()).unwrap_or(0));
+                stats
+                    .record_latency_us(u64::try_from(f.arrived.elapsed().as_micros()).unwrap_or(0));
             }
             Work::Parsed(Err(e)) => {
                 // Transport-level rejects (unparseable request or tag):
@@ -786,7 +822,7 @@ fn pump(
             }
             Work::Parsed(Ok(req)) => {
                 if matches!(req, Request::Shutdown) {
-                    let reply = service.handle(&req);
+                    let reply = service.handle_local(&req);
                     conn.queue_reply(FastReply::Json(reply), f.tag.as_ref());
                     stop.request();
                     continue;
@@ -810,7 +846,13 @@ fn pump(
                         if untagged {
                             conn.serial_block = true;
                         }
-                        let item = DispatchItem { conn: id, tag: f.tag, untagged, req };
+                        let item = DispatchItem {
+                            conn: id,
+                            tag: f.tag,
+                            untagged,
+                            req,
+                            arrived: f.arrived,
+                        };
                         match decision {
                             CacheDecision::MissRemote(key) if forward => {
                                 remote.push((key, item));
@@ -836,15 +878,8 @@ pub(crate) fn run(
 ) -> io::Result<()> {
     let (mut wake_rx, waker) = wake_pipe()?;
     let shared = Arc::new(DispatchShared { completions: Mutex::new(Vec::new()), waker });
-    let workers = match opts.dispatch_workers {
-        0 => service.config().workers.max(2),
-        n => n,
-    };
-    let queue_bound = match opts.dispatch_queue {
-        0 => (opts.max_connections * 2).max(256),
-        n => n,
-    };
-    let dispatch = TaskQueue::new(workers, queue_bound);
+    let dispatch =
+        TaskQueue::new(service.config().workers.max(2), (opts.max_connections * 2).max(256));
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut hot = HotCache::new(service.rules_generation());
@@ -1051,11 +1086,11 @@ pub(crate) fn run(
                 batch.iter().map(|it| (it.conn, it.tag.clone(), it.untagged)).collect();
             let tasks: Vec<Task> = batch
                 .into_iter()
-                .map(|it| {
+                .map(|mut it| {
                     let service = Arc::clone(service);
                     let shared = Arc::clone(&shared);
                     Box::new(move || {
-                        let reply = service.handle_local(&it.req);
+                        let reply = dispatch_one(&service, &mut it);
                         shared.completions.lock().expect("completion lock").push(Completion {
                             conn: it.conn,
                             tag: it.tag,
@@ -1068,7 +1103,7 @@ pub(crate) fn run(
                 .collect();
             let admitted = dispatch.submit_batch(tasks);
             // Whatever the bounded queue refused is shed right here,
-            // with the same accounting `Service::handle` would use.
+            // counted as a request and a shed.
             for (conn_id, tag, untagged) in meta.into_iter().skip(admitted) {
                 if let Some(conn) = conns.get_mut(&conn_id) {
                     conn.inflight -= 1;

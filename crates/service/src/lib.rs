@@ -13,13 +13,14 @@
 //!   in bytes with LRU eviction;
 //! * **single-flight deduplication** — N concurrent identical requests
 //!   cost one compile, and everyone shares the same `Arc<Artifact>`;
-//! * **admission control and deadlines** ([`service`]) — compiles run
-//!   on a bounded worker queue (full queue ⇒ `overloaded`), and a
-//!   request's `timeout_ms` is checked between compiler phases, so an
+//! * **admission control and deadlines** ([`eventloop`], [`service`]) —
+//!   requests that need a worker wait in one bounded dispatch queue
+//!   (full queue ⇒ `overloaded`), and a request's `timeout_ms` covers
+//!   that wait and its compile, checked between compiler phases, so an
 //!   expired request stops selecting instructions instead of finishing
 //!   pointlessly;
-//! * a **`stats` endpoint** — hit/miss/shed/timeout counters, queue
-//!   depth, and p50/p99 service latencies.
+//! * a **`stats` endpoint** — hit/miss/shed/timeout counters,
+//!   dispatch-queue depth, and p50/p99 service latencies.
 //!
 //! Served results are bit-identical to calling
 //! [`pitchfork::compile_to_executable`] directly: the daemon is a cache
@@ -62,7 +63,7 @@ pub use protocol::{
     CompileSpec, FrameReader, FrameWriter, Request, StatsFormat, WriteOverflow,
 };
 pub use server::{
-    install_signal_handlers, request_stop, reset_signal_stop, serve, serve_with, Client, Endpoint,
+    install_signal_handlers, request_stop, reset_signal_stop, serve_with, Client, Endpoint,
 };
 pub use service::{CacheDecision, FastReply, Service, ServiceConfig};
 pub use stats::{LatencySummary, Stats};

@@ -489,8 +489,7 @@ pub enum Request {
     /// structured key — the requester's and owner's keys must be equal,
     /// not merely share a fingerprint.
     PeerGet {
-        /// The key's compile half (`engine_bits` on the wire carries
-        /// all eight engine configurations, not just fast/reference).
+        /// The key's compile half, parsed exactly like `compile`'s.
         spec: CompileSpec,
         /// The requester's rule-set fingerprint for this configuration;
         /// the owner answers `found: false` on a mismatch.
@@ -664,18 +663,7 @@ pub fn parse_request(v: &Json) -> Result<Request, ServiceError> {
             Ok(Request::RunPipeline { spec, inputs, jobs })
         }
         "peer_get" => {
-            let mut spec = parse_spec(v)?;
-            if let Some(bits) = v.get("engine_bits") {
-                match bits.as_array() {
-                    Some([m, i, c]) => match (m.as_bool(), i.as_bool(), c.as_bool()) {
-                        (Some(memo), Some(index), Some(cost_cache)) => {
-                            spec.engine = EngineConfig { memo, index, cost_cache };
-                        }
-                        _ => return Err(bad("`engine_bits` entries must be booleans")),
-                    },
-                    _ => return Err(bad("`engine_bits` must be an array of three booleans")),
-                }
-            }
+            let spec = parse_spec(v)?;
             let rules_fp = v
                 .get("rules_fp")
                 .and_then(Json::as_str)
@@ -687,21 +675,19 @@ pub fn parse_request(v: &Json) -> Result<Request, ServiceError> {
     }
 }
 
-/// Build the `peer_get` request frame for one cache key. The key's
-/// engine bits ride in `engine_bits` (the `engine` string covers only
-/// the fast/reference presets); `tag` correlates the response on the
-/// requester's multiplexed peer connection.
+/// Build the `peer_get` request frame for one cache key. The engine
+/// travels as the same `"fast"`/`"reference"` member `compile` takes —
+/// the only engines a request can name, so the only keys a peer can
+/// hold; `tag` correlates the response on the requester's multiplexed
+/// peer connection.
 pub fn peer_get_frame(key: &crate::key::CacheKey, tag: i128) -> Json {
-    let (memo, index, cost_cache) = key.engine;
+    let reference = key.engine == crate::key::engine_bits(EngineConfig::REFERENCE);
     let mut members = vec![
         ("op".into(), Json::str("peer_get")),
         ("expr".into(), Json::str(key.expr.clone())),
         ("lanes".into(), Json::Int(key.lanes as i128)),
         ("isa".into(), Json::str(key.isa.short_name())),
-        (
-            "engine_bits".into(),
-            Json::Array(vec![Json::Bool(memo), Json::Bool(index), Json::Bool(cost_cache)]),
-        ),
+        ("engine".into(), Json::str(if reference { "reference" } else { "fast" })),
         ("synthesized_rules".into(), Json::Bool(key.synthesized_rules)),
         ("rules_fp".into(), Json::str(format!("{:016x}", key.rules_fp))),
         ("tag".into(), Json::Int(tag)),
@@ -1080,6 +1066,34 @@ mod tests {
         ] {
             let err = req(src).unwrap_err();
             assert!(err.to_string().contains(needle), "{src}: error {err} should mention {needle}");
+        }
+    }
+
+    #[test]
+    fn peer_get_frame_round_trips_the_key() {
+        use crate::key::{engine_bits, CacheKey};
+        use pitchfork::{Config, Pitchfork};
+        let expr = fpir::parser::parse_expr("u8(min(u16(a_u8) + u16(b_u8), 255))", 16).unwrap();
+        let fast = Pitchfork::new(Isa::ArmNeon);
+        let reference = Pitchfork::with_config(
+            Config::new(Isa::X86Avx2).with_engine(EngineConfig::REFERENCE).leaving_out("blur"),
+        );
+        for pf in [fast, reference] {
+            let key = CacheKey::for_compile(&pf, &expr);
+            let Ok(Request::PeerGet { spec, rules_fp }) = parse_request(&peer_get_frame(&key, 1))
+            else {
+                panic!("a peer_get frame must parse as peer_get");
+            };
+            let rebuilt = CacheKey {
+                expr: spec.expr,
+                lanes: spec.lanes,
+                isa: spec.isa,
+                engine: engine_bits(spec.engine),
+                synthesized_rules: spec.synthesized_rules,
+                leave_out: spec.leave_out,
+                rules_fp,
+            };
+            assert_eq!(rebuilt, key);
         }
     }
 

@@ -7,7 +7,7 @@
 //! sockets with `poll(2)`, dispatching ready requests to a worker pool
 //! in batches. Shutdown is cooperative and comes from two places — a
 //! `{"op":"shutdown"}` frame, which stops only the server that received
-//! it via a per-`serve()` stop flag, or `SIGTERM`/`SIGINT`, which set a
+//! it via a per-[`serve_with`] stop flag, or `SIGTERM`/`SIGINT`, which set a
 //! process-wide flag every server also polls. On the way out the server
 //! stops accepting, drains in-flight work and unflushed responses, and
 //! unlinks the Unix socket path.
@@ -62,15 +62,15 @@ impl Endpoint {
 }
 
 /// Default cap on concurrently open connections. Admission control on
-/// the compile queue bounds work, not sockets; this bounds sockets, so
+/// the dispatch queue bounds work, not sockets; this bounds sockets, so
 /// a connection flood (especially on TCP) cannot exhaust fds or
 /// memory. Connections past the cap get an `overloaded` error frame
 /// and are closed. Override via [`ServeOptions::max_connections`].
 pub const MAX_CONNECTIONS: usize = 128;
 
 /// Process-wide stop flag; set only by signals (and [`request_stop`],
-/// which models one). Each `serve()` call additionally has its own stop
-/// flag for `shutdown` frames, so stopping one server never stops
+/// which models one). Each `serve_with()` call additionally has its own
+/// stop flag for `shutdown` frames, so stopping one server never stops
 /// another in the same process.
 static SIGNAL_STOP: AtomicBool = AtomicBool::new(false);
 
@@ -101,15 +101,15 @@ pub fn request_stop() {
     SIGNAL_STOP.store(true, Ordering::SeqCst);
 }
 
-/// Clear the process-wide signal stop flag so a new `serve()` can run
-/// after a signal-driven (or [`request_stop`]-driven) stop. Never
-/// called implicitly: a `serve()` entry must not cancel a stop
+/// Clear the process-wide signal stop flag so a new `serve_with()` can
+/// run after a signal-driven (or [`request_stop`]-driven) stop. Never
+/// called implicitly: a `serve_with()` entry must not cancel a stop
 /// requested while it was starting.
 pub fn reset_signal_stop() {
     SIGNAL_STOP.store(false, Ordering::SeqCst);
 }
 
-/// One `serve()` call's stop state: its own flag plus the signal flag.
+/// One `serve_with()` call's stop state: its own flag plus the signal flag.
 #[derive(Clone)]
 pub(crate) struct StopFlag(Arc<AtomicBool>);
 
@@ -126,17 +126,6 @@ impl StopFlag {
     pub(crate) fn stopping(&self) -> bool {
         self.0.load(Ordering::SeqCst) || SIGNAL_STOP.load(Ordering::SeqCst)
     }
-}
-
-/// Run the serve loop on `endpoint` with default [`ServeOptions`] until
-/// a shutdown request or signal. See [`serve_with`].
-///
-/// # Errors
-///
-/// Binding errors and fatal `poll` errors; accept errors are
-/// per-connection and logged to stderr instead of aborting the server.
-pub fn serve(service: Arc<Service>, endpoint: &Endpoint) -> io::Result<()> {
-    serve_with(service, endpoint, &ServeOptions::default())
 }
 
 /// Run the serve loop on `endpoint` until a shutdown request or signal.
@@ -279,14 +268,13 @@ mod tests {
         let svc = Arc::new(Service::new(ServiceConfig {
             cache_bytes: 8 << 20,
             workers: 2,
-            queue_capacity: 8,
             default_timeout_ms: None,
             cache_dir: None,
             cache_max_bytes: None,
             cache_max_age: None,
         }));
         let ep = endpoint.clone();
-        std::thread::spawn(move || serve(svc, &ep))
+        std::thread::spawn(move || serve_with(svc, &ep, &ServeOptions::default()))
     }
 
     fn connect_with_retry(ep: &Endpoint) -> Client {

@@ -1,21 +1,25 @@
 //! The service core: everything `pitchforkd` does, minus the sockets.
 //!
-//! [`Service::handle`] maps one parsed [`Request`] to one JSON
-//! response, and is safe to call from any number of threads at once.
-//! The pieces:
+//! Two request methods, both safe to call from any number of threads at
+//! once: [`Service::classify`] answers a request from warm state or says
+//! it needs a worker, and [`Service::handle_local`] is that worker: it
+//! maps one parsed [`Request`] to one JSON response, compiling on the
+//! calling thread. The pieces:
 //!
 //! * a **selector registry** — one warm [`Pitchfork`] (rule sets loaded
 //!   and indexed) per distinct compiler configuration, built on first
 //!   use and kept for the life of the server;
 //! * the **artifact cache** — content-addressed, byte-bounded LRU with
 //!   single-flight deduplication ([`crate::cache`]);
-//! * **admission control** — cache-missing compilations run on a
-//!   bounded [`TaskQueue`]; when the queue is full the request is shed
-//!   with [`ServiceError::Overloaded`] instead of piling on;
-//! * **deadlines** — a request's `timeout_ms` covers queueing and
-//!   compiling; the compile checks it between pipeline phases via the
-//!   driver's cancellation hook, and flight waiters time out
-//!   independently while the flight continues for the others.
+//! * **deadlines** — a request's `timeout_ms` bounds its compile; the
+//!   compile checks it between pipeline phases via the driver's
+//!   cancellation hook, and flight waiters time out independently while
+//!   the flight continues for the others. The event loop charges the
+//!   time a request waited for a worker against the same budget before
+//!   calling [`Service::handle_local`].
+//!
+//! Admission control lives in the event loop's bounded dispatch queue;
+//! the service owns no threads.
 //!
 //! Served results are **bit-identical** to a direct
 //! [`pitchfork::compile_to_executable`] call with the same
@@ -32,12 +36,10 @@ use crate::store::{self, DiskStore, Lookup};
 use fpir::expr::RcExpr;
 use fpir::interp::{Env, Value};
 use fpir_halide::{run_tiled_exe, Image, Pipeline};
-use fpir_pool::TaskQueue;
 use pitchfork::{compile_to_executable_with, Artifact, Config, DriverError, Pitchfork};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -46,10 +48,8 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Artifact-cache byte budget.
     pub cache_bytes: usize,
-    /// Compile worker threads.
+    /// Worker threads the event loop dispatches requests to.
     pub workers: usize,
-    /// Bounded compile-queue capacity (admission control).
-    pub queue_capacity: usize,
     /// Deadline applied when a request doesn't carry its own.
     pub default_timeout_ms: Option<u64>,
     /// Spill directory for the on-disk artifact store. `None` disables
@@ -67,11 +67,9 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(8);
         ServiceConfig {
             cache_bytes: 64 << 20,
-            workers,
-            queue_capacity: workers * 8,
+            workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(8),
             default_timeout_ms: None,
             cache_dir: None,
             cache_max_bytes: None,
@@ -92,15 +90,6 @@ struct Selector {
 /// The part of a [`CompileSpec`] that picks a selector (everything but
 /// the expression and the deadline).
 type SelectorKey = (fpir::Isa, (bool, bool, bool), bool, Option<String>);
-
-/// Where a cache-missing compilation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Compiler {
-    /// On the service's internal bounded queue (direct callers).
-    Queued,
-    /// On the calling thread (the event loop's dispatch workers).
-    Inline,
-}
 
 /// What the cache stores for one key: the driver's artifact plus the
 /// response strings rendered once at insert time, so a cache hit clones
@@ -172,7 +161,6 @@ pub struct Service {
     selectors: Mutex<HashMap<SelectorKey, Arc<Selector>>>,
     cache: Cache<CacheKey, Served, ServiceError>,
     store: Option<DiskStore>,
-    queue: TaskQueue,
     stats: Stats,
     /// Monotonic rule-set generation. Anything memoizing *rendered
     /// responses* outside the cache (the event loop's hot-request memo)
@@ -203,7 +191,6 @@ impl Service {
         });
         let svc = Service {
             cache: Cache::new(config.cache_bytes),
-            queue: TaskQueue::new(config.workers, config.queue_capacity),
             stats: Stats::new(),
             selectors: Mutex::new(HashMap::new()),
             store,
@@ -260,11 +247,6 @@ impl Service {
         self.cache.stats()
     }
 
-    /// Compile tasks currently queued (admission-control depth).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
     /// The current rule-set generation (see the field doc on
     /// `rules_gen`). Response memos outside the cache key on this.
     pub fn rules_generation(&self) -> u64 {
@@ -299,26 +281,14 @@ impl Service {
         s
     }
 
-    /// Handle one request, returning the response frame. Never panics
-    /// on request content; all failures become `{"ok": false}` frames.
-    /// Cache-missing compilations run on the service's internal bounded
-    /// worker queue (admission control for direct in-process callers).
-    pub fn handle(&self, req: &Request) -> Json {
-        self.handle_on(req, Compiler::Queued)
-    }
-
-    /// Like [`handle`](Self::handle), but cache-missing compilations run
-    /// inline on the calling thread. The event loop's dispatch workers
-    /// use this: the request already sits on a bounded worker, and
-    /// hopping through the internal compile queue again would only add
-    /// latency (and a second admission gate). Single-flight
-    /// deduplication still applies — concurrent identical requests share
-    /// one inline compile.
+    /// Handle one request, returning the response frame. A cache miss
+    /// is refilled from the disk store or compiled right here on the
+    /// calling thread — never forwarded to a peer (that decision belongs
+    /// to the event loop, via [`classify`](Self::classify)). Concurrent
+    /// identical requests share one compile (single-flight). Never
+    /// panics on request content; all failures become `{"ok": false}`
+    /// frames.
     pub fn handle_local(&self, req: &Request) -> Json {
-        self.handle_on(req, Compiler::Inline)
-    }
-
-    fn handle_on(&self, req: &Request, compiler: Compiler) -> Json {
         Stats::bump(&self.stats.requests);
         let started = Instant::now();
         let out = match req {
@@ -335,26 +305,14 @@ impl Service {
                 // acknowledges it.
                 Ok(ok_response(vec![("stopping".into(), Json::Bool(true))]))
             }
-            Request::Compile(spec) => self.handle_compile(spec, compiler),
-            Request::Run { spec, inputs } => self.handle_run(spec, inputs, compiler),
+            Request::Compile(spec) => self.handle_compile(spec),
+            Request::Run { spec, inputs } => self.handle_run(spec, inputs),
             Request::RunPipeline { spec, inputs, jobs } => {
-                self.handle_run_pipeline(spec, inputs, *jobs, compiler)
+                self.handle_run_pipeline(spec, inputs, *jobs)
             }
-            Request::PeerGet { spec, rules_fp } => self.handle_peer_get(spec, *rules_fp, compiler),
+            Request::PeerGet { spec, rules_fp } => self.handle_peer_get(spec, *rules_fp),
         };
         self.finish(started, out)
-    }
-
-    /// Answer a request from warm state only, without ever blocking on
-    /// a compile: `None` means "dispatch this to a worker". The event
-    /// loop calls [`classify`](Self::classify) for the same decision
-    /// plus the miss's cache key (for peer forwarding); this wrapper
-    /// keeps the simpler reply-or-dispatch view.
-    pub fn handle_cached(&self, req: &Request) -> Option<FastReply> {
-        match self.classify(req) {
-            CacheDecision::Reply(r) => Some(r),
-            CacheDecision::Dispatch | CacheDecision::MissRemote(_) => None,
-        }
     }
 
     /// Classify one ready frame: answer it inline from warm state,
@@ -365,7 +323,7 @@ impl Service {
         let spec = match req {
             // Control ops never compile; answer inline.
             Request::Ping | Request::Stats { .. } | Request::Shutdown => {
-                return CacheDecision::Reply(FastReply::Json(self.handle(req)));
+                return CacheDecision::Reply(FastReply::Json(self.handle_local(req)));
             }
             Request::Compile(spec)
             | Request::Run { spec, .. }
@@ -378,7 +336,7 @@ impl Service {
         let started = Instant::now();
         let Ok(expr) = fpir::parser::parse_expr(&spec.expr, spec.lanes) else {
             // Malformed expressions are cheap to reject inline.
-            return CacheDecision::Reply(FastReply::Json(self.handle(req)));
+            return CacheDecision::Reply(FastReply::Json(self.handle_local(req)));
         };
         let selector = self.selector(spec);
         let key = CacheKey {
@@ -420,8 +378,8 @@ impl Service {
         }
     }
 
-    /// Success records a latency sample; failure maps onto the shed /
-    /// timeout / error counters and the structured error frame.
+    /// Success records a latency sample; failure maps onto the timeout
+    /// / error counters and the structured error frame.
     fn finish(&self, started: Instant, out: Result<Json, ServiceError>) -> Json {
         match out {
             Ok(v) => {
@@ -430,7 +388,6 @@ impl Service {
             }
             Err(e) => {
                 match e {
-                    ServiceError::Overloaded => Stats::bump(&self.stats.sheds),
                     ServiceError::Timeout { .. } => Stats::bump(&self.stats.timeouts),
                     _ => Stats::bump(&self.stats.errors),
                 }
@@ -445,7 +402,6 @@ impl Service {
     fn artifact(
         &self,
         spec: &CompileSpec,
-        compiler: Compiler,
     ) -> Result<(RcExpr, u64, Arc<Served>, Source), ServiceError> {
         let expr = fpir::parser::parse_expr(&spec.expr, spec.lanes)
             .map_err(|e| ServiceError::BadRequest(format!("expression: {e}")))?;
@@ -473,14 +429,7 @@ impl Service {
                 let bytes = served.approx_bytes();
                 return Ok((served, bytes));
             }
-            let r = match compiler {
-                Compiler::Queued => {
-                    self.compile_on_queue(&selector, &expr, key_fp, deadline, timeout_ms)
-                }
-                Compiler::Inline => {
-                    self.compile_now(&selector, &expr, key_fp, deadline, timeout_ms)
-                }
-            };
+            let r = self.compile(&selector, &expr, key_fp, deadline, timeout_ms);
             if let Ok((served, _)) = &r {
                 self.spill(&key, &served.art);
             }
@@ -502,62 +451,20 @@ impl Service {
         }
     }
 
-    /// The single-flight leader's compute: run the driver on a bounded
-    /// worker, enforcing admission control and the deadline.
-    fn compile_on_queue(
+    /// The single-flight leader's compute, on the calling thread: run
+    /// the driver under the deadline and map its result onto
+    /// cache-insertable state, auditing the artifact in debug builds.
+    fn compile(
         &self,
-        selector: &Arc<Selector>,
-        expr: &RcExpr,
-        key_fp: u64,
-        deadline: Option<Instant>,
-        timeout_ms: Option<u64>,
-    ) -> Result<(Served, usize), ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        let selector = selector.clone();
-        let expr = expr.clone();
-        self.queue
-            .try_submit(Box::new(move || {
-                // The deadline covers time spent queued: if the task
-                // starts too late, the first phase check cancels it.
-                let mut keep_going = |_p| deadline.is_none_or(|d| Instant::now() < d);
-                let r = compile_to_executable_with(&selector.pf, &expr, &mut keep_going);
-                let _ = tx.send(r.map(|(art, _)| art));
-            }))
-            .map_err(|_| ServiceError::Overloaded)?;
-        // The worker always sends (cancellation happens inside the
-        // compile), so this blocks at most until the task's next
-        // deadline check.
-        match rx.recv() {
-            Ok(r) => self.admit_artifact(r, key_fp, timeout_ms),
-            Err(_) => Err(ServiceError::Internal("compile worker disappeared".into())),
-        }
-    }
-
-    /// The single-flight leader's compute on the calling thread (the
-    /// event loop's dispatch workers — already bounded, no second hop).
-    fn compile_now(
-        &self,
-        selector: &Arc<Selector>,
+        selector: &Selector,
         expr: &RcExpr,
         key_fp: u64,
         deadline: Option<Instant>,
         timeout_ms: Option<u64>,
     ) -> Result<(Served, usize), ServiceError> {
         let mut keep_going = |_p| deadline.is_none_or(|d| Instant::now() < d);
-        let r = compile_to_executable_with(&selector.pf, expr, &mut keep_going);
-        self.admit_artifact(r.map(|(art, _)| art), key_fp, timeout_ms)
-    }
-
-    /// Map a driver result onto cache-insertable state, auditing the
-    /// artifact in debug builds.
-    fn admit_artifact(
-        &self,
-        r: Result<Artifact, DriverError>,
-        key_fp: u64,
-        timeout_ms: Option<u64>,
-    ) -> Result<(Served, usize), ServiceError> {
-        match r {
-            Ok(art) => {
+        match compile_to_executable_with(&selector.pf, expr, &mut keep_going) {
+            Ok((art, _)) => {
                 Stats::bump(&self.stats.compiles);
                 // Debug builds audit every artifact entering the cache
                 // with the static verifier; a cached artifact is served
@@ -647,12 +554,7 @@ impl Service {
     /// its owner) and return the portable artifact encoding. A rule-set
     /// fingerprint mismatch answers `found: false` — this daemon's
     /// bytes belong to a different configuration than the requester's.
-    fn handle_peer_get(
-        &self,
-        spec: &CompileSpec,
-        rules_fp: u64,
-        compiler: Compiler,
-    ) -> Result<Json, ServiceError> {
+    fn handle_peer_get(&self, spec: &CompileSpec, rules_fp: u64) -> Result<Json, ServiceError> {
         Stats::bump(&self.stats.peer_serves);
         let not_found = |reason: &str| {
             Ok(ok_response(vec![
@@ -675,7 +577,7 @@ impl Service {
             leave_out: spec.leave_out.clone(),
             rules_fp: selector.rules_fp,
         };
-        let (_, _, served, _) = self.artifact(spec, compiler)?;
+        let (_, _, served, _) = self.artifact(spec)?;
         match store::encode_artifact_json(&key, &served.art) {
             Ok(body) => {
                 Ok(ok_response(vec![("found".into(), Json::Bool(true)), ("artifact".into(), body)]))
@@ -705,8 +607,8 @@ impl Service {
         ]
     }
 
-    fn handle_compile(&self, spec: &CompileSpec, compiler: Compiler) -> Result<Json, ServiceError> {
-        let (_, key_fp, served, source) = self.artifact(spec, compiler)?;
+    fn handle_compile(&self, spec: &CompileSpec) -> Result<Json, ServiceError> {
+        let (_, key_fp, served, source) = self.artifact(spec)?;
         Ok(ok_response(Self::compile_members(key_fp, &served, source)))
     }
 
@@ -714,9 +616,8 @@ impl Service {
         &self,
         spec: &CompileSpec,
         inputs: &[(String, Vec<i128>)],
-        compiler: Compiler,
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, compiler)?;
+        let (expr, key_fp, served, source) = self.artifact(spec)?;
         self.run_response(&expr, key_fp, &served, source, inputs)
     }
 
@@ -776,9 +677,8 @@ impl Service {
         spec: &CompileSpec,
         inputs: &[(String, ImageSpec)],
         jobs: usize,
-        compiler: Compiler,
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, compiler)?;
+        let (expr, key_fp, served, source) = self.artifact(spec)?;
         let pipe = Pipeline::try_new("served", expr.clone())
             .map_err(|e| ServiceError::BadRequest(e.what))?;
         let mut images = BTreeMap::new();
@@ -836,9 +736,7 @@ impl Service {
             ("cache_resident_count".into(), Json::Int(c.resident_count as i128)),
             ("cache_evictions".into(), Json::Int(c.evictions as i128)),
             ("cache_budget_bytes".into(), Json::Int(self.cache.budget_bytes() as i128)),
-            ("queue_depth".into(), Json::Int(self.queue.depth() as i128)),
-            ("queue_capacity".into(), Json::Int(self.queue.capacity() as i128)),
-            ("workers".into(), Json::Int(self.queue.workers() as i128)),
+            ("workers".into(), Json::Int(self.config.workers as i128)),
             (
                 "open_connections".into(),
                 Json::Int(Stats::read(&self.stats.open_connections).into()),
@@ -890,7 +788,6 @@ mod tests {
         Service::new(ServiceConfig {
             cache_bytes: 16 << 20,
             workers: 2,
-            queue_capacity: 8,
             default_timeout_ms: None,
             cache_dir: None,
             cache_max_bytes: None,
@@ -901,7 +798,7 @@ mod tests {
     fn handle_src(svc: &Service, src: &str) -> Json {
         let frame = crate::json::parse(src).unwrap();
         match parse_request(&frame) {
-            Ok(req) => svc.handle(&req),
+            Ok(req) => svc.handle_local(&req),
             Err(e) => error_response(&e),
         }
     }

@@ -939,7 +939,7 @@ mod tests {
                 ..ServiceConfig::default()
             });
             for e in exprs {
-                let r = svc.handle(&Request::Compile(spec(e)));
+                let r = svc.handle_local(&Request::Compile(spec(e)));
                 assert!(r.get("error").is_none(), "compile of {e} failed: {r:?}");
             }
         }

@@ -25,7 +25,6 @@ fn service() -> Arc<Service> {
     Arc::new(Service::new(ServiceConfig {
         cache_bytes: 8 << 20,
         workers: 2,
-        queue_capacity: 16,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,

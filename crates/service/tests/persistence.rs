@@ -22,7 +22,6 @@ fn config(dir: &Path, cache_bytes: usize) -> ServiceConfig {
     ServiceConfig {
         cache_bytes,
         workers: 2,
-        queue_capacity: 16,
         default_timeout_ms: None,
         cache_dir: Some(dir.to_path_buf()),
         cache_max_bytes: None,
@@ -72,7 +71,7 @@ fn restart_refills_the_cache_from_disk() {
     let a = Service::new(config(&dir, 64 << 20));
     let mut truth = Vec::new();
     for e in exprs {
-        let v = a.handle(&compile(e, true));
+        let v = a.handle_local(&compile(e, true));
         assert_ok(&v, e);
         assert_eq!(source(&v), Some("computed"));
         truth.push(v.render());
@@ -98,7 +97,7 @@ fn restart_refills_the_cache_from_disk() {
     assert_eq!(Stats::read(&b.stats().disk_loaded), exprs.len() as u64);
     assert_eq!(Stats::read(&b.stats().disk_rejected), 0);
     for (e, t) in exprs.iter().zip(&truth) {
-        let v = b.handle(&compile(e, true));
+        let v = b.handle_local(&compile(e, true));
         assert_eq!(source(&v), Some("hit"), "{e} must be restart-warm: {v:?}");
         assert_eq!(
             strip_provenance(&v.render()),
@@ -118,7 +117,7 @@ fn startup_sweeps_torn_and_tampered_entries() {
     let dir = temp_dir("crash");
     let a = Service::new(config(&dir, 64 << 20));
     for e in [SAT_ADD, PLAIN_ADD, MIN_EXPR] {
-        assert_ok(&a.handle(&compile(e, true)), e);
+        assert_ok(&a.handle_local(&compile(e, true)), e);
     }
     drop(a);
     let files = spill_files(&dir);
@@ -147,7 +146,7 @@ fn startup_sweeps_torn_and_tampered_entries() {
     assert!(spill_files(&dir).is_empty(), "rejected entries are unlinked");
 
     // The daemon still serves: the keys just compile (and re-spill).
-    let v = b.handle(&compile(SAT_ADD, true));
+    let v = b.handle_local(&compile(SAT_ADD, true));
     assert_ok(&v, "recompile after sweep");
     assert_eq!(source(&v), Some("computed"));
     assert_eq!(spill_files(&dir).len(), 1, "the fresh artifact spilled again");
@@ -160,11 +159,11 @@ fn startup_sweeps_torn_and_tampered_entries() {
 fn rule_toggle_misses_the_store() {
     let dir = temp_dir("rules");
     let a = Service::new(config(&dir, 64 << 20));
-    assert_ok(&a.handle(&compile(SAT_ADD, true)), "synthesized compile");
+    assert_ok(&a.handle_local(&compile(SAT_ADD, true)), "synthesized compile");
     drop(a);
 
     let b = Service::new(config(&dir, 64 << 20));
-    let v = b.handle(&compile(SAT_ADD, false));
+    let v = b.handle_local(&compile(SAT_ADD, false));
     assert_ok(&v, "hand-only compile");
     assert_eq!(
         source(&v),
@@ -185,13 +184,13 @@ fn evicted_entries_refill_from_disk_without_recompiling() {
     // A 1-byte LRU budget: every artifact is evicted the moment it is
     // inserted, so only the disk copy survives.
     let svc = Service::new(config(&dir, 1));
-    let first = svc.handle(&compile(SAT_ADD, true));
+    let first = svc.handle_local(&compile(SAT_ADD, true));
     assert_ok(&first, "first compile");
     assert_eq!(source(&first), Some("computed"));
     assert_eq!(Stats::read(&svc.stats().compiles), 1);
     assert_eq!(Stats::read(&svc.stats().disk_spills), 1);
 
-    let again = svc.handle(&compile(SAT_ADD, true));
+    let again = svc.handle_local(&compile(SAT_ADD, true));
     assert_ok(&again, "refill request");
     assert_eq!(Stats::read(&svc.stats().disk_hits), 1, "the miss refilled from disk");
     assert_eq!(Stats::read(&svc.stats().compiles), 1, "nothing recompiled");

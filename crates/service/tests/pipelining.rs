@@ -1,6 +1,7 @@
 //! End-to-end tests of protocol v2 pipelining against a live event-loop
 //! server: out-of-order completion on one connection, fairness across
-//! connections, and the bounded-output-queue overload close.
+//! connections, the bounded-output-queue overload close, and deadlines
+//! that count the wait for a dispatch worker.
 //!
 //! Determinism notes. `run_pipeline` requests are *always* dispatched
 //! to the worker pool (whole-image runs are real work even when the
@@ -24,12 +25,15 @@ fn parse(src: &str) -> Json {
     pitchfork_service::json::parse(src).unwrap()
 }
 
-fn start(path: &Path, opts: ServeOptions) -> std::thread::JoinHandle<io::Result<()>> {
+fn start(
+    path: &Path,
+    opts: ServeOptions,
+    workers: usize,
+) -> std::thread::JoinHandle<io::Result<()>> {
     let _ = std::fs::remove_file(path);
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 8 << 20,
-        workers: 2,
-        queue_capacity: 64,
+        workers,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -85,7 +89,7 @@ fn read_one(stream: &mut UnixStream) -> Option<Json> {
 #[test]
 fn tagged_requests_complete_out_of_order() {
     let path = sock("ooo");
-    let server = start(&path, ServeOptions::default());
+    let server = start(&path, ServeOptions::default(), 2);
     let mut stream = connect_with_retry(&path);
 
     // One write syscall carries all three frames: a whole-image run
@@ -113,7 +117,7 @@ fn tagged_requests_complete_out_of_order() {
 #[test]
 fn slow_request_on_one_connection_does_not_stall_another() {
     let path = sock("fair");
-    let server = start(&path, ServeOptions::default());
+    let server = start(&path, ServeOptions::default(), 2);
     let mut a = client_with_retry(&path);
     let mut b = client_with_retry(&path);
 
@@ -151,7 +155,7 @@ fn pipelining_past_the_output_budget_closes_with_overloaded() {
     let path = sock("ovl");
     // A deliberately tiny response budget: a burst of stats responses
     // overflows it within one dispatch batch.
-    let server = start(&path, ServeOptions { outq_bytes: 4096, ..ServeOptions::default() });
+    let server = start(&path, ServeOptions { outq_bytes: 4096, ..ServeOptions::default() }, 2);
     let mut stream = connect_with_retry(&path);
 
     const SENT: usize = 256;
@@ -175,6 +179,50 @@ fn pipelining_past_the_output_budget_closes_with_overloaded() {
     // end-of-stream, not a hang.
     let mut probe = [0u8; 1];
     assert_eq!(stream.read(&mut probe).unwrap(), 0, "clean close after the seal");
+
+    drop(stream);
+    shutdown(&path);
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn time_waiting_for_a_worker_counts_against_the_deadline() {
+    let path = sock("deadline");
+    // One service worker gives two dispatch workers; two image runs
+    // occupy both, so a cold compile queued behind them spends its
+    // whole 5 ms budget waiting and is refused without compiling.
+    let server = start(&path, ServeOptions::default(), 1);
+    let mut stream = connect_with_retry(&path);
+
+    let mut burst = Vec::new();
+    write_frame(&mut burst, &image_run("big-a", 128, 1024)).unwrap();
+    write_frame(&mut burst, &image_run("big-b", 128, 1024)).unwrap();
+    write_frame(
+        &mut burst,
+        &parse(
+            r#"{"op":"compile","expr":"u8(min(u16(a_u8) + u16(b_u8), 255))","lanes":16,
+                "isa":"x86","timeout_ms":5,"tag":"late"}"#,
+        ),
+    )
+    .unwrap();
+    stream.write_all(&burst).unwrap();
+
+    let mut late = None;
+    for _ in 0..3 {
+        let v = read_one(&mut stream).expect("three responses expected");
+        if v.get("tag").and_then(Json::as_str) == Some("late") {
+            late = Some(v);
+        } else {
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        }
+    }
+    let late = late.expect("the deadlined compile must be answered");
+    assert_eq!(late.get("code").and_then(Json::as_str), Some("timeout"), "{late:?}");
+
+    write_frame(&mut stream, &parse(r#"{"op":"stats"}"#)).unwrap();
+    let stats = read_one(&mut stream).expect("stats response");
+    assert_eq!(stats.get("timeouts").and_then(Json::as_int), Some(1), "{stats:?}");
+    assert_eq!(stats.get("compiles").and_then(Json::as_int), Some(1), "only the image kernel");
 
     drop(stream);
     shutdown(&path);

@@ -65,7 +65,6 @@ fn duplicate_storm_is_deduplicated_and_bit_identical() {
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 256 << 20, // roomy: nothing should evict
         workers: 4,
-        queue_capacity: 64,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -86,7 +85,7 @@ fn duplicate_storm_is_deduplicated_and_bit_identical() {
             (0..combos.len())
                 .map(|i| {
                     let (expr, isa) = &combos[(i + t) % combos.len()];
-                    let v = svc.handle(&Request::Compile(spec(expr, *isa, None)));
+                    let v = svc.handle_local(&Request::Compile(spec(expr, *isa, None)));
                     ((i + t) % combos.len(), v)
                 })
                 .collect::<Vec<(usize, Json)>>()
@@ -130,7 +129,6 @@ fn tiny_budget_thrashes_but_never_serves_a_wrong_artifact() {
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 512,
         workers: 4,
-        queue_capacity: 64,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -152,7 +150,7 @@ fn tiny_budget_thrashes_but_never_serves_a_wrong_artifact() {
                 for i in 0..combos.len() {
                     let at = (i + t + r) % combos.len();
                     let (expr, isa) = &combos[at];
-                    out.push((at, svc.handle(&Request::Compile(spec(expr, *isa, None)))));
+                    out.push((at, svc.handle_local(&Request::Compile(spec(expr, *isa, None)))));
                 }
             }
             out
@@ -176,7 +174,6 @@ fn run_responses_match_direct_execution() {
     let svc = Service::new(ServiceConfig {
         cache_bytes: 64 << 20,
         workers: 2,
-        queue_capacity: 16,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -189,7 +186,7 @@ fn run_responses_match_direct_execution() {
 
     let mut sp = spec(expr, fpir::Isa::ArmNeon, None);
     sp.lanes = lanes;
-    let v = svc.handle(&Request::Run {
+    let v = svc.handle_local(&Request::Run {
         spec: sp,
         inputs: vec![("a".to_string(), a.clone()), ("b".to_string(), b.clone())],
     });
@@ -213,12 +210,12 @@ fn run_responses_match_direct_execution() {
 
 #[test]
 fn expired_deadline_is_a_structured_timeout_and_cache_stays_consistent() {
-    // One worker: a slow compile in front guarantees the deadlined
-    // request is still queued when its budget expires.
+    // A slow compile runs on another thread while a 1 ms request
+    // compiles on this one: the driver's phase checks cancel it once
+    // the budget is spent.
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 64 << 20,
-        workers: 1,
-        queue_capacity: 16,
+        workers: 2,
         default_timeout_ms: None,
         cache_dir: None,
         cache_max_bytes: None,
@@ -231,22 +228,22 @@ fn expired_deadline_is_a_structured_timeout_and_cache_stays_consistent() {
     let slow = {
         let svc = svc.clone();
         let e = slow_expr.clone();
-        std::thread::spawn(move || svc.handle(&Request::Compile(spec(&e, slow_isa, None))))
+        std::thread::spawn(move || svc.handle_local(&Request::Compile(spec(&e, slow_isa, None))))
     };
-    // Let the slow compile occupy the only worker, then race a 1 ms
-    // deadline against a queue that can't drain it in time.
+    // Let the slow compile get going, then race a 1 ms deadline beside
+    // it.
     std::thread::sleep(std::time::Duration::from_millis(5));
-    let v = svc.handle(&Request::Compile(spec(&fast_expr, fast_isa, Some(1))));
+    let v = svc.handle_local(&Request::Compile(spec(&fast_expr, fast_isa, Some(1))));
     let timed_out = get(&v, "ok").as_bool() == Some(false);
     if timed_out {
         assert_eq!(get(&v, "code").as_str(), Some("timeout"), "{v:?}");
         assert!(Stats::read(&svc.stats().timeouts) >= 1);
     }
     // Whether or not the race produced the timeout (a fast machine may
-    // finish the slow compile first), the cache must stay consistent:
+    // finish the compile inside 1 ms), the cache must stay consistent:
     // the same request with a sane budget succeeds and matches the
     // direct compiler.
-    let ok = svc.handle(&Request::Compile(spec(&fast_expr, fast_isa, Some(60_000))));
+    let ok = svc.handle_local(&Request::Compile(spec(&fast_expr, fast_isa, Some(60_000))));
     assert_eq!(get(&ok, "ok").as_bool(), Some(true), "{ok:?}");
     let (lowered, program, _) = direct(&fast_expr, fast_isa);
     assert_eq!(get(&ok, "lowered").as_str(), Some(lowered.as_str()));

@@ -8,7 +8,7 @@
 //!
 //! Dispatch preserves the linear-scan semantics of §3.2 exactly: candidate
 //! rules are produced in ascending rule-set order (bucket and wildcard
-//! lists merged by index), and the rewriter's ordering criterion —
+//! lists merged by index), and the rewriter's ordering rule —
 //! lowest-cost output wins, ties broken by earliest rule — is insensitive
 //! to which non-matching rules were skipped. The `pitchfork-lint`
 //! `indexcheck` analysis verifies the bucketing against each rule's own

@@ -21,7 +21,7 @@
 //! * **Root-operator rule indexing** — instead of trying every rule at
 //!   every node, candidates come from a [`RuleIndex`] keyed on the
 //!   pattern's head operator, with a wildcard bucket merged in ascending
-//!   rule order so the §3.2 ordering criterion is preserved exactly.
+//!   rule order so the §3.2 ordering rule is preserved exactly.
 //! * **Cached subtree costs** — cost models price whole trees; caching
 //!   per-node subtree costs by identity makes each candidate comparison
 //!   O(new template nodes) instead of O(subtree).
@@ -250,7 +250,7 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
         let mut node = if unchanged { expr.clone() } else { expr.with_children(new_children) };
         // Apply rules repeatedly at this node until none fires. When
         // several rules match the same node, the lowest-cost output is
-        // preferred (§3.2's ordering criterion), with ties broken by rule
+        // preferred (§3.2's ordering rule), with ties broken by rule
         // order — candidates are tried in ascending rule order, so the
         // strict `<` below implements the tie-break in both dispatch
         // modes.
