@@ -11,7 +11,7 @@
 //!
 //! Legalization fails honestly: Hexagon HVX has no 64-bit lanes, so
 //! expressions that require them (§5.1) return
-//! [`LowerError::Unsupported`], mirroring LLVM's failure to compile
+//! a [`LowerError`], mirroring LLVM's failure to compile
 //! `depthwise_conv`, `matmul` and `mul` for HVX.
 
 use crate::def::{InstDef, SignReq, Target};

@@ -18,7 +18,7 @@
 //!   immediate-operand constraints. Hexagon HVX has no 64-bit lanes,
 //!   reproducing the §5.1 compile failures.
 //!
-//! The [`legalize`] pass provides each target's *direct mappings* (the
+//! The [`legalize`](mod@legalize) pass provides each target's *direct mappings* (the
 //! `n` per-backend rules of the paper's `k + n + 1` argument) plus the
 //! generic widen-execute-truncate fallback that makes every integer
 //! operation compilable — expensively — even without Pitchfork.
@@ -55,6 +55,6 @@ pub use def::{
 };
 pub use legalize::{legalize, legalize_uncached, LowerError};
 pub use sem::{
-    eval_sem, eval_sem_into, sem_lane, sem_slice_fn, sem_slice_fn_pair, sem_slice_fn_splat,
-    MachSem, SemSliceFn,
+    eval_sem, eval_sem_into, sem_slice_fn, sem_slice_fn_pair, sem_slice_fn_splat, MachSem,
+    SemSliceFn,
 };

@@ -13,10 +13,18 @@
 //! ([`MachSem::PackSatSignedTo`]). Pitchfork may only select them under a
 //! bounds predicate; if a rule gets the predicate wrong, differential
 //! testing catches the disagreement.
+//!
+//! Each semantic's lane arithmetic is written once, in a private *lane
+//! table* that builds one lane closure per semantic and hands it to a
+//! sink. The four evaluators — [`eval_sem_into`], [`sem_slice_fn`],
+//! [`sem_slice_fn_splat`] and [`sem_slice_fn_pair`] — are sinks over that
+//! table that differ only in the loop around the closure, so they agree by
+//! construction.
 
 use fpir::expr::{BinOp, CmpOp, FpirOp};
 use fpir::interp::{bin_op_lane, cmp_op_lane, fpir_op_lane, Value};
 use fpir::types::{ScalarType, VectorType};
+use std::sync::Arc;
 
 /// What a machine instruction computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +111,9 @@ impl MachSem {
     }
 }
 
+/// The most operands any semantic takes ([`MachSem::DotAcc4`]).
+const MAX_ARITY: usize = 9;
+
 /// Execute one instruction.
 ///
 /// `result_ty` is the type the surrounding expression/program assigned to
@@ -126,7 +137,9 @@ pub fn eval_sem(sem: MachSem, args: &[Value], result_ty: VectorType) -> Result<V
 /// buffer (cleared first), so a hot loop — the linked execution engine in
 /// `fpir-sim` — can recycle lane buffers across instructions instead of
 /// allocating a fresh `Value` per step. [`eval_sem`] is a thin wrapper,
-/// so the two entry points can never disagree on semantics.
+/// so the two entry points can never disagree on semantics. Every shape
+/// check lives here; the lanes come from the lane table's closure, run
+/// over the operand lane slices in place.
 ///
 /// # Errors
 ///
@@ -146,312 +159,32 @@ pub fn eval_sem_into(
             return Err(format!("operand lanes {} != result lanes {lanes}", a.ty().lanes));
         }
     }
-    let elem0 = args.first().map(|a| a.ty().elem);
     out.clear();
     out.reserve(lanes);
-    // Hot path: every arm iterates the operand lane *slices* directly
-    // (zips are bounds-check-free; `extend` over an exact-size iterator
-    // writes without per-element capacity checks), because this core runs
-    // once per instruction per image strip in the linked engine.
+    let width = |i: usize| args[i].ty().elem.bits();
     match sem {
-        MachSem::Bin(op) => {
-            let t = elem0.expect("arity >= 1");
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            // Dispatch on the op once per instruction, not once per lane:
-            // each arm hands the *literal* op to the single-source lane
-            // helper, whose internal match then folds away under inlining.
-            macro_rules! bin_lanes {
-                ($($v:ident),*) => {
-                    match op {
-                        $(BinOp::$v => out
-                            .extend(a.iter().zip(b).map(|(&x, &y)| bin_op_lane(BinOp::$v, x, y, t))),)*
-                    }
-                };
-            }
-            bin_lanes!(Add, Sub, Mul, Div, Mod, Min, Max, Shl, Shr, And, Or, Xor);
-            Ok(())
+        MachSem::WideningMulAcc if width(0) != width(1) * 2 => {
+            return Err(format!(
+                "widening mul-acc accumulator must be 2x the operand width ({} vs {})",
+                width(0),
+                width(1)
+            ));
         }
-        MachSem::Cmp(op) => {
-            let t = elem0.expect("arity >= 1");
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            macro_rules! cmp_lanes {
-                ($($v:ident),*) => {
-                    match op {
-                        $(CmpOp::$v => out
-                            .extend(a.iter().zip(b).map(|(&x, &y)| cmp_op_lane(CmpOp::$v, x, y, t))),)*
-                    }
-                };
-            }
-            cmp_lanes!(Eq, Ne, Lt, Le, Gt, Ge);
-            Ok(())
+        MachSem::DotAcc4 if width(0) != width(1) * 4 => {
+            return Err(format!(
+                "dot-product accumulator must be 4x the operand width ({} vs {})",
+                width(0),
+                width(1)
+            ));
         }
-        MachSem::Select => {
-            let (m, a, b) = (args[0].lanes(), args[1].lanes(), args[2].lanes());
-            out.extend(m.iter().zip(a).zip(b).map(|((&m, &x), &y)| if m != 0 { x } else { y }));
-            Ok(())
-        }
-        MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-            out.extend(args[0].lanes().iter().map(|&x| result_ty.elem.wrap(x)));
-            Ok(())
-        }
-        MachSem::SatCastTo => {
-            out.extend(args[0].lanes().iter().map(|&x| result_ty.elem.saturate(x)));
-            Ok(())
-        }
-        MachSem::PackSatSignedTo => {
-            let signed = elem0.expect("arity 1").with_signed();
-            out.extend(args[0].lanes().iter().map(|&x| result_ty.elem.saturate(signed.wrap(x))));
-            Ok(())
-        }
-        MachSem::Fpir(op) => {
-            // Specialized by arity: fixed-size lane tuples on the stack
-            // for the overwhelmingly common 1/2/3-operand instructions.
-            match args {
-                [a] => {
-                    let tys = [a.ty().elem];
-                    out.extend(
-                        a.lanes().iter().map(|&x| fpir_op_lane(op, &[x], &tys, result_ty.elem)),
-                    );
-                }
-                [a, b] => {
-                    let tys = [a.ty().elem, b.ty().elem];
-                    // As for `Bin` above: pick the op once, outside the
-                    // lane loop, passing a literal to the lane helper so
-                    // its match folds. The wildcard arm covers the ops
-                    // that never reach here with two operands.
-                    macro_rules! lanes2 {
-                        ($v:expr) => {
-                            out.extend(
-                                a.lanes().iter().zip(b.lanes()).map(|(&x, &y)| {
-                                    fpir_op_lane($v, &[x, y], &tys, result_ty.elem)
-                                }),
-                            )
-                        };
-                    }
-                    match op {
-                        FpirOp::WideningAdd => lanes2!(FpirOp::WideningAdd),
-                        FpirOp::WideningSub => lanes2!(FpirOp::WideningSub),
-                        FpirOp::WideningMul => lanes2!(FpirOp::WideningMul),
-                        FpirOp::ExtendingAdd => lanes2!(FpirOp::ExtendingAdd),
-                        FpirOp::ExtendingSub => lanes2!(FpirOp::ExtendingSub),
-                        FpirOp::ExtendingMul => lanes2!(FpirOp::ExtendingMul),
-                        FpirOp::SaturatingAdd => lanes2!(FpirOp::SaturatingAdd),
-                        FpirOp::SaturatingSub => lanes2!(FpirOp::SaturatingSub),
-                        FpirOp::HalvingAdd => lanes2!(FpirOp::HalvingAdd),
-                        FpirOp::HalvingSub => lanes2!(FpirOp::HalvingSub),
-                        FpirOp::RoundingHalvingAdd => lanes2!(FpirOp::RoundingHalvingAdd),
-                        FpirOp::Absd => lanes2!(FpirOp::Absd),
-                        _ => lanes2!(op),
-                    }
-                }
-                [a, b, c] => {
-                    let tys = [a.ty().elem, b.ty().elem, c.ty().elem];
-                    macro_rules! lanes3 {
-                        ($v:expr) => {
-                            out.extend(a.lanes().iter().zip(b.lanes()).zip(c.lanes()).map(
-                                |((&x, &y), &z)| fpir_op_lane($v, &[x, y, z], &tys, result_ty.elem),
-                            ))
-                        };
-                    }
-                    match op {
-                        FpirOp::MulShr => lanes3!(FpirOp::MulShr),
-                        FpirOp::RoundingMulShr => lanes3!(FpirOp::RoundingMulShr),
-                        _ => lanes3!(op),
-                    }
-                }
-                _ => {
-                    let tys: Vec<ScalarType> = args.iter().map(|a| a.ty().elem).collect();
-                    let mut xs: Vec<i128> = vec![0; args.len()];
-                    out.extend((0..lanes).map(|i| {
-                        for (x, a) in xs.iter_mut().zip(args) {
-                            *x = a.lane(i);
-                        }
-                        fpir_op_lane(op, &xs, &tys, result_ty.elem)
-                    }));
-                }
-            }
-            Ok(())
-        }
-        MachSem::MulHigh => {
-            let t = elem0.expect("arity 2");
-            let bits = t.bits();
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            out.extend(a.iter().zip(b).map(|(&x, &y)| result_ty.elem.wrap((x * y) >> bits)));
-            Ok(())
-        }
-        MachSem::MulAcc => {
-            let (acc, a, b) = (args[0].lanes(), args[1].lanes(), args[2].lanes());
-            out.extend(acc.iter().zip(a).zip(b).map(|((&c, &x), &y)| {
-                // Wrapping at i128 for the same reason as `BinOp::Mul` in
-                // `bin_op_lane`: 64-bit lane extremes overflow the raw
-                // product, and `wrap` only reads its low bits.
-                result_ty.elem.wrap(c.wrapping_add(x.wrapping_mul(y)))
-            }));
-            Ok(())
-        }
-        MachSem::WideningMulAcc => {
-            let (aw, ow) = (args[0].ty().elem.bits(), args[1].ty().elem.bits());
-            if aw != ow * 2 {
-                return Err(format!(
-                    "widening mul-acc accumulator must be 2x the operand width ({aw} vs {ow})"
-                ));
-            }
-            let (acc, a, b) = (args[0].lanes(), args[1].lanes(), args[2].lanes());
-            out.extend(
-                acc.iter()
-                    .zip(a)
-                    .zip(b)
-                    .map(|((&c, &x), &y)| result_ty.elem.wrap(c.wrapping_add(x.wrapping_mul(y)))),
-            );
-            Ok(())
-        }
-        MachSem::MulPairsAdd => {
-            let (a, b, c, d) = (args[0].lanes(), args[1].lanes(), args[2].lanes(), args[3].lanes());
-            out.extend((0..lanes).map(|i| result_ty.elem.wrap(a[i] * b[i] + c[i] * d[i])));
-            Ok(())
-        }
-        MachSem::Mpa => {
-            let (a, b, c0, c1) =
-                (args[0].lanes(), args[1].lanes(), args[2].lanes(), args[3].lanes());
-            out.extend((0..lanes).map(|i| result_ty.elem.wrap(a[i] * c0[i] + b[i] * c1[i])));
-            Ok(())
-        }
-        MachSem::MpaAcc => {
-            let (acc, a, b, c0, c1) = (
-                args[0].lanes(),
-                args[1].lanes(),
-                args[2].lanes(),
-                args[3].lanes(),
-                args[4].lanes(),
-            );
-            out.extend(
-                (0..lanes).map(|i| result_ty.elem.wrap(acc[i] + a[i] * c0[i] + b[i] * c1[i])),
-            );
-            Ok(())
-        }
-        MachSem::DotAcc4 => {
-            let aw = args[0].ty().elem.bits();
-            let ow = args[1].ty().elem.bits();
-            if aw != ow * 4 {
-                return Err(format!(
-                    "dot-product accumulator must be 4x the operand width ({aw} vs {ow})"
-                ));
-            }
-            out.extend((0..lanes).map(|i| {
-                let mut acc = args[0].lane(i);
-                for k in 0..4 {
-                    acc += args[1 + k].lane(i) * args[5 + k].lane(i);
-                }
-                result_ty.elem.wrap(acc)
-            }));
-            Ok(())
-        }
-        MachSem::ShrRndSatNarrow => {
-            let t = elem0.expect("arity 2");
-            let tys = [t, args[1].ty().elem];
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            out.extend(a.iter().zip(b).map(|(&x, &y)| {
-                let shifted = fpir_op_lane(FpirOp::RoundingShr, &[x, y], &tys, t);
-                result_ty.elem.saturate(shifted)
-            }));
-            Ok(())
-        }
-        MachSem::ShrNarrow => {
-            let t = elem0.expect("arity 2");
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            out.extend(
-                a.iter()
-                    .zip(b)
-                    .map(|(&x, &y)| result_ty.elem.wrap(bin_op_lane(BinOp::Shr, x, y, t))),
-            );
-            Ok(())
-        }
-        MachSem::QRDMulH => {
-            let t = elem0.expect("arity 2");
-            let tys = [t, t, t];
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            out.extend(a.iter().zip(b).map(|(&x, &y)| {
-                fpir_op_lane(
-                    FpirOp::RoundingMulShr,
-                    &[x, y, t.bits() as i128 - 1],
-                    &tys,
-                    result_ty.elem,
-                )
-            }));
-            Ok(())
-        }
+        _ => {}
     }
-}
-
-/// Execute one instruction on a *single lane*.
-///
-/// `xs` holds one lane value per operand and `tys` the corresponding
-/// operand element types; `result` is the destination element type. This
-/// is the scalar core backing fused superinstruction kernels in
-/// `fpir-sim`: a fused kernel walks the lanes once and evaluates each
-/// absorbed step through this function, keeping intermediates in scalars.
-///
-/// Every arm calls the *same* lane helpers (`bin_op_lane`,
-/// `cmp_op_lane`, `fpir_op_lane`, `wrap`, `saturate`) as the
-/// corresponding [`eval_sem_into`] arm, so for shape-valid inputs the two
-/// entry points are bit-identical by shared code — pinned by the
-/// `sem_lane_matches_eval_sem_into` test below.
-///
-/// # Preconditions
-///
-/// Shape checks (arity, lane counts, widening widths) are *not* repeated
-/// here: callers must only invoke this on operands that `eval_sem_into`
-/// would accept (`xs.len() == tys.len() == sem.arity()`). The linked
-/// engine guarantees this via the static artifact verifier plus its
-/// per-invocation input type checks.
-pub fn sem_lane(sem: MachSem, xs: &[i128], tys: &[ScalarType], result: ScalarType) -> i128 {
-    match sem {
-        MachSem::Bin(op) => bin_op_lane(op, xs[0], xs[1], tys[0]),
-        MachSem::Cmp(op) => cmp_op_lane(op, xs[0], xs[1], tys[0]),
-        MachSem::Select => {
-            if xs[0] != 0 {
-                xs[1]
-            } else {
-                xs[2]
-            }
-        }
-        MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-            result.wrap(xs[0])
-        }
-        MachSem::SatCastTo => result.saturate(xs[0]),
-        MachSem::PackSatSignedTo => result.saturate(tys[0].with_signed().wrap(xs[0])),
-        MachSem::Fpir(op) => fpir_op_lane(op, xs, tys, result),
-        MachSem::MulHigh => result.wrap((xs[0] * xs[1]) >> tys[0].bits()),
-        // The widening width constraint is a shape check; the lane
-        // arithmetic is identical to the non-widening form.
-        MachSem::MulAcc | MachSem::WideningMulAcc => {
-            result.wrap(xs[0].wrapping_add(xs[1].wrapping_mul(xs[2])))
-        }
-        MachSem::MulPairsAdd => result.wrap(xs[0] * xs[1] + xs[2] * xs[3]),
-        MachSem::Mpa => result.wrap(xs[0] * xs[2] + xs[1] * xs[3]),
-        MachSem::MpaAcc => result.wrap(xs[0] + xs[1] * xs[3] + xs[2] * xs[4]),
-        MachSem::DotAcc4 => {
-            let mut acc = xs[0];
-            for k in 0..4 {
-                acc += xs[1 + k] * xs[5 + k];
-            }
-            result.wrap(acc)
-        }
-        MachSem::ShrRndSatNarrow => {
-            let tys2 = [tys[0], tys[1]];
-            result.saturate(fpir_op_lane(FpirOp::RoundingShr, &[xs[0], xs[1]], &tys2, tys[0]))
-        }
-        MachSem::ShrNarrow => result.wrap(bin_op_lane(BinOp::Shr, xs[0], xs[1], tys[0])),
-        MachSem::QRDMulH => {
-            let t = tys[0];
-            fpir_op_lane(
-                FpirOp::RoundingMulShr,
-                &[xs[0], xs[1], t.bits() as i128 - 1],
-                &[t, t, t],
-                result,
-            )
-        }
+    let mut tys = [result_ty.elem; MAX_ARITY];
+    for (t, a) in tys.iter_mut().zip(args) {
+        *t = a.ty().elem;
     }
+    lane_table(sem, &tys[..args.len()], result_ty.elem, Extend { args, out });
+    Ok(())
 }
 
 /// A compiled whole-strip evaluator: one fused-kernel step's semantics
@@ -461,7 +194,7 @@ pub fn sem_lane(sem: MachSem, xs: &[i128], tys: &[ScalarType], result: ScalarTyp
 ///
 /// `Arc` so compiled kernels stay cheaply cloneable and shareable across
 /// worker threads.
-pub type SemSliceFn = std::sync::Arc<dyn Fn(&[&[i128]], &mut [i128]) + Send + Sync>;
+pub type SemSliceFn = Arc<dyn Fn(&[&[i128]], &mut [i128]) + Send + Sync>;
 
 /// Compile one instruction's semantics into a monomorphic vector-loop
 /// closure over raw lane slices.
@@ -470,209 +203,21 @@ pub type SemSliceFn = std::sync::Arc<dyn Fn(&[&[i128]], &mut [i128]) + Send + Sy
 /// `CmpOp` / `FpirOp`), re-checks shapes, and re-reads operand types on
 /// *every* call. Fused superinstruction kernels in `fpir-sim` run their
 /// absorbed steps back-to-back per image strip, so they pay that dispatch
-/// once here, at fuse time: every arm hands a *literal* op to the same
-/// `#[inline]` lane helpers [`sem_lane`] and `eval_sem_into` use, with
-/// the operand/result element types captured, so the helper's internal
-/// match folds away and the closure's tight lane loop is bit-identical
-/// to `eval_sem_into` by construction — pinned by the
-/// `sem_lane_matches_eval_sem_into` test below.
+/// once here, at fuse time: the lane table's closure for `sem` — a
+/// *literal* op handed to the `#[inline]` lane helpers, with the
+/// operand/result element types captured — runs inside a strip loop, so
+/// the helper's internal match folds away and the loop computes exactly
+/// what [`eval_sem_into`] computes from the same closure.
 ///
 /// # Preconditions
 ///
-/// As [`sem_lane`]: shape checks are not repeated. `tys.len() ==
-/// sem.arity()`, and the returned closure must only see `xs` of that
-/// arity with every operand slice exactly `out.len()` lanes long.
+/// Shape checks are not repeated: `tys.len() == sem.arity()`, the
+/// operands are ones [`eval_sem_into`] would accept, and the returned
+/// closure must only see `xs` of that arity with every operand slice
+/// exactly `out.len()` lanes long. The linked engine guarantees this via
+/// the static artifact verifier plus its per-invocation input type checks.
 pub fn sem_slice_fn(sem: MachSem, tys: &[ScalarType], result: ScalarType) -> SemSliceFn {
-    use std::sync::Arc;
-    match sem {
-        MachSem::Bin(op) => {
-            let t = tys[0];
-            macro_rules! bin_fn {
-                ($($v:ident),*) => {
-                    match op {
-                        $(BinOp::$v => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                                *o = bin_op_lane(BinOp::$v, x, y, t);
-                            }
-                        }) as SemSliceFn,)*
-                    }
-                };
-            }
-            bin_fn!(Add, Sub, Mul, Div, Mod, Min, Max, Shl, Shr, And, Or, Xor)
-        }
-        MachSem::Cmp(op) => {
-            let t = tys[0];
-            macro_rules! cmp_fn {
-                ($($v:ident),*) => {
-                    match op {
-                        $(CmpOp::$v => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                                *o = cmp_op_lane(CmpOp::$v, x, y, t);
-                            }
-                        }) as SemSliceFn,)*
-                    }
-                };
-            }
-            cmp_fn!(Eq, Ne, Lt, Le, Gt, Ge)
-        }
-        MachSem::Select => Arc::new(|xs: &[&[i128]], out: &mut [i128]| {
-            for (o, ((&m, &x), &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1]).zip(xs[2])) {
-                *o = if m != 0 { x } else { y };
-            }
-        }),
-        MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, &x) in out.iter_mut().zip(xs[0]) {
-                    *o = result.wrap(x);
-                }
-            })
-        }
-        MachSem::SatCastTo => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-            for (o, &x) in out.iter_mut().zip(xs[0]) {
-                *o = result.saturate(x);
-            }
-        }),
-        MachSem::PackSatSignedTo => {
-            let signed = tys[0].with_signed();
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, &x) in out.iter_mut().zip(xs[0]) {
-                    *o = result.saturate(signed.wrap(x));
-                }
-            })
-        }
-        MachSem::Fpir(op) => {
-            // Capture the operand types in a fixed array (max FPIR arity
-            // is 3) so the closure stays allocation-free; specialize the
-            // loop shape per arity so the zips elide bounds checks.
-            let mut ta = [result; 4];
-            ta[..tys.len()].copy_from_slice(tys);
-            let n = tys.len();
-            macro_rules! fpir_arm {
-                ($op:expr) => {{
-                    let op = $op;
-                    match n {
-                        1 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            for (o, &x) in out.iter_mut().zip(xs[0]) {
-                                *o = fpir_op_lane(op, &[x], &ta[..1], result);
-                            }
-                        }) as SemSliceFn,
-                        2 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                                *o = fpir_op_lane(op, &[x, y], &ta[..2], result);
-                            }
-                        }) as SemSliceFn,
-                        _ => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            for (o, ((&x, &y), &z)) in
-                                out.iter_mut().zip(xs[0].iter().zip(xs[1]).zip(xs[2]))
-                            {
-                                *o = fpir_op_lane(op, &[x, y, z], &ta[..3], result);
-                            }
-                        }) as SemSliceFn,
-                    }
-                }};
-            }
-            macro_rules! fpir_fn {
-                ($($v:ident),*) => {
-                    match op {
-                        $(FpirOp::$v => fpir_arm!(FpirOp::$v),)*
-                        FpirOp::SaturatingCast(to) => fpir_arm!(FpirOp::SaturatingCast(to)),
-                    }
-                };
-            }
-            fpir_fn!(
-                WideningAdd,
-                WideningSub,
-                WideningMul,
-                WideningShl,
-                WideningShr,
-                ExtendingAdd,
-                ExtendingSub,
-                ExtendingMul,
-                Abs,
-                Absd,
-                SaturatingNarrow,
-                SaturatingAdd,
-                SaturatingSub,
-                HalvingAdd,
-                HalvingSub,
-                RoundingHalvingAdd,
-                RoundingShl,
-                RoundingShr,
-                MulShr,
-                RoundingMulShr,
-                SaturatingShl
-            )
-        }
-        MachSem::MulHigh => {
-            let bits = tys[0].bits();
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                    *o = result.wrap((x * y) >> bits);
-                }
-            })
-        }
-        MachSem::MulAcc | MachSem::WideningMulAcc => {
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, ((&c, &x), &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1]).zip(xs[2])) {
-                    *o = result.wrap(c.wrapping_add(x.wrapping_mul(y)));
-                }
-            })
-        }
-        MachSem::MulPairsAdd => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-            for i in 0..out.len() {
-                out[i] = result.wrap(xs[0][i] * xs[1][i] + xs[2][i] * xs[3][i]);
-            }
-        }),
-        MachSem::Mpa => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-            for i in 0..out.len() {
-                out[i] = result.wrap(xs[0][i] * xs[2][i] + xs[1][i] * xs[3][i]);
-            }
-        }),
-        MachSem::MpaAcc => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-            for i in 0..out.len() {
-                out[i] = result.wrap(xs[0][i] + xs[1][i] * xs[3][i] + xs[2][i] * xs[4][i]);
-            }
-        }),
-        MachSem::DotAcc4 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-            for i in 0..out.len() {
-                let mut acc = xs[0][i];
-                for k in 0..4 {
-                    acc += xs[1 + k][i] * xs[5 + k][i];
-                }
-                out[i] = result.wrap(acc);
-            }
-        }),
-        MachSem::ShrRndSatNarrow => {
-            let tys2 = [tys[0], tys[1]];
-            let t = tys[0];
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                    *o = result.saturate(fpir_op_lane(FpirOp::RoundingShr, &[x, y], &tys2, t));
-                }
-            })
-        }
-        MachSem::ShrNarrow => {
-            let t = tys[0];
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                    *o = result.wrap(bin_op_lane(BinOp::Shr, x, y, t));
-                }
-            })
-        }
-        MachSem::QRDMulH => {
-            let t = tys[0];
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                    *o = fpir_op_lane(
-                        FpirOp::RoundingMulShr,
-                        &[x, y, t.bits() as i128 - 1],
-                        &[t, t, t],
-                        result,
-                    );
-                }
-            })
-        }
-    }
+    lane_table(sem, tys, result, Strip)
 }
 
 /// Compile one step with a *splat-constant* operand captured as a
@@ -680,13 +225,13 @@ pub fn sem_slice_fn(sem: MachSem, tys: &[ScalarType], result: ScalarType) -> Sem
 /// [`sem_slice_fn`] — the constant's pool slice is still staged at
 /// position `k`, exactly as the audited pass sources say — but the
 /// lane loop never reads it, so the strip runs with one fewer input
-/// stream. Every lane goes through the same literal-op helpers as
-/// [`sem_slice_fn`], and the skipped slice holds `c` in every lane, so
-/// the result is bit-identical by construction — pinned by
+/// stream. The loop calls the same lane closure as [`sem_slice_fn`] with
+/// `c` bound at operand `k`, and the skipped slice holds `c` in every
+/// lane, so the result is bit-identical by construction — pinned by
 /// `splat_capture_matches_streamed_constant` below.
 ///
-/// Returns `None` for semantics without a captured-scalar loop; the
-/// caller keeps the streamed [`sem_slice_fn`] kernel.
+/// Returns `None` for the 4-, 5- and 9-operand semantics; the caller
+/// keeps the streamed [`sem_slice_fn`] kernel.
 ///
 /// # Preconditions
 ///
@@ -699,250 +244,330 @@ pub fn sem_slice_fn_splat(
     k: usize,
     c: i128,
 ) -> Option<SemSliceFn> {
-    use std::sync::Arc;
-    Some(match sem {
-        MachSem::Bin(op) => {
-            let t = tys[0];
-            macro_rules! bin_splat {
-                ($($v:ident),*) => {
-                    match op {
-                        $(BinOp::$v => if k == 0 {
-                            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                                for (o, &y) in out.iter_mut().zip(xs[1]) {
-                                    *o = bin_op_lane(BinOp::$v, c, y, t);
-                                }
-                            }) as SemSliceFn
-                        } else {
-                            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                                for (o, &x) in out.iter_mut().zip(xs[0]) {
-                                    *o = bin_op_lane(BinOp::$v, x, c, t);
-                                }
-                            }) as SemSliceFn
-                        },)*
-                    }
-                };
-            }
-            bin_splat!(Add, Sub, Mul, Div, Mod, Min, Max, Shl, Shr, And, Or, Xor)
+    lane_table(sem, tys, result, Capture { k, c })
+}
+
+// ---- the lane table -----------------------------------------------------
+
+/// What a lane closure may capture: plain data (element types, shift
+/// widths, a constant), so it can be copied into composed loops and the
+/// compiled kernel shared across worker threads.
+trait Lane: Copy + Send + Sync + 'static {}
+impl<T: Copy + Send + Sync + 'static> Lane for T {}
+
+/// Receives the one lane closure `lane_table` builds for a semantic, in
+/// the form matching its arity, and turns it into an evaluator.
+trait LaneSink {
+    type Out;
+    fn unary(self, f: impl Fn(i128) -> i128 + Lane) -> Self::Out;
+    fn binary(self, f: impl Fn(i128, i128) -> i128 + Lane) -> Self::Out;
+    fn ternary(self, f: impl Fn(i128, i128, i128) -> i128 + Lane) -> Self::Out;
+    /// The 4-, 5- and 9-operand semantics: lane `i` of the result, read
+    /// from every operand slice.
+    fn wide(self, f: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Self::Out;
+}
+
+/// Expand `$body` once per listed variant of the op enum `$Ty`, with `$O`
+/// a constant holding that variant. A lane closure built in `$body` thus
+/// hands its helper a *literal* op, whose match folds away inside the
+/// lane loop — a runtime op in a hot lane loop measured slower than the
+/// unfused engine.
+macro_rules! each_op {
+    ($op:expr, $Ty:ident [$($v:ident)*], $O:ident => $body:expr) => {
+        match $op {
+            $($Ty::$v => {
+                const $O: $Ty = $Ty::$v;
+                $body
+            })*
         }
-        MachSem::Cmp(op) => {
-            let t = tys[0];
-            macro_rules! cmp_splat {
-                ($($v:ident),*) => {
-                    match op {
-                        $(CmpOp::$v => if k == 0 {
-                            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                                for (o, &y) in out.iter_mut().zip(xs[1]) {
-                                    *o = cmp_op_lane(CmpOp::$v, c, y, t);
-                                }
-                            }) as SemSliceFn
-                        } else {
-                            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                                for (o, &x) in out.iter_mut().zip(xs[0]) {
-                                    *o = cmp_op_lane(CmpOp::$v, x, c, t);
-                                }
-                            }) as SemSliceFn
-                        },)*
-                    }
-                };
-            }
-            cmp_splat!(Eq, Ne, Lt, Le, Gt, Ge)
+    };
+}
+
+/// `each_op!` over every `BinOp`.
+macro_rules! bin_ops {
+    ($op:expr, $O:ident => $body:expr) => {
+        each_op!($op, BinOp [Add Sub Mul Div Mod Min Max Shl Shr And Or Xor], $O => $body)
+    };
+}
+
+/// The lane closure of `Bin($op)` at operand type `$t`; `$op` must be a
+/// constant for the helper's match to fold.
+macro_rules! bin_lane {
+    ($op:expr, $t:expr) => {{
+        let t: ScalarType = $t;
+        move |x, y| bin_op_lane($op, x, y, t)
+    }};
+}
+
+/// The lane table: every semantic's lane arithmetic, written once.
+/// `tys` are the operand element types (`tys.len() == sem.arity()`),
+/// `result` the destination element type.
+fn lane_table<S: LaneSink>(
+    sem: MachSem,
+    tys: &[ScalarType],
+    result: ScalarType,
+    sink: S,
+) -> S::Out {
+    let t = tys[0];
+    match sem {
+        MachSem::Bin(op) => bin_lanes(op, t, sink),
+        MachSem::Cmp(op) => each_op!(op, CmpOp [Eq Ne Lt Le Gt Ge], O => {
+            sink.binary(move |x, y| cmp_op_lane(O, x, y, t))
+        }),
+        MachSem::Select => sink.ternary(|m, x, y| if m != 0 { x } else { y }),
+        MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
+            sink.unary(wrap_lane(result))
         }
-        MachSem::Fpir(op) if tys.len() == 2 => {
-            let ta = [tys[0], tys[1]];
-            macro_rules! fpir_splat2 {
-                ($op:expr) => {{
-                    let op = $op;
-                    if k == 0 {
-                        Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            for (o, &y) in out.iter_mut().zip(xs[1]) {
-                                *o = fpir_op_lane(op, &[c, y], &ta, result);
-                            }
-                        }) as SemSliceFn
-                    } else {
-                        Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            for (o, &x) in out.iter_mut().zip(xs[0]) {
-                                *o = fpir_op_lane(op, &[x, c], &ta, result);
-                            }
-                        }) as SemSliceFn
-                    }
-                }};
-            }
-            macro_rules! fpir_splat2_fn {
-                ($($v:ident),*) => {
-                    match op {
-                        $(FpirOp::$v => fpir_splat2!(FpirOp::$v),)*
-                        FpirOp::SaturatingCast(to) => fpir_splat2!(FpirOp::SaturatingCast(to)),
-                    }
-                };
-            }
-            fpir_splat2_fn!(
-                WideningAdd,
-                WideningSub,
-                WideningMul,
-                WideningShl,
-                WideningShr,
-                ExtendingAdd,
-                ExtendingSub,
-                ExtendingMul,
-                Abs,
-                Absd,
-                SaturatingNarrow,
-                SaturatingAdd,
-                SaturatingSub,
-                HalvingAdd,
-                HalvingSub,
-                RoundingHalvingAdd,
-                RoundingShl,
-                RoundingShr,
-                MulShr,
-                RoundingMulShr,
-                SaturatingShl
-            )
+        MachSem::SatCastTo => sink.unary(move |x| result.saturate(x)),
+        MachSem::PackSatSignedTo => {
+            let signed = t.with_signed();
+            sink.unary(move |x| result.saturate(signed.wrap(x)))
         }
+        MachSem::Fpir(op) => fpir_lanes(op, tys, result, sink),
         MachSem::MulHigh => {
-            let bits = tys[0].bits();
-            if k == 0 {
-                Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                    for (o, &y) in out.iter_mut().zip(xs[1]) {
-                        *o = result.wrap((c * y) >> bits);
-                    }
-                })
-            } else {
-                Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                    for (o, &x) in out.iter_mut().zip(xs[0]) {
-                        *o = result.wrap((x * c) >> bits);
-                    }
-                })
-            }
+            let bits = t.bits();
+            sink.binary(move |x, y| result.wrap((x * y) >> bits))
         }
-        MachSem::MulAcc | MachSem::WideningMulAcc => match k {
-            0 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&x, &y)) in out.iter_mut().zip(xs[1].iter().zip(xs[2])) {
-                    *o = result.wrap(c.wrapping_add(x.wrapping_mul(y)));
-                }
-            }),
-            1 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&a, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[2])) {
-                    *o = result.wrap(a.wrapping_add(c.wrapping_mul(y)));
-                }
-            }),
-            _ => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&a, &x)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                    *o = result.wrap(a.wrapping_add(x.wrapping_mul(c)));
-                }
-            }),
-        },
-        MachSem::ShrRndSatNarrow => {
-            let tys2 = [tys[0], tys[1]];
-            let t = tys[0];
-            if k == 0 {
-                Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                    for (o, &y) in out.iter_mut().zip(xs[1]) {
-                        *o = result.saturate(fpir_op_lane(FpirOp::RoundingShr, &[c, y], &tys2, t));
-                    }
-                })
-            } else {
-                Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                    for (o, &x) in out.iter_mut().zip(xs[0]) {
-                        *o = result.saturate(fpir_op_lane(FpirOp::RoundingShr, &[x, c], &tys2, t));
-                    }
-                })
+        // The widening width constraint is a shape check; the lane
+        // arithmetic is the non-widening form's. Wrapping at i128 for the
+        // same reason as `BinOp::Mul` in `bin_op_lane`: 64-bit lane
+        // extremes overflow the raw product, and `wrap` only reads its low
+        // bits.
+        MachSem::MulAcc | MachSem::WideningMulAcc => {
+            sink.ternary(move |c, x, y| result.wrap(c.wrapping_add(x.wrapping_mul(y))))
+        }
+        MachSem::MulPairsAdd => {
+            sink.wide(move |xs, i| result.wrap(xs[0][i] * xs[1][i] + xs[2][i] * xs[3][i]))
+        }
+        MachSem::Mpa => {
+            sink.wide(move |xs, i| result.wrap(xs[0][i] * xs[2][i] + xs[1][i] * xs[3][i]))
+        }
+        MachSem::MpaAcc => sink
+            .wide(move |xs, i| result.wrap(xs[0][i] + xs[1][i] * xs[3][i] + xs[2][i] * xs[4][i])),
+        MachSem::DotAcc4 => sink.wide(move |xs, i| {
+            let mut acc = xs[0][i];
+            for k in 0..4 {
+                acc += xs[1 + k][i] * xs[5 + k][i];
             }
+            result.wrap(acc)
+        }),
+        MachSem::ShrRndSatNarrow => {
+            let tys2 = [t, tys[1]];
+            sink.binary(move |x, y| {
+                result.saturate(fpir_op_lane(FpirOp::RoundingShr, &[x, y], &tys2, t))
+            })
         }
         MachSem::ShrNarrow => {
-            let t = tys[0];
-            if k == 0 {
-                Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                    for (o, &y) in out.iter_mut().zip(xs[1]) {
-                        *o = result.wrap(bin_op_lane(BinOp::Shr, c, y, t));
-                    }
-                })
-            } else {
-                Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                    for (o, &x) in out.iter_mut().zip(xs[0]) {
-                        *o = result.wrap(bin_op_lane(BinOp::Shr, x, c, t));
-                    }
-                })
-            }
+            let shr = bin_lane!(BinOp::Shr, t);
+            sink.binary(move |x, y| result.wrap(shr(x, y)))
         }
-        _ => return None,
-    })
+        MachSem::QRDMulH => {
+            let shift = t.bits() as i128 - 1;
+            sink.binary(move |x, y| {
+                fpir_op_lane(FpirOp::RoundingMulShr, &[x, y, shift], &[t, t, t], result)
+            })
+        }
+    }
 }
 
-/// Lane-wise producer classes a fused pair loop can inline. `Bin` and
-/// `Cmp` compose with their op *monomorphized* through the macros in
-/// [`sem_slice_fn_pair`] — handing a runtime op to `bin_op_lane` inside
-/// a hot lane loop costs far more than the scratch round trip it saves
-/// (measured: it regressed the fused engine below the linked baseline),
-/// so only literal-op loops are emitted. FPIR ops compose with the op
-/// captured and dispatched per lane — exactly how [`sem_slice_fn`]'s own
-/// FPIR loops already run.
-#[derive(Clone, Copy)]
-enum PairProducer {
-    /// `Bin(op)` at the captured operand type.
-    Bin(BinOp, ScalarType),
-    /// `Cmp(op)` at the captured operand type (composes into `Select`).
-    Cmp(CmpOp, ScalarType),
-    /// Wrapping conversion to the captured result type
-    /// (`ExtendTo`/`TruncTo`/`Reinterpret`/`Splat`).
-    Wrap(ScalarType),
-    /// Arity ≤ 3 FPIR op: op, operand types, arity, result type.
-    Fpir(FpirOp, [ScalarType; 3], u8, ScalarType),
+/// `Bin(op)` at operand type `t`.
+fn bin_lanes<S: LaneSink>(op: BinOp, t: ScalarType, sink: S) -> S::Out {
+    bin_ops!(op, O => sink.binary(bin_lane!(O, t)))
 }
 
-/// Consumer classes a fused pair loop can inline (see [`PairProducer`]).
-#[derive(Clone, Copy)]
-enum PairConsumer {
-    /// `Bin(op)` at the captured operand type.
-    Bin(BinOp),
-    /// Wrapping conversion to the captured result type.
-    Wrap(ScalarType),
-    /// `select(mask, a, b)` — the producer must feed the mask.
-    Select,
+/// A wrapping conversion to `result` (`ExtendTo`/`TruncTo`/`Reinterpret`/
+/// `Splat`).
+fn wrap_lane(result: ScalarType) -> impl Fn(i128) -> i128 + Lane {
+    move |x| result.wrap(x)
 }
 
-impl PairProducer {
-    fn of(sem: MachSem, tys: &[ScalarType], result: ScalarType) -> Option<PairProducer> {
-        Some(match sem {
-            MachSem::Bin(op) => PairProducer::Bin(op, tys[0]),
-            MachSem::Cmp(op) => PairProducer::Cmp(op, tys[0]),
-            MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-                PairProducer::Wrap(result)
+/// `Fpir(op)` at the op's own arity, each arm with its op literal.
+fn fpir_lanes<S: LaneSink>(op: FpirOp, tys: &[ScalarType], result: ScalarType, sink: S) -> S::Out {
+    macro_rules! lanes {
+        (1, $op:expr) => {{
+            let ta = [tys[0]];
+            sink.unary(move |x| fpir_op_lane($op, &[x], &ta, result))
+        }};
+        (2, $op:expr) => {{
+            let ta = [tys[0], tys[1]];
+            sink.binary(move |x, y| fpir_op_lane($op, &[x, y], &ta, result))
+        }};
+        (3, $op:expr) => {{
+            let ta = [tys[0], tys[1], tys[2]];
+            sink.ternary(move |x, y, z| fpir_op_lane($op, &[x, y, z], &ta, result))
+        }};
+    }
+    macro_rules! by_arity {
+        ($($n:tt: $($v:ident)*;)*) => {
+            match op {
+                FpirOp::SaturatingCast(to) => lanes!(1, FpirOp::SaturatingCast(to)),
+                $($(FpirOp::$v => lanes!($n, FpirOp::$v),)*)*
             }
-            MachSem::Fpir(op) if tys.len() <= 3 => {
-                let mut ta = [result; 3];
-                ta[..tys.len()].copy_from_slice(tys);
-                PairProducer::Fpir(op, ta, tys.len() as u8, result)
+        };
+    }
+    by_arity! {
+        1: Abs SaturatingNarrow;
+        2: WideningAdd WideningSub WideningMul WideningShl WideningShr ExtendingAdd ExtendingSub
+           ExtendingMul Absd SaturatingAdd SaturatingSub HalvingAdd HalvingSub RoundingHalvingAdd
+           RoundingShl RoundingShr SaturatingShl;
+        3: MulShr RoundingMulShr;
+    }
+}
+
+// ---- the sinks ----------------------------------------------------------
+
+/// `eval_sem_into`'s sink: extends `out` with the result lanes, reading
+/// the operand lane slices in place (zips are bounds-check-free, and
+/// `extend` over an exact-size iterator writes without per-element
+/// capacity checks).
+struct Extend<'a> {
+    args: &'a [&'a Value],
+    out: &'a mut Vec<i128>,
+}
+
+impl LaneSink for Extend<'_> {
+    type Out = ();
+    fn unary(self, f: impl Fn(i128) -> i128 + Lane) {
+        self.out.extend(self.args[0].lanes().iter().map(|&x| f(x)));
+    }
+    fn binary(self, f: impl Fn(i128, i128) -> i128 + Lane) {
+        let (a, b) = (self.args[0].lanes(), self.args[1].lanes());
+        self.out.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y)));
+    }
+    fn ternary(self, f: impl Fn(i128, i128, i128) -> i128 + Lane) {
+        let (a, b, c) = (self.args[0].lanes(), self.args[1].lanes(), self.args[2].lanes());
+        self.out.extend(a.iter().zip(b).zip(c).map(|((&x, &y), &z)| f(x, y, z)));
+    }
+    fn wide(self, f: impl Fn(&[&[i128]], usize) -> i128 + Lane) {
+        let mut xs: [&[i128]; MAX_ARITY] = [&[]; MAX_ARITY];
+        for (x, a) in xs.iter_mut().zip(self.args) {
+            *x = a.lanes();
+        }
+        let xs = &xs[..self.args.len()];
+        self.out.extend((0..xs[0].len()).map(|i| f(xs, i)));
+    }
+}
+
+/// Erase a strip loop into a shareable [`SemSliceFn`].
+fn kernel(f: impl Fn(&[&[i128]], &mut [i128]) + Send + Sync + 'static) -> SemSliceFn {
+    Arc::new(f)
+}
+
+fn strip1(f: impl Fn(i128) -> i128, a: &[i128], out: &mut [i128]) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+}
+
+fn strip2(f: impl Fn(i128, i128) -> i128, a: &[i128], b: &[i128], out: &mut [i128]) {
+    for (o, (&x, &y)) in out.iter_mut().zip(a.iter().zip(b)) {
+        *o = f(x, y);
+    }
+}
+
+/// Re-sliced indexed loop: a three-way `zip` defeats the unroller for
+/// cheap ops, and this is the shape of the hottest merged pairs
+/// (`Bin` → `Bin`).
+fn strip3(
+    f: impl Fn(i128, i128, i128) -> i128,
+    a: &[i128],
+    b: &[i128],
+    c: &[i128],
+    out: &mut [i128],
+) {
+    let n = out.len();
+    let (a, b, c) = (&a[..n], &b[..n], &c[..n]);
+    for i in 0..n {
+        out[i] = f(a[i], b[i], c[i]);
+    }
+}
+
+/// `sem_slice_fn`'s sink: the lane closure in a strip loop over every
+/// operand slice.
+struct Strip;
+
+impl LaneSink for Strip {
+    type Out = SemSliceFn;
+    fn unary(self, f: impl Fn(i128) -> i128 + Lane) -> SemSliceFn {
+        kernel(move |xs, out| strip1(f, xs[0], out))
+    }
+    fn binary(self, f: impl Fn(i128, i128) -> i128 + Lane) -> SemSliceFn {
+        kernel(move |xs, out| strip2(f, xs[0], xs[1], out))
+    }
+    fn ternary(self, f: impl Fn(i128, i128, i128) -> i128 + Lane) -> SemSliceFn {
+        kernel(move |xs, out| strip3(f, xs[0], xs[1], xs[2], out))
+    }
+    fn wide(self, f: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> SemSliceFn {
+        kernel(move |xs, out| {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = f(xs, i);
             }
-            _ => return None,
         })
     }
 }
 
-impl PairConsumer {
-    fn of(sem: MachSem, result: ScalarType) -> Option<PairConsumer> {
-        Some(match sem {
-            MachSem::Bin(op) => PairConsumer::Bin(op),
-            MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-                PairConsumer::Wrap(result)
-            }
-            MachSem::Select => PairConsumer::Select,
-            _ => return None,
+/// `sem_slice_fn_splat`'s sink: `c` bound at operand `k`, the loop
+/// reading only the other operands' slices.
+struct Capture {
+    k: usize,
+    c: i128,
+}
+
+impl LaneSink for Capture {
+    type Out = Option<SemSliceFn>;
+    fn unary(self, f: impl Fn(i128) -> i128 + Lane) -> Self::Out {
+        let c = f(self.c);
+        Some(kernel(move |_, out| out.fill(c)))
+    }
+    fn binary(self, f: impl Fn(i128, i128) -> i128 + Lane) -> Self::Out {
+        let c = self.c;
+        Some(match self.k {
+            0 => kernel(move |xs, out| strip1(move |y| f(c, y), xs[1], out)),
+            _ => kernel(move |xs, out| strip1(move |x| f(x, c), xs[0], out)),
         })
     }
+    fn ternary(self, f: impl Fn(i128, i128, i128) -> i128 + Lane) -> Self::Out {
+        let c = self.c;
+        Some(match self.k {
+            0 => kernel(move |xs, out| strip2(move |x, y| f(c, x, y), xs[1], xs[2], out)),
+            1 => kernel(move |xs, out| strip2(move |a, y| f(a, c, y), xs[0], xs[2], out)),
+            _ => kernel(move |xs, out| strip2(move |a, x| f(a, x, c), xs[0], xs[1], out)),
+        })
+    }
+    fn wide(self, _: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Self::Out {
+        None
+    }
+}
+
+// ---- fused pairs --------------------------------------------------------
+
+/// Whether absorbing producer `p`'s loop into consumer `c`'s pays off.
+/// Fusing a pair saves a scratch-row round trip and a dispatch, but the
+/// wider merged loop body also optimizes worse than two tight two-operand
+/// loops; for cheap lane-wise ops (add, min/max, logic) the second effect
+/// dominates and the merged loop measures *slower*. Only multiply-class
+/// pairs — where the op cost dwarfs the loop-shape penalty — are worth
+/// merging (and even then the fuser skips the pair when either side holds
+/// a splat-constant operand, which is worth more as a captured scalar).
+fn pair_profitable(p: MachSem, c: MachSem) -> bool {
+    let mul = |s: MachSem| matches!(s, MachSem::Bin(BinOp::Mul) | MachSem::Fpir(_));
+    mul(p) || mul(c)
 }
 
 /// Compile a *fused pair*: a single-use producer absorbed into operand
 /// `k` of its consumer, evaluated in one strip loop with the
 /// intermediate held in a register instead of a scratch row.
 ///
-/// Returns `None` when the combination is not one of the supported
-/// lane-wise families ([`PairProducer`] × [`PairConsumer`]) — the caller
-/// then keeps the two separate passes. Per pair, the loop body is the
-/// two corresponding [`sem_slice_fn`] loop bodies nested with *literal*
-/// ops (via the macros below), so the composition is bit-identical to
-/// running the producer into a temporary strip and the consumer after
-/// it — pinned by `fused_pairs_match_sequential_passes`.
+/// This function decides which pairs merge. It returns `None` — the
+/// caller then keeps the two separate passes — unless the pair is
+/// multiply-class (a `Bin(Mul)` or FPIR step on either side; cheaper
+/// pairs run slower merged than as two loops) and lane-wise (the producer
+/// a `Bin`, FPIR or wrapping-cast step, the consumer a `Bin` or wrapping
+/// cast). The merged loop calls the consumer's lane-table closure on the
+/// producer's — the two closures [`sem_slice_fn`] runs as separate
+/// passes — so it is bit-identical to running the producer into a
+/// temporary strip and the consumer after it, pinned by
+/// `fused_pairs_match_sequential_passes`.
 ///
 /// # Preconditions
 ///
@@ -959,233 +584,113 @@ pub fn sem_slice_fn_pair(
     c_result: ScalarType,
     k: usize,
 ) -> Option<SemSliceFn> {
-    use std::sync::Arc;
-    let p = PairProducer::of(p_sem, p_tys, p_result)?;
-    let c = PairConsumer::of(c_sem, c_result)?;
-    // In every consumer, the operand type at position `k` is the
-    // producer's result type, and a `Bin`/`Select` consumer's lane type
-    // is uniform — so the consumer's captured type is its result type
-    // for `Wrap`, and the operand type equals `p_result` for `Bin`
-    // lane arithmetic. `Bin` consumers operate at their operand type,
-    // which for the chains the fuser builds equals `c_tys[0]`; that in
-    // turn is `p_result` when `k == 0`. Capture the operand type
-    // explicitly to be exact:
-    let ct = match c_sem {
-        MachSem::Bin(_) => c_tys[0],
-        _ => c_result,
-    };
+    if !pair_profitable(p_sem, c_sem) {
+        return None;
+    }
+    // The table runs for the consumer, then for the producer, over only
+    // the families the policy admits, so no other pair loop is compiled:
+    // a `Bin(Mul)` consumer absorbs any lane-wise producer, every other
+    // consumer only a multiply-class one.
+    let p = Producer { sem: p_sem, tys: p_tys, result: p_result };
+    let ct = c_tys[0];
+    match c_sem {
+        MachSem::Bin(BinOp::Mul) => p.lane_wise(Into2 { c: bin_lane!(BinOp::Mul, ct), k }),
+        MachSem::Bin(op) => bin_ops!(op, O => p.mul_class(Into2 { c: bin_lane!(O, ct), k })),
+        MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
+            p.mul_class(Into1(wrap_lane(c_result)))
+        }
+        _ => None,
+    }
+}
 
-    /// Expand `$mk!([$pre,] Op)` for the literal `BinOp` matching `$op`.
-    macro_rules! for_each_bin_op {
-        ($op:expr, $mk:ident $(, $pre:ident)?) => {
-            match $op {
-                BinOp::Add => $mk!($($pre,)? Add),
-                BinOp::Sub => $mk!($($pre,)? Sub),
-                BinOp::Mul => $mk!($($pre,)? Mul),
-                BinOp::Div => $mk!($($pre,)? Div),
-                BinOp::Mod => $mk!($($pre,)? Mod),
-                BinOp::Min => $mk!($($pre,)? Min),
-                BinOp::Max => $mk!($($pre,)? Max),
-                BinOp::Shl => $mk!($($pre,)? Shl),
-                BinOp::Shr => $mk!($($pre,)? Shr),
-                BinOp::And => $mk!($($pre,)? And),
-                BinOp::Or => $mk!($($pre,)? Or),
-                BinOp::Xor => $mk!($($pre,)? Xor),
-            }
-        };
+/// A pair's producer, run through the lane table into the sink holding
+/// its consumer's closure (`Into1`/`Into2`).
+struct Producer<'a> {
+    sem: MachSem,
+    tys: &'a [ScalarType],
+    result: ScalarType,
+}
+
+impl Producer<'_> {
+    /// The multiply-class producers, which every lane-wise consumer
+    /// absorbs.
+    fn mul_class<S: LaneSink<Out = Option<SemSliceFn>>>(&self, into: S) -> Option<SemSliceFn> {
+        match self.sem {
+            MachSem::Bin(BinOp::Mul) => into.binary(bin_lane!(BinOp::Mul, self.tys[0])),
+            MachSem::Fpir(op) => fpir_lanes(op, self.tys, self.result, into),
+            _ => None,
+        }
     }
 
-    Some(match (p, c) {
-        // ---- cast -> cast: one wrap feeding another ------------------
-        (PairProducer::Wrap(pr), PairConsumer::Wrap(cr)) => {
-            Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, &x) in out.iter_mut().zip(xs[0]) {
-                    *o = cr.wrap(pr.wrap(x));
-                }
-            }) as SemSliceFn
+    /// Every lane-wise producer, which a `Bin(Mul)` consumer absorbs.
+    fn lane_wise<S: LaneSink<Out = Option<SemSliceFn>>>(&self, into: S) -> Option<SemSliceFn> {
+        match self.sem {
+            MachSem::Bin(op) => bin_lanes(op, self.tys[0], into),
+            MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
+                into.unary(wrap_lane(self.result))
+            }
+            _ => self.mul_class(into),
         }
-        // ---- cast -> binary ------------------------------------------
-        (PairProducer::Wrap(pr), PairConsumer::Bin(cop)) => {
-            macro_rules! wrap_bin {
-                ($C:ident) => {
-                    Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                        if k == 0 {
-                            for (o, (&x, &u)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                                *o = bin_op_lane(BinOp::$C, pr.wrap(x), u, ct);
-                            }
-                        } else {
-                            for (o, (&x, &u)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                                *o = bin_op_lane(BinOp::$C, u, pr.wrap(x), ct);
-                            }
-                        }
-                    }) as SemSliceFn
-                };
-            }
-            for_each_bin_op!(cop, wrap_bin)
-        }
-        // ---- binary -> cast ------------------------------------------
-        (PairProducer::Bin(pop, pt), PairConsumer::Wrap(cr)) => {
-            macro_rules! bin_wrap {
-                ($P:ident) => {
-                    Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                        for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                            *o = cr.wrap(bin_op_lane(BinOp::$P, x, y, pt));
-                        }
-                    }) as SemSliceFn
-                };
-            }
-            for_each_bin_op!(pop, bin_wrap)
-        }
-        // ---- binary -> binary: the dominant chain shape --------------
-        (PairProducer::Bin(pop, pt), PairConsumer::Bin(cop)) => {
-            macro_rules! bin_bin {
-                ($P:ident, $C:ident) => {
-                    Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                        // Re-sliced indexed loops: multi-way `zip` defeats
-                        // the unroller for cheap ops, and this family is
-                        // the hottest merged shape.
-                        let (x, y, u) =
-                            (&xs[0][..out.len()], &xs[1][..out.len()], &xs[2][..out.len()]);
-                        if k == 0 {
-                            for i in 0..out.len() {
-                                out[i] = bin_op_lane(
-                                    BinOp::$C,
-                                    bin_op_lane(BinOp::$P, x[i], y[i], pt),
-                                    u[i],
-                                    ct,
-                                );
-                            }
-                        } else {
-                            for i in 0..out.len() {
-                                out[i] = bin_op_lane(
-                                    BinOp::$C,
-                                    u[i],
-                                    bin_op_lane(BinOp::$P, x[i], y[i], pt),
-                                    ct,
-                                );
-                            }
-                        }
-                    }) as SemSliceFn
-                };
-            }
-            match pop {
-                BinOp::Add => for_each_bin_op!(cop, bin_bin, Add),
-                BinOp::Sub => for_each_bin_op!(cop, bin_bin, Sub),
-                BinOp::Mul => for_each_bin_op!(cop, bin_bin, Mul),
-                BinOp::Div => for_each_bin_op!(cop, bin_bin, Div),
-                BinOp::Mod => for_each_bin_op!(cop, bin_bin, Mod),
-                BinOp::Min => for_each_bin_op!(cop, bin_bin, Min),
-                BinOp::Max => for_each_bin_op!(cop, bin_bin, Max),
-                BinOp::Shl => for_each_bin_op!(cop, bin_bin, Shl),
-                BinOp::Shr => for_each_bin_op!(cop, bin_bin, Shr),
-                BinOp::And => for_each_bin_op!(cop, bin_bin, And),
-                BinOp::Or => for_each_bin_op!(cop, bin_bin, Or),
-                BinOp::Xor => for_each_bin_op!(cop, bin_bin, Xor),
-            }
-        }
-        // ---- FPIR -> binary ------------------------------------------
-        // The FPIR op stays captured and dispatches per lane — the same
-        // shape as sem_slice_fn's own FPIR loops.
-        (PairProducer::Fpir(pop, pta, pn, pr), PairConsumer::Bin(cop)) => {
-            macro_rules! fpir_bin {
-                ($C:ident) => {{
-                    match pn {
-                        1 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            if k == 0 {
-                                for (o, (&x, &u)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                                    let t = fpir_op_lane(pop, &[x], &pta[..1], pr);
-                                    *o = bin_op_lane(BinOp::$C, t, u, ct);
-                                }
-                            } else {
-                                for (o, (&x, &u)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                                    let t = fpir_op_lane(pop, &[x], &pta[..1], pr);
-                                    *o = bin_op_lane(BinOp::$C, u, t, ct);
-                                }
-                            }
-                        }) as SemSliceFn,
-                        2 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            if k == 0 {
-                                for (o, ((&x, &y), &u)) in
-                                    out.iter_mut().zip(xs[0].iter().zip(xs[1]).zip(xs[2]))
-                                {
-                                    let t = fpir_op_lane(pop, &[x, y], &pta[..2], pr);
-                                    *o = bin_op_lane(BinOp::$C, t, u, ct);
-                                }
-                            } else {
-                                for (o, ((&x, &y), &u)) in
-                                    out.iter_mut().zip(xs[0].iter().zip(xs[1]).zip(xs[2]))
-                                {
-                                    let t = fpir_op_lane(pop, &[x, y], &pta[..2], pr);
-                                    *o = bin_op_lane(BinOp::$C, u, t, ct);
-                                }
-                            }
-                        }) as SemSliceFn,
-                        _ => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                            if k == 0 {
-                                for (o, (((&x, &y), &z), &u)) in out
-                                    .iter_mut()
-                                    .zip(xs[0].iter().zip(xs[1]).zip(xs[2]).zip(xs[3]))
-                                {
-                                    let t = fpir_op_lane(pop, &[x, y, z], &pta[..3], pr);
-                                    *o = bin_op_lane(BinOp::$C, t, u, ct);
-                                }
-                            } else {
-                                for (o, (((&x, &y), &z), &u)) in out
-                                    .iter_mut()
-                                    .zip(xs[0].iter().zip(xs[1]).zip(xs[2]).zip(xs[3]))
-                                {
-                                    let t = fpir_op_lane(pop, &[x, y, z], &pta[..3], pr);
-                                    *o = bin_op_lane(BinOp::$C, u, t, ct);
-                                }
-                            }
-                        }) as SemSliceFn,
-                    }
-                }};
-            }
-            for_each_bin_op!(cop, fpir_bin)
-        }
-        // ---- FPIR -> cast --------------------------------------------
-        (PairProducer::Fpir(pop, pta, pn, pr), PairConsumer::Wrap(cr)) => match pn {
-            1 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, &x) in out.iter_mut().zip(xs[0]) {
-                    *o = cr.wrap(fpir_op_lane(pop, &[x], &pta[..1], pr));
-                }
-            }),
-            2 => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, (&x, &y)) in out.iter_mut().zip(xs[0].iter().zip(xs[1])) {
-                    *o = cr.wrap(fpir_op_lane(pop, &[x, y], &pta[..2], pr));
-                }
-            }),
-            _ => Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                for (o, ((&x, &y), &z)) in out.iter_mut().zip(xs[0].iter().zip(xs[1]).zip(xs[2])) {
-                    *o = cr.wrap(fpir_op_lane(pop, &[x, y, z], &pta[..3], pr));
-                }
-            }),
-        },
-        // ---- compare -> select: the mask never touches memory --------
-        (PairProducer::Cmp(pop, pt), PairConsumer::Select) if k == 0 => {
-            macro_rules! cmp_select {
-                ($P:ident) => {
-                    Arc::new(move |xs: &[&[i128]], out: &mut [i128]| {
-                        for (o, (((&x, &y), &u), &v)) in
-                            out.iter_mut().zip(xs[0].iter().zip(xs[1]).zip(xs[2]).zip(xs[3]))
-                        {
-                            *o = if cmp_op_lane(CmpOp::$P, x, y, pt) != 0 { u } else { v };
-                        }
-                    }) as SemSliceFn
-                };
-            }
-            match pop {
-                CmpOp::Eq => cmp_select!(Eq),
-                CmpOp::Ne => cmp_select!(Ne),
-                CmpOp::Lt => cmp_select!(Lt),
-                CmpOp::Le => cmp_select!(Le),
-                CmpOp::Gt => cmp_select!(Gt),
-                CmpOp::Ge => cmp_select!(Ge),
-            }
-        }
-        _ => return None,
-    })
+    }
+}
+
+/// A one-operand consumer `c` waiting for its producer: the merged loop
+/// reads the producer's operands and computes `c(p(..))`.
+struct Into1<C>(C);
+
+impl<C: Fn(i128) -> i128 + Lane> LaneSink for Into1<C> {
+    type Out = Option<SemSliceFn>;
+    fn unary(self, p: impl Fn(i128) -> i128 + Lane) -> Self::Out {
+        let c = self.0;
+        Some(Strip.unary(move |x| c(p(x))))
+    }
+    fn binary(self, p: impl Fn(i128, i128) -> i128 + Lane) -> Self::Out {
+        let c = self.0;
+        Some(Strip.binary(move |x, y| c(p(x, y))))
+    }
+    fn ternary(self, p: impl Fn(i128, i128, i128) -> i128 + Lane) -> Self::Out {
+        let c = self.0;
+        Some(Strip.ternary(move |x, y, z| c(p(x, y, z))))
+    }
+    fn wide(self, _: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Self::Out {
+        None
+    }
+}
+
+/// A two-operand consumer `c` waiting for its producer at operand `k`: the
+/// merged loop reads the producer's operands, then the consumer's other
+/// operand `u`.
+struct Into2<C> {
+    c: C,
+    k: usize,
+}
+
+impl<C: Fn(i128, i128) -> i128 + Lane> LaneSink for Into2<C> {
+    type Out = Option<SemSliceFn>;
+    fn unary(self, p: impl Fn(i128) -> i128 + Lane) -> Self::Out {
+        let c = self.c;
+        Some(match self.k {
+            0 => Strip.binary(move |x, u| c(p(x), u)),
+            _ => Strip.binary(move |x, u| c(u, p(x))),
+        })
+    }
+    fn binary(self, p: impl Fn(i128, i128) -> i128 + Lane) -> Self::Out {
+        let c = self.c;
+        Some(match self.k {
+            0 => Strip.ternary(move |x, y, u| c(p(x, y), u)),
+            _ => Strip.ternary(move |x, y, u| c(u, p(x, y))),
+        })
+    }
+    fn ternary(self, p: impl Fn(i128, i128, i128) -> i128 + Lane) -> Self::Out {
+        let c = self.c;
+        Some(match self.k {
+            0 => Strip.wide(move |xs, i| c(p(xs[0][i], xs[1][i], xs[2][i]), xs[3][i])),
+            _ => Strip.wide(move |xs, i| c(xs[3][i], p(xs[0][i], xs[1][i], xs[2][i]))),
+        })
+    }
+    fn wide(self, _: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Self::Out {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -1257,10 +762,12 @@ mod tests {
     }
 
     #[test]
-    fn sem_lane_matches_eval_sem_into() {
-        // Every MachSem variant, evaluated whole-vector by eval_sem_into
-        // and lane-by-lane by sem_lane, must agree bit-for-bit. A small
-        // LCG fills the lanes with canonical (wrapped) values per type.
+    fn compiled_kernels_match_eval_sem() {
+        // Every MachSem variant, evaluated whole-vector by eval_sem and by
+        // the compiled strip kernel, must agree bit-for-bit: the two sinks
+        // run the same lane closure through different loops (operand
+        // slices, the wide form's lane indexing). A small LCG fills the
+        // lanes with canonical (wrapped) values per type.
         let mut state: u64 = 0x243f_6a88_85a3_08d3;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1315,12 +822,6 @@ mod tests {
                 .collect();
             let rty = V::new(result, LANES);
             let whole = eval_sem(sem, &args, rty).unwrap_or_else(|e| panic!("{sem:?}: {e}"));
-            for lane in 0..LANES as usize {
-                let xs: Vec<i128> = args.iter().map(|a| a.lane(lane)).collect();
-                let got = sem_lane(sem, &xs, &arg_tys, result);
-                assert_eq!(got, whole.lane(lane), "{sem:?} lane {lane}");
-            }
-            // The compiled whole-strip kernel must agree too.
             let compiled = sem_slice_fn(sem, &arg_tys, result);
             let slices: Vec<&[i128]> = args.iter().map(|a| a.lanes()).collect();
             let mut out = vec![0i128; LANES as usize];
@@ -1330,12 +831,127 @@ mod tests {
     }
 
     #[test]
+    fn literal_ops_match_runtime_op_helpers() {
+        // The op-list macros hand each lane closure a *literal* op. A slip
+        // there (`Sub` mapped to `Add`, an FPIR op at the wrong arity)
+        // would make the table disagree with the lane helpers called on
+        // the *runtime* op — checked here for every op through the
+        // whole-vector evaluator, the compiled strip, and the
+        // captured-constant strip at every operand position.
+        let mut state: u64 = 0x1319_8a2e_0370_7344;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 16) as i128
+        };
+        const LANES: usize = 8;
+        use BinOp as B;
+        use CmpOp as C;
+        use FpirOp as F;
+        let bins = [
+            B::Add,
+            B::Sub,
+            B::Mul,
+            B::Div,
+            B::Mod,
+            B::Min,
+            B::Max,
+            B::Shl,
+            B::Shr,
+            B::And,
+            B::Or,
+            B::Xor,
+        ];
+        let cmps = [C::Eq, C::Ne, C::Lt, C::Le, C::Gt, C::Ge];
+        let fpirs = [
+            F::WideningAdd,
+            F::WideningSub,
+            F::WideningMul,
+            F::WideningShl,
+            F::WideningShr,
+            F::ExtendingAdd,
+            F::ExtendingSub,
+            F::ExtendingMul,
+            F::Abs,
+            F::Absd,
+            F::SaturatingCast(S::U8),
+            F::SaturatingCast(S::I32),
+            F::SaturatingNarrow,
+            F::SaturatingAdd,
+            F::SaturatingSub,
+            F::HalvingAdd,
+            F::HalvingSub,
+            F::RoundingHalvingAdd,
+            F::RoundingShl,
+            F::RoundingShr,
+            F::MulShr,
+            F::RoundingMulShr,
+            F::SaturatingShl,
+        ];
+        let sems: Vec<MachSem> = bins
+            .map(MachSem::Bin)
+            .into_iter()
+            .chain(cmps.map(MachSem::Cmp))
+            .chain(fpirs.map(MachSem::Fpir))
+            .collect();
+        let runtime_op = |sem: MachSem, xs: &[i128], tys: &[S], result: S| match sem {
+            MachSem::Bin(op) => bin_op_lane(op, xs[0], xs[1], tys[0]),
+            MachSem::Cmp(op) => cmp_op_lane(op, xs[0], xs[1], tys[0]),
+            MachSem::Fpir(op) => fpir_op_lane(op, xs, tys, result),
+            _ => unreachable!(),
+        };
+        let run = |f: SemSliceFn, args: &[Vec<i128>]| {
+            let slices: Vec<&[i128]> = args.iter().map(|a| a.as_slice()).collect();
+            let mut out = vec![0i128; LANES];
+            f(&slices, &mut out);
+            out
+        };
+        let t = S::I16;
+        for sem in sems {
+            // A narrower FPIR result type, so saturating and wrapping ops
+            // clip; operand 0 starts with the type's extremes.
+            let result = if matches!(sem, MachSem::Fpir(_)) { S::I8 } else { t };
+            let tys = vec![t; sem.arity()];
+            let edge = [t.min_value(), t.max_value(), 0, -1];
+            let args: Vec<Vec<i128>> = (0..tys.len())
+                .map(|j| {
+                    (0..LANES)
+                        .map(|i| if j == 0 && i < 4 { edge[i] } else { t.wrap(next()) })
+                        .collect()
+                })
+                .collect();
+            let want = |args: &[Vec<i128>]| -> Vec<i128> {
+                (0..LANES)
+                    .map(|i| {
+                        let xs: Vec<i128> = args.iter().map(|a| a[i]).collect();
+                        runtime_op(sem, &xs, &tys, result)
+                    })
+                    .collect()
+            };
+            let values: Vec<Value> =
+                args.iter().map(|a| Value::new(V::new(t, LANES as u32), a.clone())).collect();
+            let refs: Vec<&Value> = values.iter().collect();
+            let mut whole = Vec::new();
+            eval_sem_into(sem, &refs, V::new(result, LANES as u32), &mut whole).unwrap();
+            assert_eq!(whole, want(&args), "{sem:?} eval_sem_into");
+            assert_eq!(run(sem_slice_fn(sem, &tys, result), &args), want(&args), "{sem:?} strip");
+            for k in 0..tys.len() {
+                let c = t.wrap(next());
+                let mut with_c = args.clone();
+                with_c[k] = vec![c; LANES];
+                let splat = sem_slice_fn_splat(sem, &tys, result, k, c)
+                    .unwrap_or_else(|| panic!("{sem:?}: no captured loop at operand {k}"));
+                assert_eq!(run(splat, &with_c), want(&with_c), "{sem:?} splat at operand {k}");
+            }
+        }
+    }
+
+    #[test]
     fn fused_pairs_match_sequential_passes() {
         // For every type-compatible ordered pair of semantics and every
         // consumer operand position, the one-loop fused pair must be
         // bit-identical to running the two compiled strip kernels back to
-        // back through a temporary. Pairs the composer declines (arity
-        // > 3, pairwise family) are simply skipped — the engine keeps
+        // back through a temporary. Pairs the composer declines (not
+        // multiply-class, or not lane-wise) are skipped — the engine keeps
         // separate passes for those.
         let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut next = move || {
@@ -1376,6 +992,7 @@ mod tests {
                     else {
                         continue;
                     };
+                    assert!(pair_profitable(*p_sem, *c_sem), "{p_sem:?} -> {c_sem:?} merged");
                     fused_pairs += 1;
                     let mut fill =
                         |t: S| -> Vec<i128> { (0..LANES).map(|_| t.wrap(next())).collect() };
@@ -1405,11 +1022,10 @@ mod tests {
                 }
             }
         }
-        // The composer covers the hot monomorphic families (bin/cast
-        // chains, FPIR->bin/cast, cmp->select); everything else stays as
-        // two passes. Keep a floor so a refactor can't silently shrink
-        // coverage to nothing.
-        assert!(fused_pairs >= 40, "expected broad pair coverage, got {fused_pairs}");
+        // Pinned exactly, so a refactor cannot silently widen or narrow
+        // which pairs merge: the multiply-class, lane-wise pairs among the
+        // cases above.
+        assert_eq!(fused_pairs, 23, "merged pair coverage changed");
     }
 
     #[test]
@@ -1441,6 +1057,9 @@ mod tests {
             (fp(FpirOp::HalvingAdd), vec![S::U8, S::U8], S::U8),
             (MachSem::ShrRndSatNarrow, vec![S::I16, S::I16], S::U8),
             (MachSem::ShrNarrow, vec![S::I16, S::I16], S::I8),
+            (MachSem::QRDMulH, vec![S::I16, S::I16], S::I16),
+            (MachSem::Select, vec![S::U8, S::U8, S::U8], S::U8),
+            (MachSem::MulPairsAdd, vec![S::I16; 4], S::I16),
         ];
         let mut captured = 0usize;
         for (sem, tys, result) in &cases {
@@ -1469,7 +1088,9 @@ mod tests {
                 assert_eq!(got, want, "{sem:?} splat at operand {k}");
             }
         }
-        assert!(captured >= 20, "expected broad splat coverage, got {captured}");
+        // Pinned exactly: every case but the wide `MulPairsAdd` captures at
+        // every operand position.
+        assert_eq!(captured, 37, "splat capture coverage changed");
     }
 
     #[test]

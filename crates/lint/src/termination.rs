@@ -13,7 +13,7 @@
 //!   does not strictly reduce [`AgnosticCost`] on some instantiation is an
 //!   *error* (it violates the convergence requirement and can never fire
 //!   there); for lowering TRSs the same check runs against that target's
-//!   [`TargetCost`] and reports a *note* (target cost models are
+//!   [`fpir_isa::TargetCost`] and reports a *note* (target cost models are
 //!   per-instruction and a tie merely means the rule is unreachable);
 //! * **rewrite cycles** — strongly connected components of the abstract
 //!   rewrite-reachability graph (rule A → rule B iff B's LHS skeleton may

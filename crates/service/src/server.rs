@@ -3,7 +3,7 @@
 //!
 //! The server listens on a Unix socket or a TCP address and runs every
 //! connection on the readiness-driven loop in
-//! [`eventloop`](crate::eventloop) — one thread multiplexing all
+//! [`eventloop`] — one thread multiplexing all
 //! sockets with `poll(2)`, dispatching ready requests to a worker pool
 //! in batches. Shutdown is cooperative and comes from two places — a
 //! `{"op":"shutdown"}` frame, which stops only the server that received
@@ -45,7 +45,7 @@ impl std::fmt::Display for Endpoint {
 impl Endpoint {
     /// Parse a CLI address: an explicit `unix:` or `tcp:` prefix wins;
     /// a bare string containing `/` is a Unix-socket path, anything
-    /// else a TCP address. Round-trips with [`Display`]: the display
+    /// else a TCP address. Round-trips with [`Display`](std::fmt::Display): the display
     /// form doubles as the fleet's rendezvous node id, so every daemon
     /// resolves `--peer` spellings to the same canonical string.
     pub fn parse(s: &str) -> Endpoint {

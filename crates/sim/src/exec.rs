@@ -249,7 +249,7 @@ pub(crate) enum OutLoc {
 /// tiled runner and the `pitchfork-service` cache both rely on this.
 /// The audit, pinned by a compile-time assertion in the tests:
 ///
-/// * `code` ([`LInst`]) holds only plain data — [`MachOp`], a `Copy`
+/// * `code` (`LInst`) holds only plain data — [`MachOp`], a `Copy`
 ///   [`MachSem`] (an enum of opcodes and constants, no function
 ///   pointers or interior mutability), a [`VectorType`], and index
 ///   operands;

@@ -6,7 +6,7 @@
 //! dispatch, one full lane traversal, and one intermediate register
 //! materialization *per instruction*, even for chains like
 //! `mul → shr → add` that the cycle model prices as a single fused idiom
-//! (`vmpa`/`vdmpy`-style). [`optimize`] rewrites a linked executable so
+//! (`vmpa`/`vdmpy`-style). `optimize` rewrites a linked executable so
 //! those chains run as **superinstructions**: one lane walk per chain,
 //! intermediates in stack scalars, a single register write at the root.
 //!
@@ -33,8 +33,8 @@
 //! 5. **Fusion** — a peephole over def-use chains absorbs single-use
 //!    producers into their unique consumer (arith chains,
 //!    widening-mul/acc ladders, splat-feeding ops) as long as lane
-//!    counts match and the kernel stays within [`MAX_STEPS`] steps /
-//!    [`MAX_OPERANDS`] external operands. Splat-constant operands are
+//!    counts match and the kernel stays within `MAX_STEPS` steps /
+//!    `MAX_OPERANDS` external operands. Splat-constant operands are
 //!    baked into the kernel as immediates. Unfusable instructions fall
 //!    through to the existing whole-vector dispatch unchanged.
 //! 6. **Register re-allocation** — the surviving instructions are run
@@ -42,11 +42,13 @@
 //!    the shorter lifetimes (in practice it only shrinks; exec-bench
 //!    records before/after).
 //!
-//! **Why bit-identity holds.** Every fused step evaluates through
-//! [`fpir_isa::sem_lane`], whose arms call the same lane helpers as the
-//! whole-vector [`fpir_isa::eval_sem_into`] arms — the two are the same
-//! arithmetic by shared code, pinned by a test in `fpir-isa`. Shape
-//! errors cannot diverge either: operand types are static after
+//! **Why bit-identity holds.** Every fused pass runs a kernel compiled by
+//! `fpir-isa` ([`fpir_isa::sem_slice_fn`], or its splat-capture and
+//! merged-pair forms), and those kernels and the whole-vector
+//! [`fpir_isa::eval_sem_into`] are sinks over one lane table: each
+//! semantic's lane arithmetic is written once and only the loop around
+//! it differs, pinned by tests in `fpir-isa`. Shape errors cannot
+//! diverge either: operand types are static after
 //! linking (input bindings are type-checked before dispatch), so the
 //! verifier's fused-shape audit proves at fuse time everything
 //! `eval_sem_into` would check per invocation. Binding errors are
@@ -66,7 +68,7 @@ use fpir_isa::{eval_sem, MachSem};
 
 /// Engine selection for linking, mirroring the selection engine's
 /// FAST/REFERENCE `EngineConfig`: [`ExecConfig::FAST`] runs the
-/// post-link pipeline ([`optimize`]), [`ExecConfig::REFERENCE`] keeps
+/// post-link pipeline (`optimize`), [`ExecConfig::REFERENCE`] keeps
 /// the plain PR 4 link. Outputs are bit-identical; only speed differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
@@ -471,31 +473,15 @@ pub(crate) fn optimize(exe: Executable) -> Executable {
 
 /// Derive a fused kernel's execution schedule from its audited step
 /// list: one compiled strip loop per step, except that a step whose
-/// operand is a *single-use* lane-wise producer absorbs that producer
-/// into the same loop ([`fpir_isa::sem_slice_fn_pair`]) — the
-/// intermediate then lives in a register for the duration of a lane
-/// instead of round-tripping through a scratch row. Pair merging is one
-/// level deep (a merged pass cannot itself be absorbed), greedy in step
-/// order, and falls back to the step's own compiled kernel whenever the
-/// composer declines the pair. Unmerged passes with a splat-constant
-/// operand get the constant baked in as a captured scalar instead
-/// ([`fpir_isa::sem_slice_fn_splat`]).
-///
-/// Whether absorbing `p`'s loop into `c`'s pays off. Fusing a pair saves a
-/// scratch-row round trip and a dispatch, but the wider merged loop body
-/// also optimizes worse than two tight two-operand loops; for cheap
-/// lane-wise ops (add, min/max, logic) the second effect dominates and the
-/// merged loop measures *slower*. Only multiply-class producers — where
-/// the op cost dwarfs the loop-shape penalty — are worth merging (and even
-/// then `build_passes` skips the pair when either side holds a
-/// splat-constant operand, which is worth more as a captured scalar).
-fn pair_profitable(p: fpir_isa::MachSem, c: fpir_isa::MachSem) -> bool {
-    use fpir::expr::BinOp;
-    use fpir_isa::MachSem;
-    let mul = |s: MachSem| matches!(s, MachSem::Bin(BinOp::Mul) | MachSem::Fpir(_));
-    mul(p) || mul(c)
-}
-
+/// operand is a *single-use* producer may absorb that producer into the
+/// same loop ([`fpir_isa::sem_slice_fn_pair`], which decides which pairs
+/// merge) — the intermediate then lives in a register for the duration
+/// of a lane instead of round-tripping through a scratch row. Pair
+/// merging is one level deep (a merged pass cannot itself be absorbed),
+/// greedy in step order, and falls back to the step's own compiled
+/// kernel whenever the composer declines the pair. Unmerged passes with
+/// a splat-constant operand get the constant baked in as a captured
+/// scalar instead ([`fpir_isa::sem_slice_fn_splat`]).
 fn build_passes(steps: &[FStep], arg_splat: &[Option<i128>]) -> Box<[FPass]> {
     let n = steps.len();
     let mut uses = vec![0usize; n];
@@ -514,13 +500,9 @@ fn build_passes(steps: &[FStep], arg_splat: &[Option<i128>]) -> Box<[FPass]> {
         for (k, src) in steps[j].srcs.iter().enumerate() {
             let FSrc::Tmp(t) = *src else { continue };
             let t = t as usize;
-            // The producer must be single-use, not already merged either
-            // way, the pair must be profitable, and it must compose into
-            // one lane-wise loop.
+            // The producer must be single-use and not already merged
+            // either way; the composer decides whether the pair merges.
             if uses[t] != 1 || absorbed[t] || absorbs[t].is_some() {
-                continue;
-            }
-            if !pair_profitable(steps[t].sem, steps[j].sem) {
                 continue;
             }
             // A splat-constant operand on either side is worth more as

@@ -37,9 +37,10 @@
 //!   their recorded type, every step has the kernel's lane count, the
 //!   widening shapes hold per step, step positions strictly increase,
 //!   every external operand is read, and the final step is the
-//!   instruction's own op/type/position — so the lane walk through
-//!   [`fpir_isa::sem_lane`] is exactly the per-instruction dispatch it
-//!   replaced. (Each step's opcode→semantics agreement is reported
+//!   instruction's own op/type/position — so the compiled step kernels,
+//!   built from the same lane table as [`fpir_isa::eval_sem_into`], run
+//!   exactly the per-instruction dispatches they replaced. (Each step's
+//!   opcode→semantics agreement is reported
 //!   under `sem-table`, same as unfused instructions.)
 //!
 //! [`Executable::link`] runs this in debug builds on everything it
@@ -408,9 +409,10 @@ fn verify_widening_widths(sem: MachSem, elems: &[fpir::types::ScalarType]) -> Re
 
 /// The `fused-shape` audit: a fused superinstruction carries the
 /// original chain (op, sem, type, position, register per step), and this
-/// check re-proves everything the fuser relied on — so the single lane
-/// walk through [`fpir_isa::sem_lane`] is exactly the sequence of
-/// per-instruction dispatches it replaced.
+/// check re-proves everything the fuser relied on — so the compiled step
+/// kernels, sinks over the same lane table as
+/// [`fpir_isa::eval_sem_into`], run exactly the sequence of
+/// per-instruction dispatches they replaced.
 fn verify_fused_shape(
     exe: &Executable,
     inst: &LInst,
