@@ -1,10 +1,12 @@
 //! Hash maps keyed by node allocation identity.
 //!
 //! Every cache on the selection fast path — the rewriter's DAG memo and
-//! cost cache, the legalizer's memo, the bounds-inference cache — keys on
+//! cost cache, the legalizer's memo, the bounds-inference cache — and the
+//! emitter's seen-node map (`fpir_sim::emit`) key on
 //! [`crate::expr::Expr::ptr_id`], a `usize` derived from the `Arc`
-//! allocation address (with the keyed `Arc` stored in the value so the
-//! address cannot be recycled while cached). Pointer keys are already
+//! allocation address (with the keyed `Arc` stored in the value, or
+//! borrowed for the whole call, so the address cannot be recycled while
+//! cached). Pointer keys are already
 //! well-distributed apart from their low alignment bits, so hashing them
 //! through SipHash wastes most of the lookup cost. [`IdMap`] swaps in a
 //! single multiply-and-fold mix (Fibonacci hashing), which benchmarks

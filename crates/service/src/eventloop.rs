@@ -51,7 +51,7 @@ use crate::error::ServiceError;
 use crate::json::Json;
 use crate::key::CacheKey;
 use crate::peer;
-use crate::poll::{poll_fds, wake_pipe, PollFd, Waker, POLLIN, POLLOUT};
+use crate::poll::{lower_thread_priority, poll_fds, wake_pipe, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{
     attach_tag, attach_tag_rendered, decode_frame, error_response, parse_request, peer_get_frame,
     request_tag, write_frame, FrameReader, FrameWriter, Request, FILL_CHUNK, MAX_FRAME,
@@ -1090,6 +1090,9 @@ pub(crate) fn run(
                     let service = Arc::clone(service);
                     let shared = Arc::clone(&shared);
                     Box::new(move || {
+                        // A cold compile must not delay the warm hits the
+                        // loop answers on the same core.
+                        lower_thread_priority();
                         let reply = dispatch_one(&service, &mut it);
                         shared.completions.lock().expect("completion lock").push(Completion {
                             conn: it.conn,

@@ -8,7 +8,9 @@
 //! the hand-rolled [`Json`](crate::json) codec and the raw `signal`
 //! binding in [`server`](crate::server) — the three entry points are
 //! declared directly. The `struct pollfd` layout and the flag values
-//! are fixed by the Linux ABI this workspace targets.
+//! are fixed by the Linux ABI this workspace targets. One more binding
+//! rides along: `lower_thread_priority`, which the dispatch workers
+//! call so that their compiles yield a shared core to the event loop.
 //!
 //! The [`Waker`] half coalesces wakeups: workers completing many tasks
 //! between two loop iterations write at most one byte, so the pipe can
@@ -68,6 +70,44 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     fn pipe(fds: *mut i32) -> i32;
     fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn gettid() -> i32;
+    fn getpriority(which: i32, who: u32) -> i32;
+    fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+}
+
+/// `which` for [`getpriority`]/[`setpriority`]: one process id — on
+/// Linux, where nice values are per thread, one thread id.
+#[cfg(target_os = "linux")]
+const PRIO_PROCESS: i32 = 0;
+
+/// Raise the calling thread's nice value by 10 (capped at 19), once per
+/// thread; later calls on the same thread do nothing. Only the calling
+/// thread changes — not the process, not threads it spawned earlier.
+/// Raising a nice value needs no privilege, so failure is not expected
+/// and is ignored: the thread then just keeps its priority. A no-op off
+/// Linux.
+pub(crate) fn lower_thread_priority() {
+    thread_local! {
+        static LOWERED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+    if LOWERED.replace(true) {
+        return;
+    }
+    #[cfg(target_os = "linux")]
+    {
+        // SAFETY: gettid takes no arguments and cannot fail.
+        let tid = unsafe { gettid() } as u32;
+        // SAFETY: plain integer arguments, no memory is passed. Its -1
+        // error return is also a valid nice value, but it cannot fail for
+        // the caller's own, live thread id.
+        let nice = unsafe { getpriority(PRIO_PROCESS, tid) };
+        // SAFETY: plain integer arguments, no memory is passed.
+        unsafe { setpriority(PRIO_PROCESS, tid, (nice + 10).min(19)) };
+    }
 }
 
 /// Wait until at least one fd in `fds` is ready or `timeout` elapses.
@@ -221,6 +261,27 @@ mod tests {
         tx.reset();
         tx.wake();
         assert_eq!(rx.reader.read(&mut buf).unwrap(), 1);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn lowering_priority_touches_only_the_calling_thread() {
+        // SAFETY: integer-only calls on the calling thread's own id.
+        let nice = || unsafe { getpriority(PRIO_PROCESS, gettid() as u32) };
+        let before = nice();
+        let (inherited, lowered, again) = std::thread::spawn(move || {
+            let inherited = nice();
+            lower_thread_priority();
+            let lowered = nice();
+            lower_thread_priority();
+            (inherited, lowered, nice())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(inherited, before, "a new thread starts at its spawner's nice value");
+        assert_eq!(lowered, (before + 10).min(19));
+        assert_eq!(again, lowered, "once per thread");
+        assert_eq!(nice(), before, "the spawner keeps its priority");
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Linear machine programs.
 //!
 //! A fully-lowered expression (machine nodes over `Var`/`Const` leaves) is
-//! *emitted* into a linear, register-based program with common
-//! subexpression elimination — the form the cycle model prices and the VM
-//! executes. [`Program::render`] prints the assembly-like listings used by
-//! the Figure 3 report.
+//! *emitted* into a linear, register-based program — the form the cycle
+//! model prices and the VM executes. Emission is value numbering over the
+//! expression DAG: each unique node is visited once, and structurally
+//! equal subtrees share one register, so the work is linear in unique
+//! nodes however large the expression is as a tree. [`Program::render`]
+//! prints the assembly-like listings used by the Figure 3 report.
 
-use fpir::expr::{ExprKind, RcExpr};
+use fpir::expr::{Expr, ExprKind, RcExpr};
+use fpir::identity::IdMap;
 use fpir::types::VectorType;
 use fpir::{Isa, MachOp};
 use fpir_isa::{MachSem, Target};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -28,7 +32,7 @@ pub struct PInst {
 }
 
 /// Instruction payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PKind {
     /// Stream an input vector from memory.
     Load {
@@ -118,13 +122,22 @@ impl std::error::Error for EmitError {}
 
 /// Emit a fully-lowered expression into a linear program with CSE.
 ///
+/// CSE is value numbering over the DAG. A node seen before (by
+/// [`Expr::ptr_id`]) returns its register at once. Otherwise its children
+/// are emitted first and the node's type and payload — whose operands are
+/// already canonical registers — are looked up, so structurally equal
+/// subtrees share one register even when they are separate allocations.
+/// Each instruction is pushed at its value's first post-order occurrence.
+/// The work is linear in unique nodes, not in tree size.
+///
 /// # Errors
 ///
 /// Fails if the expression still contains non-machine interior nodes
 /// (run `fpir_isa::legalize` first) or an instruction violates its
 /// table definition.
 pub fn emit(expr: &RcExpr, target: &Target) -> Result<Program, EmitError> {
-    let mut e = Emitter { target, insts: Vec::new(), cse: HashMap::new() };
+    let mut e =
+        Emitter { target, insts: Vec::new(), seen: IdMap::default(), numbers: HashMap::new() };
     let output = e.emit(expr)?;
     Ok(Program { isa: target.isa, insts: e.insts, output })
 }
@@ -132,48 +145,75 @@ pub fn emit(expr: &RcExpr, target: &Target) -> Result<Program, EmitError> {
 struct Emitter<'t> {
     target: &'t Target,
     insts: Vec<PInst>,
-    cse: HashMap<RcExpr, Reg>,
+    /// The register of every node emitted so far, by allocation identity.
+    /// The caller's borrow of the root keeps every node alive for the
+    /// call, so an id cannot be recycled.
+    seen: IdMap<Reg>,
+    /// The register of every value number: a type and a payload over
+    /// canonical operand registers.
+    numbers: HashMap<(VectorType, PKind), Reg>,
 }
 
 impl Emitter<'_> {
     fn emit(&mut self, expr: &RcExpr) -> Result<Reg, EmitError> {
-        if let Some(&r) = self.cse.get(expr) {
+        let id = Expr::ptr_id(expr);
+        if let Some(&r) = self.seen.get(&id) {
             return Ok(r);
         }
-        let kind = match expr.kind() {
-            ExprKind::Var(name) => PKind::Load { name: name.clone() },
-            ExprKind::Const(v) => PKind::Splat { value: *v },
-            ExprKind::Mach(op, args) => {
-                let def = self
-                    .target
-                    .def(*op)
-                    .ok_or_else(|| EmitError { what: format!("unknown opcode {op}") })?;
-                if args.len() != def.sem.arity() {
-                    return Err(EmitError {
-                        what: format!(
-                            "{op} takes {} operands, got {}",
-                            def.sem.arity(),
-                            args.len()
-                        ),
-                    });
-                }
-                for &i in def.needs_const {
-                    if args[i].as_const().is_none() {
-                        return Err(EmitError {
-                            what: format!("{op} operand {i} must be an immediate"),
-                        });
-                    }
-                }
-                let regs = args.iter().map(|a| self.emit(a)).collect::<Result<Vec<_>, _>>()?;
-                PKind::Op { op: *op, args: regs }
+        let kind = payload(self.target, expr, &mut |a| self.emit(a))?;
+        let dst = match self.numbers.entry((expr.ty(), kind)) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => {
+                let dst = self.insts.len();
+                let (ty, kind) = v.key().clone();
+                self.insts.push(PInst { dst, ty, kind });
+                *v.insert(dst)
             }
-            other => return Err(EmitError { what: format!("unlowered node {other:?} in {expr}") }),
         };
-        let dst = self.insts.len();
-        self.insts.push(PInst { dst, ty: expr.ty(), kind });
-        self.cse.insert(expr.clone(), dst);
+        self.seen.insert(id, dst);
         Ok(dst)
     }
+}
+
+/// Check one node against the target's table and build its payload,
+/// emitting its operands (left to right) through `operand`.
+fn payload(
+    target: &Target,
+    expr: &RcExpr,
+    operand: &mut dyn FnMut(&RcExpr) -> Result<Reg, EmitError>,
+) -> Result<PKind, EmitError> {
+    let node = match expr.kind() {
+        ExprKind::Var(name) => return Ok(PKind::Load { name: name.clone() }),
+        ExprKind::Const(v) => return Ok(PKind::Splat { value: *v }),
+        ExprKind::Mach(op, args) => {
+            let def = target
+                .def(*op)
+                .ok_or_else(|| EmitError { what: format!("unknown opcode {op}") })?;
+            if args.len() != def.sem.arity() {
+                return Err(EmitError {
+                    what: format!("{op} takes {} operands, got {}", def.sem.arity(), args.len()),
+                });
+            }
+            for &i in def.needs_const {
+                if args[i].as_const().is_none() {
+                    return Err(EmitError {
+                        what: format!("{op} operand {i} must be an immediate"),
+                    });
+                }
+            }
+            let regs = args.iter().map(operand).collect::<Result<Vec<_>, _>>()?;
+            return Ok(PKind::Op { op: *op, args: regs });
+        }
+        ExprKind::Bin(op, ..) => op.symbol(),
+        ExprKind::Cmp(op, ..) => op.symbol(),
+        ExprKind::Select(..) => "select",
+        ExprKind::Cast(_) => "cast",
+        ExprKind::Reinterpret(_) => "reinterpret",
+        ExprKind::Fpir(op, _) => op.name(),
+    };
+    // Name the node, never print it: the printer and the derived `Debug`
+    // walk shared subtrees as a tree.
+    Err(EmitError { what: format!("unlowered node `{node}` of type {}", expr.ty()) })
 }
 
 /// The cycle model: cost units for one evaluation of the program over its
@@ -222,13 +262,55 @@ pub fn is_swizzle(op: MachOp, target: &Target) -> bool {
 mod tests {
     use super::*;
     use fpir::build;
+    use fpir::rand_expr::{gen_expr, GenConfig};
     use fpir::types::{ScalarType as S, VectorType as V};
     use fpir_isa::{legalize, target};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn lower(e: &RcExpr, isa: Isa) -> Program {
         let t = target(isa);
         let m = legalize(e, t).unwrap();
         emit(&m, t).unwrap()
+    }
+
+    /// The reference emitter: CSE through a map keyed on whole subtrees,
+    /// hashed and compared structurally — a tree walk per lookup, so
+    /// exponential on deeply shared DAGs. [`emit`] must match it exactly.
+    fn emit_structural(expr: &RcExpr, target: &Target) -> Result<Program, EmitError> {
+        fn go(
+            e: &RcExpr,
+            target: &Target,
+            insts: &mut Vec<PInst>,
+            cse: &mut HashMap<RcExpr, Reg>,
+        ) -> Result<Reg, EmitError> {
+            if let Some(&r) = cse.get(e) {
+                return Ok(r);
+            }
+            let kind = payload(target, e, &mut |a| go(a, target, insts, cse))?;
+            let dst = insts.len();
+            insts.push(PInst { dst, ty: e.ty(), kind });
+            cse.insert(e.clone(), dst);
+            Ok(dst)
+        }
+        let mut insts = Vec::new();
+        let output = go(expr, target, &mut insts, &mut HashMap::new())?;
+        Ok(Program { isa: target.isa, insts, output })
+    }
+
+    /// What the rest of the pipeline sees of a program: its listing,
+    /// output register, price and FAST-linked executable.
+    fn observed(p: &Program, t: &Target) -> (String, Reg, u64, String) {
+        let exe = crate::Executable::link_with(p, t, &crate::ExecConfig::FAST).unwrap();
+        (p.render(), p.output(), cycle_cost(p, t), exe.render())
+    }
+
+    fn assert_matches_oracle(lowered: &RcExpr, t: &Target, what: &str) {
+        match (emit(lowered, t), emit_structural(lowered, t)) {
+            (Ok(got), Ok(want)) => assert_eq!(observed(&got, t), observed(&want, t), "{what}"),
+            (got, want) => assert_eq!(got.err(), want.err(), "{what}"),
+        }
     }
 
     #[test]
@@ -244,10 +326,78 @@ mod tests {
     }
 
     #[test]
+    fn cse_shares_equal_subtrees_allocated_apart() {
+        let t = V::new(S::U8, 16);
+        let sum = || build::widening_add(build::var("a", t), build::var("b", t));
+        let (l, r) = (sum(), sum());
+        assert!(!std::sync::Arc::ptr_eq(&l, &r));
+        let e = build::add(l, r);
+        let isa = Isa::ArmNeon;
+        let p = lower(&e, isa);
+        assert_eq!(p.insts().len(), 4, "{}", p.render());
+        let PKind::Op { args, .. } = &p.insts()[3].kind else { panic!("{}", p.render()) };
+        assert_eq!(args[0], args[1], "both operands share one register");
+        assert_matches_oracle(&legalize(&e, target(isa)).unwrap(), target(isa), "apart");
+    }
+
+    #[test]
     fn unlowered_nodes_are_rejected() {
         let t = V::new(S::U8, 16);
         let e = build::add(build::var("a", t), build::var("b", t));
         assert!(emit(&e, target(Isa::ArmNeon)).is_err());
+    }
+
+    #[test]
+    fn unlowered_errors_name_the_node_not_the_dag() {
+        let t = V::new(S::U8, 16);
+        let mut e = build::add(build::var("a", t), build::var("b", t));
+        for _ in 0..64 {
+            e = build::add(e.clone(), e); // tree size 2^64
+        }
+        let err = emit(&e, target(Isa::ArmNeon)).unwrap_err().to_string();
+        assert_eq!(err, "cannot emit: unlowered node `+` of type u8x16");
+        assert!(err.len() < 256);
+    }
+
+    #[test]
+    fn emit_matches_the_oracle_on_every_workload_artifact() {
+        use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
+        let mut artifacts = 0;
+        for wl in all_workloads().into_iter().chain(unrolled_workloads()).chain(extra_workloads()) {
+            for isa in fpir::machine::ALL_ISAS {
+                let pf = pitchfork::Pitchfork::new(isa);
+                let art = pitchfork::compile_to_executable(&pf, &wl.pipeline.expr).unwrap();
+                let t = target(isa);
+                let want = observed(&emit_structural(&art.lowered, t).unwrap(), t);
+                let got =
+                    (art.program.render(), art.program.output(), art.cycles, art.exe.render());
+                assert_eq!(got, want, "{}/{isa}", wl.name());
+                artifacts += 1;
+            }
+        }
+        assert_eq!(artifacts, 100);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On the random expressions of the compile properties, legalized
+        /// directly or compiled by Pitchfork, `emit` matches the oracle.
+        #[test]
+        fn emit_matches_the_oracle_on_random_expressions(seed in any::<u64>(), ti in 0usize..6) {
+            let elem = [S::U8, S::U16, S::U32, S::I8, S::I16, S::I32][ti];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let e = gen_expr(&mut rng, &GenConfig { lanes: 8, ..GenConfig::default() }, elem);
+            for isa in fpir::machine::ALL_ISAS {
+                let t = target(isa);
+                if let Ok(m) = legalize(&e, t) {
+                    assert_matches_oracle(&m, t, &format!("legalized {e} on {isa}"));
+                }
+                if let Ok(out) = pitchfork::Pitchfork::new(isa).compile(&e) {
+                    assert_matches_oracle(&out.lowered, t, &format!("compiled {e} on {isa}"));
+                }
+            }
+        }
     }
 
     #[test]
