@@ -57,7 +57,10 @@ pub fn check_program(
         env: Env::new(),
         detail: format!("linking failed: {e}\n{program}"),
     })?;
-    let fused = crate::fuse::optimize(exe.clone());
+    let fused = crate::fuse::optimize(exe.clone()).map_err(|e| Counterexample {
+        env: Env::new(),
+        detail: format!("fusion failed: {e}\n{program}"),
+    })?;
     // Static artifact audit before anything runs — on BOTH links: a
     // malformed link or fusion is a counterexample in its own right,
     // caught here even in release builds (the in-link gate is

@@ -39,6 +39,7 @@ use fpir::interp::{Env, Value};
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
 use fpir_isa::{eval_sem_into, MachSem, Target};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -52,6 +53,12 @@ pub(crate) const MAX_OPERANDS: usize = 32;
 /// superinstruction; the per-lane scratchpad is stack-allocated at this
 /// width.
 pub(crate) const MAX_STEPS: usize = 32;
+
+/// Narrow an index into a linked operand's 16-bit field, or report the
+/// index space that ran out.
+pub(crate) fn index16(i: usize, space: &'static str) -> Result<u16, ExecError> {
+    u16::try_from(i).map_err(|_| ExecError::IndexOverflow { space, limit: 1 << 16 })
+}
 
 /// Where a linked operand reads from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,12 +84,15 @@ pub(crate) enum FSrc {
 /// One absorbed instruction inside a fused superinstruction. The
 /// original opcode, program position, and virtual register ride along so
 /// the verifier can audit the chain and runtime errors blame the exact
-/// source instruction, byte-identically to the unfused engine.
-#[derive(Clone)]
+/// source instruction, byte-identically to the unfused engine. A step is
+/// the audited record only; the code that runs it is its pass's
+/// [`FPass::eval`].
+#[derive(Debug, Clone)]
 pub(crate) struct FStep {
     /// Original opcode of the absorbed instruction.
     pub(crate) op: MachOp,
-    /// Its semantics — the audited source of truth for `eval`.
+    /// Its semantics — the audited source of truth for the pass that
+    /// completes it.
     pub(crate) sem: MachSem,
     /// Its result type (`ty.elem` feeds the lane evaluator; all steps
     /// share the kernel's lane count).
@@ -91,33 +101,10 @@ pub(crate) struct FStep {
     pub(crate) srcs: Box<[FSrc]>,
     /// Element type of each source, precomputed at fuse time.
     pub(crate) tys: Box<[ScalarType]>,
-    /// The compiled whole-strip evaluator: `sem` specialized once at
-    /// fuse time over `tys`/`ty.elem` ([`fpir_isa::sem_slice_fn`]), so
-    /// executing the step is one call into a monomorphic vector loop —
-    /// no dispatch, shape checks, or operand-type reads remain at run
-    /// time. Derived data: always built from the three fields above,
-    /// never stored independently.
-    pub(crate) eval: fpir_isa::SemSliceFn,
     /// Position of the absorbed instruction in the source program.
     pub(crate) pos: u32,
     /// Its destination virtual register in the source program.
     pub(crate) reg: Reg,
-}
-
-impl fmt::Debug for FStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `eval` is an opaque compiled closure; the debug form shows the
-        // audited fields it was derived from.
-        f.debug_struct("FStep")
-            .field("op", &self.op)
-            .field("sem", &self.sem)
-            .field("ty", &self.ty)
-            .field("srcs", &self.srcs)
-            .field("tys", &self.tys)
-            .field("pos", &self.pos)
-            .field("reg", &self.reg)
-            .finish()
-    }
 }
 
 /// One compiled strip loop of a fused kernel's execution schedule. A
@@ -137,9 +124,14 @@ pub(crate) struct FPass {
     /// absorbed producer's sources first, then the completing step's
     /// sources with the absorbed operand removed.
     pub(crate) srcs: Box<[FSrc]>,
-    /// The compiled strip loop. Derived data: for a plain pass this is
-    /// the step's own `eval`; for a merged pass it is built from the two
-    /// steps' audited `sem`/`tys`/`ty` fields at fuse time.
+    /// The compiled strip loop, built once at fuse time from the audited
+    /// `sem`/`tys`/`ty` fields of the step it completes (and of the
+    /// absorbed step, for a merged pass): [`fpir_isa::sem_slice_fn_pair`]
+    /// for a merged pair, else [`fpir_isa::sem_slice_fn_splat`] when a
+    /// splat-constant operand can be captured, else
+    /// [`fpir_isa::sem_slice_fn`]. Executing it is one call into a
+    /// monomorphic vector loop: no dispatch, shape checks, or
+    /// operand-type reads remain at run time.
     pub(crate) eval: fpir_isa::SemSliceFn,
 }
 
@@ -340,8 +332,10 @@ impl Executable {
     ///
     /// # Errors
     ///
-    /// Fails on an ISA mismatch, an opcode missing from the table, or an
-    /// input loaded at two different types.
+    /// Fails on an ISA mismatch, an opcode missing from the table, an
+    /// input loaded at two different types, or a program needing more
+    /// than 2^16 input slots, pool constants or physical registers
+    /// ([`ExecError::IndexOverflow`]).
     pub fn link(p: &Program, target: &Target) -> Result<Executable, ExecError> {
         if p.isa != target.isa {
             return Err(ExecError::IsaMismatch { program: p.isa, target: target.isa });
@@ -371,19 +365,22 @@ impl Executable {
         }
         let mut defs: Vec<Def> = Vec::with_capacity(n);
         let mut inputs: Vec<InputSlot> = Vec::new();
+        let mut slot_of: HashMap<&str, u16> = HashMap::new();
         let mut consts: Vec<Value> = Vec::new();
+        let mut const_of: HashMap<(VectorType, i128), u16> = HashMap::new();
         let mut code: Vec<LInst> = Vec::new();
         // Linear-scan register allocation state.
         let mut phys_of: Vec<Option<u16>> = vec![None; n];
         let mut free: Vec<u16> = Vec::new();
-        let mut next_phys: u16 = 0;
+        let mut next_phys: usize = 0;
 
         for (i, inst) in insts.iter().enumerate() {
             match &inst.kind {
                 PKind::Load { name } => {
-                    let slot = match inputs.iter().position(|s| s.name == *name) {
-                        Some(s) => {
-                            if inputs[s].ty != inst.ty {
+                    let slot = match slot_of.get(name.as_str()) {
+                        Some(&s) => {
+                            let first = inputs[s as usize].ty;
+                            if first != inst.ty {
                                 // Two loads of one name at different types
                                 // can never both succeed; reject at link
                                 // time with the second load's position.
@@ -392,35 +389,35 @@ impl Executable {
                                     pos: i,
                                     reg: inst.dst,
                                     declared: inst.ty,
-                                    bound: inputs[s].ty,
+                                    bound: first,
                                 });
                             }
                             s
                         }
                         None => {
+                            let s = index16(inputs.len(), "input slots")?;
+                            slot_of.insert(name, s);
                             inputs.push(InputSlot {
                                 name: name.clone(),
                                 ty: inst.ty,
                                 pos: i,
                                 reg: inst.dst,
                             });
-                            inputs.len() - 1
+                            s
                         }
                     };
-                    defs.push(Def::In(slot as u16));
+                    defs.push(Def::In(slot));
                 }
                 PKind::Splat { value } => {
-                    let idx = match consts
-                        .iter()
-                        .position(|c| c.ty() == inst.ty && c.lane(0) == *value)
-                    {
-                        Some(c) => c,
-                        None => {
+                    let idx = match const_of.entry((inst.ty, *value)) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => {
+                            let c = index16(consts.len(), "pool constants")?;
                             consts.push(Value::splat(*value, inst.ty));
-                            consts.len() - 1
+                            *e.insert(c)
                         }
                     };
-                    defs.push(Def::Const(idx as u16));
+                    defs.push(Def::Const(idx));
                 }
                 PKind::Op { op, args } => {
                     let def = target.def(*op).ok_or(ExecError::UnknownOp {
@@ -447,11 +444,14 @@ impl Executable {
                     // dying here: the engine reclaims the destination's
                     // old value before reading operands, so the two must
                     // never share a physical register.
-                    let dst = free.pop().unwrap_or_else(|| {
-                        let d = next_phys;
-                        next_phys += 1;
-                        d
-                    });
+                    let dst = match free.pop() {
+                        Some(d) => d,
+                        None => {
+                            let d = index16(next_phys, "physical registers")?;
+                            next_phys += 1;
+                            d
+                        }
+                    };
                     phys_of[i] = Some(dst);
                     for &r in args {
                         if last_use[r] == i && matches!(defs[r], Def::Op) {
@@ -493,7 +493,7 @@ impl Executable {
             inputs,
             consts,
             code,
-            phys_regs: next_phys as usize,
+            phys_regs: next_phys,
             output,
             zero: Value::splat(0, VectorType::new(ScalarType::U8, 1)),
         };
@@ -517,15 +517,20 @@ impl Executable {
     ///
     /// # Errors
     ///
-    /// As [`Executable::link`]; the post-link pipeline itself cannot
-    /// fail.
+    /// As [`Executable::link`]. Fusion folds no constant that would
+    /// overflow the pool; it fails only if its register re-allocation
+    /// would need more than 2^16 physical registers.
     pub fn link_with(
         p: &Program,
         target: &Target,
         cfg: &crate::fuse::ExecConfig,
     ) -> Result<Executable, ExecError> {
         let exe = Executable::link(p, target)?;
-        Ok(if cfg.fuse { crate::fuse::optimize(exe) } else { exe })
+        if cfg.fuse {
+            crate::fuse::optimize(exe)
+        } else {
+            Ok(exe)
+        }
     }
 
     /// The ISA this executable was linked for.
@@ -1029,6 +1034,79 @@ mod tests {
             exe.run_slots(&mut ctx, &slots[..1]).unwrap_err(),
             ExecError::UnboundInput { .. }
         ));
+    }
+
+    /// A balanced tree of `add`s over `terms`.
+    fn balanced_sum(terms: &[RcExpr]) -> RcExpr {
+        match terms {
+            [one] => one.clone(),
+            _ => {
+                let (l, r) = terms.split_at(terms.len() / 2);
+                build::add(balanced_sum(l), balanced_sum(r))
+            }
+        }
+    }
+
+    fn assert_overflows(p: &Program, isa: Isa, space: &str) {
+        for cfg in [crate::fuse::ExecConfig::REFERENCE, crate::fuse::ExecConfig::FAST] {
+            match Executable::link_with(p, target(isa), &cfg) {
+                Err(ExecError::IndexOverflow { space: s, limit: 65536 }) if s == space => {}
+                other => panic!("{cfg:?}: expected a {space} overflow, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn more_input_slots_than_u16_indices_fail_to_link() {
+        // 65,547 distinct inputs: a wrapping slot index would alias the
+        // last input onto slot 10 and serve the wrong sum.
+        let t = V::new(S::U16, 8);
+        let n = 65_547;
+        let names: Vec<String> = (0..n).map(|k| format!("x{k}")).collect();
+        let e = balanced_sum(&names.iter().map(|x| build::var(x, t)).collect::<Vec<_>>());
+        let isa = Isa::ArmNeon;
+        let p = emit(&legalize(&e, target(isa)).unwrap(), target(isa)).unwrap();
+        let env = names.iter().enumerate().fold(Env::new(), |env, (k, x)| {
+            env.bind(x, Value::splat(if k == n - 1 { 1000 } else { 0 }, t))
+        });
+        assert_eq!(execute(&p, &env, target(isa)).unwrap(), Value::splat(1000, t));
+        assert_overflows(&p, isa, "input slots");
+        let err = Executable::link(&p, target(isa)).unwrap_err().to_string();
+        assert!(err.contains("65536 input slots"), "{err}");
+    }
+
+    #[test]
+    fn more_pool_constants_than_u16_indices_fail_to_link() {
+        let t = V::new(S::U32, 4);
+        let x = build::var("x", t);
+        let terms: Vec<RcExpr> =
+            (0..65_537).map(|k| build::add(x.clone(), build::constant(k + 1, t))).collect();
+        let isa = Isa::ArmNeon;
+        let p = emit(&legalize(&balanced_sum(&terms), target(isa)).unwrap(), target(isa)).unwrap();
+        assert_overflows(&p, isa, "pool constants");
+    }
+
+    #[test]
+    fn more_physical_registers_than_u16_indices_fail_to_link() {
+        // 65,536 distinct pair sums, all summed once in order and once in
+        // reverse: every pair stays live until the second sum reads it.
+        let t = V::new(S::U8, 4);
+        let xs: Vec<RcExpr> = (0..400).map(|k| build::var(&format!("x{k}"), t)).collect();
+        let mut pairs = Vec::new();
+        'outer: for a in 0..xs.len() {
+            for b in a + 1..xs.len() {
+                if pairs.len() == 65_536 {
+                    break 'outer;
+                }
+                pairs.push(build::add(xs[a].clone(), xs[b].clone()));
+            }
+        }
+        let forward = balanced_sum(&pairs);
+        pairs.reverse();
+        let e = build::add(forward, balanced_sum(&pairs));
+        let isa = Isa::ArmNeon;
+        let p = emit(&legalize(&e, target(isa)).unwrap(), target(isa)).unwrap();
+        assert_overflows(&p, isa, "physical registers");
     }
 
     /// Compile-time pin of the thread-safety audit (see the

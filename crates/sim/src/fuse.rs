@@ -22,25 +22,48 @@
 //! 3. **Constant folding** — instructions whose operands are all splat
 //!    constants are evaluated once at fuse time through the *same*
 //!    [`fpir_isa::eval_sem`] the engine would call, and interned into
-//!    the constant pool. A lane-wise function of splats is a splat, so
-//!    the pool's splat invariant is preserved.
+//!    the constant pool by `(type, lane)` through a map. A lane-wise
+//!    function of splats is a splat, so the pool's splat invariant is
+//!    preserved. A fold that would need a pool index past `u16::MAX` is
+//!    skipped and the instruction stays.
 //! 4. **Dead-write elimination** — nodes unreachable from the output
 //!    are dropped. This is observationally safe because every lane
 //!    helper is a *total* function (`x / 0 == 0`, shifts wrap) and the
 //!    static verifier proves a linked artifact's shapes, so a verified
 //!    executable cannot raise [`crate::vm::ExecError::Sem`] at run
 //!    time: removing an instruction can never remove an error.
-//! 5. **Fusion** — a peephole over def-use chains absorbs single-use
-//!    producers into their unique consumer (arith chains,
-//!    widening-mul/acc ladders, splat-feeding ops) as long as lane
-//!    counts match and the kernel stays within `MAX_STEPS` steps /
-//!    `MAX_OPERANDS` external operands. Splat-constant operands are
-//!    baked into the kernel as immediates. Unfusable instructions fall
-//!    through to the existing whole-vector dispatch unchanged.
-//! 6. **Register re-allocation** — the surviving instructions are run
-//!    back through the linker's linear scan, so `peak_regs` reflects
-//!    the shorter lifetimes (in practice it only shrinks; exec-bench
-//!    records before/after).
+//! 5. **Fusion grouping** — each live node, in program order, grows a
+//!    group rooted at itself by absorbing the whole group of an earlier
+//!    producer once *every* live consumer of that producer is inside:
+//!    single-use chains (arith chains, widening-mul/acc ladders,
+//!    splat-feeding ops) and multi-use diamonds alike. Lane counts must
+//!    match, the kernel must stay within `MAX_STEPS` steps and
+//!    `MAX_OPERANDS` external operands, and the program's output is
+//!    never absorbed. Candidates are visited in descending node order,
+//!    round after round, until a round absorbs nothing; a candidate over
+//!    the operand budget is retried in the next round, since a later
+//!    absorption can free operands.
+//!
+//!    The grouping is a worklist. Only a producer of a member can become
+//!    absorbable, so a node's count of consumers inside the group is
+//!    bumped as members join, and the producer becomes a candidate when
+//!    the count reaches its number of distinct live consumers.
+//!    Membership and the external-operand set are stamps over nodes,
+//!    inputs and constants; groups are intrusive lists, spliced in O(1).
+//!    A trial or an absorption walks only the candidate's own group.
+//!    A group holds at most `MAX_STEPS` nodes and grows in at most
+//!    `MAX_STEPS` rounds, so every per-root cost is bounded by a
+//!    constant and the stage is linear in the linked program.
+//! 6. **Emission and register re-allocation** — each surviving root
+//!    becomes one instruction: a single node keeps its whole-vector
+//!    dispatch, a group becomes a fused kernel whose internal edges are
+//!    scratchpad rows and whose splat-constant operands are baked in as
+//!    immediates. A root's members (in node order) and its external
+//!    operands (in first-use order over them) are computed once and
+//!    serve liveness, operand staging and the allocator. Registers are
+//!    then re-allocated by the linker's linear scan, so `peak_regs`
+//!    reflects the shorter lifetimes (in practice it only shrinks;
+//!    exec-bench records before/after).
 //!
 //! **Why bit-identity holds.** Every fused pass runs a kernel compiled by
 //! `fpir-isa` ([`fpir_isa::sem_slice_fn`], or its splat-capture and
@@ -57,14 +80,17 @@
 //! either way.
 
 use crate::exec::{
-    Executable, FPass, FSrc, FStep, FusedKernel, Kernel, LInst, Operand, OutLoc, MAX_OPERANDS,
-    MAX_STEPS,
+    index16, Executable, FPass, FSrc, FStep, FusedKernel, InputSlot, Kernel, LInst, Operand,
+    OutLoc, MAX_OPERANDS, MAX_STEPS,
 };
 use crate::program::Reg;
+use crate::vm::ExecError;
 use fpir::interp::Value;
 use fpir::types::VectorType;
-use fpir::MachOp;
+use fpir::{Isa, MachOp};
 use fpir_isa::{eval_sem, MachSem};
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 /// Engine selection for linking, mirroring the selection engine's
 /// FAST/REFERENCE `EngineConfig`: [`ExecConfig::FAST`] runs the
@@ -108,216 +134,531 @@ struct Node {
     reg: Reg,
 }
 
+/// "No node": ends a group list and marks an unset stamp.
+const NONE: usize = usize::MAX;
+
+/// The linked program as a def-use graph after stages 1–4, carrying the
+/// rest of the executable through to reassembly.
+struct Graph {
+    isa: Isa,
+    inputs: Vec<InputSlot>,
+    consts: Vec<Value>,
+    zero: Value,
+    nodes: Vec<Node>,
+    live: Vec<bool>,
+    out_src: Src,
+}
+
+/// Stage 6's output, before the constant pool is compacted.
+struct Emitted {
+    code: Vec<LInst>,
+    phys_regs: usize,
+    output: OutLoc,
+}
+
 /// Run the post-link optimization pipeline (see the [module
 /// docs](self)). Idempotent: an already-fused executable is returned
 /// unchanged.
-pub(crate) fn optimize(exe: Executable) -> Executable {
+///
+/// # Errors
+///
+/// [`ExecError::IndexOverflow`] if the re-allocated register file would
+/// need more than 2^16 registers.
+pub(crate) fn optimize(exe: Executable) -> Result<Executable, ExecError> {
     if exe.code.iter().any(|i| matches!(i.kernel, Kernel::Fused(_))) {
-        return exe;
+        return Ok(exe);
     }
-    let Executable { isa, inputs, mut consts, code, phys_regs, output, zero } = exe;
+    let graph = Graph::build(exe);
+    let groups = Grouper::new(&graph).run();
+    let emitted = emit(&graph, &groups)?;
+    let fused = graph.reassemble(emitted);
+    // Debug builds audit every artifact leaving the fuser, exactly as
+    // the linker audits its own output: a fuser bug is an internal
+    // invariant violation, never a user-visible difference.
+    #[cfg(debug_assertions)]
+    if let Err(v) = crate::verify::verify_executable(&fused) {
+        panic!("fusion produced an unverifiable executable: {v}\n{fused}");
+    }
+    Ok(fused)
+}
 
-    // ---- 1. SSA reconstruction ------------------------------------
-    let mut cur: Vec<Option<usize>> = vec![None; phys_regs];
-    let mut nodes: Vec<Node> = Vec::with_capacity(code.len());
-    for inst in &code {
-        let sem = match inst.kernel {
-            Kernel::Op(s) => s,
-            Kernel::Fused(_) => unreachable!("checked above"),
-        };
-        let args = inst
-            .args
-            .iter()
-            .map(|&a| match a {
-                Operand::Reg(r) => {
-                    Src::Node(cur[r as usize].expect("linked code defines registers before use"))
-                }
-                Operand::In(s) => Src::In(s),
-                Operand::Const(c) => Src::Const(c),
-            })
-            .collect();
-        nodes.push(Node { op: inst.op, sem, ty: inst.ty, args, pos: inst.pos, reg: inst.reg });
-        if !inst.dst_dead {
-            cur[inst.dst as usize] = Some(nodes.len() - 1);
-        }
-    }
-    let mut out_src = match output {
-        OutLoc::Reg(r) => Src::Node(cur[r as usize].expect("the output register is defined")),
-        OutLoc::In(s) => Src::In(s),
-        OutLoc::Const(c) => Src::Const(c),
-    };
+impl Graph {
+    /// Stages 1–4: SSA reconstruction, copy propagation, constant
+    /// folding and dead-write elimination.
+    fn build(exe: Executable) -> Graph {
+        let Executable { isa, inputs, mut consts, code, phys_regs, output, zero } = exe;
 
-    // ---- 2+3. copy propagation and constant folding ---------------
-    // One in-order pass: operands resolve through earlier replacements,
-    // so cast-of-cast chains collapse and a cast of a constant folds.
-    let mut rep: Vec<Option<Src>> = vec![None; nodes.len()];
-    fn resolve(rep: &[Option<Src>], mut s: Src) -> Src {
-        while let Src::Node(j) = s {
-            match rep[j] {
-                Some(r) => s = r,
-                None => break,
-            }
-        }
-        s
-    }
-    for i in 0..nodes.len() {
-        for k in 0..nodes[i].args.len() {
-            nodes[i].args[k] = resolve(&rep, nodes[i].args[k]);
-        }
-        let src_ty = |s: Src| match s {
-            Src::Node(j) => nodes[j].ty,
-            Src::In(k) => inputs[k as usize].ty,
-            Src::Const(c) => consts[c as usize].ty(),
-        };
-        // Identity copies: a same-type wrap or saturate of a canonical
-        // value is the value (the `Value` lane invariant).
-        let copyish = matches!(
-            nodes[i].sem,
-            MachSem::ExtendTo
-                | MachSem::TruncTo
-                | MachSem::Reinterpret
-                | MachSem::SatCastTo
-                | MachSem::Splat
-        );
-        if copyish && nodes[i].args.len() == 1 && src_ty(nodes[i].args[0]) == nodes[i].ty {
-            rep[i] = Some(nodes[i].args[0]);
-            continue;
-        }
-        // Fold all-constant operands through the engine's own evaluator.
-        if !nodes[i].args.is_empty() && nodes[i].args.iter().all(|a| matches!(a, Src::Const(_))) {
-            let vals: Vec<Value> = nodes[i]
+        // ---- 1. SSA reconstruction --------------------------------
+        let mut cur: Vec<Option<usize>> = vec![None; phys_regs];
+        let mut nodes: Vec<Node> = Vec::with_capacity(code.len());
+        for inst in &code {
+            let sem = match inst.kernel {
+                Kernel::Op(s) => s,
+                Kernel::Fused(_) => unreachable!("optimize returns fused executables as they are"),
+            };
+            let args = inst
                 .args
                 .iter()
-                .map(|a| match a {
-                    Src::Const(c) => consts[*c as usize].clone(),
-                    _ => unreachable!(),
+                .map(|&a| match a {
+                    Operand::Reg(r) => Src::Node(
+                        cur[r as usize].expect("linked code defines registers before use"),
+                    ),
+                    Operand::In(s) => Src::In(s),
+                    Operand::Const(c) => Src::Const(c),
                 })
                 .collect();
-            if let Ok(v) = eval_sem(nodes[i].sem, &vals, nodes[i].ty) {
-                // Lane-wise semantics on splats always yield a splat;
-                // checked anyway so a non-splat can never enter the pool.
-                if v.lanes().iter().all(|&x| x == v.lane(0)) {
-                    rep[i] = Some(Src::Const(intern_const(&mut consts, v)));
-                }
+            nodes.push(Node { op: inst.op, sem, ty: inst.ty, args, pos: inst.pos, reg: inst.reg });
+            if !inst.dst_dead {
+                cur[inst.dst as usize] = Some(nodes.len() - 1);
             }
         }
-    }
-    out_src = resolve(&rep, out_src);
+        let mut out_src = match output {
+            OutLoc::Reg(r) => Src::Node(cur[r as usize].expect("the output register is defined")),
+            OutLoc::In(s) => Src::In(s),
+            OutLoc::Const(c) => Src::Const(c),
+        };
 
-    // ---- 4. dead-write elimination (reachability) -----------------
-    let mut live = vec![false; nodes.len()];
-    if let Src::Node(root) = out_src {
-        let mut stack = vec![root];
-        while let Some(j) = stack.pop() {
-            if live[j] {
+        // ---- 2+3. copy propagation and constant folding -----------
+        // One in-order pass: operands resolve through earlier
+        // replacements, so cast-of-cast chains collapse and a cast of a
+        // constant folds.
+        let mut rep: Vec<Option<Src>> = vec![None; nodes.len()];
+        fn resolve(rep: &[Option<Src>], mut s: Src) -> Src {
+            while let Src::Node(j) = s {
+                match rep[j] {
+                    Some(r) => s = r,
+                    None => break,
+                }
+            }
+            s
+        }
+        let mut pool_index = None;
+        for i in 0..nodes.len() {
+            for k in 0..nodes[i].args.len() {
+                nodes[i].args[k] = resolve(&rep, nodes[i].args[k]);
+            }
+            let src_ty = |s: Src| match s {
+                Src::Node(j) => nodes[j].ty,
+                Src::In(k) => inputs[k as usize].ty,
+                Src::Const(c) => consts[c as usize].ty(),
+            };
+            // Identity copies: a same-type wrap or saturate of a
+            // canonical value is the value (the `Value` lane invariant).
+            let copyish = matches!(
+                nodes[i].sem,
+                MachSem::ExtendTo
+                    | MachSem::TruncTo
+                    | MachSem::Reinterpret
+                    | MachSem::SatCastTo
+                    | MachSem::Splat
+            );
+            if copyish && nodes[i].args.len() == 1 && src_ty(nodes[i].args[0]) == nodes[i].ty {
+                rep[i] = Some(nodes[i].args[0]);
                 continue;
             }
-            live[j] = true;
-            for &a in &nodes[j].args {
-                if let Src::Node(k) = a {
-                    stack.push(k);
-                }
-            }
-        }
-    }
-
-    // ---- 5. fusion grouping ---------------------------------------
-    // A producer is absorbable into a group when *every* live consumer
-    // of its value is already inside the group — single-use chains and
-    // multi-use diamonds alike (an intermediate's scratchpad row can be
-    // read by any number of later steps). The program's output node is
-    // never absorbed: its value must land in a register.
-    let out_node = match out_src {
-        Src::Node(r) => Some(r),
-        _ => None,
-    };
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for i in 0..nodes.len() {
-        if !live[i] {
-            continue;
-        }
-        for &a in &nodes[i].args {
-            if let Src::Node(j) = a {
-                if !consumers[j].contains(&i) {
-                    consumers[j].push(i);
-                }
-            }
-        }
-    }
-
-    // groups[i]: the steps (node ids, ascending = evaluation order, i
-    // last) node i would contribute if emitted; absorbed nodes are
-    // never emitted standalone.
-    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
-    let mut absorbed = vec![false; nodes.len()];
-    for i in 0..nodes.len() {
-        let mut g: Vec<usize> = vec![i];
-        if live[i] {
-            // Fixed point: each round may close another consumer of a
-            // shared value, making its producer absorbable in the next.
-            loop {
-                let mut grew = false;
-                for j in (0..i).rev() {
-                    if absorbed[j]
-                        || !live[j]
-                        || g.contains(&j)
-                        || out_node == Some(j)
-                        || nodes[j].ty.lanes != nodes[i].ty.lanes
-                        || !consumers[j].iter().all(|c| g.contains(c))
-                    {
-                        continue;
-                    }
-                    // Tentatively absorb j's whole group; keep it only
-                    // if the fused kernel stays within the step and
-                    // external-operand budgets.
-                    let mut cand = g.clone();
-                    cand.extend(groups[j].iter().copied());
-                    cand.sort_unstable();
-                    cand.dedup();
-                    if cand.len() <= MAX_STEPS && external_srcs(&cand, &nodes).len() <= MAX_OPERANDS
-                    {
-                        for &m in &groups[j] {
-                            absorbed[m] = true;
+            // Fold all-constant operands through the engine's own
+            // evaluator.
+            if !nodes[i].args.is_empty() && nodes[i].args.iter().all(|a| matches!(a, Src::Const(_)))
+            {
+                let vals: Vec<Value> = nodes[i]
+                    .args
+                    .iter()
+                    .map(|a| match a {
+                        Src::Const(c) => consts[*c as usize].clone(),
+                        _ => unreachable!(),
+                    })
+                    .collect();
+                if let Ok(v) = eval_sem(nodes[i].sem, &vals, nodes[i].ty) {
+                    // Lane-wise semantics on splats always yield a splat;
+                    // checked anyway so a non-splat can never enter the
+                    // pool.
+                    if v.lanes().iter().all(|&x| x == v.lane(0)) {
+                        if let Some(c) = intern_const(&mut consts, &mut pool_index, v) {
+                            rep[i] = Some(Src::Const(c));
                         }
-                        g = cand;
+                    }
+                }
+            }
+        }
+        out_src = resolve(&rep, out_src);
+
+        // ---- 4. dead-write elimination (reachability) -------------
+        let mut live = vec![false; nodes.len()];
+        if let Src::Node(root) = out_src {
+            let mut stack = vec![root];
+            while let Some(j) = stack.pop() {
+                if live[j] {
+                    continue;
+                }
+                live[j] = true;
+                for &a in &nodes[j].args {
+                    if let Src::Node(k) = a {
+                        stack.push(k);
+                    }
+                }
+            }
+        }
+        Graph { isa, inputs, consts, zero, nodes, live, out_src }
+    }
+
+    /// The program's output node, if the output is computed.
+    fn out_node(&self) -> Option<usize> {
+        match self.out_src {
+            Src::Node(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// A dense index over every source: nodes, then input slots, then
+    /// pool constants.
+    fn key(&self, s: Src) -> usize {
+        match s {
+            Src::Node(j) => j,
+            Src::In(k) => self.nodes.len() + k as usize,
+            Src::Const(c) => self.nodes.len() + self.inputs.len() + c as usize,
+        }
+    }
+
+    /// How many distinct [`Graph::key`]s there are.
+    fn key_count(&self) -> usize {
+        self.nodes.len() + self.inputs.len() + self.consts.len()
+    }
+
+    fn ty(&self, s: Src) -> VectorType {
+        match s {
+            Src::Node(j) => self.nodes[j].ty,
+            Src::In(k) => self.inputs[k as usize].ty,
+            Src::Const(c) => self.consts[c as usize].ty(),
+        }
+    }
+
+    /// Compact the constant pool down to referenced entries (folding may
+    /// have appended, baking may have orphaned) and reassemble the
+    /// executable.
+    fn reassemble(self, e: Emitted) -> Executable {
+        let Emitted { mut code, phys_regs, output } = e;
+        let mut used = vec![false; self.consts.len()];
+        for inst in &code {
+            for a in inst.args.iter() {
+                if let Operand::Const(c) = a {
+                    used[*c as usize] = true;
+                }
+            }
+        }
+        if let OutLoc::Const(c) = output {
+            used[c as usize] = true;
+        }
+        let mut remap = vec![0u16; self.consts.len()];
+        let mut consts = Vec::new();
+        for (c, v) in self.consts.into_iter().enumerate() {
+            if used[c] {
+                remap[c] = consts.len() as u16;
+                consts.push(v);
+            }
+        }
+        for inst in &mut code {
+            for a in inst.args.iter_mut() {
+                if let Operand::Const(c) = a {
+                    *c = remap[*c as usize];
+                }
+            }
+        }
+        let output = match output {
+            OutLoc::Const(c) => OutLoc::Const(remap[c as usize]),
+            other => other,
+        };
+        Executable {
+            isa: self.isa,
+            inputs: self.inputs,
+            consts,
+            code,
+            phys_regs,
+            output,
+            zero: self.zero,
+        }
+    }
+}
+
+/// Stage 5's result: every group as an intrusive list headed by its
+/// root.
+struct Groups {
+    /// The root of the group holding each node; a node heads its own
+    /// group until a later node absorbs it.
+    owner: Vec<usize>,
+    /// The next member of the node's group list (`NONE` ends it).
+    next: Vec<usize>,
+}
+
+/// Worklist state of stage 5. The per-group fields are stamped with the
+/// root being grown, so nothing is cleared between roots.
+struct Grouper<'a> {
+    graph: &'a Graph,
+    /// Distinct live consumers of each node.
+    consumers: Vec<u32>,
+    owner: Vec<usize>,
+    next: Vec<usize>,
+    /// Each root's last list member, and its list length.
+    tail: Vec<usize>,
+    len: Vec<usize>,
+    /// How many of a node's consumers are inside the group rooted at
+    /// `inside_at`.
+    inside: Vec<u32>,
+    inside_at: Vec<usize>,
+    /// The root whose group reads a source (by key) as an external
+    /// operand, and how many the group being grown reads.
+    ext_at: Vec<usize>,
+    n_ext: usize,
+    /// Per-trial stamps deduplicating a candidate's external operands.
+    seen: Vec<usize>,
+    trial: usize,
+    /// The group's candidates: producers all of whose live consumers are
+    /// inside it.
+    ready: Vec<usize>,
+}
+
+/// A budget check's verdict on one candidate.
+enum Fit {
+    /// Absorb it now.
+    Yes,
+    /// Over the operand budget; a later absorption may shrink the
+    /// group's operands, so retry in the next round.
+    Later,
+    /// Over the step budget, which only tightens as the group grows.
+    Never,
+}
+
+impl<'a> Grouper<'a> {
+    fn new(graph: &'a Graph) -> Self {
+        let n = graph.nodes.len();
+        let mut consumers = vec![0u32; n];
+        for (i, node) in graph.nodes.iter().enumerate() {
+            if !graph.live[i] {
+                continue;
+            }
+            for (k, &a) in node.args.iter().enumerate() {
+                if let Src::Node(j) = a {
+                    if !node.args[..k].contains(&a) {
+                        consumers[j] += 1;
+                    }
+                }
+            }
+        }
+        let keys = graph.key_count();
+        Grouper {
+            graph,
+            consumers,
+            owner: (0..n).collect(),
+            next: vec![NONE; n],
+            tail: (0..n).collect(),
+            len: vec![1; n],
+            inside: vec![0; n],
+            inside_at: vec![NONE; n],
+            ext_at: vec![NONE; keys],
+            n_ext: 0,
+            seen: vec![0; keys],
+            trial: 0,
+            ready: Vec::new(),
+        }
+    }
+
+    fn run(mut self) -> Groups {
+        for i in 0..self.graph.nodes.len() {
+            if self.graph.live[i] {
+                self.grow(i);
+            }
+        }
+        Groups { owner: self.owner, next: self.next }
+    }
+
+    /// Grow the group rooted at `i`. Each round walks the candidates in
+    /// descending node order, and rounds repeat until one absorbs
+    /// nothing. Absorbing a group exposes only producers below it, so
+    /// every candidate is visited in the round that exposes it.
+    fn grow(&mut self, i: usize) {
+        self.n_ext = 0;
+        self.join(i, i);
+        loop {
+            let mut grew = false;
+            let mut cursor = i;
+            while let Some(x) = (0..self.ready.len())
+                .filter(|&x| self.ready[x] < cursor)
+                .max_by_key(|&x| self.ready[x])
+            {
+                let j = self.ready[x];
+                cursor = j;
+                match self.fit(i, j) {
+                    Fit::Yes => {
+                        self.ready.swap_remove(x);
+                        self.join(i, j);
                         grew = true;
                     }
+                    Fit::Later => {}
+                    Fit::Never => {
+                        self.ready.swap_remove(x);
+                    }
                 }
-                if !grew {
-                    break;
+            }
+            if !grew {
+                break;
+            }
+        }
+        self.ready.clear();
+    }
+
+    /// Whether absorbing root `j`'s group keeps `i`'s within both
+    /// budgets. The merged operands are `i`'s without `j`, plus `j`'s
+    /// group's own: every other member of `j`'s group is read only
+    /// inside it, and nothing in `j`'s group reads a member of `i`'s.
+    fn fit(&mut self, i: usize, j: usize) -> Fit {
+        if self.len[i] + self.len[j] > MAX_STEPS {
+            return Fit::Never;
+        }
+        let graph = self.graph;
+        self.trial += 1;
+        let mut n_ext = self.n_ext - 1;
+        let mut m = j;
+        while m != NONE {
+            for &a in &graph.nodes[m].args {
+                if matches!(a, Src::Node(p) if self.owner[p] == j) {
+                    continue;
+                }
+                let k = graph.key(a);
+                if self.ext_at[k] != i && self.seen[k] != self.trial {
+                    self.seen[k] = self.trial;
+                    n_ext += 1;
+                }
+            }
+            m = self.next[m];
+        }
+        if n_ext <= MAX_OPERANDS {
+            Fit::Yes
+        } else {
+            Fit::Later
+        }
+    }
+
+    /// Absorb root `j`'s group into `i`'s (`j == i` starts `i`'s group):
+    /// splice `j`'s list onto `i`'s, relabel its members, add their
+    /// operands, and count them as consumers of their producers,
+    /// exposing each producer whose every consumer is now inside.
+    fn join(&mut self, i: usize, j: usize) {
+        let graph = self.graph;
+        if j != i {
+            self.next[self.tail[i]] = j;
+            self.tail[i] = self.tail[j];
+            self.len[i] += self.len[j];
+            // `j` was an external operand; from now on it is internal.
+            self.ext_at[graph.key(Src::Node(j))] = NONE;
+            self.n_ext -= 1;
+            let mut m = j;
+            while m != NONE {
+                self.owner[m] = i;
+                m = self.next[m];
+            }
+        }
+        let lanes = graph.nodes[i].ty.lanes;
+        let mut m = j;
+        while m != NONE {
+            let args = &graph.nodes[m].args;
+            for (k, &a) in args.iter().enumerate() {
+                if args[..k].contains(&a) || matches!(a, Src::Node(p) if self.owner[p] == i) {
+                    continue;
+                }
+                let key = graph.key(a);
+                if self.ext_at[key] != i {
+                    self.ext_at[key] = i;
+                    self.n_ext += 1;
+                }
+                let Src::Node(p) = a else { continue };
+                if self.inside_at[p] != i {
+                    self.inside_at[p] = i;
+                    self.inside[p] = 0;
+                }
+                self.inside[p] += 1;
+                // The program's output is never absorbed: its value must
+                // land in a register.
+                if self.inside[p] == self.consumers[p]
+                    && self.owner[p] == p
+                    && graph.out_node() != Some(p)
+                    && graph.nodes[p].ty.lanes == lanes
+                {
+                    self.ready.push(p);
+                }
+            }
+            m = self.next[m];
+        }
+    }
+}
+
+/// One root to emit: its members in ascending (evaluation) order, and its
+/// distinct external operands in first-use order over them, as ranges
+/// into shared buffers.
+struct Root {
+    node: usize,
+    members: Range<usize>,
+    ext: Range<usize>,
+}
+
+/// Stage 6: emit one instruction per root, re-allocating registers by
+/// linear scan.
+fn emit(graph: &Graph, groups: &Groups) -> Result<Emitted, ExecError> {
+    let nodes = &graph.nodes;
+    let owner = &groups.owner;
+    let internal = |s: Src, r: usize| matches!(s, Src::Node(p) if owner[p] == r);
+
+    // Each root's members and external operands, computed once.
+    let mut roots: Vec<Root> = Vec::new();
+    let mut member_buf: Vec<usize> = Vec::new();
+    let mut ext_buf: Vec<Src> = Vec::new();
+    let mut seen = vec![NONE; graph.key_count()];
+    for r in (0..nodes.len()).filter(|&r| graph.live[r] && owner[r] == r) {
+        let (m0, e0) = (member_buf.len(), ext_buf.len());
+        let mut m = r;
+        while m != NONE {
+            member_buf.push(m);
+            m = groups.next[m];
+        }
+        // Ascending node ids are dependency order (args always refer to
+        // earlier nodes), with the root last.
+        member_buf[m0..].sort_unstable();
+        for &m in &member_buf[m0..] {
+            for &a in &nodes[m].args {
+                let k = graph.key(a);
+                if !internal(a, r) && seen[k] != r {
+                    seen[k] = r;
+                    ext_buf.push(a);
                 }
             }
         }
-        // Ascending node ids are dependency order (args always refer to
-        // earlier nodes), with the root `i` last.
-        g.sort_unstable();
-        groups.push(g);
+        roots.push(Root { node: r, members: m0..member_buf.len(), ext: e0..ext_buf.len() });
     }
 
-    // ---- 6. emission + linear-scan register re-allocation ---------
-    let roots: Vec<usize> = (0..nodes.len()).filter(|&i| live[i] && !absorbed[i]).collect();
     // Last use of each root, in emission order; the output is used
     // "after the end" — the same discipline as the linker.
-    let mut last_use = vec![usize::MAX; nodes.len()];
-    for (t, &r) in roots.iter().enumerate() {
-        for s in external_srcs(&groups[r], &nodes) {
+    let mut last_use = vec![NONE; nodes.len()];
+    for (t, root) in roots.iter().enumerate() {
+        for &s in &ext_buf[root.ext.clone()] {
             if let Src::Node(j) = s {
                 last_use[j] = t;
             }
         }
     }
-    if let Src::Node(root) = out_src {
-        last_use[root] = roots.len();
+    if let Some(out) = graph.out_node() {
+        last_use[out] = roots.len();
     }
 
+    // Where each member and external operand sits in its root's kernel.
+    let mut local = vec![0u16; nodes.len()];
+    let mut arg_of = vec![0u16; graph.key_count()];
     let mut phys_of: Vec<Option<u16>> = vec![None; nodes.len()];
     let mut free: Vec<u16> = Vec::new();
-    let mut next_phys: u16 = 0;
-    let mut new_code: Vec<LInst> = Vec::with_capacity(roots.len());
-    for (t, &r) in roots.iter().enumerate() {
-        let g = &groups[r];
-        let ext = external_srcs(g, &nodes);
-        let (kernel, args): (Kernel, Box<[Operand]>) = if g.len() == 1 {
+    let mut next_phys = 0;
+    let mut code: Vec<LInst> = Vec::with_capacity(roots.len());
+    for (t, root) in roots.iter().enumerate() {
+        let r = root.node;
+        let group = &member_buf[root.members.clone()];
+        let ext = &ext_buf[root.ext.clone()];
+        let (kernel, args): (Kernel, Box<[Operand]>) = if group.len() == 1 {
             // Single instruction: unchanged whole-vector dispatch,
             // constants kept in the pool.
             let args = nodes[r].args.iter().map(|&a| operand_of(a, &phys_of)).collect();
@@ -326,44 +667,37 @@ pub(crate) fn optimize(exe: Executable) -> Executable {
             // Fused chain: internal edges become scratchpad temps,
             // everything else (registers, inputs, pool constants) an
             // external operand.
-            let steps = g
+            for (x, &m) in group.iter().enumerate() {
+                local[m] = x as u16;
+            }
+            for (x, &s) in ext.iter().enumerate() {
+                arg_of[graph.key(s)] = x as u16;
+            }
+            let steps: Box<[FStep]> = group
                 .iter()
                 .map(|&m| {
                     let n = &nodes[m];
-                    let mut srcs = Vec::with_capacity(n.args.len());
-                    let mut tys = Vec::with_capacity(n.args.len());
-                    for &a in &n.args {
-                        match a {
-                            Src::Node(j) if g.contains(&j) => {
-                                let local = g.iter().position(|&x| x == j).unwrap();
-                                srcs.push(FSrc::Tmp(local as u16));
-                                tys.push(nodes[j].ty.elem);
+                    let (srcs, tys): (Vec<FSrc>, Vec<_>) = n
+                        .args
+                        .iter()
+                        .map(|&a| match a {
+                            Src::Node(j) if internal(a, r) => {
+                                (FSrc::Tmp(local[j]), nodes[j].ty.elem)
                             }
-                            other => {
-                                let k = ext.iter().position(|&x| x == other).unwrap();
-                                srcs.push(FSrc::Arg(k as u16));
-                                tys.push(match other {
-                                    Src::Node(j) => nodes[j].ty.elem,
-                                    Src::In(s) => inputs[s as usize].ty.elem,
-                                    Src::Const(c) => consts[c as usize].ty().elem,
-                                });
-                            }
-                        }
-                    }
-                    let eval = fpir_isa::sem_slice_fn(n.sem, &tys, n.ty.elem);
+                            other => (FSrc::Arg(arg_of[graph.key(other)]), graph.ty(other).elem),
+                        })
+                        .unzip();
                     FStep {
                         op: n.op,
                         sem: n.sem,
                         ty: n.ty,
                         srcs: srcs.into_boxed_slice(),
                         tys: tys.into_boxed_slice(),
-                        eval,
                         pos: n.pos,
                         reg: n.reg,
                     }
                 })
-                .collect::<Vec<_>>()
-                .into_boxed_slice();
+                .collect();
             // External operands that are pool constants are splats by
             // the pool's interning invariant; capture their scalar so
             // compiled passes can keep it in a register instead of
@@ -372,7 +706,7 @@ pub(crate) fn optimize(exe: Executable) -> Executable {
                 .iter()
                 .map(|&s| match s {
                     Src::Const(c) => {
-                        let v = &consts[c as usize];
+                        let v = &graph.consts[c as usize];
                         let c0 = v.lane(0);
                         v.lanes().iter().all(|&x| x == c0).then_some(c0)
                     }
@@ -386,13 +720,16 @@ pub(crate) fn optimize(exe: Executable) -> Executable {
         // Allocate the destination BEFORE freeing dying operands — the
         // engine reclaims the destination's buffer before reading
         // operands, so the two must never share a register.
-        let dst = free.pop().unwrap_or_else(|| {
-            let d = next_phys;
-            next_phys += 1;
-            d
-        });
+        let dst = match free.pop() {
+            Some(d) => d,
+            None => {
+                let d = index16(next_phys, "physical registers")?;
+                next_phys += 1;
+                d
+            }
+        };
         phys_of[r] = Some(dst);
-        for s in ext {
+        for &s in ext {
             if let Src::Node(j) = s {
                 if last_use[j] == t {
                     if let Some(ph) = phys_of[j].take() {
@@ -401,7 +738,7 @@ pub(crate) fn optimize(exe: Executable) -> Executable {
                 }
             }
         }
-        new_code.push(LInst {
+        code.push(LInst {
             op: nodes[r].op,
             kernel,
             ty: nodes[r].ty,
@@ -413,62 +750,12 @@ pub(crate) fn optimize(exe: Executable) -> Executable {
         });
     }
 
-    let new_output = match out_src {
+    let output = match graph.out_src {
         Src::Node(r) => OutLoc::Reg(phys_of[r].expect("the output register stays live")),
         Src::In(s) => OutLoc::In(s),
         Src::Const(c) => OutLoc::Const(c),
     };
-
-    // Compact the constant pool down to referenced entries (folding may
-    // have appended, baking may have orphaned).
-    let mut used = vec![false; consts.len()];
-    for inst in &new_code {
-        for a in inst.args.iter() {
-            if let Operand::Const(c) = a {
-                used[*c as usize] = true;
-            }
-        }
-    }
-    if let OutLoc::Const(c) = new_output {
-        used[c as usize] = true;
-    }
-    let mut remap = vec![0u16; consts.len()];
-    let mut new_consts = Vec::new();
-    for (c, v) in consts.into_iter().enumerate() {
-        if used[c] {
-            remap[c] = new_consts.len() as u16;
-            new_consts.push(v);
-        }
-    }
-    for inst in &mut new_code {
-        for a in inst.args.iter_mut() {
-            if let Operand::Const(c) = a {
-                *c = remap[*c as usize];
-            }
-        }
-    }
-    let new_output = match new_output {
-        OutLoc::Const(c) => OutLoc::Const(remap[c as usize]),
-        other => other,
-    };
-
-    let fused = Executable {
-        isa,
-        inputs,
-        consts: new_consts,
-        code: new_code,
-        phys_regs: next_phys as usize,
-        output: new_output,
-        zero,
-    };
-    // Debug builds audit every artifact leaving the fuser, exactly as
-    // the linker audits its own output: a fuser bug is an internal
-    // invariant violation, never a user-visible difference.
-    #[cfg(debug_assertions)]
-    if let Err(v) = crate::verify::verify_executable(&fused) {
-        panic!("fusion produced an unverifiable executable: {v}\n{fused}");
-    }
-    fused
+    Ok(Emitted { code, phys_regs: next_phys, output })
 }
 
 /// Derive a fused kernel's execution schedule from its audited step
@@ -481,7 +768,8 @@ pub(crate) fn optimize(exe: Executable) -> Executable {
 /// greedy in step order, and falls back to the step's own compiled
 /// kernel whenever the composer declines the pair. Unmerged passes with
 /// a splat-constant operand get the constant baked in as a captured
-/// scalar instead ([`fpir_isa::sem_slice_fn_splat`]).
+/// scalar instead ([`fpir_isa::sem_slice_fn_splat`]). Each pass's
+/// closure is compiled exactly once.
 fn build_passes(steps: &[FStep], arg_splat: &[Option<i128>]) -> Box<[FPass]> {
     let n = steps.len();
     let mut uses = vec![0usize; n];
@@ -551,42 +839,21 @@ fn build_passes(steps: &[FStep], arg_splat: &[Option<i128>]) -> Box<[FPass]> {
                 // the pass stages the same audited sources (the
                 // verifier checks them verbatim against the step), but
                 // the compiled loop never reads the constant row.
-                let mut eval = step.eval.clone();
-                for (k, s) in step.srcs.iter().enumerate() {
-                    let FSrc::Arg(a) = *s else { continue };
-                    let Some(c) = arg_splat[a as usize] else { continue };
-                    if let Some(e) =
-                        fpir_isa::sem_slice_fn_splat(step.sem, &step.tys, step.ty.elem, k, c)
-                    {
-                        eval = e;
-                        break;
-                    }
-                }
+                let (sem, tys, ty) = (step.sem, &step.tys, step.ty.elem);
+                let eval = step
+                    .srcs
+                    .iter()
+                    .enumerate()
+                    .find_map(|(k, s)| {
+                        let FSrc::Arg(a) = *s else { return None };
+                        fpir_isa::sem_slice_fn_splat(sem, tys, ty, k, arg_splat[a as usize]?)
+                    })
+                    .unwrap_or_else(|| fpir_isa::sem_slice_fn(sem, tys, ty));
                 FPass { last: j as u16, absorbed: None, srcs: step.srcs.clone(), eval }
             }
         });
     }
     passes.into_boxed_slice()
-}
-
-/// The distinct external sources a fused group reads: everything that is
-/// not an internal edge (inside the group) — registers, input slots, and
-/// pool constants alike — in first-use order.
-fn external_srcs(group: &[usize], nodes: &[Node]) -> Vec<Src> {
-    let mut ext: Vec<Src> = Vec::new();
-    for &m in group {
-        for &a in &nodes[m].args {
-            match a {
-                Src::Node(j) if group.contains(&j) => {}
-                other => {
-                    if !ext.contains(&other) {
-                        ext.push(other);
-                    }
-                }
-            }
-        }
-    }
-    ext
 }
 
 fn operand_of(s: Src, phys_of: &[Option<u16>]) -> Operand {
@@ -597,14 +864,29 @@ fn operand_of(s: Src, phys_of: &[Option<u16>]) -> Operand {
     }
 }
 
-/// Intern a splat value into the pool, deduplicating by type and lane
-/// value — the same discipline as the linker's pool construction.
-fn intern_const(consts: &mut Vec<Value>, v: Value) -> u16 {
-    match consts.iter().position(|c| c.ty() == v.ty() && c.lane(0) == v.lane(0)) {
-        Some(c) => c as u16,
-        None => {
+/// Intern a folded splat into the pool, deduplicating by type and lane
+/// value like the linker's pool. `index` is built on the first fold, so
+/// a program that folds nothing never pays for it. `None` when a new
+/// entry would not fit a 16-bit pool index: the fold is then skipped and
+/// the instruction stays.
+fn intern_const(
+    consts: &mut Vec<Value>,
+    index: &mut Option<HashMap<(VectorType, i128), u16>>,
+    v: Value,
+) -> Option<u16> {
+    let index = index.get_or_insert_with(|| {
+        let mut m = HashMap::with_capacity(consts.len());
+        for (c, x) in consts.iter().enumerate() {
+            m.entry((x.ty(), x.lane(0))).or_insert(c as u16);
+        }
+        m
+    });
+    match index.entry((v.ty(), v.lane(0))) {
+        Entry::Occupied(e) => Some(*e.get()),
+        Entry::Vacant(e) => {
+            let c = u16::try_from(consts.len()).ok()?;
             consts.push(v);
-            (consts.len() - 1) as u16
+            Some(*e.insert(c))
         }
     }
 }
@@ -616,9 +898,342 @@ mod tests {
     use crate::vm::execute;
     use fpir::build;
     use fpir::interp::Env;
+    use fpir::rand_expr::{gen_expr, GenConfig};
     use fpir::types::{ScalarType as S, VectorType as V};
-    use fpir::{Isa, RcExpr};
+    use fpir::RcExpr;
     use fpir_isa::{legalize, target};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The reference stages 5–6: for every node, each round rescans
+    /// every earlier node, tests membership with `contains`, and
+    /// recomputes a trial group's external operands from scratch
+    /// (quadratic); emission recomputes them per root and finds local
+    /// indices with `position`. [`optimize`] must match it exactly.
+    fn optimize_rescan(exe: Executable) -> Executable {
+        let graph = Graph::build(exe);
+        let (nodes, live) = (&graph.nodes, &graph.live);
+        let out_node = graph.out_node();
+        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        for i in 0..nodes.len() {
+            if !live[i] {
+                continue;
+            }
+            for &a in &nodes[i].args {
+                if let Src::Node(j) = a {
+                    if !consumers[j].contains(&i) {
+                        consumers[j].push(i);
+                    }
+                }
+            }
+        }
+        let mut groups: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
+        let mut absorbed = vec![false; nodes.len()];
+        for i in 0..nodes.len() {
+            let mut g: Vec<usize> = vec![i];
+            if live[i] {
+                loop {
+                    let mut grew = false;
+                    for j in (0..i).rev() {
+                        if absorbed[j]
+                            || !live[j]
+                            || g.contains(&j)
+                            || out_node == Some(j)
+                            || nodes[j].ty.lanes != nodes[i].ty.lanes
+                            || !consumers[j].iter().all(|c| g.contains(c))
+                        {
+                            continue;
+                        }
+                        let mut cand = g.clone();
+                        cand.extend(groups[j].iter().copied());
+                        cand.sort_unstable();
+                        cand.dedup();
+                        if cand.len() <= MAX_STEPS
+                            && external_srcs(&cand, nodes).len() <= MAX_OPERANDS
+                        {
+                            for &m in &groups[j] {
+                                absorbed[m] = true;
+                            }
+                            g = cand;
+                            grew = true;
+                        }
+                    }
+                    if !grew {
+                        break;
+                    }
+                }
+            }
+            g.sort_unstable();
+            groups.push(g);
+        }
+
+        let roots: Vec<usize> = (0..nodes.len()).filter(|&i| live[i] && !absorbed[i]).collect();
+        let mut last_use = vec![usize::MAX; nodes.len()];
+        for (t, &r) in roots.iter().enumerate() {
+            for s in external_srcs(&groups[r], nodes) {
+                if let Src::Node(j) = s {
+                    last_use[j] = t;
+                }
+            }
+        }
+        if let Some(root) = out_node {
+            last_use[root] = roots.len();
+        }
+        let mut phys_of: Vec<Option<u16>> = vec![None; nodes.len()];
+        let mut free: Vec<u16> = Vec::new();
+        let mut next_phys: u16 = 0;
+        let mut code: Vec<LInst> = Vec::with_capacity(roots.len());
+        for (t, &r) in roots.iter().enumerate() {
+            let g = &groups[r];
+            let ext = external_srcs(g, nodes);
+            let (kernel, args): (Kernel, Box<[Operand]>) = if g.len() == 1 {
+                let args = nodes[r].args.iter().map(|&a| operand_of(a, &phys_of)).collect();
+                (Kernel::Op(nodes[r].sem), args)
+            } else {
+                let steps = g
+                    .iter()
+                    .map(|&m| {
+                        let n = &nodes[m];
+                        let mut srcs = Vec::new();
+                        let mut tys = Vec::new();
+                        for &a in &n.args {
+                            match a {
+                                Src::Node(j) if g.contains(&j) => {
+                                    let local = g.iter().position(|&x| x == j).unwrap();
+                                    srcs.push(FSrc::Tmp(local as u16));
+                                    tys.push(nodes[j].ty.elem);
+                                }
+                                other => {
+                                    let k = ext.iter().position(|&x| x == other).unwrap();
+                                    srcs.push(FSrc::Arg(k as u16));
+                                    tys.push(graph.ty(other).elem);
+                                }
+                            }
+                        }
+                        FStep {
+                            op: n.op,
+                            sem: n.sem,
+                            ty: n.ty,
+                            srcs: srcs.into_boxed_slice(),
+                            tys: tys.into_boxed_slice(),
+                            pos: n.pos,
+                            reg: n.reg,
+                        }
+                    })
+                    .collect::<Vec<_>>()
+                    .into_boxed_slice();
+                let arg_splat: Vec<Option<i128>> = ext
+                    .iter()
+                    .map(|&s| match s {
+                        Src::Const(c) => {
+                            let v = &graph.consts[c as usize];
+                            let c0 = v.lane(0);
+                            v.lanes().iter().all(|&x| x == c0).then_some(c0)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let passes = build_passes(&steps, &arg_splat);
+                let args = ext.iter().map(|&a| operand_of(a, &phys_of)).collect();
+                (Kernel::Fused(Box::new(FusedKernel { steps, passes })), args)
+            };
+            let dst = free.pop().unwrap_or_else(|| {
+                let d = next_phys;
+                next_phys += 1;
+                d
+            });
+            phys_of[r] = Some(dst);
+            for s in ext {
+                if let Src::Node(j) = s {
+                    if last_use[j] == t {
+                        if let Some(ph) = phys_of[j].take() {
+                            free.push(ph);
+                        }
+                    }
+                }
+            }
+            code.push(LInst {
+                op: nodes[r].op,
+                kernel,
+                ty: nodes[r].ty,
+                dst,
+                args,
+                pos: nodes[r].pos,
+                reg: nodes[r].reg,
+                dst_dead: false,
+            });
+        }
+        let output = match graph.out_src {
+            Src::Node(r) => OutLoc::Reg(phys_of[r].expect("the output register stays live")),
+            Src::In(s) => OutLoc::In(s),
+            Src::Const(c) => OutLoc::Const(c),
+        };
+        graph.reassemble(Emitted { code, phys_regs: next_phys as usize, output })
+    }
+
+    /// The distinct external sources of a group, in first-use order.
+    fn external_srcs(group: &[usize], nodes: &[Node]) -> Vec<Src> {
+        let mut ext: Vec<Src> = Vec::new();
+        for &m in group {
+            for &a in &nodes[m].args {
+                match a {
+                    Src::Node(j) if group.contains(&j) => {}
+                    other => {
+                        if !ext.contains(&other) {
+                            ext.push(other);
+                        }
+                    }
+                }
+            }
+        }
+        ext
+    }
+
+    /// `optimize` and the rescan oracle produce the same executable:
+    /// steps, passes, operands and listing.
+    fn assert_matches_rescan(plain: &Executable, what: &str) {
+        let got = optimize(plain.clone()).unwrap();
+        let want = optimize_rescan(plain.clone());
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        assert_eq!(got.render(), want.render(), "{what}");
+    }
+
+    fn link_plain(e: &RcExpr, isa: Isa) -> Executable {
+        let t = target(isa);
+        let p = emit(&legalize(e, t).unwrap(), t).unwrap();
+        Executable::link(&p, t).unwrap()
+    }
+
+    /// `sum_{k<n} x_k * c_k` as a balanced tree over distinct inputs and
+    /// distinct constants.
+    fn sum_of_products(n: usize, t: V) -> RcExpr {
+        fn sum(terms: &[RcExpr]) -> RcExpr {
+            match terms {
+                [one] => one.clone(),
+                _ => {
+                    let (l, r) = terms.split_at(terms.len() / 2);
+                    build::add(sum(l), sum(r))
+                }
+            }
+        }
+        let terms: Vec<RcExpr> = (0..n)
+            .map(|k| build::mul(build::var(&format!("x{k}"), t), build::constant(k as i128 + 2, t)))
+            .collect();
+        sum(&terms)
+    }
+
+    #[test]
+    fn optimize_matches_the_rescan_oracle_on_every_workload_artifact() {
+        use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
+        let mut artifacts = 0;
+        for wl in all_workloads().into_iter().chain(unrolled_workloads()).chain(extra_workloads()) {
+            for isa in fpir::machine::ALL_ISAS {
+                let pf = pitchfork::Pitchfork::new(isa);
+                let art = pitchfork::compile_to_executable(&pf, &wl.pipeline.expr).unwrap();
+                let t = target(isa);
+                let plain = Executable::link(&emit(&art.lowered, t).unwrap(), t).unwrap();
+                let what = format!("{}/{isa}", wl.name());
+                assert_matches_rescan(&plain, &what);
+                // `compile_to_executable` ships exactly this FAST link.
+                assert_eq!(art.exe.render(), optimize(plain).unwrap().render(), "{what}");
+                artifacts += 1;
+            }
+        }
+        assert_eq!(artifacts, 100);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On the random expressions of the compile properties, legalized
+        /// directly or compiled by Pitchfork, `optimize` matches the
+        /// oracle.
+        #[test]
+        fn optimize_matches_the_rescan_oracle_on_random_expressions(
+            seed in any::<u64>(),
+            ti in 0usize..6,
+        ) {
+            let elem = [S::U8, S::U16, S::U32, S::I8, S::I16, S::I32][ti];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let e = gen_expr(&mut rng, &GenConfig { lanes: 8, ..GenConfig::default() }, elem);
+            for isa in fpir::machine::ALL_ISAS {
+                let t = target(isa);
+                let lowered = [
+                    legalize(&e, t).ok(),
+                    pitchfork::Pitchfork::new(isa).compile(&e).ok().map(|out| out.lowered),
+                ];
+                for m in lowered.iter().flatten() {
+                    let p = emit(m, t).unwrap();
+                    let plain = Executable::link(&p, t).unwrap();
+                    assert_matches_rescan(&plain, &format!("{e} on {isa}"));
+                }
+            }
+        }
+    }
+
+    /// 64 products of distinct inputs and constants: the groups run into
+    /// both budgets, so candidates are rejected for good (steps) or
+    /// retried in later rounds (operands).
+    #[test]
+    fn budget_edges_match_the_rescan_oracle() {
+        let t = V::new(S::U16, 8);
+        let e = sum_of_products(64, t);
+        for isa in fpir::machine::ALL_ISAS {
+            let plain = link_plain(&e, isa);
+            assert_matches_rescan(&plain, &format!("{isa}"));
+            let fused = optimize(plain).unwrap();
+            let (steps, operands) = fused
+                .code
+                .iter()
+                .filter_map(|i| match &i.kernel {
+                    Kernel::Fused(f) => Some((f.len(), i.args.len())),
+                    Kernel::Op(_) => None,
+                })
+                .fold((0, 0), |(s, a), (fs, fa)| (s.max(fs), a.max(fa)));
+            assert!(steps >= MAX_STEPS - 1, "{isa}: {steps} steps\n{fused}");
+            assert_eq!(operands, MAX_OPERANDS, "{isa}\n{fused}");
+        }
+    }
+
+    /// `(x0 + x1) + b`, where `b` (a chain of selects: 21 steps reading
+    /// 32 inputs) first overflows the operand budget. Absorbing
+    /// `x0 + x1`, whose operands `b` reads too, frees one, and `b` fits
+    /// when it is retried in the next round: the whole program becomes
+    /// one kernel.
+    #[test]
+    fn rejected_candidates_fit_in_a_later_round() {
+        let t = V::new(S::U8, 16);
+        let x = |k: usize| build::var(&format!("x{k}"), t);
+        let mut b = build::select(build::lt(x(0), x(1)), x(2), x(3));
+        for k in 0..9 {
+            b = build::select(build::lt(x(4 + 3 * k), x(5 + 3 * k)), x(6 + 3 * k), b);
+        }
+        let e = build::add(build::add(x(0), x(1)), build::add(x(31), b));
+        for isa in fpir::machine::ALL_ISAS {
+            let plain = link_plain(&e, isa);
+            assert_matches_rescan(&plain, &format!("{isa}"));
+            let fused = optimize(plain).unwrap();
+            assert_eq!(fused.op_count(), 1, "{isa}\n{fused}");
+            assert_eq!(fused.code[0].args.len(), MAX_OPERANDS, "{isa}\n{fused}");
+        }
+    }
+
+    /// A diamond: `p` feeds two consumers, so it joins the group only
+    /// once both are inside.
+    #[test]
+    fn diamonds_absorb_their_shared_producer() {
+        let t = V::new(S::U8, 16);
+        let (a, b) = (build::var("a", t), build::var("b", t));
+        let p = build::add(a, b.clone());
+        let e = build::absd(build::mul(p.clone(), build::constant(3, t)), build::sub(p, b));
+        for isa in fpir::machine::ALL_ISAS {
+            let plain = link_plain(&e, isa);
+            assert_matches_rescan(&plain, &format!("{isa}"));
+            let fused = optimize(plain.clone()).unwrap();
+            assert_eq!(fused.op_count(), 1, "{isa}: one kernel\n{plain}\n{fused}");
+        }
+    }
 
     fn both(e: &RcExpr, isa: Isa) -> (Program, Executable, Executable) {
         let t = target(isa);
@@ -725,7 +1340,7 @@ mod tests {
     fn optimize_is_idempotent() {
         let t = V::new(S::U8, 16);
         let (_, _, fused) = both(&chain_expr(t), Isa::HexagonHvx);
-        let again = optimize(fused.clone());
+        let again = optimize(fused.clone()).unwrap();
         assert_eq!(again.render(), fused.render());
     }
 

@@ -54,6 +54,7 @@ use crate::exec::{
 };
 use fpir::types::VectorType;
 use fpir_isa::{MachSem, Target};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Which artifact invariant a violation broke. [`ArtifactCheck::name`]
@@ -161,8 +162,9 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
             ));
         }
     }
-    for (i, s) in exe.inputs.iter().enumerate() {
-        if exe.inputs[..i].iter().any(|t| t.name == s.name) {
+    let mut names = HashSet::with_capacity(exe.inputs.len());
+    for s in &exe.inputs {
+        if !names.insert(s.name.as_str()) {
             return Err(err(
                 C::SlotOrder,
                 Some(s.pos),

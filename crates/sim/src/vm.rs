@@ -70,6 +70,15 @@ pub enum ExecError {
         /// The semantic error.
         what: String,
     },
+    /// Linking needs more entries in one index space than a linked
+    /// operand's 16-bit index can address.
+    IndexOverflow {
+        /// The index space: `"input slots"`, `"pool constants"` or
+        /// `"physical registers"`.
+        space: &'static str,
+        /// How many entries the space can hold.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -94,6 +103,9 @@ impl fmt::Display for ExecError {
             }
             ExecError::Sem { op, pos, reg, what } => {
                 write!(f, "{op} at #{pos} into v{reg}: {what}")
+            }
+            ExecError::IndexOverflow { space, limit } => {
+                write!(f, "the link needs more than {limit} {space}")
             }
         }
     }
