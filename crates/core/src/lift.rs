@@ -635,6 +635,39 @@ mod tests {
     }
 
     #[test]
+    fn repeated_wildcards_match_dags_built_apart_in_linear_time() {
+        // select(a1 > b, a2 - b, b - a3) where a1, a2 and a3 are the same
+        // 56-level self-shared max(x, x) chain built three times: equal
+        // trees of 2^56 nodes sharing no allocation. absd-gt binds `x`
+        // three times, so matching must compare the chains as DAGs. (At
+        // 56 levels the select's tree cost, ~3 * 2^61, still fits in a
+        // u64; a deeper chain saturates `Cost` on both sides of the
+        // rewrite and no rule can show a strict descent.)
+        let t = V::new(S::U16, 16);
+        let chain = || {
+            let mut e = build::var("x", t);
+            for _ in 0..56 {
+                e = build::max(e.clone(), e);
+            }
+            e
+        };
+        let b = build::var("b", t);
+        let e = build::select(
+            build::gt(chain(), b.clone()),
+            build::sub(chain(), b.clone()),
+            build::sub(b, chain()),
+        );
+        let rules = lift_rules();
+        let mut rw = Rewriter::new(&rules, AgnosticCost);
+        let start = std::time::Instant::now();
+        let out = rw.run(&e);
+        let took = start.elapsed();
+        assert_eq!(rw.stats.fired().get("absd-gt"), Some(&1), "{:?}", rw.stats.fired());
+        assert!(matches!(out.kind(), fpir::ExprKind::Reinterpret(_)));
+        assert!(took < std::time::Duration::from_millis(50), "lift took {took:?}");
+    }
+
+    #[test]
     fn saturating_add_lifts_through_two_stages() {
         // u8(min(u16(a) + u16(b), 255)): widening-add, then sat-cast, then
         // the fused saturating_add.

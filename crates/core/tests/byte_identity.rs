@@ -1,0 +1,129 @@
+//! Pinned output of instruction selection: a digest over everything the
+//! rewriter decides, so an engine change that alters any lifted or lowered
+//! expression, the order in which lifting rules fire, or how often each
+//! lowering rule fires fails here even when the result is still correct.
+//!
+//! The corpus is every workload × ISA artifact (the 16 paper kernels, the
+//! extra kernels and the unrolled DAG kernels, on all four targets) plus
+//! fixed seeds of the random-expression generator used by the engine
+//! differential tests. Expressions are serialized by structural value
+//! numbering, one line per distinct subtree in first post-order
+//! occurrence, so the digest is a function of the expression tree and
+//! costs time linear in the DAG rather than in the tree.
+//!
+//! When a change is *meant* to alter selection, recompute the constant
+//! with `cargo test -p pitchfork --test byte_identity -- --nocapture` and
+//! say why in the change description.
+
+use fpir::expr::{Expr, ExprKind, RcExpr};
+use fpir::rand_expr::{gen_expr, GenConfig};
+use fpir::types::ScalarType;
+use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
+use pitchfork::Pitchfork;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::HashMap;
+
+/// The digest of the corpus below, as selected by the shipped engine.
+const PINNED: u64 = 0x0c97_5f84_fdc7_c5af;
+
+/// Generator seeds per element type.
+const SEEDS: u64 = 64;
+
+const TYPES: [ScalarType; 6] = [
+    ScalarType::U8,
+    ScalarType::U16,
+    ScalarType::U32,
+    ScalarType::I8,
+    ScalarType::I16,
+    ScalarType::I32,
+];
+
+/// FNV-1a, 64-bit: stable across platforms and toolchains.
+struct Fnv(u64);
+
+impl Fnv {
+    fn write(&mut self, s: &str) {
+        for &b in s.as_bytes().iter().chain(b"\n") {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Serialize `e` as one line per distinct subtree, numbered by structure.
+fn serialize(e: &RcExpr) -> String {
+    fn head(e: &Expr) -> String {
+        match e.kind() {
+            ExprKind::Var(name) => format!("var {name}"),
+            ExprKind::Const(v) => format!("const {v}"),
+            ExprKind::Bin(op, ..) => format!("{op:?}"),
+            ExprKind::Cmp(op, ..) => format!("cmp {op:?}"),
+            ExprKind::Select(..) => "select".into(),
+            ExprKind::Cast(_) => "cast".into(),
+            ExprKind::Reinterpret(_) => "reinterpret".into(),
+            ExprKind::Fpir(op, _) => format!("{op:?}"),
+            ExprKind::Mach(op, _) => format!("{op:?}"),
+        }
+    }
+    fn walk(
+        e: &RcExpr,
+        by_ptr: &mut HashMap<usize, usize>,
+        by_shape: &mut HashMap<String, usize>,
+        out: &mut String,
+    ) -> usize {
+        if let Some(&id) = by_ptr.get(&Expr::ptr_id(e)) {
+            return id;
+        }
+        let kids: Vec<String> =
+            (0..e.arity()).map(|i| walk(e.child(i), by_ptr, by_shape, out).to_string()).collect();
+        let shape = format!("{} {} [{}]", head(e), e.ty(), kids.join(","));
+        let next = by_shape.len();
+        let id = *by_shape.entry(shape.clone()).or_insert_with(|| {
+            out.push_str(&shape);
+            out.push('\n');
+            next
+        });
+        by_ptr.insert(Expr::ptr_id(e), id);
+        id
+    }
+    let mut out = String::new();
+    walk(e, &mut HashMap::new(), &mut HashMap::new(), &mut out);
+    out
+}
+
+/// Fold one compilation into the digest.
+fn record(h: &mut Fnv, label: &str, pf: &Pitchfork, e: &RcExpr) {
+    h.write(label);
+    match pf.compile(e) {
+        Ok(c) => {
+            h.write(&serialize(&c.lifted));
+            h.write(&serialize(&c.lowered));
+            h.write(&format!("{:?}", c.lift_stats.fired_seq()));
+            h.write(&format!("{:?}", c.lower_stats.fired()));
+        }
+        Err(err) => h.write(&format!("error: {err}")),
+    }
+}
+
+#[test]
+fn selection_output_matches_the_pinned_digest() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut artifacts = 0;
+    for isa in fpir::machine::ALL_ISAS {
+        let pf = Pitchfork::new(isa);
+        for wl in all_workloads().into_iter().chain(extra_workloads()).chain(unrolled_workloads()) {
+            record(&mut h, &format!("{}/{isa}", wl.name()), &pf, &wl.pipeline.expr);
+            artifacts += 1;
+        }
+        for (ti, elem) in TYPES.into_iter().enumerate() {
+            for seed in 0..SEEDS {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let e = gen_expr(&mut rng, &GenConfig { lanes: 8, ..GenConfig::default() }, elem);
+                record(&mut h, &format!("gen {ti} {seed}/{isa}"), &pf, &e);
+            }
+        }
+    }
+    assert_eq!(artifacts, 100);
+    println!("selection digest: {:#018x}", h.0);
+    assert_eq!(h.0, PINNED, "selection output changed: digest {:#018x}", h.0);
+}

@@ -555,7 +555,7 @@ impl Expr {
     /// would be ill-typed — callers are expected to substitute
     /// like-typed children.
     pub fn with_children(&self, children: Vec<RcExpr>) -> RcExpr {
-        let expect = self.children().len();
+        let expect = self.arity();
         assert_eq!(children.len(), expect, "expected {expect} children");
         let mut it = children.into_iter();
         match &self.kind {
@@ -622,6 +622,56 @@ impl Expr {
     /// cannot be recycled.
     pub fn ptr_id(e: &RcExpr) -> usize {
         Arc::as_ptr(e) as usize
+    }
+
+    /// Structural equality, the same relation as `==`, computed over the
+    /// DAG rather than the tree.
+    ///
+    /// `==` compares two expressions as trees, so two equal DAGs that
+    /// were built apart — no shared allocations between them — cost one
+    /// comparison per tree path, exponential in the depth of their
+    /// sharing. Here a pair of nodes is compared once: pairs already found
+    /// equal are remembered by identity.
+    pub fn dag_eq(a: &RcExpr, b: &RcExpr) -> bool {
+        fn same_head(a: &Expr, b: &Expr) -> bool {
+            a.ty == b.ty
+                && match (&a.kind, &b.kind) {
+                    (ExprKind::Var(x), ExprKind::Var(y)) => x == y,
+                    (ExprKind::Const(x), ExprKind::Const(y)) => x == y,
+                    (ExprKind::Bin(x, ..), ExprKind::Bin(y, ..)) => x == y,
+                    (ExprKind::Cmp(x, ..), ExprKind::Cmp(y, ..)) => x == y,
+                    (ExprKind::Select(..), ExprKind::Select(..))
+                    | (ExprKind::Cast(_), ExprKind::Cast(_))
+                    | (ExprKind::Reinterpret(_), ExprKind::Reinterpret(_)) => true,
+                    (ExprKind::Fpir(x, xs), ExprKind::Fpir(y, ys)) => {
+                        x == y && xs.len() == ys.len()
+                    }
+                    (ExprKind::Mach(x, xs), ExprKind::Mach(y, ys)) => {
+                        x == y && xs.len() == ys.len()
+                    }
+                    _ => false,
+                }
+        }
+        // A pair is recorded before its operands are compared. The graph
+        // is acyclic, so a recorded pair met again was found equal: a
+        // difference anywhere ends the whole comparison at once.
+        fn eq(
+            a: &RcExpr,
+            b: &RcExpr,
+            seen: &mut std::collections::HashSet<(usize, usize)>,
+        ) -> bool {
+            if Arc::ptr_eq(a, b) {
+                return true;
+            }
+            if !same_head(a, b) {
+                return false;
+            }
+            if a.arity() == 0 || !seen.insert((Expr::ptr_id(a), Expr::ptr_id(b))) {
+                return true;
+            }
+            (0..a.arity()).all(|i| eq(a.child(i), b.child(i), seen))
+        }
+        eq(a, b, &mut std::collections::HashSet::new())
     }
 
     /// Pre-order visit of every *unique* node (by allocation identity).

@@ -38,10 +38,8 @@ impl TargetCost {
         let Some(def) = self.t.def(*op) else {
             return UNLOWERED_PENALTY;
         };
-        let rf = e
-            .children()
-            .iter()
-            .map(|c| self.t.reg_factor(c.ty()))
+        let rf = (0..e.arity())
+            .map(|i| self.t.reg_factor(e.child(i).ty()))
             .chain(std::iter::once(self.t.reg_factor(e.ty())))
             .max()
             .unwrap_or(1);

@@ -11,8 +11,10 @@
 //! same corpus the termination analysis walks) through the index:
 //!
 //! * **error** — some instantiation of a rule keys to a bucket the rule is
-//!   not in, so indexed dispatch would silently skip a matching rule and
-//!   fast/reference engines would diverge;
+//!   not in (IDX002), or the rule's depth-1 operand prefilter or the
+//!   bucket's compiled operand masks refuse it (IDX003), so indexed
+//!   dispatch would silently skip a matching rule and fast/reference
+//!   engines would diverge;
 //! * **note** — a rule landed in the wildcard bucket (its pattern is
 //!   rooted at a wildcard, constant wildcard, or literal). Such rules are
 //!   tried at *every* node, which is correct but defeats the index; a
@@ -67,18 +69,27 @@ pub fn check(set: &RuleSet) -> Vec<Diagnostic> {
             }
             // The depth-1 operand prefilter must likewise never refuse an
             // expression the rule's own pattern produced: `admits == false`
-            // promises a full match would fail.
-            if !idx.admits(i, &inst) {
+            // promises a full match would fail. The rewriter evaluates the
+            // prefilter through the bucket's operand masks, so those must
+            // admit it too.
+            let refused_by = if !idx.admits(i, &inst) {
+                Some("depth-1 operand prefilter")
+            } else if !idx.admitted(&inst).any(|c| c == i) {
+                Some("operand-mask dispatch")
+            } else {
+                None
+            };
+            if let Some(what) = refused_by {
                 out.push(Diagnostic {
                     severity: Severity::Error,
                     analysis: Analysis::Index,
                     code: "IDX003",
                     ruleset: set.name.clone(),
                     rule: Some(rule.name.clone()),
-                    detail: "the depth-1 operand prefilter refuses an instantiation of \
-                             the rule's own pattern; indexed dispatch would skip a \
-                             matching rule"
-                        .into(),
+                    detail: format!(
+                        "the {what} refuses an instantiation of the rule's own pattern; \
+                         indexed dispatch would skip a matching rule"
+                    ),
                     witness: Some(inst.to_string()),
                 });
                 break;

@@ -104,7 +104,7 @@ impl CostModel for AgnosticCost {
         if matches!(e.kind(), ExprKind::Var(_) | ExprKind::Const(_)) {
             return Cost::ZERO;
         }
-        let input_bits: u64 = e.children().iter().map(|c| c.elem().bits() as u64).sum();
+        let input_bits: u64 = (0..e.arity()).map(|i| e.child(i).elem().bits() as u64).sum();
         Cost { width_sum: input_bits, op_rank: op_rank(e) }
     }
 }

@@ -16,7 +16,7 @@
 //! Matching handles commutativity automatically: `x + widening_shl(y, c)`
 //! also matches `widening_shl(y, c) + x`.
 
-use fpir::expr::{BinOp, CmpOp, ExprKind, FpirOp, RcExpr};
+use fpir::expr::{BinOp, CmpOp, Expr, ExprKind, FpirOp, RcExpr};
 use fpir::types::ScalarType;
 use fpir::MachOp;
 
@@ -201,7 +201,7 @@ impl Bindings {
 
     fn bind_expr(&mut self, id: u8, e: &RcExpr) -> bool {
         match &self.exprs[id as usize] {
-            Some(prev) => prev == e,
+            Some(prev) => Expr::dag_eq(prev, e),
             None => {
                 self.exprs[id as usize] = Some(e.clone());
                 true

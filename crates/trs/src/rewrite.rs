@@ -16,12 +16,18 @@
 //!   exponential in unique-node count). Rewritten results are memoized by
 //!   allocation identity ([`fpir::expr::Expr::ptr_id`], holding the key
 //!   alive like `BoundsCtx` does), so each unique node is processed once
-//!   per pass; converged subtrees also keep their identity across passes,
-//!   making later passes near-free.
+//!   per pass; converged subtrees also keep their identity across passes.
+//!   The memo also records each pass's *results*: no rule fires at the
+//!   root a rule loop ended at, so a result whose operands are fixpoints
+//!   is a fixpoint itself and a later pass returns it at once, and one
+//!   revisited with unchanged operands skips its rule loop.
 //! * **Root-operator rule indexing** — instead of trying every rule at
 //!   every node, candidates come from a [`RuleIndex`] keyed on the
 //!   pattern's head operator, with a wildcard bucket merged in ascending
-//!   rule order so the §3.2 ordering rule is preserved exactly.
+//!   rule order so the §3.2 ordering rule is preserved exactly. Each
+//!   bucket's depth-1 operand prefilters are compiled into bit masks, so
+//!   a node's admitted rules cost a few word operations per operand, not
+//!   one check per candidate.
 //! * **Cached subtree costs** — cost models price whole trees; caching
 //!   per-node subtree costs by identity makes each candidate comparison
 //!   O(new template nodes) instead of O(subtree).
@@ -142,16 +148,21 @@ pub struct Rewriter<'a, C> {
     /// indexed dispatch is disabled (the reference engine neither builds
     /// nor consults an index, exactly like the pre-index code).
     index: Option<&'a RuleIndex>,
+    /// Whether leaves are fixpoints outright: memoizing with an index
+    /// that has no rule for leaves.
+    leaves_fixed: bool,
     /// Bounds-inference context shared across the run (the §3.3 query
     /// cache lives in here).
     pub bounds: BoundsCtx,
     /// Statistics for the last [`Rewriter::run`].
     pub stats: RewriteStats,
     max_passes: usize,
-    // Rewrite memo: input node identity -> (input kept alive, one-pass
-    // result). Sound across passes because `pass` is a pure function of
-    // the input subtree for a fixed rule set / cost model / bounds.
-    memo: IdMap<(RcExpr, RcExpr)>,
+    // Rewrite memo: node identity -> (node kept alive, one-pass result).
+    // Sound across passes because `pass` is a pure function of the input
+    // subtree for a fixed rule set / cost model / bounds. A `None` result
+    // marks a node a rule loop ended at: no rule fires at its root, but
+    // its operands may still change.
+    memo: IdMap<(RcExpr, Option<RcExpr>)>,
     // Subtree-cost memo, same keying discipline.
     cost_memo: IdMap<(RcExpr, Cost)>,
 }
@@ -166,11 +177,13 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
 
     /// Create a rewriter with an explicit engine configuration.
     pub fn with_engine(rules: &'a RuleSet, cost: C, engine: EngineConfig) -> Rewriter<'a, C> {
+        let index = engine.index.then(|| rules.index());
         Rewriter {
             rules,
             cost,
             engine,
-            index: engine.index.then(|| rules.index()),
+            index,
+            leaves_fixed: engine.memo && index.is_some_and(|ix| !ix.has_candidates(OpKey::Leaf)),
             bounds: BoundsCtx::new(),
             stats: RewriteStats::default(),
             max_passes: 16,
@@ -219,42 +232,80 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
 
     /// One bottom-up pass.
     fn pass(&mut self, expr: &RcExpr) -> RcExpr {
-        // `self.index` is a borrow of the rule set's lazily-built index
-        // (lifetime `'a`, independent of `&mut self`), so candidate
-        // iterators can be consumed while rules mutate the bounds context.
-        let index = self.index;
         // Leaves with no leaf- or wildcard-bucket rule cannot change: skip
         // the memo and the match loop outright. Leaves are roughly half of
         // any expression, so this halves per-pass bookkeeping.
-        if self.engine.memo
-            && expr.arity() == 0
-            && index.is_some_and(|ix| !ix.has_candidates(OpKey::Leaf))
-        {
+        if self.leaves_fixed && expr.arity() == 0 {
             self.stats.nodes_visited += 1;
             return expr.clone();
         }
-        if self.engine.memo {
-            if let Some((_, out)) = self.memo.get(&Expr::ptr_id(expr)) {
+        if !self.engine.memo {
+            // The reference engine: a tree walk that rebuilds every node.
+            self.stats.nodes_visited += 1;
+            let children = expr.children();
+            let new_children: Vec<RcExpr> = children.iter().map(|c| self.pass(c)).collect();
+            return self.rewrite_root(expr.with_children(new_children));
+        }
+        let tried = match self.memo.get(&Expr::ptr_id(expr)) {
+            Some((_, Some(out))) => {
                 self.stats.memo_hits += 1;
                 return out.clone();
             }
-        }
+            Some((_, None)) => true,
+            None => false,
+        };
         self.stats.nodes_visited += 1;
-        let children = expr.children();
-        let new_children: Vec<RcExpr> = children.iter().map(|c| self.pass(c)).collect();
         // Preserve node identity when nothing below changed, so converged
-        // subtrees stay memo/cache hits in later passes. The reference
-        // engine rebuilds unconditionally, as the original code did.
-        let unchanged =
-            self.engine.memo && children.iter().zip(&new_children).all(|(a, b)| Arc::ptr_eq(a, b));
-        let mut node = if unchanged { expr.clone() } else { expr.with_children(new_children) };
-        // Apply rules repeatedly at this node until none fires. When
-        // several rules match the same node, the lowest-cost output is
-        // preferred (§3.2's ordering rule), with ties broken by rule
-        // order — candidates are tried in ascending rule order, so the
-        // strict `<` below implements the tie-break in both dispatch
-        // modes.
-        let rules = self.rules;
+        // subtrees stay memo/cache hits in later passes; operands are
+        // collected only once one of them changes.
+        let mut changed: Option<Vec<RcExpr>> = None;
+        for i in 0..expr.arity() {
+            let c = expr.child(i);
+            let out = self.pass(c);
+            if changed.is_none() && !Arc::ptr_eq(c, &out) {
+                let mut v = Vec::with_capacity(expr.arity());
+                v.extend((0..i).map(|j| expr.child(j).clone()));
+                changed = Some(v);
+            }
+            if let Some(v) = &mut changed {
+                v.push(out);
+            }
+        }
+        let node = match changed {
+            Some(v) => self.rewrite_root(expr.with_children(v)),
+            // A rule loop already ended at this very node: no rule fires.
+            None if tried => expr.clone(),
+            None => self.rewrite_root(expr.clone()),
+        };
+        self.memo.insert(Expr::ptr_id(expr), (expr.clone(), Some(node.clone())));
+        if !Arc::ptr_eq(&node, expr) {
+            // No rule fires at the result's root, so once its operands are
+            // fixpoints the result is one too and a later pass returns it
+            // at once; otherwise a later pass at least skips its rule loop.
+            let fixed = (0..node.arity()).all(|i| self.is_fixpoint(node.child(i)));
+            let slot = self.memo.entry(Expr::ptr_id(&node)).or_insert_with(|| (node.clone(), None));
+            if fixed && slot.1.is_none() {
+                slot.1 = Some(node.clone());
+            }
+        }
+        node
+    }
+
+    /// Whether `pass(e)` is known to return `e` itself.
+    fn is_fixpoint(&self, e: &RcExpr) -> bool {
+        match self.memo.get(&Expr::ptr_id(e)) {
+            Some((_, Some(out))) => Arc::ptr_eq(out, e),
+            _ => self.leaves_fixed && e.arity() == 0,
+        }
+    }
+
+    /// Apply rules at `node`'s root until none fires. When several rules
+    /// match the same node, the lowest-cost output is preferred (§3.2's
+    /// ordering rule), with ties broken by rule order — candidates are
+    /// tried in ascending rule order, so the strict `<` in
+    /// [`Rewriter::try_rule`] implements the tie-break in both dispatch
+    /// modes.
+    fn rewrite_root(&mut self, mut node: RcExpr) -> RcExpr {
         loop {
             // With the cost cache on, the node is priced lazily, on the
             // first candidate that matches — an empty bucket prices
@@ -263,47 +314,48 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
             let mut node_cost: Option<Cost> =
                 if self.engine.cost_cache { None } else { Some(self.cost_of(&node)) };
             let mut best: Option<(Cost, u32, RcExpr)> = None;
-            let mut indexed;
-            let mut linear;
-            let candidates: &mut dyn Iterator<Item = u32> = match index {
+            match self.index {
                 Some(ix) => {
-                    indexed = ix.candidates(OpKey::of_expr(&node));
-                    &mut indexed
+                    // The operand masks refuse only candidates whose full
+                    // match is guaranteed to fail, so skipping them cannot
+                    // change which rule fires.
+                    for ri in ix.admitted(&node) {
+                        self.try_rule(ri, &node, &mut node_cost, &mut best);
+                    }
                 }
                 None => {
-                    linear = 0..rules.len() as u32;
-                    &mut linear
-                }
-            };
-            for ri in candidates {
-                // The depth-1 operand prefilter refuses only candidates
-                // whose full match is guaranteed to fail, so skipping them
-                // cannot change which rule fires.
-                if index.is_some_and(|ix| !ix.admits(ri, &node)) {
-                    continue;
-                }
-                let rule = &rules.rules()[ri as usize];
-                if let Some(out) = rule.apply(&node, &mut self.bounds) {
-                    let nc = match node_cost {
-                        Some(c) => c,
-                        None => *node_cost.insert(self.cost_of(&node)),
-                    };
-                    let out_cost = self.cost_of(&out);
-                    if out_cost < nc && best.as_ref().is_none_or(|(c, _, _)| out_cost < *c) {
-                        best = Some((out_cost, ri, out));
+                    for ri in 0..self.rules.len() as u32 {
+                        self.try_rule(ri, &node, &mut node_cost, &mut best);
                     }
                 }
             }
-            let Some((_, ri, out)) = best else { break };
+            let Some((_, ri, out)) = best else { return node };
             self.stats.fired_counts[ri as usize] += 1;
             self.stats.fired_seq.push(ri);
             self.stats.applications += 1;
             node = out;
         }
-        if self.engine.memo {
-            self.memo.insert(Expr::ptr_id(expr), (expr.clone(), node.clone()));
+    }
+
+    /// Try rule `ri` at `node`, keeping its output in `best` when it is
+    /// cheaper than both the node and every earlier candidate.
+    fn try_rule(
+        &mut self,
+        ri: u32,
+        node: &RcExpr,
+        node_cost: &mut Option<Cost>,
+        best: &mut Option<(Cost, u32, RcExpr)>,
+    ) {
+        let rules = self.rules;
+        let Some(out) = rules.rules()[ri as usize].apply(node, &mut self.bounds) else { return };
+        let nc = match *node_cost {
+            Some(c) => c,
+            None => *node_cost.insert(self.cost_of(node)),
+        };
+        let out_cost = self.cost_of(&out);
+        if out_cost < nc && best.as_ref().is_none_or(|(c, _, _)| out_cost < *c) {
+            *best = Some((out_cost, ri, out));
         }
-        node
     }
 
     /// The cost of `e`'s subtree, memoized by node identity when the cost
@@ -397,6 +449,80 @@ mod tests {
         assert_eq!(out.to_string(), "saturating_cast<u8>(widening_add(a_u8, b_u8))");
         assert_eq!(rw.stats.applications, 2);
         assert!(rw.stats.fired().contains_key("lift-widening-add"));
+    }
+
+    #[test]
+    fn converged_results_are_not_walked_again() {
+        // Pass 1 lifts both redexes of the 8-node input; its results have
+        // fixpoint operands, so pass 2 (which fires nothing) answers the
+        // root from the memo instead of walking the result again.
+        let t = V::new(S::U8, 16);
+        let (a, b) = (build::var("a", t), build::var("b", t));
+        let sum = build::add(build::widen(a), build::widen(b));
+        let e = build::cast(S::U8, build::min(sum.clone(), build::splat(255, &sum)));
+        let rules = demo_rules();
+        let mut rw = Rewriter::new(&rules, AgnosticCost);
+        let out = rw.run(&e);
+        assert_eq!(out.to_string(), "saturating_cast<u8>(widening_add(a_u8, b_u8))");
+        assert_eq!((rw.stats.passes, rw.stats.applications), (2, 2));
+        assert_eq!(rw.stats.nodes_visited, Expr::unique_count(&e));
+        assert_eq!(rw.stats.memo_hits, 1);
+    }
+
+    #[test]
+    fn a_redex_a_template_builds_fires_in_the_next_pass() {
+        // Reassociating u16(a) + (u16(b) + c) builds the interior node
+        // u16(a) + u16(b), which pass 1 never walks: the result's root
+        // was tried but an operand is not yet a fixpoint, so pass 2 must
+        // walk below it and lift that node. The lift changes the root's
+        // operand, so the root's rules run again and it commutes.
+        use crate::cost::Cost;
+        use fpir::expr::{BinOp, ExprKind};
+        /// Charges an add for a nested add on its right or an FPIR node
+        /// on its left, so reassociating and commuting both descend.
+        struct ShapeCost;
+        impl CostModel for ShapeCost {
+            fn node_cost(&self, e: &Expr) -> Cost {
+                let width_sum = match e.kind() {
+                    ExprKind::Var(_) | ExprKind::Const(_) => 0,
+                    ExprKind::Bin(BinOp::Add, _, b) if matches!(b.kind(), ExprKind::Bin(..)) => 10,
+                    ExprKind::Bin(BinOp::Add, a, _) if matches!(a.kind(), ExprKind::Fpir(..)) => 5,
+                    ExprKind::Fpir(..) => 1,
+                    _ => 2,
+                };
+                Cost { width_sum, op_rank: 0 }
+            }
+        }
+        let add = |a: Template, b: Template| Template::Bin(BinOp::Add, Box::new(a), Box::new(b));
+        let mut rules = demo_rules();
+        rules.push(Rule::new(
+            "reassociate",
+            RuleClass::Lift,
+            pat_add(wild(0), pat_add(wild(1), wild(2))),
+            add(add(Template::Wild(0), Template::Wild(1)), Template::Wild(2)),
+        ));
+        rules.push(Rule::new(
+            "commute",
+            RuleClass::Lift,
+            pat_add(pat_fpir2(FpirOp::WideningAdd, wild(0), wild(1)), wild(2)),
+            add(
+                Template::Wild(2),
+                Template::Fpir(FpirOp::WideningAdd, vec![Template::Wild(0), Template::Wild(1)]),
+            ),
+        ));
+        let t = V::new(S::U8, 16);
+        let e = build::add(
+            build::widen(build::var("a", t)),
+            build::add(build::widen(build::var("b", t)), build::var("c", V::new(S::U16, 16))),
+        );
+        let mut fast = Rewriter::new(&rules, ShapeCost);
+        let mut reference = Rewriter::with_engine(&rules, ShapeCost, EngineConfig::REFERENCE);
+        let out = fast.run(&e);
+        assert_eq!(out.to_string(), "c_u16 + widening_add(a_u8, b_u8)");
+        assert_eq!(out, reference.run(&e));
+        assert_eq!(fast.stats.fired_seq(), &[3, 1, 4]);
+        assert_eq!(fast.stats.fired_seq(), reference.stats.fired_seq());
+        assert_eq!(fast.stats.passes, 3);
     }
 
     #[test]
