@@ -57,7 +57,7 @@ pub fn check_program(
         env: Env::new(),
         detail: format!("linking failed: {e}\n{program}"),
     })?;
-    let fused = crate::fuse::optimize(exe.clone()).map_err(|e| Counterexample {
+    let fused = crate::fuse::link(program, target).map_err(|e| Counterexample {
         env: Env::new(),
         detail: format!("fusion failed: {e}\n{program}"),
     })?;

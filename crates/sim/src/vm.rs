@@ -70,6 +70,14 @@ pub enum ExecError {
         /// The semantic error.
         what: String,
     },
+    /// More values were bound positionally than the executable has input
+    /// slots ([`crate::exec::Executable::run_slots`]).
+    ExtraSlots {
+        /// How many values were bound.
+        given: usize,
+        /// How many input slots the executable has.
+        inputs: usize,
+    },
     /// Linking needs more entries in one index space than a linked
     /// operand's 16-bit index can address.
     IndexOverflow {
@@ -103,6 +111,9 @@ impl fmt::Display for ExecError {
             }
             ExecError::Sem { op, pos, reg, what } => {
                 write!(f, "{op} at #{pos} into v{reg}: {what}")
+            }
+            ExecError::ExtraSlots { given, inputs } => {
+                write!(f, "{given} values bound to an executable with {inputs} input slots")
             }
             ExecError::IndexOverflow { space, limit } => {
                 write!(f, "the link needs more than {limit} {space}")
