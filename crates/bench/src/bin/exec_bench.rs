@@ -10,10 +10,10 @@
 //! * LINKED — [`fpir_halide::run_tiled_exe`] over a plain
 //!   [`fpir_sim::Executable`] (slot-resolved inputs, direct semantics
 //!   dispatch, shared constants, recycled register file) — the engine as
-//!   it stood before post-link fusion;
-//! * FUSED — the same executable after the post-link superinstruction
-//!   pass ([`fpir_sim::ExecConfig::FAST`]): single-use def-use chains
-//!   collapsed into one lane loop per chain, intermediates in scalars.
+//!   it stood before fusion;
+//! * FUSED — the same program through the FAST link
+//!   ([`fpir_sim::ExecConfig::FAST`]): def-use chains collapsed into one
+//!   lane loop per chain, intermediates in scalars.
 //!
 //! Equality gate, fatal (exit 1): on every workload × target × compiler
 //! the reference image, the linked image, the fused image at 1 worker and

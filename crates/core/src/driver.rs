@@ -90,9 +90,9 @@ pub struct Artifact {
 
 impl Artifact {
     /// Finish a lowering (from any selector — Pitchfork or a baseline)
-    /// into a runnable artifact: emit, price, link — with the post-link
-    /// FAST pipeline (superinstruction fusion) applied, so every
-    /// consumer of the driver runs fused by default.
+    /// into a runnable artifact: emit, price, link — through the FAST
+    /// link (superinstruction fusion), so every consumer of the driver
+    /// runs fused by default.
     ///
     /// # Errors
     ///
@@ -102,8 +102,8 @@ impl Artifact {
     }
 
     /// [`Artifact::from_lowered`] with an explicit engine selection —
-    /// [`ExecConfig::REFERENCE`] keeps the plain PR 4 link for
-    /// differential baselines.
+    /// [`ExecConfig::REFERENCE`] keeps the plain link for differential
+    /// baselines.
     ///
     /// # Errors
     ///

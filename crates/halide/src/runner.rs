@@ -98,7 +98,7 @@ fn gather_row(buf: &mut Vec<i128>, row: &[i128], start: i64, lanes: usize) {
 }
 
 /// Execute a compiled pipeline over whole images on the linked engine
-/// (with post-link superinstruction fusion applied), rows fanned out
+/// (the FAST link, with superinstruction fusion), rows fanned out
 /// over `jobs` workers.
 ///
 /// The program is linked once; each worker owns one execution context
