@@ -13,7 +13,7 @@ use fpir::expr::RcExpr;
 use fpir::Isa;
 use fpir_isa::{legalize, target, LowerError, TargetCost};
 use fpir_trs::cost::AgnosticCost;
-use fpir_trs::rewrite::{EngineConfig, RewriteStats, Rewriter};
+use fpir_trs::rewrite::{Engine, RewriteStats, Rewriter};
 use fpir_trs::rule::RuleSet;
 
 /// Compiler configuration.
@@ -27,19 +27,19 @@ pub struct Config {
     /// Exclude rules synthesized from this benchmark (the leave-one-out
     /// protocol of §5).
     pub leave_out: Option<String>,
-    /// Rewrite-engine acceleration structures (fast by default; the
-    /// reference engine exists for differential testing and benchmarking).
-    pub engine: EngineConfig,
+    /// The rewrite engine (fast by default; the reference engine exists
+    /// only as a differential-testing oracle).
+    pub engine: Engine,
 }
 
 impl Config {
     /// Default configuration for a target: full rule set.
     pub fn new(isa: Isa) -> Config {
-        Config { isa, synthesized_rules: true, leave_out: None, engine: EngineConfig::FAST }
+        Config { isa, synthesized_rules: true, leave_out: None, engine: Engine::Fast }
     }
 
-    /// Select the rewrite-engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Config {
+    /// Select the rewrite engine.
+    pub fn with_engine(mut self, engine: Engine) -> Config {
         self.engine = engine;
         self
     }
@@ -219,10 +219,11 @@ impl Pitchfork {
         keep_going: &mut dyn FnMut(CompilePhase) -> bool,
     ) -> Result<Compiled, CompileInterrupt> {
         let engine = self.config.engine;
+        let fast = engine == Engine::Fast;
         if !keep_going(CompilePhase::Lift) {
             return Err(CompileInterrupt::Cancelled(CompilePhase::Lift));
         }
-        let mut rw0 = Rewriter::with_engine(&self.lift, AgnosticCost, self.config.engine);
+        let mut rw0 = Rewriter::with_engine(&self.lift, AgnosticCost, engine);
         let lifted = rw0.run(expr);
         let lift_stats = rw0.stats.clone();
         if !keep_going(CompilePhase::LowerPredicated) {
@@ -232,14 +233,14 @@ impl Pitchfork {
         // path, which filtered the predicated subset out of the lowering
         // rules on every call; the fast engine uses the precomputed set.
         let predicated_owned;
-        let predicated = if engine == EngineConfig::REFERENCE {
+        let predicated = if fast {
+            &self.predicated
+        } else {
             predicated_owned = self.lower.of_class(fpir_trs::rule::RuleClass::Predicated);
             &predicated_owned
-        } else {
-            &self.predicated
         };
         let mut rw1 = Rewriter::with_engine(predicated, TargetCost::new(self.config.isa), engine);
-        if engine.memo {
+        if fast {
             // Bounds inference is a pure per-node analysis and the phases
             // share `Arc` identities (lifting preserves converged subtrees),
             // so the fast engine threads one §3.3 query cache through all
@@ -252,7 +253,7 @@ impl Pitchfork {
             return Err(CompileInterrupt::Cancelled(CompilePhase::Lower));
         }
         let mut rw = Rewriter::with_engine(&self.lower, TargetCost::new(self.config.isa), engine);
-        if engine.memo {
+        if fast {
             rw.bounds = std::mem::take(&mut rw1.bounds);
         }
         let partially_lowered = rw.run(&after_predicated);
@@ -263,7 +264,7 @@ impl Pitchfork {
         }
         // The DAG-memoized legalizer belongs to the fast engine; reference
         // mode keeps the original tree-walking pass.
-        let lowered = if engine.memo {
+        let lowered = if fast {
             legalize(&partially_lowered, target(self.config.isa))?
         } else {
             fpir_isa::legalize_uncached(&partially_lowered, target(self.config.isa))?

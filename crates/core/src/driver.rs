@@ -295,7 +295,7 @@ mod tests {
         let e = sat_add(16);
         let fast = Pitchfork::new(fpir::Isa::ArmNeon);
         let reference = Pitchfork::with_config(
-            Config::new(fpir::Isa::ArmNeon).with_engine(crate::EngineConfig::REFERENCE),
+            Config::new(fpir::Isa::ArmNeon).with_engine(crate::Engine::Reference),
         );
         let a = compile_to_executable(&fast, &e).unwrap();
         let b = compile_to_executable(&reference, &e).unwrap();

@@ -1,16 +1,16 @@
 //! Differential tests for the fast rewrite engine: the accelerated
 //! dispatch paths (root-operator indexing, DAG memoization, cost caching)
 //! must be observationally identical to the original linear-scan,
-//! tree-walking engine on arbitrary well-typed expressions, on every
-//! target.
+//! tree-walking engine on every workload and on arbitrary well-typed
+//! expressions, on every target. (`tests/mask_dispatch.rs` checks the
+//! index on its own: every rule that applies at a node is admitted.)
 
 use fpir::interp::{eval, eval_with};
 use fpir::rand_expr::{gen_expr, random_env, GenConfig};
 use fpir::types::ScalarType;
-use fpir_isa::{MachEvaluator, TargetCost};
-use fpir_trs::cost::AgnosticCost;
-use fpir_trs::rewrite::{EngineConfig, Rewriter};
-use pitchfork::{lift_rules, lower_rules, Config, Pitchfork};
+use fpir_isa::MachEvaluator;
+use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
+use pitchfork::{Config, Engine, Pitchfork};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,46 +24,36 @@ const TYPES: [ScalarType; 6] = [
     ScalarType::I32,
 ];
 
-/// Index-only engine: isolates rule dispatch from memoization.
-const INDEX_ONLY: EngineConfig = EngineConfig { memo: false, index: true, cost_cache: false };
-
 fn gen_from_seed(seed: u64, elem: ScalarType) -> fpir::RcExpr {
     let mut rng = StdRng::seed_from_u64(seed);
     gen_expr(&mut rng, &GenConfig { lanes: 8, ..GenConfig::default() }, elem)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Indexed dispatch is bit-identical to the pre-index linear scan:
-    /// the same rules fire in the same order, producing the same
-    /// expression — for the lifting TRS and for every target's lowering
-    /// TRS.
-    #[test]
-    fn indexed_dispatch_matches_linear_scan(seed in any::<u64>(), ti in 0usize..TYPES.len()) {
-        let e = gen_from_seed(seed, TYPES[ti]);
-
-        let lift = lift_rules();
-        let mut indexed = Rewriter::with_engine(&lift, AgnosticCost, INDEX_ONLY);
-        let mut linear = Rewriter::with_engine(&lift, AgnosticCost, EngineConfig::REFERENCE);
-        let a = indexed.run(&e);
-        let b = linear.run(&e);
-        prop_assert_eq!(&a, &b, "lift output diverged on {}", e);
-        prop_assert_eq!(indexed.stats.fired_seq(), linear.stats.fired_seq(),
-            "lift firing order diverged on {}", e);
-
-        for isa in fpir::machine::ALL_ISAS {
-            let lower = lower_rules(isa);
-            let mut indexed = Rewriter::with_engine(&lower, TargetCost::new(isa), INDEX_ONLY);
-            let mut linear =
-                Rewriter::with_engine(&lower, TargetCost::new(isa), EngineConfig::REFERENCE);
-            let la = indexed.run(&a);
-            let lb = linear.run(&b);
-            prop_assert_eq!(&la, &lb, "{} lower output diverged on {}", isa, e);
-            prop_assert_eq!(indexed.stats.fired_seq(), linear.stats.fired_seq(),
-                "{} lower firing order diverged on {}", isa, e);
+/// FAST == REFERENCE on every workload × ISA artifact — the 16 paper
+/// kernels, the extra kernels and the unrolled DAG kernels on all four
+/// targets: identical lifted and identical lowered expressions.
+#[test]
+fn fast_engine_matches_reference_on_every_workload() {
+    let mut artifacts = 0;
+    for isa in fpir::machine::ALL_ISAS {
+        let fast = Pitchfork::new(isa);
+        let reference = Pitchfork::with_config(Config::new(isa).with_engine(Engine::Reference));
+        for wl in all_workloads().into_iter().chain(extra_workloads()).chain(unrolled_workloads()) {
+            let name = wl.name();
+            let f = fast.compile(&wl.pipeline.expr).unwrap_or_else(|e| panic!("{name}/{isa}: {e}"));
+            let r = reference
+                .compile(&wl.pipeline.expr)
+                .unwrap_or_else(|e| panic!("{name}/{isa}: reference engine: {e}"));
+            assert_eq!(f.lifted, r.lifted, "{name}/{isa}: lift diverged");
+            assert_eq!(f.lowered, r.lowered, "{name}/{isa}: lowering diverged");
+            artifacts += 1;
         }
     }
+    assert_eq!(artifacts, 100);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The full fast engine (memo + index + cost cache) compiles to the
     /// same machine code as the reference engine, and both agree with the
@@ -75,7 +65,7 @@ proptest! {
         for isa in fpir::machine::ALL_ISAS {
             let fast = Pitchfork::with_config(Config::new(isa));
             let reference =
-                Pitchfork::with_config(Config::new(isa).with_engine(EngineConfig::REFERENCE));
+                Pitchfork::with_config(Config::new(isa).with_engine(Engine::Reference));
             match (fast.compile(&e), reference.compile(&e)) {
                 (Ok(f), Ok(r)) => {
                     prop_assert_eq!(&f.lifted, &r.lifted, "{} lift diverged on {}", isa, e);

@@ -132,7 +132,7 @@ pub fn legalize(expr: &RcExpr, t: &Target) -> Result<RcExpr, LowerError> {
 
 /// [`legalize`] without the identity memo — the original tree-walking
 /// legalizer, preserved as the pre-optimization baseline for differential
-/// tests and the `selection-bench` reference engine.
+/// tests and the reference rewrite engine.
 ///
 /// # Errors
 ///

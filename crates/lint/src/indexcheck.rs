@@ -20,9 +20,10 @@
 //!   tried at *every* node, which is correct but defeats the index; a
 //!   large wildcard bucket is an authoring smell worth seeing.
 //!
-//! The runtime counterpart is the differential fuzz test in `pitchfork`,
-//! which checks that indexed and linear dispatch fire identical rule
-//! sequences on random programs.
+//! The runtime counterpart is `pitchfork`'s `tests/mask_dispatch.rs`,
+//! which checks on every node of the workloads and generator seeds that
+//! every rule whose `Rule::apply` succeeds is admitted by the index, in
+//! ascending rule order.
 
 use crate::diagnostic::{Analysis, Diagnostic, Severity};
 use fpir_trs::index::{OpKey, RuleIndex};

@@ -42,8 +42,7 @@ COMPILE/RUN OPTIONS:
     --tag TAG                  opaque tag echoed in the response
     --expr EXPR                the expression (printed syntax)
     --lanes N                  vector width
-    --isa x86|arm|hvx          target
-    --engine fast|reference    rewrite engine           [default: fast]
+    --isa x86|arm|hvx|rvv      target
     --no-synthesized           drop synthesized rules
     --leave-out NAME           leave-one-out benchmark
     --timeout-ms N             per-request deadline
@@ -97,7 +96,6 @@ fn main() -> ExitCode {
                 "--isa" => members.push(("isa".into(), Json::str(args.take("--isa")?))),
                 "--tag" => members.push(("tag".into(), Json::str(args.take("--tag")?))),
                 "--text" => members.push(("format".into(), Json::str("text"))),
-                "--engine" => members.push(("engine".into(), Json::str(args.take("--engine")?))),
                 "--no-synthesized" => {
                     members.push(("synthesized_rules".into(), Json::Bool(false)));
                 }

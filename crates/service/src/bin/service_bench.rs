@@ -41,7 +41,7 @@ use fpir::Isa;
 use fpir_halide::{run_program_reference, run_tiled_exe};
 use fpir_isa::target;
 use fpir_workloads::{all_workloads, LANES};
-use pitchfork::{compile_to_executable, Config, EngineConfig, Pitchfork};
+use pitchfork::{compile_to_executable, Config, Pitchfork};
 use pitchfork_service::protocol::CompileSpec;
 use pitchfork_service::{
     serve_with, write_frame, Client, Endpoint, Json, Request, ServeOptions, Service, ServiceConfig,
@@ -85,7 +85,6 @@ fn spec(expr: &str, isa: Isa) -> CompileSpec {
         expr: expr.to_string(),
         lanes: LANES,
         isa,
-        engine: EngineConfig::FAST,
         synthesized_rules: true,
         leave_out: None,
         timeout_ms: None,
@@ -449,7 +448,7 @@ fn fleet_scenario(
     for (name, expr, isa) in combos {
         // Hand-only truth; a workload that needs synthesized rules to
         // lower is skipped (the service would refuse it identically).
-        let cfg = Config::new(*isa).with_engine(EngineConfig::FAST).hand_written_only();
+        let cfg = Config::new(*isa).hand_written_only();
         let pf = Pitchfork::with_config(cfg);
         let e = fpir::parser::parse_expr(expr, LANES).expect("suite expr parses");
         let Ok(art) = compile_to_executable(&pf, &e) else {

@@ -3,16 +3,16 @@
 //! An artifact is addressed by *everything that determines its bytes*:
 //! the expression (printed structural form — two structurally equal
 //! expressions print identically), its lane count, the target ISA, the
-//! rewrite-engine configuration, the rule-provenance toggles, and a
-//! fingerprint of the loaded rule sets. The key is an exact structured
-//! value (`Eq + Hash`), so the cache can never confuse two different
-//! compilations — the 64-bit FNV fingerprint is only a *display* handle
-//! and a cheap way to invalidate across rule-set changes, never the
-//! identity itself.
+//! rule-provenance toggles, and a fingerprint of the loaded rule sets.
+//! (The rewrite engine is not part of it: a served compile always runs
+//! the fast engine.) The key is an exact structured value (`Eq + Hash`),
+//! so the cache can never confuse two different compilations — the
+//! 64-bit FNV fingerprint is only a *display* handle and a cheap way to
+//! invalidate across rule-set changes, never the identity itself.
 
+use crate::protocol::CompileSpec;
 use fpir::expr::RcExpr;
 use fpir::Isa;
-use fpir_trs::rewrite::EngineConfig;
 use pitchfork::Pitchfork;
 
 /// The exact identity of one compilation.
@@ -24,8 +24,6 @@ pub struct CacheKey {
     pub lanes: u32,
     /// Target ISA.
     pub isa: Isa,
-    /// Rewrite-engine acceleration flags `(memo, index, cost_cache)`.
-    pub engine: (bool, bool, bool),
     /// Whether synthesized rules were loaded.
     pub synthesized_rules: bool,
     /// Leave-one-out benchmark, if any.
@@ -42,36 +40,45 @@ impl CacheKey {
             expr: expr.to_string(),
             lanes: expr.ty().lanes,
             isa: cfg.isa,
-            engine: engine_bits(cfg.engine),
             synthesized_rules: cfg.synthesized_rules,
             leave_out: cfg.leave_out.clone(),
             rules_fp: ruleset_fingerprint(pf),
         }
     }
 
-    /// A short printable handle for logs and `/stats` (not the identity).
+    /// The key for compiling `spec`, whose expression parsed to `expr`,
+    /// with a selector whose rule-set fingerprint is `rules_fp`.
+    pub fn for_spec(spec: &CompileSpec, expr: &RcExpr, rules_fp: u64) -> CacheKey {
+        CacheKey {
+            expr: expr.to_string(),
+            lanes: spec.lanes,
+            isa: spec.isa,
+            synthesized_rules: spec.synthesized_rules,
+            leave_out: spec.leave_out.clone(),
+            rules_fp,
+        }
+    }
+
+    /// A short printable handle for logs and `/stats` (not the identity),
+    /// which also names the key's spill file and picks its peer owner.
+    /// Variable-length members are length-prefixed and `leave_out` has a
+    /// presence byte, so no two distinct keys hash the same byte stream.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
-        h.write(self.expr.as_bytes());
+        h.write_prefixed(self.expr.as_bytes());
         h.write(&self.lanes.to_le_bytes());
-        h.write(self.isa.short_name().as_bytes());
-        h.write(&[
-            self.engine.0 as u8,
-            self.engine.1 as u8,
-            self.engine.2 as u8,
-            self.synthesized_rules as u8,
-        ]);
-        if let Some(l) = &self.leave_out {
-            h.write(l.as_bytes());
+        h.write_prefixed(self.isa.short_name().as_bytes());
+        h.write(&[self.synthesized_rules as u8]);
+        match &self.leave_out {
+            None => h.write(&[0]),
+            Some(l) => {
+                h.write(&[1]);
+                h.write_prefixed(l.as_bytes());
+            }
         }
         h.write(&self.rules_fp.to_le_bytes());
         h.finish()
     }
-}
-
-/// `EngineConfig` as a hashable tuple.
-pub fn engine_bits(e: EngineConfig) -> (bool, bool, bool) {
-    (e.memo, e.index, e.cost_cache)
 }
 
 /// Fingerprint of the rule sets a selector actually loaded: every rule's
@@ -107,6 +114,13 @@ impl Fnv {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// Absorb `bytes` after their length, so adjacent fields cannot
+    /// trade bytes.
+    pub fn write_prefixed(&mut self, bytes: &[u8]) {
+        self.write(&(bytes.len() as u64).to_le_bytes());
+        self.write(bytes);
     }
 
     /// The digest.
@@ -156,12 +170,6 @@ mod tests {
             CacheKey::for_compile(&Pitchfork::new(Isa::ArmNeon), &sat_add(32)),
             CacheKey::for_compile(&Pitchfork::new(Isa::X86Avx2), &sat_add(16)),
             CacheKey::for_compile(
-                &Pitchfork::with_config(
-                    Config::new(Isa::ArmNeon).with_engine(EngineConfig::REFERENCE),
-                ),
-                &sat_add(16),
-            ),
-            CacheKey::for_compile(
                 &Pitchfork::with_config(Config::new(Isa::ArmNeon).hand_written_only()),
                 &sat_add(16),
             ),
@@ -206,6 +214,29 @@ mod tests {
         assert_ne!(full.fingerprint(), hand.fingerprint());
         assert_ne!(full.fingerprint(), leave.fingerprint());
         assert_ne!(full.rules_fp, hand.rules_fp, "the toggle reloads a different rule set");
+    }
+
+    #[test]
+    fn absent_and_empty_leave_out_get_different_fingerprints_and_spill_files() {
+        use crate::store::{DiskStore, Lookup, EXTENSION};
+        let pf = Pitchfork::new(Isa::ArmNeon);
+        let e = sat_add(16);
+        let none = CacheKey::for_compile(&pf, &e);
+        let empty = CacheKey { leave_out: Some(String::new()), ..none.clone() };
+        assert_ne!(none.fingerprint(), empty.fingerprint());
+        // Each key spills to its own file, so neither overwrites the other.
+        let dir = std::env::temp_dir().join(format!("pfkey-leave-out-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskStore::open(&dir).unwrap();
+        let art = pitchfork::compile_to_executable(&pf, &e).unwrap();
+        for key in [&none, &empty] {
+            store.spill(key, &art).unwrap();
+        }
+        for key in [&none, &empty] {
+            assert!(dir.join(format!("{:016x}.{EXTENSION}", key.fingerprint())).exists());
+            assert!(matches!(store.load(key), Lookup::Hit(_)), "{:?}", key.leave_out);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

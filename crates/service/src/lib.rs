@@ -8,8 +8,8 @@
 //! length-prefixed JSON protocol, backed by:
 //!
 //! * a **content-addressed artifact cache** ([`cache`]) — keyed by the
-//!   expression's structural print, the target ISA, the engine
-//!   configuration, and a fingerprint of the loaded rule sets; bounded
+//!   expression's structural print, the target ISA, the rule toggles,
+//!   and a fingerprint of the loaded rule sets; bounded
 //!   in bytes with LRU eviction;
 //! * **single-flight deduplication** — N concurrent identical requests
 //!   cost one compile, and everyone shares the same `Arc<Artifact>`;

@@ -16,7 +16,6 @@ use crate::error::ServiceError;
 use crate::json::{parse, Json};
 use fpir::types::ScalarType;
 use fpir::Isa;
-use fpir_trs::rewrite::EngineConfig;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
@@ -423,8 +422,6 @@ pub struct CompileSpec {
     pub lanes: u32,
     /// Target ISA.
     pub isa: Isa,
-    /// Rewrite-engine configuration.
-    pub engine: EngineConfig,
     /// Include synthesized rules.
     pub synthesized_rules: bool,
     /// Leave-one-out benchmark.
@@ -538,16 +535,13 @@ fn parse_spec(v: &Json) -> Result<CompileSpec, ServiceError> {
     let isa = parse_isa(
         v.get("isa").and_then(Json::as_str).ok_or_else(|| bad("missing string field `isa`"))?,
     )?;
-    let engine =
-        match v.get("engine").map(|e| e.as_str().ok_or_else(|| bad("`engine` must be a string"))) {
-            None => EngineConfig::FAST,
-            Some(Ok("fast")) => EngineConfig::FAST,
-            Some(Ok("reference")) => EngineConfig::REFERENCE,
-            Some(Ok(other)) => {
-                return Err(bad(format!("unknown engine `{other}` (expected fast or reference)")))
-            }
-            Some(Err(e)) => return Err(e),
-        };
+    // Served compiles always run the fast engine. Older peers still send
+    // `"engine":"fast"` in `peer_get`, so that one value is accepted.
+    if v.get("engine").is_some_and(|e| e.as_str() != Some("fast")) {
+        return Err(bad(
+            "`engine` is not a request option (only the legacy value \"fast\" is accepted)",
+        ));
+    }
     let synthesized_rules = match v.get("synthesized_rules") {
         None => true,
         Some(b) => b.as_bool().ok_or_else(|| bad("`synthesized_rules` must be a boolean"))?,
@@ -565,7 +559,7 @@ fn parse_spec(v: &Json) -> Result<CompileSpec, ServiceError> {
                 .ok_or_else(|| bad("`timeout_ms` must be a positive integer"))?,
         ),
     };
-    Ok(CompileSpec { expr, lanes, isa, engine, synthesized_rules, leave_out, timeout_ms })
+    Ok(CompileSpec { expr, lanes, isa, synthesized_rules, leave_out, timeout_ms })
 }
 
 fn parse_lane_list(v: &Json) -> Result<Vec<i128>, ServiceError> {
@@ -675,25 +669,21 @@ pub fn parse_request(v: &Json) -> Result<Request, ServiceError> {
     }
 }
 
-/// Build the `peer_get` request frame for one cache key. The engine
-/// travels as the same `"fast"`/`"reference"` member `compile` takes —
-/// the only engines a request can name, so the only keys a peer can
-/// hold; `tag` correlates the response on the requester's multiplexed
-/// peer connection.
+/// Build the `peer_get` request frame for one cache key; `tag`
+/// correlates the response on the requester's multiplexed peer
+/// connection.
 pub fn peer_get_frame(key: &crate::key::CacheKey, tag: i128) -> Json {
-    let reference = key.engine == crate::key::engine_bits(EngineConfig::REFERENCE);
     let mut members = vec![
         ("op".into(), Json::str("peer_get")),
         ("expr".into(), Json::str(key.expr.clone())),
         ("lanes".into(), Json::Int(key.lanes as i128)),
         ("isa".into(), Json::str(key.isa.short_name())),
-        ("engine".into(), Json::str(if reference { "reference" } else { "fast" })),
         ("synthesized_rules".into(), Json::Bool(key.synthesized_rules)),
         ("rules_fp".into(), Json::str(format!("{:016x}", key.rules_fp))),
         ("tag".into(), Json::Int(tag)),
     ];
     if let Some(l) = &key.leave_out {
-        members.insert(6, ("leave_out".into(), Json::str(l.clone())));
+        members.insert(5, ("leave_out".into(), Json::str(l.clone())));
     }
     Json::Object(members)
 }
@@ -984,7 +974,6 @@ mod tests {
                 assert_eq!(spec.expr, "a_u8 + b_u8");
                 assert_eq!(spec.lanes, 16);
                 assert_eq!(spec.isa, Isa::ArmNeon);
-                assert_eq!(spec.engine, EngineConfig::FAST);
                 assert!(spec.synthesized_rules);
                 assert_eq!(spec.leave_out, None);
                 assert_eq!(spec.timeout_ms, None);
@@ -995,13 +984,12 @@ mod tests {
 
     #[test]
     fn compile_request_honors_every_knob() {
-        let r = req(r#"{"op":"compile","expr":"x_u8","lanes":8,"isa":"hvx","engine":"reference",
+        let r = req(r#"{"op":"compile","expr":"x_u8","lanes":8,"isa":"hvx",
                 "synthesized_rules":false,"leave_out":"blur","timeout_ms":250}"#)
         .unwrap();
         match r {
             Request::Compile(spec) => {
                 assert_eq!(spec.isa, Isa::HexagonHvx);
-                assert_eq!(spec.engine, EngineConfig::REFERENCE);
                 assert!(!spec.synthesized_rules);
                 assert_eq!(spec.leave_out.as_deref(), Some("blur"));
                 assert_eq!(spec.timeout_ms, Some(250));
@@ -1060,7 +1048,6 @@ mod tests {
             (r#"{"op":"compile","expr":"x_u8","lanes":0,"isa":"arm"}"#, "lanes"),
             (r#"{"op":"compile","expr":"x_u8","lanes":4}"#, "isa"),
             (r#"{"op":"compile","expr":"x_u8","lanes":4,"isa":"mips"}"#, "unknown isa"),
-            (r#"{"op":"compile","expr":"x_u8","lanes":4,"isa":"arm","engine":"warp"}"#, "engine"),
             (r#"{"op":"compile","expr":"x_u8","lanes":4,"isa":"arm","timeout_ms":0}"#, "timeout"),
             (r#"{"op":"run","expr":"x_u8","lanes":4,"isa":"arm"}"#, "inputs"),
         ] {
@@ -1070,30 +1057,41 @@ mod tests {
     }
 
     #[test]
+    fn engine_member_is_rejected_except_the_legacy_fast() {
+        let compile = |engine: &str| {
+            req(&format!(r#"{{"op":"compile","expr":"x_u8","lanes":4,"isa":"arm"{engine}}}"#))
+        };
+        let plain = compile("").unwrap();
+        assert_eq!(compile(r#","engine":"fast""#).unwrap(), plain);
+        for engine in [r#","engine":"reference""#, r#","engine":"warp""#, r#","engine":1"#] {
+            let err = compile(engine).unwrap_err();
+            assert_eq!(err.code(), "bad_request", "{engine}");
+            assert!(err.to_string().contains("engine"), "{engine}: {err}");
+        }
+        // An older peer's `peer_get` names the fast engine and still parses.
+        let old_peer = req(r#"{"op":"peer_get","expr":"x_u8","lanes":4,"isa":"arm",
+                "engine":"fast","synthesized_rules":true,"rules_fp":"00000000000000ff","tag":1}"#)
+        .unwrap();
+        assert!(matches!(old_peer, Request::PeerGet { rules_fp: 0xff, .. }));
+    }
+
+    #[test]
     fn peer_get_frame_round_trips_the_key() {
-        use crate::key::{engine_bits, CacheKey};
+        use crate::key::CacheKey;
         use pitchfork::{Config, Pitchfork};
         let expr = fpir::parser::parse_expr("u8(min(u16(a_u8) + u16(b_u8), 255))", 16).unwrap();
-        let fast = Pitchfork::new(Isa::ArmNeon);
-        let reference = Pitchfork::with_config(
-            Config::new(Isa::X86Avx2).with_engine(EngineConfig::REFERENCE).leaving_out("blur"),
+        let full = Pitchfork::new(Isa::ArmNeon);
+        let left_out = Pitchfork::with_config(
+            Config::new(Isa::X86Avx2).hand_written_only().leaving_out("blur"),
         );
-        for pf in [fast, reference] {
+        for pf in [full, left_out] {
             let key = CacheKey::for_compile(&pf, &expr);
-            let Ok(Request::PeerGet { spec, rules_fp }) = parse_request(&peer_get_frame(&key, 1))
-            else {
+            let frame = peer_get_frame(&key, 1);
+            assert!(frame.get("engine").is_none(), "peer_get no longer names an engine");
+            let Ok(Request::PeerGet { spec, rules_fp }) = parse_request(&frame) else {
                 panic!("a peer_get frame must parse as peer_get");
             };
-            let rebuilt = CacheKey {
-                expr: spec.expr,
-                lanes: spec.lanes,
-                isa: spec.isa,
-                engine: engine_bits(spec.engine),
-                synthesized_rules: spec.synthesized_rules,
-                leave_out: spec.leave_out,
-                rules_fp,
-            };
-            assert_eq!(rebuilt, key);
+            assert_eq!(CacheKey::for_spec(&spec, &expr, rules_fp), key);
         }
     }
 

@@ -29,7 +29,7 @@
 use crate::cache::{Cache, CacheError, CacheStats, Source};
 use crate::error::ServiceError;
 use crate::json::Json;
-use crate::key::{engine_bits, ruleset_fingerprint, CacheKey};
+use crate::key::{ruleset_fingerprint, CacheKey};
 use crate::protocol::{error_response, ok_response, CompileSpec, ImageSpec, Request, StatsFormat};
 use crate::stats::Stats;
 use crate::store::{self, DiskStore, Lookup};
@@ -89,7 +89,7 @@ struct Selector {
 
 /// The part of a [`CompileSpec`] that picks a selector (everything but
 /// the expression and the deadline).
-type SelectorKey = (fpir::Isa, (bool, bool, bool), bool, Option<String>);
+type SelectorKey = (fpir::Isa, bool, Option<String>);
 
 /// What the cache stores for one key: the driver's artifact plus the
 /// response strings rendered once at insert time, so a cache hit clones
@@ -202,7 +202,6 @@ impl Service {
                 expr: String::new(),
                 lanes: 1,
                 isa,
-                engine: pitchfork::EngineConfig::FAST,
                 synthesized_rules: true,
                 leave_out: None,
                 timeout_ms: None,
@@ -262,13 +261,12 @@ impl Service {
 
     /// The warm selector for a spec's compiler configuration.
     fn selector(&self, spec: &CompileSpec) -> Arc<Selector> {
-        let key: SelectorKey =
-            (spec.isa, engine_bits(spec.engine), spec.synthesized_rules, spec.leave_out.clone());
+        let key: SelectorKey = (spec.isa, spec.synthesized_rules, spec.leave_out.clone());
         let mut map = self.selectors.lock().expect("selector lock");
         if let Some(s) = map.get(&key) {
             return s.clone();
         }
-        let mut cfg = Config::new(spec.isa).with_engine(spec.engine);
+        let mut cfg = Config::new(spec.isa);
         if !spec.synthesized_rules {
             cfg = cfg.hand_written_only();
         }
@@ -339,15 +337,7 @@ impl Service {
             return CacheDecision::Reply(FastReply::Json(self.handle_local(req)));
         };
         let selector = self.selector(spec);
-        let key = CacheKey {
-            expr: expr.to_string(),
-            lanes: spec.lanes,
-            isa: spec.isa,
-            engine: engine_bits(spec.engine),
-            synthesized_rules: spec.synthesized_rules,
-            leave_out: spec.leave_out.clone(),
-            rules_fp: selector.rules_fp,
-        };
+        let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
         let Some(served) = self.cache.try_get(&key) else {
             // A disk-resident key refills locally (cheaper than any
             // network hop); only a true local miss is worth a peer ask.
@@ -406,15 +396,7 @@ impl Service {
         let expr = fpir::parser::parse_expr(&spec.expr, spec.lanes)
             .map_err(|e| ServiceError::BadRequest(format!("expression: {e}")))?;
         let selector = self.selector(spec);
-        let key = CacheKey {
-            expr: expr.to_string(),
-            lanes: spec.lanes,
-            isa: spec.isa,
-            engine: engine_bits(spec.engine),
-            synthesized_rules: spec.synthesized_rules,
-            leave_out: spec.leave_out.clone(),
-            rules_fp: selector.rules_fp,
-        };
+        let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
         let key_fp = key.fingerprint();
         let timeout_ms = spec.timeout_ms.or(self.config.default_timeout_ms);
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -568,15 +550,7 @@ impl Service {
         }
         let expr = fpir::parser::parse_expr(&spec.expr, spec.lanes)
             .map_err(|e| ServiceError::BadRequest(format!("expression: {e}")))?;
-        let key = CacheKey {
-            expr: expr.to_string(),
-            lanes: spec.lanes,
-            isa: spec.isa,
-            engine: engine_bits(spec.engine),
-            synthesized_rules: spec.synthesized_rules,
-            leave_out: spec.leave_out.clone(),
-            rules_fp: selector.rules_fp,
-        };
+        let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
         let (_, _, served, _) = self.artifact(spec)?;
         match store::encode_artifact_json(&key, &served.art) {
             Ok(body) => {

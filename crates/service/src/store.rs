@@ -25,7 +25,7 @@
 //! One file per cache key, named `<fingerprint:016x>.pfa`:
 //!
 //! ```text
-//! magic "pfspill1" (8)  — format version baked into the magic
+//! magic "pfspill2" (8)  — format version baked into the magic
 //! rules_fp   u64 BE (8) — rule-set fingerprint header (fast reject)
 //! body_len   u32 BE (4)
 //! body       JSON (UTF-8) — full key, cycles, DAG nodes
@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Format magic; bump the trailing digit to invalidate old stores.
-pub const MAGIC: &[u8; 8] = b"pfspill1";
+pub const MAGIC: &[u8; 8] = b"pfspill2";
 
 /// Spill-file extension (entries are `<fingerprint:016x>.pfa`).
 pub const EXTENSION: &str = "pfa";
@@ -258,12 +258,10 @@ fn decode_expr(nodes: &[Json], root: usize, isa: fpir::Isa) -> Result<RcExpr, St
 }
 
 fn key_members(key: &CacheKey) -> Json {
-    let (m, i, c) = key.engine;
     Json::Object(vec![
         ("expr".into(), Json::str(key.expr.clone())),
         ("lanes".into(), Json::Int(key.lanes as i128)),
         ("isa".into(), Json::str(key.isa.short_name())),
-        ("engine".into(), Json::Array(vec![Json::Bool(m), Json::Bool(i), Json::Bool(c)])),
         ("synthesized_rules".into(), Json::Bool(key.synthesized_rules)),
         ("leave_out".into(), key.leave_out.clone().map_or(Json::Null, Json::str)),
         ("rules_fp".into(), Json::str(format!("{:016x}", key.rules_fp))),
@@ -285,13 +283,6 @@ fn decode_key(v: &Json) -> Result<CacheKey, StoreError> {
     let isa =
         parse_isa(obj.get("isa").and_then(Json::as_str).ok_or_else(|| body_err("key has no isa"))?)
             .map_err(|e| body_err(e.to_string()))?;
-    let engine = match obj.get("engine").and_then(Json::as_array) {
-        Some([a, b, c]) => match (a.as_bool(), b.as_bool(), c.as_bool()) {
-            (Some(a), Some(b), Some(c)) => (a, b, c),
-            _ => return Err(body_err("key engine bits are not booleans")),
-        },
-        _ => return Err(body_err("key has no engine bits")),
-    };
     let synthesized_rules = obj
         .get("synthesized_rules")
         .and_then(Json::as_bool)
@@ -307,7 +298,7 @@ fn decode_key(v: &Json) -> Result<CacheKey, StoreError> {
         .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or_else(|| body_err("key has no rules_fp"))?;
-    Ok(CacheKey { expr, lanes, isa, engine, synthesized_rules, leave_out, rules_fp })
+    Ok(CacheKey { expr, lanes, isa, synthesized_rules, leave_out, rules_fp })
 }
 
 /// Encode one cache entry as the portable JSON body (also the payload
@@ -721,7 +712,6 @@ mod tests {
             expr: e.to_string(),
             lanes,
             isa,
-            engine: (true, true, true),
             synthesized_rules: true,
             leave_out: None,
             rules_fp: ruleset_fingerprint(&pf),
@@ -927,7 +917,6 @@ mod tests {
             expr: expr.into(),
             lanes: 8,
             isa: Isa::ArmNeon,
-            engine: pitchfork::EngineConfig::FAST,
             synthesized_rules: true,
             leave_out: None,
             timeout_ms: None,

@@ -1,11 +1,12 @@
 //! Service-level tests of the disk spill store: restart-warm refill,
-//! the crash-consistency matrix (every torn or tampered file is
-//! skipped and unlinked at startup, never served), rule-toggle
+//! the crash-consistency matrix (every torn, tampered or old-format file
+//! is skipped and unlinked at startup, never served), rule-toggle
 //! isolation, and the disk-refill path when the in-memory LRU is too
 //! small to retain what it compiled.
 
+use pitchfork_service::key::Fnv;
 use pitchfork_service::protocol::CompileSpec;
-use pitchfork_service::{Json, Request, Service, ServiceConfig, Stats};
+use pitchfork_service::{json, store, Json, Request, Service, ServiceConfig, Stats, StoreError};
 use std::path::{Path, PathBuf};
 
 const SAT_ADD: &str = "u8(min(u16(a_u8) + u16(b_u8), 255))";
@@ -34,7 +35,6 @@ fn compile(expr: &str, synthesized_rules: bool) -> Request {
         expr: expr.to_string(),
         lanes: 16,
         isa: fpir::Isa::ArmNeon,
-        engine: pitchfork::EngineConfig::FAST,
         synthesized_rules,
         leave_out: None,
         timeout_ms: None,
@@ -133,7 +133,7 @@ fn startup_sweeps_torn_and_tampered_entries() {
     bytes[mid] ^= 0x40;
     std::fs::write(&files[1], &bytes).unwrap();
     let mut bytes = std::fs::read(&files[2]).unwrap();
-    bytes[7] = b'9'; // pfspill1 -> pfspill9
+    bytes[7] = b'9'; // pfspill2 -> pfspill9
     std::fs::write(&files[2], &bytes).unwrap();
     let tmp = dir.join("deadbeefdeadbeef.pfa.tmp-1-1");
     std::fs::write(&tmp, b"torn half-write").unwrap();
@@ -150,6 +150,48 @@ fn startup_sweeps_torn_and_tampered_entries() {
     assert_ok(&v, "recompile after sweep");
     assert_eq!(source(&v), Some("computed"));
     assert_eq!(spill_files(&dir).len(), 1, "the fresh artifact spilled again");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry a daemon wrote before the engine left the cache key — magic
+/// `pfspill1`, the key's `engine` bits in the body, a valid checksum — is
+/// refused and unlinked by the startup scan, and the key recompiles.
+#[test]
+fn startup_sweeps_entries_in_the_old_format() {
+    let dir = temp_dir("oldmagic");
+    let a = Service::new(config(&dir, 64 << 20));
+    assert_ok(&a.handle_local(&compile(SAT_ADD, true)), SAT_ADD);
+    drop(a);
+    let files = spill_files(&dir);
+    assert_eq!(files.len(), 1);
+
+    // Rewrite the entry exactly as the old format framed it.
+    let bytes = std::fs::read(&files[0]).unwrap();
+    let (rules_fp, body) = store::decode_envelope(&bytes).unwrap();
+    let Json::Object(mut members) = json::parse(body).unwrap() else { panic!("body object") };
+    for (name, value) in &mut members {
+        if let (true, Json::Object(key)) = (name == "key", value) {
+            let bits = vec![Json::Bool(true); 3];
+            key.insert(3, ("engine".into(), Json::Array(bits)));
+        }
+    }
+    let body = Json::Object(members).render();
+    let mut old = b"pfspill1".to_vec();
+    old.extend_from_slice(&rules_fp.to_be_bytes());
+    old.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    old.extend_from_slice(body.as_bytes());
+    let mut sum = Fnv::new();
+    sum.write(&old);
+    old.extend_from_slice(&sum.finish().to_be_bytes());
+    assert!(matches!(store::decode_entry(&old), Err(StoreError::Envelope(_))));
+    std::fs::write(&files[0], &old).unwrap();
+
+    let b = Service::new(config(&dir, 64 << 20));
+    assert_eq!(Stats::read(&b.stats().disk_loaded), 0);
+    assert_eq!(Stats::read(&b.stats().disk_rejected), 1);
+    assert!(spill_files(&dir).is_empty(), "the old entry is unlinked");
+    let v = b.handle_local(&compile(SAT_ADD, true));
+    assert_eq!(source(&v), Some("computed"), "{v:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

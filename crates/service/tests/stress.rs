@@ -38,7 +38,6 @@ fn spec(expr: &str, isa: fpir::Isa, timeout_ms: Option<u64>) -> CompileSpec {
         expr: expr.to_string(),
         lanes: LANES,
         isa,
-        engine: pitchfork::EngineConfig::FAST,
         synthesized_rules: true,
         leave_out: None,
         timeout_ms,

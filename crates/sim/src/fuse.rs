@@ -103,7 +103,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
 /// Engine selection for linking, mirroring the selection engine's
-/// FAST/REFERENCE `EngineConfig`: [`ExecConfig::FAST`] links through the
+/// `Engine::{Fast, Reference}`: [`ExecConfig::FAST`] links through the
 /// fusion pipeline (see the [module docs](self)),
 /// [`ExecConfig::REFERENCE`] is the plain [`Executable::link`]. Outputs
 /// are bit-identical; only speed differs.

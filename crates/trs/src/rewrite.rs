@@ -8,8 +8,8 @@
 //! # The fast engine
 //!
 //! Selection cost is kept linear in *unique* DAG nodes — not tree nodes
-//! times rules — by three coordinated mechanisms, each independently
-//! toggleable through [`EngineConfig`]:
+//! times rules — by three coordinated mechanisms, all on in
+//! [`Engine::Fast`]:
 //!
 //! * **DAG memoization** — stencil workloads share subexpressions
 //!   pervasively (`Arc<Expr>` handles are aliased, and tree size can be
@@ -32,9 +32,9 @@
 //!   per-node subtree costs by identity makes each candidate comparison
 //!   O(new template nodes) instead of O(subtree).
 //!
-//! [`EngineConfig::REFERENCE`] disables all three, reproducing the
-//! original tree-walking engine — differential tests assert the two
-//! engines produce bit-identical output.
+//! [`Engine::Reference`] disables all three, reproducing the original
+//! tree-walking engine. It exists only as a differential oracle: tests
+//! assert the two engines produce bit-identical output.
 
 use crate::cost::{Cost, CostModel};
 use crate::index::{OpKey, RuleIndex};
@@ -45,31 +45,16 @@ use fpir::identity::IdMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Which of the engine's acceleration structures are active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Memoize rewritten results by node identity (DAG-aware rewriting).
-    pub memo: bool,
-    /// Dispatch rules through the root-operator [`RuleIndex`].
-    pub index: bool,
-    /// Cache subtree costs by node identity.
-    pub cost_cache: bool,
-}
-
-impl EngineConfig {
-    /// Everything on — the production engine.
-    pub const FAST: EngineConfig = EngineConfig { memo: true, index: true, cost_cache: true };
-
-    /// Everything off — the original tree-walking, linear-scan engine,
-    /// kept as the differential-testing and benchmarking baseline.
-    pub const REFERENCE: EngineConfig =
-        EngineConfig { memo: false, index: false, cost_cache: false };
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig::FAST
-    }
+/// Which rewrite engine runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// DAG memoization, indexed dispatch and cached subtree costs — the
+    /// production engine.
+    #[default]
+    Fast,
+    /// The original tree-walking, linear-scan engine, kept only as the
+    /// differential-testing oracle.
+    Reference,
 }
 
 /// Per-run statistics: work done and cache effectiveness.
@@ -142,11 +127,12 @@ impl RewriteStats {
 pub struct Rewriter<'a, C> {
     rules: &'a RuleSet,
     cost: C,
-    engine: EngineConfig,
+    /// Whether the fast engine runs (memo, index and cost cache all on).
+    fast: bool,
     /// The rule set's root-operator index — borrowed from the set's lazy
-    /// cache so constructing a rewriter never rebuilds it. `None` when
-    /// indexed dispatch is disabled (the reference engine neither builds
-    /// nor consults an index, exactly like the pre-index code).
+    /// cache so constructing a rewriter never rebuilds it. `None` for the
+    /// reference engine, which neither builds nor consults an index,
+    /// exactly like the pre-index code.
     index: Option<&'a RuleIndex>,
     /// Whether leaves are fixpoints outright: memoizing with an index
     /// that has no rule for leaves.
@@ -172,29 +158,25 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
     /// fixpoint loop (cost descent already guarantees termination; the
     /// bound is defence in depth and is generous at 16).
     pub fn new(rules: &'a RuleSet, cost: C) -> Rewriter<'a, C> {
-        Rewriter::with_engine(rules, cost, EngineConfig::FAST)
+        Rewriter::with_engine(rules, cost, Engine::Fast)
     }
 
-    /// Create a rewriter with an explicit engine configuration.
-    pub fn with_engine(rules: &'a RuleSet, cost: C, engine: EngineConfig) -> Rewriter<'a, C> {
-        let index = engine.index.then(|| rules.index());
+    /// Create a rewriter running `engine`.
+    pub fn with_engine(rules: &'a RuleSet, cost: C, engine: Engine) -> Rewriter<'a, C> {
+        let fast = engine == Engine::Fast;
+        let index = fast.then(|| rules.index());
         Rewriter {
             rules,
             cost,
-            engine,
+            fast,
             index,
-            leaves_fixed: engine.memo && index.is_some_and(|ix| !ix.has_candidates(OpKey::Leaf)),
+            leaves_fixed: index.is_some_and(|ix| !ix.has_candidates(OpKey::Leaf)),
             bounds: BoundsCtx::new(),
             stats: RewriteStats::default(),
             max_passes: 16,
             memo: IdMap::default(),
             cost_memo: IdMap::default(),
         }
-    }
-
-    /// The engine configuration in use.
-    pub fn engine(&self) -> EngineConfig {
-        self.engine
     }
 
     /// Rewrite to a fixed point.
@@ -239,7 +221,7 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
             self.stats.nodes_visited += 1;
             return expr.clone();
         }
-        if !self.engine.memo {
+        if !self.fast {
             // The reference engine: a tree walk that rebuilds every node.
             self.stats.nodes_visited += 1;
             let children = expr.children();
@@ -307,12 +289,12 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
     /// modes.
     fn rewrite_root(&mut self, mut node: RcExpr) -> RcExpr {
         loop {
-            // With the cost cache on, the node is priced lazily, on the
-            // first candidate that matches — an empty bucket prices
-            // nothing. The reference engine keeps the original behaviour:
-            // a full (uncached) subtree pricing at every iteration.
+            // The fast engine prices the node lazily, on the first
+            // candidate that matches — an empty bucket prices nothing.
+            // The reference engine keeps the original behaviour: a full
+            // (uncached) subtree pricing at every iteration.
             let mut node_cost: Option<Cost> =
-                if self.engine.cost_cache { None } else { Some(self.cost_of(&node)) };
+                if self.fast { None } else { Some(self.cost_of(&node)) };
             let mut best: Option<(Cost, u32, RcExpr)> = None;
             match self.index {
                 Some(ix) => {
@@ -358,10 +340,10 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
         }
     }
 
-    /// The cost of `e`'s subtree, memoized by node identity when the cost
-    /// cache is enabled.
+    /// The cost of `e`'s subtree, memoized by node identity in the fast
+    /// engine.
     fn cost_of(&mut self, e: &RcExpr) -> Cost {
-        if !self.engine.cost_cache {
+        if !self.fast {
             return self.cost.cost(e);
         }
         if let Some((_, c)) = self.cost_memo.get(&Expr::ptr_id(e)) {
@@ -516,7 +498,7 @@ mod tests {
             build::add(build::widen(build::var("b", t)), build::var("c", V::new(S::U16, 16))),
         );
         let mut fast = Rewriter::new(&rules, ShapeCost);
-        let mut reference = Rewriter::with_engine(&rules, ShapeCost, EngineConfig::REFERENCE);
+        let mut reference = Rewriter::with_engine(&rules, ShapeCost, Engine::Reference);
         let out = fast.run(&e);
         assert_eq!(out.to_string(), "c_u16 + widening_add(a_u8, b_u8)");
         assert_eq!(out, reference.run(&e));
@@ -624,7 +606,7 @@ mod tests {
         let e = build::min(sum.clone(), sum);
         let rules = demo_rules();
         let mut fast = Rewriter::new(&rules, AgnosticCost);
-        let mut reference = Rewriter::with_engine(&rules, AgnosticCost, EngineConfig::REFERENCE);
+        let mut reference = Rewriter::with_engine(&rules, AgnosticCost, Engine::Reference);
         assert_eq!(fast.run(&e).to_string(), reference.run(&e).to_string());
         // The reference engine rewrites the shared redex once per
         // occurrence; the fast engine once in total.

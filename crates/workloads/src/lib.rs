@@ -135,7 +135,8 @@ pub fn extra_workloads() -> Vec<Workload> {
 
 /// The unrolled stencil variants (see [`unrolled`]): the DAG-shaped
 /// expressions a vectorize-and-unroll Halide schedule hands the selector.
-/// Benchmarked by `selection-bench` alongside the figure suite; kept out
+/// Compiled by the tier-1 selection gates and pfbench's `compile-unrolled`
+/// workload alongside the figure suite; kept out
 /// of [`all_workloads`] so the figure reproductions stay the paper's 16.
 pub fn unrolled_workloads() -> Vec<Workload> {
     use Family::*;

@@ -3,20 +3,29 @@
 //! interpreter, and the headline performance relations of the paper must
 //! hold on the cycle model.
 
+use fpir::machine::ALL_ISAS;
 use fpir::Isa;
 use fpir_bench::{geomean, run, validate, Compiler};
 use fpir_isa::TargetCost;
 use fpir_trs::cost::CostModel;
-use fpir_workloads::{all_workloads, extra_workloads};
+use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
 
 const ISAS: [Isa; 3] = [Isa::X86Avx2, Isa::ArmNeon, Isa::HexagonHvx];
 
+/// The interpreter-agreement gate: every compiled program agrees with the
+/// reference interpreter on boundary-biased random inputs, on all four
+/// targets, for the figure and extra kernels under every selector and for
+/// the unrolled DAG kernels under Pitchfork.
 #[test]
 fn every_workload_compiles_and_validates_everywhere() {
-    for wl in all_workloads().into_iter().chain(extra_workloads()) {
-        for isa in ISAS {
-            for compiler in [Compiler::Llvm, Compiler::Pitchfork, Compiler::PitchforkHandWritten] {
-                let result = run(&wl, isa, &compiler)
+    let every = [Compiler::Llvm, Compiler::Pitchfork, Compiler::PitchforkHandWritten];
+    let pitchfork = [Compiler::Pitchfork];
+    let figure = all_workloads().into_iter().chain(extra_workloads()).map(|wl| (wl, &every[..]));
+    let unrolled = unrolled_workloads().into_iter().map(|wl| (wl, &pitchfork[..]));
+    for (wl, compilers) in figure.chain(unrolled) {
+        for isa in ALL_ISAS {
+            for compiler in compilers {
+                let result = run(&wl, isa, compiler)
                     .unwrap_or_else(|e| panic!("{compiler} failed on {}/{isa}: {e}", wl.name()));
                 validate(&wl, isa, &result, 6)
                     .unwrap_or_else(|e| panic!("{compiler} on {}/{isa}: {e}", wl.name()));
