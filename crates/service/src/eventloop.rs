@@ -57,7 +57,7 @@ use crate::protocol::{
     request_tag, write_frame, FrameReader, FrameWriter, Request, FILL_CHUNK, MAX_FRAME,
 };
 use crate::server::{Endpoint, StopFlag};
-use crate::service::{CacheDecision, FastReply, Service};
+use crate::service::{CacheDecision, FastReply, Resolved, Service};
 use crate::stats::Stats;
 use fpir_pool::{Task, TaskQueue};
 use std::collections::{HashMap, VecDeque};
@@ -498,6 +498,9 @@ struct DispatchItem {
     tag: Option<Json>,
     untagged: bool,
     req: Request,
+    /// What [`Service::classify`] already resolved for `req`, handed to
+    /// the worker so it does not parse and key the expression again.
+    resolved: Option<Resolved>,
     /// The frame's arrival; its deadline runs from here.
     arrived: Instant,
 }
@@ -525,7 +528,7 @@ fn dispatch_one(service: &Service, it: &mut DispatchItem) -> Json {
             spec.timeout_ms = Some(left.as_nanos().div_ceil(1_000_000) as u64);
         }
     }
-    service.handle_local(&it.req)
+    service.handle(&it.req, it.resolved.take())
 }
 
 /// A finished dispatched request on its way back to the loop.
@@ -648,24 +651,25 @@ impl PeerSet {
         }
     }
 
-    /// Route one local+disk miss: the key's rendezvous owner is asked
-    /// for its artifact, anything else (we own it, the owner is down,
-    /// its queue is full) compiles locally via `batch`.
+    /// Route one local+disk miss (an item carrying its resolved key):
+    /// the key's rendezvous owner is asked for its artifact, anything
+    /// else (we own it, the owner is down, its queue is full) compiles
+    /// locally via `batch`.
     fn route(
         &mut self,
-        key: CacheKey,
         item: DispatchItem,
         batch: &mut Vec<DispatchItem>,
         stats: &Stats,
         now: Instant,
     ) {
-        let Some(owner) = peer::owner_index(&self.self_id, &self.ids, key.fingerprint()) else {
+        let r = item.resolved.as_ref().expect("a forwarded miss carries its key");
+        let Some(owner) = peer::owner_index(&self.self_id, &self.ids, r.key_fingerprint()) else {
             // Our key: compile here. Peers asking for it take the
             // `peer_get` path and find it in the warm cache.
             batch.push(item);
             return;
         };
-        if let Some(&tag) = self.by_key.get(&key) {
+        if let Some(&tag) = self.by_key.get(r.key()) {
             // A fetch for this key is already out: join it.
             self.waits.get_mut(&tag).expect("by_key wait exists").items.push(item);
             return;
@@ -677,13 +681,14 @@ impl PeerSet {
         }
         let tag = self.next_tag;
         self.next_tag += 1;
-        let frame = peer_get_frame(&key, tag);
+        let frame = peer_get_frame(r.key(), tag);
         let pc = self.peers[owner].conn.as_mut().expect("ensured above");
         if pc.writer.queue(&frame).is_err() {
             Stats::bump(&stats.peer_errors);
             batch.push(item);
             return;
         }
+        let key = r.key().clone();
         self.by_key.insert(key.clone(), tag);
         self.waits.insert(
             tag,
@@ -777,7 +782,7 @@ fn pump(
     opts: &ServeOptions,
     hot: &mut HotCache,
     batch: &mut Vec<DispatchItem>,
-    remote: &mut Vec<(CacheKey, DispatchItem)>,
+    remote: &mut Vec<DispatchItem>,
     forward: bool,
 ) {
     loop {
@@ -827,7 +832,7 @@ fn pump(
                     stop.request();
                     continue;
                 }
-                match service.classify(&req) {
+                let (resolved, miss) = match service.classify(&req) {
                     CacheDecision::Reply(FastReply::Raw(mut body)) => {
                         // A compile served from the artifact cache:
                         // splice the tag, then memoize the finished
@@ -839,27 +844,31 @@ fn pump(
                             hot.insert(raw, body.clone(), untagged);
                         }
                         conn.queue_reply(FastReply::Raw(body), None);
+                        continue;
                     }
-                    CacheDecision::Reply(fast) => conn.queue_reply(fast, f.tag.as_ref()),
-                    decision => {
-                        conn.inflight += 1;
-                        if untagged {
-                            conn.serial_block = true;
-                        }
-                        let item = DispatchItem {
-                            conn: id,
-                            tag: f.tag,
-                            untagged,
-                            req,
-                            arrived: f.arrived,
-                        };
-                        match decision {
-                            CacheDecision::MissRemote(key) if forward => {
-                                remote.push((key, item));
-                            }
-                            _ => batch.push(item),
-                        }
+                    CacheDecision::Reply(fast) => {
+                        conn.queue_reply(fast, f.tag.as_ref());
+                        continue;
                     }
+                    CacheDecision::Dispatch(resolved) => (resolved, false),
+                    CacheDecision::MissRemote(resolved) => (Some(resolved), true),
+                };
+                conn.inflight += 1;
+                if untagged {
+                    conn.serial_block = true;
+                }
+                let item = DispatchItem {
+                    conn: id,
+                    tag: f.tag,
+                    untagged,
+                    req,
+                    resolved,
+                    arrived: f.arrived,
+                };
+                if miss && forward {
+                    remote.push(item);
+                } else {
+                    batch.push(item);
                 }
             }
         }
@@ -1056,7 +1065,7 @@ pub(crate) fn run(
 
         // ── pump: inline replies + collect the dispatch batch ───────
         let mut batch: Vec<DispatchItem> = std::mem::take(&mut ready);
-        let mut remote: Vec<(CacheKey, DispatchItem)> = Vec::new();
+        let mut remote: Vec<DispatchItem> = Vec::new();
         let forward = peers.enabled() && !stopping;
         for (&id, conn) in conns.iter_mut() {
             if !conn.dead {
@@ -1065,8 +1074,8 @@ pub(crate) fn run(
         }
 
         // ── route misses to their owners, flush the fetch frames ────
-        for (key, item) in remote {
-            peers.route(key, item, &mut batch, stats, now);
+        for item in remote {
+            peers.route(item, &mut batch, stats, now);
         }
         for p in peers.peers.iter_mut() {
             if let Some(pc) = p.conn.as_mut() {

@@ -65,6 +65,6 @@ pub use protocol::{
 pub use server::{
     install_signal_handlers, request_stop, reset_signal_stop, serve_with, Client, Endpoint,
 };
-pub use service::{CacheDecision, FastReply, Service, ServiceConfig};
+pub use service::{CacheDecision, FastReply, Resolved, Service, ServiceConfig};
 pub use stats::{LatencySummary, Stats};
 pub use store::{DiskStore, StoreError};

@@ -4,7 +4,10 @@
 //! once: [`Service::classify`] answers a request from warm state or says
 //! it needs a worker, and [`Service::handle_local`] is that worker: it
 //! maps one parsed [`Request`] to one JSON response, compiling on the
-//! calling thread. The pieces:
+//! calling thread. A request `classify` dispatches carries what it
+//! already resolved (the parsed expression, the selector and the cache
+//! key, as a [`Resolved`]) to the event loop's worker, so a miss parses
+//! and keys its expression once. The pieces:
 //!
 //! * a **selector registry** — one warm [`Pitchfork`] (rule sets loaded
 //!   and indexed) per distinct compiler configuration, built on first
@@ -99,6 +102,13 @@ struct Served {
     art: Artifact,
     lowered: String,
     program: String,
+    /// Bytes charged against the cache budget: the artifact's estimate
+    /// plus the rendered strings kept alongside it, computed once (the
+    /// estimate walks the expression DAG). The pre-rendered hit body is
+    /// excluded so the echoed `artifact_bytes` member is identical for
+    /// hits and misses; it is the same order of magnitude as `program`,
+    /// which is charged.
+    bytes: usize,
     /// The complete `compile`-hit response, rendered once at insert
     /// time. The event loop answers a warm `compile` by splicing a tag
     /// into a clone of these bytes — no JSON tree is built or rendered
@@ -107,22 +117,44 @@ struct Served {
 }
 
 impl Served {
-    fn new(art: Artifact, key_fp: u64) -> Served {
+    /// The cache value for `art` and its charged size.
+    fn new(art: Artifact, key_fp: u64) -> (Served, usize) {
         let lowered = art.lowered.to_string();
         let program = art.program.render();
-        let mut served = Served { art, lowered, program, hit_body: String::new() };
+        let bytes = art.approx_bytes() + lowered.len() + program.len();
+        let mut served = Served { art, lowered, program, bytes, hit_body: String::new() };
         served.hit_body =
             ok_response(Service::compile_members(key_fp, &served, Source::Hit)).render();
-        served
+        (served, bytes)
+    }
+}
+
+/// A compile-bearing request as [`Service::classify`] resolved it: the
+/// parsed expression, its warm selector and its cache key. The event
+/// loop hands it to the worker that serves the request, so a miss parses,
+/// prints and fingerprints its expression once.
+#[derive(Debug)]
+pub struct Resolved {
+    expr: RcExpr,
+    selector: Arc<Selector>,
+    key: CacheKey,
+    key_fp: u64,
+}
+
+impl Resolved {
+    fn new(expr: RcExpr, selector: Arc<Selector>, key: CacheKey) -> Resolved {
+        let key_fp = key.fingerprint();
+        Resolved { expr, selector, key, key_fp }
     }
 
-    /// Bytes charged against the cache budget: the artifact's estimate
-    /// plus the rendered strings kept alongside it. The pre-rendered
-    /// hit body is excluded so the echoed `artifact_bytes` member is
-    /// identical for hits and misses; it is the same order of magnitude
-    /// as `program`, which is charged.
-    fn approx_bytes(&self) -> usize {
-        self.art.approx_bytes() + self.lowered.len() + self.program.len()
+    /// The request's cache key.
+    pub(crate) fn key(&self) -> &CacheKey {
+        &self.key
+    }
+
+    /// The key's fingerprint ([`CacheKey::fingerprint`], computed once).
+    pub(crate) fn key_fingerprint(&self) -> u64 {
+        self.key_fp
     }
 }
 
@@ -140,18 +172,20 @@ pub enum FastReply {
 /// How the event loop should treat one ready frame: answer it from
 /// warm state, hand it to a worker, or — for a key this daemon has
 /// neither in memory nor on disk — optionally ask the key's owning
-/// peer before the worker compiles it locally.
+/// peer before the worker compiles it locally. A dispatched compile,
+/// run or pipeline request carries its [`Resolved`] form for the worker.
 #[derive(Debug)]
 pub enum CacheDecision {
     /// Answerable right now; no worker needed.
     Reply(FastReply),
-    /// Needs a worker (compile, run, warm pipeline execution, or a
-    /// refill the local disk store can satisfy).
-    Dispatch,
+    /// Needs a worker (compile, run, warm pipeline execution, a refill
+    /// the local disk store can satisfy, or a sibling's `peer_get`,
+    /// which carries no resolution).
+    Dispatch(Option<Resolved>),
     /// Needs a worker *and* the key is absent locally: a peering event
     /// loop may first ask the key's owner for the artifact. Purely an
     /// optimization — dispatching directly is always correct.
-    MissRemote(CacheKey),
+    MissRemote(Resolved),
 }
 
 /// The concurrent compile-and-run service.
@@ -210,8 +244,7 @@ impl Service {
         }
         if let Some(store) = &svc.store {
             let report = store.scan(|key, art| {
-                let served = Served::new(art, key.fingerprint());
-                let bytes = served.approx_bytes();
+                let (served, bytes) = Served::new(art, key.fingerprint());
                 svc.cache.insert(key, served, bytes);
             });
             svc.stats.disk_loaded.fetch_add(report.loaded, Ordering::Relaxed);
@@ -287,6 +320,13 @@ impl Service {
     /// panics on request content; all failures become `{"ok": false}`
     /// frames.
     pub fn handle_local(&self, req: &Request) -> Json {
+        self.handle(req, None)
+    }
+
+    /// [`handle_local`](Self::handle_local), given what
+    /// [`classify`](Self::classify) resolved for this same request (the
+    /// event loop's workers pass it on).
+    pub(crate) fn handle(&self, req: &Request, resolved: Option<Resolved>) -> Json {
         Stats::bump(&self.stats.requests);
         let started = Instant::now();
         let out = match req {
@@ -303,10 +343,10 @@ impl Service {
                 // acknowledges it.
                 Ok(ok_response(vec![("stopping".into(), Json::Bool(true))]))
             }
-            Request::Compile(spec) => self.handle_compile(spec),
-            Request::Run { spec, inputs } => self.handle_run(spec, inputs),
+            Request::Compile(spec) => self.handle_compile(spec, resolved),
+            Request::Run { spec, inputs } => self.handle_run(spec, resolved, inputs),
             Request::RunPipeline { spec, inputs, jobs } => {
-                self.handle_run_pipeline(spec, inputs, *jobs)
+                self.handle_run_pipeline(spec, resolved, inputs, *jobs)
             }
             Request::PeerGet { spec, rules_fp } => self.handle_peer_get(spec, *rules_fp),
         };
@@ -329,7 +369,7 @@ impl Service {
             // A sibling's lookup is answered by a worker and is never
             // forwarded again — ownership is a function of the key, so
             // a second hop could only be a routing loop.
-            Request::PeerGet { .. } => return CacheDecision::Dispatch,
+            Request::PeerGet { .. } => return CacheDecision::Dispatch(None),
         };
         let started = Instant::now();
         let Ok(expr) = fpir::parser::parse_expr(&spec.expr, spec.lanes) else {
@@ -341,10 +381,12 @@ impl Service {
         let Some(served) = self.cache.try_get(&key) else {
             // A disk-resident key refills locally (cheaper than any
             // network hop); only a true local miss is worth a peer ask.
-            if self.store.as_ref().is_some_and(|s| s.contains(&key)) {
-                return CacheDecision::Dispatch;
+            let on_disk = self.store.as_ref().is_some_and(|s| s.contains(&key));
+            let resolved = Resolved::new(expr, selector, key);
+            if on_disk {
+                return CacheDecision::Dispatch(Some(resolved));
             }
-            return CacheDecision::MissRemote(key);
+            return CacheDecision::MissRemote(resolved);
         };
         match req {
             Request::Compile(_) => {
@@ -363,7 +405,9 @@ impl Service {
             // Whole-image runs are real work even when the artifact is
             // warm; always dispatch (the worker's own accounting
             // applies — counting here too would double-book).
-            Request::RunPipeline { .. } => CacheDecision::Dispatch,
+            Request::RunPipeline { .. } => {
+                CacheDecision::Dispatch(Some(Resolved::new(expr, selector, key)))
+            }
             _ => unreachable!("filtered above"),
         }
     }
@@ -386,18 +430,28 @@ impl Service {
         }
     }
 
-    /// Parse the expression and fetch-or-compile its artifact. Also
-    /// returns the cache key's fingerprint (computed once here; the
-    /// response members echo it).
-    fn artifact(
-        &self,
-        spec: &CompileSpec,
-    ) -> Result<(RcExpr, u64, Arc<Served>, Source), ServiceError> {
+    /// Parse a spec's expression and build its cache key.
+    fn resolve(&self, spec: &CompileSpec) -> Result<Resolved, ServiceError> {
         let expr = fpir::parser::parse_expr(&spec.expr, spec.lanes)
             .map_err(|e| ServiceError::BadRequest(format!("expression: {e}")))?;
         let selector = self.selector(spec);
         let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
-        let key_fp = key.fingerprint();
+        Ok(Resolved::new(expr, selector, key))
+    }
+
+    /// Fetch-or-compile the artifact for `spec`, resolving it here unless
+    /// [`classify`](Self::classify) already did. Also returns the parsed
+    /// expression and the key's fingerprint (the response members echo
+    /// it).
+    fn artifact(
+        &self,
+        spec: &CompileSpec,
+        resolved: Option<Resolved>,
+    ) -> Result<(RcExpr, u64, Arc<Served>, Source), ServiceError> {
+        let Resolved { expr, selector, key, key_fp } = match resolved {
+            Some(r) => r,
+            None => self.resolve(spec)?,
+        };
         let timeout_ms = spec.timeout_ms.or(self.config.default_timeout_ms);
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
@@ -407,9 +461,7 @@ impl Service {
             // without compiling, and concurrent requests join the
             // refill exactly like a compile.
             if let Some(art) = self.fetch_from_disk(&key) {
-                let served = Served::new(art, key_fp);
-                let bytes = served.approx_bytes();
-                return Ok((served, bytes));
+                return Ok(Served::new(art, key_fp));
             }
             let r = self.compile(&selector, &expr, key_fp, deadline, timeout_ms);
             if let Ok((served, _)) = &r {
@@ -457,9 +509,7 @@ impl Service {
                 if let Err(v) = fpir_sim::verify_executable(&art.exe) {
                     panic!("refusing to cache an unverifiable artifact: {v}");
                 }
-                let served = Served::new(art, key_fp);
-                let bytes = served.approx_bytes();
-                Ok((served, bytes))
+                Ok(Served::new(art, key_fp))
             }
             Err(DriverError::Cancelled(_)) => {
                 Err(ServiceError::Timeout { budget_ms: timeout_ms.unwrap_or(0) })
@@ -525,8 +575,7 @@ impl Service {
             return Err(ServiceError::Internal("peer answered for a different key".into()));
         }
         self.spill(&key, &art);
-        let served = Served::new(art, key.fingerprint());
-        let bytes = served.approx_bytes();
+        let (served, bytes) = Served::new(art, key.fingerprint());
         self.cache.insert(key, served, bytes);
         Ok(())
     }
@@ -544,14 +593,12 @@ impl Service {
                 ("reason".into(), Json::str(reason)),
             ]))
         };
-        let selector = self.selector(spec);
-        if selector.rules_fp != rules_fp {
+        if self.selector(spec).rules_fp != rules_fp {
             return not_found("rules_mismatch");
         }
-        let expr = fpir::parser::parse_expr(&spec.expr, spec.lanes)
-            .map_err(|e| ServiceError::BadRequest(format!("expression: {e}")))?;
-        let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
-        let (_, _, served, _) = self.artifact(spec)?;
+        let resolved = self.resolve(spec)?;
+        let key = resolved.key.clone();
+        let (_, _, served, _) = self.artifact(spec, Some(resolved))?;
         match store::encode_artifact_json(&key, &served.art) {
             Ok(body) => {
                 Ok(ok_response(vec![("found".into(), Json::Bool(true)), ("artifact".into(), body)]))
@@ -577,21 +624,26 @@ impl Service {
             ("program".into(), Json::str(served.program.clone())),
             ("cycles".into(), Json::Int(served.art.cycles.into())),
             ("ops".into(), Json::Int(served.art.exe.op_count() as i128)),
-            ("artifact_bytes".into(), Json::Int(served.approx_bytes() as i128)),
+            ("artifact_bytes".into(), Json::Int(served.bytes as i128)),
         ]
     }
 
-    fn handle_compile(&self, spec: &CompileSpec) -> Result<Json, ServiceError> {
-        let (_, key_fp, served, source) = self.artifact(spec)?;
+    fn handle_compile(
+        &self,
+        spec: &CompileSpec,
+        resolved: Option<Resolved>,
+    ) -> Result<Json, ServiceError> {
+        let (_, key_fp, served, source) = self.artifact(spec, resolved)?;
         Ok(ok_response(Self::compile_members(key_fp, &served, source)))
     }
 
     fn handle_run(
         &self,
         spec: &CompileSpec,
+        resolved: Option<Resolved>,
         inputs: &[(String, Vec<i128>)],
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec)?;
+        let (expr, key_fp, served, source) = self.artifact(spec, resolved)?;
         self.run_response(&expr, key_fp, &served, source, inputs)
     }
 
@@ -649,10 +701,11 @@ impl Service {
     fn handle_run_pipeline(
         &self,
         spec: &CompileSpec,
+        resolved: Option<Resolved>,
         inputs: &[(String, ImageSpec)],
         jobs: usize,
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec)?;
+        let (expr, key_fp, served, source) = self.artifact(spec, resolved)?;
         let pipe = Pipeline::try_new("served", expr.clone())
             .map_err(|e| ServiceError::BadRequest(e.what))?;
         let mut images = BTreeMap::new();

@@ -80,20 +80,28 @@ impl Program {
 
     /// An assembly-like listing (Intel order: `instr dst, operands`).
     pub fn render(&self) -> String {
+        use fmt::Write as _;
         let mut out = String::new();
         for inst in &self.insts {
-            let line = match &inst.kind {
-                PKind::Load { name } => format!("load      v{}.{}, [{}]", inst.dst, inst.ty, name),
+            // Writing into a `String` cannot fail.
+            let _ = match &inst.kind {
+                PKind::Load { name } => {
+                    writeln!(out, "load      v{}.{}, [{}]", inst.dst, inst.ty, name)
+                }
                 PKind::Splat { value } => {
-                    format!("splat     v{}.{}, #{}", inst.dst, inst.ty, value)
+                    writeln!(out, "splat     v{}.{}, #{}", inst.dst, inst.ty, value)
                 }
                 PKind::Op { op, args } => {
-                    let srcs = args.iter().map(|r| format!("v{r}")).collect::<Vec<_>>().join(", ");
-                    format!("{:<9} v{}.{}, {}", op.name, inst.dst, inst.ty, srcs)
+                    let _ = write!(out, "{:<9} v{}.{}, ", op.name, inst.dst, inst.ty);
+                    for (i, r) in args.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        let _ = write!(out, "v{r}");
+                    }
+                    writeln!(out)
                 }
             };
-            out.push_str(&line);
-            out.push('\n');
         }
         out
     }
@@ -431,5 +439,32 @@ mod tests {
         let listing = p.render();
         assert!(listing.contains("uaddl"), "{listing}");
         assert!(listing.contains("load"), "{listing}");
+    }
+
+    #[test]
+    fn render_listing_is_exact() {
+        let t = V::new(S::U8, 16);
+        let op =
+            |name, code, args| PKind::Op { op: MachOp { isa: Isa::ArmNeon, code, name }, args };
+        let kinds = [
+            PKind::Load { name: "a_u8".into() },
+            PKind::Splat { value: -3 },
+            op("uqadd", 1, vec![0, 1]),
+            op("nullary", 2, vec![]),
+            op("a_long_mnemonic", 3, vec![2]),
+            op("mla", 4, vec![0, 1, 2]),
+        ];
+        let insts = kinds.into_iter().enumerate().map(|(dst, kind)| PInst { dst, ty: t, kind });
+        let p = Program { isa: Isa::ArmNeon, insts: insts.collect(), output: 5 };
+        // An op without operands keeps the trailing `, ` of the listing.
+        assert_eq!(
+            p.render(),
+            "load      v0.u8x16, [a_u8]\n\
+             splat     v1.u8x16, #-3\n\
+             uqadd     v2.u8x16, v0, v1\n\
+             nullary   v3.u8x16, \n\
+             a_long_mnemonic v4.u8x16, v2\n\
+             mla       v5.u8x16, v0, v1, v2\n"
+        );
     }
 }
