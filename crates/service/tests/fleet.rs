@@ -1,15 +1,21 @@
-//! End-to-end tests of the warm fleet: two event-loop daemons peering
-//! over Unix sockets (miss forwarding, single fleet-wide compile,
-//! graceful degradation when a peer dies) and the hot-request memo's
-//! rule-set generation keying.
+//! End-to-end tests of the warm fleet: three event-loop daemons peering
+//! over Unix sockets across the whole served suite (miss forwarding,
+//! single fleet-wide compile, graceful degradation when a peer dies,
+//! every reply byte-equal to a direct compile) and the hot-request
+//! memo's rule-set generation keying.
+
+mod common;
 
 use pitchfork_service::{
     serve_with, Client, Endpoint, Json, ServeOptions, Service, ServiceConfig, Stats,
 };
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
+
+type Server = std::thread::JoinHandle<io::Result<()>>;
 
 const SAT_ADD: &str = "u8(min(u16(a_u8) + u16(b_u8), 255))";
 
@@ -32,11 +38,7 @@ fn service() -> Arc<Service> {
     }))
 }
 
-fn start(
-    svc: &Arc<Service>,
-    path: &Path,
-    peers: Vec<Endpoint>,
-) -> std::thread::JoinHandle<io::Result<()>> {
+fn start(svc: &Arc<Service>, path: &Path, peers: Vec<Endpoint>) -> Server {
     let _ = std::fs::remove_file(path);
     let svc = Arc::clone(svc);
     let ep = Endpoint::Unix(path.to_path_buf());
@@ -64,41 +66,45 @@ fn compile_req(expr: &str) -> Json {
     parse(&format!(r#"{{"op":"compile","expr":"{expr}","lanes":16,"isa":"arm"}}"#))
 }
 
-#[test]
-fn a_two_daemon_fleet_compiles_each_key_once() {
-    let paths = [sock_path("pair", 0), sock_path("pair", 1)];
+/// Start three daemons, each peering with the other two.
+fn start_fleet(tag: &str) -> (Vec<PathBuf>, Vec<Arc<Service>>, Vec<Server>) {
+    let paths: Vec<PathBuf> = (0..3).map(|i| sock_path(tag, i)).collect();
     let eps: Vec<Endpoint> = paths.iter().map(|p| Endpoint::Unix(p.clone())).collect();
-    let svcs = [service(), service()];
-    let servers = [
-        start(&svcs[0], &paths[0], vec![eps[1].clone()]),
-        start(&svcs[1], &paths[1], vec![eps[0].clone()]),
-    ];
-    let mut clients = [client_with_retry(&paths[0]), client_with_retry(&paths[1])];
+    let svcs: Vec<Arc<Service>> = (0..3).map(|_| service()).collect();
+    let servers = (0..3)
+        .map(|i| {
+            let peers = eps.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, e)| e.clone());
+            start(&svcs[i], &paths[i], peers.collect())
+        })
+        .collect();
+    (paths, svcs, servers)
+}
 
-    // Several distinct keys so ownership lands on both daemons; each
-    // key goes to both, and the fleet compiles it exactly once.
-    let exprs =
-        [SAT_ADD, "a_u8 + b_u8", "min(a_u8, b_u8)", "max(a_u8, b_u8)", "a_u8 - min(a_u8, b_u8)"];
-    for expr in exprs {
-        let req = compile_req(expr);
-        let first = clients[0].request(&req).unwrap();
-        let second = clients[1].request(&req).unwrap();
-        assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true), "{expr}: {first:?}");
-        for field in ["lowered", "program", "cycles"] {
-            assert_eq!(
-                first.get(field).map(Json::render),
-                second.get(field).map(Json::render),
-                "{expr}: both daemons must serve identical artifacts"
-            );
+fn total(svcs: &[Arc<Service>], counter: impl Fn(&Stats) -> &AtomicU64) -> u64 {
+    svcs.iter().map(|s| Stats::read(counter(s.stats()))).sum()
+}
+
+#[test]
+fn a_three_daemon_fleet_compiles_each_key_once() {
+    let (paths, svcs, servers) = start_fleet("trio");
+    let mut clients: Vec<Client> = paths.iter().map(|p| client_with_retry(p)).collect();
+
+    // Every suite key goes to every daemon: each reply is the direct
+    // compiler's, and the fleet compiles each key exactly once, at its
+    // owner, while the other two daemons forward to it.
+    let suite = common::suite();
+    for key in &suite {
+        let truth = common::direct(&key.expr, key.isa, true);
+        for (d, client) in clients.iter_mut().enumerate() {
+            let v = client.request(&key.wire(true)).unwrap();
+            common::assert_served(&v, &truth, &format!("{}/{} via daemon {d}", key.name, key.isa));
         }
     }
 
-    let compiles: u64 = svcs.iter().map(|s| Stats::read(&s.stats().compiles)).sum();
-    let peer_hits: u64 = svcs.iter().map(|s| Stats::read(&s.stats().peer_hits)).sum();
-    let peer_serves: u64 = svcs.iter().map(|s| Stats::read(&s.stats().peer_serves)).sum();
-    assert_eq!(compiles, exprs.len() as u64, "every key compiles exactly once across the fleet");
-    assert_eq!(peer_hits, exprs.len() as u64, "the non-owner side of every key forwarded");
-    assert!(peer_serves >= peer_hits, "every hit was served by someone");
+    let keys = suite.len() as u64;
+    assert_eq!(total(&svcs, |s| &s.compiles), keys, "every key compiles once across the fleet");
+    assert_eq!(total(&svcs, |s| &s.peer_hits), 2 * keys, "both non-owners of every key forwarded");
+    assert!(total(&svcs, |s| &s.peer_serves) >= 2 * keys, "every hit was served by someone");
 
     for p in &paths {
         shutdown(p);
@@ -110,38 +116,42 @@ fn a_two_daemon_fleet_compiles_each_key_once() {
 
 #[test]
 fn a_dead_peer_degrades_to_local_compiles() {
-    let paths = [sock_path("dead", 0), sock_path("dead", 1)];
-    let eps: Vec<Endpoint> = paths.iter().map(|p| Endpoint::Unix(p.clone())).collect();
-    let svcs = [service(), service()];
-    let servers = [
-        start(&svcs[0], &paths[0], vec![eps[1].clone()]),
-        start(&svcs[1], &paths[1], vec![eps[0].clone()]),
-    ];
-    // Both up, then daemon 0 dies before serving anything of interest.
-    client_with_retry(&paths[1]);
+    let (paths, svcs, servers) = start_fleet("dead");
+    // All up, then daemon 0 dies before serving anything of interest.
+    for p in &paths {
+        client_with_retry(p);
+    }
     shutdown(&paths[0]);
     let mut servers = servers.into_iter();
     servers.next().unwrap().join().unwrap().unwrap();
 
-    // Fresh keys on the survivor: whatever daemon 0 owned must fall
-    // back to a local compile — every request still succeeds.
-    let mut client = client_with_retry(&paths[1]);
-    let exprs =
-        [SAT_ADD, "a_u8 + b_u8", "min(a_u8, b_u8)", "max(a_u8, b_u8)", "a_u8 - min(a_u8, b_u8)"];
-    for expr in exprs {
-        let v = client.request(&compile_req(expr)).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{expr}: {v:?}");
-        assert_eq!(v.get("source").and_then(Json::as_str), Some("computed"), "{expr}: {v:?}");
+    // Fresh keys (hand-written rules only) on both survivors: whatever
+    // daemon 0 owned falls back to a local compile, and every reply is
+    // still byte-equal to a direct hand-written-rules compile.
+    let mut clients = [client_with_retry(&paths[1]), client_with_retry(&paths[2])];
+    let suite = common::suite();
+    for key in &suite {
+        let truth = common::direct(&key.expr, key.isa, false);
+        for (d, client) in clients.iter_mut().enumerate() {
+            let v = client.request(&key.wire(false)).unwrap();
+            let what = format!("{}/{} via survivor {}", key.name, key.isa, d + 1);
+            common::assert_served(&v, &truth, &what);
+        }
     }
-    assert_eq!(
-        Stats::read(&svcs[1].stats().compiles),
-        exprs.len() as u64,
-        "the survivor compiled everything itself"
-    );
-    assert_eq!(Stats::read(&svcs[1].stats().peer_hits), 0);
+    // Each of the 2 × keys requests either compiled on its survivor or
+    // was forwarded to the live owner, which compiled it once.
+    let survivors = &svcs[1..];
+    let (compiles, peer_hits) =
+        (total(survivors, |s| &s.compiles), total(survivors, |s| &s.peer_hits));
+    assert!(compiles >= suite.len() as u64, "every key compiled somewhere: {compiles}");
+    assert_eq!(compiles + peer_hits, 2 * suite.len() as u64, "no request was lost");
 
-    shutdown(&paths[1]);
-    servers.next().unwrap().join().unwrap().unwrap();
+    for p in &paths[1..] {
+        shutdown(p);
+    }
+    for s in servers {
+        s.join().unwrap().unwrap();
+    }
 }
 
 /// The hot-request memo is keyed on the rule-set generation: bumping it

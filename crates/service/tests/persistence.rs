@@ -1,8 +1,10 @@
-//! Service-level tests of the disk spill store: restart-warm refill,
-//! the crash-consistency matrix (every torn, tampered or old-format file
-//! is skipped and unlinked at startup, never served), rule-toggle
-//! isolation, and the disk-refill path when the in-memory LRU is too
-//! small to retain what it compiled.
+//! Service-level tests of the disk spill store: restart-warm refill of
+//! the whole suite, the crash-consistency matrix (every torn, tampered
+//! or old-format file is skipped and unlinked at startup, never served),
+//! rule-toggle isolation, and the disk-refill path when the in-memory
+//! LRU is too small to retain what it compiled.
+
+mod common;
 
 use pitchfork_service::key::Fnv;
 use pitchfork_service::protocol::CompileSpec;
@@ -63,18 +65,23 @@ fn spill_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
+/// Restart-warm over the whole suite: a second daemon on the same
+/// directory loads every spilled artifact at startup and answers every
+/// key as a hit, byte-equal to the first daemon's compile and to the
+/// direct compiler, without compiling anything.
 #[test]
 fn restart_refills_the_cache_from_disk() {
     let dir = temp_dir("warm");
-    let exprs = [SAT_ADD, PLAIN_ADD, MIN_EXPR];
+    let suite = common::suite();
+    let truth: Vec<_> = suite.iter().map(|k| common::direct(&k.expr, k.isa, true)).collect();
 
     let a = Service::new(config(&dir, 64 << 20));
-    let mut truth = Vec::new();
-    for e in exprs {
-        let v = a.handle_local(&compile(e, true));
-        assert_ok(&v, e);
-        assert_eq!(source(&v), Some("computed"));
-        truth.push(v.render());
+    let mut rendered = Vec::new();
+    for (k, t) in suite.iter().zip(&truth) {
+        let v = a.handle_local(&Request::Compile(k.spec(true)));
+        assert_eq!(source(&v), Some("computed"), "{}/{}: {v:?}", k.name, k.isa);
+        common::assert_served(&v, t, &k.name);
+        rendered.push(v.render());
     }
     // `cached`/`source` legitimately differ between a fresh compile and
     // a warm hit; everything else must round-trip exactly.
@@ -90,19 +97,21 @@ fn restart_refills_the_cache_from_disk() {
             other => other.render(),
         }
     }
-    assert_eq!(Stats::read(&a.stats().disk_spills), exprs.len() as u64);
+    assert_eq!(Stats::read(&a.stats().disk_spills), suite.len() as u64);
     drop(a);
 
     let b = Service::new(config(&dir, 64 << 20));
-    assert_eq!(Stats::read(&b.stats().disk_loaded), exprs.len() as u64);
+    assert_eq!(Stats::read(&b.stats().disk_loaded), suite.len() as u64);
     assert_eq!(Stats::read(&b.stats().disk_rejected), 0);
-    for (e, t) in exprs.iter().zip(&truth) {
-        let v = b.handle_local(&compile(e, true));
-        assert_eq!(source(&v), Some("hit"), "{e} must be restart-warm: {v:?}");
+    for ((k, t), r) in suite.iter().zip(&truth).zip(&rendered) {
+        let v = b.handle_local(&Request::Compile(k.spec(true)));
+        let what = format!("{}/{}", k.name, k.isa);
+        assert_eq!(source(&v), Some("hit"), "{what} must be restart-warm: {v:?}");
+        common::assert_served(&v, t, &what);
         assert_eq!(
             strip_provenance(&v.render()),
-            strip_provenance(t),
-            "{e}: restart-warm artifact must be bit-identical"
+            strip_provenance(r),
+            "{what}: restart-warm artifact must be bit-identical"
         );
     }
     assert_eq!(Stats::read(&b.stats().compiles), 0, "nothing recompiles after a warm restart");

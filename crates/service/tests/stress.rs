@@ -12,24 +12,24 @@
 //! 4. a request whose deadline expires gets a structured `timeout`
 //!    error and leaves the cache consistent for the next request.
 
+mod common;
+
+use fpir::machine::ALL_ISAS;
 use fpir_workloads::{all_workloads, LANES};
 use pitchfork::{compile_to_executable, Pitchfork};
 use pitchfork_service::protocol::CompileSpec;
 use pitchfork_service::{Json, Request, Service, ServiceConfig, Stats};
 use std::sync::{Arc, Barrier};
 
-/// The distinct (expression, isa) combos the stress tests request.
-/// x86 and ARM support every workload (HVX lacks 64-bit lanes, which
-/// some of these pipelines need internally).
+/// The distinct (expression, isa) combos the stress tests request: the
+/// first six figure kernels, spread over every ISA (each kernel compiles
+/// on each of them).
 fn combos() -> Vec<(String, fpir::Isa)> {
     all_workloads()
         .into_iter()
         .take(6)
         .enumerate()
-        .map(|(i, wl)| {
-            let isa = if i % 2 == 0 { fpir::Isa::X86Avx2 } else { fpir::Isa::ArmNeon };
-            (wl.pipeline.expr.to_string(), isa)
-        })
+        .map(|(i, wl)| (wl.pipeline.expr.to_string(), ALL_ISAS[i % ALL_ISAS.len()]))
         .collect()
 }
 
@@ -44,14 +44,6 @@ fn spec(expr: &str, isa: fpir::Isa, timeout_ms: Option<u64>) -> CompileSpec {
     }
 }
 
-/// The direct driver's ground truth for one combo.
-fn direct(expr: &str, isa: fpir::Isa) -> (String, String, u64) {
-    let pf = Pitchfork::new(isa);
-    let e = fpir::parser::parse_expr(expr, LANES).expect("workload exprs parse");
-    let art = compile_to_executable(&pf, &e).expect("workload exprs compile");
-    (art.lowered.to_string(), art.program.render(), art.cycles)
-}
-
 fn get<'a>(v: &'a Json, k: &str) -> &'a Json {
     v.get(k).unwrap_or_else(|| panic!("response missing `{k}`: {v:?}"))
 }
@@ -59,7 +51,8 @@ fn get<'a>(v: &'a Json, k: &str) -> &'a Json {
 #[test]
 fn duplicate_storm_is_deduplicated_and_bit_identical() {
     let combos = combos();
-    let truth: Vec<(String, String, u64)> = combos.iter().map(|(e, isa)| direct(e, *isa)).collect();
+    let truth: Vec<(String, String, u64)> =
+        combos.iter().map(|(e, isa)| common::direct(e, *isa, true)).collect();
 
     let svc = Arc::new(Service::new(ServiceConfig {
         cache_bytes: 256 << 20, // roomy: nothing should evict
@@ -121,7 +114,8 @@ fn duplicate_storm_is_deduplicated_and_bit_identical() {
 #[test]
 fn tiny_budget_thrashes_but_never_serves_a_wrong_artifact() {
     let combos = combos();
-    let truth: Vec<(String, String, u64)> = combos.iter().map(|(e, isa)| direct(e, *isa)).collect();
+    let truth: Vec<(String, String, u64)> =
+        combos.iter().map(|(e, isa)| common::direct(e, *isa, true)).collect();
 
     // A budget far below one artifact: every insert evicts, every
     // request recompiles. Correctness must be unaffected.
@@ -244,7 +238,7 @@ fn expired_deadline_is_a_structured_timeout_and_cache_stays_consistent() {
     // direct compiler.
     let ok = svc.handle_local(&Request::Compile(spec(&fast_expr, fast_isa, Some(60_000))));
     assert_eq!(get(&ok, "ok").as_bool(), Some(true), "{ok:?}");
-    let (lowered, program, _) = direct(&fast_expr, fast_isa);
+    let (lowered, program, _) = common::direct(&fast_expr, fast_isa, true);
     assert_eq!(get(&ok, "lowered").as_str(), Some(lowered.as_str()));
     assert_eq!(get(&ok, "program").as_str(), Some(program.as_str()));
     let slow_v = slow.join().unwrap();

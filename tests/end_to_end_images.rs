@@ -1,15 +1,21 @@
 //! End-to-end image tests: the full path from pipeline DSL through
-//! instruction selection, program emission and VM execution must produce
-//! images identical to the reference interpreter, pixel for pixel — on
-//! both execution engines (the strip-by-strip reference runner and the
-//! linked, tiled parallel runner) at every worker count.
+//! instruction selection, program emission and execution must produce
+//! images identical to the FPIR interpreter, pixel for pixel. Every
+//! figure, extra and unrolled workload is compiled for every ISA by every
+//! selector (LLVM-like baseline, Rake where it has a backend, Pitchfork
+//! with the figures' leave-one-out rules and with the full rule set the
+//! service serves) and run on every engine: the strip-by-strip reference
+//! runner, the plain linked executable, and the fused executable the
+//! driver ships, at one worker and at several.
 
+use fpir::machine::ALL_ISAS;
 use fpir::Isa;
-use fpir_halide::runner::{run_program_reference, run_tiled};
+use fpir_bench::{rake_supports, run, Compiler};
+use fpir_halide::runner::{run_program_reference, run_tiled_exe};
 use fpir_halide::{Image, Pipeline};
 use fpir_isa::target;
-use fpir_sim::{emit, Program};
-use fpir_workloads::{workload, Workload};
+use fpir_sim::{emit, ExecConfig, Executable, Program};
+use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads, workload, Workload};
 use pitchfork::Pitchfork;
 use std::collections::BTreeMap;
 
@@ -26,23 +32,38 @@ fn run_compiled(pipeline: &Pipeline, inputs: &BTreeMap<String, Image>, isa: Isa)
     run_program_reference(pipeline, &program, target(isa), inputs).expect("runs")
 }
 
+/// The image gate for one workload: on every ISA × selector, the
+/// reference runner, the plain link at one worker and the fused artifact
+/// at one and three workers all equal the interpreter's image.
 fn check_workload(wl: &Workload, seed: u64) {
     let inputs = wl.random_inputs(256, 4, seed);
     let reference =
         wl.pipeline.run_reference(&inputs).unwrap_or_else(|e| panic!("{}: {e}", wl.name()));
-    for isa in [Isa::X86Avx2, Isa::ArmNeon, Isa::HexagonHvx] {
-        let program = compile(&wl.pipeline, isa);
+    for isa in ALL_ISAS {
         let tgt = target(isa);
-        let compiled = run_program_reference(&wl.pipeline, &program, tgt, &inputs).expect("runs");
-        assert_eq!(compiled, reference, "{} diverged from the reference on {isa}", wl.name());
-        for jobs in [1, 3] {
-            let tiled = run_tiled(&wl.pipeline, &program, tgt, &inputs, jobs).expect("runs");
-            assert_eq!(
-                tiled,
-                reference,
-                "{} tiled({jobs}) diverged from the reference on {isa}",
-                wl.name()
-            );
+        for compiler in
+            [Compiler::Llvm, Compiler::Rake, Compiler::Pitchfork, Compiler::PitchforkFull]
+        {
+            if compiler == Compiler::Rake && !rake_supports(isa) {
+                continue;
+            }
+            let row = format!("{}/{isa}/{compiler}", wl.name());
+            let art = run(wl, isa, &compiler).unwrap_or_else(|e| panic!("{row}: {e}")).artifact;
+            let linked = Executable::link_with(&art.program, tgt, &ExecConfig::REFERENCE)
+                .unwrap_or_else(|e| panic!("{row}: {e}"));
+            let images = [
+                (
+                    "reference runner",
+                    run_program_reference(&wl.pipeline, &art.program, tgt, &inputs),
+                ),
+                ("linked(1)", run_tiled_exe(&wl.pipeline, &linked, &inputs, 1)),
+                ("fused(1)", run_tiled_exe(&wl.pipeline, &art.exe, &inputs, 1)),
+                ("fused(3)", run_tiled_exe(&wl.pipeline, &art.exe, &inputs, 3)),
+            ];
+            for (engine, image) in images {
+                let image = image.unwrap_or_else(|e| panic!("{row} {engine}: {e}"));
+                assert_eq!(image, reference, "{row}: {engine} diverged from the interpreter");
+            }
         }
     }
 }
@@ -75,6 +96,16 @@ fn softmax_matches_pixel_for_pixel() {
 #[test]
 fn blur_extra_workload_matches_pixel_for_pixel() {
     check_workload(&workload("blur3x3").expect("known"), 6);
+}
+
+/// The rest of the matrix: every workload the tests above do not name.
+#[test]
+fn every_other_workload_matches_pixel_for_pixel() {
+    let named = ["sobel3x3", "camera_pipe", "average_pool", "gaussian3x3", "softmax", "blur3x3"];
+    let rest = all_workloads().into_iter().chain(extra_workloads()).chain(unrolled_workloads());
+    for (seed, wl) in (7..).zip(rest.filter(|wl| !named.contains(&wl.name()))) {
+        check_workload(&wl, seed);
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use fpir::machine::ALL_ISAS;
 use fpir::Isa;
-use fpir_bench::{geomean, run, validate, Compiler};
+use fpir_bench::{geomean, rake_supports, run, validate, Compiler};
 use fpir_isa::TargetCost;
 use fpir_trs::cost::CostModel;
 use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
@@ -36,11 +36,13 @@ fn every_workload_compiles_and_validates_everywhere() {
 
 #[test]
 fn rake_compiles_and_validates_on_its_targets() {
-    // Rake has no x86 backend (as in the paper); a light workload subset
-    // keeps the search affordable in debug test runs.
-    for name in ["sobel3x3", "average_pool", "mean"] {
-        let wl = fpir_workloads::workload(name).expect("known workload");
-        for isa in [Isa::ArmNeon, Isa::HexagonHvx] {
+    // Rake has no x86 or RVV backend (as in the paper); on its targets it
+    // compiles every figure, extra and unrolled workload.
+    let workloads =
+        all_workloads().into_iter().chain(extra_workloads()).chain(unrolled_workloads());
+    for wl in workloads {
+        for isa in ALL_ISAS.into_iter().filter(|&isa| rake_supports(isa)) {
+            let name = wl.name();
             let result = run(&wl, isa, &Compiler::Rake)
                 .unwrap_or_else(|e| panic!("Rake failed on {name}/{isa}: {e}"));
             validate(&wl, isa, &result, 6).unwrap_or_else(|e| panic!("Rake on {name}/{isa}: {e}"));
