@@ -4,6 +4,7 @@
 //!
 //! Usage: `cargo run --release -p fpir-bench --bin rules [--verify]`
 
+use fpir_pool::Pool;
 use fpir_synth::{verify_rule_set, VerifyOptions};
 use fpir_trs::rule::RuleSet;
 
@@ -45,7 +46,7 @@ fn main() {
             exhaustive_points: 1 << 16,
         };
         for rs in &sets {
-            let failures = verify_rule_set(rs, &opts);
+            let failures = verify_rule_set(rs, &opts, &Pool::sequential());
             assert!(
                 failures.is_empty(),
                 "{}: {:#?}",

@@ -28,9 +28,8 @@
 use fpir::RcExpr;
 use fpir_pool::Pool;
 use fpir_synth::{
-    generalize_pair, generate_lower_pairs_jobs, harvest_corpus, synthesize_lift_jobs,
-    synthesize_lift_reference, verify_rule_set, verify_rule_set_jobs, LowerPair, SynthBudget,
-    VerifyOptions,
+    generalize_pair, generate_lower_pairs, harvest_corpus, synthesize_lift,
+    synthesize_lift_reference, verify_rule_set, LowerPair, SynthBudget, VerifyOptions,
 };
 use fpir_trs::rule::RuleClass;
 use fpir_workloads::all_workloads;
@@ -116,7 +115,7 @@ fn main() -> ExitCode {
                 return None;
             }
             if fast {
-                synthesize_lift_jobs(sub, &budget, &Pool::sequential())
+                synthesize_lift(sub, &budget, &Pool::sequential())
             } else {
                 synthesize_lift_reference(sub, &budget)
             }
@@ -128,7 +127,7 @@ fn main() -> ExitCode {
     // growth, code paging) the later ones dodge.
     for (sub, _) in corpus.iter().take(n_entries.min(4)) {
         if !sub.contains_fpir() {
-            let _ = synthesize_lift_jobs(sub, &budget, &Pool::sequential());
+            let _ = synthesize_lift(sub, &budget, &Pool::sequential());
             let _ = synthesize_lift_reference(sub, &budget);
         }
     }
@@ -213,7 +212,7 @@ fn main() -> ExitCode {
         let mut pairs = Vec::new();
         for isa in [fpir::Isa::ArmNeon, fpir::Isa::HexagonHvx] {
             for wl in workloads.iter().filter(|w| ["add", "sobel3x3"].contains(&w.name())) {
-                pairs.extend(generate_lower_pairs_jobs(&wl.pipeline.expr, isa, 7, pool));
+                pairs.extend(generate_lower_pairs(&wl.pipeline.expr, isa, 7, pool));
             }
         }
         (render_pairs(&pairs), t0.elapsed().as_nanos())
@@ -235,35 +234,20 @@ fn main() -> ExitCode {
     let verify = |pool: &Pool| -> (Vec<String>, u128) {
         let t0 = Instant::now();
         let mut failures: Vec<String> =
-            verify_rule_set_jobs(&pitchfork::lift_rules(), &verify_opts, pool)
+            verify_rule_set(&pitchfork::lift_rules(), &verify_opts, pool)
                 .iter()
                 .map(ToString::to_string)
                 .collect();
         for isa in fpir::machine::ALL_ISAS {
             failures.extend(
-                verify_rule_set_jobs(&pitchfork::lower_rules(isa), &verify_opts, pool)
+                verify_rule_set(&pitchfork::lower_rules(isa), &verify_opts, pool)
                     .iter()
                     .map(|e| format!("{isa}: {e}")),
             );
         }
         (failures, t0.elapsed().as_nanos())
     };
-    let t0 = Instant::now();
-    let fail_seq: Vec<String> = {
-        let mut f: Vec<String> = verify_rule_set(&pitchfork::lift_rules(), &verify_opts)
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        for isa in fpir::machine::ALL_ISAS {
-            f.extend(
-                verify_rule_set(&pitchfork::lower_rules(isa), &verify_opts)
-                    .iter()
-                    .map(|e| format!("{isa}: {e}")),
-            );
-        }
-        f
-    };
-    let verify_seq_ns = t0.elapsed().as_nanos();
+    let (fail_seq, verify_seq_ns) = verify(&Pool::sequential());
     let (fail_par, verify_par_ns) = verify(&Pool::new(jobs));
     if fail_par != fail_seq {
         eprintln!("GATE FAILED: parallel verification differs from sequential");

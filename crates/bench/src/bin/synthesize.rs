@@ -10,8 +10,7 @@
 
 use fpir_pool::Pool;
 use fpir_synth::{
-    generate_lower_pairs_jobs, harvest_corpus, synthesize_corpus_rules, PipelineConfig,
-    MAX_LHS_NODES,
+    generate_lower_pairs, harvest_corpus, synthesize_corpus_rules, PipelineConfig, MAX_LHS_NODES,
 };
 use fpir_workloads::all_workloads;
 
@@ -51,7 +50,7 @@ fn main() {
     for isa in [fpir::Isa::ArmNeon, fpir::Isa::HexagonHvx] {
         let mut n = 0usize;
         for wl in workloads.iter().filter(|w| ["add", "sobel3x3"].contains(&w.name())) {
-            for pair in generate_lower_pairs_jobs(&wl.pipeline.expr, isa, 7, &pool) {
+            for pair in generate_lower_pairs(&wl.pipeline.expr, isa, 7, &pool) {
                 n += 1;
                 if n <= 6 {
                     println!(

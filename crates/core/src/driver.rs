@@ -98,25 +98,10 @@ impl Artifact {
     ///
     /// [`DriverError::Emit`] or [`DriverError::Link`].
     pub fn from_lowered(lowered: RcExpr, isa: Isa) -> Result<Artifact, DriverError> {
-        Artifact::from_lowered_with(lowered, isa, &ExecConfig::FAST)
-    }
-
-    /// [`Artifact::from_lowered`] with an explicit engine selection —
-    /// [`ExecConfig::REFERENCE`] keeps the plain link for differential
-    /// baselines.
-    ///
-    /// # Errors
-    ///
-    /// [`DriverError::Emit`] or [`DriverError::Link`].
-    pub fn from_lowered_with(
-        lowered: RcExpr,
-        isa: Isa,
-        cfg: &ExecConfig,
-    ) -> Result<Artifact, DriverError> {
         let t = target(isa);
         let program = emit(&lowered, t).map_err(|e| DriverError::Emit(e.to_string()))?;
         let cycles = cycle_cost(&program, t);
-        let exe = Executable::link_with(&program, t, cfg)
+        let exe = Executable::link_with(&program, t, &ExecConfig::FAST)
             .map_err(|e| DriverError::Link(e.to_string()))?;
         Ok(Artifact { isa, lowered, program, cycles, exe })
     }
@@ -219,19 +204,14 @@ mod tests {
             assert_eq!(art.cycles, cycle_cost(&program, t), "{isa}");
             assert_eq!(
                 art.exe.render(),
-                Executable::link_with(&program, t, &fpir_sim::ExecConfig::FAST).unwrap().render(),
+                Executable::link_with(&program, t, &ExecConfig::FAST).unwrap().render(),
                 "{isa}"
             );
             // The artifact ships the FAST (fused) link; the REFERENCE
             // link stays available for differential baselines.
-            let plain = Artifact::from_lowered_with(
-                compiled.lowered.clone(),
-                isa,
-                &fpir_sim::ExecConfig::REFERENCE,
-            )
-            .unwrap();
-            assert!(plain.exe.fused_count() == 0, "{isa}");
-            assert!(art.exe.op_count() <= plain.exe.op_count(), "{isa}");
+            let plain = Executable::link_with(&program, t, &ExecConfig::REFERENCE).unwrap();
+            assert!(plain.fused_count() == 0, "{isa}");
+            assert!(art.exe.op_count() <= plain.op_count(), "{isa}");
         }
     }
 

@@ -6,16 +6,29 @@
 //! The corpus is every workload × ISA artifact (the 16 paper kernels, the
 //! extra kernels and the unrolled DAG kernels, on all four targets) plus
 //! fixed seeds of the random-expression generator used by the engine
-//! differential tests. Expressions are serialized by structural value
-//! numbering, one line per distinct subtree in first post-order
-//! occurrence, so the digest is a function of the expression tree and
-//! costs time linear in the DAG rather than in the tree.
+//! differential tests. A second digest covers every shipped rule's own
+//! left-hand-side instantiations, which reach most of the rules no
+//! workload or generator seed exercises. Six rules remain gaps, in that
+//! removing any one of them changes no lifted or lowered output:
+//! - `rounding-shr`: another rule yields the same output, so only the
+//!   digested firing order notices its removal;
+//! - `x86-rounding-shr-bounded-{i16,u32,i32}`: they never fire, since
+//!   their predicate needs an operand with headroom below its type's
+//!   maximum and no input in either corpus has one;
+//! - `hvx-vmpa-acc-mul-{mul,shl}`: they fire only under the
+//!   hand-written-only configuration, and both digests use the full one.
 //!
-//! When a change is *meant* to alter selection, recompute the constant
+//! Expressions are serialized by structural value numbering, one line
+//! per distinct subtree in first post-order occurrence, so a digest is a
+//! function of the expression tree and costs time linear in the DAG
+//! rather than in the tree.
+//!
+//! When a change is *meant* to alter selection, recompute the constants
 //! with `cargo test -p pitchfork --test byte_identity -- --nocapture` and
 //! say why in the change description.
 
 use fpir::expr::{Expr, ExprKind, RcExpr};
+use fpir::machine::ALL_ISAS;
 use fpir::rand_expr::{gen_expr, GenConfig};
 use fpir::types::ScalarType;
 use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
@@ -24,8 +37,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
+mod common;
+
 /// The digest of the corpus below, as selected by the shipped engine.
 const PINNED: u64 = 0x0c97_5f84_fdc7_c5af;
+
+/// The digest of every shipped rule's left-hand-side instantiations.
+const PINNED_RULES: u64 = 0x9958_ad44_5c80_4626;
 
 /// Generator seeds per element type.
 const SEEDS: u64 = 64;
@@ -108,8 +126,9 @@ fn record(h: &mut Fnv, label: &str, pf: &Pitchfork, e: &RcExpr) {
 #[test]
 fn selection_output_matches_the_pinned_digest() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let mut artifacts = 0;
-    for isa in fpir::machine::ALL_ISAS {
+    let mut rules = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut artifacts, mut instantiations) = (0, 0);
+    for isa in ALL_ISAS {
         let pf = Pitchfork::new(isa);
         for wl in all_workloads().into_iter().chain(extra_workloads()).chain(unrolled_workloads()) {
             record(&mut h, &format!("{}/{isa}", wl.name()), &pf, &wl.pipeline.expr);
@@ -122,8 +141,19 @@ fn selection_output_matches_the_pinned_digest() {
                 record(&mut h, &format!("gen {ti} {seed}/{isa}"), &pf, &e);
             }
         }
+        for (label, e) in common::rule_instantiations(isa) {
+            record(&mut rules, &label, &pf, &e);
+            instantiations += 1;
+        }
     }
     assert_eq!(artifacts, 100);
+    assert_eq!(instantiations, 973);
     println!("selection digest: {:#018x}", h.0);
+    println!("rule instantiation digest: {:#018x}", rules.0);
     assert_eq!(h.0, PINNED, "selection output changed: digest {:#018x}", h.0);
+    assert_eq!(
+        rules.0, PINNED_RULES,
+        "rule instantiation output changed: digest {:#018x}",
+        rules.0
+    );
 }

@@ -2,7 +2,8 @@
 //! dispatch paths (root-operator indexing, DAG memoization, cost caching)
 //! must be observationally identical to the original linear-scan,
 //! tree-walking engine on every workload and on arbitrary well-typed
-//! expressions, on every target. (`tests/mask_dispatch.rs` checks the
+//! expressions, on every target, and on every shipped rule's own
+//! left-hand-side instantiations. (`tests/mask_dispatch.rs` checks the
 //! index on its own: every rule that applies at a node is admitted.)
 
 use fpir::interp::{eval, eval_with};
@@ -14,6 +15,8 @@ use pitchfork::{Config, Engine, Pitchfork};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod common;
 
 const TYPES: [ScalarType; 6] = [
     ScalarType::U8,
@@ -31,7 +34,9 @@ fn gen_from_seed(seed: u64, elem: ScalarType) -> fpir::RcExpr {
 
 /// FAST == REFERENCE on every workload × ISA artifact — the 16 paper
 /// kernels, the extra kernels and the unrolled DAG kernels on all four
-/// targets: identical lifted and identical lowered expressions.
+/// targets — and on every shipped rule's own left-hand-side
+/// instantiations, which reach the rules no workload exercises:
+/// identical lifted and identical lowered expressions.
 #[test]
 fn fast_engine_matches_reference_on_every_workload() {
     let mut artifacts = 0;
@@ -47,6 +52,20 @@ fn fast_engine_matches_reference_on_every_workload() {
             assert_eq!(f.lifted, r.lifted, "{name}/{isa}: lift diverged");
             assert_eq!(f.lowered, r.lowered, "{name}/{isa}: lowering diverged");
             artifacts += 1;
+        }
+        for (label, e) in common::rule_instantiations(isa) {
+            match (fast.compile(&e), reference.compile(&e)) {
+                (Ok(f), Ok(r)) => {
+                    assert_eq!(f.lifted, r.lifted, "{label}: lift diverged");
+                    assert_eq!(f.lowered, r.lowered, "{label}: lowering diverged");
+                }
+                (Err(f), Err(r)) => assert_eq!(f.to_string(), r.to_string(), "{label}"),
+                (f, r) => panic!(
+                    "{label}: engines disagree on compilability (fast {:?}, reference {:?})",
+                    f.map(|c| c.lowered.to_string()),
+                    r.map(|c| c.lowered.to_string())
+                ),
+            }
         }
     }
     assert_eq!(artifacts, 100);

@@ -61,7 +61,11 @@ fn the_synthesis_system_knows_the_new_instruction() {
     // the extension, so the enumerator can produce it.
     let t = V::new(S::I16, 64);
     let lhs = saturating_cast(S::I16, widening_shl(var("x", t), constant(2, t)));
-    let rhs = fpir_synth::synthesize_lift(&lhs, &fpir_synth::SynthBudget::default())
-        .expect("synthesizable");
+    let rhs = fpir_synth::synthesize_lift(
+        &lhs,
+        &fpir_synth::SynthBudget::default(),
+        &fpir_pool::Pool::sequential(),
+    )
+    .expect("synthesizable");
     assert!(rhs.to_string().contains("saturating_shl"), "{rhs}");
 }

@@ -16,7 +16,7 @@
 //! message text.
 
 use pitchfork_lint::{
-    check_selected_jobs, render_report_json, summarize_coverage, tally, Analysis, Severity,
+    check_rule_sets, render_report_json, summarize_coverage, tally, Analysis, Severity,
 };
 use std::process::ExitCode;
 
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
     }
 
     let sets = pitchfork::all_rule_sets();
-    let mut diags = check_selected_jobs(&sets, &selected, &fpir_pool::Pool::new(jobs));
+    let mut diags = check_rule_sets(&sets, &selected, &fpir_pool::Pool::new(jobs));
     // Most severe first, stable within a severity class.
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
 

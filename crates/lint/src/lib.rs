@@ -34,9 +34,10 @@
 //! gates CI via `--deny warnings`.
 //!
 //! ```
-//! use pitchfork_lint::{check_rule_sets, Severity};
+//! use pitchfork_lint::{check_rule_sets, Analysis, Severity};
 //!
-//! let diags = check_rule_sets(&pitchfork::all_rule_sets());
+//! let sets = pitchfork::all_rule_sets();
+//! let diags = check_rule_sets(&sets, &Analysis::ALL, &fpir_pool::Pool::sequential());
 //! assert!(diags.iter().all(|d| d.severity < Severity::Error));
 //! ```
 
@@ -59,28 +60,18 @@ pub use diagnostic::{
 
 use pitchfork::{RegisteredRuleSet, RuleSetKind};
 
-/// Run every analysis over a collection of registered rule sets.
+/// Run the `selected` analyses ([`Analysis::ALL`] for everything; the
+/// `rulecheck --analysis` filter otherwise) over a collection of
+/// registered rule sets, fanning the independent (analysis × rule-set)
+/// units out over `pool`.
 ///
 /// Shadowing, predicate, and soundness checks are per-set; termination
 /// picks its cost model from the set's [`RuleSetKind`]; coverage runs
 /// once per lowering backend. Diagnostics come back grouped by analysis
-/// in a stable order.
-pub fn check_rule_sets(sets: &[RegisteredRuleSet]) -> Vec<Diagnostic> {
-    check_rule_sets_jobs(sets, &fpir_pool::Pool::sequential())
-}
-
-/// [`check_rule_sets`] with the independent (analysis × rule-set) units
-/// fanned out over `pool`. The work list is built in the sequential
-/// order and the pool's map preserves it, so the diagnostic list is
-/// identical for any worker count.
-pub fn check_rule_sets_jobs(sets: &[RegisteredRuleSet], pool: &fpir_pool::Pool) -> Vec<Diagnostic> {
-    check_selected_jobs(sets, &Analysis::ALL, pool)
-}
-
-/// Run only the `selected` analyses (the `rulecheck --analysis` filter),
-/// fanned out over `pool` with the same ordering guarantee as
-/// [`check_rule_sets_jobs`].
-pub fn check_selected_jobs(
+/// in a stable order: the work list is built in that order and the
+/// pool's map preserves it, so the list is identical for any worker
+/// count.
+pub fn check_rule_sets(
     sets: &[RegisteredRuleSet],
     selected: &[Analysis],
     pool: &fpir_pool::Pool,

@@ -2,7 +2,7 @@
 //!
 //! Unlike the other analyses this one *does* evaluate semantics — it
 //! delegates to `fpir-synth`'s verdict-producing checker
-//! ([`fpir_synth::check_rule_set`]), which tries, in order: an abstract
+//! ([`fpir_synth::check_rule`]), which tries, in order: an abstract
 //! equivalence proof over the rule's full predicated domain (interval +
 //! known-bits domains over the expanded primitive programs), exhaustive
 //! enumeration when the instantiated input space is small enough, and

@@ -34,12 +34,8 @@ pub mod verify;
 
 pub use corpus::{build_corpus, subexpressions, MAX_LHS_NODES};
 pub use generalize::{generalize_pair, GeneralizeError};
-pub use lift_synth::{
-    synthesize_lift, synthesize_lift_jobs, synthesize_lift_reference, SynthBudget,
-};
-pub use lower_synth::{generate_lower_pairs, generate_lower_pairs_jobs, LowerPair};
-pub use pipeline::{
-    harvest_corpus, synthesize_corpus_rules, LiftEngine, PipelineConfig, SynthesizedRule,
-};
-pub use soundness::{check_rule, check_rule_set, check_rule_set_jobs, RuleVerdict, Verdict};
-pub use verify::{verify_rule, verify_rule_set, verify_rule_set_jobs, VerifyError, VerifyOptions};
+pub use lift_synth::{synthesize_lift, synthesize_lift_reference, SynthBudget};
+pub use lower_synth::{generate_lower_pairs, LowerPair};
+pub use pipeline::{harvest_corpus, synthesize_corpus_rules, PipelineConfig, SynthesizedRule};
+pub use soundness::{check_rule, RuleVerdict, Verdict};
+pub use verify::{verify_rule, verify_rule_set, VerifyError, VerifyOptions};

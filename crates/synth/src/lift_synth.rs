@@ -11,12 +11,12 @@
 //!
 //! ## The fast enumerator
 //!
-//! The production entry points ([`synthesize_lift`],
-//! [`synthesize_lift_jobs`]) are *signature-incremental*: every bank
-//! entry caches its output [`Value`] per sample environment, and a newly
-//! combined candidate is priced by applying only its **root operation**
-//! over the cached child outputs ([`fpir::interp::apply_root`]) — O(lanes)
-//! per candidate instead of an O(size · lanes) whole-tree re-walk. Each
+//! The production entry point, [`synthesize_lift`], is
+//! *signature-incremental*: every bank entry caches its output [`Value`]
+//! per sample environment, and a newly combined candidate is priced by
+//! applying only its **root operation** over the cached child outputs
+//! ([`fpir::interp::apply_root`]) — O(lanes) per candidate instead of an
+//! O(size · lanes) whole-tree re-walk. Each
 //! round also enumerates only combinations that involve at least one
 //! entry added in the previous round: pairs of older entries were already
 //! tried, are observationally deduplicated, and provably cannot change
@@ -119,18 +119,13 @@ struct Candidate {
 }
 
 /// Synthesize an FPIR right-hand side for `lhs`, if one exists that is
-/// strictly cheaper under the target-agnostic cost model. Sequential
-/// (single worker); see [`synthesize_lift_jobs`] for the sharded variant
-/// with identical output.
-pub fn synthesize_lift(lhs: &RcExpr, budget: &SynthBudget) -> Option<RcExpr> {
-    synthesize_lift_jobs(lhs, budget, &Pool::sequential())
-}
-
-/// [`synthesize_lift`] with the per-round candidate combination sharded
-/// across `pool`'s workers. Shards are merged in a fixed order, so the
-/// result — and every intermediate bank state — is bit-identical to the
-/// sequential run for any worker count.
-pub fn synthesize_lift_jobs(lhs: &RcExpr, budget: &SynthBudget, pool: &Pool) -> Option<RcExpr> {
+/// strictly cheaper under the target-agnostic cost model.
+///
+/// The per-round candidate combination is sharded across `pool`'s
+/// workers ([`Pool::sequential`] for one). Shards are merged in a fixed
+/// order, so the result — and every intermediate bank state — is
+/// bit-identical for any worker count.
+pub fn synthesize_lift(lhs: &RcExpr, budget: &SynthBudget, pool: &Pool) -> Option<RcExpr> {
     let vars = lhs.free_vars();
     if vars.is_empty() || vars.len() > 3 {
         return None;
@@ -545,7 +540,8 @@ mod tests {
         // i16(x_u8) << 6 lifts to reinterpret(widening_shl(x_u8, 6)).
         let t = V::new(S::U8, 64);
         let lhs = shl(cast(S::I16, var("x", t)), constant(6, V::new(S::I16, 64)));
-        let rhs = synthesize_lift(&lhs, &SynthBudget::default()).expect("synthesizable");
+        let rhs = synthesize_lift(&lhs, &SynthBudget::default(), &Pool::sequential())
+            .expect("synthesizable");
         let printed = rhs.to_string();
         assert!(printed.contains("widening_shl(x_u8, 6)"), "{printed}");
     }
@@ -555,7 +551,8 @@ mod tests {
         let t = V::new(S::U16, 64);
         let x = var("x", t);
         let lhs = cast(S::U8, min(x.clone(), splat(255, &x)));
-        let rhs = synthesize_lift(&lhs, &SynthBudget::default()).expect("synthesizable");
+        let rhs = synthesize_lift(&lhs, &SynthBudget::default(), &Pool::sequential())
+            .expect("synthesizable");
         assert_eq!(rhs.to_string(), "saturating_cast<u8>(x_u16)");
     }
 
@@ -565,7 +562,8 @@ mod tests {
         let (a, b) = (var("a", t), var("b", t));
         let sum = add(widen(a), widen(b));
         let lhs = cast(S::U8, shr(add(sum.clone(), splat(1, &sum)), splat(1, &sum)));
-        let rhs = synthesize_lift(&lhs, &SynthBudget::default()).expect("synthesizable");
+        let rhs = synthesize_lift(&lhs, &SynthBudget::default(), &Pool::sequential())
+            .expect("synthesizable");
         assert_eq!(rhs.to_string(), "rounding_halving_add(a_u8, b_u8)");
     }
 
@@ -574,7 +572,7 @@ mod tests {
         // A bare add has no cheaper FPIR equivalent.
         let t = V::new(S::U8, 64);
         let lhs = add(var("a", t), var("b", t));
-        assert!(synthesize_lift(&lhs, &SynthBudget::default()).is_none());
+        assert!(synthesize_lift(&lhs, &SynthBudget::default(), &Pool::sequential()).is_none());
     }
 
     #[test]
@@ -590,8 +588,8 @@ mod tests {
         ];
         for lhs in cases {
             let reference = synthesize_lift_reference(&lhs, &budget).map(|e| e.to_string());
-            let fast = synthesize_lift(&lhs, &budget).map(|e| e.to_string());
-            let sharded = synthesize_lift_jobs(&lhs, &budget, &Pool::new(4)).map(|e| e.to_string());
+            let fast = synthesize_lift(&lhs, &budget, &Pool::sequential()).map(|e| e.to_string());
+            let sharded = synthesize_lift(&lhs, &budget, &Pool::new(4)).map(|e| e.to_string());
             assert_eq!(fast, reference, "fast vs reference diverged on {lhs}");
             assert_eq!(sharded, fast, "sharded vs sequential diverged on {lhs}");
         }

@@ -32,16 +32,12 @@ pub struct LowerPair {
 ///
 /// Rake has no x86 backend in the paper, and the same restriction is
 /// modelled here: x86 requests return no pairs.
-pub fn generate_lower_pairs(expr: &RcExpr, isa: Isa, max_lhs_nodes: usize) -> Vec<LowerPair> {
-    generate_lower_pairs_jobs(expr, isa, max_lhs_nodes, &fpir_pool::Pool::sequential())
-}
-
-/// [`generate_lower_pairs`] with the candidate left-hand sides compiled
-/// (greedy and oracle) in parallel over `pool`. One compiler, oracle and
-/// cost model are built and shared by every worker; the pool's map
-/// preserves candidate order, so the pair list is identical to the
-/// sequential run.
-pub fn generate_lower_pairs_jobs(
+///
+/// The candidate left-hand sides are compiled (greedy and oracle) over
+/// `pool`. One compiler, oracle and cost model are built and shared by
+/// every worker; the pool's map preserves candidate order, so the pair
+/// list is identical for any worker count.
+pub fn generate_lower_pairs(
     expr: &RcExpr,
     isa: Isa,
     max_lhs_nodes: usize,
@@ -87,7 +83,9 @@ mod tests {
     fn x86_has_no_oracle() {
         let t = V::new(S::U8, 64);
         let e = add(build_acc(), widening_shl(var("y", t), constant(1, t)));
-        assert!(generate_lower_pairs(&e, Isa::X86Avx2, 10).is_empty());
+        assert!(
+            generate_lower_pairs(&e, Isa::X86Avx2, 10, &fpir_pool::Pool::sequential()).is_empty()
+        );
     }
 
     fn build_acc() -> fpir::RcExpr {

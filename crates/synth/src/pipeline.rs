@@ -14,22 +14,11 @@
 
 use crate::corpus::MAX_LHS_NODES;
 use crate::generalize::generalize_pair;
-use crate::lift_synth::{
-    retarget_lanes, synthesize_lift_jobs, synthesize_lift_reference, SynthBudget,
-};
+use crate::lift_synth::{retarget_lanes, synthesize_lift, SynthBudget};
 use crate::verify::VerifyOptions;
 use fpir::expr::RcExpr;
 use fpir_pool::Pool;
 use fpir_trs::rule::{Rule, RuleClass};
-
-/// Which lift enumerator the pipeline runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiftEngine {
-    /// The signature-incremental enumerator (production).
-    Fast,
-    /// The pre-optimization whole-tree enumerator (differential baseline).
-    Reference,
-}
 
 /// Corpus-wide synthesis configuration.
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +29,6 @@ pub struct PipelineConfig {
     pub verify: VerifyOptions,
     /// Process at most this many corpus entries.
     pub cap: usize,
-    /// Which enumerator to run.
-    pub engine: LiftEngine,
 }
 
 impl Default for PipelineConfig {
@@ -55,7 +42,6 @@ impl Default for PipelineConfig {
                 exhaustive_points: 512,
             },
             cap: 120,
-            engine: LiftEngine::Fast,
         }
     }
 }
@@ -91,10 +77,7 @@ pub fn synthesize_corpus_rules(
             return None; // already fixed-point
         }
         // Inner synthesis stays sequential: the outer map is the fan-out.
-        let rhs = match cfg.engine {
-            LiftEngine::Fast => synthesize_lift_jobs(sub, &cfg.budget, &Pool::sequential())?,
-            LiftEngine::Reference => synthesize_lift_reference(sub, &cfg.budget)?,
-        };
+        let rhs = synthesize_lift(sub, &cfg.budget, &Pool::sequential())?;
         let lhs = retarget_lanes(sub, 64);
         let rule = generalize_pair(&format!("synth-{i}"), RuleClass::Lift, &lhs, &rhs, &cfg.verify)
             .ok()?;
@@ -134,7 +117,7 @@ mod tests {
         [avg, shl6, mul4, plain].into_iter().map(|e| (e, vec!["test".to_string()])).collect()
     }
 
-    fn small_cfg(engine: LiftEngine) -> PipelineConfig {
+    fn small_cfg() -> PipelineConfig {
         PipelineConfig {
             budget: SynthBudget { max_nodes: 3, sample_envs: 4, lanes: 16, max_bank: 96 },
             verify: VerifyOptions {
@@ -144,14 +127,13 @@ mod tests {
                 exhaustive_points: 0,
             },
             cap: 16,
-            engine,
         }
     }
 
     #[test]
     fn pipeline_finds_rules_and_names_by_corpus_index() {
         let corpus = tiny_corpus();
-        let rules = synthesize_corpus_rules(&corpus, &small_cfg(LiftEngine::Fast), &Pool::new(1));
+        let rules = synthesize_corpus_rules(&corpus, &small_cfg(), &Pool::new(1));
         assert!(!rules.is_empty());
         for r in &rules {
             assert_eq!(r.rule.name, format!("synth-{}", r.index));
@@ -169,11 +151,8 @@ mod tests {
                 .map(|r| format!("{}|{}|{}|{}", r.index, r.lhs, r.rhs, r.rule.pred))
                 .collect()
         };
-        let seq = synthesize_corpus_rules(&corpus, &small_cfg(LiftEngine::Fast), &Pool::new(1));
-        let par = synthesize_corpus_rules(&corpus, &small_cfg(LiftEngine::Fast), &Pool::new(4));
+        let seq = synthesize_corpus_rules(&corpus, &small_cfg(), &Pool::new(1));
+        let par = synthesize_corpus_rules(&corpus, &small_cfg(), &Pool::new(4));
         assert_eq!(render(&par), render(&seq));
-        let refr =
-            synthesize_corpus_rules(&corpus, &small_cfg(LiftEngine::Reference), &Pool::new(1));
-        assert_eq!(render(&refr), render(&seq));
     }
 }

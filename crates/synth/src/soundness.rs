@@ -39,7 +39,7 @@ use fpir::semantics::expand_fully;
 use fpir::simplify::{is_pow2, log2};
 use fpir::{FpirOp, RcExpr, ScalarType, VectorType};
 use fpir_isa::MachSem;
-use fpir_trs::rule::{instantiate_lhs_all, Rule, RuleSet};
+use fpir_trs::rule::{instantiate_lhs_all, Rule};
 use std::fmt;
 use std::sync::Arc;
 
@@ -116,20 +116,6 @@ pub fn check_rule(rule: &Rule, opts: &VerifyOptions) -> RuleVerdict {
         }
     }
     RuleVerdict { rule: rule.name.clone(), verdict, instantiations: insts.len(), error: None }
-}
-
-/// [`check_rule`] over a whole set, in rule order.
-pub fn check_rule_set(rules: &RuleSet, opts: &VerifyOptions) -> Vec<RuleVerdict> {
-    rules.rules().iter().map(|r| check_rule(r, opts)).collect()
-}
-
-/// [`check_rule_set`] fanned out over `pool`; results stay in rule order.
-pub fn check_rule_set_jobs(
-    rules: &RuleSet,
-    opts: &VerifyOptions,
-    pool: &fpir_pool::Pool,
-) -> Vec<RuleVerdict> {
-    pool.map(rules.rules(), |r| check_rule(r, opts))
 }
 
 /// Check one concrete instantiation: prove, else exhaust, else sample.
@@ -851,10 +837,9 @@ mod tests {
     #[test]
     fn shipped_rules_reach_the_static_verdict_bar() {
         let opts = opts();
-        let mut all: Vec<RuleVerdict> = check_rule_set(&pitchfork::lift_rules(), &opts);
-        for isa in fpir::machine::ALL_ISAS {
-            all.extend(check_rule_set(&pitchfork::lower_rules(isa), &opts));
-        }
+        let sets = pitchfork::all_rule_sets();
+        let all: Vec<RuleVerdict> =
+            sets.iter().flat_map(|s| s.set.rules()).map(|r| check_rule(r, &opts)).collect();
         let errors: Vec<_> = all.iter().filter_map(|v| v.error.clone()).collect();
         assert!(errors.is_empty(), "{errors:#?}");
         let count = |w: Verdict| all.iter().filter(|v| v.verdict == w).count();

@@ -183,16 +183,10 @@ pub(crate) fn sampled_check(
     Ok(())
 }
 
-/// Verify every rule in a set, returning all failures (in rule order).
-pub fn verify_rule_set(rules: &fpir_trs::rule::RuleSet, opts: &VerifyOptions) -> Vec<VerifyError> {
-    rules.rules().iter().filter_map(|r| verify_rule(r, opts).err()).collect()
-}
-
-/// [`verify_rule_set`] with per-rule verification fanned out over `pool`.
-/// Failures come back in rule order, exactly as the sequential call
-/// reports them: rules are independent, and the pool's map preserves
-/// input order.
-pub fn verify_rule_set_jobs(
+/// Verify every rule in a set, fanned out over `pool`, returning all
+/// failures in rule order: rules are independent, and the pool's map
+/// preserves input order, so the list is identical for any worker count.
+pub fn verify_rule_set(
     rules: &fpir_trs::rule::RuleSet,
     opts: &VerifyOptions,
     pool: &fpir_pool::Pool,
@@ -295,7 +289,8 @@ mod tests {
     #[test]
     fn shipped_lift_rules_all_verify() {
         let opts = VerifyOptions::shipped();
-        let failures = verify_rule_set(&pitchfork::lift_rules(), &opts);
+        let failures =
+            verify_rule_set(&pitchfork::lift_rules(), &opts, &fpir_pool::Pool::sequential());
         assert!(
             failures.is_empty(),
             "{:#?}",
@@ -307,7 +302,11 @@ mod tests {
     fn shipped_lowering_rules_all_verify() {
         let opts = VerifyOptions::shipped();
         for isa in fpir::machine::ALL_ISAS {
-            let failures = verify_rule_set(&pitchfork::lower_rules(isa), &opts);
+            let failures = verify_rule_set(
+                &pitchfork::lower_rules(isa),
+                &opts,
+                &fpir_pool::Pool::sequential(),
+            );
             assert!(
                 failures.is_empty(),
                 "{isa}: {:#?}",

@@ -1,5 +1,5 @@
-//! The PR-wide determinism contract: every parallel synthesis path must
-//! be **bit-identical** to its sequential counterpart, and the fast
+//! The determinism contract: every synthesis entry point must be
+//! **bit-identical** at four workers and at one, and the fast
 //! signature-incremental enumerator must reproduce the reference
 //! enumerator exactly — same right-hand sides, same costs, same
 //! observational signatures.
@@ -10,9 +10,8 @@ use fpir::RcExpr;
 use fpir_pool::Pool;
 use fpir_synth::lift_synth::{sample_envs, signature};
 use fpir_synth::{
-    generate_lower_pairs, generate_lower_pairs_jobs, harvest_corpus, synthesize_corpus_rules,
-    synthesize_lift_jobs, synthesize_lift_reference, verify_rule_set, verify_rule_set_jobs,
-    LiftEngine, PipelineConfig, SynthBudget, VerifyOptions,
+    generate_lower_pairs, harvest_corpus, synthesize_corpus_rules, synthesize_lift,
+    synthesize_lift_reference, verify_rule_set, PipelineConfig, SynthBudget, VerifyOptions,
 };
 use fpir_trs::cost::{AgnosticCost, CostModel};
 
@@ -57,8 +56,8 @@ fn lift_enumerators_agree_bit_for_bit() {
             })
         };
         let reference = describe(&synthesize_lift_reference(sub, &budget));
-        let fast1 = describe(&synthesize_lift_jobs(sub, &budget, &Pool::new(1)));
-        let fast4 = describe(&synthesize_lift_jobs(sub, &budget, &Pool::new(4)));
+        let fast1 = describe(&synthesize_lift(sub, &budget, &Pool::sequential()));
+        let fast4 = describe(&synthesize_lift(sub, &budget, &Pool::new(4)));
         assert_eq!(fast1, reference, "entry {i}: fast@1 vs reference on {sub}");
         assert_eq!(fast4, fast1, "entry {i}: fast@4 vs fast@1 on {sub}");
         synthesized += usize::from(reference.is_some());
@@ -66,10 +65,11 @@ fn lift_enumerators_agree_bit_for_bit() {
     assert!(synthesized >= 3, "corpus must exercise the synthesizer ({synthesized} hits)");
 }
 
-/// The corpus-wide pipeline is invariant in worker count and engine:
-/// same rules, same names, same predicates, same provenance.
+/// The corpus-wide pipeline is invariant in worker count: same rules,
+/// same names, same predicates, same provenance. (Per-entry agreement
+/// with the reference enumerator is `lift_enumerators_agree_bit_for_bit`.)
 #[test]
-fn pipeline_is_deterministic_across_workers_and_engines() {
+fn pipeline_is_deterministic_across_workers() {
     let cfg = PipelineConfig {
         budget: small_budget(),
         verify: VerifyOptions {
@@ -79,7 +79,6 @@ fn pipeline_is_deterministic_across_workers_and_engines() {
             exhaustive_points: 0,
         },
         cap: 64,
-        engine: LiftEngine::Fast,
     };
     let corpus = corpus();
     let render = |rules: &[fpir_synth::SynthesizedRule]| -> Vec<String> {
@@ -101,30 +100,27 @@ fn pipeline_is_deterministic_across_workers_and_engines() {
     assert!(!seq.is_empty());
     let par = synthesize_corpus_rules(&corpus, &cfg, &Pool::new(4));
     assert_eq!(render(&par), render(&seq), "pipeline @4 vs @1");
-    let reference_cfg = PipelineConfig { engine: LiftEngine::Reference, ..cfg };
-    let refr = synthesize_corpus_rules(&corpus, &reference_cfg, &Pool::new(1));
-    assert_eq!(render(&refr), render(&seq), "reference engine vs fast engine");
 }
 
-/// Parallel rule-set verification reports exactly what the sequential
-/// sweep reports, in the same order.
+/// Rule-set verification at four workers reports exactly what it
+/// reports at one, in the same order.
 #[test]
 fn verify_rule_set_jobs_matches_sequential() {
     let opts =
         VerifyOptions { samples: 6, lanes: 32, exhaustive_8bit: false, exhaustive_points: 0 };
     for set in [pitchfork::lift_rules(), pitchfork::lower_rules(fpir::Isa::ArmNeon)] {
-        let seq: Vec<String> =
-            verify_rule_set(&set, &opts).iter().map(ToString::to_string).collect();
-        let par: Vec<String> = verify_rule_set_jobs(&set, &opts, &Pool::new(4))
+        let seq: Vec<String> = verify_rule_set(&set, &opts, &Pool::sequential())
             .iter()
             .map(ToString::to_string)
             .collect();
+        let par: Vec<String> =
+            verify_rule_set(&set, &opts, &Pool::new(4)).iter().map(ToString::to_string).collect();
         assert_eq!(par, seq);
     }
 }
 
-/// Parallel lowering-pair generation finds the same pairs with the same
-/// improvements, in the same order.
+/// Lowering-pair generation at four workers finds the same pairs with
+/// the same improvements, in the same order, as at one.
 #[test]
 fn lower_pairs_jobs_matches_sequential() {
     let t = V::new(S::U8, 64);
@@ -133,8 +129,8 @@ fn lower_pairs_jobs_matches_sequential() {
         pairs.iter().map(|p| format!("{}|{}|{:?}", p.lhs, p.rhs, p.improvement)).collect()
     };
     for isa in [fpir::Isa::ArmNeon, fpir::Isa::HexagonHvx] {
-        let seq = generate_lower_pairs(&e, isa, 7);
-        let par = generate_lower_pairs_jobs(&e, isa, 7, &Pool::new(4));
+        let seq = generate_lower_pairs(&e, isa, 7, &Pool::sequential());
+        let par = generate_lower_pairs(&e, isa, 7, &Pool::new(4));
         assert_eq!(render(&par), render(&seq), "{isa}");
     }
 }

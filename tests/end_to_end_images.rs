@@ -6,7 +6,8 @@
 //! with the figures' leave-one-out rules and with the full rule set the
 //! service serves) and run on every engine: the strip-by-strip reference
 //! runner, the plain linked executable, and the fused executable the
-//! driver ships, at one worker and at several.
+//! driver ships, at one worker and at several. Both link shapes also pass
+//! the static artifact verifier, which a release `link` skips.
 
 use fpir::machine::ALL_ISAS;
 use fpir::Isa;
@@ -14,7 +15,7 @@ use fpir_bench::{rake_supports, run, Compiler};
 use fpir_halide::runner::{run_program_reference, run_tiled_exe};
 use fpir_halide::{Image, Pipeline};
 use fpir_isa::target;
-use fpir_sim::{emit, ExecConfig, Executable, Program};
+use fpir_sim::{emit, verify_executable, ExecConfig, Executable, Program};
 use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads, workload, Workload};
 use pitchfork::Pitchfork;
 use std::collections::BTreeMap;
@@ -32,7 +33,8 @@ fn run_compiled(pipeline: &Pipeline, inputs: &BTreeMap<String, Image>, isa: Isa)
     run_program_reference(pipeline, &program, target(isa), inputs).expect("runs")
 }
 
-/// The image gate for one workload: on every ISA × selector, the
+/// The image gate for one workload: on every ISA × selector, the fused
+/// artifact and the plain link of its program verify statically, and the
 /// reference runner, the plain link at one worker and the fused artifact
 /// at one and three workers all equal the interpreter's image.
 fn check_workload(wl: &Workload, seed: u64) {
@@ -51,6 +53,9 @@ fn check_workload(wl: &Workload, seed: u64) {
             let art = run(wl, isa, &compiler).unwrap_or_else(|e| panic!("{row}: {e}")).artifact;
             let linked = Executable::link_with(&art.program, tgt, &ExecConfig::REFERENCE)
                 .unwrap_or_else(|e| panic!("{row}: {e}"));
+            for (shape, exe) in [("fused", &art.exe), ("linked", &linked)] {
+                verify_executable(exe).unwrap_or_else(|e| panic!("{row} {shape}: {e}"));
+            }
             let images = [
                 (
                     "reference runner",
