@@ -88,12 +88,11 @@ fn main() -> ExitCode {
     let cap = if smoke { 32 } else { 120 };
     let budget = SynthBudget::default();
     let verify_opts = if smoke {
-        VerifyOptions { samples: 8, lanes: 64, exhaustive_8bit: false, exhaustive_points: 512 }
+        VerifyOptions { samples: 8, lanes: 64, exhaustive_points: 512 }
     } else {
-        VerifyOptions { samples: 12, lanes: 128, exhaustive_8bit: true, exhaustive_points: 1 << 16 }
+        VerifyOptions { samples: 12, lanes: 128, exhaustive_points: 1 << 16 }
     };
-    let gen_opts =
-        VerifyOptions { samples: 10, lanes: 64, exhaustive_8bit: false, exhaustive_points: 0 };
+    let gen_opts = VerifyOptions { samples: 10, lanes: 64, exhaustive_points: 0 };
 
     // ---- Corpus (shared by every configuration). ----
     let workloads = all_workloads();

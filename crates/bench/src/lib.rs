@@ -191,15 +191,3 @@ pub fn validate(
     )
     .map_err(|c| format!("{}: {c}", workload.name()))
 }
-
-/// Count the machine instructions in a lowered expression (Figure 3's
-/// "fewer instructions" comparisons).
-pub fn mach_node_count(e: &RcExpr) -> usize {
-    let mut n = 0;
-    e.visit(&mut |node: &Expr| {
-        if matches!(node.kind(), ExprKind::Mach(..)) {
-            n += 1;
-        }
-    });
-    n
-}

@@ -812,21 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn rule_sets_validate_structurally() {
-        for isa in fpir::machine::ALL_ISAS {
-            let rules = lower_rules(isa);
-            // Lowering rules reduce the *target* cost, not the agnostic
-            // one, so only the structural half of validation applies.
-            let issues = rules.validate(false);
-            assert!(
-                issues.is_empty(),
-                "{isa}: {:#?}",
-                issues.iter().map(ToString::to_string).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
     fn umlal_fuses_on_arm() {
         let t = V::new(S::U8, 16);
         let acc = build::var("acc", V::new(S::U16, 16));

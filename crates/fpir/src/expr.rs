@@ -719,11 +719,6 @@ impl Expr {
         self.any(&mut |e| matches!(e.kind(), ExprKind::Fpir(..)))
     }
 
-    /// True if the tree contains any machine instruction.
-    pub fn contains_mach(&self) -> bool {
-        self.any(&mut |e| matches!(e.kind(), ExprKind::Mach(..)))
-    }
-
     /// If this node is a broadcast constant, its value.
     pub fn as_const(&self) -> Option<i128> {
         match self.kind() {

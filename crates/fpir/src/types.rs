@@ -258,11 +258,6 @@ impl VectorType {
     pub fn total_bits(self) -> u64 {
         self.elem.bits() as u64 * self.lanes as u64
     }
-
-    /// True when `lanes == 1`.
-    pub fn is_scalar(self) -> bool {
-        self.lanes == 1
-    }
 }
 
 impl fmt::Display for VectorType {

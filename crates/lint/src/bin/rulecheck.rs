@@ -1,30 +1,27 @@
 //! `rulecheck` — run the static rule-set analyses over every shipped TRS.
 //!
 //! ```text
-//! rulecheck [--json] [--deny warnings] [--jobs N] [--analysis NAME]...
+//! rulecheck [--json] [--deny warnings] [--jobs N]
 //! ```
 //!
 //! Exits non-zero when any *error* is found, or when `--deny warnings` is
 //! given and any warning is found. Notes never affect the exit code.
 //! `--jobs` (default: `PITCHFORK_JOBS` or the machine's parallelism) fans
 //! the independent analysis × rule-set units out over a worker pool; the
-//! diagnostic list is identical for any worker count. `--analysis`
-//! restricts the run to the named analyses (repeatable).
+//! diagnostic list is identical for any worker count. Every run runs all
+//! six analyses.
 //!
 //! Every diagnostic carries a stable code (`TERM003`, `SOUND001`, …) in
 //! both text and JSON output; tooling should match on codes, not on
 //! message text.
 
-use pitchfork_lint::{
-    check_rule_sets, render_report_json, summarize_coverage, tally, Analysis, Severity,
-};
+use pitchfork_lint::{check_rule_sets, render_report_json, summarize_coverage, tally, Severity};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut deny_warnings = false;
     let mut jobs = fpir_pool::default_jobs();
-    let mut selected: Vec<Analysis> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -48,26 +45,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--analysis" => {
-                match args.next().as_deref().map(|n| (Analysis::from_name(n), n.to_string())) {
-                    Some((Some(a), _)) => selected.push(a),
-                    Some((None, name)) => {
-                        eprintln!(
-                            "rulecheck: unknown analysis `{name}`; expected one of: {}",
-                            Analysis::ALL.map(Analysis::name).join(", ")
-                        );
-                        return ExitCode::from(2);
-                    }
-                    None => {
-                        eprintln!("rulecheck: `--analysis` expects a name (try --help)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: rulecheck [--json] [--deny warnings] [--jobs N] [--analysis NAME]..."
-                );
+                println!("usage: rulecheck [--json] [--deny warnings] [--jobs N]");
                 println!();
                 println!("Statically analyzes the shipped lift/lower rule sets:");
                 println!("  termination  strict cost descent + rewrite-cycle detection");
@@ -84,22 +63,12 @@ fn main() -> ExitCode {
             }
         }
     }
-    if selected.is_empty() {
-        selected.extend(Analysis::ALL);
-    }
 
     let sets = pitchfork::all_rule_sets();
-    let mut diags = check_rule_sets(&sets, &selected, &fpir_pool::Pool::new(jobs));
+    let mut diags = check_rule_sets(&sets, &fpir_pool::Pool::new(jobs));
     // Most severe first, stable within a severity class.
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
-
-    // The per-backend census is only meaningful when coverage actually
-    // ran; a filtered run would misreport every backend as hole-free.
-    let summary = if selected.contains(&Analysis::Coverage) {
-        summarize_coverage(&sets, &diags)
-    } else {
-        Vec::new()
-    };
+    let summary = summarize_coverage(&sets, &diags);
 
     if json {
         println!("{}", render_report_json(&summary, &diags));

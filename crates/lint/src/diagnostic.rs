@@ -56,7 +56,7 @@ impl Analysis {
         Analysis::Coverage,
     ];
 
-    /// The CLI name (`rulecheck --analysis <name>`).
+    /// The name diagnostics report (`error[termination:TERM001] …`).
     pub fn name(self) -> &'static str {
         match self {
             Analysis::Termination => "termination",
@@ -66,11 +66,6 @@ impl Analysis {
             Analysis::Index => "index",
             Analysis::Soundness => "soundness",
         }
-    }
-
-    /// Parse a CLI name.
-    pub fn from_name(name: &str) -> Option<Analysis> {
-        Analysis::ALL.into_iter().find(|a| a.name() == name)
     }
 }
 
@@ -197,10 +192,8 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
 }
 
 /// Serialize the full `rulecheck --json` report: the per-backend
-/// coverage summary (empty when the coverage analysis was filtered out
-/// with `--analysis`, so absent counts are never mistaken for clean
-/// runs) followed by every diagnostic. The old top-level array shape
-/// lives on as the `diagnostics` field.
+/// coverage summary followed by every diagnostic. The old top-level
+/// array shape lives on as the `diagnostics` field.
 pub fn render_report_json(summary: &[CoverageSummary], diags: &[Diagnostic]) -> String {
     let mut s = String::from("{\n  \"schema\": \"pitchfork-rulecheck/v2\",\n  \"summary\": [");
     for (i, row) in summary.iter().enumerate() {

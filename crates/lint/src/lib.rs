@@ -34,10 +34,10 @@
 //! gates CI via `--deny warnings`.
 //!
 //! ```
-//! use pitchfork_lint::{check_rule_sets, Analysis, Severity};
+//! use pitchfork_lint::{check_rule_sets, Severity};
 //!
 //! let sets = pitchfork::all_rule_sets();
-//! let diags = check_rule_sets(&sets, &Analysis::ALL, &fpir_pool::Pool::sequential());
+//! let diags = check_rule_sets(&sets, &fpir_pool::Pool::sequential());
 //! assert!(diags.iter().all(|d| d.severity < Severity::Error));
 //! ```
 
@@ -60,10 +60,9 @@ pub use diagnostic::{
 
 use pitchfork::{RegisteredRuleSet, RuleSetKind};
 
-/// Run the `selected` analyses ([`Analysis::ALL`] for everything; the
-/// `rulecheck --analysis` filter otherwise) over a collection of
-/// registered rule sets, fanning the independent (analysis × rule-set)
-/// units out over `pool`.
+/// Run every analysis ([`Analysis::ALL`]) over a collection of registered
+/// rule sets, fanning the independent (analysis × rule-set) units out
+/// over `pool`.
 ///
 /// Shadowing, predicate, and soundness checks are per-set; termination
 /// picks its cost model from the set's [`RuleSetKind`]; coverage runs
@@ -71,13 +70,9 @@ use pitchfork::{RegisteredRuleSet, RuleSetKind};
 /// in a stable order: the work list is built in that order and the
 /// pool's map preserves it, so the list is identical for any worker
 /// count.
-pub fn check_rule_sets(
-    sets: &[RegisteredRuleSet],
-    selected: &[Analysis],
-    pool: &fpir_pool::Pool,
-) -> Vec<Diagnostic> {
+pub fn check_rule_sets(sets: &[RegisteredRuleSet], pool: &fpir_pool::Pool) -> Vec<Diagnostic> {
     let mut work: Vec<(Analysis, usize)> = Vec::new();
-    for &analysis in Analysis::ALL.iter().filter(|a| selected.contains(a)) {
+    for analysis in Analysis::ALL {
         for (i, reg) in sets.iter().enumerate() {
             // Coverage is a per-backend analysis: it exercises the
             // lowering TRS + legalizer, so only lowering sets apply.
@@ -108,9 +103,7 @@ pub fn check_rule_sets(
 /// Build the per-backend coverage census from a finished run: one
 /// [`CoverageSummary`] row per registered lowering TRS, counting that
 /// backend's pack size plus the coverage holes (warning or worse) and
-/// inherent-limitation notes attributed to it in `diags`. Callers must
-/// pass diagnostics from a run that *included* the coverage analysis —
-/// summarizing a filtered run would report every backend as hole-free.
+/// inherent-limitation notes attributed to it in `diags`.
 pub fn summarize_coverage(
     sets: &[RegisteredRuleSet],
     diags: &[Diagnostic],

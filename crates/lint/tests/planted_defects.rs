@@ -163,16 +163,14 @@ fn needle_rule_is_caught_only_by_exhaustion() {
 
     // Sampling alone (exhaustion off) misses the single bad point and
     // records an honest `sampled` verdict...
-    let sampled_only =
-        VerifyOptions { samples: 8, lanes: 64, exhaustive_8bit: false, exhaustive_points: 0 };
+    let sampled_only = VerifyOptions { samples: 8, lanes: 64, exhaustive_points: 0 };
     let diags = soundness::check_with(&set, &sampled_only);
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].code, "SOUND003", "sampling must miss the needle: {:?}", diags[0]);
     assert!(diags[0].detail.contains("sampled"), "{:?}", diags[0]);
 
     // ...while the exhaustive 8-bit sweep pins it as unsound.
-    let exhaustive =
-        VerifyOptions { samples: 8, lanes: 64, exhaustive_8bit: true, exhaustive_points: 1 << 16 };
+    let exhaustive = VerifyOptions { samples: 8, lanes: 64, exhaustive_points: 1 << 16 };
     let diags = soundness::check_with(&set, &exhaustive);
     assert_eq!(diags.len(), 1);
     let hit = &diags[0];

@@ -12,7 +12,7 @@ use fpir::expr::{Expr, ExprKind, RcExpr};
 use fpir::identity::IdMap;
 use fpir::types::VectorType;
 use fpir::{Isa, MachOp};
-use fpir_isa::{MachSem, Target};
+use fpir_isa::Target;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -256,15 +256,6 @@ pub fn cycle_cost(p: &Program, target: &Target) -> u64 {
 
 /// Cost units charged per native register of streamed input.
 pub const LOAD_COST: u64 = 2;
-
-/// True when the op is one of the data-movement instructions the Rake
-/// baseline's swizzle optimizer targets (extensions, truncations and
-/// packs — everything that shuffles lanes rather than computing).
-pub fn is_swizzle(op: MachOp, target: &Target) -> bool {
-    target.def(op).is_some_and(|d| {
-        matches!(d.sem, MachSem::ExtendTo | MachSem::TruncTo | MachSem::PackSatSignedTo)
-    })
-}
 
 #[cfg(test)]
 mod tests {

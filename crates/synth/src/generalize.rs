@@ -264,8 +264,7 @@ fn search_valid_range(
     elem: ScalarType,
     opts: &VerifyOptions,
 ) -> (i128, i128) {
-    let quick =
-        VerifyOptions { samples: 6, lanes: 64, exhaustive_8bit: false, exhaustive_points: 0 };
+    let quick = VerifyOptions { samples: 6, lanes: 64, exhaustive_points: 0 };
     let _ = opts;
     let valid = |v: i128| -> bool {
         let mut overrides = BTreeMap::new();

@@ -12,8 +12,10 @@
 //!   (§4.2; no x86 oracle, as in the paper);
 //! * [`generalize`] — symbolic constants, pow2 links, binary-searched
 //!   range predicates, with every attempt re-verified (§4.3);
-//! * [`verify`] — the rule verifier that also checks the shipped
-//!   hand-written TRSs (§2.4's "unearthed a handful of subtle bugs");
+//! * [`verify`] — the pass/fail rule verifier synthesis and
+//!   generalization run on every candidate (§2.4's "unearthed a handful
+//!   of subtle bugs"); `rulecheck` checks the shipped TRSs through the
+//!   same core;
 //! * [`soundness`] — the verdict-producing checker behind
 //!   `pitchfork-verify`: abstract-equivalence proofs (interval +
 //!   known-bits domains), full-space enumeration up to 2^16 points, and

@@ -35,12 +35,7 @@ impl Default for PipelineConfig {
     fn default() -> PipelineConfig {
         PipelineConfig {
             budget: SynthBudget::default(),
-            verify: VerifyOptions {
-                samples: 10,
-                lanes: 64,
-                exhaustive_8bit: false,
-                exhaustive_points: 512,
-            },
+            verify: VerifyOptions { samples: 10, lanes: 64, exhaustive_points: 512 },
             cap: 120,
         }
     }
@@ -120,12 +115,7 @@ mod tests {
     fn small_cfg() -> PipelineConfig {
         PipelineConfig {
             budget: SynthBudget { max_nodes: 3, sample_envs: 4, lanes: 16, max_bank: 96 },
-            verify: VerifyOptions {
-                samples: 4,
-                lanes: 16,
-                exhaustive_8bit: false,
-                exhaustive_points: 0,
-            },
+            verify: VerifyOptions { samples: 4, lanes: 16, exhaustive_points: 0 },
             cap: 16,
         }
     }

@@ -47,10 +47,6 @@ pub struct VerifyOptions {
     pub lanes: u32,
     /// Random environments per instantiation.
     pub samples: usize,
-    /// Exhaustive 8-bit checking when the instantiation has at most two
-    /// value wildcards (kept as a named switch for the historical 8-bit
-    /// sweep; implies an enumeration budget of at least `2^16` points).
-    pub exhaustive_8bit: bool,
     /// Enumerate *every* point of the instantiated input space when it
     /// has at most this many points (the `exhausted` verdict in
     /// [`crate::soundness`]). `0` disables enumeration.
@@ -59,7 +55,7 @@ pub struct VerifyOptions {
 
 impl Default for VerifyOptions {
     fn default() -> VerifyOptions {
-        VerifyOptions { lanes: 256, samples: 24, exhaustive_8bit: true, exhaustive_points: 1 << 16 }
+        VerifyOptions { lanes: 256, samples: 24, exhaustive_points: 1 << 16 }
     }
 }
 
@@ -70,14 +66,9 @@ impl VerifyOptions {
     /// smoke jobs) run the full exhaustive sweep.
     pub fn shipped() -> VerifyOptions {
         if cfg!(debug_assertions) {
-            VerifyOptions { samples: 8, lanes: 64, exhaustive_8bit: false, exhaustive_points: 512 }
+            VerifyOptions { samples: 8, lanes: 64, exhaustive_points: 512 }
         } else {
-            VerifyOptions {
-                samples: 12,
-                lanes: 128,
-                exhaustive_8bit: true,
-                exhaustive_points: 1 << 16,
-            }
+            VerifyOptions { samples: 12, lanes: 128, exhaustive_points: 1 << 16 }
         }
     }
 }
@@ -284,34 +275,5 @@ mod tests {
         let mut overrides = BTreeMap::new();
         overrides.insert(1u8, -1i128);
         assert!(verify_rule_at(&rule, &VerifyOptions::default(), &overrides).is_err());
-    }
-
-    #[test]
-    fn shipped_lift_rules_all_verify() {
-        let opts = VerifyOptions::shipped();
-        let failures =
-            verify_rule_set(&pitchfork::lift_rules(), &opts, &fpir_pool::Pool::sequential());
-        assert!(
-            failures.is_empty(),
-            "{:#?}",
-            failures.iter().map(ToString::to_string).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn shipped_lowering_rules_all_verify() {
-        let opts = VerifyOptions::shipped();
-        for isa in fpir::machine::ALL_ISAS {
-            let failures = verify_rule_set(
-                &pitchfork::lower_rules(isa),
-                &opts,
-                &fpir_pool::Pool::sequential(),
-            );
-            assert!(
-                failures.is_empty(),
-                "{isa}: {:#?}",
-                failures.iter().map(ToString::to_string).collect::<Vec<_>>()
-            );
-        }
     }
 }

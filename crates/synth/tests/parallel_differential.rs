@@ -72,12 +72,7 @@ fn lift_enumerators_agree_bit_for_bit() {
 fn pipeline_is_deterministic_across_workers() {
     let cfg = PipelineConfig {
         budget: small_budget(),
-        verify: VerifyOptions {
-            samples: 4,
-            lanes: 16,
-            exhaustive_8bit: false,
-            exhaustive_points: 0,
-        },
+        verify: VerifyOptions { samples: 4, lanes: 16, exhaustive_points: 0 },
         cap: 64,
     };
     let corpus = corpus();
@@ -106,8 +101,7 @@ fn pipeline_is_deterministic_across_workers() {
 /// reports at one, in the same order.
 #[test]
 fn verify_rule_set_jobs_matches_sequential() {
-    let opts =
-        VerifyOptions { samples: 6, lanes: 32, exhaustive_8bit: false, exhaustive_points: 0 };
+    let opts = VerifyOptions { samples: 6, lanes: 32, exhaustive_points: 0 };
     for set in [pitchfork::lift_rules(), pitchfork::lower_rules(fpir::Isa::ArmNeon)] {
         let seq: Vec<String> = verify_rule_set(&set, &opts, &Pool::sequential())
             .iter()

@@ -108,11 +108,6 @@ pub fn pat_select(c: Pat, t: Pat, f: Pat) -> Pat {
     Pat::Select(Box::new(c), Box::new(t), Box::new(f))
 }
 
-/// FPIR instruction pattern.
-pub fn pat_fpir(op: FpirOp, args: Vec<Pat>) -> Pat {
-    Pat::Fpir(op, args)
-}
-
 /// Binary FPIR instruction pattern.
 pub fn pat_fpir2(op: FpirOp, a: Pat, b: Pat) -> Pat {
     Pat::Fpir(op, vec![a, b])
@@ -141,11 +136,6 @@ pub fn tlit(value: i128, ty_of: u8) -> Template {
 /// Binary FPIR instruction template.
 pub fn tfpir2(op: FpirOp, a: Template, b: Template) -> Template {
     Template::Fpir(op, vec![a, b])
-}
-
-/// FPIR instruction template.
-pub fn tfpir(op: FpirOp, args: Vec<Template>) -> Template {
-    Template::Fpir(op, args)
 }
 
 /// Binary primitive template.

@@ -5,12 +5,11 @@
 //! (hand-written, or synthesized from a benchmark's expressions — used by
 //! the leave-one-out protocol of §5 and the ablation of §5.3).
 //!
-//! [`RuleSet::validate`] instantiates each rule generically and checks that
-//! substitution succeeds, that the rule preserves types, and (for lifting
-//! rules) that it strictly reduces the target-agnostic cost — the paper's
-//! convergence requirement.
+//! [`instantiate_lhs_all`] builds the concrete instances of a rule's
+//! left-hand side that `pitchfork-lint`'s `rulecheck` checks each rule on:
+//! that it applies, strictly descends in cost (the paper's convergence
+//! requirement for lifting rules), and is semantically sound.
 
-use crate::cost::{AgnosticCost, CostModel};
 use crate::pattern::{match_pat, Pat, TypePat};
 use crate::predicate::Predicate;
 use crate::template::{substitute, Template};
@@ -231,69 +230,6 @@ impl RuleSet {
                 .collect(),
             index: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Validate every rule: generic instantiation must match its own LHS,
-    /// substitute cleanly, preserve types, and — when `check_cost` —
-    /// strictly reduce the target-agnostic cost (the convergence
-    /// requirement of §3.2).
-    ///
-    /// Every violation across every rule and every type instantiation is
-    /// accumulated and returned, so one pass reports the full damage
-    /// instead of the first problem per rule.
-    pub fn validate(&self, check_cost: bool) -> Vec<RuleIssue> {
-        let mut issues = Vec::new();
-        for rule in &self.rules {
-            let insts = instantiate_lhs_all(rule, 4);
-            if insts.is_empty() {
-                issues.push(RuleIssue {
-                    rule: rule.name.clone(),
-                    problem: "could not instantiate the left-hand side".into(),
-                });
-                continue;
-            }
-            for inst in insts {
-                // Same tight variable bounds as instantiation uses, so
-                // bounds-predicated rules can fire.
-                let mut bounds = fpir::bounds::BoundsCtx::new();
-                for (name, _) in inst.free_vars() {
-                    bounds.set_var_bound(name, fpir::bounds::Interval::new(0, 1));
-                }
-                match rule.apply(&inst, &mut bounds) {
-                    Some(out) => {
-                        if check_cost {
-                            let model = AgnosticCost;
-                            if model.cost(&out) >= model.cost(&inst) {
-                                issues.push(RuleIssue {
-                                    rule: rule.name.clone(),
-                                    problem: format!("does not reduce cost: {inst} -> {out}"),
-                                });
-                            }
-                        }
-                    }
-                    None => issues.push(RuleIssue {
-                        rule: rule.name.clone(),
-                        problem: format!("failed to apply to its own instantiation {inst}"),
-                    }),
-                }
-            }
-        }
-        issues
-    }
-}
-
-/// A problem found by [`RuleSet::validate`].
-#[derive(Debug, Clone)]
-pub struct RuleIssue {
-    /// The offending rule's name.
-    pub rule: String,
-    /// What went wrong.
-    pub problem: String,
-}
-
-impl fmt::Display for RuleIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rule `{}`: {}", self.rule, self.problem)
     }
 }
 
@@ -673,34 +609,6 @@ mod tests {
         let rule = mul_pow2_rule();
         let inst = instantiate_lhs(&rule).expect("instantiable");
         assert!(match_pat(&rule.lhs, &inst).is_some());
-    }
-
-    #[test]
-    fn validate_passes_good_rule() {
-        let mut rs = RuleSet::new("test");
-        rs.push(mul_pow2_rule());
-        let issues = rs.validate(true);
-        assert!(issues.is_empty(), "{issues:?}");
-    }
-
-    #[test]
-    fn validate_flags_cost_increase() {
-        // A rule rewriting x + y -> (x + y) + 0 inflates cost.
-        let lhs = pat_add(wild(0), wild(1));
-        let rhs = Template::Bin(
-            fpir::BinOp::Add,
-            Box::new(Template::Bin(
-                fpir::BinOp::Add,
-                Box::new(Template::Wild(0)),
-                Box::new(Template::Wild(1)),
-            )),
-            Box::new(Template::Lit { value: 0, ty: TyRef::OfWild(0) }),
-        );
-        let mut rs = RuleSet::new("bad");
-        rs.push(Rule::new("inflate", RuleClass::Lift, lhs, rhs));
-        let issues = rs.validate(true);
-        assert_eq!(issues.len(), 1);
-        assert!(issues[0].problem.contains("cost"));
     }
 
     #[test]

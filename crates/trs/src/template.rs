@@ -154,7 +154,8 @@ pub enum Template {
 }
 
 /// Substitution failure — indicates a mis-authored rule (the rewriter
-/// treats it as a non-match, and ruleset validation surfaces it).
+/// treats it as a non-match, and `rulecheck` reports the rule as not
+/// applying to its own instantiation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubstError {
     /// A template referenced a wildcard the pattern never bound.
