@@ -28,6 +28,7 @@
 //! say why in the change description.
 
 use fpir::expr::{Expr, ExprKind, RcExpr};
+use fpir::identity::FnvHasher;
 use fpir::machine::ALL_ISAS;
 use fpir::rand_expr::{gen_expr, GenConfig};
 use fpir::types::ScalarType;
@@ -36,6 +37,7 @@ use pitchfork::Pitchfork;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::hash::Hasher;
 
 mod common;
 
@@ -57,15 +59,11 @@ const TYPES: [ScalarType; 6] = [
     ScalarType::I32,
 ];
 
-/// FNV-1a, 64-bit: stable across platforms and toolchains.
-struct Fnv(u64);
-
-impl Fnv {
-    fn write(&mut self, s: &str) {
-        for &b in s.as_bytes().iter().chain(b"\n") {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+/// Fold one line into a digest. FNV-1a is stable across platforms and
+/// toolchains.
+fn fold(h: &mut FnvHasher, s: &str) {
+    h.write(s.as_bytes());
+    h.write(b"\n");
 }
 
 /// Serialize `e` as one line per distinct subtree, numbered by structure.
@@ -110,23 +108,23 @@ fn serialize(e: &RcExpr) -> String {
 }
 
 /// Fold one compilation into the digest.
-fn record(h: &mut Fnv, label: &str, pf: &Pitchfork, e: &RcExpr) {
-    h.write(label);
+fn record(h: &mut FnvHasher, label: &str, pf: &Pitchfork, e: &RcExpr) {
+    fold(h, label);
     match pf.compile(e) {
         Ok(c) => {
-            h.write(&serialize(&c.lifted));
-            h.write(&serialize(&c.lowered));
-            h.write(&format!("{:?}", c.lift_stats.fired_seq()));
-            h.write(&format!("{:?}", c.lower_stats.fired()));
+            fold(h, &serialize(&c.lifted));
+            fold(h, &serialize(&c.lowered));
+            fold(h, &format!("{:?}", c.lift_stats.fired_seq()));
+            fold(h, &format!("{:?}", c.lower_stats.fired()));
         }
-        Err(err) => h.write(&format!("error: {err}")),
+        Err(err) => fold(h, &format!("error: {err}")),
     }
 }
 
 #[test]
 fn selection_output_matches_the_pinned_digest() {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let mut rules = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = FnvHasher::default();
+    let mut rules = FnvHasher::default();
     let (mut artifacts, mut instantiations) = (0, 0);
     for isa in ALL_ISAS {
         let pf = Pitchfork::new(isa);
@@ -148,12 +146,9 @@ fn selection_output_matches_the_pinned_digest() {
     }
     assert_eq!(artifacts, 100);
     assert_eq!(instantiations, 973);
-    println!("selection digest: {:#018x}", h.0);
-    println!("rule instantiation digest: {:#018x}", rules.0);
-    assert_eq!(h.0, PINNED, "selection output changed: digest {:#018x}", h.0);
-    assert_eq!(
-        rules.0, PINNED_RULES,
-        "rule instantiation output changed: digest {:#018x}",
-        rules.0
-    );
+    let (h, rules) = (h.finish(), rules.finish());
+    println!("selection digest: {h:#018x}");
+    println!("rule instantiation digest: {rules:#018x}");
+    assert_eq!(h, PINNED, "selection output changed: digest {h:#018x}");
+    assert_eq!(rules, PINNED_RULES, "rule instantiation output changed: digest {rules:#018x}");
 }

@@ -40,8 +40,10 @@ OPTIONS:
     --peer ADDR         a sibling daemon (unix:PATH, tcp:ADDR, or bare;
                         repeatable); on a miss the key's owner is asked
                         before compiling locally
-    --peer-timeout-ms N how long a peer fetch may stall before the
-                        request compiles locally [default: 1500]
+    --peer-timeout-ms N bound on one fetch from a key's owner (connect,
+                        send and receive; the request's deadline may cut
+                        it shorter), after which the request compiles
+                        locally [default: 1500]
     -h, --help          print this help
 ";
 

@@ -13,19 +13,24 @@
 //!                          │ wakeup pipe              │ submit_batch
 //!                  ┌───────┴──────────────────────────▼───────────┐
 //!                  │        dispatch workers (TaskQueue)          │
-//!                  │   Service::handle_local — compile inline     │
+//!                  │   Service::handle — disk, owner, or compile  │
 //!                  └──────────────────────────────────────────────┘
 //! ```
 //!
 //! Every iteration `poll(2)`s the listener, the wakeup pipe, and every
-//! connection; readable connections feed a buffering [`FrameReader`],
-//! complete frames queue per-connection as *pending* work, and a pump
-//! either answers them inline ([`Service::classify`] — control ops and
-//! cache hits) or collects them into one **dispatch batch** submitted
-//! to the worker queue under a single lock. Workers push
-//! completions and write one coalesced byte into the wakeup pipe, so a
-//! slow compile never blocks the loop and a cache hit on any
-//! connection is answered in the iteration it arrives.
+//! client connection; readable connections feed a buffering
+//! [`FrameReader`], complete frames queue per-connection as *pending*
+//! work, and a pump either answers them inline ([`Service::classify`] —
+//! control ops and cache hits) or collects them into one **dispatch
+//! batch** submitted to the worker queue under a single lock. Workers
+//! push completions and write one coalesced byte into the wakeup pipe,
+//! so a slow compile never blocks the loop and a cache hit on any
+//! connection is answered in the iteration it arrives. The loop holds
+//! no peer sockets: a fleet fetch runs on the worker, inside the
+//! artifact cache's single-flight leader (see [`crate::peer`]). A
+//! daemon in a fleet serves siblings' `peer_get`s on a second pool of
+//! the same size, whose tasks never fetch, so workers waiting on each
+//! other's daemons always find someone to answer them.
 //!
 //! **Ordering.** Tagged requests (protocol v2) may be answered out of
 //! order — the tag is the correlation. An untagged request is a full
@@ -42,19 +47,18 @@
 //! bound are shed with `overloaded`.
 //!
 //! **Deadlines.** Every frame is stamped when it arrives, and a worker
-//! charges the time since then (dispatch queue, parked peer fetch)
-//! against the request's `timeout_ms` before it calls
-//! [`Service::handle_local`]; a request whose budget is already spent is
-//! answered `timeout` without compiling.
+//! charges the time since then (the dispatch queue) against the
+//! request's `timeout_ms` before it serves the request; a request whose
+//! budget is already spent is answered `timeout` without compiling.
+//! What is left bounds the disk refill, the peer fetch and the compile.
 
 use crate::error::ServiceError;
 use crate::json::Json;
-use crate::key::CacheKey;
-use crate::peer;
+use crate::peer::Fleet;
 use crate::poll::{lower_thread_priority, poll_fds, wake_pipe, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{
-    attach_tag, attach_tag_rendered, decode_frame, error_response, parse_request, peer_get_frame,
-    request_tag, write_frame, FrameReader, FrameWriter, Request, FILL_CHUNK, MAX_FRAME,
+    attach_tag, attach_tag_rendered, decode_frame, error_response, parse_request, request_tag,
+    write_frame, FrameReader, FrameWriter, Request, MAX_FRAME,
 };
 use crate::server::{Endpoint, StopFlag};
 use crate::service::{CacheDecision, FastReply, Resolved, Service};
@@ -94,8 +98,9 @@ pub struct ServeOptions {
     /// before compiling locally; every daemon must list the same fleet
     /// (its own serving address excluded), spelled identically.
     pub peers: Vec<Endpoint>,
-    /// How long a forwarded fetch may wait for the owning peer before
-    /// the request degrades to a local compile.
+    /// Bound on one fetch from a key's owner — connect, send and
+    /// receive together; the request's own deadline may cut it shorter.
+    /// Past it the request compiles locally.
     pub peer_timeout_ms: u64,
 }
 
@@ -135,26 +140,15 @@ impl Listener {
     }
 }
 
-/// One accepted connection's socket.
-enum Stream {
+/// A connected Unix or TCP socket: an accepted connection, or a
+/// [`Client`](crate::server::Client)'s.
+#[derive(Debug)]
+pub(crate) enum Stream {
     Unix(UnixStream),
     Tcp(TcpStream),
 }
 
 impl Stream {
-    /// Dial a peer daemon. The connect itself may block briefly —
-    /// peers are co-located and either accept immediately or refuse —
-    /// after which the socket joins the poll set non-blocking like any
-    /// accepted connection.
-    fn connect(ep: &Endpoint) -> io::Result<Stream> {
-        let s = match ep {
-            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
-            Endpoint::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr.as_str())?),
-        };
-        s.set_nonblocking()?;
-        Ok(s)
-    }
-
     fn fd(&self) -> RawFd {
         match self {
             Stream::Unix(s) => s.as_raw_fd(),
@@ -166,6 +160,20 @@ impl Stream {
         match self {
             Stream::Unix(s) => s.set_nonblocking(true),
             Stream::Tcp(s) => s.set_nonblocking(true),
+        }
+    }
+
+    /// Bound each blocking read and write by `t` (`None`: no bound).
+    pub(crate) fn set_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => {
+                s.set_read_timeout(t)?;
+                s.set_write_timeout(t)
+            }
+            Stream::Tcp(s) => {
+                s.set_read_timeout(t)?;
+                s.set_write_timeout(t)
+            }
         }
     }
 }
@@ -507,10 +515,11 @@ struct DispatchItem {
 
 /// What a dispatch worker runs for one item. The request's effective
 /// budget (`timeout_ms`, else the service default) runs from the
-/// frame's arrival, so the wait for a worker or a peer is charged
-/// first: the spec keeps only what is left, and a request with nothing
-/// left is answered `timeout` without compiling.
-fn dispatch_one(service: &Service, it: &mut DispatchItem) -> Json {
+/// frame's arrival, so the wait for a worker is charged first: the spec
+/// keeps only what is left, and a request with nothing left is answered
+/// `timeout` without compiling. `fleet` is `None` once the daemon is
+/// stopping, so a stopping daemon starts no peer fetch.
+fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>) -> Json {
     if let Request::Compile(spec)
     | Request::Run { spec, .. }
     | Request::RunPipeline { spec, .. }
@@ -528,7 +537,7 @@ fn dispatch_one(service: &Service, it: &mut DispatchItem) -> Json {
             spec.timeout_ms = Some(left.as_nanos().div_ceil(1_000_000) as u64);
         }
     }
-    service.handle(&it.req, it.resolved.take())
+    service.handle(&it.req, it.resolved.take(), fleet)
 }
 
 /// A finished dispatched request on its way back to the loop.
@@ -543,237 +552,13 @@ struct Completion {
 struct DispatchShared {
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
-}
-
-/// Reconnect backoff after a failed peer dial or a dead peer socket —
-/// a down daemon costs at most one connect attempt per second, and
-/// misses routed to it in between degrade to local compiles instantly.
-const PEER_RETRY: Duration = Duration::from_secs(1);
-
-/// One live multiplexed connection to a sibling daemon. Requests and
-/// responses are correlated by tag, exactly like a v2 client.
-struct PeerConn {
-    stream: Stream,
-    reader: FrameReader,
-    writer: FrameWriter,
-}
-
-/// One configured sibling daemon, connected or not.
-struct PeerState {
-    /// The rendezvous node id — the peer's [`Endpoint`] display form.
-    id: String,
-    endpoint: Endpoint,
-    conn: Option<PeerConn>,
-    /// Don't redial before this instant.
-    retry_at: Instant,
-}
-
-/// One in-flight `peer_get`: every local request for `key` that
-/// arrived while the fetch was out joins `items` (loop-level
-/// single-flight), and all of them dispatch together when the response
-/// lands, times out, or the peer dies.
-struct PeerWait {
-    key: CacheKey,
-    /// Index into [`PeerSet::peers`] of the owner asked.
-    peer: usize,
-    deadline: Instant,
-    items: Vec<DispatchItem>,
-}
-
-/// The loop's view of the fleet: the address book, live connections,
-/// and outstanding fetches.
-struct PeerSet {
-    self_id: String,
-    peers: Vec<PeerState>,
-    /// `peers[i].id`, pre-collected for [`peer::owner_index`].
-    ids: Vec<String>,
-    waits: HashMap<i128, PeerWait>,
-    /// Key → outstanding wait tag, for single-flight joins.
-    by_key: HashMap<CacheKey, i128>,
-    next_tag: i128,
-    timeout: Duration,
-    outq_bytes: usize,
-}
-
-impl PeerSet {
-    fn new(self_id: &str, opts: &ServeOptions) -> PeerSet {
-        let now = Instant::now();
-        let peers: Vec<PeerState> = opts
-            .peers
-            .iter()
-            .map(|ep| PeerState {
-                id: ep.to_string(),
-                endpoint: ep.clone(),
-                conn: None,
-                retry_at: now,
-            })
-            .collect();
-        let ids = peers.iter().map(|p| p.id.clone()).collect();
-        PeerSet {
-            self_id: self_id.to_string(),
-            peers,
-            ids,
-            waits: HashMap::new(),
-            by_key: HashMap::new(),
-            next_tag: 1,
-            timeout: Duration::from_millis(opts.peer_timeout_ms.max(1)),
-            outq_bytes: opts.outq_bytes,
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        !self.peers.is_empty()
-    }
-
-    /// A live connection to `peers[i]`, dialing if the backoff allows.
-    fn ensure_conn(&mut self, i: usize, now: Instant) -> bool {
-        let p = &mut self.peers[i];
-        if p.conn.is_some() {
-            return true;
-        }
-        if now < p.retry_at {
-            return false;
-        }
-        match Stream::connect(&p.endpoint) {
-            Ok(stream) => {
-                p.conn = Some(PeerConn {
-                    stream,
-                    reader: FrameReader::new(),
-                    writer: FrameWriter::new(self.outq_bytes),
-                });
-                true
-            }
-            Err(e) => {
-                p.retry_at = now + PEER_RETRY;
-                eprintln!("pitchforkd: peer {} unreachable: {e}", p.id);
-                false
-            }
-        }
-    }
-
-    /// Route one local+disk miss (an item carrying its resolved key):
-    /// the key's rendezvous owner is asked for its artifact, anything
-    /// else (we own it, the owner is down, its queue is full) compiles
-    /// locally via `batch`.
-    fn route(
-        &mut self,
-        item: DispatchItem,
-        batch: &mut Vec<DispatchItem>,
-        stats: &Stats,
-        now: Instant,
-    ) {
-        let r = item.resolved.as_ref().expect("a forwarded miss carries its key");
-        let Some(owner) = peer::owner_index(&self.self_id, &self.ids, r.key_fingerprint()) else {
-            // Our key: compile here. Peers asking for it take the
-            // `peer_get` path and find it in the warm cache.
-            batch.push(item);
-            return;
-        };
-        if let Some(&tag) = self.by_key.get(r.key()) {
-            // A fetch for this key is already out: join it.
-            self.waits.get_mut(&tag).expect("by_key wait exists").items.push(item);
-            return;
-        }
-        if !self.ensure_conn(owner, now) {
-            Stats::bump(&stats.peer_errors);
-            batch.push(item);
-            return;
-        }
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let frame = peer_get_frame(r.key(), tag);
-        let pc = self.peers[owner].conn.as_mut().expect("ensured above");
-        if pc.writer.queue(&frame).is_err() {
-            Stats::bump(&stats.peer_errors);
-            batch.push(item);
-            return;
-        }
-        let key = r.key().clone();
-        self.by_key.insert(key.clone(), tag);
-        self.waits.insert(
-            tag,
-            PeerWait { key, peer: owner, deadline: now + self.timeout, items: vec![item] },
-        );
-    }
-
-    /// A peer connection died: drop it, back off, and fail every wait
-    /// parked on it so the requests compile locally this iteration.
-    fn fail_peer(&mut self, i: usize, ready: &mut Vec<DispatchItem>, stats: &Stats, now: Instant) {
-        self.peers[i].conn = None;
-        self.peers[i].retry_at = now + PEER_RETRY;
-        let tags: Vec<i128> =
-            self.waits.iter().filter(|(_, w)| w.peer == i).map(|(t, _)| *t).collect();
-        for t in tags {
-            let w = self.waits.remove(&t).expect("collected above");
-            self.by_key.remove(&w.key);
-            Stats::bump(&stats.peer_errors);
-            ready.extend(w.items);
-        }
-    }
-
-    /// Expire overdue fetches (all of them when `force` — a stopping
-    /// server must answer everything inside the drain grace).
-    fn sweep(&mut self, now: Instant, force: bool, ready: &mut Vec<DispatchItem>, stats: &Stats) {
-        if self.waits.is_empty() {
-            return;
-        }
-        let tags: Vec<i128> = self
-            .waits
-            .iter()
-            .filter(|(_, w)| force || now >= w.deadline)
-            .map(|(t, _)| *t)
-            .collect();
-        for t in tags {
-            let w = self.waits.remove(&t).expect("collected above");
-            self.by_key.remove(&w.key);
-            Stats::bump(&stats.peer_timeouts);
-            ready.extend(w.items);
-        }
-    }
-
-    /// One response frame from a peer. A matching wait resolves — on a
-    /// verified artifact the cache is now warm and the waiting requests
-    /// will hit it — and an unknown tag (a fetch that already timed
-    /// out) is ignored. Either way the waiting items go to `ready` for
-    /// normal dispatch.
-    fn handle_response(
-        &mut self,
-        frame: &Json,
-        service: &Service,
-        ready: &mut Vec<DispatchItem>,
-        stats: &Stats,
-    ) {
-        let Some(tag) = frame.get("tag").and_then(|t| t.as_int()) else {
-            return;
-        };
-        let Some(w) = self.waits.remove(&tag) else {
-            return;
-        };
-        self.by_key.remove(&w.key);
-        let ok = frame.get("ok").and_then(|v| v.as_bool()) == Some(true);
-        let found = frame.get("found").and_then(|v| v.as_bool()) == Some(true);
-        match frame.get("artifact") {
-            Some(art) if ok && found => match service.admit_peer_artifact(&w.key, art) {
-                Ok(()) => Stats::bump(&stats.peer_hits),
-                Err(e) => {
-                    eprintln!(
-                        "pitchforkd: peer {} sent an unusable artifact: {e}",
-                        self.peers[w.peer].id
-                    );
-                    Stats::bump(&stats.peer_errors);
-                }
-            },
-            _ => Stats::bump(&stats.peer_misses),
-        }
-        ready.extend(w.items);
-    }
+    fleet: Fleet,
+    stop: StopFlag,
 }
 
 /// Answer and dispatch everything answerable on one connection. Ready
-/// requests that need a worker go into `batch`, local+disk misses
-/// eligible for peer forwarding go into `remote` (when enabled), and
-/// inline-answerable ones are queued on the writer immediately.
-#[allow(clippy::too_many_arguments)]
+/// requests that need a worker go into `batch`; inline-answerable ones
+/// are queued on the writer immediately.
 fn pump(
     id: u64,
     conn: &mut Conn,
@@ -782,8 +567,6 @@ fn pump(
     opts: &ServeOptions,
     hot: &mut HotCache,
     batch: &mut Vec<DispatchItem>,
-    remote: &mut Vec<DispatchItem>,
-    forward: bool,
 ) {
     loop {
         let Some(front) = conn.pending.front() else {
@@ -832,7 +615,7 @@ fn pump(
                     stop.request();
                     continue;
                 }
-                let (resolved, miss) = match service.classify(&req) {
+                let resolved = match service.classify(&req) {
                     CacheDecision::Reply(FastReply::Raw(mut body)) => {
                         // A compile served from the artifact cache:
                         // splice the tag, then memoize the finished
@@ -850,27 +633,70 @@ fn pump(
                         conn.queue_reply(fast, f.tag.as_ref());
                         continue;
                     }
-                    CacheDecision::Dispatch(resolved) => (resolved, false),
-                    CacheDecision::MissRemote(resolved) => (Some(resolved), true),
+                    CacheDecision::Dispatch(resolved) => resolved,
                 };
                 conn.inflight += 1;
                 if untagged {
                     conn.serial_block = true;
                 }
-                let item = DispatchItem {
+                batch.push(DispatchItem {
                     conn: id,
                     tag: f.tag,
                     untagged,
                     req,
                     resolved,
                     arrived: f.arrived,
-                };
-                if miss && forward {
-                    remote.push(item);
-                } else {
-                    batch.push(item);
-                }
+                });
             }
+        }
+    }
+}
+
+/// Submit `batch` to `queue` under one lock. Whatever the bounded queue
+/// refuses is shed right here, counted as a request and a shed.
+fn submit(
+    queue: &TaskQueue,
+    batch: Vec<DispatchItem>,
+    service: &Arc<Service>,
+    shared: &Arc<DispatchShared>,
+    conns: &mut HashMap<u64, Conn>,
+) {
+    let meta: Vec<(u64, Option<Json>, bool)> =
+        batch.iter().map(|it| (it.conn, it.tag.clone(), it.untagged)).collect();
+    let tasks: Vec<Task> = batch
+        .into_iter()
+        .map(|mut it| {
+            let service = Arc::clone(service);
+            let shared = Arc::clone(shared);
+            Box::new(move || {
+                // A cold compile must not delay the warm hits the loop
+                // answers on the same core.
+                lower_thread_priority();
+                let fleet = (!shared.stop.stopping()).then_some(&shared.fleet);
+                let reply = dispatch_one(&service, &mut it, fleet);
+                shared.completions.lock().expect("completion lock").push(Completion {
+                    conn: it.conn,
+                    tag: it.tag,
+                    untagged: it.untagged,
+                    reply,
+                });
+                shared.waker.wake();
+            }) as Task
+        })
+        .collect();
+    let admitted = queue.submit_batch(tasks);
+    for (conn_id, tag, untagged) in meta.into_iter().skip(admitted) {
+        if let Some(conn) = conns.get_mut(&conn_id) {
+            conn.inflight -= 1;
+            if untagged {
+                conn.serial_block = false;
+            }
+            Stats::bump(&service.stats().requests);
+            Stats::bump(&service.stats().sheds);
+            conn.queue_reply(
+                FastReply::Json(error_response(&ServiceError::Overloaded)),
+                tag.as_ref(),
+            );
         }
     }
 }
@@ -886,13 +712,24 @@ pub(crate) fn run(
     self_id: &str,
 ) -> io::Result<()> {
     let (mut wake_rx, waker) = wake_pipe()?;
-    let shared = Arc::new(DispatchShared { completions: Mutex::new(Vec::new()), waker });
-    let dispatch =
-        TaskQueue::new(service.config().workers.max(2), (opts.max_connections * 2).max(256));
+    let shared = Arc::new(DispatchShared {
+        completions: Mutex::new(Vec::new()),
+        waker,
+        fleet: Fleet::new(self_id, opts),
+        stop: stop.clone(),
+    });
+    let (workers, capacity) =
+        (service.config().workers.max(2), (opts.max_connections * 2).max(256));
+    let dispatch = TaskQueue::new(workers, capacity);
+    // A worker fetching from a peer waits for that peer's workers. If two
+    // daemons' workers all waited on each other, neither could serve the
+    // `peer_get`s they wait for until the fetches timed out, so a daemon
+    // in a fleet serves `peer_get` on a pool of its own, whose tasks
+    // never fetch.
+    let peer_dispatch = (!opts.peers.is_empty()).then(|| TaskQueue::new(workers, capacity));
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut hot = HotCache::new(service.rules_generation());
-    let mut peers = PeerSet::new(self_id, opts);
     let mut next_id: u64 = 0;
     let mut drain_deadline: Option<Instant> = None;
 
@@ -913,7 +750,7 @@ pub(crate) fn run(
         }
 
         // ── build the poll set ──────────────────────────────────────
-        let mut fds = Vec::with_capacity(2 + conns.len() + peers.peers.len());
+        let mut fds = Vec::with_capacity(2 + conns.len());
         fds.push(PollFd::new(wake_rx.fd(), POLLIN));
         let listener_idx = if stopping {
             None
@@ -933,20 +770,6 @@ pub(crate) fn run(
                 interest |= POLLOUT;
             }
             fds.push(PollFd::new(c.stream.fd(), interest));
-        }
-        // Live peer connections poll alongside the clients: always
-        // readable (responses arrive whenever the owner answers),
-        // writable only while a `peer_get` is still queued.
-        let peer_base = fds.len();
-        let peer_order: Vec<usize> =
-            (0..peers.peers.len()).filter(|&i| peers.peers[i].conn.is_some()).collect();
-        for &pi in &peer_order {
-            let pc = peers.peers[pi].conn.as_ref().expect("filtered on is_some");
-            let mut interest = POLLIN;
-            if !pc.writer.is_empty() {
-                interest |= POLLOUT;
-            }
-            fds.push(PollFd::new(pc.stream.fd(), interest));
         }
 
         poll_fds(&mut fds, POLL_TIMEOUT)?;
@@ -968,57 +791,6 @@ pub(crate) fn run(
                 conn.queue_reply(FastReply::Json(c.reply), c.tag.as_ref());
             }
         }
-
-        // ── peer I/O: flush queued fetches, correlate responses ─────
-        // Items freed here (response landed, fetch timed out, peer
-        // died) join this iteration's dispatch batch; a resolved fetch
-        // admitted its artifact, so those items hit the now-warm cache.
-        let mut ready: Vec<DispatchItem> = Vec::new();
-        let now = Instant::now();
-        let stats = service.stats();
-        for (j, &pi) in peer_order.iter().enumerate() {
-            let pf = &fds[peer_base + j];
-            let (failed, readable, writable) = (pf.failed(), pf.readable(), pf.writable());
-            let mut dead = failed;
-            let mut frames: Vec<Json> = Vec::new();
-            if !dead {
-                let pc = peers.peers[pi].conn.as_mut().expect("registered");
-                if writable && pc.writer.write_some(&mut pc.stream).is_err() {
-                    dead = true;
-                }
-                while !dead && readable {
-                    match pc.reader.fill_from(&mut pc.stream) {
-                        Ok(0) => dead = true,
-                        Ok(n) => {
-                            loop {
-                                match pc.reader.buffered_frame() {
-                                    Ok(Some(frame)) => frames.push(frame),
-                                    Ok(None) => break,
-                                    Err(_) => {
-                                        // Unframeable bytes: the stream
-                                        // can't be trusted any more.
-                                        dead = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            if n < FILL_CHUNK {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => dead = true,
-                    }
-                }
-            }
-            for frame in &frames {
-                peers.handle_response(frame, service, &mut ready, stats);
-            }
-            if dead {
-                peers.fail_peer(pi, &mut ready, stats, now);
-            }
-        }
-        peers.sweep(now, stopping, &mut ready, stats);
 
         // ── accept ──────────────────────────────────────────────────
         if let Some(i) = listener_idx {
@@ -1064,70 +836,23 @@ pub(crate) fn run(
         }
 
         // ── pump: inline replies + collect the dispatch batch ───────
-        let mut batch: Vec<DispatchItem> = std::mem::take(&mut ready);
-        let mut remote: Vec<DispatchItem> = Vec::new();
-        let forward = peers.enabled() && !stopping;
+        let mut batch: Vec<DispatchItem> = Vec::new();
         for (&id, conn) in conns.iter_mut() {
             if !conn.dead {
-                pump(id, conn, service, stop, opts, &mut hot, &mut batch, &mut remote, forward);
-            }
-        }
-
-        // ── route misses to their owners, flush the fetch frames ────
-        for item in remote {
-            peers.route(item, &mut batch, stats, now);
-        }
-        for p in peers.peers.iter_mut() {
-            if let Some(pc) = p.conn.as_mut() {
-                if !pc.writer.is_empty() {
-                    // A write failure is deliberately left alone: the
-                    // fd polls as failed next iteration and fail_peer
-                    // reroutes the parked waits to local compiles.
-                    let _ = pc.writer.write_some(&mut pc.stream);
-                }
+                pump(id, conn, service, stop, opts, &mut hot, &mut batch);
             }
         }
 
         // ── dispatch the batch under one queue lock ─────────────────
         if !batch.is_empty() {
             Stats::record_max(&service.stats().dispatch_batch_max, batch.len() as u64);
-            let meta: Vec<(u64, Option<Json>, bool)> =
-                batch.iter().map(|it| (it.conn, it.tag.clone(), it.untagged)).collect();
-            let tasks: Vec<Task> = batch
-                .into_iter()
-                .map(|mut it| {
-                    let service = Arc::clone(service);
-                    let shared = Arc::clone(&shared);
-                    Box::new(move || {
-                        // A cold compile must not delay the warm hits the
-                        // loop answers on the same core.
-                        lower_thread_priority();
-                        let reply = dispatch_one(&service, &mut it);
-                        shared.completions.lock().expect("completion lock").push(Completion {
-                            conn: it.conn,
-                            tag: it.tag,
-                            untagged: it.untagged,
-                            reply,
-                        });
-                        shared.waker.wake();
-                    }) as Task
-                })
-                .collect();
-            let admitted = dispatch.submit_batch(tasks);
-            // Whatever the bounded queue refused is shed right here,
-            // counted as a request and a shed.
-            for (conn_id, tag, untagged) in meta.into_iter().skip(admitted) {
-                if let Some(conn) = conns.get_mut(&conn_id) {
-                    conn.inflight -= 1;
-                    if untagged {
-                        conn.serial_block = false;
-                    }
-                    Stats::bump(&service.stats().requests);
-                    Stats::bump(&service.stats().sheds);
-                    conn.queue_reply(
-                        FastReply::Json(error_response(&ServiceError::Overloaded)),
-                        tag.as_ref(),
-                    );
+            match &peer_dispatch {
+                None => submit(&dispatch, batch, service, &shared, &mut conns),
+                Some(peer_dispatch) => {
+                    let (peer_gets, batch): (Vec<_>, Vec<_>) =
+                        batch.into_iter().partition(|it| matches!(it.req, Request::PeerGet { .. }));
+                    submit(&dispatch, batch, service, &shared, &mut conns);
+                    submit(peer_dispatch, peer_gets, service, &shared, &mut conns);
                 }
             }
         }
@@ -1142,12 +867,14 @@ pub(crate) fn run(
         let stats = service.stats();
         Stats::set(&stats.open_connections, conns.len() as u64);
         Stats::set(&stats.inflight_frames, conns.values().map(|c| c.inflight as u64).sum());
-        Stats::set(&stats.dispatch_queue_depth, dispatch.depth() as u64);
+        let depth = dispatch.depth() + peer_dispatch.as_ref().map_or(0, TaskQueue::depth);
+        Stats::set(&stats.dispatch_queue_depth, depth as u64);
     }
 
     // Late completions after the drain window are dropped with the
-    // queue (its Drop runs admitted tasks to completion first).
+    // queues (their Drop runs admitted tasks to completion first).
     drop(dispatch);
+    drop(peer_dispatch);
     Stats::set(&service.stats().open_connections, 0);
     Stats::set(&service.stats().inflight_frames, 0);
     Stats::set(&service.stats().dispatch_queue_depth, 0);

@@ -12,8 +12,10 @@
 
 use crate::protocol::CompileSpec;
 use fpir::expr::RcExpr;
+use fpir::identity::FnvHasher;
 use fpir::Isa;
 use pitchfork::Pitchfork;
+use std::hash::Hasher;
 
 /// The exact identity of one compilation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -64,16 +66,16 @@ impl CacheKey {
     /// Variable-length members are length-prefixed and `leave_out` has a
     /// presence byte, so no two distinct keys hash the same byte stream.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_prefixed(self.expr.as_bytes());
+        let mut h = FnvHasher::default();
+        write_prefixed(&mut h, self.expr.as_bytes());
         h.write(&self.lanes.to_le_bytes());
-        h.write_prefixed(self.isa.short_name().as_bytes());
+        write_prefixed(&mut h, self.isa.short_name().as_bytes());
         h.write(&[self.synthesized_rules as u8]);
         match &self.leave_out {
             None => h.write(&[0]),
             Some(l) => {
                 h.write(&[1]);
-                h.write_prefixed(l.as_bytes());
+                write_prefixed(&mut h, l.as_bytes());
             }
         }
         h.write(&self.rules_fp.to_le_bytes());
@@ -86,7 +88,7 @@ impl CacheKey {
 /// in set order, lift then lower. Changes whenever a rule is added,
 /// removed, reordered, or edited.
 pub fn ruleset_fingerprint(pf: &Pitchfork) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = FnvHasher::default();
     for (tag, set) in [("lift", pf.lift_rule_set()), ("lower", pf.lower_rule_set())] {
         h.write(tag.as_bytes());
         h.write(&(set.rules().len() as u64).to_le_bytes());
@@ -98,47 +100,11 @@ pub fn ruleset_fingerprint(pf: &Pitchfork) -> u64 {
     h.finish()
 }
 
-/// FNV-1a, 64-bit. Not cryptographic — a display/fingerprint hash only;
-/// correctness never depends on it (the structured key is the identity).
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// The offset-basis state.
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorb bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Absorb `bytes` after their length, so adjacent fields cannot
-    /// trade bytes.
-    pub fn write_prefixed(&mut self, bytes: &[u8]) {
-        self.write(&(bytes.len() as u64).to_le_bytes());
-        self.write(bytes);
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv::new()
-    }
-}
-
-impl std::fmt::Debug for Fnv {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Fnv({:016x})", self.0)
-    }
+/// Absorb `bytes` after their length, so adjacent fields cannot trade
+/// bytes.
+fn write_prefixed(h: &mut FnvHasher, bytes: &[u8]) {
+    h.write(&(bytes.len() as u64).to_le_bytes());
+    h.write(bytes);
 }
 
 #[cfg(test)]
@@ -242,13 +208,13 @@ mod tests {
     #[test]
     fn fnv_matches_known_vectors() {
         // Standard FNV-1a 64 test vectors.
-        let mut h = Fnv::new();
+        let mut h = FnvHasher::default();
         h.write(b"");
         assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv::new();
+        let mut h = FnvHasher::default();
         h.write(b"a");
         assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv::new();
+        let mut h = FnvHasher::default();
         h.write(b"foobar");
         assert_eq!(h.finish(), 0x85944171f73967e8);
     }

@@ -45,35 +45,6 @@ pub fn write_frame(w: &mut impl Write, v: &Json) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame from a reader with no read timeout. `Ok(None)` on
-/// clean end-of-stream (the peer closed between frames).
-///
-/// Uses `read_exact`, which drops already-consumed bytes if a read
-/// fails mid-frame — only safe on blocking streams where the sole
-/// failure modes are EOF and connection errors. Readers with a read
-/// timeout (the server's connection loops) must use [`FrameReader`],
-/// which retains partial bytes across timed-out reads.
-///
-/// # Errors
-///
-/// I/O errors from `r`; `InvalidData` on an oversized length, a
-/// truncated body, non-UTF-8 bytes, or malformed JSON.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_body(body).map(Some)
-}
-
 fn decode_body(body: Vec<u8>) -> io::Result<Json> {
     let text = String::from_utf8(body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
@@ -93,13 +64,14 @@ pub fn decode_frame(body: Vec<u8>) -> io::Result<Json> {
 
 /// An incremental, timeout-safe frame decoder.
 ///
-/// Unlike [`read_frame`], this never loses bytes when a read fails:
-/// everything consumed so far stays in an internal buffer, and a
-/// `WouldBlock`/`TimedOut` read mid-frame simply surfaces as an error
-/// the caller can retry — the next [`next_frame`](Self::next_frame)
-/// call resumes exactly where the stream left off. This is what keeps
-/// the server's 50ms-read-timeout connection loops from desynchronizing
-/// when a header or a multi-MiB body arrives split across reads.
+/// It never loses bytes when a read fails: everything consumed so far
+/// stays in an internal buffer, and a `WouldBlock`/`TimedOut` read
+/// mid-frame simply surfaces as an error the caller can retry — the
+/// next [`next_frame`](Self::next_frame) call resumes exactly where the
+/// stream left off. This is what keeps the event loop's non-blocking
+/// reads and a deadline-bounded [`Client`](crate::server::Client)
+/// request from desynchronizing when a header or a multi-MiB body
+/// arrives split across reads.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -669,10 +641,8 @@ pub fn parse_request(v: &Json) -> Result<Request, ServiceError> {
     }
 }
 
-/// Build the `peer_get` request frame for one cache key; `tag`
-/// correlates the response on the requester's multiplexed peer
-/// connection.
-pub fn peer_get_frame(key: &crate::key::CacheKey, tag: i128) -> Json {
+/// Build the `peer_get` request frame for one cache key.
+pub fn peer_get_frame(key: &crate::key::CacheKey) -> Json {
     let mut members = vec![
         ("op".into(), Json::str("peer_get")),
         ("expr".into(), Json::str(key.expr.clone())),
@@ -680,7 +650,6 @@ pub fn peer_get_frame(key: &crate::key::CacheKey, tag: i128) -> Json {
         ("isa".into(), Json::str(key.isa.short_name())),
         ("synthesized_rules".into(), Json::Bool(key.synthesized_rules)),
         ("rules_fp".into(), Json::str(format!("{:016x}", key.rules_fp))),
-        ("tag".into(), Json::Int(tag)),
     ];
     if let Some(l) = &key.leave_out {
         members.insert(5, ("leave_out".into(), Json::str(l.clone())));
@@ -719,9 +688,10 @@ mod tests {
         write_frame(&mut buf, &v).unwrap();
         write_frame(&mut buf, &Json::Null).unwrap();
         let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap(), Some(v));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(Json::Null));
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+        let mut fr = FrameReader::new();
+        assert_eq!(fr.next_frame(&mut r).unwrap(), Some(v));
+        assert_eq!(fr.next_frame(&mut r).unwrap(), Some(Json::Null));
+        assert_eq!(fr.next_frame(&mut r).unwrap(), None, "clean EOF");
     }
 
     /// Yields a stream one byte at a time, interleaving a `TimedOut`
@@ -789,24 +759,6 @@ mod tests {
         let mut fr = FrameReader::new();
         let err = fr.next_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn truncated_frame_is_an_error() {
-        let v = Json::str("hello");
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &v).unwrap();
-        buf.truncate(buf.len() - 2);
-        let mut r = io::Cursor::new(buf);
-        assert!(read_frame(&mut r).is_err());
-    }
-
-    #[test]
-    fn oversized_length_is_rejected() {
-        let mut buf = Vec::from(u32::MAX.to_be_bytes());
-        buf.extend_from_slice(b"xxxx");
-        let mut r = io::Cursor::new(buf);
-        assert!(read_frame(&mut r).is_err());
     }
 
     #[test]
@@ -886,10 +838,11 @@ mod tests {
             }
             assert_eq!(w.queued_bytes(), 0);
             let mut r = io::Cursor::new(sink.out);
+            let mut fr = FrameReader::new();
             for f in &frames {
-                assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(f), "cap={cap}");
+                assert_eq!(fr.next_frame(&mut r).unwrap().as_ref(), Some(f), "cap={cap}");
             }
-            assert_eq!(read_frame(&mut r).unwrap(), None);
+            assert_eq!(fr.next_frame(&mut r).unwrap(), None);
         }
     }
 
@@ -948,9 +901,10 @@ mod tests {
         let mut bytes = sink.0;
         bytes.extend_from_slice(&rest);
         let mut r = io::Cursor::new(bytes);
-        assert_eq!(read_frame(&mut r).unwrap(), Some(a));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(sealed_with));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
+        let mut fr = FrameReader::new();
+        assert_eq!(fr.next_frame(&mut r).unwrap(), Some(a));
+        assert_eq!(fr.next_frame(&mut r).unwrap(), Some(sealed_with));
+        assert_eq!(fr.next_frame(&mut r).unwrap(), None);
     }
 
     #[test]
@@ -962,8 +916,9 @@ mod tests {
         let mut out = Vec::new();
         w.write_some(&mut out).unwrap();
         let mut r = io::Cursor::new(out);
-        assert_eq!(read_frame(&mut r).unwrap(), Some(sealed_with));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
+        let mut fr = FrameReader::new();
+        assert_eq!(fr.next_frame(&mut r).unwrap(), Some(sealed_with));
+        assert_eq!(fr.next_frame(&mut r).unwrap(), None);
     }
 
     #[test]
@@ -1086,7 +1041,7 @@ mod tests {
         );
         for pf in [full, left_out] {
             let key = CacheKey::for_compile(&pf, &expr);
-            let frame = peer_get_frame(&key, 1);
+            let frame = peer_get_frame(&key);
             assert!(frame.get("engine").is_none(), "peer_get no longer names an engine");
             let Ok(Request::PeerGet { spec, rules_fp }) = parse_request(&frame) else {
                 panic!("a peer_get frame must parse as peer_get");

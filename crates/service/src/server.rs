@@ -12,16 +12,17 @@
 //! stops accepting, drains in-flight work and unflushed responses, and
 //! unlinks the Unix socket path.
 
-use crate::eventloop::{self, Listener, ServeOptions};
+use crate::eventloop::{self, Listener, ServeOptions, Stream};
 use crate::json::Json;
-use crate::protocol::{read_frame, write_frame};
+use crate::protocol::{write_frame, FrameReader};
 use crate::service::Service;
-use std::io::{self};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::io::{self, Write};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,7 +157,7 @@ pub fn serve_with(
             // bind fail; remove it if nothing is listening. Racy by
             // construction (see above) — fine for the supported
             // one-daemon-per-path deployment.
-            if path.exists() && std::os::unix::net::UnixStream::connect(path).is_err() {
+            if path.exists() && UnixStream::connect(path).is_err() {
                 let _ = std::fs::remove_file(path);
             }
             let l = UnixListener::bind(path)?;
@@ -178,21 +179,19 @@ pub fn serve_with(
     result
 }
 
-/// A blocking client for the frame protocol.
+/// A blocking client for the frame protocol, over the same Unix or TCP
+/// stream type the event loop serves.
 ///
-/// [`request`](Client::request) is the classic serial call;
+/// [`request`](Client::request) is the classic serial call and
+/// [`request_by`](Client::request_by) the same call under a deadline;
 /// [`send`](Client::send) / [`recv`](Client::recv) split the two halves
 /// so a pipelining client can put many tagged frames on the wire before
-/// reading any response.
+/// reading any response. Responses are read through a [`FrameReader`],
+/// so a read cut short by the deadline loses no bytes.
 #[derive(Debug)]
 pub struct Client {
-    conn: ClientConn,
-}
-
-#[derive(Debug)]
-enum ClientConn {
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
+    stream: Stream,
+    reader: FrameReader,
 }
 
 impl Client {
@@ -202,13 +201,25 @@ impl Client {
     ///
     /// Connection errors.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
-        let conn = match endpoint {
-            Endpoint::Unix(path) => {
-                ClientConn::Unix(std::os::unix::net::UnixStream::connect(path)?)
-            }
-            Endpoint::Tcp(addr) => ClientConn::Tcp(std::net::TcpStream::connect(addr.as_str())?),
+        Client::dial(endpoint, None)
+    }
+
+    /// Connect, giving up with `TimedOut` at `deadline`: a TCP connect
+    /// is bounded by it, a Unix connect succeeds or fails at once.
+    pub(crate) fn dial(endpoint: &Endpoint, deadline: Option<Instant>) -> io::Result<Client> {
+        let stream = match endpoint {
+            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+            Endpoint::Tcp(addr) => Stream::Tcp(match deadline {
+                None => TcpStream::connect(addr.as_str())?,
+                Some(d) => {
+                    let sa = addr.as_str().to_socket_addrs()?.next().ok_or_else(|| {
+                        io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
+                    })?;
+                    TcpStream::connect_timeout(&sa, time_left(d)?)?
+                }
+            }),
         };
-        Ok(Client { conn })
+        Ok(Client { stream, reader: FrameReader::new() })
     }
 
     /// Send one request frame without waiting for the response.
@@ -217,10 +228,11 @@ impl Client {
     ///
     /// I/O errors.
     pub fn send(&mut self, v: &Json) -> io::Result<()> {
-        match &mut self.conn {
-            ClientConn::Unix(s) => write_frame(s, v),
-            ClientConn::Tcp(s) => write_frame(s, v),
-        }
+        // One write per frame: a header and body written apart would
+        // wait on Nagle's algorithm over TCP.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, v)?;
+        self.stream.write_all(&frame)
     }
 
     /// Read one response frame.
@@ -230,11 +242,7 @@ impl Client {
     /// I/O errors; `UnexpectedEof` if the server closed without
     /// answering.
     pub fn recv(&mut self) -> io::Result<Json> {
-        match &mut self.conn {
-            ClientConn::Unix(s) => read_frame(s),
-            ClientConn::Tcp(s) => read_frame(s),
-        }?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))
+        self.recv_by(None)
     }
 
     /// Send one request frame and read one response frame.
@@ -247,6 +255,49 @@ impl Client {
         self.send(v)?;
         self.recv()
     }
+
+    /// [`request`](Client::request), bounded in total by `deadline`.
+    ///
+    /// # Errors
+    ///
+    /// As [`request`](Client::request), plus `TimedOut` once `deadline`
+    /// passes before the response is complete (`WouldBlock` if the send
+    /// itself stalls past it).
+    pub fn request_by(&mut self, v: &Json, deadline: Instant) -> io::Result<Json> {
+        self.stream.set_timeout(Some(time_left(deadline)?))?;
+        self.send(v)?;
+        self.recv_by(Some(deadline))
+    }
+
+    fn recv_by(&mut self, deadline: Option<Instant>) -> io::Result<Json> {
+        loop {
+            self.stream.set_timeout(deadline.map(time_left).transpose()?)?;
+            match self.reader.next_frame(&mut self.stream) {
+                Ok(Some(v)) => return Ok(v),
+                Ok(None) => {
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
+                }
+                // A timed-out read keeps its bytes in the reader; go
+                // round to re-check the deadline.
+                Err(e)
+                    if deadline.is_some()
+                        && matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// The time left until `deadline`; `TimedOut` once it has passed.
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline passed"));
+    }
+    Ok(left)
 }
 
 #[cfg(test)]
@@ -254,8 +305,6 @@ mod tests {
     use super::*;
     use crate::json::parse;
     use crate::service::ServiceConfig;
-    use std::io::Write;
-    use std::time::Duration;
 
     /// The loop's idle poll timeout — partial-write tests pause past it.
     const POLL: Duration = Duration::from_millis(50);
@@ -388,7 +437,7 @@ mod tests {
         let server = start(ep.clone());
         connect_with_retry(&ep); // wait until the server is up
 
-        let mut raw = std::os::unix::net::UnixStream::connect(match &ep {
+        let mut raw = UnixStream::connect(match &ep {
             Endpoint::Unix(p) => p,
             Endpoint::Tcp(_) => unreachable!(),
         })
@@ -403,12 +452,13 @@ mod tests {
             raw.flush().unwrap();
             std::thread::sleep(POLL + Duration::from_millis(20));
         }
-        let pong = read_frame(&mut raw).unwrap().expect("server closed without answering");
+        let mut reader = FrameReader::new();
+        let pong = reader.next_frame(&mut raw).unwrap().expect("server closed without answering");
         assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true), "{pong:?}");
 
         // And the connection is still in sync for a normal request.
         write_frame(&mut raw, &parse(r#"{"op":"stats"}"#).unwrap()).unwrap();
-        let stats = read_frame(&mut raw).unwrap().expect("server closed without answering");
+        let stats = reader.next_frame(&mut raw).unwrap().expect("server closed without answering");
         assert_eq!(stats.get("ok").unwrap().as_bool(), Some(true));
         drop(raw);
 

@@ -13,13 +13,18 @@
 //!   and indexed) per distinct compiler configuration, built on first
 //!   use and kept for the life of the server;
 //! * the **artifact cache** — content-addressed, byte-bounded LRU with
-//!   single-flight deduplication ([`crate::cache`]);
-//! * **deadlines** — a request's `timeout_ms` bounds its compile; the
-//!   compile checks it between pipeline phases via the driver's
-//!   cancellation hook, and flight waiters time out independently while
-//!   the flight continues for the others. The event loop charges the
-//!   time a request waited for a worker against the same budget before
-//!   calling [`Service::handle_local`].
+//!   single-flight deduplication ([`crate::cache`]). A miss's flight
+//!   leader tries three sources in order: the disk store, the key's
+//!   owner in the daemon fleet ([`crate::peer`]; the event loop's
+//!   workers pass the fleet, [`Service::handle_local`] does not), and a
+//!   local compile. Every request for the key joins that one flight,
+//!   whichever source answers;
+//! * **deadlines** — a request's `timeout_ms` bounds its flight: the
+//!   peer fetch stops at it, and the compile checks it between pipeline
+//!   phases via the driver's cancellation hook. Flight waiters time out
+//!   independently while the flight continues for the others. The
+//!   event loop charges the time a request waited for a worker against
+//!   the same budget first.
 //!
 //! Admission control lives in the event loop's bounded dispatch queue;
 //! the service owns no threads.
@@ -33,6 +38,7 @@ use crate::cache::{Cache, CacheError, CacheStats, Source};
 use crate::error::ServiceError;
 use crate::json::Json;
 use crate::key::{ruleset_fingerprint, CacheKey};
+use crate::peer::{Fetched, Fleet};
 use crate::protocol::{error_response, ok_response, CompileSpec, ImageSpec, Request, StatsFormat};
 use crate::stats::Stats;
 use crate::store::{self, DiskStore, Lookup};
@@ -146,16 +152,6 @@ impl Resolved {
         let key_fp = key.fingerprint();
         Resolved { expr, selector, key, key_fp }
     }
-
-    /// The request's cache key.
-    pub(crate) fn key(&self) -> &CacheKey {
-        &self.key
-    }
-
-    /// The key's fingerprint ([`CacheKey::fingerprint`], computed once).
-    pub(crate) fn key_fingerprint(&self) -> u64 {
-        self.key_fp
-    }
 }
 
 /// How the event loop answers a request that did not need a worker:
@@ -170,22 +166,15 @@ pub enum FastReply {
 }
 
 /// How the event loop should treat one ready frame: answer it from
-/// warm state, hand it to a worker, or — for a key this daemon has
-/// neither in memory nor on disk — optionally ask the key's owning
-/// peer before the worker compiles it locally. A dispatched compile,
-/// run or pipeline request carries its [`Resolved`] form for the worker.
+/// warm state, or hand it to a worker. A dispatched compile, run or
+/// pipeline request carries its [`Resolved`] form for the worker.
 #[derive(Debug)]
 pub enum CacheDecision {
     /// Answerable right now; no worker needed.
     Reply(FastReply),
-    /// Needs a worker (compile, run, warm pipeline execution, a refill
-    /// the local disk store can satisfy, or a sibling's `peer_get`,
-    /// which carries no resolution).
+    /// Needs a worker (a cache miss, warm pipeline execution, or a
+    /// sibling's `peer_get`, which carries no resolution).
     Dispatch(Option<Resolved>),
-    /// Needs a worker *and* the key is absent locally: a peering event
-    /// loop may first ask the key's owner for the artifact. Purely an
-    /// optimization — dispatching directly is always correct.
-    MissRemote(Resolved),
 }
 
 /// The concurrent compile-and-run service.
@@ -314,19 +303,24 @@ impl Service {
 
     /// Handle one request, returning the response frame. A cache miss
     /// is refilled from the disk store or compiled right here on the
-    /// calling thread — never forwarded to a peer (that decision belongs
-    /// to the event loop, via [`classify`](Self::classify)). Concurrent
-    /// identical requests share one compile (single-flight). Never
-    /// panics on request content; all failures become `{"ok": false}`
-    /// frames.
+    /// calling thread — never fetched from a peer. Concurrent identical
+    /// requests share one compile (single-flight). Never panics on
+    /// request content; all failures become `{"ok": false}` frames.
     pub fn handle_local(&self, req: &Request) -> Json {
-        self.handle(req, None)
+        self.handle(req, None, None)
     }
 
     /// [`handle_local`](Self::handle_local), given what
-    /// [`classify`](Self::classify) resolved for this same request (the
-    /// event loop's workers pass it on).
-    pub(crate) fn handle(&self, req: &Request, resolved: Option<Resolved>) -> Json {
+    /// [`classify`](Self::classify) resolved for this same request and,
+    /// on a daemon in a fleet that is not stopping, the fleet whose key
+    /// owners a miss may fetch from (the event loop's workers pass
+    /// both).
+    pub(crate) fn handle(
+        &self,
+        req: &Request,
+        resolved: Option<Resolved>,
+        fleet: Option<&Fleet>,
+    ) -> Json {
         Stats::bump(&self.stats.requests);
         let started = Instant::now();
         let out = match req {
@@ -343,20 +337,19 @@ impl Service {
                 // acknowledges it.
                 Ok(ok_response(vec![("stopping".into(), Json::Bool(true))]))
             }
-            Request::Compile(spec) => self.handle_compile(spec, resolved),
-            Request::Run { spec, inputs } => self.handle_run(spec, resolved, inputs),
+            Request::Compile(spec) => self.handle_compile(spec, resolved, fleet),
+            Request::Run { spec, inputs } => self.handle_run(spec, resolved, fleet, inputs),
             Request::RunPipeline { spec, inputs, jobs } => {
-                self.handle_run_pipeline(spec, resolved, inputs, *jobs)
+                self.handle_run_pipeline(spec, resolved, fleet, inputs, *jobs)
             }
             Request::PeerGet { spec, rules_fp } => self.handle_peer_get(spec, *rules_fp),
         };
         self.finish(started, out)
     }
 
-    /// Classify one ready frame: answer it inline from warm state,
-    /// dispatch it to a worker, or report a true local miss along with
-    /// its cache key so a peering event loop can consult the key's
-    /// owner first. Never blocks on a compile.
+    /// Classify one ready frame: answer it inline from warm state, or
+    /// dispatch it to a worker with what was resolved for it. Never
+    /// blocks on a compile.
     pub fn classify(&self, req: &Request) -> CacheDecision {
         let spec = match req {
             // Control ops never compile; answer inline.
@@ -379,14 +372,7 @@ impl Service {
         let selector = self.selector(spec);
         let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
         let Some(served) = self.cache.try_get(&key) else {
-            // A disk-resident key refills locally (cheaper than any
-            // network hop); only a true local miss is worth a peer ask.
-            let on_disk = self.store.as_ref().is_some_and(|s| s.contains(&key));
-            let resolved = Resolved::new(expr, selector, key);
-            if on_disk {
-                return CacheDecision::Dispatch(Some(resolved));
-            }
-            return CacheDecision::MissRemote(resolved);
+            return CacheDecision::Dispatch(Some(Resolved::new(expr, selector, key)));
         };
         match req {
             Request::Compile(_) => {
@@ -447,6 +433,7 @@ impl Service {
         &self,
         spec: &CompileSpec,
         resolved: Option<Resolved>,
+        fleet: Option<&Fleet>,
     ) -> Result<(RcExpr, u64, Arc<Served>, Source), ServiceError> {
         let Resolved { expr, selector, key, key_fp } = match resolved {
             Some(r) => r,
@@ -456,11 +443,16 @@ impl Service {
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
         let computed = self.cache.get_or_compute(&key, deadline, || {
-            // The single-flight leader tries the disk store first: a
-            // previously-evicted (or previous-process) artifact refills
-            // without compiling, and concurrent requests join the
-            // refill exactly like a compile.
+            // The single-flight leader tries the cheaper sources first:
+            // a previously-evicted (or previous-process) artifact
+            // refills from disk, then the key's owner in the fleet may
+            // have it. Concurrent requests join either exactly like a
+            // compile.
             if let Some(art) = self.fetch_from_disk(&key) {
+                return Ok(Served::new(art, key_fp));
+            }
+            if let Some(art) = fleet.and_then(|f| self.fetch_from_peer(f, &key, key_fp, deadline)) {
+                self.spill(&key, &art);
                 return Ok(Served::new(art, key_fp));
             }
             let r = self.compile(&selector, &expr, key_fp, deadline, timeout_ms);
@@ -553,36 +545,46 @@ impl Service {
         }
     }
 
-    /// Admit an artifact a peer returned for `expected`. The payload is
-    /// untrusted input: it is decoded, rebuilt, and verified end to end
-    /// (see [`store::decode_artifact_json`]), and the embedded key must
-    /// equal the one this daemon asked for. On success the artifact is
-    /// spilled and inserted, so dispatching the originating request
-    /// lands on a warm cache.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Internal`] describing why the payload was
-    /// refused; the caller degrades to a local compile.
-    pub fn admit_peer_artifact(
+    /// Leader-side fleet fetch: ask the key's owner, then treat its
+    /// answer as untrusted input. The payload is decoded, rebuilt and
+    /// verified end to end (see [`store::decode_artifact_json`]), and
+    /// its embedded key must equal the one asked for. `None` (after
+    /// counting why) sends the leader on to a local compile.
+    fn fetch_from_peer(
         &self,
-        expected: &CacheKey,
-        artifact: &Json,
-    ) -> Result<(), ServiceError> {
-        let (key, art) = store::decode_artifact_json(artifact)
-            .map_err(|e| ServiceError::Internal(format!("peer artifact rejected: {e}")))?;
-        if key != *expected {
-            return Err(ServiceError::Internal("peer answered for a different key".into()));
-        }
-        self.spill(&key, &art);
-        let (served, bytes) = Served::new(art, key.fingerprint());
-        self.cache.insert(key, served, bytes);
-        Ok(())
+        fleet: &Fleet,
+        key: &CacheKey,
+        key_fp: u64,
+        deadline: Option<Instant>,
+    ) -> Option<Artifact> {
+        let counter = match fleet.fetch(key, key_fp, deadline)? {
+            Fetched::Artifact(body) => match store::decode_artifact_json(&body) {
+                Ok((got, art)) if got == *key => {
+                    Stats::bump(&self.stats.peer_hits);
+                    return Some(art);
+                }
+                Ok(_) => {
+                    eprintln!("pitchforkd: peer answered {key_fp:016x} for a different key");
+                    &self.stats.peer_errors
+                }
+                Err(e) => {
+                    eprintln!("pitchforkd: peer artifact for {key_fp:016x} rejected: {e}");
+                    &self.stats.peer_errors
+                }
+            },
+            Fetched::Missing => &self.stats.peer_misses,
+            Fetched::TimedOut => &self.stats.peer_timeouts,
+            Fetched::Failed => &self.stats.peer_errors,
+        };
+        Stats::bump(counter);
+        None
     }
 
     /// Serve a sibling daemon's `peer_get`: fetch-or-compile the key
     /// (this is what concentrates each key's one fleet-wide compile at
-    /// its owner) and return the portable artifact encoding. A rule-set
+    /// its owner) and return the portable artifact encoding. The owner
+    /// never asks the fleet in turn: ownership is a function of the key,
+    /// so a second hop could only be a routing loop. A rule-set
     /// fingerprint mismatch answers `found: false` — this daemon's
     /// bytes belong to a different configuration than the requester's.
     fn handle_peer_get(&self, spec: &CompileSpec, rules_fp: u64) -> Result<Json, ServiceError> {
@@ -598,7 +600,7 @@ impl Service {
         }
         let resolved = self.resolve(spec)?;
         let key = resolved.key.clone();
-        let (_, _, served, _) = self.artifact(spec, Some(resolved))?;
+        let (_, _, served, _) = self.artifact(spec, Some(resolved), None)?;
         match store::encode_artifact_json(&key, &served.art) {
             Ok(body) => {
                 Ok(ok_response(vec![("found".into(), Json::Bool(true)), ("artifact".into(), body)]))
@@ -632,8 +634,9 @@ impl Service {
         &self,
         spec: &CompileSpec,
         resolved: Option<Resolved>,
+        fleet: Option<&Fleet>,
     ) -> Result<Json, ServiceError> {
-        let (_, key_fp, served, source) = self.artifact(spec, resolved)?;
+        let (_, key_fp, served, source) = self.artifact(spec, resolved, fleet)?;
         Ok(ok_response(Self::compile_members(key_fp, &served, source)))
     }
 
@@ -641,9 +644,10 @@ impl Service {
         &self,
         spec: &CompileSpec,
         resolved: Option<Resolved>,
+        fleet: Option<&Fleet>,
         inputs: &[(String, Vec<i128>)],
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, resolved)?;
+        let (expr, key_fp, served, source) = self.artifact(spec, resolved, fleet)?;
         self.run_response(&expr, key_fp, &served, source, inputs)
     }
 
@@ -702,10 +706,11 @@ impl Service {
         &self,
         spec: &CompileSpec,
         resolved: Option<Resolved>,
+        fleet: Option<&Fleet>,
         inputs: &[(String, ImageSpec)],
         jobs: usize,
     ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, resolved)?;
+        let (expr, key_fp, served, source) = self.artifact(spec, resolved, fleet)?;
         let pipe = Pipeline::try_new("served", expr.clone())
             .map_err(|e| ServiceError::BadRequest(e.what))?;
         let mut images = BTreeMap::new();

@@ -41,13 +41,15 @@
 //! input until it survives all four.
 
 use crate::json::Json;
-use crate::key::{CacheKey, Fnv};
+use crate::key::CacheKey;
 use crate::protocol::parse_isa;
 use fpir::expr::{Expr, ExprKind, RcExpr};
+use fpir::identity::FnvHasher;
 use fpir::types::{ScalarType, VectorType};
 use pitchfork::Artifact;
 use std::collections::{HashMap, HashSet};
 use std::fs;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -358,7 +360,7 @@ pub fn decode_artifact_json(v: &Json) -> Result<(CacheKey, Artifact), StoreError
 // ---------------------------------------------------------------------
 
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = FnvHasher::default();
     h.write(bytes);
     h.finish()
 }

@@ -6,9 +6,10 @@
 
 mod common;
 
-use pitchfork_service::key::Fnv;
+use fpir::identity::FnvHasher;
 use pitchfork_service::protocol::CompileSpec;
 use pitchfork_service::{json, store, Json, Request, Service, ServiceConfig, Stats, StoreError};
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 const SAT_ADD: &str = "u8(min(u16(a_u8) + u16(b_u8), 255))";
@@ -189,7 +190,7 @@ fn startup_sweeps_entries_in_the_old_format() {
     old.extend_from_slice(&rules_fp.to_be_bytes());
     old.extend_from_slice(&(body.len() as u32).to_be_bytes());
     old.extend_from_slice(body.as_bytes());
-    let mut sum = Fnv::new();
+    let mut sum = FnvHasher::default();
     sum.write(&old);
     old.extend_from_slice(&sum.finish().to_be_bytes());
     assert!(matches!(store::decode_entry(&old), Err(StoreError::Envelope(_))));

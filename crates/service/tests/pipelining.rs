@@ -13,7 +13,8 @@
 //! be drained in a later iteration.
 
 use pitchfork_service::{
-    serve_with, write_frame, Client, Endpoint, Json, ServeOptions, Service, ServiceConfig,
+    serve_with, write_frame, Client, Endpoint, FrameReader, Json, ServeOptions, Service,
+    ServiceConfig,
 };
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -82,15 +83,17 @@ fn image_run(tag: &str, rows: usize, cols: usize) -> Json {
     ))
 }
 
-fn read_one(stream: &mut UnixStream) -> Option<Json> {
-    pitchfork_service::read_frame(stream).unwrap()
+/// The next response on `stream`; `reader` keeps bytes that arrived
+/// past it for the next call.
+fn read_one(reader: &mut FrameReader, stream: &mut UnixStream) -> Option<Json> {
+    reader.next_frame(stream).unwrap()
 }
 
 #[test]
 fn tagged_requests_complete_out_of_order() {
     let path = sock("ooo");
     let server = start(&path, ServeOptions::default(), 2);
-    let mut stream = connect_with_retry(&path);
+    let (mut stream, mut reader) = (connect_with_retry(&path), FrameReader::new());
 
     // One write syscall carries all three frames: a whole-image run
     // (dispatched to a worker) followed by two pings (answered inline).
@@ -102,7 +105,7 @@ fn tagged_requests_complete_out_of_order() {
 
     let tags: Vec<String> = (0..3)
         .map(|_| {
-            let v = read_one(&mut stream).expect("three responses expected");
+            let v = read_one(&mut reader, &mut stream).expect("three responses expected");
             assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
             v.get("tag").and_then(Json::as_str).expect("tagged response").to_string()
         })
@@ -156,7 +159,7 @@ fn pipelining_past_the_output_budget_closes_with_overloaded() {
     // A deliberately tiny response budget: a burst of stats responses
     // overflows it within one dispatch batch.
     let server = start(&path, ServeOptions { outq_bytes: 4096, ..ServeOptions::default() }, 2);
-    let mut stream = connect_with_retry(&path);
+    let (mut stream, mut reader) = (connect_with_retry(&path), FrameReader::new());
 
     const SENT: usize = 256;
     let mut burst = Vec::new();
@@ -167,7 +170,7 @@ fn pipelining_past_the_output_budget_closes_with_overloaded() {
 
     let mut answered = 0usize;
     let mut last = None;
-    while let Some(v) = read_one(&mut stream) {
+    while let Some(v) = read_one(&mut reader, &mut stream) {
         answered += 1;
         last = Some(v);
     }
@@ -192,7 +195,7 @@ fn time_waiting_for_a_worker_counts_against_the_deadline() {
     // occupy both, so a cold compile queued behind them spends its
     // whole 5 ms budget waiting and is refused without compiling.
     let server = start(&path, ServeOptions::default(), 1);
-    let mut stream = connect_with_retry(&path);
+    let (mut stream, mut reader) = (connect_with_retry(&path), FrameReader::new());
 
     let mut burst = Vec::new();
     write_frame(&mut burst, &image_run("big-a", 128, 1024)).unwrap();
@@ -209,7 +212,7 @@ fn time_waiting_for_a_worker_counts_against_the_deadline() {
 
     let mut late = None;
     for _ in 0..3 {
-        let v = read_one(&mut stream).expect("three responses expected");
+        let v = read_one(&mut reader, &mut stream).expect("three responses expected");
         if v.get("tag").and_then(Json::as_str) == Some("late") {
             late = Some(v);
         } else {
@@ -220,7 +223,7 @@ fn time_waiting_for_a_worker_counts_against_the_deadline() {
     assert_eq!(late.get("code").and_then(Json::as_str), Some("timeout"), "{late:?}");
 
     write_frame(&mut stream, &parse(r#"{"op":"stats"}"#)).unwrap();
-    let stats = read_one(&mut stream).expect("stats response");
+    let stats = read_one(&mut reader, &mut stream).expect("stats response");
     assert_eq!(stats.get("timeouts").and_then(Json::as_int), Some(1), "{stats:?}");
     assert_eq!(stats.get("compiles").and_then(Json::as_int), Some(1), "only the image kernel");
 

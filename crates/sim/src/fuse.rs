@@ -1210,12 +1210,12 @@ mod tests {
     #[test]
     fn fused_artifacts_match_the_pinned_digest() {
         use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads};
+        use std::hash::Hasher;
         const PINNED: u64 = 0xe7ca_bdf6_2802_0f63;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = fpir::identity::FnvHasher::default();
         let mut fold = |s: &str| {
-            for &b in s.as_bytes().iter().chain(b"\n") {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write(s.as_bytes());
+            h.write(b"\n");
         };
         let mut artifacts = 0;
         for isa in fpir::machine::ALL_ISAS {
@@ -1252,6 +1252,7 @@ mod tests {
             }
         }
         assert_eq!(artifacts, 100);
+        let h = h.finish();
         println!("fused digest: {h:#018x}");
         assert_eq!(h, PINNED, "FAST-linked artifacts changed: digest {h:#018x}");
     }

@@ -6,9 +6,10 @@
 # Prometheus-style stats rendering), then assert a clean shutdown on
 # SIGTERM (exit 0, socket unlinked). Then: a restart-warm round trip
 # (SIGTERM + relaunch on the same --cache-dir makes the second
-# process serve the key as a hit without recompiling) and a 2-daemon
+# process serve the key as a hit without recompiling), a 2-daemon
 # peer fleet (the same key on both daemons compiles once fleet-wide,
-# the non-owner serving it via peer_get).
+# the non-owner serving it via peer_get), and a dead peer (after A is
+# SIGTERMed, B still answers a fresh compile on every ISA).
 #
 # Usage: scripts/service_smoke.sh [path-to-target-dir]
 # Expects `pitchforkd` and `pitchfork-cli` already built (release).
@@ -152,9 +153,19 @@ for s in "$SOCK_A" "$SOCK_B"; do
 done
 [ "$COMPILES" -eq 1 ] || fail "fleet compiled the key $COMPILES times, want 1"
 [ "$PEER_HITS" -ge 1 ] || fail "no peer_get hit recorded across the fleet"
+
+echo "== dead peer: B serves alone once A is gone"
 term_and_wait "$PID_A"
-term_and_wait "$PID_B"
 PID_A=""
+# Fresh keys (lanes 32), so each one misses B's cache. Which of them A
+# owned depends on the socket paths, so no counter is asserted: each
+# compile either fetches nothing from the dead owner and compiles
+# locally, or was B's to compile anyway.
+for isa in x86 arm hvx rvv; do
+    OUT=$("$CLI" --socket "$SOCK_B" compile --expr "$EXPR" --lanes 32 --isa "$isa")
+    echo "$OUT" | grep -q '"ok":true' || fail "B alone, $isa compile: $OUT"
+done
+term_and_wait "$PID_B"
 PID_B=""
 
 echo "service_smoke: PASS"
