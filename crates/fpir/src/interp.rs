@@ -322,6 +322,7 @@ fn lanewise2(ty: VectorType, a: &Value, b: &Value, f: impl Fn(i128, i128) -> i12
 /// Shift `v` left by `count` bits (`count` already clamped by callers),
 /// treating the operation on the `u128` bit pattern so large counts cannot
 /// overflow.
+#[inline]
 fn shl_bits(v: i128, count: u32) -> i128 {
     if count >= 128 {
         0
@@ -331,11 +332,13 @@ fn shl_bits(v: i128, count: u32) -> i128 {
 }
 
 /// Arithmetic shift right (sign-filling); counts ≥ 127 resolve to 0 / -1.
+#[inline]
 fn shr_bits(v: i128, count: u32) -> i128 {
     v >> count.min(127)
 }
 
 /// Floor division: rounds toward negative infinity, `x / 0 == 0`.
+#[inline]
 pub fn floor_div(x: i128, y: i128) -> i128 {
     if y == 0 {
         return 0;
@@ -349,6 +352,7 @@ pub fn floor_div(x: i128, y: i128) -> i128 {
 }
 
 /// Floor remainder: `x - floor_div(x, y) * y`, with `x % 0 == 0`.
+#[inline]
 pub fn floor_mod(x: i128, y: i128) -> i128 {
     if y == 0 {
         return 0;
@@ -358,8 +362,8 @@ pub fn floor_mod(x: i128, y: i128) -> i128 {
 
 /// One lane of a primitive binary op, in the element type `elem`.
 ///
-/// Exposed so the `fpir-isa` crate can define machine-instruction semantics
-/// in terms of the very same lane arithmetic.
+/// Exposed as the oracle the `fpir-isa` lane table's type-specialized
+/// kernels are tested against.
 #[inline]
 pub fn bin_op_lane(op: BinOp, x: i128, y: i128, elem: ScalarType) -> i128 {
     let b = elem.bits();
@@ -385,6 +389,7 @@ pub fn bin_op_lane(op: BinOp, x: i128, y: i128, elem: ScalarType) -> i128 {
 
 /// Shift `x` left by `count` (negative counts shift right, sign-filling),
 /// with the magnitude clamped to `2 * bits`.
+#[inline]
 fn shift_lane(x: i128, count: i128, bits: i128) -> i128 {
     let c = count.clamp(-2 * bits, 2 * bits);
     if c >= 0 {
@@ -413,21 +418,23 @@ pub fn cmp_op_lane(op: CmpOp, x: i128, y: i128, _elem: ScalarType) -> i128 {
 ///
 /// `arg_tys` are the operand element types and `result` the instruction's
 /// result element type (as computed by [`crate::expr::Expr::fpir`]). The
-/// computation is exact in `i128` and then wrapped or saturated per the
-/// instruction's documented semantics. Exposed for reuse by the `fpir-isa`
-/// instruction tables.
+/// computation is exact in `i128` (a 64-bit product for `MulShr` /
+/// `RoundingMulShr` in `u128`, see [`mul_shr_exact`]) and then wrapped or
+/// saturated per the instruction's documented semantics. Exposed as the
+/// oracle of the `fpir-isa` lane table, as [`bin_op_lane`] is.
 #[inline]
 pub fn fpir_op_lane(op: FpirOp, xs: &[i128], arg_tys: &[ScalarType], result: ScalarType) -> i128 {
     let bits = arg_tys[0].bits() as i128;
     match op {
         FpirOp::WideningAdd => result.wrap(xs[0] + xs[1]),
         FpirOp::WideningSub => result.wrap(xs[0] - xs[1]),
-        FpirOp::WideningMul => result.wrap(xs[0] * xs[1]),
+        // Wrapping for the reason `BinOp::Mul` wraps.
+        FpirOp::WideningMul => result.wrap(xs[0].wrapping_mul(xs[1])),
         FpirOp::WideningShl => result.wrap(shift_lane(xs[0], xs[1], bits)),
         FpirOp::WideningShr => result.wrap(shift_lane(xs[0], -xs[1].clamp(-256, 256), bits)),
         FpirOp::ExtendingAdd => result.wrap(xs[0] + xs[1]),
         FpirOp::ExtendingSub => result.wrap(xs[0] - xs[1]),
-        FpirOp::ExtendingMul => result.wrap(xs[0] * xs[1]),
+        FpirOp::ExtendingMul => result.wrap(xs[0].wrapping_mul(xs[1])),
         FpirOp::Abs => xs[0].abs(),
         FpirOp::Absd => (xs[0] - xs[1]).abs(),
         FpirOp::SaturatingCast(t) => t.saturate(xs[0]),
@@ -440,13 +447,10 @@ pub fn fpir_op_lane(op: FpirOp, xs: &[i128], arg_tys: &[ScalarType], result: Sca
         FpirOp::RoundingShl => rounding_shift(xs[0], xs[1], bits, result),
         FpirOp::RoundingShr => rounding_shift(xs[0], -xs[1].clamp(-256, 256), bits, result),
         FpirOp::MulShr => {
-            let s = xs[2].clamp(0, 2 * bits) as u32;
-            result.saturate(shr_bits(xs[0] * xs[1], s))
+            result.saturate(mul_shr_exact(xs[0], xs[1], xs[2].clamp(0, 2 * bits) as u32, false))
         }
         FpirOp::RoundingMulShr => {
-            let p = xs[0] * xs[1];
-            let s = xs[2].clamp(0, 2 * bits);
-            result.saturate(rounded_shr(p, s as u32))
+            result.saturate(mul_shr_exact(xs[0], xs[1], xs[2].clamp(0, 2 * bits) as u32, true))
         }
         FpirOp::SaturatingShl => result.saturate(exact_shift(xs[0], xs[1].clamp(-bits, bits))),
     }
@@ -455,6 +459,7 @@ pub fn fpir_op_lane(op: FpirOp, xs: &[i128], arg_tys: &[ScalarType], result: Sca
 /// Exact value of `x * 2^count` for `count ≥ 0` (saturating at the `i128`
 /// limits, which is far outside any lane range, so downstream saturation
 /// still decides correctly), or `floor(x / 2^-count)` for negative counts.
+#[inline]
 fn exact_shift(x: i128, count: i128) -> i128 {
     if count >= 0 {
         let c = count.min(126) as u32;
@@ -473,6 +478,7 @@ fn exact_shift(x: i128, count: i128) -> i128 {
 /// negative counts; the exact result is saturated into `result`. Counts are
 /// clamped to the lane width (no hardware shifts further, and this keeps
 /// the direct and compositional semantics in exact agreement).
+#[inline]
 fn rounding_shift(x: i128, count: i128, bits: i128, result: ScalarType) -> i128 {
     let c = count.clamp(-bits, bits);
     if c >= 0 {
@@ -483,6 +489,7 @@ fn rounding_shift(x: i128, count: i128, bits: i128, result: ScalarType) -> i128 
 }
 
 /// `floor((x + 2^(s-1)) / 2^s)` — round-half-up right shift; `s == 0` is `x`.
+#[inline]
 fn rounded_shr(x: i128, s: u32) -> i128 {
     if s == 0 {
         x
@@ -493,6 +500,35 @@ fn rounded_shr(x: i128, s: u32) -> i128 {
     } else {
         shr_bits(x + (1i128 << (s - 1)), s)
     }
+}
+
+/// `x * y` shifted right by `s` — floored, or, when `round`, rounded half
+/// up (`floor((p + 2^(s-1)) / 2^s)`; shifts of 127 or more floor) — with
+/// the product formed exactly: two 64-bit unsigned lanes multiply past
+/// `i128::MAX`, so a product of two non-negative lanes is formed in
+/// `u128`. A result above `i128::MAX` (only for a shift of 0 or 1)
+/// saturates there, far outside any lane range, so downstream saturation
+/// still decides correctly. This is the lane arithmetic of `MulShr` and
+/// `RoundingMulShr`, exposed so the `fpir-isa` lane table can run it for
+/// 64-bit lanes.
+#[inline]
+pub fn mul_shr_exact(x: i128, y: i128, s: u32, round: bool) -> i128 {
+    if x < 0 || y < 0 {
+        // A negative factor is a signed lane of at most 64 bits, so the
+        // product's magnitude stays below 2^127.
+        let p = x * y;
+        return if round { rounded_shr(p, s) } else { shr_bits(p, s) };
+    }
+    let p = (x as u128) * (y as u128);
+    let q = match s {
+        // `floor((p + 2^(s-1)) / 2^s)` without forming the sum, which can
+        // overflow `u128`: the rounding term adds the last bit shifted out.
+        1..=126 if round => (p >> s) + ((p >> (s - 1)) & 1),
+        // As `shr_bits` and `rounded_shr` for the `i128` products: from
+        // 127 on, a floor shift.
+        _ => p.checked_shr(s).unwrap_or(0),
+    };
+    q.min(i128::MAX as u128) as i128
 }
 
 #[cfg(test)]
@@ -631,6 +667,39 @@ mod tests {
         let env = Env::new().bind("x", x).bind("y", y);
         // q15 multiply: (-1 * -1) saturates to 0.99997 (32767); 0.5*0.5 = 0.25.
         assert_eq!(eval(&e, &env).unwrap().lanes(), &[32767, 8192]);
+    }
+
+    #[test]
+    fn mul_shr_forms_64_bit_products_exactly() {
+        // (2^64 - 1)^2 overflows i128: the products are formed exactly, so
+        // a shift by 64 leaves 2^64 - 2 (and rounding adds the top bit
+        // shifted out, 1).
+        let u = V::new(S::U64, 1);
+        let i = V::new(S::I64, 1);
+        let max = u64::MAX as i128;
+        let (imin, imax) = (i64::MIN as i128, i64::MAX as i128);
+        let cases = [
+            (u, max, max, 64, max - 1, max - 1),
+            (u, max, max, 0, max, max),
+            (u, max, max, 128, 0, 0),
+            (u, max, 1, 1, max >> 1, (max >> 1) + 1),
+            (i, imin, imin, 63, imax, imax),
+            (i, imin, imin, 64, 1i128 << 62, 1i128 << 62),
+            (i, imin, imax, 64, (imin * imax) >> 64, ((imin * imax) >> 64) + 1),
+            (i, imin, imax, 0, imin, imin),
+            (i, imin, imax, 128, -1, -1),
+        ];
+        for (t, a, b, c, floor, rounded) in cases {
+            let env = Env::new()
+                .bind("a", Value::splat(a, t))
+                .bind("b", Value::splat(b, t))
+                .bind("c", Value::splat(t.elem.saturate(c), t));
+            let (va, vb, vc) = (var("a", t), var("b", t), var("c", t));
+            let got = eval(&mul_shr(va.clone(), vb.clone(), vc.clone()), &env).unwrap();
+            assert_eq!(got.lanes(), &[floor], "mul_shr({a}, {b}, {c}) at {t}");
+            let got = eval(&rounding_mul_shr(va, vb, vc), &env).unwrap();
+            assert_eq!(got.lanes(), &[rounded], "rounding_mul_shr({a}, {b}, {c}) at {t}");
+        }
     }
 
     #[test]

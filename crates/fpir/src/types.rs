@@ -115,6 +115,7 @@ impl ScalarType {
     }
 
     /// Smallest representable value.
+    #[inline]
     pub fn min_value(self) -> i128 {
         if self.is_signed() {
             -(1i128 << (self.bits() - 1))
@@ -124,6 +125,7 @@ impl ScalarType {
     }
 
     /// Largest representable value.
+    #[inline]
     pub fn max_value(self) -> i128 {
         if self.is_signed() {
             (1i128 << (self.bits() - 1)) - 1
@@ -133,6 +135,7 @@ impl ScalarType {
     }
 
     /// Whether `v` is representable in this type.
+    #[inline]
     pub fn contains(self, v: i128) -> bool {
         v >= self.min_value() && v <= self.max_value()
     }
@@ -150,14 +153,15 @@ impl ScalarType {
     /// ```
     #[inline]
     pub fn wrap(self, v: i128) -> i128 {
-        let b = self.bits();
-        let mask = if b == 128 { u128::MAX } else { (1u128 << b) - 1 };
-        let low = (v as u128) & mask;
-        if self.is_signed() && (low >> (b - 1)) & 1 == 1 {
-            (low as i128) - (1i128 << b)
-        } else {
-            low as i128
-        }
+        self.wrapper().apply(v)
+    }
+
+    /// [`ScalarType::wrap`] with this type resolved, for a loop that
+    /// wraps many values into one type.
+    #[inline]
+    pub fn wrapper(self) -> Wrap {
+        let mask = (1i128 << self.bits()) - 1;
+        Wrap { mask, half: if self.is_signed() { (mask >> 1) + 1 } else { 0 } }
     }
 
     /// Clamp `v` into this type's range (the semantics of a saturating cast).
@@ -171,7 +175,7 @@ impl ScalarType {
     /// ```
     #[inline]
     pub fn saturate(self, v: i128) -> i128 {
-        v.clamp(self.min_value(), self.max_value())
+        v.max(self.min_value()).min(self.max_value())
     }
 
     /// Short lowercase name, e.g. `"u8"` or `"i32"`.
@@ -191,6 +195,35 @@ impl ScalarType {
     /// Parse a short name such as `"u8"` back into a type.
     pub fn from_name(name: &str) -> Option<ScalarType> {
         ALL_SCALAR_TYPES.iter().copied().find(|t| t.name() == name)
+    }
+}
+
+/// Two's complement truncation into one [`ScalarType`], with the type's
+/// width and signedness already resolved into two constants: the value's
+/// low bits, sign-extended for a signed type by flipping and subtracting
+/// the sign bit. No branch depends on the value.
+///
+/// # Examples
+///
+/// ```
+/// use fpir::types::ScalarType;
+/// let w = ScalarType::I8.wrapper();
+/// assert_eq!(w.apply(130), ScalarType::I8.wrap(130));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wrap {
+    /// `2^bits - 1`.
+    mask: i128,
+    /// The sign bit `2^(bits-1)` of a signed type, 0 for an unsigned one.
+    half: i128,
+}
+
+impl Wrap {
+    /// Wrap `v`: `((v & mask) ^ half) - half`. Only its low bits are read,
+    /// so any `i128` is accepted.
+    #[inline]
+    pub fn apply(self, v: i128) -> i128 {
+        ((v & self.mask) ^ self.half) - self.half
     }
 }
 
@@ -304,6 +337,47 @@ mod tests {
             assert_eq!(ScalarType::I8.wrap(v), (v as i8) as i128);
             assert_eq!(ScalarType::U16.wrap(v), (v as u16) as i128);
             assert_eq!(ScalarType::I16.wrap(v), (v as i16) as i128);
+        }
+    }
+
+    /// The formulas `wrap` and `saturate` had before they were made
+    /// branch-free, kept as the model the new ones are pinned against.
+    fn model_wrap(t: ScalarType, v: i128) -> i128 {
+        let b = t.bits();
+        let low = (v as u128) & ((1u128 << b) - 1);
+        if t.is_signed() && (low >> (b - 1)) & 1 == 1 {
+            (low as i128) - (1i128 << b)
+        } else {
+            low as i128
+        }
+    }
+
+    fn model_saturate(t: ScalarType, v: i128) -> i128 {
+        v.clamp(t.min_value(), t.max_value())
+    }
+
+    #[test]
+    fn wrap_and_saturate_match_their_models() {
+        let mut vs: Vec<i128> = (-(1i128 << 17)..=(1 << 17)).collect();
+        for b in [8u32, 16, 32, 64] {
+            for p in [1i128 << b, -(1i128 << b), 1i128 << (b - 1), -(1i128 << (b - 1))] {
+                vs.extend((-3..=3).map(|d| p.wrapping_add(d)));
+            }
+        }
+        vs.extend([i128::MIN, i128::MIN + 1, i128::MAX - 1, i128::MAX]);
+        let mut state: u64 = 0x5851_f42d_4c95_7f2d;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state
+        };
+        vs.extend((0..10_000).map(|_| ((next() as u128) << 64 | next() as u128) as i128));
+        for t in ALL_SCALAR_TYPES {
+            let w = t.wrapper();
+            for &v in &vs {
+                assert_eq!(t.wrap(v), model_wrap(t, v), "{t}.wrap({v})");
+                assert_eq!(w.apply(v), model_wrap(t, v), "{t}.wrapper().apply({v})");
+                assert_eq!(t.saturate(v), model_saturate(t, v), "{t}.saturate({v})");
+            }
         }
     }
 

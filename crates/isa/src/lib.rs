@@ -8,9 +8,10 @@
 //! one [`def::BackendDesc`] (register model, lane-width limit, table
 //! builder) and an instruction table with:
 //!
-//! * **executable semantics** ([`sem`]) built from the reference
-//!   interpreter's lane arithmetic, so lowered code can be run and
-//!   differentially tested against the source expression;
+//! * **executable semantics** ([`sem`]), type-specialized lane kernels
+//!   tested against the reference interpreter's lane arithmetic, so
+//!   lowered code can be run and differentially tested against the
+//!   source expression;
 //! * **costs** (per native register processed) that drive both the
 //!   lowering TRSs ([`cost::TargetCost`]) and the cycle model in
 //!   `fpir-sim`;

@@ -1,11 +1,10 @@
 //! Executable semantics of machine instructions.
 //!
 //! Every instruction in a target table carries a [`MachSem`] describing
-//! what it computes. Semantics are defined *in terms of the reference
-//! interpreter's lane arithmetic* (`fpir::interp`), so a lowered machine
-//! program can be executed and differentially tested against the source
-//! expression — that replaces the paper's "run it on the real device /
-//! Hexagon simulator" correctness story.
+//! what it computes, so a lowered machine program can be executed and
+//! differentially tested against the source expression — that replaces
+//! the paper's "run it on the real device / Hexagon simulator"
+//! correctness story.
 //!
 //! A few instructions deliberately have semantics that differ from the
 //! FPIR op they are used to implement — e.g. x86's `vpackuswb` and HVX's
@@ -20,10 +19,31 @@
 //! [`sem_slice_fn_splat`] and [`sem_slice_fn_pair`] — are sinks over that
 //! table that differ only in the loop around the closure, so they agree by
 //! construction.
+//!
+//! The table builds *type-specialized* closures: whatever depends only on
+//! the element types is computed once, when the closure is built, and
+//! never per lane. A wrap is a 64-bit mask for an unsigned type and a
+//! 64-bit sign extension for a signed one, picked when the closure is
+//! built (the fused-pair loops use the general [`fpir::types::Wrap`]); a
+//! saturation is a pair of captured bounds, and a semantic that saturates
+//! twice (`ShrRndSatNarrow`) clamps once to their intersection. The shift family — `Bin(Shl|Shr)`, `ShrNarrow`,
+//! `ShrRndSatNarrow`, FPIR `WideningShl/Shr`, `RoundingShl/Shr`,
+//! `SaturatingShl`, `MulShr` and `RoundingMulShr`, and `QRDMulH`'s fixed
+//! shift — splits each lane into resolving the count (clamping,
+//! direction, the shifted-out case, the rounding bias) and applying it.
+//! The captured-splat sink resolves a constant count once, at link time;
+//! the other sinks resolve per lane. Operands are canonical lanes of their
+//! types (the [`Value`] invariant), so `Min`/`Max`, the bitwise ops and
+//! right shifts need no wrap.
+//!
+//! The interpreter's generic lane helpers (`fpir::interp::bin_op_lane`,
+//! `cmp_op_lane` and `fpir_op_lane`) are the arithmetic oracle: the tests
+//! compare every arm of the table with them, at every element type, over
+//! the shift family's edge counts, streamed and captured.
 
 use fpir::expr::{BinOp, CmpOp, FpirOp};
-use fpir::interp::{bin_op_lane, cmp_op_lane, fpir_op_lane, Value};
-use fpir::types::{ScalarType, VectorType};
+use fpir::interp::{floor_div, floor_mod, mul_shr_exact, Value};
+use fpir::types::{ScalarType, VectorType, Wrap};
 use std::sync::Arc;
 
 /// What a machine instruction computes.
@@ -203,11 +223,10 @@ pub type SemSliceFn = Arc<dyn Fn(&[&[i128]], &mut [i128]) + Send + Sync>;
 /// `CmpOp` / `FpirOp`), re-checks shapes, and re-reads operand types on
 /// *every* call. Fused superinstruction kernels in `fpir-sim` run their
 /// absorbed steps back-to-back per image strip, so they pay that dispatch
-/// once here, at fuse time: the lane table's closure for `sem` — a
-/// *literal* op handed to the `#[inline]` lane helpers, with the
-/// operand/result element types captured — runs inside a strip loop, so
-/// the helper's internal match folds away and the loop computes exactly
-/// what [`eval_sem_into`] computes from the same closure.
+/// once here, at fuse time: the lane table's closure for `sem` — its op
+/// written out, with the element types resolved into captured wraps,
+/// bounds and shift widths — runs inside a strip loop and computes
+/// exactly what [`eval_sem_into`] computes from the same closure.
 ///
 /// # Preconditions
 ///
@@ -228,7 +247,9 @@ pub fn sem_slice_fn(sem: MachSem, tys: &[ScalarType], result: ScalarType) -> Sem
 /// stream. The loop calls the same lane closure as [`sem_slice_fn`] with
 /// `c` bound at operand `k`, and the skipped slice holds `c` in every
 /// lane, so the result is bit-identical by construction — pinned by
-/// `splat_capture_matches_streamed_constant` below.
+/// `splat_capture_matches_streamed_constant` below. When `k` is a
+/// shift-family count, the table's count resolution runs once on `c`,
+/// here, and the loop only applies the resolved shift.
 ///
 /// Returns `None` for the 4-, 5- and 9-operand semantics; the caller
 /// keeps the streamed [`sem_slice_fn`] kernel.
@@ -249,57 +270,255 @@ pub fn sem_slice_fn_splat(
 
 // ---- the lane table -----------------------------------------------------
 
-/// What a lane closure may capture: plain data (element types, shift
-/// widths, a constant), so it can be copied into composed loops and the
+/// What a lane closure may capture: plain data (resolved wraps, bounds,
+/// shift parameters), so it can be copied into composed loops and the
 /// compiled kernel shared across worker threads.
 trait Lane: Copy + Send + Sync + 'static {}
 impl<T: Copy + Send + Sync + 'static> Lane for T {}
 
 /// Receives the one lane closure `lane_table` builds for a semantic, in
 /// the form matching its arity, and turns it into an evaluator.
-trait LaneSink {
+trait LaneSink: Sized {
     type Out;
+    /// Whether `wrapping!` builds a wrap per signedness. The pair sinks
+    /// opt out: their merged loops are multiply-class, where the wrap is a
+    /// small part of the cost, and two more wrap forms would triple the
+    /// loops compiled for them.
+    const WRAP_BY_SIGN: bool = true;
     fn unary(self, f: impl Fn(i128) -> i128 + Lane) -> Self::Out;
     fn binary(self, f: impl Fn(i128, i128) -> i128 + Lane) -> Self::Out;
     fn ternary(self, f: impl Fn(i128, i128, i128) -> i128 + Lane) -> Self::Out;
     /// The 4-, 5- and 9-operand semantics: lane `i` of the result, read
     /// from every operand slice.
     fn wide(self, f: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Self::Out;
+
+    /// A binary shift-family semantic whose operand 1 is a count:
+    /// `resolve` turns a count into the parameters `apply` shifts operand
+    /// 0 by. Resolved per lane, unless the sink binds the count to a
+    /// constant (the captured-splat sink resolves it once).
+    fn by_count<P: Lane>(
+        self,
+        resolve: impl Fn(i128) -> P + Lane,
+        apply: impl Fn(i128, P) -> i128 + Lane,
+    ) -> Self::Out {
+        self.binary(move |x, y| apply(x, resolve(y)))
+    }
+
+    /// [`LaneSink::by_count`] for a ternary semantic counting at operand 2.
+    fn by_count3<P: Lane>(
+        self,
+        resolve: impl Fn(i128) -> P + Lane,
+        apply: impl Fn(i128, i128, P) -> i128 + Lane,
+    ) -> Self::Out {
+        self.ternary(move |x, y, z| apply(x, y, resolve(z)))
+    }
 }
 
-/// Expand `$body` once per listed variant of the op enum `$Ty`, with `$O`
-/// a constant holding that variant. A lane closure built in `$body` thus
-/// hands its helper a *literal* op, whose match folds away inside the
-/// lane loop — a runtime op in a hot lane loop measured slower than the
-/// unfused engine.
-macro_rules! each_op {
-    ($op:expr, $Ty:ident [$($v:ident)*], $O:ident => $body:expr) => {
-        match $op {
-            $($Ty::$v => {
-                const $O: $Ty = $Ty::$v;
-                $body
-            })*
-        }
-    };
+/// A wrap into one type, resolved when the closure is built.
+trait WrapTo: Lane {
+    fn apply(self, v: i128) -> i128;
 }
 
-/// `each_op!` over every `BinOp`.
-macro_rules! bin_ops {
-    ($op:expr, $O:ident => $body:expr) => {
-        each_op!($op, BinOp [Add Sub Mul Div Mod Min Max Shl Shr And Or Xor], $O => $body)
-    };
+impl WrapTo for Wrap {
+    #[inline]
+    fn apply(self, v: i128) -> i128 {
+        Wrap::apply(self, v)
+    }
 }
 
-/// The lane closure of `Bin($op)` at operand type `$t`; `$op` must be a
-/// constant for the helper's match to fold.
-macro_rules! bin_lane {
-    ($op:expr, $t:expr) => {{
+/// The wrap into an unsigned type, on the low 64 bits: a mask alone.
+/// The result's high half is known zero, so the op around it runs in 64
+/// bits, as it did when the mask came from `ScalarType::bits`.
+#[derive(Clone, Copy)]
+struct Mask(u64);
+
+impl WrapTo for Mask {
+    #[inline]
+    fn apply(self, v: i128) -> i128 {
+        ((v as u64) & self.0) as i128
+    }
+}
+
+/// The wrap into a signed type, on the low 64 bits: the low bits
+/// sign-extended by flipping and subtracting the sign bit.
+#[derive(Clone, Copy)]
+struct SignExt {
+    mask: u64,
+    half: u64,
+}
+
+impl WrapTo for SignExt {
+    #[inline]
+    fn apply(self, v: i128) -> i128 {
+        (((v as u64) & self.mask) ^ self.half).wrapping_sub(self.half) as i64 as i128
+    }
+}
+
+/// `$body` with `$w` bound to the wrap into `$t`, built once per
+/// signedness in 64-bit arithmetic ([`SignExt`], [`Mask`]): on cheap ops
+/// such as `Bin(Add)` the general 128-bit [`Wrap`] measured two to three
+/// times slower per lane. Sinks without [`LaneSink::WRAP_BY_SIGN`] take
+/// [`Wrap`].
+macro_rules! wrapping {
+    ($S:ty, $t:expr, $w:ident => $body:expr) => {{
         let t: ScalarType = $t;
-        move |x, y| bin_op_lane($op, x, y, t)
+        let m = t.max_value() as u64;
+        if !<$S as LaneSink>::WRAP_BY_SIGN {
+            let $w = t.wrapper();
+            $body
+        } else if t.is_signed() {
+            let $w = SignExt { mask: 2 * m + 1, half: m + 1 };
+            $body
+        } else {
+            let $w = Mask(m);
+            $body
+        }
     }};
 }
 
-/// The lane table: every semantic's lane arithmetic, written once.
+/// [`ScalarType::saturate`] with the type resolved: captured bounds.
+#[derive(Clone, Copy)]
+struct Sat {
+    lo: i128,
+    hi: i128,
+}
+
+impl Sat {
+    fn of(t: ScalarType) -> Sat {
+        Sat { lo: t.min_value(), hi: t.max_value() }
+    }
+
+    /// Saturating into `self`, then into `other`, as one clamp. Every
+    /// type's range holds 0, so the two ranges overlap and the nested
+    /// clamps equal one clamp to their intersection.
+    fn and(self, other: Sat) -> Sat {
+        Sat { lo: self.lo.max(other.lo), hi: self.hi.min(other.hi) }
+    }
+
+    #[inline]
+    fn apply(self, v: i128) -> i128 {
+        v.max(self.lo).min(self.hi)
+    }
+}
+
+/// A count operand read as given (left-shift forms).
+fn left(y: i128) -> i128 {
+    y
+}
+
+/// A count operand read as a right shift: negated after clamping to ±256.
+fn right(y: i128) -> i128 {
+    -y.clamp(-256, 256)
+}
+
+/// `Wrap(shift_lane(x, count(y), bits))`, the wrapping shift family:
+/// `Bin(Shl|Shr)`, `ShrNarrow` and FPIR `WideningShl/Shr`. The count,
+/// clamped to ±2·`bits`, resolves to a left shift `l` and an arithmetic
+/// right shift `r`, one of them 0. A left shift of 128 becomes 127: the
+/// wrap that follows keeps at most 64 low bits, which both clear.
+fn wrap_shift<S: LaneSink>(
+    sink: S,
+    bits: u32,
+    count: impl Fn(i128) -> i128 + Lane,
+    wrap: impl Fn(i128) -> i128 + Lane,
+) -> S::Out {
+    let b = 2 * bits as i128;
+    let resolve = move |y| {
+        let c = count(y).clamp(-b, b);
+        if c >= 0 {
+            (c.min(127) as u32, 0)
+        } else {
+            (0, (-c).min(127) as u32)
+        }
+    };
+    sink.by_count(resolve, move |x, (l, r): (u32, u32)| wrap((x << l) >> r))
+}
+
+/// A saturating shift's count-dependent parameters; see [`sat_shift`].
+#[derive(Clone, Copy)]
+struct SatShift {
+    /// `x` is first clamped to `[lo, hi]`, just outside the inputs a left
+    /// shift keeps in range, so the shift cannot overflow and the final
+    /// clamp saturates the rest.
+    lo: i128,
+    hi: i128,
+    l: u32,
+    /// The rounding term added before the right shift `r`.
+    bias: i128,
+    r: u32,
+}
+
+/// `sat(x · 2^c)` for a count `c = count(y)` clamped to ±`bits`: exact for
+/// `c ≥ 0`, and for `c < 0` a floor shift, rounded half up when `round`.
+/// This is FPIR `RoundingShl/Shr` and `SaturatingShl`, and
+/// `ShrRndSatNarrow` with its two saturations as one `sat`.
+fn sat_shift<S: LaneSink>(
+    sink: S,
+    bits: u32,
+    count: impl Fn(i128) -> i128 + Lane,
+    round: bool,
+    sat: Sat,
+) -> S::Out {
+    let b = bits as i128;
+    let resolve = move |y| {
+        let c = count(y).clamp(-b, b);
+        if c >= 0 {
+            let l = c as u32;
+            SatShift { lo: (sat.lo >> l) - 1, hi: (sat.hi >> l) + 1, l, bias: 0, r: 0 }
+        } else {
+            let r = (-c) as u32;
+            let bias = if round { (1i128 << r) >> 1 } else { 0 };
+            SatShift { lo: i128::MIN, hi: i128::MAX, l: 0, bias, r }
+        }
+    };
+    sink.by_count(resolve, move |x, p: SatShift| {
+        sat.apply(((x.max(p.lo).min(p.hi) << p.l) + p.bias) >> p.r)
+    })
+}
+
+/// Whether the product of two lanes of `a` and `b` fits `i128` with room
+/// for a rounding term: true unless a lane is 64 bits wide.
+fn narrow_product(a: ScalarType, b: ScalarType) -> bool {
+    a.bits() < 64 && b.bits() < 64
+}
+
+/// `sat(x · y >> s)`, floored or rounded half up: FPIR `MulShr` and
+/// `RoundingMulShr` (`s` is operand 2 clamped to `[0, 2·bits]`) and
+/// `QRDMulH` (`fixed`: `s = bits − 1`). A 64-bit product takes the
+/// interpreter's exact helper.
+fn mul_shr<S: LaneSink>(
+    sink: S,
+    tys: &[ScalarType],
+    round: bool,
+    sat: Sat,
+    fixed: Option<u32>,
+) -> S::Out {
+    let b = 2 * tys[0].bits() as i128;
+    let shift = move |z: i128| z.clamp(0, b) as u32;
+    if !narrow_product(tys[0], tys[1]) {
+        let apply = move |x, y, s| sat.apply(mul_shr_exact(x, y, s, round));
+        return match fixed {
+            Some(s) => sink.binary(move |x, y| apply(x, y, s)),
+            None => sink.by_count3(shift, apply),
+        };
+    }
+    // The product is below 2^64 in magnitude and `s` at most 64.
+    let resolve = move |z| {
+        let s = shift(z);
+        (if round { (1i128 << s) >> 1 } else { 0 }, s)
+    };
+    let apply = move |x: i128, y: i128, (bias, s): (i128, u32)| sat.apply((x * y + bias) >> s);
+    match fixed {
+        Some(s) => {
+            let p = resolve(s as i128);
+            sink.binary(move |x, y| apply(x, y, p))
+        }
+        None => sink.by_count3(resolve, apply),
+    }
+}
+
+/// The lane table: every semantic's lane arithmetic, written once, with
+/// everything that depends only on the element types resolved here.
 /// `tys` are the operand element types (`tys.len() == sem.arity()`),
 /// `result` the destination element type.
 fn lane_table<S: LaneSink>(
@@ -309,108 +528,142 @@ fn lane_table<S: LaneSink>(
     sink: S,
 ) -> S::Out {
     let t = tys[0];
+    let (w, sat) = (result.wrapper(), Sat::of(result));
     match sem {
         MachSem::Bin(op) => bin_lanes(op, t, sink),
-        MachSem::Cmp(op) => each_op!(op, CmpOp [Eq Ne Lt Le Gt Ge], O => {
-            sink.binary(move |x, y| cmp_op_lane(O, x, y, t))
-        }),
+        MachSem::Cmp(op) => match op {
+            CmpOp::Eq => sink.binary(|x, y| (x == y) as i128),
+            CmpOp::Ne => sink.binary(|x, y| (x != y) as i128),
+            CmpOp::Lt => sink.binary(|x, y| (x < y) as i128),
+            CmpOp::Le => sink.binary(|x, y| (x <= y) as i128),
+            CmpOp::Gt => sink.binary(|x, y| (x > y) as i128),
+            CmpOp::Ge => sink.binary(|x, y| (x >= y) as i128),
+        },
         MachSem::Select => sink.ternary(|m, x, y| if m != 0 { x } else { y }),
         MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-            sink.unary(wrap_lane(result))
+            wrapping!(S, result, w => sink.unary(wrap_lane(w)))
         }
-        MachSem::SatCastTo => sink.unary(move |x| result.saturate(x)),
+        MachSem::SatCastTo => sink.unary(move |x| sat.apply(x)),
         MachSem::PackSatSignedTo => {
-            let signed = t.with_signed();
-            sink.unary(move |x| result.saturate(signed.wrap(x)))
+            let signed = t.with_signed().wrapper();
+            sink.unary(move |x| sat.apply(signed.apply(x)))
         }
         MachSem::Fpir(op) => fpir_lanes(op, tys, result, sink),
         MachSem::MulHigh => {
             let bits = t.bits();
-            sink.binary(move |x, y| result.wrap((x * y) >> bits))
+            if narrow_product(t, tys[1]) {
+                sink.binary(move |x, y| w.apply((x * y) >> bits))
+            } else {
+                sink.binary(move |x, y| w.apply(mul_shr_exact(x, y, bits, false)))
+            }
         }
         // The widening width constraint is a shape check; the lane
-        // arithmetic is the non-widening form's. Wrapping at i128 for the
-        // same reason as `BinOp::Mul` in `bin_op_lane`: 64-bit lane
-        // extremes overflow the raw product, and `wrap` only reads its low
-        // bits.
+        // arithmetic is the non-widening form's. The sums of products
+        // wrap at i128 for the same reason as `BinOp::Mul` in
+        // `bin_op_lane`: 64-bit lane extremes overflow the raw product,
+        // and a wrap only reads its low bits.
         MachSem::MulAcc | MachSem::WideningMulAcc => {
-            sink.ternary(move |c, x, y| result.wrap(c.wrapping_add(x.wrapping_mul(y))))
+            sink.ternary(move |c, x, y| w.apply(c.wrapping_add(x.wrapping_mul(y))))
         }
-        MachSem::MulPairsAdd => {
-            sink.wide(move |xs, i| result.wrap(xs[0][i] * xs[1][i] + xs[2][i] * xs[3][i]))
-        }
-        MachSem::Mpa => {
-            sink.wide(move |xs, i| result.wrap(xs[0][i] * xs[2][i] + xs[1][i] * xs[3][i]))
-        }
-        MachSem::MpaAcc => sink
-            .wide(move |xs, i| result.wrap(xs[0][i] + xs[1][i] * xs[3][i] + xs[2][i] * xs[4][i])),
+        MachSem::MulPairsAdd => sink.wide(move |xs, i| {
+            w.apply(xs[0][i].wrapping_mul(xs[1][i]).wrapping_add(xs[2][i].wrapping_mul(xs[3][i])))
+        }),
+        MachSem::Mpa => sink.wide(move |xs, i| {
+            w.apply(xs[0][i].wrapping_mul(xs[2][i]).wrapping_add(xs[1][i].wrapping_mul(xs[3][i])))
+        }),
+        MachSem::MpaAcc => sink.wide(move |xs, i| {
+            let acc = xs[0][i].wrapping_add(xs[1][i].wrapping_mul(xs[3][i]));
+            w.apply(acc.wrapping_add(xs[2][i].wrapping_mul(xs[4][i])))
+        }),
         MachSem::DotAcc4 => sink.wide(move |xs, i| {
             let mut acc = xs[0][i];
             for k in 0..4 {
-                acc += xs[1 + k][i] * xs[5 + k][i];
+                acc = acc.wrapping_add(xs[1 + k][i].wrapping_mul(xs[5 + k][i]));
             }
-            result.wrap(acc)
+            w.apply(acc)
         }),
-        MachSem::ShrRndSatNarrow => {
-            let tys2 = [t, tys[1]];
-            sink.binary(move |x, y| {
-                result.saturate(fpir_op_lane(FpirOp::RoundingShr, &[x, y], &tys2, t))
-            })
-        }
+        // `rounding_shr` at the operand type saturates into it, then into
+        // the result.
+        MachSem::ShrRndSatNarrow => sat_shift(sink, t.bits(), right, true, Sat::of(t).and(sat)),
         MachSem::ShrNarrow => {
-            let shr = bin_lane!(BinOp::Shr, t);
-            sink.binary(move |x, y| result.wrap(shr(x, y)))
+            let wt = t.wrapper();
+            wrap_shift(sink, t.bits(), right, move |v| w.apply(wt.apply(v)))
         }
-        MachSem::QRDMulH => {
-            let shift = t.bits() as i128 - 1;
-            sink.binary(move |x, y| {
-                fpir_op_lane(FpirOp::RoundingMulShr, &[x, y, shift], &[t, t, t], result)
-            })
-        }
+        MachSem::QRDMulH => mul_shr(sink, &[t, t], true, sat, Some(t.bits() - 1)),
     }
 }
 
-/// `Bin(op)` at operand type `t`.
+/// `Bin(op)` at operand type `t`. Operands are canonical lanes of `t`, so
+/// `Min`/`Max`, the bitwise ops and right shifts need no wrap.
 fn bin_lanes<S: LaneSink>(op: BinOp, t: ScalarType, sink: S) -> S::Out {
-    bin_ops!(op, O => sink.binary(bin_lane!(O, t)))
+    let w = t.wrapper();
+    match op {
+        BinOp::Add => wrapping!(S, t, w => sink.binary(move |x, y| w.apply(x + y))),
+        BinOp::Sub => wrapping!(S, t, w => sink.binary(move |x, y| w.apply(x - y))),
+        BinOp::Mul => wrapping!(S, t, w => sink.binary(mul_lane(w))),
+        BinOp::Div => sink.binary(move |x, y| w.apply(floor_div(x, y))),
+        BinOp::Mod => sink.binary(move |x, y| w.apply(floor_mod(x, y))),
+        BinOp::Min => sink.binary(|x: i128, y| x.min(y)),
+        BinOp::Max => sink.binary(|x: i128, y| x.max(y)),
+        BinOp::Shl => wrapping!(S, t, w => wrap_shift(sink, t.bits(), left, wrap_lane(w))),
+        BinOp::Shr => wrapping!(S, t, w => wrap_shift(sink, t.bits(), right, wrap_lane(w))),
+        BinOp::And => sink.binary(|x, y| x & y),
+        BinOp::Or => sink.binary(|x, y| x | y),
+        BinOp::Xor => sink.binary(|x, y| x ^ y),
+    }
 }
 
-/// A wrapping conversion to `result` (`ExtendTo`/`TruncTo`/`Reinterpret`/
-/// `Splat`).
-fn wrap_lane(result: ScalarType) -> impl Fn(i128) -> i128 + Lane {
-    move |x| result.wrap(x)
+/// `Bin(Mul)` wrapping by `w`. Wrapping at i128 for the reason
+/// `bin_op_lane` gives.
+fn mul_lane(w: impl WrapTo) -> impl Fn(i128, i128) -> i128 + Lane {
+    move |x, y| w.apply(x.wrapping_mul(y))
 }
 
-/// `Fpir(op)` at the op's own arity, each arm with its op literal.
+/// A wrapping conversion (`ExtendTo`/`TruncTo`/`Reinterpret`/`Splat`).
+fn wrap_lane(w: impl WrapTo) -> impl Fn(i128) -> i128 + Lane {
+    move |x| w.apply(x)
+}
+
+/// `Fpir(op)` at the op's own arity.
 fn fpir_lanes<S: LaneSink>(op: FpirOp, tys: &[ScalarType], result: ScalarType, sink: S) -> S::Out {
-    macro_rules! lanes {
-        (1, $op:expr) => {{
-            let ta = [tys[0]];
-            sink.unary(move |x| fpir_op_lane($op, &[x], &ta, result))
-        }};
-        (2, $op:expr) => {{
-            let ta = [tys[0], tys[1]];
-            sink.binary(move |x, y| fpir_op_lane($op, &[x, y], &ta, result))
-        }};
-        (3, $op:expr) => {{
-            let ta = [tys[0], tys[1], tys[2]];
-            sink.ternary(move |x, y, z| fpir_op_lane($op, &[x, y, z], &ta, result))
-        }};
-    }
-    macro_rules! by_arity {
-        ($($n:tt: $($v:ident)*;)*) => {
-            match op {
-                FpirOp::SaturatingCast(to) => lanes!(1, FpirOp::SaturatingCast(to)),
-                $($(FpirOp::$v => lanes!($n, FpirOp::$v),)*)*
-            }
-        };
-    }
-    by_arity! {
-        1: Abs SaturatingNarrow;
-        2: WideningAdd WideningSub WideningMul WideningShl WideningShr ExtendingAdd ExtendingSub
-           ExtendingMul Absd SaturatingAdd SaturatingSub HalvingAdd HalvingSub RoundingHalvingAdd
-           RoundingShl RoundingShr SaturatingShl;
-        3: MulShr RoundingMulShr;
+    let bits = tys[0].bits();
+    let (w, sat) = (result.wrapper(), Sat::of(result));
+    match op {
+        FpirOp::WideningAdd | FpirOp::ExtendingAdd => {
+            wrapping!(S, result, w => sink.binary(move |x, y| w.apply(x + y)))
+        }
+        FpirOp::WideningSub | FpirOp::ExtendingSub => {
+            wrapping!(S, result, w => sink.binary(move |x, y| w.apply(x - y)))
+        }
+        FpirOp::WideningMul | FpirOp::ExtendingMul => {
+            wrapping!(S, result, w => sink.binary(mul_lane(w)))
+        }
+        FpirOp::WideningShl => wrap_shift(sink, bits, left, wrap_lane(w)),
+        FpirOp::WideningShr => wrap_shift(sink, bits, right, wrap_lane(w)),
+        FpirOp::Abs => sink.unary(|x: i128| x.abs()),
+        FpirOp::Absd => sink.binary(|x: i128, y| (x - y).abs()),
+        FpirOp::SaturatingCast(to) => {
+            let sat = Sat::of(to);
+            sink.unary(move |x| sat.apply(x))
+        }
+        FpirOp::SaturatingNarrow => sink.unary(move |x| sat.apply(x)),
+        FpirOp::SaturatingAdd => sink.binary(move |x, y| sat.apply(x + y)),
+        FpirOp::SaturatingSub => sink.binary(move |x, y| sat.apply(x - y)),
+        // `floor_div(v, 2)` is an arithmetic shift.
+        FpirOp::HalvingAdd => {
+            wrapping!(S, result, w => sink.binary(move |x, y| w.apply((x + y) >> 1)))
+        }
+        FpirOp::HalvingSub => {
+            wrapping!(S, result, w => sink.binary(move |x, y| w.apply((x - y) >> 1)))
+        }
+        FpirOp::RoundingHalvingAdd => {
+            wrapping!(S, result, w => sink.binary(move |x, y| w.apply((x + y + 1) >> 1)))
+        }
+        FpirOp::RoundingShl => sat_shift(sink, bits, left, true, sat),
+        FpirOp::RoundingShr => sat_shift(sink, bits, right, true, sat),
+        FpirOp::SaturatingShl => sat_shift(sink, bits, left, false, sat),
+        FpirOp::MulShr => mul_shr(sink, tys, false, sat, None),
+        FpirOp::RoundingMulShr => mul_shr(sink, tys, true, sat, None),
     }
 }
 
@@ -537,6 +790,29 @@ impl LaneSink for Capture {
     fn wide(self, _: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Self::Out {
         None
     }
+    /// A captured count is resolved here, once, instead of per lane.
+    fn by_count<P: Lane>(
+        self,
+        resolve: impl Fn(i128) -> P + Lane,
+        apply: impl Fn(i128, P) -> i128 + Lane,
+    ) -> Self::Out {
+        if self.k != 1 {
+            return self.binary(move |x, y| apply(x, resolve(y)));
+        }
+        let p = resolve(self.c);
+        Some(kernel(move |xs, out| strip1(move |x| apply(x, p), xs[0], out)))
+    }
+    fn by_count3<P: Lane>(
+        self,
+        resolve: impl Fn(i128) -> P + Lane,
+        apply: impl Fn(i128, i128, P) -> i128 + Lane,
+    ) -> Self::Out {
+        if self.k != 2 {
+            return self.ternary(move |x, y, z| apply(x, y, resolve(z)));
+        }
+        let p = resolve(self.c);
+        Some(kernel(move |xs, out| strip2(move |x, y| apply(x, y, p), xs[0], xs[1], out)))
+    }
 }
 
 // ---- fused pairs --------------------------------------------------------
@@ -592,14 +868,37 @@ pub fn sem_slice_fn_pair(
     // a `Bin(Mul)` consumer absorbs any lane-wise producer, every other
     // consumer only a multiply-class one.
     let p = Producer { sem: p_sem, tys: p_tys, result: p_result };
-    let ct = c_tys[0];
     match c_sem {
-        MachSem::Bin(BinOp::Mul) => p.lane_wise(Into2 { c: bin_lane!(BinOp::Mul, ct), k }),
-        MachSem::Bin(op) => bin_ops!(op, O => p.mul_class(Into2 { c: bin_lane!(O, ct), k })),
+        MachSem::Bin(BinOp::Mul) => p.lane_wise(Into2 { c: mul_lane(c_tys[0].wrapper()), k }),
+        MachSem::Bin(op) => bin_lanes(op, c_tys[0], Consumer { p, k }),
         MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-            p.mul_class(Into1(wrap_lane(c_result)))
+            p.mul_class(Into1(wrap_lane(c_result.wrapper())))
         }
         _ => None,
+    }
+}
+
+/// A pair's lane-table run for the consumer: the consumer's closure, in
+/// `Into1`/`Into2`, then meets a multiply-class producer's.
+struct Consumer<'a> {
+    p: Producer<'a>,
+    k: usize,
+}
+
+impl LaneSink for Consumer<'_> {
+    type Out = Option<SemSliceFn>;
+    const WRAP_BY_SIGN: bool = false;
+    fn unary(self, c: impl Fn(i128) -> i128 + Lane) -> Self::Out {
+        self.p.mul_class(Into1(c))
+    }
+    fn binary(self, c: impl Fn(i128, i128) -> i128 + Lane) -> Self::Out {
+        self.p.mul_class(Into2 { c, k: self.k })
+    }
+    fn ternary(self, _: impl Fn(i128, i128, i128) -> i128 + Lane) -> Self::Out {
+        None
+    }
+    fn wide(self, _: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Self::Out {
+        None
     }
 }
 
@@ -616,7 +915,7 @@ impl Producer<'_> {
     /// absorbs.
     fn mul_class<S: LaneSink<Out = Option<SemSliceFn>>>(&self, into: S) -> Option<SemSliceFn> {
         match self.sem {
-            MachSem::Bin(BinOp::Mul) => into.binary(bin_lane!(BinOp::Mul, self.tys[0])),
+            MachSem::Bin(BinOp::Mul) => wrapping!(S, self.tys[0], w => into.binary(mul_lane(w))),
             MachSem::Fpir(op) => fpir_lanes(op, self.tys, self.result, into),
             _ => None,
         }
@@ -627,7 +926,7 @@ impl Producer<'_> {
         match self.sem {
             MachSem::Bin(op) => bin_lanes(op, self.tys[0], into),
             MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
-                into.unary(wrap_lane(self.result))
+                wrapping!(S, self.result, w => into.unary(wrap_lane(w)))
             }
             _ => self.mul_class(into),
         }
@@ -640,6 +939,7 @@ struct Into1<C>(C);
 
 impl<C: Fn(i128) -> i128 + Lane> LaneSink for Into1<C> {
     type Out = Option<SemSliceFn>;
+    const WRAP_BY_SIGN: bool = false;
     fn unary(self, p: impl Fn(i128) -> i128 + Lane) -> Self::Out {
         let c = self.0;
         Some(Strip.unary(move |x| c(p(x))))
@@ -667,6 +967,7 @@ struct Into2<C> {
 
 impl<C: Fn(i128, i128) -> i128 + Lane> LaneSink for Into2<C> {
     type Out = Option<SemSliceFn>;
+    const WRAP_BY_SIGN: bool = false;
     fn unary(self, p: impl Fn(i128) -> i128 + Lane) -> Self::Out {
         let c = self.c;
         Some(match self.k {
@@ -696,6 +997,7 @@ impl<C: Fn(i128, i128) -> i128 + Lane> LaneSink for Into2<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpir::interp::{bin_op_lane, cmp_op_lane, fpir_op_lane};
     use fpir::types::{ScalarType as S, VectorType as V};
 
     fn v(t: V, xs: &[i128]) -> Value {
@@ -830,20 +1132,34 @@ mod tests {
         }
     }
 
+    /// The columns of every combination of `vals` over `n` operands.
+    fn cross(vals: &[i128], n: usize) -> Vec<Vec<i128>> {
+        let lanes = vals.len().pow(n as u32);
+        (0..n)
+            .map(|j| {
+                let stride = vals.len().pow(j as u32);
+                (0..lanes).map(|i| vals[(i / stride) % vals.len()]).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn literal_ops_match_runtime_op_helpers() {
-        // The op-list macros hand each lane closure a *literal* op. A slip
-        // there (`Sub` mapped to `Add`, an FPIR op at the wrong arity)
-        // would make the table disagree with the lane helpers called on
-        // the *runtime* op — checked here for every op through the
-        // whole-vector evaluator, the compiled strip, and the
-        // captured-constant strip at every operand position.
+        // The table writes each op's lane arithmetic itself, with the
+        // element types resolved, and resolves a captured shift count
+        // once. Each arm must agree with the interpreter's generic lane
+        // helpers on the *runtime* op — checked for every op at every
+        // element type through the whole-vector evaluator, the compiled
+        // strip, and the captured-constant strip at every operand
+        // position. Operands range over every combination of an edge set
+        // (the shift family's clamping boundaries wrapped into the type,
+        // and the type's extremes) plus a few random lanes; the captured
+        // constant over the edge set.
         let mut state: u64 = 0x1319_8a2e_0370_7344;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 16) as i128
         };
-        const LANES: usize = 8;
         use BinOp as B;
         use CmpOp as C;
         use FpirOp as F;
@@ -887,60 +1203,141 @@ mod tests {
             F::RoundingMulShr,
             F::SaturatingShl,
         ];
+        // The machine-only semantics the table writes with resolved
+        // types, checked against their definitions in the interpreter's
+        // helpers.
+        let machs = [
+            MachSem::ExtendTo,
+            MachSem::TruncTo,
+            MachSem::Reinterpret,
+            MachSem::Splat,
+            MachSem::SatCastTo,
+            MachSem::PackSatSignedTo,
+            MachSem::MulHigh,
+            MachSem::ShrNarrow,
+            MachSem::ShrRndSatNarrow,
+            MachSem::QRDMulH,
+        ];
         let sems: Vec<MachSem> = bins
             .map(MachSem::Bin)
             .into_iter()
             .chain(cmps.map(MachSem::Cmp))
             .chain(fpirs.map(MachSem::Fpir))
+            .chain(machs)
             .collect();
         let runtime_op = |sem: MachSem, xs: &[i128], tys: &[S], result: S| match sem {
             MachSem::Bin(op) => bin_op_lane(op, xs[0], xs[1], tys[0]),
             MachSem::Cmp(op) => cmp_op_lane(op, xs[0], xs[1], tys[0]),
             MachSem::Fpir(op) => fpir_op_lane(op, xs, tys, result),
-            _ => unreachable!(),
+            MachSem::SatCastTo => result.saturate(xs[0]),
+            MachSem::PackSatSignedTo => result.saturate(tys[0].with_signed().wrap(xs[0])),
+            MachSem::MulHigh => result.wrap(mul_shr_exact(xs[0], xs[1], tys[0].bits(), false)),
+            MachSem::ShrNarrow => result.wrap(bin_op_lane(B::Shr, xs[0], xs[1], tys[0])),
+            MachSem::ShrRndSatNarrow => {
+                result.saturate(fpir_op_lane(F::RoundingShr, xs, tys, tys[0]))
+            }
+            MachSem::QRDMulH => {
+                let shift = tys[0].bits() as i128 - 1;
+                fpir_op_lane(F::RoundingMulShr, &[xs[0], xs[1], shift], &[tys[0]; 3], result)
+            }
+            _ => result.wrap(xs[0]),
         };
         let run = |f: SemSliceFn, args: &[Vec<i128>]| {
             let slices: Vec<&[i128]> = args.iter().map(|a| a.as_slice()).collect();
-            let mut out = vec![0i128; LANES];
+            let mut out = vec![0i128; args[0].len()];
             f(&slices, &mut out);
             out
         };
-        let t = S::I16;
-        for sem in sems {
-            // A narrower FPIR result type, so saturating and wrapping ops
-            // clip; operand 0 starts with the type's extremes.
-            let result = if matches!(sem, MachSem::Fpir(_)) { S::I8 } else { t };
-            let tys = vec![t; sem.arity()];
-            let edge = [t.min_value(), t.max_value(), 0, -1];
-            let args: Vec<Vec<i128>> = (0..tys.len())
-                .map(|j| {
-                    (0..LANES)
-                        .map(|i| if j == 0 && i < 4 { edge[i] } else { t.wrap(next()) })
-                        .collect()
-                })
-                .collect();
-            let want = |args: &[Vec<i128>]| -> Vec<i128> {
-                (0..LANES)
-                    .map(|i| {
-                        let xs: Vec<i128> = args.iter().map(|a| a[i]).collect();
-                        runtime_op(sem, &xs, &tys, result)
-                    })
-                    .collect()
-            };
-            let values: Vec<Value> =
-                args.iter().map(|a| Value::new(V::new(t, LANES as u32), a.clone())).collect();
-            let refs: Vec<&Value> = values.iter().collect();
-            let mut whole = Vec::new();
-            eval_sem_into(sem, &refs, V::new(result, LANES as u32), &mut whole).unwrap();
-            assert_eq!(whole, want(&args), "{sem:?} eval_sem_into");
-            assert_eq!(run(sem_slice_fn(sem, &tys, result), &args), want(&args), "{sem:?} strip");
-            for k in 0..tys.len() {
-                let c = t.wrap(next());
-                let mut with_c = args.clone();
-                with_c[k] = vec![c; LANES];
-                let splat = sem_slice_fn_splat(sem, &tys, result, k, c)
-                    .unwrap_or_else(|| panic!("{sem:?}: no captured loop at operand {k}"));
-                assert_eq!(run(splat, &with_c), want(&with_c), "{sem:?} splat at operand {k}");
+        let mut cases = 0usize;
+        for t in fpir::types::ALL_SCALAR_TYPES {
+            let b = t.bits() as i128;
+            let counts = [-2 * b - 1, -b - 1, -b, -1, 0, 1, b - 1, b, 2 * b, 2 * b + 1, 127, 128];
+            let mut edges: Vec<i128> =
+                counts.into_iter().chain([256, 257]).map(|c| t.wrap(c)).collect();
+            edges.extend([t.min_value(), t.max_value()]);
+            let vals: Vec<i128> =
+                edges.iter().copied().chain((0..4).map(|_| t.wrap(next()))).collect();
+            for &sem in &sems {
+                // A narrow and a wide result type too, so saturating and
+                // wrapping ops clip, and a narrowing op meets a result
+                // wider than its operand.
+                let results: &[S] = if matches!(sem, MachSem::Bin(_) | MachSem::Cmp(_)) {
+                    &[t]
+                } else {
+                    &[t, S::I8, S::I32]
+                };
+                for &result in results {
+                    let tys = vec![t; sem.arity()];
+                    let want = |args: &[Vec<i128>]| -> Vec<i128> {
+                        (0..args[0].len())
+                            .map(|i| {
+                                let xs: Vec<i128> = args.iter().map(|a| a[i]).collect();
+                                runtime_op(sem, &xs, &tys, result)
+                            })
+                            .collect()
+                    };
+                    let args = cross(&vals, tys.len());
+                    let lanes = args[0].len() as u32;
+                    let values: Vec<Value> =
+                        args.iter().map(|a| Value::new(V::new(t, lanes), a.clone())).collect();
+                    let refs: Vec<&Value> = values.iter().collect();
+                    let mut whole = Vec::new();
+                    eval_sem_into(sem, &refs, V::new(result, lanes), &mut whole).unwrap();
+                    let at = format!("{sem:?} at {t} -> {result}");
+                    assert_eq!(whole, want(&args), "{at}: eval_sem_into");
+                    assert_eq!(
+                        run(sem_slice_fn(sem, &tys, result), &args),
+                        want(&args),
+                        "{at}: strip"
+                    );
+                    for k in 0..tys.len() {
+                        let others = cross(&vals, tys.len() - 1);
+                        for &c in &edges {
+                            let mut with_c = others.clone();
+                            with_c.insert(k, vec![c; vals.len().pow(tys.len() as u32 - 1)]);
+                            let splat = sem_slice_fn_splat(sem, &tys, result, k, c)
+                                .unwrap_or_else(|| panic!("{at}: no captured loop at operand {k}"));
+                            assert_eq!(
+                                run(splat, &with_c),
+                                want(&with_c),
+                                "{at}: {c} at operand {k}"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Pinned: 8 types x 16 constants x the operand positions of the 18
+        // Bin/Cmp ops (36) and, at three result types, of the 23 FPIR ops
+        // (44) and the 10 machine-only semantics (14).
+        assert_eq!(cases, 8 * 16 * (36 + 3 * (44 + 14)), "captured-constant case count changed");
+    }
+
+    #[test]
+    fn mul_shr_at_64_bit_extremes_matches_the_interpreter() {
+        // Two 64-bit extremes multiply past i128: `eval_sem` and the
+        // captured-count strip form the product exactly, with the values
+        // `interp::tests::mul_shr_forms_64_bit_products_exactly` pins for
+        // the interpreter.
+        let max = u64::MAX as i128;
+        let (imin, imax) = (i64::MIN as i128, i64::MAX as i128);
+        let cases = [
+            (S::U64, [max, max, 64], [max - 1, max - 1]),
+            (S::U64, [max, max, 0], [max, max]),
+            (S::I64, [imin, imin, 63], [imax, imax]),
+            (S::I64, [imin, imax, 64], [(imin * imax) >> 64, ((imin * imax) >> 64) + 1]),
+        ];
+        for (t, xs, [floor, rounded]) in cases {
+            for (op, want) in [(FpirOp::MulShr, floor), (FpirOp::RoundingMulShr, rounded)] {
+                let sem = MachSem::Fpir(op);
+                let vt = V::new(t, 1);
+                let args: Vec<Value> = xs.iter().map(|&x| v(vt, &[x])).collect();
+                assert_eq!(eval_sem(sem, &args, vt).unwrap().lanes(), &[want], "{op:?} {xs:?}");
+                let mut got = [0i128];
+                let splat = sem_slice_fn_splat(sem, &[t; 3], t, 2, xs[2]).unwrap();
+                splat(&[&[xs[0]], &[xs[1]], &[xs[2]]], &mut got);
+                assert_eq!(got, [want], "{op:?} {xs:?} captured");
             }
         }
     }
