@@ -11,11 +11,12 @@
 //! * [`run_tiled`] — the FAST path: the program is
 //!   [linked once](fpir_sim::exec::Executable), the taps behind each
 //!   input slot are parsed once, and the image rows are split into chunks
-//!   fanned out on an [`fpir_pool::Pool`]. Each chunk reuses one
-//!   execution context — steady-state strips allocate nothing — and the
-//!   chunk results merge in row order, so the output is **bit-identical
-//!   for any worker count** (and to the reference runner; the end-to-end
-//!   and differential tests pin both).
+//!   fanned out on an [`fpir_pool::Pool`]. Each worker reuses one
+//!   execution context for every chunk it claims — steady-state strips
+//!   allocate nothing — and writes each chunk's rows in place into the
+//!   one output buffer, so the output is **bit-identical for any worker
+//!   count** (and to the reference runner; the end-to-end and
+//!   differential tests pin both).
 
 use crate::image::Image;
 use crate::pipeline::{parse_tap, Pipeline, PipelineError};
@@ -26,6 +27,7 @@ use fpir_sim::program::Program;
 use fpir_sim::vm::execute;
 use fpir_sim::Executable;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Output dimensions: those of the pipeline's first input.
 fn output_shape(
@@ -103,9 +105,9 @@ fn gather_row(buf: &mut Vec<i128>, row: &[i128], start: i64, lanes: usize) {
 ///
 /// The program is linked once; each worker owns one execution context
 /// whose register file and lane buffers are recycled across every strip
-/// of its chunks. Rows are pure functions of the inputs, and chunks merge
-/// in ascending row order, so the output is bit-identical for any `jobs`
-/// — `run_tiled(.., 1)` equals `run_tiled(.., n)` equals
+/// of its chunks, and writes its rows in place into the output image.
+/// Rows are pure functions of the inputs, so the output is bit-identical
+/// for any `jobs` — `run_tiled(.., 1)` equals `run_tiled(.., n)` equals
 /// [`run_program_reference`].
 ///
 /// # Errors
@@ -162,24 +164,26 @@ pub fn run_tiled_exe(
     let lanes = pipe.lanes() as usize;
     let out_elem = pipe.out_elem();
 
-    // Several chunks per worker for load balancing; the merge below is
-    // in chunk (= row) order, so the split never affects the output.
+    // Several chunks per worker for load balancing. Workers claim chunks
+    // from one queue, each with one execution context for every chunk it
+    // claims, and write each chunk's rows in place, so the split never
+    // affects the output.
     let jobs = jobs.max(1);
     let n_chunks = (jobs * 4).min(h).max(1);
     let rows_per = h.div_ceil(n_chunks);
-    let chunks: Vec<(usize, usize)> = (0..n_chunks)
-        .map(|c| ((c * rows_per).min(h), ((c + 1) * rows_per).min(h)))
-        .filter(|&(y0, y1)| y0 < y1)
-        .collect();
+    let mut data = vec![0i128; w * h];
+    let queue = Mutex::new(data.chunks_mut((rows_per * w).max(1)).enumerate());
+    let workers: Vec<usize> = (0..jobs.min(n_chunks)).collect();
 
-    let results: Vec<Result<Vec<i128>, PipelineError>> =
-        Pool::new(jobs).map(&chunks, |&(y0, y1)| {
-            let mut ctx = exe.new_ctx();
-            let mut rows: Vec<i128> = Vec::with_capacity(w * (y1 - y0));
-            let mut slots: Vec<Value> = Vec::with_capacity(sources.len());
-            for y in y0..y1 {
-                let mut x0 = 0usize;
-                while x0 < w {
+    let results: Vec<Result<(), PipelineError>> = Pool::new(jobs).map(&workers, |_| {
+        let mut ctx = exe.new_ctx();
+        let mut slots: Vec<Value> = Vec::with_capacity(sources.len());
+        loop {
+            let claimed = queue.lock().expect("no worker panics while claiming a chunk").next();
+            let Some((c, rows)) = claimed else { return Ok(()) };
+            for (dy, out_row) in rows.chunks_mut(w).enumerate() {
+                let y = c * rows_per + dy;
+                for (x0, out) in (0..w).step_by(lanes).zip(out_row.chunks_mut(lanes)) {
                     for (src, slot) in sources.iter().zip(exe.inputs()) {
                         let mut buf = ctx.take_buffer();
                         let iw = src.img.width();
@@ -197,18 +201,14 @@ pub fn run_tiled_exe(
                     for s in slots.drain(..) {
                         ctx.recycle(s);
                     }
-                    rows.extend_from_slice(&v.lanes()[..lanes.min(w - x0)]);
+                    out.copy_from_slice(&v.lanes()[..out.len()]);
                     ctx.recycle(v);
-                    x0 += lanes;
                 }
             }
-            Ok(rows)
-        });
+        }
+    });
 
-    let mut data: Vec<i128> = Vec::with_capacity(w * h);
-    for chunk in results {
-        data.extend_from_slice(&chunk?);
-    }
+    results.into_iter().collect::<Result<(), _>>()?;
     Ok(Image::from_data(out_elem, w, h, data))
 }
 

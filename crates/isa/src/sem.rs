@@ -26,24 +26,43 @@
 //! 64-bit sign extension for a signed one, picked when the closure is
 //! built (the fused-pair loops use the general [`fpir::types::Wrap`]); a
 //! saturation is a pair of captured bounds, and a semantic that saturates
-//! twice (`ShrRndSatNarrow`) clamps once to their intersection. The shift family — `Bin(Shl|Shr)`, `ShrNarrow`,
-//! `ShrRndSatNarrow`, FPIR `WideningShl/Shr`, `RoundingShl/Shr`,
-//! `SaturatingShl`, `MulShr` and `RoundingMulShr`, and `QRDMulH`'s fixed
-//! shift — splits each lane into resolving the count (clamping,
-//! direction, the shifted-out case, the rounding bias) and applying it.
-//! The captured-splat sink resolves a constant count once, at link time;
-//! the other sinks resolve per lane. Operands are canonical lanes of their
-//! types (the [`Value`] invariant), so `Min`/`Max`, the bitwise ops and
-//! right shifts need no wrap.
+//! twice (`ShrRndSatNarrow`) clamps once to their intersection. The shift
+//! family — `Bin(Shl|Shr)`, `ShrNarrow`, `ShrRndSatNarrow`, FPIR
+//! `WideningShl/Shr`, `RoundingShl/Shr`, `SaturatingShl`, `MulShr` and
+//! `RoundingMulShr`, and `QRDMulH`'s fixed shift — splits each lane into
+//! resolving the count (clamping, direction, the shifted-out case, the
+//! rounding bias) and applying it. The captured-splat sink resolves a
+//! constant count once, at link time; the other sinks resolve per lane.
+//! Operands are canonical lanes of their types (the [`Value`] invariant),
+//! so `Min`/`Max`, the bitwise ops and right shifts need no wrap.
+//!
+//! **Word width.** Lanes are `i128` in every slice, but the shift family,
+//! the saturations (`SatCastTo`, `PackSatSignedTo`, FPIR
+//! `SaturatingCast/Narrow/Add/Sub`), `Min`/`Max`, `Select`, `Abs`, `Absd`
+//! and the sums of products (`MulAcc`, `WideningMulAcc`, `MulPairsAdd`,
+//! `Mpa`, `MpaAcc`, `DotAcc4`) are written once over a machine word and
+//! built at `i64` exactly when the operand and result types prove that
+//! every intermediate fits: every operand, every clamp bound, each sum,
+//! product and rounding bias, and each shift below 64 bits. A wrapping
+//! shift or sum of products needs only the wrap's bits, which `i64`
+//! computes exactly when the wrap is narrower than 64 bits (shifts) or at
+//! most 64 (wrapping sums). Otherwise the closure is built at `i128`: a
+//! `u64` operand, a 64-bit wrap after a shift, an `i32` `MulShr` count
+//! clamped to 64, a `u32 × u32` product. The closure converts at the lane
+//! boundary, so the sinks and their slices are the same at both words.
+//! The fused-pair loops stay at `i128`.
 //!
 //! The interpreter's generic lane helpers (`fpir::interp::bin_op_lane`,
 //! `cmp_op_lane` and `fpir_op_lane`) are the arithmetic oracle: the tests
-//! compare every arm of the table with them, at every element type, over
-//! the shift family's edge counts, streamed and captured.
+//! compare every arm of the table with them, at every element type and
+//! every legal type shape, over the shift family's edge counts (including
+//! the `i64` word's shift boundary), streamed and captured.
 
 use fpir::expr::{BinOp, CmpOp, FpirOp};
 use fpir::interp::{floor_div, floor_mod, mul_shr_exact, Value};
 use fpir::types::{ScalarType, VectorType, Wrap};
+use std::marker::PhantomData;
+use std::ops::{Add, Mul, Neg, Shl, Shr, Sub};
 use std::sync::Arc;
 
 /// What a machine instruction computes.
@@ -280,11 +299,12 @@ impl<T: Copy + Send + Sync + 'static> Lane for T {}
 /// the form matching its arity, and turns it into an evaluator.
 trait LaneSink: Sized {
     type Out;
-    /// Whether `wrapping!` builds a wrap per signedness. The pair sinks
-    /// opt out: their merged loops are multiply-class, where the wrap is a
-    /// small part of the cost, and two more wrap forms would triple the
-    /// loops compiled for them.
-    const WRAP_BY_SIGN: bool = true;
+    /// Whether the table builds this sink's closures in their
+    /// specialized forms: a wrap per signedness (`wrapping!`) and the
+    /// `i64` word (`at_word!`). The pair sinks opt out: their merged loops
+    /// are multiply-class, where these are a small part of the cost, and
+    /// the extra forms would multiply the loops compiled for them.
+    const SPECIALIZED: bool = true;
     fn unary(self, f: impl Fn(i128) -> i128 + Lane) -> Self::Out;
     fn binary(self, f: impl Fn(i128, i128) -> i128 + Lane) -> Self::Out;
     fn ternary(self, f: impl Fn(i128, i128, i128) -> i128 + Lane) -> Self::Out;
@@ -312,6 +332,10 @@ trait LaneSink: Sized {
     ) -> Self::Out {
         self.ternary(move |x, y, z| apply(x, y, resolve(z)))
     }
+
+    /// Told the word each lane closure is built at (the tests' probe).
+    #[cfg(test)]
+    fn built_at(&self, _bits: u32) {}
 }
 
 /// A wrap into one type, resolved when the closure is built.
@@ -347,6 +371,13 @@ struct SignExt {
     half: u64,
 }
 
+impl SignExt {
+    fn of(t: ScalarType) -> SignExt {
+        let m = t.max_value() as u64;
+        SignExt { mask: 2 * m + 1, half: m + 1 }
+    }
+}
+
 impl WrapTo for SignExt {
     #[inline]
     fn apply(self, v: i128) -> i128 {
@@ -357,20 +388,187 @@ impl WrapTo for SignExt {
 /// `$body` with `$w` bound to the wrap into `$t`, built once per
 /// signedness in 64-bit arithmetic ([`SignExt`], [`Mask`]): on cheap ops
 /// such as `Bin(Add)` the general 128-bit [`Wrap`] measured two to three
-/// times slower per lane. Sinks without [`LaneSink::WRAP_BY_SIGN`] take
+/// times slower per lane. Sinks without [`LaneSink::SPECIALIZED`] take
 /// [`Wrap`].
 macro_rules! wrapping {
     ($S:ty, $t:expr, $w:ident => $body:expr) => {{
         let t: ScalarType = $t;
-        let m = t.max_value() as u64;
-        if !<$S as LaneSink>::WRAP_BY_SIGN {
+        if !<$S as LaneSink>::SPECIALIZED {
             let $w = t.wrapper();
             $body
         } else if t.is_signed() {
-            let $w = SignExt { mask: 2 * m + 1, half: m + 1 };
+            let $w = SignExt::of(t);
             $body
         } else {
-            let $w = Mask(m);
+            let $w = Mask(t.max_value() as u64);
+            $body
+        }
+    }};
+}
+
+// ---- words ----------------------------------------------------------
+
+/// The machine word a lane closure computes in: `i64` or `i128`. Lanes
+/// stay `i128` in every slice and at every sink; [`At`] converts at the
+/// closure's boundary, and [`fits_i64`] decides which word a semantic's
+/// closure is built at.
+trait Word:
+    Lane
+    + Ord
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Neg<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    const BITS: u32;
+    const MIN: Self;
+    const MAX: Self;
+    /// The low `BITS` bits of `v`, which is `v` itself when it fits.
+    fn of(v: i128) -> Self;
+    /// The value as a lane, sign-extended.
+    fn lane(self) -> i128;
+}
+
+macro_rules! word {
+    ($($w:ty),*) => {$(
+        impl Word for $w {
+            const BITS: u32 = <$w>::BITS;
+            const MIN: $w = <$w>::MIN;
+            const MAX: $w = <$w>::MAX;
+            #[inline]
+            fn of(v: i128) -> $w {
+                v as $w
+            }
+            #[inline]
+            fn lane(self) -> i128 {
+                self as i128
+            }
+        }
+    )*};
+}
+
+word!(i64, i128);
+
+/// The word rule: whether every intermediate of `sem`, at operand types
+/// `tys` and result type `result`, fits `i64`, so that its lane closure
+/// computes in 64-bit registers. Decided from the types alone, never from
+/// a captured constant, and conservatively: each arm bounds the widest
+/// value its closure forms, in signed bits.
+fn fits_i64(sem: MachSem, tys: &[ScalarType], result: ScalarType) -> bool {
+    use FpirOp as F;
+    // The signed width that holds every value of `t`.
+    let signed = |t: ScalarType| t.bits() + u32::from(!t.is_signed());
+    // Every operand enters the word: a `u64` lane never fits.
+    let ops = tys.iter().map(|&t| signed(t)).max().unwrap_or(0);
+    let (bits, res) = (tys[0].bits(), signed(result));
+    let needed = match sem {
+        MachSem::Bin(BinOp::Min | BinOp::Max) | MachSem::Select => ops,
+        // A clamp's bounds fit too.
+        MachSem::SatCastTo | MachSem::PackSatSignedTo | MachSem::Fpir(F::SaturatingNarrow) => {
+            ops.max(res)
+        }
+        MachSem::Fpir(F::SaturatingCast(to)) => ops.max(signed(to)),
+        // A negated lane, or a sum or difference of two.
+        MachSem::Fpir(F::Abs | F::Absd) => ops + 1,
+        MachSem::Fpir(F::SaturatingAdd | F::SaturatingSub) => (ops + 1).max(res),
+        // A wrapping shift keeps only the wrap's bits, and a left shift
+        // longer than the word's `BITS - 1` becomes `BITS - 1`: it still
+        // clears every bit of a wrap narrower than the word.
+        MachSem::Bin(BinOp::Shl | BinOp::Shr) | MachSem::Fpir(F::WideningShl | F::WideningShr) => {
+            ops.max(result.bits() + 1)
+        }
+        MachSem::ShrNarrow => ops.max(bits.max(result.bits()) + 1),
+        // A lane pre-clamped near the bounds shifted left by at most
+        // `bits`, or a lane plus a rounding bias below 2^bits.
+        MachSem::ShrRndSatNarrow
+        | MachSem::Fpir(F::RoundingShl | F::RoundingShr | F::SaturatingShl) => {
+            ops.max(res).max(bits + 1) + 1
+        }
+        // A product of two lanes plus the bias 2^(s-1), formed as
+        // 2^s >> 1, for a shift `s` up to 2·bits (a count operand) or
+        // bits - 1 (`QRDMulH`).
+        MachSem::Fpir(F::MulShr | F::RoundingMulShr) | MachSem::QRDMulH => {
+            let s = if sem == MachSem::QRDMulH { bits - 1 } else { 2 * bits };
+            (signed(tys[0]) + signed(tys[1])).max(s + 2).max(ops).max(res)
+        }
+        // Wrapping sums of products: a wrap reads at most the low 64
+        // bits, which wrapping arithmetic on `i64` computes exactly.
+        MachSem::MulAcc
+        | MachSem::WideningMulAcc
+        | MachSem::MulPairsAdd
+        | MachSem::Mpa
+        | MachSem::MpaAcc
+        | MachSem::DotAcc4 => result.bits(),
+        _ => return false,
+    };
+    needed <= 64
+}
+
+/// A sink over lane closures in the word `W`: operands enter the closure
+/// as `W`, and its result leaves as a lane. A closure ending in a wrap
+/// returns the wrapped `i128` lane itself.
+struct At<W, S> {
+    sink: S,
+    word: PhantomData<W>,
+}
+
+impl<W: Word, S: LaneSink> At<W, S> {
+    fn new(sink: S) -> Self {
+        #[cfg(test)]
+        sink.built_at(W::BITS);
+        At { sink, word: PhantomData }
+    }
+
+    fn unary<R: Word>(self, f: impl Fn(W) -> R + Lane) -> S::Out {
+        self.sink.unary(move |x| f(W::of(x)).lane())
+    }
+
+    fn binary<R: Word>(self, f: impl Fn(W, W) -> R + Lane) -> S::Out {
+        self.sink.binary(move |x, y| f(W::of(x), W::of(y)).lane())
+    }
+
+    fn ternary<R: Word>(self, f: impl Fn(W, W, W) -> R + Lane) -> S::Out {
+        self.sink.ternary(move |x, y, z| f(W::of(x), W::of(y), W::of(z)).lane())
+    }
+
+    /// [`LaneSink::wide`] with lane `i` of the `N` operands read into an
+    /// array.
+    fn wide<const N: usize, R: Word>(self, f: impl Fn([W; N]) -> R + Lane) -> S::Out {
+        self.sink.wide(move |xs, i| f(std::array::from_fn(|k| W::of(xs[k][i]))).lane())
+    }
+
+    fn by_count<P: Lane, R: Word>(
+        self,
+        resolve: impl Fn(W) -> P + Lane,
+        apply: impl Fn(W, P) -> R + Lane,
+    ) -> S::Out {
+        self.sink.by_count(move |y| resolve(W::of(y)), move |x, p| apply(W::of(x), p).lane())
+    }
+
+    fn by_count3<P: Lane, R: Word>(
+        self,
+        resolve: impl Fn(W) -> P + Lane,
+        apply: impl Fn(W, W, P) -> R + Lane,
+    ) -> S::Out {
+        self.sink.by_count3(
+            move |z| resolve(W::of(z)),
+            move |x, y, p| apply(W::of(x), W::of(y), p).lane(),
+        )
+    }
+}
+
+/// `$body` with `$s` the sink [`At`] at `i64` when `$fits` (the word
+/// rule, [`fits_i64`]) and the sink is [`LaneSink::SPECIALIZED`], and at
+/// `i128` otherwise: a body written once, built at both words.
+macro_rules! at_word {
+    ($S:ty, $fits:expr, $sink:expr, $s:ident => $body:expr) => {{
+        if <$S as LaneSink>::SPECIALIZED && $fits {
+            let $s = At::<i64, $S>::new($sink);
+            $body
+        } else {
+            let $s = At::<i128, $S>::new($sink);
             $body
         }
     }};
@@ -378,73 +576,74 @@ macro_rules! wrapping {
 
 /// [`ScalarType::saturate`] with the type resolved: captured bounds.
 #[derive(Clone, Copy)]
-struct Sat {
-    lo: i128,
-    hi: i128,
+struct Sat<W> {
+    lo: W,
+    hi: W,
 }
 
-impl Sat {
-    fn of(t: ScalarType) -> Sat {
-        Sat { lo: t.min_value(), hi: t.max_value() }
+impl<W: Word> Sat<W> {
+    fn of(t: ScalarType) -> Self {
+        Sat { lo: W::of(t.min_value()), hi: W::of(t.max_value()) }
     }
 
     /// Saturating into `self`, then into `other`, as one clamp. Every
     /// type's range holds 0, so the two ranges overlap and the nested
     /// clamps equal one clamp to their intersection.
-    fn and(self, other: Sat) -> Sat {
+    fn and(self, other: Self) -> Self {
         Sat { lo: self.lo.max(other.lo), hi: self.hi.min(other.hi) }
     }
 
     #[inline]
-    fn apply(self, v: i128) -> i128 {
+    fn apply(self, v: W) -> W {
         v.max(self.lo).min(self.hi)
     }
 }
 
 /// A count operand read as given (left-shift forms).
-fn left(y: i128) -> i128 {
+fn left<W: Word>(y: W) -> W {
     y
 }
 
 /// A count operand read as a right shift: negated after clamping to ±256.
-fn right(y: i128) -> i128 {
-    -y.clamp(-256, 256)
+fn right<W: Word>(y: W) -> W {
+    -y.clamp(W::of(-256), W::of(256))
 }
 
 /// `Wrap(shift_lane(x, count(y), bits))`, the wrapping shift family:
 /// `Bin(Shl|Shr)`, `ShrNarrow` and FPIR `WideningShl/Shr`. The count,
 /// clamped to ±2·`bits`, resolves to a left shift `l` and an arithmetic
-/// right shift `r`, one of them 0. A left shift of 128 becomes 127: the
-/// wrap that follows keeps at most 64 low bits, which both clear.
-fn wrap_shift<S: LaneSink>(
-    sink: S,
+/// right shift `r`, one of them 0, each at most the word's `BITS - 1`. A
+/// longer right shift leaves the same sign fill, and a longer left shift
+/// the same zeros in the wrap's bits, which are fewer than the word's.
+fn wrap_shift<W: Word, S: LaneSink>(
+    sink: At<W, S>,
     bits: u32,
-    count: impl Fn(i128) -> i128 + Lane,
+    count: impl Fn(W) -> W + Lane,
     wrap: impl Fn(i128) -> i128 + Lane,
 ) -> S::Out {
-    let b = 2 * bits as i128;
+    let (b, top) = (W::of(2 * bits as i128), W::of(W::BITS as i128 - 1));
     let resolve = move |y| {
         let c = count(y).clamp(-b, b);
-        if c >= 0 {
-            (c.min(127) as u32, 0)
+        if c >= W::of(0) {
+            (c.min(top).lane() as u32, 0)
         } else {
-            (0, (-c).min(127) as u32)
+            (0, (-c).min(top).lane() as u32)
         }
     };
-    sink.by_count(resolve, move |x, (l, r): (u32, u32)| wrap((x << l) >> r))
+    sink.by_count(resolve, move |x: W, (l, r): (u32, u32)| wrap(((x << l) >> r).lane()))
 }
 
 /// A saturating shift's count-dependent parameters; see [`sat_shift`].
 #[derive(Clone, Copy)]
-struct SatShift {
+struct SatShift<W> {
     /// `x` is first clamped to `[lo, hi]`, just outside the inputs a left
     /// shift keeps in range, so the shift cannot overflow and the final
     /// clamp saturates the rest.
-    lo: i128,
-    hi: i128,
+    lo: W,
+    hi: W,
     l: u32,
     /// The rounding term added before the right shift `r`.
-    bias: i128,
+    bias: W,
     r: u32,
 }
 
@@ -452,28 +651,34 @@ struct SatShift {
 /// `c ≥ 0`, and for `c < 0` a floor shift, rounded half up when `round`.
 /// This is FPIR `RoundingShl/Shr` and `SaturatingShl`, and
 /// `ShrRndSatNarrow` with its two saturations as one `sat`.
-fn sat_shift<S: LaneSink>(
-    sink: S,
+fn sat_shift<W: Word, S: LaneSink>(
+    sink: At<W, S>,
     bits: u32,
-    count: impl Fn(i128) -> i128 + Lane,
+    count: impl Fn(W) -> W + Lane,
     round: bool,
-    sat: Sat,
+    sat: Sat<W>,
 ) -> S::Out {
-    let b = bits as i128;
+    let (b, zero, one) = (W::of(bits as i128), W::of(0), W::of(1));
     let resolve = move |y| {
         let c = count(y).clamp(-b, b);
-        if c >= 0 {
-            let l = c as u32;
-            SatShift { lo: (sat.lo >> l) - 1, hi: (sat.hi >> l) + 1, l, bias: 0, r: 0 }
+        if c >= zero {
+            let l = c.lane() as u32;
+            SatShift { lo: (sat.lo >> l) - one, hi: (sat.hi >> l) + one, l, bias: zero, r: 0 }
         } else {
-            let r = (-c) as u32;
-            let bias = if round { (1i128 << r) >> 1 } else { 0 };
-            SatShift { lo: i128::MIN, hi: i128::MAX, l: 0, bias, r }
+            let r = (-c).lane() as u32;
+            let bias = if round { (one << r) >> 1 } else { zero };
+            SatShift { lo: W::MIN, hi: W::MAX, l: 0, bias, r }
         }
     };
-    sink.by_count(resolve, move |x, p: SatShift| {
+    sink.by_count(resolve, move |x: W, p: SatShift<W>| {
         sat.apply(((x.max(p.lo).min(p.hi) << p.l) + p.bias) >> p.r)
     })
+}
+
+/// `sat(signed(x))`: `PackSatSignedTo`, which reads its operand's bits as
+/// the signed type of its width before saturating.
+fn pack_sat_signed<W: Word, S: LaneSink>(sink: At<W, S>, signed: SignExt, sat: Sat<W>) -> S::Out {
+    sink.unary(move |x: W| sat.apply(W::of(signed.apply(x.lane()))))
 }
 
 /// Whether the product of two lanes of `a` and `b` fits `i128` with room
@@ -484,33 +689,34 @@ fn narrow_product(a: ScalarType, b: ScalarType) -> bool {
 
 /// `sat(x · y >> s)`, floored or rounded half up: FPIR `MulShr` and
 /// `RoundingMulShr` (`s` is operand 2 clamped to `[0, 2·bits]`) and
-/// `QRDMulH` (`fixed`: `s = bits − 1`). A 64-bit product takes the
-/// interpreter's exact helper.
-fn mul_shr<S: LaneSink>(
-    sink: S,
+/// `QRDMulH` (`fixed`: `s = bits − 1`). A 64-bit product, which only the
+/// `i128` word sees, takes the interpreter's exact helper.
+fn mul_shr<W: Word, S: LaneSink>(
+    sink: At<W, S>,
     tys: &[ScalarType],
     round: bool,
-    sat: Sat,
+    sat: Sat<W>,
     fixed: Option<u32>,
 ) -> S::Out {
-    let b = 2 * tys[0].bits() as i128;
-    let shift = move |z: i128| z.clamp(0, b) as u32;
+    let (b, zero, one) = (W::of(2 * tys[0].bits() as i128), W::of(0), W::of(1));
+    let shift = move |z: W| z.clamp(zero, b).lane() as u32;
     if !narrow_product(tys[0], tys[1]) {
-        let apply = move |x, y, s| sat.apply(mul_shr_exact(x, y, s, round));
+        let apply =
+            move |x: W, y: W, s| sat.apply(W::of(mul_shr_exact(x.lane(), y.lane(), s, round)));
         return match fixed {
             Some(s) => sink.binary(move |x, y| apply(x, y, s)),
             None => sink.by_count3(shift, apply),
         };
     }
-    // The product is below 2^64 in magnitude and `s` at most 64.
+    // The product and its bias fit the word, and `s` is below its width.
     let resolve = move |z| {
         let s = shift(z);
-        (if round { (1i128 << s) >> 1 } else { 0 }, s)
+        (if round { (one << s) >> 1 } else { zero }, s)
     };
-    let apply = move |x: i128, y: i128, (bias, s): (i128, u32)| sat.apply((x * y + bias) >> s);
+    let apply = move |x: W, y: W, (bias, s): (W, u32)| sat.apply((x * y + bias) >> s);
     match fixed {
         Some(s) => {
-            let p = resolve(s as i128);
+            let p = resolve(W::of(s as i128));
             sink.binary(move |x, y| apply(x, y, p))
         }
         None => sink.by_count3(resolve, apply),
@@ -528,7 +734,8 @@ fn lane_table<S: LaneSink>(
     sink: S,
 ) -> S::Out {
     let t = tys[0];
-    let (w, sat) = (result.wrapper(), Sat::of(result));
+    let w = result.wrapper();
+    let fits = || fits_i64(sem, tys, result);
     match sem {
         MachSem::Bin(op) => bin_lanes(op, t, sink),
         MachSem::Cmp(op) => match op {
@@ -539,15 +746,19 @@ fn lane_table<S: LaneSink>(
             CmpOp::Gt => sink.binary(|x, y| (x > y) as i128),
             CmpOp::Ge => sink.binary(|x, y| (x >= y) as i128),
         },
-        MachSem::Select => sink.ternary(|m, x, y| if m != 0 { x } else { y }),
+        MachSem::Select => {
+            at_word!(S, fits(), sink, s => s.ternary(|m, x, y| if m != 0 { x } else { y }))
+        }
         MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
             wrapping!(S, result, w => sink.unary(wrap_lane(w)))
         }
-        MachSem::SatCastTo => sink.unary(move |x| sat.apply(x)),
-        MachSem::PackSatSignedTo => {
-            let signed = t.with_signed().wrapper();
-            sink.unary(move |x| sat.apply(signed.apply(x)))
-        }
+        MachSem::SatCastTo => at_word!(S, fits(), sink, s => {
+            let sat = Sat::of(result);
+            s.unary(move |x| sat.apply(x))
+        }),
+        MachSem::PackSatSignedTo => at_word!(S, fits(), sink, s => {
+            pack_sat_signed(s, SignExt::of(t.with_signed()), Sat::of(result))
+        }),
         MachSem::Fpir(op) => fpir_lanes(op, tys, result, sink),
         MachSem::MulHigh => {
             let bits = t.bits();
@@ -559,37 +770,51 @@ fn lane_table<S: LaneSink>(
         }
         // The widening width constraint is a shape check; the lane
         // arithmetic is the non-widening form's. The sums of products
-        // wrap at i128 for the same reason as `BinOp::Mul` in
-        // `bin_op_lane`: 64-bit lane extremes overflow the raw product,
-        // and a wrap only reads its low bits.
-        MachSem::MulAcc | MachSem::WideningMulAcc => {
-            sink.ternary(move |c, x, y| w.apply(c.wrapping_add(x.wrapping_mul(y))))
-        }
-        MachSem::MulPairsAdd => sink.wide(move |xs, i| {
-            w.apply(xs[0][i].wrapping_mul(xs[1][i]).wrapping_add(xs[2][i].wrapping_mul(xs[3][i])))
+        // wrap for the same reason as `BinOp::Mul` in `bin_op_lane`:
+        // 64-bit lane extremes overflow the raw product, and a wrap only
+        // reads its low bits.
+        MachSem::MulAcc | MachSem::WideningMulAcc => at_word!(S, fits(), sink, s => {
+            s.ternary(move |c, x, y| w.apply(c.wrapping_add(x.wrapping_mul(y)).lane()))
         }),
-        MachSem::Mpa => sink.wide(move |xs, i| {
-            w.apply(xs[0][i].wrapping_mul(xs[2][i]).wrapping_add(xs[1][i].wrapping_mul(xs[3][i])))
+        MachSem::MulPairsAdd => at_word!(S, fits(), sink, s => {
+            s.wide(move |[a, b, c, d]: [_; 4]| {
+                w.apply(a.wrapping_mul(b).wrapping_add(c.wrapping_mul(d)).lane())
+            })
         }),
-        MachSem::MpaAcc => sink.wide(move |xs, i| {
-            let acc = xs[0][i].wrapping_add(xs[1][i].wrapping_mul(xs[3][i]));
-            w.apply(acc.wrapping_add(xs[2][i].wrapping_mul(xs[4][i])))
+        MachSem::Mpa => at_word!(S, fits(), sink, s => {
+            s.wide(move |[a, b, c0, c1]: [_; 4]| {
+                w.apply(a.wrapping_mul(c0).wrapping_add(b.wrapping_mul(c1)).lane())
+            })
         }),
-        MachSem::DotAcc4 => sink.wide(move |xs, i| {
-            let mut acc = xs[0][i];
-            for k in 0..4 {
-                acc = acc.wrapping_add(xs[1 + k][i].wrapping_mul(xs[5 + k][i]));
-            }
-            w.apply(acc)
+        MachSem::MpaAcc => at_word!(S, fits(), sink, s => {
+            s.wide(move |[acc, a, b, c0, c1]: [_; 5]| {
+                let acc = acc.wrapping_add(a.wrapping_mul(c0));
+                w.apply(acc.wrapping_add(b.wrapping_mul(c1)).lane())
+            })
+        }),
+        MachSem::DotAcc4 => at_word!(S, fits(), sink, s => {
+            s.wide(move |x: [_; 9]| {
+                let mut acc = x[0];
+                for k in 0..4 {
+                    acc = acc.wrapping_add(x[1 + k].wrapping_mul(x[5 + k]));
+                }
+                w.apply(acc.lane())
+            })
         }),
         // `rounding_shr` at the operand type saturates into it, then into
         // the result.
-        MachSem::ShrRndSatNarrow => sat_shift(sink, t.bits(), right, true, Sat::of(t).and(sat)),
+        MachSem::ShrRndSatNarrow => at_word!(S, fits(), sink, s => {
+            sat_shift(s, t.bits(), right, true, Sat::of(t).and(Sat::of(result)))
+        }),
         MachSem::ShrNarrow => {
             let wt = t.wrapper();
-            wrap_shift(sink, t.bits(), right, move |v| w.apply(wt.apply(v)))
+            at_word!(S, fits(), sink, s => {
+                wrap_shift(s, t.bits(), right, move |v| w.apply(wt.apply(v)))
+            })
         }
-        MachSem::QRDMulH => mul_shr(sink, &[t, t], true, sat, Some(t.bits() - 1)),
+        MachSem::QRDMulH => at_word!(S, fits(), sink, s => {
+            mul_shr(s, &[t, t], true, Sat::of(result), Some(t.bits() - 1))
+        }),
     }
 }
 
@@ -597,16 +822,21 @@ fn lane_table<S: LaneSink>(
 /// `Min`/`Max`, the bitwise ops and right shifts need no wrap.
 fn bin_lanes<S: LaneSink>(op: BinOp, t: ScalarType, sink: S) -> S::Out {
     let w = t.wrapper();
+    let fits = || fits_i64(MachSem::Bin(op), &[t, t], t);
     match op {
         BinOp::Add => wrapping!(S, t, w => sink.binary(move |x, y| w.apply(x + y))),
         BinOp::Sub => wrapping!(S, t, w => sink.binary(move |x, y| w.apply(x - y))),
         BinOp::Mul => wrapping!(S, t, w => sink.binary(mul_lane(w))),
         BinOp::Div => sink.binary(move |x, y| w.apply(floor_div(x, y))),
         BinOp::Mod => sink.binary(move |x, y| w.apply(floor_mod(x, y))),
-        BinOp::Min => sink.binary(|x: i128, y| x.min(y)),
-        BinOp::Max => sink.binary(|x: i128, y| x.max(y)),
-        BinOp::Shl => wrapping!(S, t, w => wrap_shift(sink, t.bits(), left, wrap_lane(w))),
-        BinOp::Shr => wrapping!(S, t, w => wrap_shift(sink, t.bits(), right, wrap_lane(w))),
+        BinOp::Min => at_word!(S, fits(), sink, s => s.binary(|x, y| x.min(y))),
+        BinOp::Max => at_word!(S, fits(), sink, s => s.binary(|x, y| x.max(y))),
+        BinOp::Shl => wrapping!(S, t, w => at_word!(S, fits(), sink, s => {
+            wrap_shift(s, t.bits(), left, wrap_lane(w))
+        })),
+        BinOp::Shr => wrapping!(S, t, w => at_word!(S, fits(), sink, s => {
+            wrap_shift(s, t.bits(), right, wrap_lane(w))
+        })),
         BinOp::And => sink.binary(|x, y| x & y),
         BinOp::Or => sink.binary(|x, y| x | y),
         BinOp::Xor => sink.binary(|x, y| x ^ y),
@@ -627,7 +857,8 @@ fn wrap_lane(w: impl WrapTo) -> impl Fn(i128) -> i128 + Lane {
 /// `Fpir(op)` at the op's own arity.
 fn fpir_lanes<S: LaneSink>(op: FpirOp, tys: &[ScalarType], result: ScalarType, sink: S) -> S::Out {
     let bits = tys[0].bits();
-    let (w, sat) = (result.wrapper(), Sat::of(result));
+    let w = result.wrapper();
+    let fits = || fits_i64(MachSem::Fpir(op), tys, result);
     match op {
         FpirOp::WideningAdd | FpirOp::ExtendingAdd => {
             wrapping!(S, result, w => sink.binary(move |x, y| w.apply(x + y)))
@@ -638,17 +869,30 @@ fn fpir_lanes<S: LaneSink>(op: FpirOp, tys: &[ScalarType], result: ScalarType, s
         FpirOp::WideningMul | FpirOp::ExtendingMul => {
             wrapping!(S, result, w => sink.binary(mul_lane(w)))
         }
-        FpirOp::WideningShl => wrap_shift(sink, bits, left, wrap_lane(w)),
-        FpirOp::WideningShr => wrap_shift(sink, bits, right, wrap_lane(w)),
-        FpirOp::Abs => sink.unary(|x: i128| x.abs()),
-        FpirOp::Absd => sink.binary(|x: i128, y| (x - y).abs()),
-        FpirOp::SaturatingCast(to) => {
-            let sat = Sat::of(to);
-            sink.unary(move |x| sat.apply(x))
+        FpirOp::WideningShl => {
+            at_word!(S, fits(), sink, s => wrap_shift(s, bits, left, wrap_lane(w)))
         }
-        FpirOp::SaturatingNarrow => sink.unary(move |x| sat.apply(x)),
-        FpirOp::SaturatingAdd => sink.binary(move |x, y| sat.apply(x + y)),
-        FpirOp::SaturatingSub => sink.binary(move |x, y| sat.apply(x - y)),
+        FpirOp::WideningShr => {
+            at_word!(S, fits(), sink, s => wrap_shift(s, bits, right, wrap_lane(w)))
+        }
+        FpirOp::Abs => at_word!(S, fits(), sink, s => s.unary(|x| x.abs())),
+        FpirOp::Absd => at_word!(S, fits(), sink, s => s.binary(|x, y| (x - y).abs())),
+        FpirOp::SaturatingCast(to) => at_word!(S, fits(), sink, s => {
+            let sat = Sat::of(to);
+            s.unary(move |x| sat.apply(x))
+        }),
+        FpirOp::SaturatingNarrow => at_word!(S, fits(), sink, s => {
+            let sat = Sat::of(result);
+            s.unary(move |x| sat.apply(x))
+        }),
+        FpirOp::SaturatingAdd => at_word!(S, fits(), sink, s => {
+            let sat = Sat::of(result);
+            s.binary(move |x, y| sat.apply(x + y))
+        }),
+        FpirOp::SaturatingSub => at_word!(S, fits(), sink, s => {
+            let sat = Sat::of(result);
+            s.binary(move |x, y| sat.apply(x - y))
+        }),
         // `floor_div(v, 2)` is an arithmetic shift.
         FpirOp::HalvingAdd => {
             wrapping!(S, result, w => sink.binary(move |x, y| w.apply((x + y) >> 1)))
@@ -659,11 +903,21 @@ fn fpir_lanes<S: LaneSink>(op: FpirOp, tys: &[ScalarType], result: ScalarType, s
         FpirOp::RoundingHalvingAdd => {
             wrapping!(S, result, w => sink.binary(move |x, y| w.apply((x + y + 1) >> 1)))
         }
-        FpirOp::RoundingShl => sat_shift(sink, bits, left, true, sat),
-        FpirOp::RoundingShr => sat_shift(sink, bits, right, true, sat),
-        FpirOp::SaturatingShl => sat_shift(sink, bits, left, false, sat),
-        FpirOp::MulShr => mul_shr(sink, tys, false, sat, None),
-        FpirOp::RoundingMulShr => mul_shr(sink, tys, true, sat, None),
+        FpirOp::RoundingShl => {
+            at_word!(S, fits(), sink, s => sat_shift(s, bits, left, true, Sat::of(result)))
+        }
+        FpirOp::RoundingShr => {
+            at_word!(S, fits(), sink, s => sat_shift(s, bits, right, true, Sat::of(result)))
+        }
+        FpirOp::SaturatingShl => {
+            at_word!(S, fits(), sink, s => sat_shift(s, bits, left, false, Sat::of(result)))
+        }
+        FpirOp::MulShr => {
+            at_word!(S, fits(), sink, s => mul_shr(s, tys, false, Sat::of(result), None))
+        }
+        FpirOp::RoundingMulShr => {
+            at_word!(S, fits(), sink, s => mul_shr(s, tys, true, Sat::of(result), None))
+        }
     }
 }
 
@@ -887,7 +1141,7 @@ struct Consumer<'a> {
 
 impl LaneSink for Consumer<'_> {
     type Out = Option<SemSliceFn>;
-    const WRAP_BY_SIGN: bool = false;
+    const SPECIALIZED: bool = false;
     fn unary(self, c: impl Fn(i128) -> i128 + Lane) -> Self::Out {
         self.p.mul_class(Into1(c))
     }
@@ -939,7 +1193,7 @@ struct Into1<C>(C);
 
 impl<C: Fn(i128) -> i128 + Lane> LaneSink for Into1<C> {
     type Out = Option<SemSliceFn>;
-    const WRAP_BY_SIGN: bool = false;
+    const SPECIALIZED: bool = false;
     fn unary(self, p: impl Fn(i128) -> i128 + Lane) -> Self::Out {
         let c = self.0;
         Some(Strip.unary(move |x| c(p(x))))
@@ -967,7 +1221,7 @@ struct Into2<C> {
 
 impl<C: Fn(i128, i128) -> i128 + Lane> LaneSink for Into2<C> {
     type Out = Option<SemSliceFn>;
-    const WRAP_BY_SIGN: bool = false;
+    const SPECIALIZED: bool = false;
     fn unary(self, p: impl Fn(i128) -> i128 + Lane) -> Self::Out {
         let c = self.c;
         Some(match self.k {
@@ -1132,29 +1386,101 @@ mod tests {
         }
     }
 
-    /// The columns of every combination of `vals` over `n` operands.
-    fn cross(vals: &[i128], n: usize) -> Vec<Vec<i128>> {
-        let lanes = vals.len().pow(n as u32);
-        (0..n)
-            .map(|j| {
-                let stride = vals.len().pow(j as u32);
-                (0..lanes).map(|i| vals[(i / stride) % vals.len()]).collect()
+    /// The columns of every combination of one value per operand, from
+    /// each operand's values `cols[j]`.
+    fn cross(cols: &[&[i128]]) -> Vec<Vec<i128>> {
+        let lanes: usize = cols.iter().map(|c| c.len()).product();
+        let mut stride = 1;
+        cols.iter()
+            .map(|c| {
+                let col = (0..lanes).map(|i| c[(i / stride) % c.len()]).collect();
+                stride *= c.len();
+                col
             })
             .collect()
+    }
+
+    /// Columns holding every pair of values of any two operands, for
+    /// semantics with too many operands for [`cross`]: over a prime
+    /// `p >= len`, operand `j` reads value `(a + j·b) mod p` at lane
+    /// `a + p·b`, and any two operands see all `p²` pairs.
+    fn pairs(cols: &[&[i128]]) -> Vec<Vec<i128>> {
+        let len = cols.iter().map(|c| c.len()).max().unwrap();
+        let p = (len..).find(|&n| (2..n).all(|d| n % d != 0)).unwrap();
+        assert!(cols.len() < p, "more operands than the prime");
+        cols.iter()
+            .enumerate()
+            .map(|(j, c)| (0..p * p).map(|i| c[(i % p + j * (i / p)) % p % c.len()]).collect())
+            .collect()
+    }
+
+    /// Every legal type shape of the semantics the sweep adds at lane
+    /// type `t`: accumulators 2× and 4× the operand width, in both
+    /// signednesses, and the extending forms' `[2t, t]`.
+    fn wide_shapes(t: S) -> Vec<(MachSem, Vec<S>, S)> {
+        let both = |w: S| [w.with_unsigned(), w.with_signed()];
+        let mut shapes = vec![(MachSem::Select, vec![t; 3], t), (MachSem::MulAcc, vec![t; 3], t)];
+        let Some(w) = t.widen() else { return shapes };
+        for acc in both(w) {
+            shapes.push((MachSem::WideningMulAcc, vec![acc, t, t], acc));
+        }
+        shapes.push((MachSem::MulPairsAdd, vec![t; 4], w));
+        shapes.push((MachSem::Mpa, vec![t, t, w, w], w));
+        shapes.push((MachSem::MpaAcc, vec![w, t, t, w, w], w));
+        for op in [FpirOp::ExtendingAdd, FpirOp::ExtendingSub, FpirOp::ExtendingMul] {
+            shapes.push((MachSem::Fpir(op), vec![w, t], w));
+        }
+        if let Some(q) = w.widen() {
+            for acc in both(q) {
+                let mut tys = vec![acc];
+                tys.extend([t; 8]);
+                shapes.push((MachSem::DotAcc4, tys, acc));
+            }
+        }
+        shapes
+    }
+
+    /// The sweep's edge values for lanes of `t`: the shift family's
+    /// clamping boundaries — including 62–65, where an `i64` word's
+    /// shifts end — wrapped into the type, and its extremes.
+    fn edges(t: S) -> Vec<i128> {
+        let b = t.bits() as i128;
+        let counts = [
+            -2 * b - 1,
+            -b - 1,
+            -b,
+            -1,
+            0,
+            1,
+            b - 1,
+            b,
+            2 * b,
+            2 * b + 1,
+            62,
+            63,
+            64,
+            65,
+            127,
+            128,
+        ];
+        let mut edges: Vec<i128> =
+            counts.into_iter().chain([256, 257]).map(|c| t.wrap(c)).collect();
+        edges.extend([t.min_value(), t.max_value()]);
+        edges
     }
 
     #[test]
     fn literal_ops_match_runtime_op_helpers() {
         // The table writes each op's lane arithmetic itself, with the
-        // element types resolved, and resolves a captured shift count
-        // once. Each arm must agree with the interpreter's generic lane
-        // helpers on the *runtime* op — checked for every op at every
-        // element type through the whole-vector evaluator, the compiled
-        // strip, and the captured-constant strip at every operand
-        // position. Operands range over every combination of an edge set
-        // (the shift family's clamping boundaries wrapped into the type,
-        // and the type's extremes) plus a few random lanes; the captured
-        // constant over the edge set.
+        // element types resolved and at the word they allow, and resolves
+        // a captured shift count once. Each arm must agree with the
+        // interpreter's generic lane helpers on the *runtime* op — checked
+        // for every op at every element type through the whole-vector
+        // evaluator, the compiled strip, and the captured-constant strip
+        // at every operand position. Operands range over every
+        // combination of an edge set ([`edges`]) plus a few random lanes
+        // (every pair of them for the 4-, 5- and 9-operand semantics); the
+        // captured constant over the edge set.
         let mut state: u64 = 0x1319_8a2e_0370_7344;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1225,22 +1551,45 @@ mod tests {
             .chain(fpirs.map(MachSem::Fpir))
             .chain(machs)
             .collect();
-        let runtime_op = |sem: MachSem, xs: &[i128], tys: &[S], result: S| match sem {
-            MachSem::Bin(op) => bin_op_lane(op, xs[0], xs[1], tys[0]),
-            MachSem::Cmp(op) => cmp_op_lane(op, xs[0], xs[1], tys[0]),
-            MachSem::Fpir(op) => fpir_op_lane(op, xs, tys, result),
-            MachSem::SatCastTo => result.saturate(xs[0]),
-            MachSem::PackSatSignedTo => result.saturate(tys[0].with_signed().wrap(xs[0])),
-            MachSem::MulHigh => result.wrap(mul_shr_exact(xs[0], xs[1], tys[0].bits(), false)),
-            MachSem::ShrNarrow => result.wrap(bin_op_lane(B::Shr, xs[0], xs[1], tys[0])),
-            MachSem::ShrRndSatNarrow => {
-                result.saturate(fpir_op_lane(F::RoundingShr, xs, tys, tys[0]))
+        let runtime_op = |sem: MachSem, xs: &[i128], tys: &[S], result: S| {
+            // The sums of products, from the interpreter's wrapping add
+            // and multiply at the result type.
+            let add = |x, y| bin_op_lane(B::Add, x, y, result);
+            let mul = |x, y| bin_op_lane(B::Mul, x, y, result);
+            match sem {
+                MachSem::Bin(op) => bin_op_lane(op, xs[0], xs[1], tys[0]),
+                MachSem::Cmp(op) => cmp_op_lane(op, xs[0], xs[1], tys[0]),
+                MachSem::Fpir(op) => fpir_op_lane(op, xs, tys, result),
+                MachSem::SatCastTo => result.saturate(xs[0]),
+                MachSem::PackSatSignedTo => result.saturate(tys[0].with_signed().wrap(xs[0])),
+                MachSem::MulHigh => result.wrap(mul_shr_exact(xs[0], xs[1], tys[0].bits(), false)),
+                MachSem::ShrNarrow => result.wrap(bin_op_lane(B::Shr, xs[0], xs[1], tys[0])),
+                MachSem::ShrRndSatNarrow => {
+                    result.saturate(fpir_op_lane(F::RoundingShr, xs, tys, tys[0]))
+                }
+                MachSem::QRDMulH => {
+                    let shift = tys[0].bits() as i128 - 1;
+                    fpir_op_lane(F::RoundingMulShr, &[xs[0], xs[1], shift], &[tys[0]; 3], result)
+                }
+                // The interpreter's `select`.
+                MachSem::Select => {
+                    if xs[0] != 0 {
+                        xs[1]
+                    } else {
+                        xs[2]
+                    }
+                }
+                MachSem::MulAcc | MachSem::WideningMulAcc => add(xs[0], mul(xs[1], xs[2])),
+                MachSem::MulPairsAdd => add(mul(xs[0], xs[1]), mul(xs[2], xs[3])),
+                MachSem::Mpa => add(mul(xs[0], xs[2]), mul(xs[1], xs[3])),
+                MachSem::MpaAcc => add(add(xs[0], mul(xs[1], xs[3])), mul(xs[2], xs[4])),
+                MachSem::DotAcc4 => {
+                    (0..4).fold(xs[0], |acc, k| add(acc, mul(xs[1 + k], xs[5 + k])))
+                }
+                MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
+                    result.wrap(xs[0])
+                }
             }
-            MachSem::QRDMulH => {
-                let shift = tys[0].bits() as i128 - 1;
-                fpir_op_lane(F::RoundingMulShr, &[xs[0], xs[1], shift], &[tys[0]; 3], result)
-            }
-            _ => result.wrap(xs[0]),
         };
         let run = |f: SemSliceFn, args: &[Vec<i128>]| {
             let slices: Vec<&[i128]> = args.iter().map(|a| a.as_slice()).collect();
@@ -1248,15 +1597,15 @@ mod tests {
             f(&slices, &mut out);
             out
         };
+        let mut vals: Vec<Vec<i128>> = Vec::new();
+        let mut vals_of = |t: S| -> Vec<i128> {
+            let mut v = edges(t);
+            v.extend((0..4).map(|_| t.wrap(next())));
+            v
+        };
         let mut cases = 0usize;
         for t in fpir::types::ALL_SCALAR_TYPES {
-            let b = t.bits() as i128;
-            let counts = [-2 * b - 1, -b - 1, -b, -1, 0, 1, b - 1, b, 2 * b, 2 * b + 1, 127, 128];
-            let mut edges: Vec<i128> =
-                counts.into_iter().chain([256, 257]).map(|c| t.wrap(c)).collect();
-            edges.extend([t.min_value(), t.max_value()]);
-            let vals: Vec<i128> =
-                edges.iter().copied().chain((0..4).map(|_| t.wrap(next()))).collect();
+            let mut shapes = Vec::new();
             for &sem in &sems {
                 // A narrow and a wide result type too, so saturating and
                 // wrapping ops clip, and a narrowing op meets a result
@@ -1266,52 +1615,190 @@ mod tests {
                 } else {
                     &[t, S::I8, S::I32]
                 };
-                for &result in results {
-                    let tys = vec![t; sem.arity()];
-                    let want = |args: &[Vec<i128>]| -> Vec<i128> {
-                        (0..args[0].len())
-                            .map(|i| {
-                                let xs: Vec<i128> = args.iter().map(|a| a[i]).collect();
-                                runtime_op(sem, &xs, &tys, result)
-                            })
-                            .collect()
-                    };
-                    let args = cross(&vals, tys.len());
-                    let lanes = args[0].len() as u32;
-                    let values: Vec<Value> =
-                        args.iter().map(|a| Value::new(V::new(t, lanes), a.clone())).collect();
-                    let refs: Vec<&Value> = values.iter().collect();
-                    let mut whole = Vec::new();
-                    eval_sem_into(sem, &refs, V::new(result, lanes), &mut whole).unwrap();
-                    let at = format!("{sem:?} at {t} -> {result}");
-                    assert_eq!(whole, want(&args), "{at}: eval_sem_into");
-                    assert_eq!(
-                        run(sem_slice_fn(sem, &tys, result), &args),
-                        want(&args),
-                        "{at}: strip"
-                    );
-                    for k in 0..tys.len() {
-                        let others = cross(&vals, tys.len() - 1);
-                        for &c in &edges {
-                            let mut with_c = others.clone();
-                            with_c.insert(k, vec![c; vals.len().pow(tys.len() as u32 - 1)]);
-                            let splat = sem_slice_fn_splat(sem, &tys, result, k, c)
-                                .unwrap_or_else(|| panic!("{at}: no captured loop at operand {k}"));
-                            assert_eq!(
-                                run(splat, &with_c),
-                                want(&with_c),
-                                "{at}: {c} at operand {k}"
-                            );
-                            cases += 1;
-                        }
+                shapes.extend(results.iter().map(|&r| (sem, vec![t; sem.arity()], r)));
+            }
+            shapes.extend(wide_shapes(t));
+            for (sem, tys, result) in shapes {
+                vals.clear();
+                vals.extend(tys.iter().map(|&ty| vals_of(ty)));
+                let cols: Vec<&[i128]> = vals.iter().map(|v| v.as_slice()).collect();
+                let columns =
+                    |cols: &[&[i128]]| if cols.len() > 3 { pairs(cols) } else { cross(cols) };
+                let want = |args: &[Vec<i128>]| -> Vec<i128> {
+                    (0..args[0].len())
+                        .map(|i| {
+                            let xs: Vec<i128> = args.iter().map(|a| a[i]).collect();
+                            runtime_op(sem, &xs, &tys, result)
+                        })
+                        .collect()
+                };
+                let args = columns(&cols);
+                let lanes = args[0].len() as u32;
+                let values: Vec<Value> = args
+                    .iter()
+                    .zip(&tys)
+                    .map(|(a, &ty)| Value::new(V::new(ty, lanes), a.clone()))
+                    .collect();
+                let refs: Vec<&Value> = values.iter().collect();
+                let mut whole = Vec::new();
+                eval_sem_into(sem, &refs, V::new(result, lanes), &mut whole).unwrap();
+                let at = format!("{sem:?} at {tys:?} -> {result}");
+                assert_eq!(whole, want(&args), "{at}: eval_sem_into");
+                assert_eq!(run(sem_slice_fn(sem, &tys, result), &args), want(&args), "{at}: strip");
+                if tys.len() > 3 {
+                    // The captured sink has no loop for the wide semantics.
+                    assert!(sem_slice_fn_splat(sem, &tys, result, 0, 0).is_none(), "{at}");
+                    continue;
+                }
+                for k in 0..tys.len() {
+                    let mut others = cols.clone();
+                    others.remove(k);
+                    let others = if others.is_empty() { vec![] } else { columns(&others) };
+                    let n = others.first().map_or(1, Vec::len);
+                    for c in edges(tys[k]) {
+                        let mut with_c = others.clone();
+                        with_c.insert(k, vec![c; n]);
+                        let splat = sem_slice_fn_splat(sem, &tys, result, k, c)
+                            .unwrap_or_else(|| panic!("{at}: no captured loop at operand {k}"));
+                        assert_eq!(run(splat, &with_c), want(&with_c), "{at}: {c} at operand {k}");
+                        cases += 1;
                     }
                 }
             }
         }
-        // Pinned: 8 types x 16 constants x the operand positions of the 18
-        // Bin/Cmp ops (36) and, at three result types, of the 23 FPIR ops
-        // (44) and the 10 machine-only semantics (14).
-        assert_eq!(cases, 8 * 16 * (36 + 3 * (44 + 14)), "captured-constant case count changed");
+        // Pinned: 20 constants, times, per type, the operand positions of
+        // the 18 Bin/Cmp ops (36), of the 23 FPIR ops (44) and the 10
+        // machine-only semantics (14) at three result types, and of
+        // `Select` and `MulAcc` (6): 8 × 20 × 216 = 34,560. Then the
+        // widening shapes of the six narrower types, each with two
+        // accumulator signednesses of `WideningMulAcc` (6) and the three
+        // extending forms (6): 6 × 20 × 12 = 1,440.
+        assert_eq!(cases, 8 * 20 * 216 + 6 * 20 * 12, "captured-constant case count changed");
+    }
+
+    /// The lane table's probe: the word a semantic's closure is built at,
+    /// or `None` for a semantic the table builds outside [`At`].
+    struct Probe(std::cell::Cell<Option<u32>>);
+
+    impl LaneSink for Probe {
+        type Out = Option<u32>;
+        fn unary(self, _: impl Fn(i128) -> i128 + Lane) -> Option<u32> {
+            self.0.get()
+        }
+        fn binary(self, _: impl Fn(i128, i128) -> i128 + Lane) -> Option<u32> {
+            self.0.get()
+        }
+        fn ternary(self, _: impl Fn(i128, i128, i128) -> i128 + Lane) -> Option<u32> {
+            self.0.get()
+        }
+        fn wide(self, _: impl Fn(&[&[i128]], usize) -> i128 + Lane) -> Option<u32> {
+            self.0.get()
+        }
+        fn built_at(&self, bits: u32) {
+            self.0.set(Some(bits));
+        }
+    }
+
+    fn word_bits(sem: MachSem, tys: &[S], result: S) -> Option<u32> {
+        lane_table(sem, tys, result, Probe(std::cell::Cell::new(None)))
+    }
+
+    /// A semantic at its operand and result types, with rows of operand
+    /// lanes (unused trailing lanes ignored).
+    type Trap = (MachSem, Vec<S>, S, Vec<[i128; 3]>);
+
+    /// The word rule's traps: semantics whose lanes are 32 bits or fewer
+    /// on one side but which need `i128`, each with lanes where `i64`
+    /// arithmetic goes wrong.
+    fn word_traps() -> Vec<Trap> {
+        let (imin, imax, umax) = (i32::MIN as i128, i32::MAX as i128, u32::MAX as i128);
+        let top = 1i128 << 63;
+        vec![
+            // A `u64` operand to a narrow result: at `i64`, 2^63 would
+            // shift in sign bits.
+            (MachSem::Fpir(FpirOp::WideningShr), vec![S::U64; 2], S::U32, vec![[top, 40, 0]]),
+            // At `i32` a count clamps to 64: `i64` has neither a shift of
+            // 64 nor a bias of 2^63.
+            (
+                MachSem::Fpir(FpirOp::MulShr),
+                vec![S::I32; 3],
+                S::I32,
+                vec![[imin, imin, 64], [imin, imax, 64], [imin, imax, 63]],
+            ),
+            (
+                MachSem::Fpir(FpirOp::RoundingMulShr),
+                vec![S::I32; 3],
+                S::I32,
+                vec![[imin, imin, 64], [imin, imax, 64], [imax, imax, 63]],
+            ),
+            // `u32 × u32` reaches 2^64.
+            (MachSem::QRDMulH, vec![S::U32; 2], S::U32, vec![[umax, umax, 0], [umax, 1 << 31, 0]]),
+            (MachSem::Fpir(FpirOp::MulShr), vec![S::U32; 3], S::U32, vec![[umax, umax, 32]]),
+        ]
+    }
+
+    #[test]
+    fn word_rule_builds_hot_kinds_at_i64_and_traps_at_i128() {
+        // The profiled hot kinds must compute in `i64`: a silent fallback
+        // to `i128` is invisible to every correctness test.
+        let fp = MachSem::Fpir;
+        let narrow = [
+            (MachSem::Bin(BinOp::Shl), vec![S::I16; 2], S::I16),
+            (MachSem::Bin(BinOp::Shr), vec![S::I32; 2], S::I32),
+            (MachSem::Bin(BinOp::Shr), vec![S::U32; 2], S::U32),
+            (MachSem::ShrRndSatNarrow, vec![S::U16; 2], S::U8),
+            (MachSem::ShrRndSatNarrow, vec![S::I32; 2], S::I16),
+            (fp(FpirOp::SaturatingAdd), vec![S::I16; 2], S::I16),
+            (fp(FpirOp::SaturatingSub), vec![S::I16; 2], S::I16),
+            (MachSem::QRDMulH, vec![S::I32; 2], S::I32),
+            (MachSem::PackSatSignedTo, vec![S::I32], S::I16),
+            (MachSem::WideningMulAcc, vec![S::U16, S::U8, S::U8], S::U16),
+        ];
+        for (sem, tys, result) in narrow {
+            assert_eq!(word_bits(sem, &tys, result), Some(64), "{sem:?} at {tys:?} -> {result}");
+        }
+        for (sem, tys, result, _) in word_traps() {
+            assert_eq!(word_bits(sem, &tys, result), Some(128), "{sem:?} at {tys:?} -> {result}");
+        }
+        // Outside the word family, the table builds at `i128` directly.
+        assert_eq!(word_bits(MachSem::Bin(BinOp::Add), &[S::I16; 2], S::I16), None);
+    }
+
+    #[test]
+    fn word_traps_match_the_interpreter() {
+        // Each trap's lanes, through the whole-vector evaluator, the
+        // strip and the captured count, against the interpreter.
+        for (sem, tys, result, rows) in word_traps() {
+            let n = tys.len();
+            let want = |xs: &[i128]| match sem {
+                MachSem::QRDMulH => fpir_op_lane(
+                    FpirOp::RoundingMulShr,
+                    &[xs[0], xs[1], tys[0].bits() as i128 - 1],
+                    &[tys[0]; 3],
+                    result,
+                ),
+                MachSem::Fpir(op) => fpir_op_lane(op, xs, &tys, result),
+                _ => unreachable!("{sem:?}"),
+            };
+            for row in rows {
+                let xs = &row[..n];
+                let at = format!("{sem:?} at {tys:?} -> {result}, lanes {xs:?}");
+                let args: Vec<Value> =
+                    xs.iter().zip(&tys).map(|(&x, &t)| v(V::new(t, 1), &[x])).collect();
+                let slices: Vec<&[i128]> = args.iter().map(|a| a.lanes()).collect();
+                assert_eq!(
+                    eval_sem(sem, &args, V::new(result, 1)).unwrap().lanes(),
+                    &[want(xs)],
+                    "{at}"
+                );
+                let mut got = [0i128];
+                sem_slice_fn(sem, &tys, result)(&slices, &mut got);
+                assert_eq!(got, [want(xs)], "{at}: strip");
+                let k = n - 1;
+                sem_slice_fn_splat(sem, &tys, result, k, xs[k]).unwrap()(&slices, &mut got);
+                assert_eq!(got, [want(xs)], "{at}: captured at operand {k}");
+            }
+        }
     }
 
     #[test]
