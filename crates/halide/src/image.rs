@@ -1,15 +1,17 @@
 //! Two-dimensional integer images with clamped border access.
 
 use fpir::types::ScalarType;
+use fpir_isa::Lanes;
 use rand::Rng;
 
-/// A row-major 2-D image of integer samples in a given lane type.
+/// A row-major 2-D image of integer samples in a given lane type, each
+/// stored at the type's own width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     elem: ScalarType,
     width: usize,
     height: usize,
-    data: Vec<i128>,
+    data: Lanes,
 }
 
 impl Image {
@@ -22,14 +24,14 @@ impl Image {
     pub fn filled(elem: ScalarType, width: usize, height: usize, fill: i128) -> Image {
         assert!(width > 0 && height > 0, "images must be non-empty");
         assert!(elem.contains(fill), "{fill} does not fit {elem}");
-        Image { elem, width, height, data: vec![fill; width * height] }
+        Image { elem, width, height, data: Lanes::splat(elem, fill, width * height) }
     }
 
     /// An image of uniformly random samples.
     pub fn random(rng: &mut impl Rng, elem: ScalarType, width: usize, height: usize) -> Image {
         let mut img = Image::filled(elem, width, height, 0);
-        for v in &mut img.data {
-            *v = rng.gen_range(elem.min_value()..=elem.max_value());
+        for i in 0..width * height {
+            img.data.set(i, rng.gen_range(elem.min_value()..=elem.max_value()));
         }
         img
     }
@@ -52,20 +54,12 @@ impl Image {
         img
     }
 
-    /// Build directly from a row-major sample buffer whose values are
-    /// already known to be in range (verified in debug builds only) —
-    /// the tiled runner's merge path, where every sample was produced by
-    /// range-preserving instruction semantics.
-    pub(crate) fn from_data(
-        elem: ScalarType,
-        width: usize,
-        height: usize,
-        data: Vec<i128>,
-    ) -> Image {
+    /// Build directly from a row-major sample buffer — the tiled
+    /// runner's output, written in place at the samples' own width.
+    pub(crate) fn from_lanes(width: usize, height: usize, data: Lanes) -> Image {
         assert!(width > 0 && height > 0, "images must be non-empty");
         assert_eq!(data.len(), width * height, "sample count must match the dimensions");
-        debug_assert!(data.iter().all(|&v| elem.contains(v)), "sample out of range for {elem}");
-        Image { elem, width, height, data }
+        Image { elem: data.elem(), width, height, data }
     }
 
     /// Lane type of the samples.
@@ -88,7 +82,7 @@ impl Image {
     pub fn get_clamped(&self, x: i64, y: i64) -> i128 {
         let x = x.clamp(0, self.width as i64 - 1) as usize;
         let y = y.clamp(0, self.height as i64 - 1) as usize;
-        self.data[y * self.width + x]
+        self.data.get(y * self.width + x)
     }
 
     /// Write the sample at `(x, y)`.
@@ -99,12 +93,19 @@ impl Image {
     pub fn set(&mut self, x: usize, y: usize, v: i128) {
         assert!(x < self.width && y < self.height, "({x}, {y}) out of bounds");
         assert!(self.elem.contains(v), "{v} does not fit {}", self.elem);
-        self.data[y * self.width + x] = v;
+        self.data.set(y * self.width + x, v);
     }
 
-    /// All samples, row-major.
-    pub fn data(&self) -> &[i128] {
+    /// All samples, row-major, at their own width.
+    pub fn lanes(&self) -> &Lanes {
         &self.data
+    }
+
+    /// All samples' values, row-major.
+    pub fn samples(&self) -> Vec<i128> {
+        let mut out = Vec::with_capacity(self.data.len());
+        self.data.write_to(&mut out);
+        out
     }
 }
 
@@ -126,7 +127,8 @@ mod tests {
     fn random_respects_type_range() {
         let mut rng = rand::thread_rng();
         let img = Image::random(&mut rng, S::I8, 16, 16);
-        assert!(img.data().iter().all(|&v| (-128..=127).contains(&v)));
+        assert!(img.samples().iter().all(|&v| (-128..=127).contains(&v)));
+        assert!(matches!(img.lanes(), Lanes::I8(v) if v.len() == 256), "one byte per sample");
     }
 
     #[test]

@@ -253,7 +253,7 @@ mod tests {
         inputs.insert("in".to_string(), img);
         let out = p.run_reference(&inputs).unwrap();
         // (10+20+1)/2=15, (20+30+1)/2=25, (30+40+1)/2=35, edge clamps: (40+40+1)/2=40.
-        assert_eq!(out.data(), &[15, 25, 35, 40]);
+        assert_eq!(out.samples(), &[15, 25, 35, 40]);
     }
 
     #[test]

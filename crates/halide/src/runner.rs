@@ -11,8 +11,9 @@
 //! * [`run_tiled`] — the FAST path: the program is
 //!   [linked once](fpir_sim::exec::Executable), the taps behind each
 //!   input slot are parsed once, and the image rows are split into chunks
-//!   fanned out on an [`fpir_pool::Pool`]. Each worker reuses one
-//!   execution context for every chunk it claims — steady-state strips
+//!   dealt out to workers on an [`fpir_pool::Pool`]. Each worker gathers
+//!   its strips' inputs at the samples' own width and reuses one
+//!   execution context for every chunk it is dealt — steady-state strips
 //!   allocate nothing — and writes each chunk's rows in place into the
 //!   one output buffer, so the output is **bit-identical for any worker
 //!   count** (and to the reference runner; the end-to-end and
@@ -20,8 +21,7 @@
 
 use crate::image::Image;
 use crate::pipeline::{parse_tap, Pipeline, PipelineError};
-use fpir::interp::Value;
-use fpir_isa::Target;
+use fpir_isa::{Lanes, Target};
 use fpir_pool::Pool;
 use fpir_sim::program::Program;
 use fpir_sim::vm::execute;
@@ -83,7 +83,7 @@ struct SlotSource<'a> {
 /// x-coordinates clamped to the row — the bulk interior is one slice
 /// copy; only the clamped edges go lane by lane. Produces exactly what
 /// `lanes` calls of [`Image::get_clamped`] would.
-fn gather_row(buf: &mut Vec<i128>, row: &[i128], start: i64, lanes: usize) {
+fn gather_row<T: Copy>(buf: &mut Vec<T>, row: &[T], start: i64, lanes: usize) {
     let iw = row.len() as i64;
     let end = start + lanes as i64;
     let left = (-start).clamp(0, lanes as i64) as usize;
@@ -97,6 +97,21 @@ fn gather_row(buf: &mut Vec<i128>, row: &[i128], start: i64, lanes: usize) {
     for _ in 0..right {
         buf.push(row[iw as usize - 1]);
     }
+}
+
+/// [`gather_row`] from row `y` of `img`, at the samples' own width
+/// (`buf` holds lanes of the image's type).
+fn gather(buf: &mut Lanes, img: &Image, y: usize, start: i64, lanes: usize) {
+    let row = img.width() * y..img.width() * (y + 1);
+    macro_rules! gather {
+        ($($v:ident),*) => {
+            match (buf, img.lanes()) {
+                $((Lanes::$v(b), Lanes::$v(d)) => gather_row(b, &d[row], start, lanes),)*
+                (b, _) => unreachable!("{} lanes gathered from a {} image", b.elem(), img.elem()),
+            }
+        };
+    }
+    gather!(U8, I8, U16, I16, U32, I32, U64, I64)
 }
 
 /// Execute a compiled pipeline over whole images on the linked engine
@@ -164,52 +179,63 @@ pub fn run_tiled_exe(
     let lanes = pipe.lanes() as usize;
     let out_elem = pipe.out_elem();
 
-    // Several chunks per worker for load balancing. Workers claim chunks
-    // from one queue, each with one execution context for every chunk it
-    // claims, and write each chunk's rows in place, so the split never
-    // affects the output.
+    // Several chunks per worker, dealt round-robin: chunk `c` goes to
+    // worker `c % workers`. Each worker runs its chunks with one
+    // execution context and writes their rows in place, so neither the
+    // split nor the timing affects the output, or what a run allocates.
     let jobs = jobs.max(1);
     let n_chunks = (jobs * 4).min(h).max(1);
     let rows_per = h.div_ceil(n_chunks);
-    let mut data = vec![0i128; w * h];
-    let queue = Mutex::new(data.chunks_mut((rows_per * w).max(1)).enumerate());
-    let workers: Vec<usize> = (0..jobs.min(n_chunks)).collect();
+    let n_workers = jobs.min(n_chunks);
+    let mut data = Lanes::new(out_elem);
+    data.resize(w * h);
+    let mut shares: Vec<Mutex<Vec<_>>> = (0..n_workers)
+        .map(|_| Mutex::new(Vec::with_capacity(n_chunks.div_ceil(n_workers))))
+        .collect();
+    for (c, rows) in data.as_mut().into_chunks((rows_per * w).max(1)).enumerate() {
+        shares[c % n_workers].get_mut().expect("no worker has run").push((c, rows));
+    }
+    let workers: Vec<usize> = (0..n_workers).collect();
 
-    let results: Vec<Result<(), PipelineError>> = Pool::new(jobs).map(&workers, |_| {
+    let results: Vec<Result<(), PipelineError>> = Pool::new(jobs).map(&workers, |&i| {
         let mut ctx = exe.new_ctx();
-        let mut slots: Vec<Value> = Vec::with_capacity(sources.len());
-        loop {
-            let claimed = queue.lock().expect("no worker panics while claiming a chunk").next();
-            let Some((c, rows)) = claimed else { return Ok(()) };
-            for (dy, out_row) in rows.chunks_mut(w).enumerate() {
+        let mut slots: Vec<Lanes> = Vec::with_capacity(sources.len());
+        let share = std::mem::take(&mut *shares[i].lock().expect("each share is taken once"));
+        for (c, rows) in share {
+            for (dy, mut out_row) in rows.into_chunks(w).enumerate() {
                 let y = c * rows_per + dy;
-                for (x0, out) in (0..w).step_by(lanes).zip(out_row.chunks_mut(lanes)) {
+                for x0 in (0..w).step_by(lanes) {
                     for (src, slot) in sources.iter().zip(exe.inputs()) {
-                        let mut buf = ctx.take_buffer();
-                        let iw = src.img.width();
-                        let ry = (y as i64 + src.dy).clamp(0, src.img.height() as i64 - 1) as usize;
-                        let row = &src.img.data()[ry * iw..(ry + 1) * iw];
-                        gather_row(&mut buf, row, x0 as i64 + src.dx, lanes);
-                        // Image samples are range-checked on write, so
-                        // the gathered lanes satisfy the `Value`
-                        // invariant by construction.
-                        slots.push(Value::trusted(slot.ty, buf));
+                        let mut buf = ctx.take_lanes(slot.ty.elem);
+                        let ry = (y as i64 + src.dy).clamp(0, src.img.height() as i64 - 1);
+                        gather(&mut buf, src.img, ry as usize, x0 as i64 + src.dx, lanes);
+                        slots.push(buf);
                     }
                     let v = exe
-                        .run_slots(&mut ctx, &slots)
+                        .run_lanes(&mut ctx, &slots)
                         .map_err(|e| PipelineError { what: e.to_string() })?;
-                    for s in slots.drain(..) {
-                        ctx.recycle(s);
+                    if v.elem() != out_elem {
+                        return Err(PipelineError {
+                            what: format!(
+                                "the program computes {}, pipeline writes {out_elem}",
+                                v.elem()
+                            ),
+                        });
                     }
-                    out.copy_from_slice(&v.lanes()[..out.len()]);
-                    ctx.recycle(v);
+                    let n = lanes.min(w - x0);
+                    out_row.slice_mut(x0..x0 + n).copy_from(v.slice(0..n));
+                    for s in slots.drain(..) {
+                        ctx.recycle_lanes(s);
+                    }
                 }
             }
         }
+        Ok(())
     });
 
+    drop(shares);
     results.into_iter().collect::<Result<(), _>>()?;
-    Ok(Image::from_data(out_elem, w, h, data))
+    Ok(Image::from_lanes(w, h, data))
 }
 
 #[cfg(test)]

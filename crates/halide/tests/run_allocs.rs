@@ -69,7 +69,8 @@ fn tiled_run_allocations_do_not_grow_with_height() {
             let out = run_tiled_exe(&pipe, &exe, &inputs, jobs).unwrap();
             let n = ALLOCS.load(Ordering::Relaxed) - n0;
             let bytes = BYTES.load(Ordering::Relaxed) - b0;
-            let output = (width * height * std::mem::size_of::<i128>()) as u64;
+            // The output's samples, each at its own width.
+            let output = (width * height * out.elem().bits() as usize / 8) as u64;
             assert_eq!(out.height(), height);
             println!("jobs {jobs}, height {height}: {n} allocations, {bytes} bytes");
             counts.push((n, bytes - output));

@@ -45,6 +45,7 @@ pub mod arm;
 pub mod cost;
 pub mod def;
 pub mod hvx;
+pub mod lanes;
 pub mod legalize;
 pub mod rvv;
 pub mod sem;
@@ -54,8 +55,9 @@ pub use cost::TargetCost;
 pub use def::{
     all_targets, target, BackendDesc, InstDef, MachEvaluator, RegModel, SignReq, Target, BACKENDS,
 };
+pub use lanes::{Lanes, Slice, SliceMut};
 pub use legalize::{legalize, legalize_uncached, LowerError};
 pub use sem::{
-    eval_sem, eval_sem_into, sem_slice_fn, sem_slice_fn_pair, sem_slice_fn_splat, MachSem,
-    SemSliceFn,
+    eval_sem, eval_sem_into, pair_merges, sem_slice_fn, sem_slice_fn_pair, sem_slice_fn_splat,
+    MachSem, SemSliceFn,
 };

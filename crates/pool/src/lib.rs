@@ -104,7 +104,9 @@ impl Pool {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
-                        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+                        // Sized for every chunk, so a worker allocates its
+                        // list once however many chunks it claims.
+                        let mut local: Vec<(usize, Vec<R>)> = Vec::with_capacity(n_chunks);
                         loop {
                             let c = cursor.fetch_add(1, Ordering::Relaxed);
                             if c >= n_chunks {

@@ -519,7 +519,7 @@ struct DispatchItem {
 /// keeps only what is left, and a request with nothing left is answered
 /// `timeout` without compiling. `fleet` is `None` once the daemon is
 /// stopping, so a stopping daemon starts no peer fetch.
-fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>) -> Json {
+fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>) -> FastReply {
     if let Request::Compile(spec)
     | Request::Run { spec, .. }
     | Request::RunPipeline { spec, .. }
@@ -530,14 +530,14 @@ fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>)
             if left.is_zero() {
                 Stats::bump(&service.stats().requests);
                 Stats::bump(&service.stats().timeouts);
-                return error_response(&ServiceError::Timeout { budget_ms });
+                return FastReply::Json(error_response(&ServiceError::Timeout { budget_ms }));
             }
             // Round up: a request is refused only once its deadline
             // has passed.
             spec.timeout_ms = Some(left.as_nanos().div_ceil(1_000_000) as u64);
         }
     }
-    service.handle(&it.req, it.resolved.take(), fleet)
+    service.reply(&it.req, it.resolved.take(), fleet)
 }
 
 /// A finished dispatched request on its way back to the loop.
@@ -545,7 +545,7 @@ struct Completion {
     conn: u64,
     tag: Option<Json>,
     untagged: bool,
-    reply: Json,
+    reply: FastReply,
 }
 
 /// What the loop and the dispatch workers share.
@@ -788,7 +788,7 @@ pub(crate) fn run(
                 if c.untagged {
                     conn.serial_block = false;
                 }
-                conn.queue_reply(FastReply::Json(c.reply), c.tag.as_ref());
+                conn.queue_reply(c.reply, c.tag.as_ref());
             }
         }
 

@@ -133,6 +133,45 @@ impl Served {
             ok_response(Service::compile_members(key_fp, &served, Source::Hit)).render();
         (served, bytes)
     }
+
+    /// The `compile` response for an artifact obtained as `source`: the
+    /// hit body with its leading `"cached"`/`"source"` members swapped,
+    /// byte-identical to rendering the members again, so a miss renders
+    /// its program once.
+    fn compile_body(&self, source: Source) -> String {
+        if source == Source::Hit {
+            return self.hit_body.clone();
+        }
+        let hit = source_prefix(Source::Hit);
+        debug_assert!(self.hit_body.starts_with(&hit), "the hit body leads with its source");
+        let mut body = source_prefix(source);
+        body.push_str(&self.hit_body[hit.len()..]);
+        body
+    }
+}
+
+/// The members every `compile` response leads with: whether the artifact
+/// was cached, and where it came from.
+fn source_members(source: Source) -> Vec<(String, Json)> {
+    vec![
+        ("cached".into(), Json::Bool(source == Source::Hit)),
+        (
+            "source".into(),
+            Json::str(match source {
+                Source::Hit => "hit",
+                Source::Computed => "computed",
+                Source::Joined => "joined",
+            }),
+        ),
+    ]
+}
+
+/// A rendered `compile` response up to the end of its
+/// [`source_members`]: the object left open.
+fn source_prefix(source: Source) -> String {
+    let mut prefix = ok_response(source_members(source)).render();
+    prefix.pop();
+    prefix
 }
 
 /// A compile-bearing request as [`Service::classify`] resolved it: the
@@ -308,6 +347,30 @@ impl Service {
     /// request content; all failures become `{"ok": false}` frames.
     pub fn handle_local(&self, req: &Request) -> Json {
         self.handle(req, None, None)
+    }
+
+    /// [`handle`](Self::handle) for the event loop's workers: a
+    /// `compile` answers with its response bytes, built from the cached
+    /// hit body ([`Served::compile_body`]) instead of a JSON tree the
+    /// loop would render again.
+    pub(crate) fn reply(
+        &self,
+        req: &Request,
+        resolved: Option<Resolved>,
+        fleet: Option<&Fleet>,
+    ) -> FastReply {
+        let Request::Compile(spec) = req else {
+            return FastReply::Json(self.handle(req, resolved, fleet));
+        };
+        Stats::bump(&self.stats.requests);
+        let started = Instant::now();
+        match self.artifact(spec, resolved, fleet) {
+            Ok((_, _, served, source)) => {
+                self.stats.record_latency_us(started.elapsed().as_micros() as u64);
+                FastReply::Raw(served.compile_body(source))
+            }
+            Err(e) => FastReply::Json(self.finish(started, Err(e))),
+        }
     }
 
     /// [`handle_local`](Self::handle_local), given what
@@ -610,16 +673,8 @@ impl Service {
     }
 
     fn compile_members(key_fp: u64, served: &Served, source: Source) -> Vec<(String, Json)> {
-        vec![
-            ("cached".into(), Json::Bool(source == Source::Hit)),
-            (
-                "source".into(),
-                Json::str(match source {
-                    Source::Hit => "hit",
-                    Source::Computed => "computed",
-                    Source::Joined => "joined",
-                }),
-            ),
+        let mut members = source_members(source);
+        members.extend([
             ("key".into(), Json::str(format!("{key_fp:016x}"))),
             ("isa".into(), Json::str(served.art.isa.short_name())),
             ("lowered".into(), Json::str(served.lowered.clone())),
@@ -627,7 +682,8 @@ impl Service {
             ("cycles".into(), Json::Int(served.art.cycles.into())),
             ("ops".into(), Json::Int(served.art.exe.op_count() as i128)),
             ("artifact_bytes".into(), Json::Int(served.bytes as i128)),
-        ]
+        ]);
+        members
     }
 
     fn handle_compile(
@@ -861,6 +917,31 @@ mod tests {
         assert_eq!(first.get("program"), second.get("program"));
         assert_eq!(first.get("key"), second.get("key"));
         assert_eq!(Stats::read(&svc.stats().compiles), 1);
+    }
+
+    #[test]
+    fn compile_bodies_match_the_rendered_members() {
+        // A miss's reply is the hit body with its source swapped: byte
+        // for byte what rendering the members again gives, for every
+        // source.
+        let svc = service();
+        let req = format!(r#"{{"op":"compile","expr":"{SAT_ADD}","lanes":16,"isa":"hvx"}}"#);
+        let request = parse_request(&crate::json::parse(&req).unwrap()).unwrap();
+        let FastReply::Raw(computed) = svc.reply(&request, None, None) else {
+            panic!("a compile replies with rendered bytes");
+        };
+        let Request::Compile(spec) = &request else { unreachable!() };
+        let (_, key_fp, served, source) = svc.artifact(spec, None, None).unwrap();
+        assert_eq!(source, Source::Hit);
+        let render =
+            |source| ok_response(Service::compile_members(key_fp, &served, source)).render();
+        assert_eq!(computed, render(Source::Computed));
+        for source in [Source::Hit, Source::Computed, Source::Joined] {
+            assert_eq!(served.compile_body(source), render(source), "{source:?}");
+        }
+        // And a hit through the worker path is the cached body itself.
+        let FastReply::Raw(hit) = svc.reply(&request, None, None) else { unreachable!() };
+        assert_eq!(hit, handle_src(&svc, &req).render());
     }
 
     #[test]

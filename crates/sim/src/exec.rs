@@ -23,10 +23,18 @@
 //! * **liveness + register recycling** — a linear-scan over last uses
 //!   maps virtual registers onto a small physical register file. A dead
 //!   register's lane buffer is reclaimed and refilled by a later
-//!   instruction ([`fpir_isa::eval_sem_into`] writes into a recycled
-//!   buffer), so the per-instruction loop performs **zero heap
+//!   instruction, so the per-instruction loop performs **zero heap
 //!   allocation** in steady state — operands are read by reference, and
-//!   the result is taken out of the register file by move, never cloned.
+//!   the result stays in its register until the next run reclaims it;
+//! * **lanes at their own width** — every register, spare buffer,
+//!   fused-kernel scratch row and pool constant holds its lanes at its
+//!   element type's width ([`Lanes`]): a `u8` lane is one byte. A fused
+//!   pass is one call into a kernel built for exactly those storage
+//!   types. A plain instruction runs the whole-vector evaluator, the
+//!   oracle, over its operands converted to [`Value`]s. [`Executable::run`]
+//!   and [`Executable::run_slots`] convert at the engine's boundary;
+//!   [`Executable::run_lanes`] takes native inputs and lends out the
+//!   native result.
 //!
 //! The linked engine is differentially gated against the reference
 //! engine everywhere [`crate::difftest`] runs: on every environment the
@@ -38,7 +46,7 @@ use crate::vm::ExecError;
 use fpir::interp::{Env, Value};
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
-use fpir_isa::{eval_sem_into, MachSem, Target};
+use fpir_isa::{eval_sem_into, Lanes, MachSem, Slice, Target};
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
@@ -51,9 +59,11 @@ use std::ops::Range;
 pub(crate) const MAX_OPERANDS: usize = 32;
 
 /// Upper bound on the number of absorbed steps in one fused
-/// superinstruction; the per-lane scratchpad is stack-allocated at this
-/// width.
+/// superinstruction; the context's scratchpad holds a row per step.
 pub(crate) const MAX_STEPS: usize = 32;
+
+/// Element types: a scratchpad row per step and type.
+const KINDS: usize = 8;
 
 /// Narrow an index into a linked operand's 16-bit field, or report the
 /// index space that ran out.
@@ -154,9 +164,9 @@ pub(crate) struct FStep {
 
 /// One compiled strip loop of a fused kernel's execution schedule. A
 /// pass completes exactly one step (`last`), and may additionally absorb
-/// that step's single-use lane-wise producer into the same loop
+/// that step's single-use lane-wise producer into the same pass
 /// ([`fpir_isa::sem_slice_fn_pair`]) so the intermediate lives in a
-/// register for the duration of a lane instead of a scratch row.
+/// stack buffer instead of a scratch row.
 #[derive(Clone)]
 pub(crate) struct FPass {
     /// Index of the step this pass completes; its result lands in the
@@ -171,13 +181,17 @@ pub(crate) struct FPass {
     /// sources followed by the completing step's with the absorbed
     /// operand removed.
     pub(crate) srcs: Span,
+    /// The operand whose splat constant the compiled loop captured, if
+    /// any ([`fpir_isa::sem_slice_fn_splat`]).
+    pub(crate) captured: Option<u8>,
     /// The compiled strip loop, built once at link time from the audited
     /// `sem`/`srcs`/`ty` fields of the step it completes (and of the
     /// absorbed step, for a merged pass): [`fpir_isa::sem_slice_fn_pair`]
     /// for a merged pair, else [`fpir_isa::sem_slice_fn_splat`] when a
     /// splat-constant operand can be captured, else
     /// [`fpir_isa::sem_slice_fn`]. Executing it is one call into a
-    /// monomorphic vector loop: no dispatch, shape checks, or
+    /// monomorphic vector loop over lanes at their own width (two, chunk
+    /// by chunk, for a merged pair): no dispatch, shape checks, or
     /// operand-type reads remain at run time.
     pub(crate) eval: fpir_isa::SemSliceFn,
 }
@@ -188,6 +202,7 @@ impl fmt::Debug for FPass {
             .field("last", &self.last)
             .field("absorbed", &self.absorbed)
             .field("srcs", &self.srcs)
+            .field("captured", &self.captured)
             .finish()
     }
 }
@@ -302,10 +317,10 @@ pub(crate) enum OutLoc {
 ///   captures only `Copy` data (element types, shift widths, a splat
 ///   scalar) and is only ever called through `&`, so sharing one across
 ///   threads needs no lock, and cloning the executable shares it;
-/// * the **splat constant pool** (`consts`, [`Value`]) is materialized
-///   once at link time and only ever read afterwards — every execution
-///   path takes `&self.consts[..]`, so concurrent invocations share the
-///   pool without copies or locks;
+/// * the **splat constant pool** (`consts`, [`Lanes`] at each constant's
+///   own width) is materialized once at link time and only ever read
+///   afterwards — every execution path takes `&self.consts[..]`, so
+///   concurrent invocations share the pool without copies or locks;
 /// * `inputs` and `zero` are owned, never-mutated `String`/`Value` data.
 ///
 /// All *mutable* execution state lives in the per-thread [`ExecCtx`]
@@ -317,7 +332,7 @@ pub(crate) enum OutLoc {
 pub struct Executable {
     pub(crate) isa: Isa,
     pub(crate) inputs: Vec<InputSlot>,
-    pub(crate) consts: Vec<Value>,
+    pub(crate) consts: Vec<Lanes>,
     pub(crate) code: Vec<LInst>,
     /// Operand lists of `code`, addressed by [`LInst::args`].
     pub(crate) operands: Vec<Operand>,
@@ -337,17 +352,29 @@ pub struct Executable {
 }
 
 /// Reusable per-thread execution state: the physical register file and a
-/// pool of recycled lane buffers. Steady-state invocations allocate
-/// nothing — [`ExecCtx::buffer_allocs`] stops growing after warm-up (the
-/// regression tests pin this).
+/// pool of recycled lane buffers, every one at its element type's own
+/// width ([`Lanes`]). Steady-state invocations allocate nothing —
+/// [`ExecCtx::buffer_allocs`] stops growing after warm-up (the regression
+/// tests pin this).
 #[derive(Debug, Default)]
 pub struct ExecCtx {
-    regs: Vec<Option<Value>>,
-    spare: Vec<Vec<i128>>,
-    /// Fused-kernel scratchpad: `MAX_STEPS` rows of strip-width lanes,
-    /// grown on first use and reused by every fused dispatch thereafter
-    /// (steady-state fused runs allocate nothing, like unfused ones).
-    scratch: Vec<i128>,
+    regs: Vec<Option<Lanes>>,
+    /// Recycled lane buffers, of any element type.
+    spare: Vec<Lanes>,
+    /// Recycled `i128` buffers for the [`Value`]s at the engine's
+    /// boundary ([`Executable::run`], [`Executable::run_slots`]).
+    values: Vec<Vec<i128>>,
+    /// The inputs those entry points convert their [`Value`]s into.
+    ins: Vec<Lanes>,
+    /// Operands of a plain instruction, converted to [`Value`]s for the
+    /// whole-vector evaluator.
+    op_args: Vec<Value>,
+    /// Fused-kernel scratchpad: one strip-width row per step index and
+    /// element type (step `j` at type `t` is row `j · KINDS + t`, by the
+    /// [`ScalarType`] discriminant), sized on first use and reused by
+    /// every fused dispatch thereafter (steady-state fused runs allocate
+    /// nothing, like unfused ones).
+    scratch: Vec<Lanes>,
     buffer_allocs: u64,
     invocations: u64,
 }
@@ -373,24 +400,78 @@ impl ExecCtx {
     /// Hand a no-longer-needed [`Value`] back for buffer reuse (e.g. the
     /// output of [`Executable::run`] after its lanes were consumed).
     pub fn recycle(&mut self, v: Value) {
-        self.spare.push(v.into_lanes());
+        self.values.push(v.into_lanes());
     }
 
-    /// Take a recycled lane buffer (empty, capacity preserved) or a
-    /// fresh one; pair with [`Value::new`] to build inputs without
+    /// Take a recycled `i128` lane buffer (empty, capacity preserved) or
+    /// a fresh one; pair with [`Value::new`] to build inputs without
     /// allocating in steady state.
     pub fn take_buffer(&mut self) -> Vec<i128> {
-        match self.spare.pop() {
-            Some(mut b) => {
-                b.clear();
-                b
-            }
-            None => {
-                self.buffer_allocs += 1;
-                Vec::new()
-            }
+        take_values(&mut self.values, &mut self.buffer_allocs)
+    }
+
+    /// Take a recycled buffer for lanes of `elem` (empty, capacity
+    /// preserved) or a fresh one: the inputs of
+    /// [`Executable::run_lanes`], built without allocating in steady
+    /// state.
+    pub fn take_lanes(&mut self, elem: ScalarType) -> Lanes {
+        let mut l = reuse_lanes(&mut self.spare, &mut self.buffer_allocs, elem);
+        l.clear();
+        l
+    }
+
+    /// Hand a no-longer-needed lane buffer back for reuse.
+    pub fn recycle_lanes(&mut self, l: Lanes) {
+        self.spare.push(l);
+    }
+}
+
+/// Watches the fused passes a run dispatches: the hook of the pass-timer
+/// probe (`tests/pass_timer.rs`), which times each pass kind. The
+/// engine's own entry points pass `()`, whose calls compile to nothing.
+pub trait PassObserver {
+    /// Pass `pass` (see [`Executable::pass_kind`]) is about to run.
+    fn before(&mut self, pass: usize);
+    /// Pass `pass` ran over `lanes` lanes.
+    fn after(&mut self, pass: usize, lanes: usize);
+}
+
+impl PassObserver for () {
+    #[inline(always)]
+    fn before(&mut self, _: usize) {}
+    #[inline(always)]
+    fn after(&mut self, _: usize, _: usize) {}
+}
+
+/// A recycled `i128` buffer, cleared, or a fresh one.
+fn take_values(pool: &mut Vec<Vec<i128>>, allocs: &mut u64) -> Vec<i128> {
+    match pool.pop() {
+        Some(mut b) => {
+            b.clear();
+            b
+        }
+        None => {
+            *allocs += 1;
+            Vec::new()
         }
     }
+}
+
+/// A recycled buffer for lanes of `elem`, its old lanes left in place
+/// for the caller to overwrite, or a fresh one.
+fn reuse_lanes(pool: &mut Vec<Lanes>, allocs: &mut u64, elem: ScalarType) -> Lanes {
+    match pool.iter().rposition(|l| l.elem() == elem) {
+        Some(i) => pool.swap_remove(i),
+        None => {
+            *allocs += 1;
+            Lanes::new(elem)
+        }
+    }
+}
+
+/// The vector type of `lanes`.
+pub(crate) fn lanes_ty(lanes: &Slice<'_>) -> VectorType {
+    VectorType::new(lanes.elem(), lanes.len() as u32)
 }
 
 /// A program's leaves resolved for linking: input slots in first-load
@@ -400,7 +481,8 @@ impl ExecCtx {
 /// errors have one definition.
 pub(crate) struct Leaves {
     pub(crate) inputs: Vec<InputSlot>,
-    pub(crate) consts: Vec<Value>,
+    /// The splat pool: each constant's type and lane value.
+    pub(crate) consts: Vec<(VectorType, i128)>,
     /// What each program register (by position) resolves to.
     pub(crate) defs: Vec<Src>,
 }
@@ -432,7 +514,7 @@ impl Leaves {
         let mut slot_of: HashMap<&str, u16> = HashMap::with_capacity(loads);
         let mut const_of: HashMap<(VectorType, i128), u16> = HashMap::with_capacity(splats);
         let mut inputs: Vec<InputSlot> = Vec::with_capacity(loads);
-        let mut consts: Vec<Value> = Vec::with_capacity(splats);
+        let mut consts: Vec<(VectorType, i128)> = Vec::with_capacity(splats);
         let mut defs: Vec<Src> = Vec::with_capacity(insts.len());
         let mut ops = 0;
         for (i, inst) in insts.iter().enumerate() {
@@ -470,7 +552,7 @@ impl Leaves {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
                         let c = index16(consts.len(), "pool constants")?;
-                        consts.push(Value::splat(*value, inst.ty));
+                        consts.push((inst.ty, *value));
                         *e.insert(c)
                     }
                 }),
@@ -596,7 +678,7 @@ impl Executable {
         let exe = Executable {
             isa: target.isa,
             inputs,
-            consts,
+            consts: native_pool(&consts),
             code,
             operands,
             steps: Vec::new(),
@@ -709,7 +791,7 @@ impl Executable {
     }
 
     /// Run on an environment (input names resolved to slots here; prefer
-    /// [`Executable::run_slots`] in hot loops that can pre-resolve).
+    /// [`Executable::run_lanes`] in hot loops that can pre-resolve).
     ///
     /// # Errors
     ///
@@ -724,17 +806,11 @@ impl Executable {
                 reg: slot.reg,
             })?;
             if v.ty() != slot.ty {
-                return Err(ExecError::InputTypeMismatch {
-                    name: slot.name.clone(),
-                    pos: slot.pos,
-                    reg: slot.reg,
-                    declared: slot.ty,
-                    bound: v.ty(),
-                });
+                return Err(self.mistyped(slot, v.ty()));
             }
             ins.push(v);
         }
-        self.run_resolved(ctx, ins.as_slice())
+        self.run_values(ctx, ins.as_slice())
     }
 
     /// Run on positionally-bound inputs: `slots[i]` binds
@@ -746,122 +822,257 @@ impl Executable {
     /// the first missing one), more values than slots
     /// ([`ExecError::ExtraSlots`]), or semantics-rejected operands.
     pub fn run_slots(&self, ctx: &mut ExecCtx, slots: &[Value]) -> Result<Value, ExecError> {
-        if let Some(missing) = self.inputs.get(slots.len()) {
+        self.check_count(slots.len())?;
+        for (v, slot) in slots.iter().zip(&self.inputs) {
+            if v.ty() != slot.ty {
+                return Err(self.mistyped(slot, v.ty()));
+            }
+        }
+        self.run_values(ctx, slots)
+    }
+
+    /// [`Executable::run_lanes`], telling `obs` about every fused pass it
+    /// dispatches.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executable::run_lanes`].
+    pub fn run_lanes_observed<'a>(
+        &'a self,
+        ctx: &'a mut ExecCtx,
+        slots: &'a [Lanes],
+        obs: &mut impl PassObserver,
+    ) -> Result<Slice<'a>, ExecError> {
+        self.check_lanes(slots)?;
+        self.run_resolved(ctx, slots, obs)
+    }
+
+    /// What fused pass `i` (below [`Executable::pass_count`]) computes:
+    /// its step's semantics and operand and result types, the operand
+    /// whose splat constant it captured, and the producer a merged pass
+    /// absorbed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn pass_kind(&self, i: usize) -> String {
+        let pass = &self.passes[i];
+        let steps = self
+            .code
+            .iter()
+            .find_map(|inst| match inst.kernel {
+                Kernel::Fused(f) if f.passes.range().contains(&i) => Some(f.steps),
+                _ => None,
+            })
+            .expect("every pass belongs to a fused kernel");
+        let step = |j: u16| {
+            let s = &self.steps[steps.start as usize + j as usize];
+            format!("{:?} {:?} -> {}", s.sem, &self.tys[s.srcs.range()], s.ty.elem)
+        };
+        let mut kind = step(pass.last);
+        if let Some(k) = pass.captured {
+            kind += &format!(", operand {k} captured");
+        }
+        if let Some(t) = pass.absorbed {
+            kind = format!("pair {} into {kind}", step(t));
+        }
+        kind
+    }
+
+    /// Run on positionally-bound inputs held at their own width:
+    /// `slots[i]` binds [`Executable::inputs`]`[i]`. The engine's native
+    /// entry point: nothing converts, and the result is borrowed from the
+    /// context (or from the inputs or the constant pool) until the next
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executable::run_slots`]: a slot's lanes must have its
+    /// declared element type and lane count.
+    pub fn run_lanes<'a>(
+        &'a self,
+        ctx: &'a mut ExecCtx,
+        slots: &'a [Lanes],
+    ) -> Result<Slice<'a>, ExecError> {
+        self.check_lanes(slots)?;
+        self.run_resolved(ctx, slots, &mut ())
+    }
+
+    /// The input checks of [`Executable::run_lanes`].
+    fn check_lanes(&self, slots: &[Lanes]) -> Result<(), ExecError> {
+        self.check_count(slots.len())?;
+        for (l, slot) in slots.iter().zip(&self.inputs) {
+            let ty = lanes_ty(&l.as_slice());
+            if ty != slot.ty {
+                return Err(self.mistyped(slot, ty));
+            }
+        }
+        Ok(())
+    }
+
+    /// The slot-count checks of the positional entry points.
+    fn check_count(&self, given: usize) -> Result<(), ExecError> {
+        if let Some(missing) = self.inputs.get(given) {
             return Err(ExecError::UnboundInput {
                 name: missing.name.clone(),
                 pos: missing.pos,
                 reg: missing.reg,
             });
         }
-        if slots.len() > self.inputs.len() {
-            return Err(ExecError::ExtraSlots { given: slots.len(), inputs: self.inputs.len() });
+        if given > self.inputs.len() {
+            return Err(ExecError::ExtraSlots { given, inputs: self.inputs.len() });
         }
-        for (v, slot) in slots.iter().zip(&self.inputs) {
-            if v.ty() != slot.ty {
-                return Err(ExecError::InputTypeMismatch {
-                    name: slot.name.clone(),
-                    pos: slot.pos,
-                    reg: slot.reg,
-                    declared: slot.ty,
-                    bound: v.ty(),
-                });
-            }
+        Ok(())
+    }
+
+    fn mistyped(&self, slot: &InputSlot, bound: VectorType) -> ExecError {
+        ExecError::InputTypeMismatch {
+            name: slot.name.clone(),
+            pos: slot.pos,
+            reg: slot.reg,
+            declared: slot.ty,
+            bound,
         }
-        self.run_resolved(ctx, slots)
+    }
+
+    /// The engine's boundary with [`Value`]: type-checked inputs
+    /// converted to their own width, and the result converted back.
+    fn run_values<I: Ins + ?Sized>(&self, ctx: &mut ExecCtx, ins: &I) -> Result<Value, ExecError> {
+        let mut lanes = std::mem::take(&mut ctx.ins);
+        for l in lanes.drain(..) {
+            ctx.spare.push(l);
+        }
+        for i in 0..self.inputs.len() {
+            let v = ins.slot(i);
+            let mut l = ctx.take_lanes(v.ty().elem);
+            l.extend_from(v.lanes());
+            lanes.push(l);
+        }
+        let mut out = ctx.take_buffer();
+        let ty = self.run_resolved(ctx, &lanes, &mut ()).map(|s| {
+            s.write_to(&mut out);
+            lanes_ty(&s)
+        });
+        ctx.ins = lanes;
+        // Semantics wrap/saturate into the result type, so the lanes
+        // satisfy the `Value` invariant by construction.
+        Ok(Value::trusted(ty?, out))
     }
 
     /// The hot loop: direct dispatch over resolved operands, recycled
     /// register file, zero steady-state allocation.
-    fn run_resolved<I: Ins + ?Sized>(
-        &self,
-        ctx: &mut ExecCtx,
-        ins: &I,
-    ) -> Result<Value, ExecError> {
+    fn run_resolved<'a>(
+        &'a self,
+        ctx: &'a mut ExecCtx,
+        ins: &'a [Lanes],
+        obs: &mut impl PassObserver,
+    ) -> Result<Slice<'a>, ExecError> {
         if ctx.regs.len() < self.phys_regs {
             ctx.regs.resize_with(self.phys_regs, || None);
         }
+        if ctx.scratch.is_empty() {
+            let mut kinds = fpir::types::ALL_SCALAR_TYPES;
+            kinds.sort_by_key(|&t| t as usize);
+            ctx.scratch.extend((0..MAX_STEPS).flat_map(|_| kinds.map(Lanes::new)));
+        }
         ctx.invocations += 1;
-        let ExecCtx { regs, spare, scratch, buffer_allocs, .. } = ctx;
+        let ExecCtx { regs, spare, values, op_args, scratch, buffer_allocs, .. } = ctx;
         for inst in &self.code {
             // Reclaim the destination's previous (dead by liveness)
             // value; the allocator guarantees the destination never
             // aliases an operand of this instruction.
             if let Some(old) = regs[inst.dst as usize].take() {
-                spare.push(old.into_lanes());
+                spare.push(old);
             }
-            let mut buf = match spare.pop() {
-                Some(b) => b,
-                None => {
-                    *buffer_allocs += 1;
-                    Vec::new()
-                }
-            };
+            let mut buf = reuse_lanes(spare, buffer_allocs, inst.ty.elem);
             {
                 let args = &self.operands[inst.args.range()];
-                let mut refs: [&Value; MAX_OPERANDS] = [&self.zero; MAX_OPERANDS];
-                for (k, a) in args.iter().enumerate() {
-                    refs[k] = match *a {
+                let mut xs: [Slice<'_>; MAX_OPERANDS] = [Slice::U8(&[]); MAX_OPERANDS];
+                for (x, a) in xs.iter_mut().zip(args) {
+                    *x = match *a {
                         Operand::Reg(r) => regs[r as usize]
                             .as_ref()
-                            .expect("linked instructions define registers before use"),
-                        Operand::In(s) => ins.slot(s as usize),
-                        Operand::Const(c) => &self.consts[c as usize],
+                            .expect("linked instructions define registers before use")
+                            .as_slice(),
+                        Operand::In(s) => ins[s as usize].as_slice(),
+                        Operand::Const(c) => self.consts[c as usize].as_slice(),
                     };
                 }
+                let xs = &xs[..args.len()];
                 match inst.kernel {
                     Kernel::Op(sem) => {
-                        eval_sem_into(sem, &refs[..args.len()], inst.ty, &mut buf).map_err(
-                            |what| ExecError::Sem {
-                                op: inst.op,
-                                pos: inst.pos as usize,
-                                reg: inst.reg,
-                                what,
-                            },
-                        )?;
+                        // A plain instruction runs the whole-vector
+                        // evaluator, the oracle, over its operands as
+                        // `Value`s.
+                        for x in xs {
+                            let mut v = take_values(values, buffer_allocs);
+                            x.write_to(&mut v);
+                            op_args.push(Value::trusted(lanes_ty(x), v));
+                        }
+                        let mut refs: [&Value; MAX_OPERANDS] = [&self.zero; MAX_OPERANDS];
+                        for (r, v) in refs.iter_mut().zip(op_args.iter()) {
+                            *r = v;
+                        }
+                        let mut out = take_values(values, buffer_allocs);
+                        let r = eval_sem_into(sem, &refs[..xs.len()], inst.ty, &mut out);
+                        values.extend(op_args.drain(..).map(Value::into_lanes));
+                        r.map_err(|what| ExecError::Sem {
+                            op: inst.op,
+                            pos: inst.pos as usize,
+                            reg: inst.reg,
+                            what,
+                        })?;
+                        buf.clear();
+                        buf.extend_from(&out);
+                        values.push(out);
                     }
                     Kernel::Fused(f) => {
                         // A fused kernel's shapes (arity, lane counts,
                         // widening widths) were all proven static at fuse
                         // time — external operand types are fixed by the
                         // link and re-checked at binding — so the chain
-                        // runs with no per-step validation: each absorbed
-                        // step is one call into its compiled vector
-                        // kernel, intermediates staying in the context
-                        // scratchpad. The verifier's fused-shape check
-                        // audits this.
+                        // runs with no per-step validation: each pass is
+                        // one call into its compiled vector kernel, over
+                        // lanes at their own width, intermediates staying
+                        // in the context scratchpad. The verifier's
+                        // fused-shape check audits this.
                         let lanes = inst.ty.lanes as usize;
-                        let mut lanes_of: [&[i128]; MAX_OPERANDS] = [&[]; MAX_OPERANDS];
-                        for (k, r) in refs[..args.len()].iter().enumerate() {
-                            lanes_of[k] = r.lanes();
-                        }
-                        if scratch.len() < f.len() * lanes {
-                            // First fused dispatch at this width; the
-                            // scratchpad is retained for every later run.
-                            scratch.resize(MAX_STEPS * lanes, 0);
-                        }
+                        let steps = &self.steps[f.steps.range()];
                         let root = f.len() - 1;
                         // Size the destination without zeroing it: the
                         // root pass overwrites every lane (operand and
                         // scratch slices are exactly `lanes` long, and
                         // every compiled kernel writes its full output
                         // slice), so recycled contents never leak.
-                        buf.resize(lanes, 0);
-                        for pass in &self.passes[f.passes.range()] {
-                            let srcs = &self.srcs[pass.srcs.range()];
+                        buf.resize(lanes);
+                        for (p, pass) in self.passes[f.passes.range()].iter().enumerate() {
+                            let p = f.passes.start as usize + p;
+                            obs.before(p);
+                            let range = pass.srcs.range();
+                            let (srcs, tys) = (&self.srcs[range.clone()], &self.tys[range]);
                             let j = pass.last as usize;
-                            let (lo, hi) = scratch.split_at_mut(j * lanes);
                             // The chain root writes the destination
-                            // buffer directly; earlier passes fill their
-                            // completed step's scratchpad row.
-                            let dst: &mut [i128] =
-                                if j == root { &mut buf[..] } else { &mut hi[..lanes] };
+                            // buffer directly; earlier passes fill step
+                            // `j`'s row at its result type. Sources are
+                            // rows of earlier steps.
+                            let (lo, hi) = scratch.split_at_mut(j * KINDS);
+                            let dst = if j == root {
+                                buf.as_mut()
+                            } else {
+                                let row = &mut hi[steps[j].ty.elem as usize];
+                                if row.len() != lanes {
+                                    // First fused dispatch at this width;
+                                    // the row is kept for every later run.
+                                    row.resize(lanes);
+                                }
+                                row.as_mut()
+                            };
                             macro_rules! src {
                                 ($k:expr) => {
                                     match srcs[$k] {
-                                        FSrc::Arg(a) => lanes_of[a as usize],
+                                        FSrc::Arg(a) => xs[a as usize],
                                         FSrc::Tmp(t) => {
-                                            let t = t as usize;
-                                            &lo[t * lanes..(t + 1) * lanes]
+                                            lo[t as usize * KINDS + tys[$k] as usize].as_slice()
                                         }
                                     }
                                 };
@@ -876,34 +1087,31 @@ impl Executable {
                                 3 => (pass.eval)(&[src!(0), src!(1), src!(2)], dst),
                                 4 => (pass.eval)(&[src!(0), src!(1), src!(2), src!(3)], dst),
                                 _ => {
-                                    let mut xs: [&[i128]; MAX_OPERANDS] = [&[]; MAX_OPERANDS];
-                                    for (x, k) in xs.iter_mut().zip(0..srcs.len()) {
-                                        *x = src!(k);
+                                    let mut ys = [Slice::U8(&[]); MAX_OPERANDS];
+                                    for (y, k) in ys.iter_mut().zip(0..srcs.len()) {
+                                        *y = src!(k);
                                     }
-                                    (pass.eval)(&xs[..srcs.len()], dst);
+                                    (pass.eval)(&ys[..srcs.len()], dst);
                                 }
                             }
+                            obs.after(p, lanes);
                         }
                     }
                 }
             }
-            // Semantics wrap/saturate into the result type, so the lanes
-            // satisfy the `Value` invariant by construction.
-            let v = Value::trusted(inst.ty, buf);
             if inst.dst_dead {
-                spare.push(v.into_lanes());
+                spare.push(buf);
             } else {
-                regs[inst.dst as usize] = Some(v);
+                regs[inst.dst as usize] = Some(buf);
             }
         }
-        match self.output {
-            // The result leaves the register file by move, not clone.
+        Ok(match self.output {
             OutLoc::Reg(r) => {
-                Ok(regs[r as usize].take().expect("the output register was just written"))
+                regs[r as usize].as_ref().expect("the output register was just written").as_slice()
             }
-            OutLoc::In(s) => Ok(ins.slot(s as usize).clone()),
-            OutLoc::Const(c) => Ok(self.consts[c as usize].clone()),
-        }
+            OutLoc::In(s) => ins[s as usize].as_slice(),
+            OutLoc::Const(c) => self.consts[c as usize].as_slice(),
+        })
     }
 
     /// An assembly-like listing of the linked form: input slots (`sN`),
@@ -925,7 +1133,7 @@ impl Executable {
             let _ = writeln!(out, "in        s{i}.{}, [{}]", s.ty, s.name);
         }
         for (i, c) in self.consts.iter().enumerate() {
-            let _ = writeln!(out, "const     c{i}.{}, #{}", c.ty(), c.lane(0));
+            let _ = writeln!(out, "const     c{i}.{}, #{}", lanes_ty(&c.as_slice()), c.get(0));
         }
         for inst in &self.code {
             let srcs = self.operands[inst.args.range()]
@@ -960,9 +1168,14 @@ impl Executable {
     }
 }
 
-/// Positional input access for the hot loop, implemented for owned and
-/// reference slices so [`Executable::run`] and [`Executable::run_slots`]
-/// share one monomorphized code path without a per-invocation allocation.
+/// The splat pool materialized, each constant at its own width.
+pub(crate) fn native_pool(consts: &[(VectorType, i128)]) -> Vec<Lanes> {
+    consts.iter().map(|&(ty, v)| Lanes::splat(ty.elem, v, ty.lanes as usize)).collect()
+}
+
+/// Positional input access, implemented for owned and reference slices so
+/// [`Executable::run`] and [`Executable::run_slots`] share one
+/// monomorphized code path without a per-invocation allocation.
 trait Ins {
     fn slot(&self, i: usize) -> &Value;
 }

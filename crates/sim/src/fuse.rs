@@ -6,9 +6,9 @@
 //! instruction*, even for chains like `mul → shr → add` that the cycle
 //! model prices as a single fused idiom (`vmpa`/`vdmpy`-style). The FAST
 //! link ([`Executable::link_with`] with [`ExecConfig::FAST`]) links a
-//! program so those chains run as **superinstructions**: one lane walk
-//! per chain, intermediates in stack scalars, a single register write at
-//! the root. It builds its graph straight from the program and allocates
+//! program so those chains run as **superinstructions**: one dispatch
+//! per chain, intermediates in the context's scratch rows at their own
+//! width, a single register write at the root. It builds its graph straight from the program and allocates
 //! registers once, for the fused code.
 //!
 //! The pipeline, in order:
@@ -90,8 +90,8 @@
 //! either way.
 
 use crate::exec::{
-    index16, Executable, FPass, FSrc, FStep, FusedKernel, InputSlot, Kernel, LInst, Leaves,
-    Operand, OutLoc, Span, Src, MAX_OPERANDS, MAX_STEPS,
+    index16, native_pool, Executable, FPass, FSrc, FStep, FusedKernel, InputSlot, Kernel, LInst,
+    Leaves, Operand, OutLoc, Span, Src, MAX_OPERANDS, MAX_STEPS,
 };
 use crate::program::{PKind, Program, Reg};
 use crate::vm::ExecError;
@@ -100,6 +100,7 @@ use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
 use fpir_isa::{eval_sem_into, MachSem, SemSliceFn, Target};
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Engine selection for linking, mirroring the selection engine's
@@ -145,7 +146,8 @@ const NONE: usize = usize::MAX;
 struct Graph {
     isa: Isa,
     inputs: Vec<InputSlot>,
-    consts: Vec<Value>,
+    /// The splat pool: each constant's type and lane value.
+    consts: Vec<(VectorType, i128)>,
     nodes: Vec<Node>,
     /// Operand lists of `nodes`.
     args: Vec<Src>,
@@ -209,6 +211,9 @@ impl Graph {
         }
         let mut pool_index = None;
         let mut lanes: Vec<i128> = Vec::new();
+        // A fold's operands as `Value`s, on recycled buffers.
+        let mut fold_args: Vec<Value> = Vec::new();
+        let mut fold_bufs: Vec<Vec<i128>> = Vec::new();
         for i in 0..nodes.len() {
             let node = &nodes[i];
             let a = &mut args[node.args.range()];
@@ -218,7 +223,7 @@ impl Graph {
             let src_ty = |s: Src| match s {
                 Src::Node(j) => nodes[j].ty,
                 Src::In(k) => inputs[k as usize].ty,
-                Src::Const(c) => consts[c as usize].ty(),
+                Src::Const(c) => consts[c as usize].0,
             };
             // Identity copies: a same-type wrap or saturate of a
             // canonical value is the value (the `Value` lane invariant).
@@ -236,16 +241,23 @@ impl Graph {
             }
             // Fold all-constant operands through the engine's own
             // evaluator.
-            let Some(Src::Const(c0)) = a.first() else { continue };
-            if a.iter().all(|s| matches!(s, Src::Const(_))) {
-                let mut refs: [&Value; MAX_OPERANDS] = [&consts[*c0 as usize]; MAX_OPERANDS];
-                for (r, s) in refs.iter_mut().zip(a.iter()) {
+            if !a.is_empty() && a.iter().all(|s| matches!(s, Src::Const(_))) {
+                for s in a.iter() {
                     let Src::Const(c) = *s else { unreachable!() };
-                    *r = &consts[c as usize];
+                    let (ty, v) = consts[c as usize];
+                    let mut buf = fold_bufs.pop().unwrap_or_default();
+                    buf.clear();
+                    buf.resize(ty.lanes as usize, v);
+                    fold_args.push(Value::trusted(ty, buf));
+                }
+                let mut refs: [&Value; MAX_OPERANDS] = [&fold_args[0]; MAX_OPERANDS];
+                for (r, v) in refs.iter_mut().zip(&fold_args) {
+                    *r = v;
                 }
                 // Lane-wise semantics on splats always yield a splat;
                 // checked anyway so a non-splat can never enter the pool.
                 let ok = eval_sem_into(node.sem, &refs[..a.len()], node.ty, &mut lanes).is_ok();
+                fold_bufs.extend(fold_args.drain(..).map(Value::into_lanes));
                 if ok && lanes.iter().all(|&x| x == lanes[0]) {
                     if let Some(c) = intern_const(&mut consts, &mut pool_index, node.ty, lanes[0]) {
                         rep[i] = Some(Src::Const(c));
@@ -307,21 +319,17 @@ impl Graph {
         match s {
             Src::Node(j) => self.nodes[j].ty,
             Src::In(k) => self.inputs[k as usize].ty,
-            Src::Const(c) => self.consts[c as usize].ty(),
+            Src::Const(c) => self.consts[c as usize].0,
         }
     }
 
     /// The scalar of each external operand that is a pool constant (a
-    /// splat by the pool's interning invariant), so compiled passes can
-    /// keep it in a register instead of streaming a constant row.
+    /// splat by construction), so compiled passes can keep it in a
+    /// register instead of streaming a constant row.
     fn splats(&self, ext: &[Src], out: &mut Vec<Option<i128>>) {
         out.clear();
         out.extend(ext.iter().map(|&s| match s {
-            Src::Const(c) => {
-                let v = &self.consts[c as usize];
-                let c0 = v.lane(0);
-                v.lanes().iter().all(|&x| x == c0).then_some(c0)
-            }
+            Src::Const(c) => Some(self.consts[c as usize].1),
             _ => None,
         }));
     }
@@ -381,7 +389,7 @@ impl Emitted {
         Executable {
             isa,
             inputs,
-            consts,
+            consts: native_pool(&consts),
             code,
             operands,
             steps,
@@ -783,21 +791,105 @@ struct PassScratch {
     /// Consumer j absorbs producer t at operand k.
     absorbs: Vec<Option<(usize, usize, SemSliceFn)>>,
     absorbed: Vec<bool>,
+    pairs: Pairs,
+}
+
+/// What a step's kernel is built from: its semantics and its operand
+/// and result types.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Shape {
+    sem: MachSem,
+    result: ScalarType,
+    tys: [Option<ScalarType>; 9],
+}
+
+impl Shape {
+    fn of(step: &FStep, tys: &[ScalarType]) -> Shape {
+        let mut all = [None; 9];
+        for (t, &ty) in all.iter_mut().zip(tys) {
+            *t = Some(ty);
+        }
+        Shape { sem: step.sem, result: step.ty.elem, tys: all }
+    }
+}
+
+/// The fused pairs of one link, by their steps' shapes and operand: a
+/// pair's pass is a pure function of those, so every merged pass of one
+/// pair shape shares one closure, and a link builds a pair's two inner
+/// kernels once, not once per merged pass.
+#[derive(Default)]
+struct Pairs(HashMap<(Shape, Shape, usize), SemSliceFn, BuildHasherDefault<Mix>>);
+
+impl Pairs {
+    /// Producer step `p` absorbed into operand `k` of consumer step `c`
+    /// ([`fpir_isa::sem_slice_fn_pair`]).
+    fn get(
+        &mut self,
+        p: (&FStep, &[ScalarType]),
+        c: (&FStep, &[ScalarType]),
+        k: usize,
+    ) -> SemSliceFn {
+        let key = (Shape::of(p.0, p.1), Shape::of(c.0, c.1), k);
+        self.0
+            .entry(key)
+            .or_insert_with(|| {
+                let pk = fpir_isa::sem_slice_fn(p.0.sem, p.1, p.0.ty.elem);
+                let ck = fpir_isa::sem_slice_fn(c.0.sem, c.1, c.0.ty.elem);
+                fpir_isa::sem_slice_fn_pair(pk, p.1.len(), p.0.ty.elem, ck, k)
+            })
+            .clone()
+    }
+}
+
+/// A multiply-rotate hasher for the pair cache's keys, a word per write.
+#[derive(Default)]
+struct Mix(u64);
+
+impl Hasher for Mix {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+    fn write_isize(&mut self, x: isize) {
+        self.write_u64(x as u64);
+    }
+    fn write_i128(&mut self, x: i128) {
+        self.write_u64(x as u64);
+        self.write_u64((x >> 64) as u64);
+    }
 }
 
 /// Derive the execution schedule of the fused kernel whose steps are
 /// `out.steps[steps0..]`: one compiled strip loop per step, except that a
 /// step whose operand is a *single-use* producer may absorb that producer
-/// into the same loop ([`fpir_isa::sem_slice_fn_pair`], which decides
-/// which pairs merge) — the intermediate then lives in a register for the
-/// duration of a lane instead of round-tripping through a scratch row.
-/// Pair merging is one level deep (a merged pass cannot itself be
-/// absorbed), greedy in step order, and falls back to the step's own
-/// compiled kernel whenever the composer declines the pair. Unmerged
-/// passes with a splat-constant operand get the constant baked in as a
-/// captured scalar instead ([`fpir_isa::sem_slice_fn_splat`]). Each
-/// pass's closure is compiled exactly once. Returns the span of the
-/// passes appended to `out.passes`.
+/// into the same pass ([`fpir_isa::sem_slice_fn_pair`];
+/// [`fpir_isa::pair_merges`] decides which pairs merge) — the
+/// intermediate then stays in a stack buffer instead of round-tripping
+/// through a scratch row. Pair merging is one level deep (a merged pass
+/// cannot itself be absorbed) and greedy in step order. Unmerged passes
+/// with a splat-constant operand get the constant baked in as a captured
+/// scalar instead ([`fpir_isa::sem_slice_fn_splat`]). Merged passes of
+/// one pair shape share one compiled closure ([`Pairs`]). Returns the
+/// span of the passes appended to `out.passes`.
 fn build_passes(
     steps0: usize,
     arg_splat: &[Option<i128>],
@@ -821,7 +913,7 @@ fn build_passes(
     s.absorbed.clear();
     s.absorbed.resize(n, false);
     // A splat-constant operand on either side of a pair is worth more as
-    // a captured scalar (the merged loop would stream the constant row
+    // a captured scalar (the merged pass would stream the constant row
     // and lose its register): such pairs are left to the splat-capture
     // path below.
     let has_splat = |step: &FStep| {
@@ -834,24 +926,17 @@ fn build_passes(
             let FSrc::Tmp(t) = *src else { continue };
             let t = t as usize;
             // The producer must be single-use and not already merged
-            // either way; the composer decides whether the pair merges.
+            // either way.
             if s.uses[t] != 1 || s.absorbed[t] || s.absorbs[t].is_some() {
                 continue;
             }
             if has_splat(&steps[t]) || has_splat(&steps[j]) {
                 continue;
             }
-            let pair = fpir_isa::sem_slice_fn_pair(
-                steps[t].sem,
-                &tys[steps[t].srcs.range()],
-                steps[t].ty.elem,
-                steps[j].sem,
-                &tys[steps[j].srcs.range()],
-                steps[j].ty.elem,
-                k,
-            );
-            if let Some(eval) = pair {
-                s.absorbs[j] = Some((t, k, eval));
+            if fpir_isa::pair_merges(steps[t].sem, steps[j].sem) {
+                let p = (&steps[t], &tys[steps[t].srcs.range()]);
+                let c = (&steps[j], &tys[steps[j].srcs.range()]);
+                s.absorbs[j] = Some((t, k, s.pairs.get(p, c, k)));
                 s.absorbed[t] = true;
                 break;
             }
@@ -873,7 +958,7 @@ fn build_passes(
                     tys.push(tys[x]);
                 }
                 let srcs = Span::of(src0, srcs.len());
-                FPass { last: j as u16, absorbed: Some(t as u16), srcs, eval }
+                FPass { last: j as u16, absorbed: Some(t as u16), srcs, captured: None, eval }
             }
             None => {
                 // A splat-constant operand becomes a captured scalar:
@@ -881,15 +966,16 @@ fn build_passes(
                 // verifier checks them verbatim against the step), but
                 // the compiled loop never reads the constant row.
                 let (sem, ty, tys) = (step.sem, step.ty.elem, &tys[step.srcs.range()]);
-                let eval = srcs[step.srcs.range()]
+                let (captured, eval) = srcs[step.srcs.range()]
                     .iter()
                     .enumerate()
                     .find_map(|(k, s)| {
                         let FSrc::Arg(a) = *s else { return None };
-                        fpir_isa::sem_slice_fn_splat(sem, tys, ty, k, arg_splat[a as usize]?)
+                        let c = arg_splat[a as usize]?;
+                        Some((Some(k as u8), fpir_isa::sem_slice_fn_splat(sem, tys, ty, k, c)?))
                     })
-                    .unwrap_or_else(|| fpir_isa::sem_slice_fn(sem, tys, ty));
-                FPass { last: j as u16, absorbed: None, srcs: step.srcs, eval }
+                    .unwrap_or_else(|| (None, fpir_isa::sem_slice_fn(sem, tys, ty)));
+                FPass { last: j as u16, absorbed: None, srcs: step.srcs, captured, eval }
             }
         });
     }
@@ -910,15 +996,15 @@ fn operand_of(s: Src, phys_of: &[Option<u16>]) -> Operand {
 /// entry would not fit a 16-bit pool index: the fold is then skipped and
 /// the instruction stays.
 fn intern_const(
-    consts: &mut Vec<Value>,
+    consts: &mut Vec<(VectorType, i128)>,
     index: &mut Option<HashMap<(VectorType, i128), u16>>,
     ty: VectorType,
     lane: i128,
 ) -> Option<u16> {
     let index = index.get_or_insert_with(|| {
         let mut m = HashMap::with_capacity(consts.len());
-        for (c, x) in consts.iter().enumerate() {
-            m.entry((x.ty(), x.lane(0))).or_insert(c as u16);
+        for (c, &x) in consts.iter().enumerate() {
+            m.entry(x).or_insert(c as u16);
         }
         m
     });
@@ -926,7 +1012,7 @@ fn intern_const(
         Entry::Occupied(e) => Some(*e.get()),
         Entry::Vacant(e) => {
             let c = u16::try_from(consts.len()).ok()?;
-            consts.push(Value::splat(lane, ty));
+            consts.push((ty, lane));
             Some(*e.insert(c))
         }
     }
@@ -1059,11 +1145,7 @@ mod tests {
                 let arg_splat: Vec<Option<i128>> = ext
                     .iter()
                     .map(|&s| match s {
-                        Src::Const(c) => {
-                            let v = &graph.consts[c as usize];
-                            let c0 = v.lane(0);
-                            v.lanes().iter().all(|&x| x == c0).then_some(c0)
-                        }
+                        Src::Const(c) => Some(graph.consts[c as usize].1),
                         _ => None,
                     })
                     .collect();

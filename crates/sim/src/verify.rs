@@ -53,7 +53,8 @@
 //! a program position, not as a scrambled image three layers up.
 
 use crate::exec::{
-    Executable, FSrc, FusedKernel, Kernel, LInst, Operand, OutLoc, Span, MAX_OPERANDS, MAX_STEPS,
+    lanes_ty, Executable, FSrc, FusedKernel, Kernel, LInst, Operand, OutLoc, Span, MAX_OPERANDS,
+    MAX_STEPS,
 };
 use fpir::types::VectorType;
 use fpir_isa::{MachSem, Target};
@@ -144,8 +145,7 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
     // Constant pool: splats only (that is all linking materializes, and
     // the cycle model prices them as loop-invariant and free).
     for (i, c) in exe.consts.iter().enumerate() {
-        let lanes = c.lanes();
-        if lanes.is_empty() || lanes.iter().any(|&x| x != lanes[0]) {
+        if c.is_empty() || (0..c.len()).any(|k| c.get(k) != c.get(0)) {
             return Err(err(C::ConstPool, None, format!("constant c{i} is not a splat: {c:?}")));
         }
     }
@@ -276,8 +276,8 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
                             Some(pos),
                             format!("constant c{c} out of range ({} entries)", exe.consts.len()),
                         )
-                    })?
-                    .ty(),
+                    })
+                    .map(|c| lanes_ty(&c.as_slice()))?,
             };
             operand_tys.push(ty);
         }
@@ -653,7 +653,6 @@ mod tests {
     use crate::fuse::ExecConfig;
     use crate::program::emit;
     use fpir::build;
-    use fpir::interp::Value;
     use fpir::types::{ScalarType as S, VectorType as V};
     use fpir::Isa;
     use fpir_isa::{legalize, target};
@@ -784,10 +783,9 @@ mod tests {
     fn corrupt_pool_entry_fails_const_pool() {
         let mut exe = sample();
         assert!(!exe.consts.is_empty(), "sample has a splat constant");
-        let ty = exe.consts[0].ty();
-        let mut lanes: Vec<i128> = exe.consts[0].lanes().to_vec();
-        lanes[0] = lanes[0].wrapping_add(1) & 0x7f;
-        exe.consts[0] = Value::new(ty, lanes);
+        let c = &mut exe.consts[0];
+        let v = c.get(0);
+        c.set(0, v.wrapping_add(1) & 0x7f);
         assert_flags(&exe, "const-pool");
     }
 

@@ -44,7 +44,7 @@ mod tests {
         let out = p.run_reference(&inputs).unwrap();
         // wb_r(1000) = 1398, wb_b(1000) = 800; avg pairs equal themselves;
         // luma = 2198; round(2198 / 32) = 69.
-        assert!(out.data().iter().all(|&v| v == 69), "{:?}", &out.data()[..4]);
+        assert!(out.samples().iter().all(|&v| v == 69), "{:?}", &out.samples()[..4]);
     }
 
     #[test]
@@ -53,6 +53,6 @@ mod tests {
         let mut inputs = BTreeMap::new();
         inputs.insert("raw".to_string(), Image::filled(S::U16, 256, 4, 65535));
         let out = p.run_reference(&inputs).unwrap();
-        assert!(out.data().iter().all(|&v| v == 255));
+        assert!(out.samples().iter().all(|&v| v == 255));
     }
 }

@@ -164,7 +164,7 @@ mod tests {
         let mut inputs = BTreeMap::new();
         inputs.insert("in".to_string(), Image::filled(S::U8, 256, 4, 200));
         let out = p.run_reference(&inputs).unwrap();
-        assert!(out.data().iter().all(|&v| v == 200));
+        assert!(out.samples().iter().all(|&v| v == 200));
     }
 
     #[test]
@@ -177,8 +177,8 @@ mod tests {
         let mut inputs = BTreeMap::new();
         inputs.insert("in".to_string(), img);
         let out = p.run_reference(&inputs).unwrap();
-        assert_eq!(out.data()[256 + 128], 99);
-        assert_eq!(out.data()[256 + 127], 99);
-        assert_eq!(out.data()[256 + 125], 10);
+        assert_eq!(out.samples()[256 + 128], 99);
+        assert_eq!(out.samples()[256 + 127], 99);
+        assert_eq!(out.samples()[256 + 125], 10);
     }
 }

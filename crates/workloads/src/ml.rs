@@ -227,7 +227,7 @@ mod tests {
         );
         let out = p.run_reference(&inputs).unwrap();
         // floor((10+20)/2)=15, floor((30+40)/2)=35, ceil((15+35)/2)=25.
-        assert_eq!(out.data()[0], 25);
+        assert_eq!(out.samples()[0], 25);
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
         let out = p.run_reference(&inputs).unwrap();
         // 0.5 * 0.5 = 0.25 in Q31 = 2^29; rescaled by >> 16 = 8192, which
         // fits i16 without saturating.
-        assert!(out.data().iter().all(|&v| v == 1i128 << 13), "{:?}", &out.data()[..2]);
+        assert!(out.samples().iter().all(|&v| v == 1i128 << 13), "{:?}", &out.samples()[..2]);
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
     fn run_flat(p: &Pipeline, fill: i128) -> Vec<i128> {
         let mut inputs = BTreeMap::new();
         inputs.insert("in".to_string(), Image::filled(S::U8, 256, 8, fill));
-        p.run_reference(&inputs).unwrap().data().to_vec()
+        p.run_reference(&inputs).unwrap().samples()
     }
 
     #[test]

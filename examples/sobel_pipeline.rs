@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let env = sobel.pipeline.env_at(&inputs, x0 as i64, y as i64)?;
                 let v = execute(&program, &env, tgt)?;
                 for i in 0..lanes.min(w - x0) {
-                    if v.lane(i) != reference.data()[y * w + x0 + i] {
+                    if v.lane(i) != reference.get_clamped((x0 + i) as i64, y as i64) {
                         mismatches += 1;
                     }
                 }
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A glimpse of the result: edge magnitudes along one row.
     let y = 40;
     // The diagonal crosses row 40 at x = 110.
-    let row: Vec<i128> = (106..116).map(|x| reference.data()[y * w + x]).collect();
+    let row: Vec<i128> = (106..116).map(|x| reference.get_clamped(x, y as i64)).collect();
     println!("\nedge response near the diagonal (row {y}, cols 106..116): {row:?}");
     Ok(())
 }
