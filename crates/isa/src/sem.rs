@@ -175,16 +175,57 @@ pub fn eval_sem(sem: MachSem, args: &[Value], result_ty: VectorType) -> Result<V
     Ok(Value::new(result_ty, out))
 }
 
+/// Check the operand shapes `sem` accepts: one operand per its arity,
+/// each with the result's lane count, and the accumulators of
+/// `WideningMulAcc` and `DotAcc4` 2× and 4× as wide as the operand after
+/// them. This is the whole rule: [`eval_sem_into`] checks it per call,
+/// the links in `fpir-sim` per instruction, and the static artifact
+/// verifier per kernel step, so an instruction one of them rejects is
+/// rejected by all, with the same message.
+///
+/// # Errors
+///
+/// The first violation, described.
+pub fn check_shape(
+    sem: MachSem,
+    args: impl ExactSizeIterator<Item = VectorType>,
+    result: VectorType,
+) -> Result<(), String> {
+    if args.len() != sem.arity() {
+        return Err(format!("{sem:?} takes {} operands, got {}", sem.arity(), args.len()));
+    }
+    let mut width = [0; 2];
+    for (i, a) in args.enumerate() {
+        if a.lanes != result.lanes {
+            return Err(format!("operand lanes {} != result lanes {}", a.lanes, result.lanes));
+        }
+        if let Some(w) = width.get_mut(i) {
+            *w = a.elem.bits();
+        }
+    }
+    match sem {
+        MachSem::WideningMulAcc if width[0] != width[1] * 2 => Err(format!(
+            "widening mul-acc accumulator must be 2x the operand width ({} vs {})",
+            width[0], width[1]
+        )),
+        MachSem::DotAcc4 if width[0] != width[1] * 4 => Err(format!(
+            "dot-product accumulator must be 4x the operand width ({} vs {})",
+            width[0], width[1]
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Execute one instruction, writing the result lanes into `out`.
 ///
 /// This is the allocation-free core of [`eval_sem`]: operands are read
 /// through references and the result is produced into a caller-supplied
-/// buffer (cleared first), so a hot loop — the linked execution engine in
-/// `fpir-sim` — can recycle lane buffers across instructions instead of
-/// allocating a fresh `Value` per step. [`eval_sem`] is a thin wrapper,
-/// so the two entry points can never disagree on semantics. Every shape
-/// check lives here; the lanes come from the lane table's closure, run
-/// over the operand lane slices in place.
+/// buffer (cleared first), so a caller can recycle lane buffers across
+/// instructions instead of allocating a fresh `Value` per step.
+/// [`eval_sem`] is a thin wrapper, so the two entry points can never
+/// disagree on semantics. The shapes are checked by [`check_shape`]; the
+/// lanes come from the lane table's closure, run over the operand lane
+/// slices in place.
 ///
 /// # Errors
 ///
@@ -195,35 +236,9 @@ pub fn eval_sem_into(
     result_ty: VectorType,
     out: &mut Vec<i128>,
 ) -> Result<(), String> {
-    if args.len() != sem.arity() {
-        return Err(format!("{sem:?} takes {} operands, got {}", sem.arity(), args.len()));
-    }
-    let lanes = result_ty.lanes as usize;
-    for a in args {
-        if a.ty().lanes as usize != lanes {
-            return Err(format!("operand lanes {} != result lanes {lanes}", a.ty().lanes));
-        }
-    }
+    check_shape(sem, args.iter().map(|a| a.ty()), result_ty)?;
     out.clear();
-    out.reserve(lanes);
-    let width = |i: usize| args[i].ty().elem.bits();
-    match sem {
-        MachSem::WideningMulAcc if width(0) != width(1) * 2 => {
-            return Err(format!(
-                "widening mul-acc accumulator must be 2x the operand width ({} vs {})",
-                width(0),
-                width(1)
-            ));
-        }
-        MachSem::DotAcc4 if width(0) != width(1) * 4 => {
-            return Err(format!(
-                "dot-product accumulator must be 4x the operand width ({} vs {})",
-                width(0),
-                width(1)
-            ));
-        }
-        _ => {}
-    }
+    out.reserve(result_ty.lanes as usize);
     let mut tys = [result_ty.elem; MAX_ARITY];
     for (t, a) in tys.iter_mut().zip(args) {
         *t = a.ty().elem;
@@ -257,10 +272,11 @@ pub type SemSliceFn = Arc<dyn Fn(&[Slice<'_>], SliceMut<'_>) + Send + Sync>;
 /// # Preconditions
 ///
 /// Shape checks are not repeated: `tys.len() == sem.arity()`, the
-/// operands are ones [`eval_sem_into`] would accept, and the returned
+/// operands pass [`check_shape`], and the returned
 /// closure must only see `xs` of that arity with every operand slice
-/// exactly `out.len()` lanes long. The linked engine guarantees this via
-/// the static artifact verifier plus its per-invocation input type checks.
+/// exactly `out.len()` lanes long. The linked engine guarantees this:
+/// both links check every instruction's shape as they link it, and a run
+/// checks its input types.
 pub fn sem_slice_fn(sem: MachSem, tys: &[ScalarType], result: ScalarType) -> SemSliceFn {
     lane_table(sem, tys, result, Strip { tys, result })
 }

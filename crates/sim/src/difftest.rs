@@ -11,9 +11,13 @@
 //! expression's semantics, the plain linked engine
 //! ([`crate::exec::Executable`]) against the reference VM, and the
 //! fused linked engine ([`crate::fuse`]) against both — all must return
-//! identical `Result`s. Both the plain and the fused artifact pass the
-//! static verifier ([`crate::verify`]) before anything runs, in every
-//! build profile.
+//! identical `Result`s. Both links run every instruction as compiled
+//! kernel passes; the reference VM's whole-vector evaluator is the
+//! oracle they are checked against. Both links reject an instruction
+//! whose operand shapes its semantics reject, with the reference VM's
+//! error, so such a program fails here at link time. Both the plain and
+//! the fused artifact pass the static verifier ([`crate::verify`])
+//! before anything runs, in every build profile.
 
 use crate::exec::Executable;
 use crate::program::Program;

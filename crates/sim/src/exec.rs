@@ -15,8 +15,9 @@
 //!   an invocation binds a slice of values positionally instead of
 //!   hashing strings (and re-checks only the types, O(inputs));
 //! * **direct dispatch** — each instruction carries its [`MachSem`]
-//!   resolved from the table at link time; the hot loop never touches the
-//!   [`Target`] again;
+//!   resolved from the table at link time, its operand shapes checked
+//!   ([`fpir_isa::check_shape`]) and its kernel compiled; the hot loop
+//!   never touches the [`Target`] again;
 //! * **shared constants** — splats are materialized once into a constant
 //!   pool owned by the executable and shared by every invocation (the
 //!   cycle model already treats them as loop-invariant and free);
@@ -28,38 +29,39 @@
 //!   the result stays in its register until the next run reclaims it;
 //! * **lanes at their own width** — every register, spare buffer,
 //!   fused-kernel scratch row and pool constant holds its lanes at its
-//!   element type's width ([`Lanes`]): a `u8` lane is one byte. A fused
-//!   pass is one call into a kernel built for exactly those storage
-//!   types. A plain instruction runs the whole-vector evaluator, the
-//!   oracle, over its operands converted to [`Value`]s. [`Executable::run`]
-//!   and [`Executable::run_slots`] convert at the engine's boundary;
-//!   [`Executable::run_lanes`] takes native inputs and lends out the
-//!   native result.
+//!   element type's width ([`Lanes`]): a `u8` lane is one byte. Every
+//!   linked instruction is a kernel of one or more steps, and each of
+//!   its passes is one call into a strip loop built for exactly those
+//!   storage types — the plain link gives each instruction one step and
+//!   one pass, the FAST link ([`crate::fuse`]) fuses chains into longer
+//!   kernels. [`Executable::run`] and [`Executable::run_slots`] convert
+//!   [`Value`]s at the engine's boundary; [`Executable::run_lanes`] takes
+//!   native inputs and lends out the native result.
 //!
 //! The linked engine is differentially gated against the reference
 //! engine everywhere [`crate::difftest`] runs: on every environment the
 //! two must return the same `Result` — same output value, or the same
 //! [`ExecError`].
 
+use crate::fuse::{build_passes, Emitted, PassScratch};
 use crate::program::{PInst, PKind, Program, Reg};
 use crate::vm::ExecError;
 use fpir::interp::{Env, Value};
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
-use fpir_isa::{eval_sem_into, Lanes, MachSem, Slice, Target};
+use fpir_isa::{check_shape, Lanes, MachSem, Slice, Target};
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
 
-/// The widest instruction in any table is `DotAcc4` (9 operands); the
-/// operand staging array is stack-allocated at this fixed width. Fused
-/// superinstructions dedup their external operands into the same array,
-/// so the fuser also caps external sources at this width.
+/// A kernel's external operands are staged in a stack array of this
+/// width. One instruction reads at most 9 (`DotAcc4`); the fuser caps a
+/// group's distinct external sources at this width.
 pub(crate) const MAX_OPERANDS: usize = 32;
 
-/// Upper bound on the number of absorbed steps in one fused
-/// superinstruction; the context's scratchpad holds a row per step.
+/// Upper bound on the number of steps in one kernel; the context's
+/// scratchpad holds a row per step.
 pub(crate) const MAX_STEPS: usize = 32;
 
 /// Element types: a scratchpad row per step and type.
@@ -126,7 +128,7 @@ pub(crate) enum Operand {
     Const(u16),
 }
 
-/// Where a fused step's operand lanes come from.
+/// Where a kernel step's operand lanes come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FSrc {
     /// An external operand's lane slice (`LInst::args[k]` — a register,
@@ -136,11 +138,10 @@ pub(crate) enum FSrc {
     Tmp(u16),
 }
 
-/// One absorbed instruction inside a fused superinstruction. The
-/// original opcode, program position, and virtual register ride along so
-/// the verifier can audit the chain and runtime errors blame the exact
-/// source instruction, byte-identically to the unfused engine. A step is
-/// the audited record only; the code that runs it is its pass's
+/// One program instruction inside a linked kernel. The original opcode,
+/// program position, and virtual register ride along so the verifier can
+/// audit the chain and blame the exact source instruction. A step is the
+/// audited record only; the code that runs it is its pass's
 /// [`FPass::eval`].
 #[derive(Debug, Clone)]
 pub(crate) struct FStep {
@@ -149,8 +150,7 @@ pub(crate) struct FStep {
     /// Its semantics — the audited source of truth for the pass that
     /// completes it.
     pub(crate) sem: MachSem,
-    /// Its result type (`ty.elem` feeds the lane evaluator; all steps
-    /// share the kernel's lane count).
+    /// Its result type (all steps share the kernel's lane count).
     pub(crate) ty: VectorType,
     /// Scalar sources, one per operand, and the element type of each,
     /// precomputed at link time: a span of [`Executable::srcs`] and of
@@ -162,8 +162,8 @@ pub(crate) struct FStep {
     pub(crate) reg: Reg,
 }
 
-/// One compiled strip loop of a fused kernel's execution schedule. A
-/// pass completes exactly one step (`last`), and may additionally absorb
+/// One compiled strip loop of a kernel's execution schedule. A pass
+/// completes exactly one step (`last`), and may additionally absorb
 /// that step's single-use lane-wise producer into the same pass
 /// ([`fpir_isa::sem_slice_fn_pair`]) so the intermediate lives in a
 /// stack buffer instead of a scratch row.
@@ -207,53 +207,25 @@ impl fmt::Debug for FPass {
     }
 }
 
-/// A fused superinstruction: a single-use producer→consumer chain
-/// collapsed into one engine dispatch. `steps` is the audited record of
-/// the absorbed instructions, in evaluation order; `passes` is the
-/// execution schedule derived from it — one compiled strip loop per
-/// step, except that lane-wise producer→consumer pairs share a single
-/// loop. Intermediates live in a context-owned scratchpad (or a register,
-/// for paired steps) and never touch the register file — only the root's
-/// result is materialized into the destination register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FusedKernel {
-    /// Steps in evaluation order, a span of [`Executable::steps`]; the
-    /// last step is the chain's root and matches the owning [`LInst`]'s
-    /// `op`/`ty`/`pos`/`reg`.
-    pub(crate) steps: Span,
-    /// Execution schedule, a span of [`Executable::passes`]: completes
-    /// every step exactly once, in order.
-    pub(crate) passes: Span,
-}
-
-impl FusedKernel {
-    /// Number of original instructions this kernel absorbs.
-    pub(crate) fn len(self) -> usize {
-        self.steps.len()
-    }
-}
-
-/// How a linked instruction computes its result.
-#[derive(Debug, Clone)]
-pub(crate) enum Kernel {
-    /// One table instruction, dispatched whole-vector through
-    /// [`fpir_isa::eval_sem_into`] — the PR 4 path.
-    Op(MachSem),
-    /// A fused chain of compiled step kernels
-    /// ([`fpir_isa::sem_slice_fn`]) run back-to-back over the strip.
-    Fused(FusedKernel),
-}
-
-/// One linked instruction: semantics resolved, operands resolved,
-/// destination a physical register.
+/// One linked instruction: a kernel of one or more steps, its operands
+/// resolved, its destination a physical register. The plain link gives
+/// every instruction one step; the FAST link collapses a chain of
+/// program instructions into one kernel (a fused superinstruction), so
+/// it runs as one dispatch with its intermediates in the context's
+/// scratchpad, and only the root's result reaches the register file.
 #[derive(Debug, Clone)]
 pub(crate) struct LInst {
-    /// Opcode (kept for error reports and rendering; for a fused kernel,
-    /// the chain root's opcode).
+    /// Opcode (kept for error reports and rendering): the root step's.
     pub(crate) op: MachOp,
-    /// Direct-dispatch kernel, resolved from the table at link time, or
-    /// a fused kernel built by the FAST link.
-    pub(crate) kernel: Kernel,
+    /// The kernel's steps in evaluation order, a span of
+    /// [`Executable::steps`]; the last is the root and matches this
+    /// instruction's `op`/`ty`/`pos`/`reg`.
+    pub(crate) steps: Span,
+    /// The kernel's execution schedule, a span of [`Executable::passes`]:
+    /// completes every step exactly once, in order. One compiled strip
+    /// loop per step, except that a lane-wise producer→consumer pair may
+    /// share one.
+    pub(crate) passes: Span,
     /// Result type.
     pub(crate) ty: VectorType,
     /// Destination physical register.
@@ -311,7 +283,7 @@ pub(crate) enum OutLoc {
 /// * the flat arrays the spans address hold plain data too: `operands`
 ///   (index operands), `steps` (the audited step records), and `srcs`
 ///   and `tys` (step and pass sources and their element types);
-/// * `passes` is the one array holding code: each fused pass's `eval`
+/// * `passes` is the one array holding code: each pass's `eval`
 ///   is an `Arc<dyn Fn + Send + Sync>` closure
 ///   ([`fpir_isa::SemSliceFn`]) compiled once at link time. A closure
 ///   captures only `Copy` data (element types, shift widths, a splat
@@ -321,7 +293,7 @@ pub(crate) enum OutLoc {
 ///   own width) is materialized once at link time and only ever read
 ///   afterwards — every execution path takes `&self.consts[..]`, so
 ///   concurrent invocations share the pool without copies or locks;
-/// * `inputs` and `zero` are owned, never-mutated `String`/`Value` data.
+/// * `inputs` is owned, never-mutated `String` data.
 ///
 /// All *mutable* execution state lives in the per-thread [`ExecCtx`]
 /// (which is `Send` but deliberately not shared): the register file and
@@ -336,19 +308,17 @@ pub struct Executable {
     pub(crate) code: Vec<LInst>,
     /// Operand lists of `code`, addressed by [`LInst::args`].
     pub(crate) operands: Vec<Operand>,
-    /// Steps of every fused kernel, addressed by [`FusedKernel::steps`].
+    /// Steps of every kernel, addressed by [`LInst::steps`].
     pub(crate) steps: Vec<FStep>,
-    /// Passes of every fused kernel, addressed by [`FusedKernel::passes`].
+    /// Passes of every kernel, addressed by [`LInst::passes`].
     pub(crate) passes: Vec<FPass>,
-    /// Sources of fused steps and passes, addressed by [`FStep::srcs`]
+    /// Sources of steps and passes, addressed by [`FStep::srcs`]
     /// and [`FPass::srcs`], and the element type of each (`tys[i]` is
     /// the type of `srcs[i]`).
     pub(crate) srcs: Vec<FSrc>,
     pub(crate) tys: Vec<ScalarType>,
     pub(crate) phys_regs: usize,
     pub(crate) output: OutLoc,
-    /// Placeholder the operand staging array is initialized with.
-    pub(crate) zero: Value,
 }
 
 /// Reusable per-thread execution state: the physical register file and a
@@ -366,14 +336,10 @@ pub struct ExecCtx {
     values: Vec<Vec<i128>>,
     /// The inputs those entry points convert their [`Value`]s into.
     ins: Vec<Lanes>,
-    /// Operands of a plain instruction, converted to [`Value`]s for the
-    /// whole-vector evaluator.
-    op_args: Vec<Value>,
-    /// Fused-kernel scratchpad: one strip-width row per step index and
-    /// element type (step `j` at type `t` is row `j · KINDS + t`, by the
+    /// Kernel scratchpad: one strip-width row per step index and element
+    /// type (step `j` at type `t` is row `j · KINDS + t`, by the
     /// [`ScalarType`] discriminant), sized on first use and reused by
-    /// every fused dispatch thereafter (steady-state fused runs allocate
-    /// nothing, like unfused ones).
+    /// every dispatch thereafter (steady-state runs allocate nothing).
     scratch: Vec<Lanes>,
     buffer_allocs: u64,
     invocations: u64,
@@ -426,7 +392,7 @@ impl ExecCtx {
     }
 }
 
-/// Watches the fused passes a run dispatches: the hook of the pass-timer
+/// Watches the passes a run dispatches: the hook of the pass-timer
 /// probe (`tests/pass_timer.rs`), which times each pass kind. The
 /// engine's own entry points pass `()`, whose calls compile to nothing.
 pub trait PassObserver {
@@ -489,17 +455,19 @@ pub(crate) struct Leaves {
 
 impl Leaves {
     /// Walk `p` in program order, interning loads into slots and splats
-    /// into the pool and resolving each `Op` against the table. `on_op`
-    /// sees every `Op` in order — its position, instruction, opcode,
-    /// semantics and source registers, with `defs` of every earlier
-    /// register — so its errors interleave with the walk's in program
-    /// order.
+    /// into the pool and resolving each `Op` against the table and
+    /// checking its operand shapes. `on_op` sees every `Op` in order —
+    /// its position, instruction, opcode, semantics and source registers,
+    /// with `defs` of every earlier register — so its errors interleave
+    /// with the walk's in program order.
     ///
     /// # Errors
     ///
-    /// An ISA mismatch, an opcode missing from the table, an input loaded
-    /// at two different types, more than 2^16 input slots or pool
-    /// constants, or an error of `on_op`.
+    /// An ISA mismatch, an opcode missing from the table, operands the
+    /// semantics reject (the [`ExecError::Sem`] that
+    /// [`crate::vm::execute`] raises when it reaches the instruction), an
+    /// input loaded at two different types, more than 2^16 input slots or
+    /// pool constants, or an error of `on_op`.
     pub(crate) fn resolve(
         p: &Program,
         target: &Target,
@@ -562,11 +530,8 @@ impl Leaves {
                         pos: i,
                         reg: inst.dst,
                     })?;
-                    assert!(
-                        args.len() <= MAX_OPERANDS,
-                        "{op} has {} operands; the staging array holds {MAX_OPERANDS}",
-                        args.len()
-                    );
+                    check_shape(def.sem, args.iter().map(|&r| insts[r].ty), inst.ty)
+                        .map_err(|what| ExecError::Sem { op: *op, pos: i, reg: inst.dst, what })?;
                     on_op(i, inst, *op, def.sem, args, &defs)?;
                     ops += 1;
                     Src::Node(ops - 1)
@@ -581,13 +546,16 @@ impl Leaves {
 impl Executable {
     /// Link a program against its target: resolve names to slots,
     /// opcodes to semantics, splats to a constant pool, and virtual
-    /// registers to a recycled physical register file.
+    /// registers to a recycled physical register file. Each instruction
+    /// becomes a one-step kernel whose pass is built as the FAST link
+    /// builds its passes.
     ///
     /// # Errors
     ///
-    /// Fails on an ISA mismatch, an opcode missing from the table, an
-    /// input loaded at two different types, or a program needing more
-    /// than 2^16 input slots, pool constants or physical registers
+    /// Fails on an ISA mismatch, an opcode missing from the table,
+    /// operands the semantics reject ([`ExecError::Sem`]), an input
+    /// loaded at two different types, or a program needing more than
+    /// 2^16 input slots, pool constants or physical registers
     /// ([`ExecError::IndexOverflow`]).
     pub fn link(p: &Program, target: &Target) -> Result<Executable, ExecError> {
         let insts = p.insts();
@@ -610,8 +578,9 @@ impl Executable {
         }
         last_use[p.output()] = n;
 
-        let mut code: Vec<LInst> = Vec::with_capacity(n_ops);
-        let mut operands: Vec<Operand> = Vec::with_capacity(n_operands);
+        let mut emitted = Emitted::with_capacity(n_ops, n_operands);
+        let mut arg_splat: Vec<Option<i128>> = Vec::new();
+        let mut scratch = PassScratch::default();
         // Linear-scan register allocation state.
         let mut phys_of: Vec<Option<u16>> = vec![None; n];
         let mut free: Vec<u16> = Vec::new();
@@ -620,7 +589,7 @@ impl Executable {
         let Leaves { inputs, consts, defs } =
             Leaves::resolve(p, target, |i, inst, op, sem, args, defs| {
                 let resolved = Span::push(
-                    &mut operands,
+                    &mut emitted.operands,
                     args.iter().map(|&r| match defs[r] {
                         Src::In(s) => Operand::In(s),
                         Src::Const(c) => Operand::Const(c),
@@ -656,9 +625,21 @@ impl Executable {
                     phys_of[i] = None;
                     free.push(dst);
                 }
-                code.push(LInst {
+                // One step reading the operands in order, and its pass.
+                let steps0 = emitted.steps.len();
+                let srcs =
+                    args.iter().enumerate().map(|(k, &r)| (FSrc::Arg(k as u16), insts[r].ty.elem));
+                emitted.push_step(op, sem, inst.ty, i as u32, inst.dst, srcs);
+                arg_splat.clear();
+                arg_splat.extend(args.iter().map(|&r| match insts[r].kind {
+                    PKind::Splat { value } => Some(value),
+                    _ => None,
+                }));
+                let passes = build_passes(steps0, &arg_splat, &mut emitted, &mut scratch);
+                emitted.code.push(LInst {
                     op,
-                    kernel: Kernel::Op(sem),
+                    steps: Span::of(steps0, emitted.steps.len()),
+                    passes,
                     ty: inst.ty,
                     dst,
                     args: resolved,
@@ -675,20 +656,8 @@ impl Executable {
             Src::Const(c) => OutLoc::Const(c),
             Src::Node(_) => OutLoc::Reg(phys_of[out].expect("the output register stays live")),
         };
-        let exe = Executable {
-            isa: target.isa,
-            inputs,
-            consts: native_pool(&consts),
-            code,
-            operands,
-            steps: Vec::new(),
-            passes: Vec::new(),
-            srcs: Vec::new(),
-            tys: Vec::new(),
-            phys_regs: next_phys,
-            output,
-            zero: Value::splat(0, VectorType::new(ScalarType::U8, 1)),
-        };
+        emitted.phys_regs = next_phys;
+        let exe = emitted.executable(target.isa, inputs, &consts, output);
         // Debug builds audit every artifact leaving the linker against
         // the static verifier: a linker bug is an internal invariant
         // violation (panic), never a user-visible ExecError.
@@ -745,30 +714,24 @@ impl Executable {
         self.code.len()
     }
 
-    /// Number of fused superinstructions (kernels absorbing ≥ 2 original
-    /// instructions). Zero for an unfused link.
+    /// Number of fused superinstructions (kernels of ≥ 2 steps). Zero
+    /// for an unfused link.
     pub fn fused_count(&self) -> usize {
-        self.code.iter().filter(|i| matches!(i.kernel, Kernel::Fused(_))).count()
+        self.code.iter().filter(|i| i.steps.len() >= 2).count()
     }
 
-    /// Number of compiled strip loops over all fused kernels: one per
-    /// absorbed step, except that a merged producer→consumer pair shares
-    /// one. Zero for an unfused link.
+    /// Number of compiled strip loops over all kernels: one per step,
+    /// except that a merged producer→consumer pair shares one. For an
+    /// unfused link this equals [`Executable::op_count`].
     pub fn pass_count(&self) -> usize {
         self.passes.len()
     }
 
-    /// Total original instructions represented, counting every step
-    /// absorbed into fused kernels. For an unfused link this equals
+    /// Total original instructions represented: the steps of every
+    /// kernel. For an unfused link this equals
     /// [`Executable::op_count`].
     pub fn step_count(&self) -> usize {
-        self.code
-            .iter()
-            .map(|i| match i.kernel {
-                Kernel::Op(_) => 1,
-                Kernel::Fused(f) => f.len(),
-            })
-            .sum()
+        self.steps.len()
     }
 
     /// Size of the shared constant pool.
@@ -795,8 +758,9 @@ impl Executable {
     ///
     /// # Errors
     ///
-    /// Exactly as [`crate::vm::execute`]: unbound inputs, mistyped
-    /// bindings, or semantics-rejected operands.
+    /// Exactly as [`crate::vm::execute`] on a program that links:
+    /// unbound inputs or mistyped bindings (operands the semantics reject
+    /// fail the link instead).
     pub fn run(&self, ctx: &mut ExecCtx, env: &Env) -> Result<Value, ExecError> {
         let mut ins: Vec<&Value> = Vec::with_capacity(self.inputs.len());
         for slot in &self.inputs {
@@ -819,8 +783,8 @@ impl Executable {
     /// # Errors
     ///
     /// Mistyped or missing slot values ([`ExecError::UnboundInput`] names
-    /// the first missing one), more values than slots
-    /// ([`ExecError::ExtraSlots`]), or semantics-rejected operands.
+    /// the first missing one), or more values than slots
+    /// ([`ExecError::ExtraSlots`]).
     pub fn run_slots(&self, ctx: &mut ExecCtx, slots: &[Value]) -> Result<Value, ExecError> {
         self.check_count(slots.len())?;
         for (v, slot) in slots.iter().zip(&self.inputs) {
@@ -831,7 +795,7 @@ impl Executable {
         self.run_values(ctx, slots)
     }
 
-    /// [`Executable::run_lanes`], telling `obs` about every fused pass it
+    /// [`Executable::run_lanes`], telling `obs` about every pass it
     /// dispatches.
     ///
     /// # Errors
@@ -844,12 +808,12 @@ impl Executable {
         obs: &mut impl PassObserver,
     ) -> Result<Slice<'a>, ExecError> {
         self.check_lanes(slots)?;
-        self.run_resolved(ctx, slots, obs)
+        Ok(self.run_resolved(ctx, slots, obs))
     }
 
-    /// What fused pass `i` (below [`Executable::pass_count`]) computes:
-    /// its step's semantics and operand and result types, the operand
-    /// whose splat constant it captured, and the producer a merged pass
+    /// What pass `i` (below [`Executable::pass_count`]) computes: its
+    /// step's semantics and operand and result types, the operand whose
+    /// splat constant it captured, and the producer a merged pass
     /// absorbed.
     ///
     /// # Panics
@@ -857,16 +821,10 @@ impl Executable {
     /// Panics if `i` is out of range.
     pub fn pass_kind(&self, i: usize) -> String {
         let pass = &self.passes[i];
-        let steps = self
-            .code
-            .iter()
-            .find_map(|inst| match inst.kernel {
-                Kernel::Fused(f) if f.passes.range().contains(&i) => Some(f.steps),
-                _ => None,
-            })
-            .expect("every pass belongs to a fused kernel");
+        // Kernels own consecutive runs of passes, in code order.
+        let inst = &self.code[self.code.partition_point(|x| x.passes.range().end <= i)];
         let step = |j: u16| {
-            let s = &self.steps[steps.start as usize + j as usize];
+            let s = &self.steps[inst.steps.start as usize + j as usize];
             format!("{:?} {:?} -> {}", s.sem, &self.tys[s.srcs.range()], s.ty.elem)
         };
         let mut kind = step(pass.last);
@@ -895,7 +853,7 @@ impl Executable {
         slots: &'a [Lanes],
     ) -> Result<Slice<'a>, ExecError> {
         self.check_lanes(slots)?;
-        self.run_resolved(ctx, slots, &mut ())
+        Ok(self.run_resolved(ctx, slots, &mut ()))
     }
 
     /// The input checks of [`Executable::run_lanes`].
@@ -949,24 +907,27 @@ impl Executable {
             lanes.push(l);
         }
         let mut out = ctx.take_buffer();
-        let ty = self.run_resolved(ctx, &lanes, &mut ()).map(|s| {
-            s.write_to(&mut out);
-            lanes_ty(&s)
-        });
+        let s = self.run_resolved(ctx, &lanes, &mut ());
+        s.write_to(&mut out);
+        let ty = lanes_ty(&s);
         ctx.ins = lanes;
         // Semantics wrap/saturate into the result type, so the lanes
         // satisfy the `Value` invariant by construction.
-        Ok(Value::trusted(ty?, out))
+        Ok(Value::trusted(ty, out))
     }
 
     /// The hot loop: direct dispatch over resolved operands, recycled
-    /// register file, zero steady-state allocation.
+    /// register file, zero steady-state allocation. It cannot fail: the
+    /// link checked every kernel's shapes (arity, lane counts, widening
+    /// widths), and external operand types are fixed by the link and
+    /// re-checked at binding, so each pass is one call into its compiled
+    /// vector kernel with no per-step validation.
     fn run_resolved<'a>(
         &'a self,
         ctx: &'a mut ExecCtx,
         ins: &'a [Lanes],
         obs: &mut impl PassObserver,
-    ) -> Result<Slice<'a>, ExecError> {
+    ) -> Slice<'a> {
         if ctx.regs.len() < self.phys_regs {
             ctx.regs.resize_with(self.phys_regs, || None);
         }
@@ -976,7 +937,7 @@ impl Executable {
             ctx.scratch.extend((0..MAX_STEPS).flat_map(|_| kinds.map(Lanes::new)));
         }
         ctx.invocations += 1;
-        let ExecCtx { regs, spare, values, op_args, scratch, buffer_allocs, .. } = ctx;
+        let ExecCtx { regs, spare, scratch, buffer_allocs, .. } = ctx;
         for inst in &self.code {
             // Reclaim the destination's previous (dead by liveness)
             // value; the allocator guarantees the destination never
@@ -998,105 +959,67 @@ impl Executable {
                         Operand::Const(c) => self.consts[c as usize].as_slice(),
                     };
                 }
-                let xs = &xs[..args.len()];
-                match inst.kernel {
-                    Kernel::Op(sem) => {
-                        // A plain instruction runs the whole-vector
-                        // evaluator, the oracle, over its operands as
-                        // `Value`s.
-                        for x in xs {
-                            let mut v = take_values(values, buffer_allocs);
-                            x.write_to(&mut v);
-                            op_args.push(Value::trusted(lanes_ty(x), v));
+                // Each pass runs over lanes at their own width, its
+                // intermediates staying in the context scratchpad. The
+                // verifier's fused-shape check audits the wiring.
+                let lanes = inst.ty.lanes as usize;
+                let steps = &self.steps[inst.steps.range()];
+                let root = steps.len() - 1;
+                // Size the destination without zeroing it: the root pass
+                // overwrites every lane (operand and scratch slices are
+                // exactly `lanes` long, and every compiled kernel writes
+                // its full output slice), so recycled contents never
+                // leak.
+                buf.resize(lanes);
+                for (p, pass) in self.passes[inst.passes.range()].iter().enumerate() {
+                    let p = inst.passes.start as usize + p;
+                    obs.before(p);
+                    let range = pass.srcs.range();
+                    let (srcs, tys) = (&self.srcs[range.clone()], &self.tys[range]);
+                    let j = pass.last as usize;
+                    // The root writes the destination buffer directly;
+                    // earlier passes fill step `j`'s row at its result
+                    // type. Sources are rows of earlier steps.
+                    let (lo, hi) = scratch.split_at_mut(j * KINDS);
+                    let dst = if j == root {
+                        buf.as_mut()
+                    } else {
+                        let row = &mut hi[steps[j].ty.elem as usize];
+                        if row.len() != lanes {
+                            // First dispatch at this width; the row is
+                            // kept for every later run.
+                            row.resize(lanes);
                         }
-                        let mut refs: [&Value; MAX_OPERANDS] = [&self.zero; MAX_OPERANDS];
-                        for (r, v) in refs.iter_mut().zip(op_args.iter()) {
-                            *r = v;
-                        }
-                        let mut out = take_values(values, buffer_allocs);
-                        let r = eval_sem_into(sem, &refs[..xs.len()], inst.ty, &mut out);
-                        values.extend(op_args.drain(..).map(Value::into_lanes));
-                        r.map_err(|what| ExecError::Sem {
-                            op: inst.op,
-                            pos: inst.pos as usize,
-                            reg: inst.reg,
-                            what,
-                        })?;
-                        buf.clear();
-                        buf.extend_from(&out);
-                        values.push(out);
-                    }
-                    Kernel::Fused(f) => {
-                        // A fused kernel's shapes (arity, lane counts,
-                        // widening widths) were all proven static at fuse
-                        // time — external operand types are fixed by the
-                        // link and re-checked at binding — so the chain
-                        // runs with no per-step validation: each pass is
-                        // one call into its compiled vector kernel, over
-                        // lanes at their own width, intermediates staying
-                        // in the context scratchpad. The verifier's
-                        // fused-shape check audits this.
-                        let lanes = inst.ty.lanes as usize;
-                        let steps = &self.steps[f.steps.range()];
-                        let root = f.len() - 1;
-                        // Size the destination without zeroing it: the
-                        // root pass overwrites every lane (operand and
-                        // scratch slices are exactly `lanes` long, and
-                        // every compiled kernel writes its full output
-                        // slice), so recycled contents never leak.
-                        buf.resize(lanes);
-                        for (p, pass) in self.passes[f.passes.range()].iter().enumerate() {
-                            let p = f.passes.start as usize + p;
-                            obs.before(p);
-                            let range = pass.srcs.range();
-                            let (srcs, tys) = (&self.srcs[range.clone()], &self.tys[range]);
-                            let j = pass.last as usize;
-                            // The chain root writes the destination
-                            // buffer directly; earlier passes fill step
-                            // `j`'s row at its result type. Sources are
-                            // rows of earlier steps.
-                            let (lo, hi) = scratch.split_at_mut(j * KINDS);
-                            let dst = if j == root {
-                                buf.as_mut()
-                            } else {
-                                let row = &mut hi[steps[j].ty.elem as usize];
-                                if row.len() != lanes {
-                                    // First fused dispatch at this width;
-                                    // the row is kept for every later run.
-                                    row.resize(lanes);
-                                }
-                                row.as_mut()
-                            };
-                            macro_rules! src {
-                                ($k:expr) => {
-                                    match srcs[$k] {
-                                        FSrc::Arg(a) => xs[a as usize],
-                                        FSrc::Tmp(t) => {
-                                            lo[t as usize * KINDS + tys[$k] as usize].as_slice()
-                                        }
-                                    }
-                                };
-                            }
-                            // Stage exactly the pass's operands: almost
-                            // every pass reads 1–4 sources, and the
-                            // fixed-size array keeps the staging cost off
-                            // the `MAX_OPERANDS`-wide worst case.
-                            match srcs.len() {
-                                1 => (pass.eval)(&[src!(0)], dst),
-                                2 => (pass.eval)(&[src!(0), src!(1)], dst),
-                                3 => (pass.eval)(&[src!(0), src!(1), src!(2)], dst),
-                                4 => (pass.eval)(&[src!(0), src!(1), src!(2), src!(3)], dst),
-                                _ => {
-                                    let mut ys = [Slice::U8(&[]); MAX_OPERANDS];
-                                    for (y, k) in ys.iter_mut().zip(0..srcs.len()) {
-                                        *y = src!(k);
-                                    }
-                                    (pass.eval)(&ys[..srcs.len()], dst);
+                        row.as_mut()
+                    };
+                    macro_rules! src {
+                        ($k:expr) => {
+                            match srcs[$k] {
+                                FSrc::Arg(a) => xs[a as usize],
+                                FSrc::Tmp(t) => {
+                                    lo[t as usize * KINDS + tys[$k] as usize].as_slice()
                                 }
                             }
-                            obs.after(p, lanes);
+                        };
+                    }
+                    // Stage exactly the pass's operands: almost every
+                    // pass reads 1–4 sources, and the fixed-size array
+                    // keeps the staging cost off the `MAX_OPERANDS`-wide
+                    // worst case.
+                    match srcs.len() {
+                        1 => (pass.eval)(&[src!(0)], dst),
+                        2 => (pass.eval)(&[src!(0), src!(1)], dst),
+                        3 => (pass.eval)(&[src!(0), src!(1), src!(2)], dst),
+                        4 => (pass.eval)(&[src!(0), src!(1), src!(2), src!(3)], dst),
+                        _ => {
+                            let mut ys = [Slice::U8(&[]); MAX_OPERANDS];
+                            for (y, k) in ys.iter_mut().zip(0..srcs.len()) {
+                                *y = src!(k);
+                            }
+                            (pass.eval)(&ys[..srcs.len()], dst);
                         }
                     }
+                    obs.after(p, lanes);
                 }
             }
             if inst.dst_dead {
@@ -1105,13 +1028,13 @@ impl Executable {
                 regs[inst.dst as usize] = Some(buf);
             }
         }
-        Ok(match self.output {
+        match self.output {
             OutLoc::Reg(r) => {
                 regs[r as usize].as_ref().expect("the output register was just written").as_slice()
             }
             OutLoc::In(s) => ins[s as usize].as_slice(),
             OutLoc::Const(c) => self.consts[c as usize].as_slice(),
-        })
+        }
     }
 
     /// An assembly-like listing of the linked form: input slots (`sN`),
@@ -1141,22 +1064,14 @@ impl Executable {
                 .map(|a| operand_name(*a))
                 .collect::<Vec<_>>()
                 .join(", ");
-            match inst.kernel {
-                Kernel::Op(_) => {
-                    let _ =
-                        writeln!(out, "{:<9} r{}.{}, {}", inst.op.name, inst.dst, inst.ty, srcs);
-                }
-                Kernel::Fused(f) => {
-                    // A fused superinstruction lists its absorbed chain
-                    // in evaluation order, root last.
-                    let chain = self.steps[f.steps.range()]
-                        .iter()
-                        .map(|s| s.op.name)
-                        .collect::<Vec<_>>()
-                        .join("+");
-                    let _ = writeln!(out, "{:<9} r{}.{}, {}", chain, inst.dst, inst.ty, srcs);
-                }
-            }
+            // A kernel lists its steps' opcodes in evaluation order, root
+            // last: a one-step kernel is its own opcode.
+            let chain = self.steps[inst.steps.range()]
+                .iter()
+                .map(|s| s.op.name)
+                .collect::<Vec<_>>()
+                .join("+");
+            let _ = writeln!(out, "{:<9} r{}.{}, {}", chain, inst.dst, inst.ty, srcs);
         }
         let ret = match self.output {
             OutLoc::Reg(r) => format!("r{r}"),
@@ -1521,6 +1436,26 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// The plain link gives every instruction one step and one pass: a
+    /// workload artifact's plain link has as many kernels, steps and
+    /// passes as the program has instructions, and fuses none.
+    #[test]
+    fn plain_links_are_one_step_one_pass_kernels() {
+        let wl = fpir_workloads::all_workloads().into_iter().next().unwrap();
+        for isa in fpir::machine::ALL_ISAS {
+            let pf = pitchfork::Pitchfork::new(isa);
+            let p = emit(&pf.compile(&wl.pipeline.expr).unwrap().lowered, target(isa)).unwrap();
+            let exe = Executable::link(&p, target(isa)).unwrap();
+            assert_eq!(exe.op_count(), p.op_count(), "{isa}");
+            assert_eq!(exe.step_count(), p.op_count(), "{isa}");
+            assert_eq!(exe.pass_count(), p.op_count(), "{isa}");
+            assert_eq!(exe.fused_count(), 0, "{isa}");
+            for inst in &exe.code {
+                assert_eq!((inst.steps.len(), inst.passes.len()), (1, 1), "{isa}\n{exe}");
+            }
+        }
     }
 
     #[test]

@@ -8,35 +8,37 @@
 //! link ([`Executable::link_with`] with [`ExecConfig::FAST`]) links a
 //! program so those chains run as **superinstructions**: one dispatch
 //! per chain, intermediates in the context's scratch rows at their own
-//! width, a single register write at the root. It builds its graph straight from the program and allocates
-//! registers once, for the fused code.
+//! width, a single register write at the root. It builds its graph
+//! straight from the program and allocates registers once, for the fused
+//! code.
 //!
 //! The pipeline, in order:
 //!
 //! 1. **Graph construction** — a program is already SSA: a virtual
 //!    register is its position. Each `Op` becomes a def-use node whose
 //!    operands are earlier nodes, input slots or pool constants, held in
-//!    one flat operand array. Slots and pool come from the same
-//!    interning walk as the plain link's, so slot order, pool order and
-//!    every link error match it.
+//!    one flat operand array. Slots, pool and shape checks come from the
+//!    same walk as the plain link's, so slot order, pool order and every
+//!    link error match it.
 //! 2. **Copy propagation** — single-operand wrap/saturate instructions
 //!    whose operand already has the result's exact [`VectorType`]
 //!    (`Reinterpret`, `ExtendTo`, `TruncTo`, `SatCastTo`, `Splat` at
 //!    their own type) are identities on canonical lanes — the `Value`
 //!    invariant — and are bypassed.
 //! 3. **Constant folding** — instructions whose operands are all splat
-//!    constants are evaluated once at link time through the *same*
-//!    [`fpir_isa::eval_sem_into`] the engine would call, and interned
+//!    constants are evaluated once at link time through the reference
+//!    VM's evaluator, [`fpir_isa::eval_sem_into`], and interned
 //!    into the constant pool by `(type, lane)` through a map. A lane-wise
 //!    function of splats is a splat, so the pool's splat invariant is
 //!    preserved. A fold that would need a pool index past `u16::MAX` is
 //!    skipped and the instruction stays.
 //! 4. **Dead-write elimination** — nodes unreachable from the output
 //!    are dropped. This is observationally safe because every lane
-//!    helper is a *total* function (`x / 0 == 0`, shifts wrap) and the
-//!    static verifier proves a linked artifact's shapes, so a verified
-//!    executable cannot raise [`crate::vm::ExecError::Sem`] at run
-//!    time: removing an instruction can never remove an error.
+//!    helper is a *total* function (`x / 0 == 0`, shifts wrap) and
+//!    stage 1 checks every instruction's shapes, dead or alive
+//!    ([`fpir_isa::check_shape`]), so a linked executable cannot raise
+//!    [`crate::vm::ExecError::Sem`] at run time: removing an instruction
+//!    can never remove an error.
 //! 5. **Fusion grouping** — each live node, in program order, grows a
 //!    group rooted at itself by absorbing the whole group of an earlier
 //!    producer once *every* live consumer of that producer is inside:
@@ -60,12 +62,14 @@
 //!    `MAX_STEPS` rounds, so every per-root cost is bounded by a
 //!    constant and the stage is linear in the program.
 //! 6. **Emission and register allocation** — each surviving root
-//!    becomes one instruction: a single node keeps its whole-vector
-//!    dispatch, a group becomes a fused kernel whose internal edges are
-//!    scratchpad rows and whose splat-constant operands are baked in as
-//!    immediates. A root's members (in node order) and its external
-//!    operands (in first-use order over them) are computed once and
-//!    serve liveness, operand staging and the allocator. Registers are
+//!    becomes one kernel, its group's members as steps: internal edges
+//!    are scratchpad rows, and a splat-constant operand may be baked
+//!    into a pass as a captured scalar. A group of one node is a
+//!    one-step kernel that reads its operands as the program lists
+//!    them, exactly as the plain link builds it. A root's members (in
+//!    node order) and its external operands (in first-use order over
+//!    them) are computed once and serve liveness, operand staging and
+//!    the allocator. Registers are
 //!    allocated by the linker's linear scan over the fused code, so
 //!    `peak_regs` reflects the shorter lifetimes (in practice it only
 //!    shrinks against the plain link). Operand lists, steps, step and
@@ -75,23 +79,23 @@
 //!    per operand. Last, the pool is compacted to the constants still
 //!    referenced.
 //!
-//! **Why bit-identity holds.** Every fused pass runs a kernel compiled by
-//! `fpir-isa` ([`fpir_isa::sem_slice_fn`], or its splat-capture and
-//! merged-pair forms), and those kernels and the whole-vector
-//! [`fpir_isa::eval_sem_into`] are sinks over one lane table: each
-//! semantic's lane arithmetic is written once and only the loop around
-//! it differs, pinned by tests in `fpir-isa`. Shape errors cannot
-//! diverge either: operand types are static after
-//! linking (input bindings are type-checked before dispatch), so the
-//! verifier's fused-shape audit proves at link time everything
-//! `eval_sem_into` would check per invocation. Binding errors are
+//! **Why bit-identity holds.** Every pass of either link runs a kernel
+//! compiled by `fpir-isa` ([`fpir_isa::sem_slice_fn`], or its
+//! splat-capture and merged-pair forms), and those kernels and the
+//! reference VM's whole-vector [`fpir_isa::eval_sem_into`] are sinks over
+//! one lane table: each semantic's lane arithmetic is written once and
+//! only the loop around it differs, pinned by tests in `fpir-isa`. Shape
+//! errors cannot diverge either: operand types are static after linking
+//! (input bindings are type-checked before dispatch), and both links
+//! reject at link time, with the reference VM's error, every instruction
+//! whose shapes `eval_sem_into` would reject. Binding errors are
 //! untouched because the input slot table is the plain link's —
 //! unbound/mistyped inputs blame the same load, position, and register
 //! either way.
 
 use crate::exec::{
-    index16, native_pool, Executable, FPass, FSrc, FStep, FusedKernel, InputSlot, Kernel, LInst,
-    Leaves, Operand, OutLoc, Span, Src, MAX_OPERANDS, MAX_STEPS,
+    index16, native_pool, Executable, FPass, FSrc, FStep, InputSlot, LInst, Leaves, Operand,
+    OutLoc, Span, Src, MAX_OPERANDS, MAX_STEPS,
 };
 use crate::program::{PKind, Program, Reg};
 use crate::vm::ExecError;
@@ -256,9 +260,10 @@ impl Graph {
                 }
                 // Lane-wise semantics on splats always yield a splat;
                 // checked anyway so a non-splat can never enter the pool.
-                let ok = eval_sem_into(node.sem, &refs[..a.len()], node.ty, &mut lanes).is_ok();
+                eval_sem_into(node.sem, &refs[..a.len()], node.ty, &mut lanes)
+                    .expect("stage 1 checked the shapes");
                 fold_bufs.extend(fold_args.drain(..).map(Value::into_lanes));
-                if ok && lanes.iter().all(|&x| x == lanes[0]) {
+                if lanes.iter().all(|&x| x == lanes[0]) {
                     if let Some(c) = intern_const(&mut consts, &mut pool_index, node.ty, lanes[0]) {
                         rep[i] = Some(Src::Const(c));
                     }
@@ -335,28 +340,85 @@ impl Graph {
     }
 }
 
-/// Stage 6's output, assembled into an [`Executable`] once the constant
-/// pool is compacted.
+/// A link's code as it is built, the flat arrays of an [`Executable`]:
+/// stage 6's output, and the plain link's.
 #[derive(Default)]
-struct Emitted {
-    code: Vec<LInst>,
-    operands: Vec<Operand>,
-    steps: Vec<FStep>,
-    passes: Vec<FPass>,
-    srcs: Vec<FSrc>,
-    tys: Vec<ScalarType>,
-    phys_regs: usize,
+pub(crate) struct Emitted {
+    pub(crate) code: Vec<LInst>,
+    pub(crate) operands: Vec<Operand>,
+    pub(crate) steps: Vec<FStep>,
+    pub(crate) passes: Vec<FPass>,
+    pub(crate) srcs: Vec<FSrc>,
+    pub(crate) tys: Vec<ScalarType>,
+    pub(crate) phys_regs: usize,
 }
 
 impl Emitted {
+    /// Room for `insts` one-step instructions reading `operands`
+    /// operands in all.
+    pub(crate) fn with_capacity(insts: usize, operands: usize) -> Emitted {
+        Emitted {
+            code: Vec::with_capacity(insts),
+            operands: Vec::with_capacity(operands),
+            steps: Vec::with_capacity(insts),
+            passes: Vec::with_capacity(insts),
+            srcs: Vec::with_capacity(operands),
+            tys: Vec::with_capacity(operands),
+            phys_regs: 0,
+        }
+    }
+
+    /// Append a step of program instruction `pos` (destination `reg`)
+    /// reading `srcs`, each with its element type.
+    pub(crate) fn push_step(
+        &mut self,
+        op: MachOp,
+        sem: MachSem,
+        ty: VectorType,
+        pos: u32,
+        reg: Reg,
+        srcs: impl IntoIterator<Item = (FSrc, ScalarType)>,
+    ) {
+        let src0 = self.srcs.len();
+        for (src, t) in srcs {
+            self.srcs.push(src);
+            self.tys.push(t);
+        }
+        let srcs = Span::of(src0, self.srcs.len());
+        self.steps.push(FStep { op, sem, ty, srcs, pos, reg });
+    }
+
+    /// The executable of this code.
+    pub(crate) fn executable(
+        self,
+        isa: Isa,
+        inputs: Vec<InputSlot>,
+        consts: &[(VectorType, i128)],
+        output: OutLoc,
+    ) -> Executable {
+        let Emitted { code, operands, steps, passes, srcs, tys, phys_regs } = self;
+        Executable {
+            isa,
+            inputs,
+            consts: native_pool(consts),
+            code,
+            operands,
+            steps,
+            passes,
+            srcs,
+            tys,
+            phys_regs,
+            output,
+        }
+    }
+
     /// Drop the pool entries nothing references any more (folding may
     /// have appended, baking may have orphaned) and assemble the
     /// executable.
-    fn assemble(self, graph: Graph, output: OutLoc) -> Executable {
-        let Emitted { code, mut operands, steps, passes, srcs, tys, phys_regs } = self;
+    fn assemble(mut self, graph: Graph, output: OutLoc) -> Executable {
         let Graph { isa, inputs, mut consts, .. } = graph;
         let mut used = vec![false; consts.len()];
-        for a in &operands {
+        for a in &self.operands {
             if let Operand::Const(c) = *a {
                 used[c as usize] = true;
             }
@@ -377,7 +439,7 @@ impl Emitted {
             c += 1;
             keep
         });
-        for a in &mut operands {
+        for a in &mut self.operands {
             if let Operand::Const(c) = a {
                 *c = remap[*c as usize];
             }
@@ -386,20 +448,7 @@ impl Emitted {
             OutLoc::Const(c) => OutLoc::Const(remap[c as usize]),
             other => other,
         };
-        Executable {
-            isa,
-            inputs,
-            consts: native_pool(&consts),
-            code,
-            operands,
-            steps,
-            passes,
-            srcs,
-            tys,
-            phys_regs,
-            output,
-            zero: Value::splat(0, VectorType::new(ScalarType::U8, 1)),
-        }
+        self.executable(isa, inputs, &consts, output)
     }
 }
 
@@ -613,8 +662,10 @@ impl<'a> Grouper<'a> {
 }
 
 /// One root to emit: its members in ascending (evaluation) order, and its
-/// distinct external operands in first-use order over them, as ranges
-/// into shared buffers.
+/// external operands, as ranges into shared buffers. A group's external
+/// operands are its members' distinct outside sources in first-use order;
+/// a single instruction keeps its operand list as the program lists it,
+/// repeats included, as the plain link does.
 struct Root {
     node: usize,
     members: Range<usize>,
@@ -646,22 +697,19 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
         // Ascending node ids are dependency order (args always refer to
         // earlier nodes), with the root last.
         member_buf[m0..].sort_unstable();
+        let single = member_buf.len() - m0 == 1;
         for &m in &member_buf[m0..] {
             for &a in graph.args(m) {
                 let k = graph.key(a);
-                if !internal(a, r) && seen[k] != r {
+                if !internal(a, r) && (single || seen[k] != r) {
                     seen[k] = r;
                     ext_buf.push(a);
                 }
             }
         }
-        if member_buf.len() - m0 == 1 {
-            n_operands += graph.args(r).len();
-        } else {
-            n_operands += ext_buf.len() - e0;
-            n_steps += member_buf.len() - m0;
-            n_srcs += member_buf[m0..].iter().map(|&m| graph.args(m).len()).sum::<usize>();
-        }
+        n_operands += ext_buf.len() - e0;
+        n_steps += member_buf.len() - m0;
+        n_srcs += member_buf[m0..].iter().map(|&m| graph.args(m).len()).sum::<usize>();
         roots.push(Root { node: r, members: m0..member_buf.len(), ext: e0..ext_buf.len() });
     }
     out.code.reserve_exact(roots.len());
@@ -698,50 +746,29 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
         let r = root.node;
         let group = &member_buf[root.members.clone()];
         let ext = &ext_buf[root.ext.clone()];
-        let (kernel, args) = if group.len() == 1 {
-            // Single instruction: unchanged whole-vector dispatch,
-            // constants kept in the pool.
-            let args = graph.args(r).iter().map(|&a| operand_of(a, &phys_of));
-            (Kernel::Op(nodes[r].sem), Span::push(&mut out.operands, args))
-        } else {
-            // Fused chain: internal edges become scratchpad temps,
-            // everything else (registers, inputs, pool constants) an
-            // external operand.
-            for (x, &m) in group.iter().enumerate() {
-                local[m] = x as u16;
-            }
-            for (x, &s) in ext.iter().enumerate() {
-                arg_of[graph.key(s)] = x as u16;
-            }
-            let steps0 = out.steps.len();
-            for &m in group {
-                let n = &nodes[m];
-                let src0 = out.srcs.len();
-                for &a in graph.args(m) {
-                    let (src, ty) = match a {
-                        Src::Node(j) if internal(a, r) => (FSrc::Tmp(local[j]), nodes[j].ty.elem),
-                        other => (FSrc::Arg(arg_of[graph.key(other)]), graph.ty(other).elem),
-                    };
-                    out.srcs.push(src);
-                    out.tys.push(ty);
-                }
-                out.steps.push(FStep {
-                    op: n.op,
-                    sem: n.sem,
-                    ty: n.ty,
-                    srcs: Span::of(src0, out.srcs.len()),
-                    pos: n.pos,
-                    reg: n.reg,
-                });
-            }
-            graph.splats(ext, &mut arg_splat);
-            let f = FusedKernel {
-                steps: Span::of(steps0, out.steps.len()),
-                passes: build_passes(steps0, &arg_splat, &mut out, &mut scratch),
-            };
-            let args = ext.iter().map(|&a| operand_of(a, &phys_of));
-            (Kernel::Fused(f), Span::push(&mut out.operands, args))
-        };
+        // Internal edges become scratchpad temps, everything else
+        // (registers, inputs, pool constants) an external operand; a
+        // single instruction reads its operands in place.
+        for (x, &m) in group.iter().enumerate() {
+            local[m] = x as u16;
+        }
+        for (x, &s) in ext.iter().enumerate() {
+            arg_of[graph.key(s)] = x as u16;
+        }
+        let steps0 = out.steps.len();
+        for &m in group {
+            let n = &nodes[m];
+            let srcs = graph.args(m).iter().enumerate().map(|(k, &a)| match a {
+                Src::Node(j) if internal(a, r) => (FSrc::Tmp(local[j]), nodes[j].ty.elem),
+                other if group.len() == 1 => (FSrc::Arg(k as u16), graph.ty(other).elem),
+                other => (FSrc::Arg(arg_of[graph.key(other)]), graph.ty(other).elem),
+            });
+            out.push_step(n.op, n.sem, n.ty, n.pos, n.reg, srcs);
+        }
+        graph.splats(ext, &mut arg_splat);
+        let steps = Span::of(steps0, out.steps.len());
+        let passes = build_passes(steps0, &arg_splat, &mut out, &mut scratch);
+        let args = Span::push(&mut out.operands, ext.iter().map(|&a| operand_of(a, &phys_of)));
         // Allocate the destination BEFORE freeing dying operands — the
         // engine reclaims the destination's buffer before reading
         // operands, so the two must never share a register.
@@ -765,7 +792,8 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
         }
         out.code.push(LInst {
             op: nodes[r].op,
-            kernel,
+            steps,
+            passes,
             ty: nodes[r].ty,
             dst,
             args,
@@ -786,7 +814,7 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
 
 /// Per-kernel working state of [`build_passes`], reused across kernels.
 #[derive(Default)]
-struct PassScratch {
+pub(crate) struct PassScratch {
     uses: Vec<usize>,
     /// Consumer j absorbs producer t at operand k.
     absorbs: Vec<Option<(usize, usize, SemSliceFn)>>,
@@ -878,7 +906,7 @@ impl Hasher for Mix {
     }
 }
 
-/// Derive the execution schedule of the fused kernel whose steps are
+/// Derive the execution schedule of the kernel whose steps are
 /// `out.steps[steps0..]`: one compiled strip loop per step, except that a
 /// step whose operand is a *single-use* producer may absorb that producer
 /// into the same pass ([`fpir_isa::sem_slice_fn_pair`];
@@ -890,7 +918,7 @@ impl Hasher for Mix {
 /// scalar instead ([`fpir_isa::sem_slice_fn_splat`]). Merged passes of
 /// one pair shape share one compiled closure ([`Pairs`]). Returns the
 /// span of the passes appended to `out.passes`.
-fn build_passes(
+pub(crate) fn build_passes(
     steps0: usize,
     arg_splat: &[Option<i128>],
     out: &mut Emitted,
@@ -1111,50 +1139,38 @@ mod tests {
         for (t, &r) in roots.iter().enumerate() {
             let g = &groups[r];
             let ext = external_srcs(g, &graph);
-            let (kernel, args) = if g.len() == 1 {
-                let args = graph.args(r).iter().map(|&a| operand_of(a, &phys_of));
-                (Kernel::Op(nodes[r].sem), Span::push(&mut out.operands, args))
-            } else {
-                let steps0 = out.steps.len();
-                for &m in g {
-                    let n = &nodes[m];
-                    let src0 = out.srcs.len();
-                    for &a in graph.args(m) {
-                        match a {
-                            Src::Node(j) if g.contains(&j) => {
-                                let local = g.iter().position(|&x| x == j).unwrap();
-                                out.srcs.push(FSrc::Tmp(local as u16));
-                                out.tys.push(nodes[j].ty.elem);
-                            }
-                            other => {
-                                let k = ext.iter().position(|&x| x == other).unwrap();
-                                out.srcs.push(FSrc::Arg(k as u16));
-                                out.tys.push(graph.ty(other).elem);
-                            }
+            let steps0 = out.steps.len();
+            for &m in g {
+                let n = &nodes[m];
+                let mut srcs = Vec::new();
+                for (k, &a) in graph.args(m).iter().enumerate() {
+                    match a {
+                        Src::Node(j) if g.contains(&j) => {
+                            let local = g.iter().position(|&x| x == j).unwrap();
+                            srcs.push((FSrc::Tmp(local as u16), nodes[j].ty.elem));
+                        }
+                        other => {
+                            let x = if g.len() == 1 {
+                                k
+                            } else {
+                                ext.iter().position(|&x| x == other).unwrap()
+                            };
+                            srcs.push((FSrc::Arg(x as u16), graph.ty(other).elem));
                         }
                     }
-                    out.steps.push(FStep {
-                        op: n.op,
-                        sem: n.sem,
-                        ty: n.ty,
-                        srcs: Span::of(src0, out.srcs.len()),
-                        pos: n.pos,
-                        reg: n.reg,
-                    });
                 }
-                let arg_splat: Vec<Option<i128>> = ext
-                    .iter()
-                    .map(|&s| match s {
-                        Src::Const(c) => Some(graph.consts[c as usize].1),
-                        _ => None,
-                    })
-                    .collect();
-                let passes =
-                    build_passes(steps0, &arg_splat, &mut out, &mut PassScratch::default());
-                let f = FusedKernel { steps: Span::of(steps0, out.steps.len()), passes };
-                let args = ext.iter().map(|&a| operand_of(a, &phys_of));
-                (Kernel::Fused(f), Span::push(&mut out.operands, args))
-            };
+                out.push_step(n.op, n.sem, n.ty, n.pos, n.reg, srcs);
+            }
+            let arg_splat: Vec<Option<i128>> = ext
+                .iter()
+                .map(|&s| match s {
+                    Src::Const(c) => Some(graph.consts[c as usize].1),
+                    _ => None,
+                })
+                .collect();
+            let steps = Span::of(steps0, out.steps.len());
+            let passes = build_passes(steps0, &arg_splat, &mut out, &mut PassScratch::default());
+            let args = Span::push(&mut out.operands, ext.iter().map(|&a| operand_of(a, &phys_of)));
             let dst = free.pop().unwrap_or_else(|| {
                 let d = next_phys;
                 next_phys += 1;
@@ -1172,7 +1188,8 @@ mod tests {
             }
             out.code.push(LInst {
                 op: nodes[r].op,
-                kernel,
+                steps,
+                passes,
                 ty: nodes[r].ty,
                 dst,
                 args,
@@ -1190,8 +1207,12 @@ mod tests {
         out.assemble(graph, output)
     }
 
-    /// The distinct external sources of a group, in first-use order.
+    /// The distinct external sources of a group, in first-use order; a
+    /// single instruction's operands as listed.
     fn external_srcs(group: &[usize], graph: &Graph) -> Vec<Src> {
+        if let [one] = group {
+            return graph.args(*one).to_vec();
+        }
         let mut ext: Vec<Src> = Vec::new();
         for &m in group {
             for &a in graph.args(m) {
@@ -1262,18 +1283,17 @@ mod tests {
     }
 
     /// A stable serialization of a FAST-linked artifact: its listing,
-    /// then each fused kernel's step sources and types and its pass
-    /// schedule.
+    /// then each fused kernel's (≥ 2 steps) step sources and types and
+    /// its pass schedule.
     fn fused_bytes(exe: &Executable) -> String {
         let mut out = exe.render();
-        for (i, inst) in exe.code.iter().enumerate() {
-            let Kernel::Fused(f) = inst.kernel else { continue };
+        for (i, inst) in exe.code.iter().enumerate().filter(|(_, i)| i.steps.len() >= 2) {
             out.push_str(&format!("kernel {i}\n"));
-            for s in &exe.steps[f.steps.range()] {
+            for s in &exe.steps[inst.steps.range()] {
                 let (srcs, tys) = (&exe.srcs[s.srcs.range()], &exe.tys[s.srcs.range()]);
                 out.push_str(&format!("step {srcs:?} {tys:?}\n"));
             }
-            for p in &exe.passes[f.passes.range()] {
+            for p in &exe.passes[inst.passes.range()] {
                 let srcs = &exe.srcs[p.srcs.range()];
                 out.push_str(&format!("pass {} {:?} {srcs:?}\n", p.last, p.absorbed));
             }
@@ -1379,11 +1399,7 @@ mod tests {
             let (steps, operands) = fused
                 .code
                 .iter()
-                .filter_map(|i| match i.kernel {
-                    Kernel::Fused(f) => Some((f.len(), i.args.len())),
-                    Kernel::Op(_) => None,
-                })
-                .fold((0, 0), |(s, a), (fs, fa)| (s.max(fs), a.max(fa)));
+                .fold((0, 0), |(s, a), i| (s.max(i.steps.len()), a.max(i.args.len())));
             assert!(steps >= MAX_STEPS - 1, "{isa}: {steps} steps\n{fused}");
             assert_eq!(operands, MAX_OPERANDS, "{isa}\n{fused}");
         }

@@ -432,6 +432,35 @@ mod tests {
         assert!(listing.contains("load"), "{listing}");
     }
 
+    /// `umlal` with its accumulator at the operands' width breaks the
+    /// 2× rule. The reference VM raises the error when it reaches the
+    /// instruction; both links raise the same error when they link it,
+    /// in every build profile.
+    #[test]
+    fn both_links_reject_a_malformed_widening_mul_acc_like_the_vm() {
+        use crate::exec::Executable;
+        use crate::fuse::ExecConfig;
+        use crate::vm::{execute, ExecError};
+        use fpir::interp::{Env, Value};
+        let t = V::new(S::U8, 16);
+        let load = |dst, name: &str| PInst { dst, ty: t, kind: PKind::Load { name: name.into() } };
+        let umlal = PKind::Op { op: fpir_isa::arm::UMLAL, args: vec![0, 1, 2] };
+        let insts =
+            vec![load(0, "acc"), load(1, "a"), load(2, "b"), PInst { dst: 3, ty: t, kind: umlal }];
+        let p = Program { isa: Isa::ArmNeon, insts, output: 3 };
+        let tgt = target(Isa::ArmNeon);
+        let env = ["acc", "a", "b"]
+            .into_iter()
+            .fold(Env::new(), |env, x| env.bind(x, Value::splat(1, t)));
+        let want = execute(&p, &env, tgt).unwrap_err();
+        let ExecError::Sem { pos: 3, reg: 3, what, .. } = &want else { panic!("{want:?}") };
+        assert!(what.contains("2x the operand width (8 vs 8)"), "{what}");
+        for cfg in [ExecConfig::REFERENCE, ExecConfig::FAST] {
+            let got = Executable::link_with(&p, tgt, &cfg).unwrap_err();
+            assert_eq!(got, want, "{cfg:?}");
+        }
+    }
+
     #[test]
     fn render_listing_is_exact() {
         let t = V::new(S::U8, 16);

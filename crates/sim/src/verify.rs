@@ -24,40 +24,38 @@
 //!   reports (`pos`, `reg`) point at real, ordered program points;
 //! * **`const-pool`** — every pool entry is a genuine splat (all lanes
 //!   equal), matching what linking is allowed to materialize;
-//! * **`sem-table`** — each instruction's resolved [`MachSem`] agrees
-//!   with what the ISA's table currently maps its opcode to;
-//! * **`sem-signature`** — operand count matches the semantics' arity,
-//!   every operand has the result's lane count, and the widening
-//!   accumulator shapes hold (`WideningMulAcc` 2×, `DotAcc4` 4×), so
-//!   [`fpir_isa::eval_sem_into`] cannot reject the instruction at run
-//!   time;
-//! * **`fused-shape`** — a fused superinstruction's audit trail holds
-//!   together: its steps, passes and their sources lie inside the
-//!   executable's flat arrays, each absorbed step's operand count matches its
-//!   semantics' arity, temp references point at *earlier* steps,
+//! * **`sem-table`** — each kernel step's resolved [`fpir_isa::MachSem`]
+//!   agrees with what the ISA's table currently maps its opcode to;
+//! * **`sem-signature`** — every external operand has the result's lane
+//!   count, and each step's operands pass [`fpir_isa::check_shape`]:
+//!   one per the semantics' arity, all at the step's lane count, and the
+//!   widening accumulator shapes hold (`WideningMulAcc` 2×, `DotAcc4`
+//!   4×) — the rule both links apply to every instruction they link, so
+//!   no compiled step kernel sees operands its semantics reject;
+//! * **`fused-shape`** — a kernel's audit trail holds together: its
+//!   1..=32 steps, its passes and their sources lie inside the
+//!   executable's flat arrays, temp references point at *earlier* steps,
 //!   external-operand indices are in range with element types matching
-//!   the recorded per-step types, baked immediates are canonical at
-//!   their recorded type, every step has the kernel's lane count, the
-//!   widening shapes hold per step, step positions strictly increase,
-//!   every external operand is read, and the final step is the
-//!   instruction's own op/type/position — so the compiled step kernels,
-//!   built from the same lane table as [`fpir_isa::eval_sem_into`], run
-//!   exactly the per-instruction dispatches they replaced. (Each step's
-//!   opcode→semantics agreement is reported
-//!   under `sem-table`, same as unfused instructions.)
+//!   the recorded per-step types, every step has the kernel's lane
+//!   count, step positions strictly increase, every external operand is
+//!   read, the final step is the instruction's own op/type/position, and
+//!   the passes complete every step exactly once, in order, from sources
+//!   matching the steps — so the compiled step kernels, built from the
+//!   same lane table as [`fpir_isa::eval_sem_into`], run exactly the
+//!   program instructions they stand for.
 //!
 //! Both links ([`Executable::link`] and the FAST link) run this in
-//! debug builds on everything they produce, [`crate::difftest`] runs it on every artifact it tests, and
-//! `pitchforkd` audits every artifact entering its cache — so a linker
-//! regression is caught at the artifact boundary, with a named check and
-//! a program position, not as a scrambled image three layers up.
+//! debug builds on everything they produce, [`crate::difftest`] runs it
+//! on every artifact it tests, and `pitchforkd` audits every artifact
+//! entering its cache in debug builds — so a linker regression is caught
+//! at the artifact boundary, with a named check and a program position,
+//! not as a scrambled image three layers up.
 
 use crate::exec::{
-    lanes_ty, Executable, FSrc, FusedKernel, Kernel, LInst, Operand, OutLoc, Span, MAX_OPERANDS,
-    MAX_STEPS,
+    lanes_ty, Executable, FSrc, LInst, Operand, OutLoc, Span, MAX_OPERANDS, MAX_STEPS,
 };
 use fpir::types::VectorType;
-use fpir_isa::{MachSem, Target};
+use fpir_isa::Target;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -282,9 +280,8 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
             operand_tys.push(ty);
         }
 
-        // Every operand — of a plain instruction or a fused kernel —
-        // must have the result's lane count: both engines walk exactly
-        // `inst.ty.lanes` lanes of every external source.
+        // Every operand must have the result's lane count: a kernel
+        // walks exactly `inst.ty.lanes` lanes of every external source.
         for (k, ty) in operand_tys.iter().enumerate() {
             if ty.lanes != inst.ty.lanes {
                 return Err(err(
@@ -298,14 +295,7 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
             }
         }
 
-        match inst.kernel {
-            Kernel::Op(sem) => {
-                verify_op_shape(exe, inst, sem, &operand_tys, table)?;
-            }
-            Kernel::Fused(f) => {
-                verify_fused_shape(exe, inst, f, &operand_tys, table)?;
-            }
-        }
+        verify_kernel(exe, inst, &operand_tys, table)?;
 
         defined[inst.dst as usize] = if inst.dst_dead { None } else { Some(inst.ty) };
     }
@@ -350,94 +340,14 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
     Ok(())
 }
 
-/// The table-agreement and shape checks for a plain (unfused)
-/// instruction — everything [`fpir_isa::eval_sem_into`] would reject at
-/// dispatch time, proven statically.
-fn verify_op_shape(
-    exe: &Executable,
-    inst: &LInst,
-    sem: MachSem,
-    operand_tys: &[VectorType],
-    table: &Target,
-) -> Result<(), ArtifactError> {
-    use ArtifactCheck as C;
-    let pos = inst.pos as usize;
-
-    // The semantics the table resolves the opcode to today must be the
-    // semantics baked into the instruction at link time.
-    match table.def(inst.op) {
-        Some(def) if def.sem == sem => {}
-        Some(def) => {
-            return Err(err(
-                C::SemTable,
-                Some(pos),
-                format!(
-                    "{} linked as {:?} but the {} table says {:?}",
-                    inst.op, sem, exe.isa, def.sem
-                ),
-            ));
-        }
-        None => {
-            return Err(err(
-                C::SemTable,
-                Some(pos),
-                format!("{} is not in the {} table", inst.op, exe.isa),
-            ));
-        }
-    }
-
-    if operand_tys.len() != sem.arity() {
-        return Err(err(
-            C::SemSignature,
-            Some(pos),
-            format!(
-                "{sem:?} takes {} operands, instruction has {}",
-                sem.arity(),
-                operand_tys.len()
-            ),
-        ));
-    }
-    verify_widening_widths(
-        sem,
-        &[operand_tys[0].elem, operand_tys[1.min(operand_tys.len() - 1)].elem],
-    )
-    .map_err(|detail| err(C::SemSignature, Some(pos), detail))
-}
-
-/// The widening-accumulator width constraints shared by plain and fused
-/// shape checks; `elems[0]`/`elems[1]` are the first two operand element
-/// types.
-fn verify_widening_widths(sem: MachSem, elems: &[fpir::types::ScalarType]) -> Result<(), String> {
-    match sem {
-        MachSem::WideningMulAcc => {
-            let (aw, ow) = (elems[0].bits(), elems[1].bits());
-            if aw != ow * 2 {
-                return Err(format!(
-                    "widening mul-acc accumulator is {aw}-bit over {ow}-bit operands"
-                ));
-            }
-        }
-        MachSem::DotAcc4 => {
-            let (aw, ow) = (elems[0].bits(), elems[1].bits());
-            if aw != ow * 4 {
-                return Err(format!("dot-product accumulator is {aw}-bit over {ow}-bit operands"));
-            }
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
-/// The `fused-shape` audit: a fused superinstruction carries the
-/// original chain (op, sem, type, position, register per step), and this
-/// check re-proves everything the fuser relied on — so the compiled step
+/// The per-kernel audit: a kernel carries the program instructions it
+/// stands for (op, sem, type, position, register per step), and this
+/// check re-proves everything the link relied on — so the compiled step
 /// kernels, sinks over the same lane table as
-/// [`fpir_isa::eval_sem_into`], run exactly the sequence of
-/// per-instruction dispatches they replaced.
-fn verify_fused_shape(
+/// [`fpir_isa::eval_sem_into`], run exactly those instructions.
+fn verify_kernel(
     exe: &Executable,
     inst: &LInst,
-    f: FusedKernel,
     operand_tys: &[VectorType],
     table: &Target,
 ) -> Result<(), ArtifactError> {
@@ -456,36 +366,34 @@ fn verify_fused_shape(
                 exe.tys.len()
             ))),
         };
-    let steps = exe.steps.get(f.steps.range()).ok_or_else(|| {
-        fail(format!("steps {:?} outside the step array of {}", f.steps.range(), exe.steps.len()))
+    let steps = exe.steps.get(inst.steps.range()).ok_or_else(|| {
+        fail(format!(
+            "steps {:?} outside the step array of {}",
+            inst.steps.range(),
+            exe.steps.len()
+        ))
     })?;
-    let passes = exe.passes.get(f.passes.range()).ok_or_else(|| {
+    let passes = exe.passes.get(inst.passes.range()).ok_or_else(|| {
         fail(format!(
             "passes {:?} outside the pass array of {}",
-            f.passes.range(),
+            inst.passes.range(),
             exe.passes.len()
         ))
     })?;
 
     if steps.is_empty() || steps.len() > MAX_STEPS {
-        return Err(fail(format!(
-            "fused kernel has {} steps (1..={MAX_STEPS} allowed)",
-            steps.len()
-        )));
-    }
-    if steps.len() < 2 {
-        return Err(fail("a fused kernel must absorb at least two instructions".into()));
+        return Err(fail(format!("kernel has {} steps (1..={MAX_STEPS} allowed)", steps.len())));
     }
     let n_args = operand_tys.len();
     if n_args > MAX_OPERANDS {
         return Err(fail(format!(
-            "fused kernel reads {n_args} external operands ({MAX_OPERANDS} allowed)"
+            "kernel reads {n_args} external operands ({MAX_OPERANDS} allowed)"
         )));
     }
     let mut arg_read = [false; MAX_OPERANDS];
     for (j, step) in steps.iter().enumerate() {
-        // Step opcode→semantics agreement is the sem-table check, the
-        // same audit unfused instructions get.
+        // The semantics the table resolves the opcode to today must be
+        // the semantics baked into the step at link time.
         match table.def(step.op) {
             Some(def) if def.sem == step.sem => {}
             Some(def) => {
@@ -493,7 +401,7 @@ fn verify_fused_shape(
                     C::SemTable,
                     Some(step.pos as usize),
                     format!(
-                        "fused step {} linked as {:?} but the {} table says {:?}",
+                        "step {} linked as {:?} but the {} table says {:?}",
                         step.op, step.sem, exe.isa, def.sem
                     ),
                 ));
@@ -502,19 +410,11 @@ fn verify_fused_shape(
                 return Err(err(
                     C::SemTable,
                     Some(step.pos as usize),
-                    format!("fused step {} is not in the {} table", step.op, exe.isa),
+                    format!("step {} is not in the {} table", step.op, exe.isa),
                 ));
             }
         }
         let (srcs, tys) = srcs_of("step", j, step.srcs)?;
-        if srcs.len() != step.sem.arity() {
-            return Err(fail(format!(
-                "step {j} ({:?}) takes {} operands, has {}",
-                step.sem,
-                step.sem.arity(),
-                srcs.len()
-            )));
-        }
         if step.ty.lanes != inst.ty.lanes {
             return Err(fail(format!(
                 "step {j} has {} lanes, the kernel walks {}",
@@ -554,8 +454,13 @@ fn verify_fused_shape(
                 }
             }
         }
-        verify_widening_widths(step.sem, &[tys[0], tys[1.min(tys.len() - 1)]])
-            .map_err(|detail| fail(format!("step {j}: {detail}")))?;
+        let operand = |src: &FSrc| match *src {
+            FSrc::Arg(a) => operand_tys[a as usize],
+            FSrc::Tmp(t) => steps[t as usize].ty,
+        };
+        fpir_isa::check_shape(step.sem, srcs.iter().map(operand), step.ty).map_err(|what| {
+            err(C::SemSignature, Some(step.pos as usize), format!("{} (step {j}): {what}", step.op))
+        })?;
         if j > 0 && step.pos <= steps[j - 1].pos {
             return Err(fail(format!(
                 "step positions out of order: #{} after #{}",
@@ -649,7 +554,7 @@ fn verify_fused_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Kernel, Operand, OutLoc};
+    use crate::exec::{Operand, OutLoc};
     use crate::fuse::ExecConfig;
     use crate::program::emit;
     use fpir::build;
@@ -789,28 +694,70 @@ mod tests {
         assert_flags(&exe, "const-pool");
     }
 
-    #[test]
-    fn corrupt_semantics_fail_sem_table() {
-        let mut exe = sample();
-        // Claim the first instruction computes something other than what
-        // the table says its opcode means.
-        let Kernel::Op(sem) = exe.code[0].kernel else { panic!("plain links are unfused") };
-        exe.code[0].kernel = Kernel::Op(if sem == fpir_isa::MachSem::Select {
+    /// Claim a step computes something other than what the table says
+    /// its opcode means.
+    fn corrupt_sem(exe: &mut Executable, step: usize) {
+        let step = &mut exe.steps[step];
+        step.sem = if step.sem == fpir_isa::MachSem::Select {
             fpir_isa::MachSem::SatCastTo
         } else {
             fpir_isa::MachSem::Select
-        });
+        };
+    }
+
+    #[test]
+    fn corrupt_semantics_fail_sem_table() {
+        let mut exe = sample();
+        let step = exe.code[0].steps.start as usize;
+        corrupt_sem(&mut exe, step);
         assert_flags(&exe, "sem-table");
+    }
+
+    /// Give `step` one more source, a repeat of its first: the opcode and
+    /// sem are untouched, so sem-table still matches, but the arity no
+    /// longer does.
+    fn add_source(exe: &mut Executable, step: usize) {
+        let range = exe.steps[step].srcs.range();
+        let first = (exe.srcs[range.start], exe.tys[range.start]);
+        let srcs: Vec<_> = range.map(|k| (exe.srcs[k], exe.tys[k])).chain([first]).collect();
+        let span = Span::push(&mut exe.srcs, srcs.iter().map(|s| s.0));
+        Span::push(&mut exe.tys, srcs.iter().map(|s| s.1));
+        exe.steps[step].srcs = span;
     }
 
     #[test]
     fn corrupt_operand_count_fails_sem_signature() {
         let mut exe = sample();
-        // Duplicate the first operand: sem-table still matches (the
-        // opcode and sem are untouched) but the arity no longer does.
-        let mut args = exe.operands[exe.code[0].args.range()].to_vec();
-        args.push(args[0]);
-        exe.code[0].args = Span::push(&mut exe.operands, args);
+        let step = exe.code[0].steps.start as usize;
+        add_source(&mut exe, step);
+        assert_flags(&exe, "sem-signature");
+    }
+
+    #[test]
+    fn plain_link_corrupt_widening_fails_sem_signature() {
+        // A widening multiply-accumulate whose accumulator is recorded at
+        // the operand's width: the link would have rejected it.
+        let t = V::new(S::U8, 16);
+        let e = build::add(
+            build::var("acc", V::new(S::U16, 16)),
+            build::widening_mul(build::var("a", t), build::var("b", t)),
+        );
+        let tgt = target(Isa::ArmNeon);
+        let lowered = pitchfork::Pitchfork::new(Isa::ArmNeon).compile(&e).unwrap().lowered;
+        let mut exe = Executable::link(&emit(&lowered, tgt).unwrap(), tgt).unwrap();
+        let step = exe
+            .steps
+            .iter()
+            .position(|s| s.sem == fpir_isa::MachSem::WideningMulAcc)
+            .expect("umlal is selected");
+        let acc = exe.steps[step].srcs.start as usize;
+        exe.tys[acc] = S::U8;
+        let FSrc::Arg(a) = exe.srcs[acc] else { panic!("a plain step reads operands") };
+        let k = exe.code.iter().find(|i| i.steps.start as usize == step).unwrap().args.start;
+        match exe.operands[k as usize + a as usize] {
+            Operand::In(s) => exe.inputs[s as usize].ty = t,
+            other => panic!("the accumulator is an input, not {other:?}"),
+        }
         assert_flags(&exe, "sem-signature");
     }
 
@@ -833,7 +780,8 @@ mod tests {
 
     // Fused-artifact fixtures: a fused sample must verify clean, and
     // hand-corrupting the step chain must be flagged by `fused-shape`
-    // (or `sem-table` for a step whose opcode no longer means its sem).
+    // (or `sem-table` for a step whose opcode no longer means its sem,
+    // and `sem-signature` for a step whose operands its sem rejects).
 
     fn fused_sample() -> Executable {
         let t = V::new(S::U8, 16);
@@ -851,15 +799,12 @@ mod tests {
         exe
     }
 
-    /// The first fused instruction's kernel, and its steps.
-    fn first_fused(exe: &Executable) -> (usize, FusedKernel, std::ops::Range<usize>) {
+    /// The first fused instruction, and its steps.
+    fn first_fused(exe: &Executable) -> (usize, std::ops::Range<usize>) {
         exe.code
             .iter()
             .enumerate()
-            .find_map(|(i, inst)| match inst.kernel {
-                Kernel::Fused(f) => Some((i, f, f.steps.range())),
-                Kernel::Op(_) => None,
-            })
+            .find_map(|(i, inst)| (inst.steps.len() >= 2).then(|| (i, inst.steps.range())))
             .expect("a fused instruction")
     }
 
@@ -872,7 +817,7 @@ mod tests {
     #[test]
     fn corrupt_fused_temp_order_fails_fused_shape() {
         let mut exe = fused_sample();
-        let (_, _, steps) = first_fused(&exe);
+        let (_, steps) = first_fused(&exe);
         // Point some step's temp reference at itself (a temp defined at
         // or after its use can never have been computed).
         let (j, k) = steps
@@ -889,31 +834,33 @@ mod tests {
     #[test]
     fn corrupt_fused_step_sem_fails_sem_table() {
         let mut exe = fused_sample();
-        let (_, _, steps) = first_fused(&exe);
-        let step = &mut exe.steps[steps.start];
-        step.sem = if step.sem == fpir_isa::MachSem::Select {
-            fpir_isa::MachSem::SatCastTo
-        } else {
-            fpir_isa::MachSem::Select
-        };
+        let (_, steps) = first_fused(&exe);
+        corrupt_sem(&mut exe, steps.start);
         assert_flags(&exe, "sem-table");
+    }
+
+    #[test]
+    fn corrupt_fused_step_arity_fails_sem_signature() {
+        let mut exe = fused_sample();
+        let (_, steps) = first_fused(&exe);
+        add_source(&mut exe, steps.start);
+        assert_flags(&exe, "sem-signature");
     }
 
     #[test]
     fn corrupt_fused_root_mismatch_fails_fused_shape() {
         let mut exe = fused_sample();
-        let (i, mut f, _) = first_fused(&exe);
+        let (i, _) = first_fused(&exe);
         // Drop the final step: the kernel no longer ends in the
         // instruction's own root.
-        f.steps.len -= 1;
-        exe.code[i].kernel = Kernel::Fused(f);
+        exe.code[i].steps.len -= 1;
         assert_flags(&exe, "fused-shape");
     }
 
     #[test]
     fn corrupt_fused_operand_type_fails_fused_shape() {
         let mut exe = fused_sample();
-        let (_, _, steps) = first_fused(&exe);
+        let (_, steps) = first_fused(&exe);
         // Mis-record an external operand's element type: the step's
         // claimed type must match the linked operand it reads.
         let k = steps
