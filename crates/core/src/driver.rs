@@ -2,7 +2,7 @@
 //!
 //! Every consumer of the compiler used to re-assemble the same plumbing
 //! by hand: `Pitchfork::compile` (or a baseline), then `fpir_sim::emit`,
-//! then `cycle_cost`, then `Executable::link`. [`compile_to_executable`]
+//! then `cycle_cost`, then `Executable::link_with`. [`compile_to_executable`]
 //! is the single source of truth for that sequence — the benchmark bins,
 //! the examples, and the `pitchfork-service` daemon all go through it,
 //! so "what the compiler produces for this expression" has exactly one

@@ -305,7 +305,7 @@ mod tests {
         inputs.insert("in".to_string(), img);
         let p = compile(&pipe, Isa::ArmNeon);
         let tgt = target(Isa::ArmNeon);
-        let exe = fpir_sim::Executable::link(&p, tgt).unwrap();
+        let exe = Executable::link_with(&p, tgt, &fpir_sim::ExecConfig::REFERENCE).unwrap();
         let want = run_tiled(&pipe, &p, tgt, &inputs, 2).unwrap();
         std::thread::scope(|s| {
             for jobs in [1, 2, 3] {

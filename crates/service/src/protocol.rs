@@ -507,12 +507,9 @@ fn parse_spec(v: &Json) -> Result<CompileSpec, ServiceError> {
     let isa = parse_isa(
         v.get("isa").and_then(Json::as_str).ok_or_else(|| bad("missing string field `isa`"))?,
     )?;
-    // Served compiles always run the fast engine. Older peers still send
-    // `"engine":"fast"` in `peer_get`, so that one value is accepted.
-    if v.get("engine").is_some_and(|e| e.as_str() != Some("fast")) {
-        return Err(bad(
-            "`engine` is not a request option (only the legacy value \"fast\" is accepted)",
-        ));
+    // Served compiles always run the fast engine.
+    if v.get("engine").is_some() {
+        return Err(bad("`engine` is not a request option"));
     }
     let synthesized_rules = match v.get("synthesized_rules") {
         None => true,
@@ -1012,22 +1009,27 @@ mod tests {
     }
 
     #[test]
-    fn engine_member_is_rejected_except_the_legacy_fast() {
+    fn engine_member_is_rejected() {
         let compile = |engine: &str| {
             req(&format!(r#"{{"op":"compile","expr":"x_u8","lanes":4,"isa":"arm"{engine}}}"#))
         };
-        let plain = compile("").unwrap();
-        assert_eq!(compile(r#","engine":"fast""#).unwrap(), plain);
-        for engine in [r#","engine":"reference""#, r#","engine":"warp""#, r#","engine":1"#] {
+        assert!(compile("").is_ok());
+        for engine in [
+            r#","engine":"fast""#,
+            r#","engine":"reference""#,
+            r#","engine":"warp""#,
+            r#","engine":1"#,
+        ] {
             let err = compile(engine).unwrap_err();
             assert_eq!(err.code(), "bad_request", "{engine}");
             assert!(err.to_string().contains("engine"), "{engine}: {err}");
         }
-        // An older peer's `peer_get` names the fast engine and still parses.
+        // An older peer's `peer_get` names the fast engine: it fails like
+        // any other malformed peer request.
         let old_peer = req(r#"{"op":"peer_get","expr":"x_u8","lanes":4,"isa":"arm",
                 "engine":"fast","synthesized_rules":true,"rules_fp":"00000000000000ff","tag":1}"#)
-        .unwrap();
-        assert!(matches!(old_peer, Request::PeerGet { rules_fp: 0xff, .. }));
+        .unwrap_err();
+        assert_eq!(old_peer.code(), "bad_request");
     }
 
     #[test]

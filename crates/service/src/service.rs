@@ -558,7 +558,7 @@ impl Service {
                 // Debug builds audit every artifact entering the cache
                 // with the static verifier; a cached artifact is served
                 // to every later hit, so a malformed one must never get
-                // in. Mirrors the gate inside `Executable::link` and
+                // in. Mirrors the gate inside `Executable::link_with` and
                 // catches corruption between compile and insert.
                 #[cfg(debug_assertions)]
                 if let Err(v) = fpir_sim::verify_executable(&art.exe) {

@@ -8,18 +8,19 @@
 //!
 //! The harness checks **all three execution engines** on every round:
 //! the REFERENCE VM ([`crate::vm::execute`]) against the source
-//! expression's semantics, the plain linked engine
-//! ([`crate::exec::Executable`]) against the reference VM, and the
-//! fused linked engine ([`crate::fuse`]) against both — all must return
-//! identical `Result`s. Both links run every instruction as compiled
-//! kernel passes; the reference VM's whole-vector evaluator is the
-//! oracle they are checked against. Both links reject an instruction
-//! whose operand shapes its semantics reject, with the reference VM's
-//! error, so such a program fails here at link time. Both the plain and
-//! the fused artifact pass the static verifier ([`crate::verify`])
-//! before anything runs, in every build profile.
+//! expression's semantics, and the linked engine
+//! ([`crate::exec::Executable`]) against the reference VM, both as a
+//! REFERENCE link (one kernel per instruction) and as a FAST link (fused
+//! kernels, [`crate::fuse`]) — all must return identical `Result`s. Both
+//! links run every instruction as compiled kernel passes; the reference
+//! VM's whole-vector evaluator is the oracle they are checked against.
+//! The linker rejects an instruction whose operand shapes its semantics
+//! reject, with the reference VM's error, so such a program fails here
+//! at link time. Both artifacts pass the static verifier
+//! ([`crate::verify`]) before anything runs, in every build profile.
 
 use crate::exec::Executable;
+use crate::fuse::ExecConfig;
 use crate::program::Program;
 use crate::vm::execute;
 use fpir::expr::RcExpr;
@@ -57,13 +58,11 @@ pub fn check_program(
     rng: &mut impl Rng,
     rounds: usize,
 ) -> Result<(), Counterexample> {
-    let exe = Executable::link(program, target).map_err(|e| Counterexample {
-        env: Env::new(),
-        detail: format!("linking failed: {e}\n{program}"),
+    let exe = Executable::link_with(program, target, &ExecConfig::REFERENCE).map_err(|e| {
+        Counterexample { env: Env::new(), detail: format!("linking failed: {e}\n{program}") }
     })?;
-    let fused = crate::fuse::link(program, target).map_err(|e| Counterexample {
-        env: Env::new(),
-        detail: format!("fusion failed: {e}\n{program}"),
+    let fused = Executable::link_with(program, target, &ExecConfig::FAST).map_err(|e| {
+        Counterexample { env: Env::new(), detail: format!("fusion failed: {e}\n{program}") }
     })?;
     // Static artifact audit before anything runs — on BOTH links: a
     // malformed link or fusion is a counterexample in its own right,
@@ -106,12 +105,6 @@ pub fn check_program(
             env: env.clone(),
             detail: format!("program execution failed: {e}\n{program}"),
         })?;
-        if let Ok(f) = fused_out {
-            fctx.recycle(f);
-        }
-        if let Ok(fast_out) = fast {
-            ctx.recycle(fast_out);
-        }
         if want != got {
             // Locate the first differing lane for the report.
             let lane =

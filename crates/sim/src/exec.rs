@@ -9,7 +9,8 @@
 //! thousands of times (once per vector strip of an image), repaying the
 //! same resolution work on every invocation.
 //!
-//! Linking performs all of it once:
+//! Linking ([`Executable::link_with`], built in [`crate::fuse`]) performs
+//! all of it once:
 //!
 //! * **input slots** — distinct `Load` names become dense slot indices;
 //!   an invocation binds a slice of values positionally instead of
@@ -32,25 +33,22 @@
 //!   element type's width ([`Lanes`]): a `u8` lane is one byte. Every
 //!   linked instruction is a kernel of one or more steps, and each of
 //!   its passes is one call into a strip loop built for exactly those
-//!   storage types — the plain link gives each instruction one step and
-//!   one pass, the FAST link ([`crate::fuse`]) fuses chains into longer
-//!   kernels. [`Executable::run`] and [`Executable::run_slots`] convert
-//!   [`Value`]s at the engine's boundary; [`Executable::run_lanes`] takes
-//!   native inputs and lends out the native result.
+//!   storage types — a REFERENCE link gives each instruction one step and
+//!   one pass, a FAST link fuses chains into longer kernels. [`Executable::run`] converts [`Value`]s at the engine's
+//!   boundary; [`Executable::run_lanes`] takes native inputs and lends out
+//!   the native result.
 //!
 //! The linked engine is differentially gated against the reference
 //! engine everywhere [`crate::difftest`] runs: on every environment the
 //! two must return the same `Result` — same output value, or the same
 //! [`ExecError`].
 
-use crate::fuse::{build_passes, Emitted, PassScratch};
-use crate::program::{PInst, PKind, Program, Reg};
+use crate::program::{Program, Reg};
 use crate::vm::ExecError;
 use fpir::interp::{Env, Value};
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
-use fpir_isa::{check_shape, Lanes, MachSem, Slice, Target};
-use std::collections::hash_map::{Entry, HashMap};
+use fpir_isa::{Lanes, MachSem, Slice, Target};
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -66,12 +64,6 @@ pub(crate) const MAX_STEPS: usize = 32;
 
 /// Element types: a scratchpad row per step and type.
 const KINDS: usize = 8;
-
-/// Narrow an index into a linked operand's 16-bit field, or report the
-/// index space that ran out.
-pub(crate) fn index16(i: usize, space: &'static str) -> Result<u16, ExecError> {
-    u16::try_from(i).map_err(|_| ExecError::IndexOverflow { space, limit: 1 << 16 })
-}
 
 /// A run of entries in one of an [`Executable`]'s flat arrays:
 /// `array[start..start + len]`. Operand lists, fused steps and passes
@@ -105,16 +97,6 @@ impl Span {
     pub(crate) fn len(self) -> usize {
         self.len as usize
     }
-}
-
-/// What a program register resolves to at link time: an input slot, a
-/// pool constant, or the value of the program's `k`-th `Op` instruction
-/// (`Node(k)`, a node of the fuse graph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Src {
-    Node(usize),
-    In(u16),
-    Const(u16),
 }
 
 /// Where a linked operand reads from.
@@ -208,8 +190,8 @@ impl fmt::Debug for FPass {
 }
 
 /// One linked instruction: a kernel of one or more steps, its operands
-/// resolved, its destination a physical register. The plain link gives
-/// every instruction one step; the FAST link collapses a chain of
+/// resolved, its destination a physical register. A REFERENCE link gives
+/// every instruction one step; a FAST link collapses a chain of
 /// program instructions into one kernel (a fused superinstruction), so
 /// it runs as one dispatch with its intermediates in the context's
 /// scratchpad, and only the root's result reaches the register file.
@@ -271,7 +253,7 @@ pub(crate) enum OutLoc {
 ///
 /// # Thread safety
 ///
-/// An `Executable` is **immutable after [`Executable::link`]** and is
+/// An `Executable` is **immutable after [`Executable::link_with`]** and is
 /// `Send + Sync` by construction, so one linked artifact can be shared
 /// by reference (or `Arc`) across any number of worker threads — the
 /// tiled runner and the `pitchfork-service` cache both rely on this.
@@ -296,8 +278,8 @@ pub(crate) enum OutLoc {
 /// * `inputs` is owned, never-mutated `String` data.
 ///
 /// All *mutable* execution state lives in the per-thread [`ExecCtx`]
-/// (which is `Send` but deliberately not shared): the register file and
-/// the recycled buffer pool. Sharing the `Executable` is free; sharing a
+/// (which is `Send` but deliberately not shared): the register file, the
+/// recycled buffer pool and the scratchpad. Sharing the `Executable` is free; sharing a
 /// context would be a data race, which the `&mut ExecCtx` receiver on
 /// [`Executable::run`] rules out at compile time.
 #[derive(Debug, Clone)]
@@ -331,10 +313,7 @@ pub struct ExecCtx {
     regs: Vec<Option<Lanes>>,
     /// Recycled lane buffers, of any element type.
     spare: Vec<Lanes>,
-    /// Recycled `i128` buffers for the [`Value`]s at the engine's
-    /// boundary ([`Executable::run`], [`Executable::run_slots`]).
-    values: Vec<Vec<i128>>,
-    /// The inputs those entry points convert their [`Value`]s into.
+    /// The inputs [`Executable::run`] converts its [`Value`]s into.
     ins: Vec<Lanes>,
     /// Kernel scratchpad: one strip-width row per step index and element
     /// type (step `j` at type `t` is row `j · KINDS + t`, by the
@@ -352,7 +331,7 @@ impl ExecCtx {
     }
 
     /// How many lane buffers this context has had to allocate, total. In
-    /// steady state (with outputs recycled back) this counter is flat
+    /// steady state (with inputs recycled back) this counter is flat
     /// across invocations.
     pub fn buffer_allocs(&self) -> u64 {
         self.buffer_allocs
@@ -361,19 +340,6 @@ impl ExecCtx {
     /// How many invocations have run through this context.
     pub fn invocations(&self) -> u64 {
         self.invocations
-    }
-
-    /// Hand a no-longer-needed [`Value`] back for buffer reuse (e.g. the
-    /// output of [`Executable::run`] after its lanes were consumed).
-    pub fn recycle(&mut self, v: Value) {
-        self.values.push(v.into_lanes());
-    }
-
-    /// Take a recycled `i128` lane buffer (empty, capacity preserved) or
-    /// a fresh one; pair with [`Value::new`] to build inputs without
-    /// allocating in steady state.
-    pub fn take_buffer(&mut self) -> Vec<i128> {
-        take_values(&mut self.values, &mut self.buffer_allocs)
     }
 
     /// Take a recycled buffer for lanes of `elem` (empty, capacity
@@ -409,20 +375,6 @@ impl PassObserver for () {
     fn after(&mut self, _: usize, _: usize) {}
 }
 
-/// A recycled `i128` buffer, cleared, or a fresh one.
-fn take_values(pool: &mut Vec<Vec<i128>>, allocs: &mut u64) -> Vec<i128> {
-    match pool.pop() {
-        Some(mut b) => {
-            b.clear();
-            b
-        }
-        None => {
-            *allocs += 1;
-            Vec::new()
-        }
-    }
-}
-
 /// A recycled buffer for lanes of `elem`, its old lanes left in place
 /// for the caller to overwrite, or a fresh one.
 fn reuse_lanes(pool: &mut Vec<Lanes>, allocs: &mut u64, elem: ScalarType) -> Lanes {
@@ -440,115 +392,17 @@ pub(crate) fn lanes_ty(lanes: &Slice<'_>) -> VectorType {
     VectorType::new(lanes.elem(), lanes.len() as u32)
 }
 
-/// A program's leaves resolved for linking: input slots in first-load
-/// order, the splat pool in first-use order, and what each register
-/// resolves to. Both link paths build on it ([`Executable::link`] and
-/// [`crate::fuse`]'s graph), so slot order, pool order and the link
-/// errors have one definition.
-pub(crate) struct Leaves {
-    pub(crate) inputs: Vec<InputSlot>,
-    /// The splat pool: each constant's type and lane value.
-    pub(crate) consts: Vec<(VectorType, i128)>,
-    /// What each program register (by position) resolves to.
-    pub(crate) defs: Vec<Src>,
-}
-
-impl Leaves {
-    /// Walk `p` in program order, interning loads into slots and splats
-    /// into the pool and resolving each `Op` against the table and
-    /// checking its operand shapes. `on_op` sees every `Op` in order —
-    /// its position, instruction, opcode, semantics and source registers,
-    /// with `defs` of every earlier register — so its errors interleave
-    /// with the walk's in program order.
-    ///
-    /// # Errors
-    ///
-    /// An ISA mismatch, an opcode missing from the table, operands the
-    /// semantics reject (the [`ExecError::Sem`] that
-    /// [`crate::vm::execute`] raises when it reaches the instruction), an
-    /// input loaded at two different types, more than 2^16 input slots or
-    /// pool constants, or an error of `on_op`.
-    pub(crate) fn resolve(
-        p: &Program,
-        target: &Target,
-        mut on_op: impl FnMut(usize, &PInst, MachOp, MachSem, &[Reg], &[Src]) -> Result<(), ExecError>,
-    ) -> Result<Leaves, ExecError> {
-        if p.isa != target.isa {
-            return Err(ExecError::IsaMismatch { program: p.isa, target: target.isa });
-        }
-        let insts = p.insts();
-        let loads = insts.iter().filter(|i| matches!(i.kind, PKind::Load { .. })).count();
-        let splats = insts.iter().filter(|i| matches!(i.kind, PKind::Splat { .. })).count();
-        let mut slot_of: HashMap<&str, u16> = HashMap::with_capacity(loads);
-        let mut const_of: HashMap<(VectorType, i128), u16> = HashMap::with_capacity(splats);
-        let mut inputs: Vec<InputSlot> = Vec::with_capacity(loads);
-        let mut consts: Vec<(VectorType, i128)> = Vec::with_capacity(splats);
-        let mut defs: Vec<Src> = Vec::with_capacity(insts.len());
-        let mut ops = 0;
-        for (i, inst) in insts.iter().enumerate() {
-            let def = match &inst.kind {
-                PKind::Load { name } => Src::In(match slot_of.get(name.as_str()) {
-                    Some(&s) => {
-                        let first = inputs[s as usize].ty;
-                        if first != inst.ty {
-                            // Two loads of one name at different types can
-                            // never both succeed; reject at link time with
-                            // the second load's position.
-                            return Err(ExecError::InputTypeMismatch {
-                                name: name.clone(),
-                                pos: i,
-                                reg: inst.dst,
-                                declared: inst.ty,
-                                bound: first,
-                            });
-                        }
-                        s
-                    }
-                    None => {
-                        let s = index16(inputs.len(), "input slots")?;
-                        slot_of.insert(name, s);
-                        inputs.push(InputSlot {
-                            name: name.clone(),
-                            ty: inst.ty,
-                            pos: i,
-                            reg: inst.dst,
-                        });
-                        s
-                    }
-                }),
-                PKind::Splat { value } => Src::Const(match const_of.entry((inst.ty, *value)) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let c = index16(consts.len(), "pool constants")?;
-                        consts.push((inst.ty, *value));
-                        *e.insert(c)
-                    }
-                }),
-                PKind::Op { op, args } => {
-                    let def = target.def(*op).ok_or(ExecError::UnknownOp {
-                        op: *op,
-                        pos: i,
-                        reg: inst.dst,
-                    })?;
-                    check_shape(def.sem, args.iter().map(|&r| insts[r].ty), inst.ty)
-                        .map_err(|what| ExecError::Sem { op: *op, pos: i, reg: inst.dst, what })?;
-                    on_op(i, inst, *op, def.sem, args, &defs)?;
-                    ops += 1;
-                    Src::Node(ops - 1)
-                }
-            };
-            defs.push(def);
-        }
-        Ok(Leaves { inputs, consts, defs })
-    }
-}
-
 impl Executable {
     /// Link a program against its target: resolve names to slots,
     /// opcodes to semantics, splats to a constant pool, and virtual
-    /// registers to a recycled physical register file. Each instruction
-    /// becomes a one-step kernel whose pass is built as the FAST link
-    /// builds its passes.
+    /// registers to a recycled physical register file, through
+    /// [`crate::fuse`]'s pipeline. [`crate::fuse::ExecConfig::FAST`]
+    /// first cleans the program's def-use graph up (copy propagation,
+    /// constant folding, dead-write elimination) and fuses it into
+    /// superinstructions; [`crate::fuse::ExecConfig::REFERENCE`] makes
+    /// every instruction a one-step kernel. The two are bit-identical on
+    /// every environment — gated by difftest, the fused proptests, and
+    /// every benchmark.
     ///
     /// # Errors
     ///
@@ -556,130 +410,8 @@ impl Executable {
     /// operands the semantics reject ([`ExecError::Sem`]), an input
     /// loaded at two different types, or a program needing more than
     /// 2^16 input slots, pool constants or physical registers
-    /// ([`ExecError::IndexOverflow`]).
-    pub fn link(p: &Program, target: &Target) -> Result<Executable, ExecError> {
-        let insts = p.insts();
-        let n = insts.len();
-
-        // Liveness: last use of each virtual register (by position); the
-        // output is used "after the end".
-        const NEVER: usize = usize::MAX;
-        let mut last_use = vec![NEVER; n];
-        let mut n_ops = 0;
-        let mut n_operands = 0;
-        for (i, inst) in insts.iter().enumerate() {
-            if let PKind::Op { args, .. } = &inst.kind {
-                n_ops += 1;
-                n_operands += args.len();
-                for &r in args {
-                    last_use[r] = i;
-                }
-            }
-        }
-        last_use[p.output()] = n;
-
-        let mut emitted = Emitted::with_capacity(n_ops, n_operands);
-        let mut arg_splat: Vec<Option<i128>> = Vec::new();
-        let mut scratch = PassScratch::default();
-        // Linear-scan register allocation state.
-        let mut phys_of: Vec<Option<u16>> = vec![None; n];
-        let mut free: Vec<u16> = Vec::new();
-        let mut next_phys: usize = 0;
-
-        let Leaves { inputs, consts, defs } =
-            Leaves::resolve(p, target, |i, inst, op, sem, args, defs| {
-                let resolved = Span::push(
-                    &mut emitted.operands,
-                    args.iter().map(|&r| match defs[r] {
-                        Src::In(s) => Operand::In(s),
-                        Src::Const(c) => Operand::Const(c),
-                        Src::Node(_) => {
-                            Operand::Reg(phys_of[r].expect("programs define registers before use"))
-                        }
-                    }),
-                );
-                // Allocate the destination BEFORE freeing operands dying
-                // here: the engine reclaims the destination's old value
-                // before reading operands, so the two must never share a
-                // physical register.
-                let dst = match free.pop() {
-                    Some(d) => d,
-                    None => {
-                        let d = index16(next_phys, "physical registers")?;
-                        next_phys += 1;
-                        d
-                    }
-                };
-                phys_of[i] = Some(dst);
-                for &r in args {
-                    if last_use[r] == i && matches!(defs[r], Src::Node(_)) {
-                        // `take` makes a register appearing twice in one
-                        // operand list free exactly once.
-                        if let Some(ph) = phys_of[r].take() {
-                            free.push(ph);
-                        }
-                    }
-                }
-                let dst_dead = last_use[i] == NEVER;
-                if dst_dead {
-                    phys_of[i] = None;
-                    free.push(dst);
-                }
-                // One step reading the operands in order, and its pass.
-                let steps0 = emitted.steps.len();
-                let srcs =
-                    args.iter().enumerate().map(|(k, &r)| (FSrc::Arg(k as u16), insts[r].ty.elem));
-                emitted.push_step(op, sem, inst.ty, i as u32, inst.dst, srcs);
-                arg_splat.clear();
-                arg_splat.extend(args.iter().map(|&r| match insts[r].kind {
-                    PKind::Splat { value } => Some(value),
-                    _ => None,
-                }));
-                let passes = build_passes(steps0, &arg_splat, &mut emitted, &mut scratch);
-                emitted.code.push(LInst {
-                    op,
-                    steps: Span::of(steps0, emitted.steps.len()),
-                    passes,
-                    ty: inst.ty,
-                    dst,
-                    args: resolved,
-                    pos: i as u32,
-                    reg: inst.dst,
-                    dst_dead,
-                });
-                Ok(())
-            })?;
-
-        let out = p.output();
-        let output = match defs[out] {
-            Src::In(s) => OutLoc::In(s),
-            Src::Const(c) => OutLoc::Const(c),
-            Src::Node(_) => OutLoc::Reg(phys_of[out].expect("the output register stays live")),
-        };
-        emitted.phys_regs = next_phys;
-        let exe = emitted.executable(target.isa, inputs, &consts, output);
-        // Debug builds audit every artifact leaving the linker against
-        // the static verifier: a linker bug is an internal invariant
-        // violation (panic), never a user-visible ExecError.
-        #[cfg(debug_assertions)]
-        if let Err(v) = crate::verify::verify_executable(&exe) {
-            panic!("link produced an unverifiable executable: {v}\n{exe}");
-        }
-        Ok(exe)
-    }
-
-    /// Link per `cfg`. [`crate::fuse::ExecConfig::REFERENCE`] is the
-    /// plain [`Executable::link`]; [`crate::fuse::ExecConfig::FAST`]
-    /// links through [`crate::fuse`] instead: the program becomes a
-    /// def-use graph, which is cleaned up (copy propagation, constant
-    /// folding, dead-write elimination) and fused into superinstructions
-    /// before registers are allocated. The two are bit-identical on every
-    /// environment — gated by difftest, the fused proptests, and every
-    /// benchmark.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executable::link`]. Fusion folds no constant that would
+    /// ([`ExecError::IndexOverflow`]); errors of the program walk come
+    /// before a register overflow. Fusion folds no constant that would
     /// overflow the pool, and allocates registers only for the fused
     /// code, so a FAST link fails on physical registers only when the
     /// fused program itself needs more than 2^16.
@@ -688,11 +420,7 @@ impl Executable {
         target: &Target,
         cfg: &crate::fuse::ExecConfig,
     ) -> Result<Executable, ExecError> {
-        if cfg.fuse {
-            crate::fuse::link(p, target)
-        } else {
-            Executable::link(p, target)
-        }
+        crate::fuse::link(p, target, cfg)
     }
 
     /// The ISA this executable was linked for.
@@ -701,7 +429,7 @@ impl Executable {
     }
 
     /// The input slots, in first-load order. `slots[i]` of
-    /// [`Executable::run_slots`] binds `inputs()[i]`.
+    /// [`Executable::run_lanes`] binds `inputs()[i]`.
     pub fn inputs(&self) -> &[InputSlot] {
         &self.inputs
     }
@@ -754,7 +482,9 @@ impl Executable {
     }
 
     /// Run on an environment (input names resolved to slots here; prefer
-    /// [`Executable::run_lanes`] in hot loops that can pre-resolve).
+    /// [`Executable::run_lanes`] in hot loops that can pre-resolve). The
+    /// inputs are converted into the context's own buffers, and the
+    /// result into a fresh [`Value`].
     ///
     /// # Errors
     ///
@@ -762,8 +492,9 @@ impl Executable {
     /// unbound inputs or mistyped bindings (operands the semantics reject
     /// fail the link instead).
     pub fn run(&self, ctx: &mut ExecCtx, env: &Env) -> Result<Value, ExecError> {
-        let mut ins: Vec<&Value> = Vec::with_capacity(self.inputs.len());
-        for slot in &self.inputs {
+        let mut ins = std::mem::take(&mut ctx.ins);
+        ctx.spare.append(&mut ins);
+        let bound = self.inputs.iter().try_for_each(|slot| {
             let v = env.get(&slot.name).ok_or_else(|| ExecError::UnboundInput {
                 name: slot.name.clone(),
                 pos: slot.pos,
@@ -772,27 +503,21 @@ impl Executable {
             if v.ty() != slot.ty {
                 return Err(self.mistyped(slot, v.ty()));
             }
-            ins.push(v);
-        }
-        self.run_values(ctx, ins.as_slice())
-    }
-
-    /// Run on positionally-bound inputs: `slots[i]` binds
-    /// [`Executable::inputs`]`[i]`. Only types are re-checked.
-    ///
-    /// # Errors
-    ///
-    /// Mistyped or missing slot values ([`ExecError::UnboundInput`] names
-    /// the first missing one), or more values than slots
-    /// ([`ExecError::ExtraSlots`]).
-    pub fn run_slots(&self, ctx: &mut ExecCtx, slots: &[Value]) -> Result<Value, ExecError> {
-        self.check_count(slots.len())?;
-        for (v, slot) in slots.iter().zip(&self.inputs) {
-            if v.ty() != slot.ty {
-                return Err(self.mistyped(slot, v.ty()));
-            }
-        }
-        self.run_values(ctx, slots)
+            let mut l = ctx.take_lanes(slot.ty.elem);
+            l.extend_from(v.lanes());
+            ins.push(l);
+            Ok(())
+        });
+        let out = bound.map(|()| {
+            let s = self.run_resolved(ctx, &ins, &mut ());
+            let mut lanes = Vec::with_capacity(s.len());
+            s.write_to(&mut lanes);
+            // Semantics wrap/saturate into the result type, so the lanes
+            // satisfy the `Value` invariant by construction.
+            Value::trusted(lanes_ty(&s), lanes)
+        });
+        ctx.ins = ins;
+        out
     }
 
     /// [`Executable::run_lanes`], telling `obs` about every pass it
@@ -845,8 +570,10 @@ impl Executable {
     ///
     /// # Errors
     ///
-    /// As [`Executable::run_slots`]: a slot's lanes must have its
-    /// declared element type and lane count.
+    /// Mistyped or missing slots ([`ExecError::UnboundInput`] names the
+    /// first missing one), or more slots than inputs
+    /// ([`ExecError::ExtraSlots`]): a slot's lanes must have its declared
+    /// element type and lane count.
     pub fn run_lanes<'a>(
         &'a self,
         ctx: &'a mut ExecCtx,
@@ -868,7 +595,7 @@ impl Executable {
         Ok(())
     }
 
-    /// The slot-count checks of the positional entry points.
+    /// The slot-count checks of [`Executable::run_lanes`].
     fn check_count(&self, given: usize) -> Result<(), ExecError> {
         if let Some(missing) = self.inputs.get(given) {
             return Err(ExecError::UnboundInput {
@@ -891,29 +618,6 @@ impl Executable {
             declared: slot.ty,
             bound,
         }
-    }
-
-    /// The engine's boundary with [`Value`]: type-checked inputs
-    /// converted to their own width, and the result converted back.
-    fn run_values<I: Ins + ?Sized>(&self, ctx: &mut ExecCtx, ins: &I) -> Result<Value, ExecError> {
-        let mut lanes = std::mem::take(&mut ctx.ins);
-        for l in lanes.drain(..) {
-            ctx.spare.push(l);
-        }
-        for i in 0..self.inputs.len() {
-            let v = ins.slot(i);
-            let mut l = ctx.take_lanes(v.ty().elem);
-            l.extend_from(v.lanes());
-            lanes.push(l);
-        }
-        let mut out = ctx.take_buffer();
-        let s = self.run_resolved(ctx, &lanes, &mut ());
-        s.write_to(&mut out);
-        let ty = lanes_ty(&s);
-        ctx.ins = lanes;
-        // Semantics wrap/saturate into the result type, so the lanes
-        // satisfy the `Value` invariant by construction.
-        Ok(Value::trusted(ty, out))
     }
 
     /// The hot loop: direct dispatch over resolved operands, recycled
@@ -1083,30 +787,6 @@ impl Executable {
     }
 }
 
-/// The splat pool materialized, each constant at its own width.
-pub(crate) fn native_pool(consts: &[(VectorType, i128)]) -> Vec<Lanes> {
-    consts.iter().map(|&(ty, v)| Lanes::splat(ty.elem, v, ty.lanes as usize)).collect()
-}
-
-/// Positional input access, implemented for owned and reference slices so
-/// [`Executable::run`] and [`Executable::run_slots`] share one
-/// monomorphized code path without a per-invocation allocation.
-trait Ins {
-    fn slot(&self, i: usize) -> &Value;
-}
-
-impl Ins for [Value] {
-    fn slot(&self, i: usize) -> &Value {
-        &self[i]
-    }
-}
-
-impl Ins for [&Value] {
-    fn slot(&self, i: usize) -> &Value {
-        self[i]
-    }
-}
-
 fn operand_name(a: Operand) -> String {
     match a {
         Operand::Reg(r) => format!("r{r}"),
@@ -1122,8 +802,9 @@ impl fmt::Display for Executable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::fuse::ExecConfig;
     use crate::program::emit;
     use crate::vm::execute;
     use fpir::build;
@@ -1131,11 +812,43 @@ mod tests {
     use fpir::RcExpr;
     use fpir_isa::{legalize, target};
 
+    fn link(p: &Program, isa: Isa) -> Result<Executable, ExecError> {
+        Executable::link_with(p, target(isa), &ExecConfig::REFERENCE)
+    }
+
     fn link_expr(e: &RcExpr, isa: Isa) -> (Program, Executable) {
         let t = target(isa);
         let p = emit(&legalize(e, t).unwrap(), t).unwrap();
-        let exe = Executable::link(&p, t).unwrap();
+        let exe = link(&p, isa).unwrap();
         (p, exe)
+    }
+
+    /// Run `exe` 101 times through [`Executable::run_lanes`], every input
+    /// slot bound to `value` in buffers taken from the context and
+    /// recycled after each run, as the tiled runner does: after the first
+    /// run, the context allocates no lane buffer.
+    pub(crate) fn assert_steady_state_is_allocation_free(exe: &Executable, value: i128) {
+        let mut ctx = exe.new_ctx();
+        let mut slots = Vec::with_capacity(exe.inputs().len());
+        let mut primed = None;
+        for _ in 0..101 {
+            for slot in exe.inputs() {
+                let mut l = ctx.take_lanes(slot.ty.elem);
+                l.extend_from(&vec![value; slot.ty.lanes as usize]);
+                slots.push(l);
+            }
+            exe.run_lanes(&mut ctx, &slots).unwrap();
+            for l in slots.drain(..) {
+                ctx.recycle_lanes(l);
+            }
+            primed.get_or_insert(ctx.buffer_allocs());
+        }
+        assert_eq!(
+            Some(ctx.buffer_allocs()),
+            primed,
+            "steady-state invocations must not allocate lane buffers\n{exe}"
+        );
+        assert_eq!(ctx.invocations(), 101);
     }
 
     #[test]
@@ -1240,7 +953,7 @@ mod tests {
         let e = build::add(build::var("a", t), build::var("b", t));
         let tgt = target(Isa::ArmNeon);
         let p = emit(&legalize(&e, tgt).unwrap(), tgt).unwrap();
-        let err = Executable::link(&p, target(Isa::X86Avx2)).unwrap_err();
+        let err = link(&p, Isa::X86Avx2).unwrap_err();
         assert!(matches!(
             err,
             ExecError::IsaMismatch { program: Isa::ArmNeon, target: Isa::X86Avx2 }
@@ -1249,9 +962,6 @@ mod tests {
 
     #[test]
     fn steady_state_runs_are_allocation_free() {
-        // After the first invocation the context's buffer pool is primed;
-        // recycling the returned output keeps further runs at zero
-        // allocations — the `Load` hot path no longer clones inputs.
         let t = V::new(S::U8, 64);
         let e = build::saturating_cast(
             S::U8,
@@ -1261,43 +971,30 @@ mod tests {
             ),
         );
         let (_, exe) = link_expr(&e, Isa::ArmNeon);
-        let env = Env::new().bind("a", Value::splat(7, t)).bind("b", Value::splat(9, t));
-        let mut ctx = exe.new_ctx();
-        let out = exe.run(&mut ctx, &env).unwrap();
-        ctx.recycle(out);
-        let primed = ctx.buffer_allocs();
-        for _ in 0..100 {
-            let out = exe.run(&mut ctx, &env).unwrap();
-            ctx.recycle(out);
-        }
-        assert_eq!(
-            ctx.buffer_allocs(),
-            primed,
-            "steady-state invocations must not allocate lane buffers"
-        );
-        assert_eq!(ctx.invocations(), 101);
+        assert_steady_state_is_allocation_free(&exe, 7);
     }
 
     #[test]
-    fn run_slots_binds_positionally() {
+    fn run_lanes_binds_positionally() {
         let t = V::new(S::U8, 4);
         let e = build::sub(build::var("x", t), build::var("y", t));
         let (_, exe) = link_expr(&e, Isa::X86Avx2);
         let names: Vec<&str> = exe.inputs().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["x", "y"], "slots are in first-load order");
         let mut ctx = exe.new_ctx();
-        let slots = vec![Value::splat(9, t), Value::splat(3, t)];
-        let out = exe.run_slots(&mut ctx, &slots).unwrap();
-        assert_eq!(out.lanes(), &[6, 6, 6, 6]);
+        let slots = [Lanes::splat(S::U8, 9, 4), Lanes::splat(S::U8, 3, 4)];
+        let mut out = Vec::new();
+        exe.run_lanes(&mut ctx, &slots).unwrap().write_to(&mut out);
+        assert_eq!(out, [6, 6, 6, 6]);
         // Too few slots is an unbound-input error.
         assert!(matches!(
-            exe.run_slots(&mut ctx, &slots[..1]).unwrap_err(),
+            exe.run_lanes(&mut ctx, &slots[..1]).unwrap_err(),
             ExecError::UnboundInput { .. }
         ));
     }
 
     #[test]
-    fn run_slots_rejects_extra_values_on_both_links() {
+    fn run_lanes_rejects_extra_slots_on_both_links() {
         let t = V::new(S::U8, 4);
         let isa = Isa::ArmNeon;
         // No inputs at all (FAST folds `3 + 4` into the pool), and one
@@ -1308,17 +1005,17 @@ mod tests {
         ];
         for (e, inputs) in cases {
             let p = emit(&legalize(&e, target(isa)).unwrap(), target(isa)).unwrap();
-            for cfg in [crate::fuse::ExecConfig::REFERENCE, crate::fuse::ExecConfig::FAST] {
+            for cfg in [ExecConfig::REFERENCE, ExecConfig::FAST] {
                 let exe = Executable::link_with(&p, target(isa), &cfg).unwrap();
                 assert_eq!(exe.inputs().len(), inputs);
-                let slots = vec![Value::splat(1, t); inputs + 1];
-                let err = exe.run_slots(&mut exe.new_ctx(), &slots).unwrap_err();
+                let slots = vec![Lanes::splat(S::U8, 1, 4); inputs + 1];
+                let err = exe.run_lanes(&mut exe.new_ctx(), &slots).unwrap_err();
                 assert_eq!(err, ExecError::ExtraSlots { given: inputs + 1, inputs }, "{cfg:?}");
                 let msg = err.to_string();
                 assert!(msg.contains(&format!("{} values", inputs + 1)), "{msg}");
                 assert!(msg.contains(&format!("{inputs} input slots")), "{msg}");
                 // The exact count still runs.
-                assert!(exe.run_slots(&mut exe.new_ctx(), &slots[..inputs]).is_ok(), "{cfg:?}");
+                assert!(exe.run_lanes(&mut exe.new_ctx(), &slots[..inputs]).is_ok(), "{cfg:?}");
             }
         }
     }
@@ -1335,7 +1032,7 @@ mod tests {
     }
 
     fn assert_overflows(p: &Program, isa: Isa, space: &str) {
-        for cfg in [crate::fuse::ExecConfig::REFERENCE, crate::fuse::ExecConfig::FAST] {
+        for cfg in [ExecConfig::REFERENCE, ExecConfig::FAST] {
             match Executable::link_with(p, target(isa), &cfg) {
                 Err(ExecError::IndexOverflow { space: s, limit: 65536 }) if s == space => {}
                 other => panic!("{cfg:?}: expected a {space} overflow, got {:?}", other.err()),
@@ -1358,7 +1055,7 @@ mod tests {
         });
         assert_eq!(execute(&p, &env, target(isa)).unwrap(), Value::splat(1000, t));
         assert_overflows(&p, isa, "input slots");
-        let err = Executable::link(&p, target(isa)).unwrap_err().to_string();
+        let err = link(&p, isa).unwrap_err().to_string();
         assert!(err.contains("65536 input slots"), "{err}");
     }
 
@@ -1438,8 +1135,8 @@ mod tests {
         });
     }
 
-    /// The plain link gives every instruction one step and one pass: a
-    /// workload artifact's plain link has as many kernels, steps and
+    /// A REFERENCE link gives every instruction one step and one pass: a
+    /// workload artifact's REFERENCE link has as many kernels, steps and
     /// passes as the program has instructions, and fuses none.
     #[test]
     fn plain_links_are_one_step_one_pass_kernels() {
@@ -1447,7 +1144,7 @@ mod tests {
         for isa in fpir::machine::ALL_ISAS {
             let pf = pitchfork::Pitchfork::new(isa);
             let p = emit(&pf.compile(&wl.pipeline.expr).unwrap().lowered, target(isa)).unwrap();
-            let exe = Executable::link(&p, target(isa)).unwrap();
+            let exe = link(&p, isa).unwrap();
             assert_eq!(exe.op_count(), p.op_count(), "{isa}");
             assert_eq!(exe.step_count(), p.op_count(), "{isa}");
             assert_eq!(exe.pass_count(), p.op_count(), "{isa}");
@@ -1467,7 +1164,7 @@ mod tests {
         let r2 = exe.render();
         assert_eq!(r1, r2);
         // Re-linking yields the identical listing (link is deterministic).
-        let exe2 = Executable::link(&p, target(Isa::ArmNeon)).unwrap();
+        let exe2 = link(&p, Isa::ArmNeon).unwrap();
         assert_eq!(exe2.render(), r1);
         assert!(r1.contains("peak"), "{r1}");
         assert!(r1.contains("[a]"), "{r1}");

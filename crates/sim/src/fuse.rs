@@ -1,25 +1,31 @@
-//! The FAST link: linked-level cleanup and superinstruction fusion.
+//! The linker: cleanup, superinstruction fusion and register allocation.
 //!
-//! [`Executable::link`] resolves names, semantics, constants, and
-//! registers once — but its hot loop still pays one dispatch, one full
-//! lane traversal, and one intermediate register materialization *per
-//! instruction*, even for chains like `mul → shr → add` that the cycle
-//! model prices as a single fused idiom (`vmpa`/`vdmpy`-style). The FAST
-//! link ([`Executable::link_with`] with [`ExecConfig::FAST`]) links a
-//! program so those chains run as **superinstructions**: one dispatch
-//! per chain, intermediates in the context's scratch rows at their own
-//! width, a single register write at the root. It builds its graph
-//! straight from the program and allocates registers once, for the fused
-//! code.
+//! Linking resolves names, semantics, constants and registers once (see
+//! [`crate::exec`]). A one-instruction-per-dispatch form still pays one
+//! dispatch, one full lane traversal and one intermediate register
+//! materialization *per instruction*, even for chains like
+//! `mul → shr → add` that the cycle model prices as a single fused idiom
+//! (`vmpa`/`vdmpy`-style). The FAST link ([`Executable::link_with`] with
+//! [`ExecConfig::FAST`]) links a program so those chains run as
+//! **superinstructions**: one dispatch per chain, intermediates in the
+//! context's scratch rows at their own width, a single register write at
+//! the root. It builds its graph straight from the program and allocates
+//! registers once, for the fused code. [`ExecConfig::REFERENCE`] runs the
+//! same pipeline with stages 2–5 off: every instruction of the program,
+//! dead or alive, becomes its own one-step kernel.
 //!
 //! The pipeline, in order:
 //!
 //! 1. **Graph construction** — a program is already SSA: a virtual
-//!    register is its position. Each `Op` becomes a def-use node whose
-//!    operands are earlier nodes, input slots or pool constants, held in
-//!    one flat operand array. Slots, pool and shape checks come from the
-//!    same walk as the plain link's, so slot order, pool order and every
-//!    link error match it.
+//!    register is its position. One walk in program order interns loads
+//!    into input slots (first-load order) and splats into the pool
+//!    (first-use order), resolves each `Op` against the table and checks
+//!    its operand shapes ([`fpir_isa::check_shape`]); each `Op` becomes a
+//!    def-use node whose operands are earlier nodes, input slots or pool
+//!    constants, held in one flat operand array. This walk is the only
+//!    one, so slot order, pool order and every link error before register
+//!    allocation are the same for both configurations. Without fusion the
+//!    graph stops here, every node live.
 //! 2. **Copy propagation** — single-operand wrap/saturate instructions
 //!    whose operand already has the result's exact [`VectorType`]
 //!    (`Reinterpret`, `ExtendTo`, `TruncTo`, `SatCastTo`, `Splat` at
@@ -66,52 +72,53 @@
 //!    are scratchpad rows, and a splat-constant operand may be baked
 //!    into a pass as a captured scalar. A group of one node is a
 //!    one-step kernel that reads its operands as the program lists
-//!    them, exactly as the plain link builds it. A root's members (in
-//!    node order) and its external operands (in first-use order over
-//!    them) are computed once and serve liveness, operand staging and
-//!    the allocator. Registers are
-//!    allocated by the linker's linear scan over the fused code, so
-//!    `peak_regs` reflects the shorter lifetimes (in practice it only
-//!    shrinks against the plain link). Operand lists, steps, step and
-//!    pass sources, and passes are appended to the executable's flat
-//!    arrays, sized up front from the roots: the stage allocates once
-//!    per array plus one compiled closure per pass, never per step or
-//!    per operand. Last, the pool is compacted to the constants still
-//!    referenced.
+//!    them, repeats included — every kernel of a REFERENCE link. A
+//!    root's members (in node order) and its external operands (in
+//!    first-use order over them) are computed once and serve liveness,
+//!    operand staging and the allocator. Registers are allocated by a
+//!    linear scan over the emitted code, so a fused link's `peak_regs`
+//!    reflects the shorter lifetimes (in practice it only shrinks against
+//!    the REFERENCE link). A root nothing reads that is not the output
+//!    (only a REFERENCE link keeps one) is computed and its register
+//!    freed at once. Operand lists, steps, step and pass sources, and
+//!    passes are appended to the executable's flat arrays, sized up
+//!    front from the roots: the stage allocates once per array plus one
+//!    compiled closure per pass, never per step or per operand. Last,
+//!    the pool is compacted to the constants still referenced.
 //!
-//! **Why bit-identity holds.** Every pass of either link runs a kernel
-//! compiled by `fpir-isa` ([`fpir_isa::sem_slice_fn`], or its
+//! **Why bit-identity holds.** Every pass of either configuration runs a
+//! kernel compiled by `fpir-isa` ([`fpir_isa::sem_slice_fn`], or its
 //! splat-capture and merged-pair forms), and those kernels and the
 //! reference VM's whole-vector [`fpir_isa::eval_sem_into`] are sinks over
 //! one lane table: each semantic's lane arithmetic is written once and
 //! only the loop around it differs, pinned by tests in `fpir-isa`. Shape
 //! errors cannot diverge either: operand types are static after linking
-//! (input bindings are type-checked before dispatch), and both links
-//! reject at link time, with the reference VM's error, every instruction
-//! whose shapes `eval_sem_into` would reject. Binding errors are
-//! untouched because the input slot table is the plain link's —
-//! unbound/mistyped inputs blame the same load, position, and register
-//! either way.
+//! (input bindings are type-checked before dispatch), and stage 1
+//! rejects at link time, with the reference VM's error, every instruction
+//! whose shapes `eval_sem_into` would reject, dead or alive. Binding
+//! errors are untouched because stage 1 builds one input slot table for
+//! both configurations — unbound/mistyped inputs blame the same load,
+//! position, and register either way.
 
 use crate::exec::{
-    index16, native_pool, Executable, FPass, FSrc, FStep, InputSlot, LInst, Leaves, Operand,
-    OutLoc, Span, Src, MAX_OPERANDS, MAX_STEPS,
+    Executable, FPass, FSrc, FStep, InputSlot, LInst, Operand, OutLoc, Span, MAX_OPERANDS,
+    MAX_STEPS,
 };
 use crate::program::{PKind, Program, Reg};
 use crate::vm::ExecError;
 use fpir::interp::Value;
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
-use fpir_isa::{eval_sem_into, MachSem, SemSliceFn, Target};
+use fpir_isa::{check_shape, eval_sem_into, Lanes, MachSem, SemSliceFn, Target};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Engine selection for linking, mirroring the selection engine's
 /// `Engine::{Fast, Reference}`: [`ExecConfig::FAST`] links through the
-/// fusion pipeline (see the [module docs](self)),
-/// [`ExecConfig::REFERENCE`] is the plain [`Executable::link`]. Outputs
-/// are bit-identical; only speed differs.
+/// whole pipeline (see the [module docs](self)), and
+/// [`ExecConfig::REFERENCE`] through stages 1 and 6 only, one kernel per
+/// program instruction. Outputs are bit-identical; only speed differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Link through the cleanup + superinstruction fusion pipeline.
@@ -121,7 +128,7 @@ pub struct ExecConfig {
 impl ExecConfig {
     /// Fused engine: the default for every production consumer.
     pub const FAST: ExecConfig = ExecConfig { fuse: true };
-    /// Plain linked engine, kept as the differential baseline.
+    /// One kernel per instruction, kept as the differential baseline.
     pub const REFERENCE: ExecConfig = ExecConfig { fuse: false };
 }
 
@@ -129,6 +136,22 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig::FAST
     }
+}
+
+/// What a program register resolves to at link time: an input slot, a
+/// pool constant, or the value of the program's `k`-th `Op` instruction
+/// (`Node(k)`, a node of the graph).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    Node(usize),
+    In(u16),
+    Const(u16),
+}
+
+/// Narrow an index into a linked operand's 16-bit field, or report the
+/// index space that ran out.
+fn index16(i: usize, space: &'static str) -> Result<u16, ExecError> {
+    u16::try_from(i).map_err(|_| ExecError::IndexOverflow { space, limit: 1 << 16 })
 }
 
 /// One def-use node: an `Op` instruction of the program, its operands a
@@ -159,45 +182,125 @@ struct Graph {
     out_src: Src,
 }
 
-/// FAST-link a program (see the [module docs](self)).
+/// Link a program per `cfg` (see the [module docs](self)).
 ///
 /// # Errors
 ///
-/// As [`Executable::link`], except that physical registers overflow
-/// only if the fused code needs more than 2^16.
-pub(crate) fn link(p: &Program, target: &Target) -> Result<Executable, ExecError> {
-    let graph = Graph::build(p, target)?;
-    let groups = Grouper::new(&graph).run();
-    let fused = emit(graph, &groups)?;
-    // Debug builds audit every artifact leaving the fuser, exactly as
-    // the linker audits its own output: a fuser bug is an internal
-    // invariant violation, never a user-visible difference.
+/// As [`Executable::link_with`].
+pub(crate) fn link(
+    p: &Program,
+    target: &Target,
+    cfg: &ExecConfig,
+) -> Result<Executable, ExecError> {
+    let graph = Graph::build(p, target, cfg.fuse)?;
+    let groups = if cfg.fuse { Grouper::new(&graph).run() } else { Groups::singletons(&graph) };
+    let exe = emit(graph, &groups)?;
+    // Debug builds audit every artifact leaving the linker: a linker bug
+    // is an internal invariant violation (panic), never a user-visible
+    // ExecError.
     #[cfg(debug_assertions)]
-    if let Err(v) = crate::verify::verify_executable(&fused) {
-        panic!("fusion produced an unverifiable executable: {v}\n{fused}");
+    if let Err(v) = crate::verify::verify_executable(&exe) {
+        panic!("link produced an unverifiable executable: {v}\n{exe}");
     }
-    Ok(fused)
+    Ok(exe)
 }
 
 impl Graph {
-    /// Stages 1–4: graph construction, copy propagation, constant
-    /// folding and dead-write elimination.
-    fn build(p: &Program, target: &Target) -> Result<Graph, ExecError> {
+    /// Stages 1–4: graph construction, then, when `fuse` is set, copy
+    /// propagation, constant folding and dead-write elimination.
+    ///
+    /// # Errors
+    ///
+    /// An ISA mismatch, an opcode missing from the table, operands the
+    /// semantics reject (the [`ExecError::Sem`] that
+    /// [`crate::vm::execute`] raises when it reaches the instruction), an
+    /// input loaded at two different types, or more than 2^16 input
+    /// slots or pool constants.
+    fn build(p: &Program, target: &Target, fuse: bool) -> Result<Graph, ExecError> {
         // ---- 1. graph construction --------------------------------
-        let n_args = p
-            .insts()
-            .iter()
-            .map(|i| if let PKind::Op { args, .. } = &i.kind { args.len() } else { 0 })
-            .sum();
-        let mut nodes: Vec<Node> = Vec::with_capacity(p.insts().len());
+        if p.isa != target.isa {
+            return Err(ExecError::IsaMismatch { program: p.isa, target: target.isa });
+        }
+        let insts = p.insts();
+        let (mut loads, mut splats, mut n_args) = (0, 0, 0);
+        for inst in insts {
+            match &inst.kind {
+                PKind::Load { .. } => loads += 1,
+                PKind::Splat { .. } => splats += 1,
+                PKind::Op { args, .. } => n_args += args.len(),
+            }
+        }
+        let mut slot_of: HashMap<&str, u16> = HashMap::with_capacity(loads);
+        let mut const_of: HashMap<(VectorType, i128), u16> = HashMap::with_capacity(splats);
+        let mut inputs: Vec<InputSlot> = Vec::with_capacity(loads);
+        let mut consts: Vec<(VectorType, i128)> = Vec::with_capacity(splats);
+        let mut defs: Vec<Src> = Vec::with_capacity(insts.len());
+        let mut nodes: Vec<Node> = Vec::with_capacity(insts.len());
         let mut args: Vec<Src> = Vec::with_capacity(n_args);
-        let Leaves { inputs, mut consts, defs } =
-            Leaves::resolve(p, target, |i, inst, op, sem, regs, defs| {
-                let span = Span::push(&mut args, regs.iter().map(|&r| defs[r]));
-                nodes.push(Node { op, sem, ty: inst.ty, args: span, pos: i as u32, reg: inst.dst });
-                Ok(())
-            })?;
+        for (i, inst) in insts.iter().enumerate() {
+            let def = match &inst.kind {
+                PKind::Load { name } => Src::In(match slot_of.get(name.as_str()) {
+                    Some(&s) => {
+                        let first = inputs[s as usize].ty;
+                        if first != inst.ty {
+                            // Two loads of one name at different types can
+                            // never both succeed; reject at link time with
+                            // the second load's position.
+                            return Err(ExecError::InputTypeMismatch {
+                                name: name.clone(),
+                                pos: i,
+                                reg: inst.dst,
+                                declared: inst.ty,
+                                bound: first,
+                            });
+                        }
+                        s
+                    }
+                    None => {
+                        let s = index16(inputs.len(), "input slots")?;
+                        slot_of.insert(name, s);
+                        inputs.push(InputSlot {
+                            name: name.clone(),
+                            ty: inst.ty,
+                            pos: i,
+                            reg: inst.dst,
+                        });
+                        s
+                    }
+                }),
+                PKind::Splat { value } => Src::Const(match const_of.entry((inst.ty, *value)) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        let c = index16(consts.len(), "pool constants")?;
+                        consts.push((inst.ty, *value));
+                        *e.insert(c)
+                    }
+                }),
+                PKind::Op { op, args: regs } => {
+                    let (pos, reg) = (i, inst.dst);
+                    let sem =
+                        target.def(*op).ok_or(ExecError::UnknownOp { op: *op, pos, reg })?.sem;
+                    check_shape(sem, regs.iter().map(|&r| insts[r].ty), inst.ty)
+                        .map_err(|what| ExecError::Sem { op: *op, pos, reg, what })?;
+                    let span = Span::push(&mut args, regs.iter().map(|&r| defs[r]));
+                    nodes.push(Node {
+                        op: *op,
+                        sem,
+                        ty: inst.ty,
+                        args: span,
+                        pos: pos as u32,
+                        reg,
+                    });
+                    Src::Node(nodes.len() - 1)
+                }
+            };
+            defs.push(def);
+        }
         let mut out_src = defs[p.output()];
+        if !fuse {
+            let live = vec![true; nodes.len()];
+            return Ok(Graph { isa: target.isa, inputs, consts, nodes, args, live, out_src });
+        }
 
         // ---- 2+3. copy propagation and constant folding -----------
         // One in-order pass: operands resolve through earlier
@@ -341,36 +444,22 @@ impl Graph {
 }
 
 /// A link's code as it is built, the flat arrays of an [`Executable`]:
-/// stage 6's output, and the plain link's.
+/// stage 6's output.
 #[derive(Default)]
-pub(crate) struct Emitted {
-    pub(crate) code: Vec<LInst>,
-    pub(crate) operands: Vec<Operand>,
-    pub(crate) steps: Vec<FStep>,
-    pub(crate) passes: Vec<FPass>,
-    pub(crate) srcs: Vec<FSrc>,
-    pub(crate) tys: Vec<ScalarType>,
-    pub(crate) phys_regs: usize,
+struct Emitted {
+    code: Vec<LInst>,
+    operands: Vec<Operand>,
+    steps: Vec<FStep>,
+    passes: Vec<FPass>,
+    srcs: Vec<FSrc>,
+    tys: Vec<ScalarType>,
+    phys_regs: usize,
 }
 
 impl Emitted {
-    /// Room for `insts` one-step instructions reading `operands`
-    /// operands in all.
-    pub(crate) fn with_capacity(insts: usize, operands: usize) -> Emitted {
-        Emitted {
-            code: Vec::with_capacity(insts),
-            operands: Vec::with_capacity(operands),
-            steps: Vec::with_capacity(insts),
-            passes: Vec::with_capacity(insts),
-            srcs: Vec::with_capacity(operands),
-            tys: Vec::with_capacity(operands),
-            phys_regs: 0,
-        }
-    }
-
     /// Append a step of program instruction `pos` (destination `reg`)
     /// reading `srcs`, each with its element type.
-    pub(crate) fn push_step(
+    fn push_step(
         &mut self,
         op: MachOp,
         sem: MachSem,
@@ -388,33 +477,9 @@ impl Emitted {
         self.steps.push(FStep { op, sem, ty, srcs, pos, reg });
     }
 
-    /// The executable of this code.
-    pub(crate) fn executable(
-        self,
-        isa: Isa,
-        inputs: Vec<InputSlot>,
-        consts: &[(VectorType, i128)],
-        output: OutLoc,
-    ) -> Executable {
-        let Emitted { code, operands, steps, passes, srcs, tys, phys_regs } = self;
-        Executable {
-            isa,
-            inputs,
-            consts: native_pool(consts),
-            code,
-            operands,
-            steps,
-            passes,
-            srcs,
-            tys,
-            phys_regs,
-            output,
-        }
-    }
-
     /// Drop the pool entries nothing references any more (folding may
     /// have appended, baking may have orphaned) and assemble the
-    /// executable.
+    /// executable, each pool constant materialized at its own width.
     fn assemble(mut self, graph: Graph, output: OutLoc) -> Executable {
         let Graph { isa, inputs, mut consts, .. } = graph;
         let mut used = vec![false; consts.len()];
@@ -448,7 +513,22 @@ impl Emitted {
             OutLoc::Const(c) => OutLoc::Const(remap[c as usize]),
             other => other,
         };
-        self.executable(isa, inputs, &consts, output)
+        let Emitted { code, operands, steps, passes, srcs, tys, phys_regs } = self;
+        let consts =
+            consts.iter().map(|&(ty, v)| Lanes::splat(ty.elem, v, ty.lanes as usize)).collect();
+        Executable {
+            isa,
+            inputs,
+            consts,
+            code,
+            operands,
+            steps,
+            passes,
+            srcs,
+            tys,
+            phys_regs,
+            output,
+        }
     }
 }
 
@@ -460,6 +540,14 @@ struct Groups {
     owner: Vec<usize>,
     /// The next member of the node's group list (`NONE` ends it).
     next: Vec<usize>,
+}
+
+impl Groups {
+    /// No grouping: every node is its own group.
+    fn singletons(graph: &Graph) -> Groups {
+        let n = graph.nodes.len();
+        Groups { owner: (0..n).collect(), next: vec![NONE; n] }
+    }
 }
 
 /// Worklist state of stage 5. The per-group fields are stamped with the
@@ -665,7 +753,7 @@ impl<'a> Grouper<'a> {
 /// external operands, as ranges into shared buffers. A group's external
 /// operands are its members' distinct outside sources in first-use order;
 /// a single instruction keeps its operand list as the program lists it,
-/// repeats included, as the plain link does.
+/// repeats included.
 struct Root {
     node: usize,
     members: Range<usize>,
@@ -721,7 +809,7 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
     out.tys.reserve_exact(2 * n_srcs);
 
     // Last use of each root, in emission order; the output is used
-    // "after the end" — the same discipline as the linker.
+    // "after the end".
     let mut last_use = vec![NONE; nodes.len()];
     for (t, root) in roots.iter().enumerate() {
         for &s in &ext_buf[root.ext.clone()] {
@@ -790,6 +878,15 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
                 }
             }
         }
+        // A result nothing reads is computed for its error semantics and
+        // its register freed at once. Only a REFERENCE link keeps such a
+        // node: with fusion, every live node but the output has a live
+        // consumer.
+        let dst_dead = last_use[r] == NONE;
+        if dst_dead {
+            phys_of[r] = None;
+            free.push(dst);
+        }
         out.code.push(LInst {
             op: nodes[r].op,
             steps,
@@ -799,7 +896,7 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
             args,
             pos: nodes[r].pos,
             reg: nodes[r].reg,
-            dst_dead: false,
+            dst_dead,
         });
     }
     out.phys_regs = next_phys;
@@ -814,7 +911,7 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
 
 /// Per-kernel working state of [`build_passes`], reused across kernels.
 #[derive(Default)]
-pub(crate) struct PassScratch {
+struct PassScratch {
     uses: Vec<usize>,
     /// Consumer j absorbs producer t at operand k.
     absorbs: Vec<Option<(usize, usize, SemSliceFn)>>,
@@ -918,7 +1015,7 @@ impl Hasher for Mix {
 /// scalar instead ([`fpir_isa::sem_slice_fn_splat`]). Merged passes of
 /// one pair shape share one compiled closure ([`Pairs`]). Returns the
 /// span of the passes appended to `out.passes`.
-pub(crate) fn build_passes(
+fn build_passes(
     steps0: usize,
     arg_splat: &[Option<i128>],
     out: &mut Emitted,
@@ -1019,7 +1116,7 @@ fn operand_of(s: Src, phys_of: &[Option<u16>]) -> Operand {
 }
 
 /// Intern a folded splat into the pool, deduplicating by type and lane
-/// value like the linker's pool. `index` is built on the first fold, so
+/// value like stage 1. `index` is built on the first fold, so
 /// a program that folds nothing never pays for it. `None` when a new
 /// entry would not fit a 16-bit pool index: the fold is then skipped and
 /// the instruction stays.
@@ -1067,7 +1164,7 @@ mod tests {
     /// (quadratic); emission recomputes them per root and finds local
     /// indices with `position`. [`link`] must match it exactly.
     fn link_rescan(p: &Program, target: &Target) -> Executable {
-        let graph = Graph::build(p, target).unwrap();
+        let graph = Graph::build(p, target, true).unwrap();
         let (nodes, live) = (&graph.nodes, &graph.live);
         let out_node = graph.out_node();
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
@@ -1232,7 +1329,7 @@ mod tests {
     /// The FAST link and the rescan oracle produce the same executable:
     /// steps, passes, operands and listing.
     fn assert_matches_rescan(p: &Program, t: &Target, what: &str) -> Executable {
-        let got = link(p, t).unwrap();
+        let got = link(p, t, &ExecConfig::FAST).unwrap();
         let want = link_rescan(p, t);
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
         assert_eq!(got.render(), want.render(), "{what}");
@@ -1564,28 +1661,13 @@ mod tests {
         }
     }
 
+    /// The fused hot path allocates nothing in steady state either:
+    /// intermediates live in the context's scratch rows, the result in a
+    /// recycled buffer.
     #[test]
     fn fused_steady_state_runs_are_allocation_free() {
-        // The fused hot path must preserve PR 4's zero-allocation
-        // guarantee: intermediates live in stack scalars, the result in
-        // a recycled buffer.
-        let t = V::new(S::U8, 64);
-        let e = chain_expr(t);
-        let (_, _, fused) = both(&e, Isa::ArmNeon);
-        let env = Env::new().bind("a", Value::splat(7, t)).bind("b", Value::splat(9, t));
-        let mut ctx = fused.new_ctx();
-        let out = fused.run(&mut ctx, &env).unwrap();
-        ctx.recycle(out);
-        let primed = ctx.buffer_allocs();
-        for _ in 0..100 {
-            let out = fused.run(&mut ctx, &env).unwrap();
-            ctx.recycle(out);
-        }
-        assert_eq!(
-            ctx.buffer_allocs(),
-            primed,
-            "steady-state fused invocations must not allocate lane buffers"
-        );
-        assert_eq!(ctx.invocations(), 101);
+        let (_, _, fused) = both(&chain_expr(V::new(S::U8, 64)), Isa::ArmNeon);
+        assert!(fused.fused_count() >= 1, "{fused}");
+        crate::exec::tests::assert_steady_state_is_allocation_free(&fused, 7);
     }
 }

@@ -1,5 +1,5 @@
 //! Static verification of linked [`Executable`]s — an independent audit
-//! of what [`Executable::link`] produced, without running anything.
+//! of what [`Executable::link_with`] produced, without running anything.
 //!
 //! The linked engine trades the reference VM's per-step checks for raw
 //! speed: operands are raw indices, dispatch is direct, and the hot loop
@@ -30,7 +30,7 @@
 //!   count, and each step's operands pass [`fpir_isa::check_shape`]:
 //!   one per the semantics' arity, all at the step's lane count, and the
 //!   widening accumulator shapes hold (`WideningMulAcc` 2×, `DotAcc4`
-//!   4×) — the rule both links apply to every instruction they link, so
+//!   4×) — the rule the linker applies to every instruction, so
 //!   no compiled step kernel sees operands its semantics reject;
 //! * **`fused-shape`** — a kernel's audit trail holds together: its
 //!   1..=32 steps, its passes and their sources lie inside the
@@ -44,8 +44,8 @@
 //!   same lane table as [`fpir_isa::eval_sem_into`], run exactly the
 //!   program instructions they stand for.
 //!
-//! Both links ([`Executable::link`] and the FAST link) run this in
-//! debug builds on everything they produce, [`crate::difftest`] runs it
+//! The linker runs this in debug builds on everything it produces, in
+//! both configurations, [`crate::difftest`] runs it
 //! on every artifact it tests, and `pitchforkd` audits every artifact
 //! entering its cache in debug builds — so a linker regression is caught
 //! at the artifact boundary, with a named check and a program position,
@@ -565,7 +565,7 @@ mod tests {
     fn linked(e: &fpir::RcExpr, isa: Isa) -> Executable {
         let t = target(isa);
         let p = emit(&legalize(e, t).unwrap(), t).unwrap();
-        Executable::link(&p, t).unwrap()
+        Executable::link_with(&p, t, &ExecConfig::REFERENCE).unwrap()
     }
 
     fn sample() -> Executable {
@@ -744,7 +744,8 @@ mod tests {
         );
         let tgt = target(Isa::ArmNeon);
         let lowered = pitchfork::Pitchfork::new(Isa::ArmNeon).compile(&e).unwrap().lowered;
-        let mut exe = Executable::link(&emit(&lowered, tgt).unwrap(), tgt).unwrap();
+        let p = emit(&lowered, tgt).unwrap();
+        let mut exe = Executable::link_with(&p, tgt, &ExecConfig::REFERENCE).unwrap();
         let step = exe
             .steps
             .iter()

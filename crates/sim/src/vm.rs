@@ -71,7 +71,7 @@ pub enum ExecError {
         what: String,
     },
     /// More values were bound positionally than the executable has input
-    /// slots ([`crate::exec::Executable::run_slots`]).
+    /// slots ([`crate::exec::Executable::run_lanes`]).
     ExtraSlots {
         /// How many values were bound.
         given: usize,

@@ -61,10 +61,10 @@ fn fast_link(p: &Program, isa: Isa) -> (Executable, u64) {
 }
 
 /// The allocations of a FAST link of `p` not accounted for by a pass,
-/// an input slot or a pool constant of the plain link (a folded
+/// an input slot or a pool constant of the REFERENCE link (a folded
 /// constant may add a pool entry, and folding removes an instruction).
 fn overhead(p: &Program, isa: Isa) -> (u64, Executable) {
-    let plain = Executable::link(p, target(isa)).unwrap();
+    let plain = Executable::link_with(p, target(isa), &ExecConfig::REFERENCE).unwrap();
     let (exe, n) = fast_link(p, isa);
     let folded = plain.op_count() - exe.step_count();
     let per_item = exe.pass_count() + exe.inputs().len() + plain.const_count() + folded;

@@ -1,7 +1,8 @@
 //! Differential properties of the three execution engines.
 //!
-//! The linked engine ([`fpir_sim::Executable`]) and the fused engine
-//! ([`fpir_sim::ExecConfig::FAST`]) must be observationally identical to
+//! The linked engine ([`fpir_sim::Executable`]), linked one kernel per
+//! instruction ([`fpir_sim::ExecConfig::REFERENCE`]) and fused
+//! ([`fpir_sim::ExecConfig::FAST`]), must be observationally identical to
 //! the reference VM ([`fpir_sim::execute`]): the *same `Result`* on
 //! every program and environment — equal values on success and equal
 //! [`fpir_sim::ExecError`]s on failure, including which input a broken
@@ -41,7 +42,7 @@ proptest! {
             let t = target(isa);
             let Ok(m) = legalize(&e, t) else { continue };
             let p = emit(&m, t).unwrap();
-            let exe = Executable::link(&p, t).unwrap();
+            let exe = Executable::link_with(&p, t, &ExecConfig::REFERENCE).unwrap();
             let fused = Executable::link_with(&p, t, &ExecConfig::FAST).unwrap();
             let mut ctx = exe.new_ctx();
             let mut fctx = fused.new_ctx();
@@ -52,12 +53,6 @@ proptest! {
                 let fout = fused.run(&mut fctx, &env);
                 prop_assert_eq!(&fast, &reference, "{} diverged on {}", isa, e);
                 prop_assert_eq!(&fout, &reference, "{} fused diverged on {}", isa, e);
-                if let Ok(v) = fast {
-                    ctx.recycle(v);
-                }
-                if let Ok(v) = fout {
-                    fctx.recycle(v);
-                }
             }
         }
     }
@@ -81,7 +76,7 @@ proptest! {
             let t = target(isa);
             let Ok(m) = legalize(&e, t) else { continue };
             let p = emit(&m, t).unwrap();
-            let exe = Executable::link(&p, t).unwrap();
+            let exe = Executable::link_with(&p, t, &ExecConfig::REFERENCE).unwrap();
             let fused = Executable::link_with(&p, t, &ExecConfig::FAST).unwrap();
             let mut ctx = exe.new_ctx();
             let mut fctx = fused.new_ctx();
