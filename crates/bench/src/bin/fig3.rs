@@ -14,64 +14,6 @@
 //!
 //! Usage: `cargo run --release -p fpir-bench --bin fig3`
 
-use fpir::build::*;
-use fpir::types::{ScalarType as S, VectorType as V};
-use fpir::RcExpr;
-use fpir_baseline::LlvmBaseline;
-use pitchfork::{compile_to_executable, Artifact, Pitchfork};
-
-const LANES: u32 = 128;
-
-fn kernel(a: &str, b: &str, c: &str) -> RcExpr {
-    let t = V::new(S::U8, LANES);
-    add(
-        add(widen(var(a, t)), mul(widen(var(b, t)), constant(2, V::new(S::U16, LANES)))),
-        widen(var(c, t)),
-    )
-}
-
 fn main() {
-    let exprs: Vec<(&str, RcExpr)> = vec![
-        ("(a) u16(a_u8) + u16(b_u8) * 2 + u16(c_u8)", kernel("a", "b", "c")),
-        ("(b) absd(x_u16, y_u16) via select", {
-            let t = V::new(S::U16, LANES);
-            let (x, y) = (var("x", t), var("y", t));
-            select(lt(x.clone(), y.clone()), sub(y.clone(), x.clone()), sub(x.clone(), y.clone()))
-        }),
-        ("(c) u8(min(z_u16, 255)), z = bounded kernel", {
-            let z = kernel("a", "b", "c");
-            cast(S::U8, min(z.clone(), splat(255, &z)))
-        }),
-    ];
-
-    for (title, e) in &exprs {
-        println!("==============================================================");
-        println!("{title}\n");
-        for isa in fpir::machine::ALL_ISAS {
-            let a_pf = compile_to_executable(&Pitchfork::new(isa), e).expect("pitchfork compiles");
-            let bl = LlvmBaseline::new(isa).compile(e).expect("baseline compiles");
-            let a_bl = Artifact::from_lowered(bl.lowered, isa).expect("baseline finishes");
-            println!(
-                "--- {isa}: Pitchfork {} ops / {} cycles / {} fused / {} regs \
-                 vs LLVM {} ops / {} cycles / {} fused / {} regs ({:.2}x)",
-                a_pf.program.op_count(),
-                a_pf.cycles,
-                a_pf.exe.fused_count(),
-                a_pf.exe.peak_regs(),
-                a_bl.program.op_count(),
-                a_bl.cycles,
-                a_bl.exe.fused_count(),
-                a_bl.exe.peak_regs(),
-                a_bl.cycles as f64 / a_pf.cycles as f64
-            );
-            println!("  Pitchfork:");
-            for line in a_pf.program.render().lines() {
-                println!("    {line}");
-            }
-            println!("  LLVM:");
-            for line in a_bl.program.render().lines() {
-                println!("    {line}");
-            }
-        }
-    }
+    print!("{}", fpir_bench::figures::fig3());
 }

@@ -11,108 +11,7 @@
 //!
 //! Usage: `cargo run --release -p fpir-bench --bin fig5 [--no-validate]`
 
-use fpir::Isa;
-use fpir_bench::{geomean, rake_supports, run, validate, Compiler};
-use fpir_workloads::all_workloads;
-
-/// The paper's headline geomean for a target, if it was evaluated there.
-fn paper_speedup(isa: Isa) -> Option<&'static str> {
-    match isa {
-        Isa::X86Avx2 => Some("1.31x"),
-        Isa::ArmNeon => Some("1.82x"),
-        Isa::HexagonHvx => Some("2.44x"),
-        _ => None,
-    }
-}
-
-fn paper_rake_gap(isa: Isa) -> Option<&'static str> {
-    match isa {
-        Isa::ArmNeon => Some("Pitchfork within ~2% of Rake"),
-        Isa::HexagonHvx => Some("Pitchfork ~13% behind Rake"),
-        _ => None,
-    }
-}
-
 fn main() {
     let no_validate = std::env::args().any(|a| a == "--no-validate");
-    let isas = fpir::machine::ALL_ISAS;
-    let rake_isas: Vec<Isa> = isas.into_iter().filter(|i| rake_supports(*i)).collect();
-    println!("Figure 5: runtime speedup over LLVM instruction selection");
-    println!("(cycle model; leave-one-out synthesized rules, as in §5)\n");
-    print!("{:<16}", "benchmark");
-    for isa in isas {
-        print!(" {:>9}", isa.short_name());
-    }
-    for isa in &rake_isas {
-        print!(" {:>11}", format!("Rake {}", isa.short_name()));
-    }
-    println!();
-
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); isas.len()];
-    let mut rake_gap: Vec<Vec<f64>> = vec![Vec::new(); rake_isas.len()];
-    let mut fallback_notes: Vec<String> = Vec::new();
-
-    for wl in all_workloads() {
-        let mut row = vec![f64::NAN; isas.len() + rake_isas.len()];
-        for (i, isa) in isas.iter().enumerate() {
-            let llvm = run(&wl, *isa, &Compiler::Llvm)
-                .unwrap_or_else(|e| panic!("LLVM failed on {}/{isa}: {e}", wl.name()));
-            let pf = run(&wl, *isa, &Compiler::Pitchfork)
-                .unwrap_or_else(|e| panic!("Pitchfork failed on {}/{isa}: {e}", wl.name()));
-            if !no_validate {
-                validate(&wl, *isa, &llvm, 8).expect("baseline must be correct");
-                validate(&wl, *isa, &pf, 8).expect("pitchfork must be correct");
-            }
-            if llvm.used_rmulshr_fallback {
-                fallback_notes.push(format!("{} on {isa}", wl.name()));
-            }
-            let speedup = llvm.artifact.cycles as f64 / pf.artifact.cycles as f64;
-            row[i] = speedup;
-            speedups[i].push(speedup);
-            // Rake comparison where the Rake reproduction has a backend.
-            if let Some(j) = rake_isas.iter().position(|r| r == isa) {
-                let rk = run(&wl, *isa, &Compiler::Rake)
-                    .unwrap_or_else(|e| panic!("Rake failed on {}/{isa}: {e}", wl.name()));
-                if !no_validate {
-                    validate(&wl, *isa, &rk, 8).expect("rake must be correct");
-                }
-                let rk_speedup = llvm.artifact.cycles as f64 / rk.artifact.cycles as f64;
-                row[isas.len() + j] = rk_speedup;
-                rake_gap[j].push(pf.artifact.cycles as f64 / rk.artifact.cycles as f64);
-            }
-        }
-        print!("{:<16}", wl.name());
-        for (k, v) in row.iter().enumerate() {
-            if k < isas.len() {
-                print!(" {:>8.2}x", v);
-            } else {
-                print!(" {:>10.2}x", v);
-            }
-        }
-        println!();
-    }
-
-    println!("\ngeomean speedup over LLVM:");
-    for (i, isa) in isas.iter().enumerate() {
-        let note = match paper_speedup(*isa) {
-            Some(p) => format!("   (paper: {p})"),
-            None => String::from("   (post-paper target)"),
-        };
-        println!("  {:<4} {:.2}x{note}", isa.short_name(), geomean(&speedups[i]));
-    }
-    println!("\nPitchfork runtime relative to Rake (cycles_pf / cycles_rake):");
-    for (j, isa) in rake_isas.iter().enumerate() {
-        let note = match paper_rake_gap(*isa) {
-            Some(p) => format!("   (paper: {p})"),
-            None => String::new(),
-        };
-        println!("  {:<4} {:.2}{note}", isa.short_name(), geomean(&rake_gap[j]));
-    }
-    if !fallback_notes.is_empty() {
-        println!(
-            "\nNote (§5.1): LLVM could not compile these and was given Pitchfork's\n\
-             rounding_mul_shr lowering: {}",
-            fallback_notes.join(", ")
-        );
-    }
+    print!("{}", fpir_bench::figures::fig5(!no_validate));
 }

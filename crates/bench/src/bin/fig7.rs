@@ -12,57 +12,6 @@
 //!
 //! Usage: `cargo run --release -p fpir-bench --bin fig7`
 
-use fpir::Isa;
-use fpir_bench::{geomean, run, validate, Compiler};
-use fpir_workloads::all_workloads;
-
-/// The paper's headline ablation gain, if the target was evaluated.
-fn paper_gain(isa: Isa) -> Option<&'static str> {
-    match isa {
-        Isa::ArmNeon => Some("1.09x"),
-        Isa::HexagonHvx => Some("1.14x"),
-        _ => None,
-    }
-}
-
 fn main() {
-    let isas = fpir::machine::ALL_ISAS;
-    println!("Figure 7: speedup of full rules over hand-written rules only\n");
-    print!("{:<16}", "benchmark");
-    for isa in isas {
-        print!(" {:>9}", isa.short_name());
-    }
-    println!();
-    let mut gains: Vec<Vec<f64>> = vec![Vec::new(); isas.len()];
-    for wl in all_workloads() {
-        let mut row = vec![0.0f64; isas.len()];
-        for (i, isa) in isas.iter().enumerate() {
-            let hand = run(&wl, *isa, &Compiler::PitchforkHandWritten)
-                .unwrap_or_else(|e| panic!("hand-written failed on {}/{isa}: {e}", wl.name()));
-            let full = run(&wl, *isa, &Compiler::PitchforkFull)
-                .unwrap_or_else(|e| panic!("full failed on {}/{isa}: {e}", wl.name()));
-            validate(&wl, *isa, &hand, 4).expect("hand-written must be correct");
-            validate(&wl, *isa, &full, 4).expect("full must be correct");
-            row[i] = hand.artifact.cycles as f64 / full.artifact.cycles as f64;
-            gains[i].push(row[i]);
-        }
-        print!("{:<16}", wl.name());
-        for v in &row {
-            print!(" {v:>8.2}x");
-        }
-        println!();
-    }
-    println!("\ngeomean gain from synthesized rules:");
-    for (i, isa) in isas.iter().enumerate() {
-        let note = match paper_gain(*isa) {
-            Some(p) => format!("   (paper: {p})"),
-            None => String::from("   (post-paper target)"),
-        };
-        println!("  {:<4} {:.2}x{note}", isa.short_name(), geomean(&gains[i]));
-    }
-    let hvx_col = isas.iter().position(|i| *i == Isa::HexagonHvx);
-    if let Some(i) = hvx_col {
-        let max_hvx = gains[i].iter().cloned().fold(0.0f64, f64::max);
-        println!("  max single-benchmark HVX gain {max_hvx:.2}x   (paper: 4.99x on average_pool)");
-    }
+    print!("{}", fpir_bench::figures::fig7());
 }

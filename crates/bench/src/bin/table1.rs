@@ -6,20 +6,6 @@
 //!
 //! Usage: `cargo run -p fpir-bench --bin table1`
 
-use fpir::expr::ALL_FPIR_OPS;
-use fpir::semantics::table1_row;
-
 fn main() {
-    println!("Table 1: FPIR instructions and semantics\n");
-    println!("{:<42} semantics", "FPIR instruction");
-    println!("{:-<42} {:-<60}", "", "");
-    for op in ALL_FPIR_OPS {
-        let (name, def) = table1_row(op);
-        println!("{name:<42} {def}");
-    }
-    println!(
-        "\nEvery row is verified against the direct interpreter exhaustively\n\
-         at 8 bits and on boundary-biased samples at 16/32 bits\n\
-         (crates/fpir/tests/table1_semantics.rs)."
-    );
+    print!("{}", fpir_bench::figures::table1());
 }

@@ -4,11 +4,14 @@
 //! [`Compiler`], prices it with the cycle model, validates it against the
 //! reference interpreter, and reports compile time — everything the
 //! `fig3`/`fig5`/`fig6`/`fig7` binaries and the speed benches share.
+//! [`figures`] builds the text of the deterministic figures and tables,
+//! which their binaries print.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod figures;
 pub mod geomean;
 
 use fpir::expr::{Expr, ExprKind, RcExpr};

@@ -226,14 +226,6 @@ macro_rules! storage_enums {
                     }
                 }
                 #[inline]
-                fn slice(v: &[$t]) -> Slice<'_> {
-                    Slice::$v(v)
-                }
-                #[inline]
-                fn slice_mut(v: &mut [$t]) -> SliceMut<'_> {
-                    SliceMut::$v(v)
-                }
-                #[inline]
                 fn load(self) -> i64 {
                     self as i64
                 }
@@ -272,8 +264,6 @@ pub(crate) trait Native: Copy + Default + Send + Sync + 'static {
     /// the types it was built for; the verifier audits the sources).
     fn of(s: Slice<'_>) -> &[Self];
     fn of_mut(s: SliceMut<'_>) -> &mut [Self];
-    fn slice(v: &[Self]) -> Slice<'_>;
-    fn slice_mut(v: &mut [Self]) -> SliceMut<'_>;
     /// The lane in a 64-bit word: exact for every type but `u64`, whose
     /// kernels compute at `i128`.
     fn load(self) -> i64;

@@ -58,6 +58,5 @@ pub use def::{
 pub use lanes::{Lanes, Slice, SliceMut};
 pub use legalize::{legalize, legalize_uncached, LowerError};
 pub use sem::{
-    check_shape, eval_sem, eval_sem_into, pair_merges, sem_slice_fn, sem_slice_fn_pair,
-    sem_slice_fn_splat, MachSem, SemSliceFn,
+    check_shape, eval_sem, eval_sem_into, sem_slice_fn, sem_slice_fn_splat, MachSem, SemSliceFn,
 };

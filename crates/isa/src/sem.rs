@@ -17,8 +17,7 @@
 //! table* that builds one lane closure per semantic and hands it to a
 //! sink. The three evaluators — [`eval_sem_into`], [`sem_slice_fn`] and
 //! [`sem_slice_fn_splat`] — are sinks over that table that differ only in
-//! the loop around the closure, so they agree by construction; a fused
-//! pair ([`sem_slice_fn_pair`]) runs two of those kernels chunk by chunk.
+//! the loop around the closure, so they agree by construction.
 //!
 //! The table builds *type-specialized* closures: whatever depends only on
 //! the element types is computed once, when the closure is built, and
@@ -1623,107 +1622,6 @@ impl LaneSink for Capture<'_> {
     }
 }
 
-// ---- fused pairs --------------------------------------------------------
-
-/// Whether absorbing producer `p`'s loop into consumer `c`'s pays off.
-/// Fusing a pair saves a scratch-row round trip and a dispatch, but the
-/// wider merged loop body also optimizes worse than two tight two-operand
-/// loops; for cheap lane-wise ops (add, min/max, logic) the second effect
-/// dominates and the merged loop measures *slower*. Only multiply-class
-/// pairs — where the op cost dwarfs the loop-shape penalty — are worth
-/// merging (and even then the fuser skips the pair when either side holds
-/// a splat-constant operand, which is worth more as a captured scalar).
-fn pair_profitable(p: MachSem, c: MachSem) -> bool {
-    let mul = |s: MachSem| matches!(s, MachSem::Bin(BinOp::Mul) | MachSem::Fpir(_));
-    mul(p) || mul(c)
-}
-
-/// Whether a fused pass absorbs producer `p` into consumer `c`
-/// ([`sem_slice_fn_pair`]): only when the pair is multiply-class (a
-/// `Bin(Mul)` or FPIR step on either side; cheaper
-/// pairs run slower merged than as two loops) and lane-wise — a
-/// `Bin(Mul)` consumer absorbs any `Bin`, wrapping-cast or FPIR producer,
-/// and every other `Bin` or wrapping-cast consumer a `Bin(Mul)` or FPIR
-/// one. Otherwise the caller keeps the two separate passes.
-pub fn pair_merges(p: MachSem, c: MachSem) -> bool {
-    let mul_class = matches!(p, MachSem::Bin(BinOp::Mul) | MachSem::Fpir(_));
-    let cast = |s| {
-        matches!(s, MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat)
-    };
-    pair_profitable(p, c)
-        && match c {
-            MachSem::Bin(BinOp::Mul) => mul_class || cast(p) || matches!(p, MachSem::Bin(_)),
-            MachSem::Bin(_) => mul_class,
-            _ => cast(c) && mul_class,
-        }
-}
-
-/// Compile a *fused pair*: a single-use producer absorbed into operand
-/// `k` of its consumer, evaluated in one pass with the intermediate held
-/// in a stack buffer of up to 128 lanes instead of a scratch
-/// row. `p` and `c` are the two steps' kernels ([`sem_slice_fn`] or
-/// their captured forms), `p_arity` the producer's operand count and
-/// `p_result` its result type; [`pair_merges`] decides which pairs merge.
-/// The pass runs the two kernels chunk by chunk, so it is bit-identical
-/// to running the producer into a temporary strip and the consumer after
-/// it, pinned by `fused_pairs_match_sequential_passes`.
-///
-/// # Preconditions
-///
-/// As [`sem_slice_fn`]: shape checks are not repeated. `k <
-/// consumer.arity()`; the returned closure reads the producer's operands
-/// first, then the consumer's remaining operands (in order, with operand
-/// `k` removed), every slice exactly `out.len()` lanes long.
-pub fn sem_slice_fn_pair(
-    p: SemSliceFn,
-    p_arity: usize,
-    p_result: ScalarType,
-    c: SemSliceFn,
-    k: usize,
-) -> SemSliceFn {
-    macro_rules! pair {
-        ($($v:ident $t:ty),*) => {
-            match p_result { $(ScalarType::$v => pair_kernel::<$t>(p, c, p_arity, k),)* }
-        };
-    }
-    natives!(pair)
-}
-
-/// The lanes a fused pair's producer computes into its stack buffer at a
-/// time.
-const PAIR_CHUNK: usize = 128;
-
-/// A fused pair whose producer's result is stored as `T`.
-fn pair_kernel<T: Native>(p: SemSliceFn, c: SemSliceFn, np: usize, k: usize) -> SemSliceFn {
-    kernel(move |xs, mut out| {
-        let mut tmp = [T::default(); PAIR_CHUNK];
-        let n = out.len();
-        let mut start = 0;
-        while start < n {
-            let m = PAIR_CHUNK.min(n - start);
-            let mut ys = [Slice::U8(&[]); MAX_ARITY];
-            for (y, x) in ys.iter_mut().zip(&xs[..np]) {
-                *y = x.slice(start..start + m);
-            }
-            p(&ys[..np], T::slice_mut(&mut tmp[..m]));
-            let mut others = xs[np..].iter();
-            let nc = xs.len() - np + 1;
-            for (j, y) in ys[..nc].iter_mut().enumerate() {
-                *y = match j == k {
-                    true => T::slice(&tmp[..m]),
-                    false => {
-                        others.next().expect("the consumer's operands").slice(start..start + m)
-                    }
-                };
-            }
-            let (head, tail) = out.split_at(m);
-            c(&ys[..nc], head);
-            out = tail;
-            start += m;
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2435,91 +2333,6 @@ mod tests {
                 assert_eq!(got, [want], "{op:?} {xs:?} captured");
             }
         }
-    }
-
-    #[test]
-    fn fused_pairs_match_sequential_passes() {
-        // For every type-compatible ordered pair of semantics and every
-        // consumer operand position, the one-loop fused pair must be
-        // bit-identical to running the two compiled strip kernels back to
-        // back through a temporary. Pairs the composer declines (not
-        // multiply-class, or not lane-wise) are skipped — the engine keeps
-        // separate passes for those.
-        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 16) as i128
-        };
-        const LANES: usize = 8;
-        let fp = |op| MachSem::Fpir(op);
-        let cases: Vec<(MachSem, Vec<S>, S)> = vec![
-            (MachSem::Bin(BinOp::Add), vec![S::I16, S::I16], S::I16),
-            (MachSem::Bin(BinOp::Mul), vec![S::U8, S::U8], S::U8),
-            (MachSem::Bin(BinOp::Max), vec![S::I16, S::I16], S::I16),
-            (MachSem::Cmp(CmpOp::Gt), vec![S::I16, S::I16], S::I16),
-            (MachSem::Select, vec![S::I16, S::I16, S::I16], S::I16),
-            (MachSem::ExtendTo, vec![S::U8], S::I16),
-            (MachSem::TruncTo, vec![S::I16], S::U8),
-            (MachSem::SatCastTo, vec![S::I16], S::U8),
-            (MachSem::PackSatSignedTo, vec![S::I16], S::U8),
-            (MachSem::MulHigh, vec![S::I16, S::I16], S::I16),
-            (MachSem::WideningMulAcc, vec![S::I16, S::U8, S::U8], S::I16),
-            (MachSem::ShrRndSatNarrow, vec![S::I16, S::I16], S::U8),
-            (MachSem::QRDMulH, vec![S::I16, S::I16], S::I16),
-            (fp(FpirOp::WideningAdd), vec![S::U8, S::U8], S::I16),
-            (fp(FpirOp::SaturatingAdd), vec![S::I16, S::I16], S::I16),
-            (fp(FpirOp::Absd), vec![S::U8, S::U8], S::U8),
-            (fp(FpirOp::RoundingMulShr), vec![S::I16, S::I16, S::I16], S::I16),
-            (MachSem::MulPairsAdd, vec![S::I16; 4], S::I16),
-        ];
-        let mut fused_pairs = 0usize;
-        for (p_sem, p_tys, p_res) in &cases {
-            for (c_sem, c_tys, c_res) in &cases {
-                for k in 0..c_tys.len() {
-                    if c_tys[k] != *p_res {
-                        continue;
-                    }
-                    if !pair_merges(*p_sem, *c_sem) {
-                        continue;
-                    }
-                    let pair = sem_slice_fn_pair(
-                        sem_slice_fn(*p_sem, p_tys, *p_res),
-                        p_tys.len(),
-                        *p_res,
-                        sem_slice_fn(*c_sem, c_tys, *c_res),
-                        k,
-                    );
-                    assert!(pair_profitable(*p_sem, *c_sem), "{p_sem:?} -> {c_sem:?} merged");
-                    fused_pairs += 1;
-                    let mut fill =
-                        |t: S| -> Vec<i128> { (0..LANES).map(|_| t.wrap(next())).collect() };
-                    let p_args: Vec<Vec<i128>> = p_tys.iter().map(|&t| fill(t)).collect();
-                    let c_others: Vec<Vec<i128>> = c_tys
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != k)
-                        .map(|(_, &t)| fill(t))
-                        .collect();
-                    // Sequential: producer into a temp strip, consumer after.
-                    let tmp = run(&sem_slice_fn(*p_sem, p_tys, *p_res), p_tys, &p_args, *p_res);
-                    let mut c_args = c_others.clone();
-                    c_args.insert(k, tmp);
-                    let want = run(&sem_slice_fn(*c_sem, c_tys, *c_res), c_tys, &c_args, *c_res);
-                    // Fused: one pass over producer args + consumer others.
-                    let mut fused_tys = p_tys.clone();
-                    fused_tys
-                        .extend(c_tys.iter().enumerate().filter(|&(j, _)| j != k).map(|x| x.1));
-                    let mut fused_args = p_args.clone();
-                    fused_args.extend(c_others);
-                    let got = run(&pair, &fused_tys, &fused_args, *c_res);
-                    assert_eq!(got, want, "{p_sem:?} -> {c_sem:?} at operand {k}");
-                }
-            }
-        }
-        // Pinned exactly, so a refactor cannot silently widen or narrow
-        // which pairs merge: the multiply-class, lane-wise pairs among the
-        // cases above.
-        assert_eq!(fused_pairs, 23, "merged pair coverage changed");
     }
 
     #[test]

@@ -33,16 +33,16 @@
 //!   4×) — the rule the linker applies to every instruction, so
 //!   no compiled step kernel sees operands its semantics reject;
 //! * **`fused-shape`** — a kernel's audit trail holds together: its
-//!   1..=32 steps, its passes and their sources lie inside the
-//!   executable's flat arrays, temp references point at *earlier* steps,
-//!   external-operand indices are in range with element types matching
-//!   the recorded per-step types, every step has the kernel's lane
-//!   count, step positions strictly increase, every external operand is
-//!   read, the final step is the instruction's own op/type/position, and
-//!   the passes complete every step exactly once, in order, from sources
-//!   matching the steps — so the compiled step kernels, built from the
-//!   same lane table as [`fpir_isa::eval_sem_into`], run exactly the
-//!   program instructions they stand for.
+//!   1..=32 steps and their sources lie inside the executable's flat
+//!   arrays, temp references point at *earlier* steps, external-operand
+//!   indices are in range with element types matching the recorded
+//!   per-step types, every step has the kernel's lane count, step
+//!   positions strictly increase, every external operand is read, a
+//!   step's captured operand is a source that reads a pool constant, and
+//!   the final step is the instruction's own op/type/position — so the
+//!   compiled step kernels, built from the same lane table as
+//!   [`fpir_isa::eval_sem_into`], run exactly the program instructions
+//!   they stand for.
 //!
 //! The linker runs this in debug builds on everything it produces, in
 //! both configurations, [`crate::difftest`] runs it
@@ -51,9 +51,7 @@
 //! at the artifact boundary, with a named check and a program position,
 //! not as a scrambled image three layers up.
 
-use crate::exec::{
-    lanes_ty, Executable, FSrc, LInst, Operand, OutLoc, Span, MAX_OPERANDS, MAX_STEPS,
-};
+use crate::exec::{lanes_ty, Executable, FSrc, LInst, Operand, OutLoc, MAX_OPERANDS, MAX_STEPS};
 use fpir::types::VectorType;
 use fpir_isa::Target;
 use std::collections::HashSet;
@@ -295,7 +293,7 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
             }
         }
 
-        verify_kernel(exe, inst, &operand_tys, table)?;
+        verify_kernel(exe, inst, args, &operand_tys, table)?;
 
         defined[inst.dst as usize] = if inst.dst_dead { None } else { Some(inst.ty) };
     }
@@ -348,6 +346,7 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
 fn verify_kernel(
     exe: &Executable,
     inst: &LInst,
+    args: &[Operand],
     operand_tys: &[VectorType],
     table: &Target,
 ) -> Result<(), ArtifactError> {
@@ -356,28 +355,11 @@ fn verify_kernel(
     let fail = |detail: String| err(C::FusedShape, Some(pos), detail);
     // Every span must lie inside its array, and a source span inside
     // both parallel arrays, before anything is read through it.
-    let srcs_of =
-        |what: &str, i: usize, s: Span| match (exe.srcs.get(s.range()), exe.tys.get(s.range())) {
-            (Some(srcs), Some(tys)) => Ok((srcs, tys)),
-            _ => Err(fail(format!(
-                "{what} {i} sources {:?} outside the source arrays ({} sources, {} types)",
-                s.range(),
-                exe.srcs.len(),
-                exe.tys.len()
-            ))),
-        };
     let steps = exe.steps.get(inst.steps.range()).ok_or_else(|| {
         fail(format!(
             "steps {:?} outside the step array of {}",
             inst.steps.range(),
             exe.steps.len()
-        ))
-    })?;
-    let passes = exe.passes.get(inst.passes.range()).ok_or_else(|| {
-        fail(format!(
-            "passes {:?} outside the pass array of {}",
-            inst.passes.range(),
-            exe.passes.len()
         ))
     })?;
 
@@ -414,7 +396,15 @@ fn verify_kernel(
                 ));
             }
         }
-        let (srcs, tys) = srcs_of("step", j, step.srcs)?;
+        let range = step.srcs.range();
+        let (Some(srcs), Some(tys)) = (exe.srcs.get(range.clone()), exe.tys.get(range.clone()))
+        else {
+            return Err(fail(format!(
+                "step {j} sources {range:?} outside the source arrays ({} sources, {} types)",
+                exe.srcs.len(),
+                exe.tys.len()
+            )));
+        };
         if step.ty.lanes != inst.ty.lanes {
             return Err(fail(format!(
                 "step {j} has {} lanes, the kernel walks {}",
@@ -454,6 +444,19 @@ fn verify_kernel(
                 }
             }
         }
+        // A captured operand must be a pool constant: the compiled loop
+        // holds its splat scalar and never reads the operand.
+        if let Some(k) = step.captured {
+            let reads_const = match srcs.get(k as usize) {
+                Some(&FSrc::Arg(a)) => matches!(args[a as usize], Operand::Const(_)),
+                _ => false,
+            };
+            if !reads_const {
+                return Err(fail(format!(
+                    "step {j} captures source {k}, which reads no pool constant"
+                )));
+            }
+        }
         let operand = |src: &FSrc| match *src {
             FSrc::Arg(a) => operand_tys[a as usize],
             FSrc::Tmp(t) => steps[t as usize].ty,
@@ -479,82 +482,13 @@ fn verify_kernel(
     if let Some(a) = arg_read[..n_args].iter().position(|&r| !r) {
         return Err(fail(format!("external operand {a} is never read by any step")));
     }
-
-    // The execution schedule must complete every audited step exactly
-    // once, in order, with each pass's sources derived verbatim from the
-    // step(s) it covers. (The compiled closures themselves are derived
-    // data pinned by tests in `fpir-isa`; this audits the wiring.)
-    let mut completed_by = [None::<usize>; MAX_STEPS];
-    let mut prev_last = None::<u16>;
-    for (p, pass) in passes.iter().enumerate() {
-        let j = pass.last as usize;
-        if j >= steps.len() {
-            return Err(fail(format!("pass {p} completes step {j} of {}", steps.len())));
-        }
-        if prev_last.is_some_and(|prev| pass.last <= prev) {
-            return Err(fail(format!("pass {p} completes step {j} out of order")));
-        }
-        prev_last = Some(pass.last);
-        completed_by[j] = Some(p);
-        let (srcs, _) = srcs_of("pass", p, pass.srcs)?;
-        let step_srcs = |i: usize| &exe.srcs[steps[i].srcs.range()];
-        match pass.absorbed {
-            None => {
-                if srcs != step_srcs(j) {
-                    return Err(fail(format!("pass {p} sources disagree with step {j}")));
-                }
-            }
-            Some(t) => {
-                let t = t as usize;
-                if t >= j {
-                    return Err(fail(format!(
-                        "pass {p} absorbs step {t}, not before the step it completes ({j})"
-                    )));
-                }
-                if completed_by[t].is_some() {
-                    return Err(fail(format!("pass {p} absorbs step {t}, already completed")));
-                }
-                completed_by[t] = Some(p);
-                // The absorbed step must be the consumer's operand at
-                // exactly one position, and the pass's sources must be
-                // the producer's followed by the consumer's others.
-                let mut dropped = false;
-                let want = step_srcs(t).iter().chain(step_srcs(j).iter().filter(|&&s| {
-                    let hit = !dropped && s == FSrc::Tmp(t as u16);
-                    dropped |= hit;
-                    !hit
-                }));
-                if !srcs.iter().eq(want) {
-                    return Err(fail(format!(
-                        "pass {p} sources disagree with steps {t}+{j} merged"
-                    )));
-                }
-            }
-        }
-    }
-    if let Some(j) = completed_by[..steps.len()].iter().position(|c| c.is_none()) {
-        return Err(fail(format!("step {j} is completed by no pass")));
-    }
-    // A pass may only read scratch rows that some earlier pass wrote:
-    // absorbed steps never materialize theirs.
-    for (p, pass) in passes.iter().enumerate() {
-        for &src in &exe.srcs[pass.srcs.range()] {
-            if let FSrc::Tmp(t) = src {
-                let t = t as usize;
-                let materialized = passes[..p].iter().any(|q| q.last as usize == t);
-                if !materialized {
-                    return Err(fail(format!("pass {p} reads temp {t}, which no pass wrote")));
-                }
-            }
-        }
-    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Operand, OutLoc};
+    use crate::exec::Span;
     use crate::fuse::ExecConfig;
     use crate::program::emit;
     use fpir::build;
@@ -770,6 +704,34 @@ mod tests {
         let ty = exe.code[0].ty;
         exe.code[0].ty = V::new(ty.elem, ty.lanes / 2);
         assert_flags(&exe, "sem-signature");
+    }
+
+    #[test]
+    fn corrupt_captured_register_fails_fused_shape() {
+        let mut exe = sample();
+        // Claim a step's kernel captured an operand read from a register:
+        // only a pool constant has a splat scalar to capture.
+        let (step, k) = exe
+            .code
+            .iter()
+            .find_map(|inst| {
+                let step = inst.steps.start as usize;
+                let srcs = &exe.srcs[exe.steps[step].srcs.range()];
+                srcs.iter()
+                    .position(|s| match *s {
+                        FSrc::Arg(a) => {
+                            matches!(
+                                exe.operands[inst.args.start as usize + a as usize],
+                                Operand::Reg(_)
+                            )
+                        }
+                        FSrc::Tmp(_) => false,
+                    })
+                    .map(|k| (step, k))
+            })
+            .expect("some step reads a register");
+        exe.steps[step].captured = Some(k as u8);
+        assert_flags(&exe, "fused-shape");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Regression test: a FAST link allocates a fixed number of arrays, one
 //! string per input slot, one lane buffer per pool constant and one
-//! compiled closure per fused pass — never one allocation per step or per
-//! operand.
+//! compiled closure per step — never another allocation per step, nor
+//! one per operand.
 //!
 //! A per-thread counting allocator wraps the system allocator, so each
 //! test counts only the allocations its own thread makes.
@@ -48,7 +48,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Allocations a FAST link makes beyond one per pass, input slot and
+/// Allocations a FAST link makes beyond one per step, input slot and
 /// pool constant: its fixed arrays, scratch tables and maps (and, in
 /// debug builds, the verifier's audit of the result).
 const FIXED: u64 = 64;
@@ -60,14 +60,14 @@ fn fast_link(p: &Program, isa: Isa) -> (Executable, u64) {
     (exe, ALLOCS.with(Cell::get) - before)
 }
 
-/// The allocations of a FAST link of `p` not accounted for by a pass,
+/// The allocations of a FAST link of `p` not accounted for by a step,
 /// an input slot or a pool constant of the REFERENCE link (a folded
 /// constant may add a pool entry, and folding removes an instruction).
 fn overhead(p: &Program, isa: Isa) -> (u64, Executable) {
     let plain = Executable::link_with(p, target(isa), &ExecConfig::REFERENCE).unwrap();
     let (exe, n) = fast_link(p, isa);
     let folded = plain.op_count() - exe.step_count();
-    let per_item = exe.pass_count() + exe.inputs().len() + plain.const_count() + folded;
+    let per_item = exe.step_count() + exe.inputs().len() + plain.const_count() + folded;
     (n.saturating_sub(per_item as u64), exe)
 }
 
@@ -82,8 +82,8 @@ fn unrolled_fast_links_allocate_per_pass_only() {
             let (exe, n) = fast_link(&p, isa);
             let (extra, _) = overhead(&p, isa);
             let what = format!("{}/{isa}", wl.name());
-            println!("{what}: {n} allocations, {} passes, {extra} beyond", exe.pass_count());
-            assert!(extra <= FIXED, "{what}: {extra} allocations beyond the per-pass budget");
+            println!("{what}: {n} allocations, {} steps, {extra} beyond", exe.step_count());
+            assert!(extra <= FIXED, "{what}: {extra} allocations beyond the per-step budget");
             total += n;
             links += 1;
         }
@@ -115,7 +115,7 @@ fn sum_of_products(n: usize) -> RcExpr {
 }
 
 /// Steps and operands grow 64-fold (by ~8,000 steps), and the
-/// allocations beyond one per pass, input and constant stay within the
+/// allocations beyond one per step, input and constant stay within the
 /// same fixed budget: only a few scratch lists sized by register
 /// pressure or group size may grow, by doubling.
 #[test]

@@ -1,10 +1,11 @@
-//! The pass-timer probe: what each kind of fused pass costs per lane
-//! inside real image runs. It runs the 64 figure artifacts (16 kernels ×
-//! 4 ISAs, as pfbench's `exec-images` does) over seeded 512×128 images,
-//! one strip at a time through [`Executable::run_lanes_observed`], times
-//! every fused pass, and prints ns/lane per pass kind, its share of the
-//! pass time, and the passes' share of the whole run. The timer's own
-//! cost per pass is measured and subtracted.
+//! The pass-timer probe: what each kind of kernel step costs per lane
+//! inside real image runs. Every step is one compiled pass over the
+//! lanes. The probe runs the 64 figure artifacts (16 kernels × 4 ISAs,
+//! as pfbench's `exec-images` does) over seeded 512×128 images, one
+//! strip at a time through [`Executable::run_lanes_observed`], times
+//! every step, and prints ns/lane per step kind, its share of the step
+//! time, and the steps' share of the whole run. The timer's own cost per
+//! step is measured and subtracted.
 //!
 //! It asserts nothing about speed, so it is ignored by default. Run it
 //! in release, pinned to one CPU, to reproduce the ns/lane tables of
@@ -22,10 +23,10 @@ use std::time::{Duration, Instant};
 
 const WIDTH: usize = 512;
 const HEIGHT: usize = 128;
-/// Passes over the artifact set; each pass kind reports its total.
+/// Rounds over the artifact set; each step kind reports its total.
 const ROUNDS: usize = 3;
 
-/// Nanoseconds and lanes per pass of one executable.
+/// Nanoseconds and lanes per step of one executable.
 struct Timer {
     start: Instant,
     ns: Vec<u64>,
@@ -37,14 +38,14 @@ impl PassObserver for Timer {
     fn before(&mut self, _: usize) {
         self.start = Instant::now();
     }
-    fn after(&mut self, pass: usize, lanes: usize) {
-        self.ns[pass] += self.start.elapsed().as_nanos() as u64;
-        self.lanes[pass] += lanes as u64;
-        self.calls[pass] += 1;
+    fn after(&mut self, step: usize, lanes: usize) {
+        self.ns[step] += self.start.elapsed().as_nanos() as u64;
+        self.lanes[step] += lanes as u64;
+        self.calls[step] += 1;
     }
 }
 
-/// The timer's own cost per pass, in ns: an empty pass timed as the
+/// The timer's own cost per step, in ns: an empty step timed as the
 /// engine times one, fastest of several batches.
 fn timer_overhead() -> f64 {
     let mut t = Timer { start: Instant::now(), ns: vec![0], lanes: vec![0], calls: vec![0] };
@@ -77,12 +78,12 @@ fn tap(name: &str) -> (String, i64, i64) {
 }
 
 #[test]
-#[ignore = "a probe: prints per-pass costs, asserts nothing about speed"]
-fn pass_kinds_ns_per_lane_in_images() {
+#[ignore = "a probe: prints per-step costs, asserts nothing about speed"]
+fn step_kinds_ns_per_lane_in_images() {
     let overhead = timer_overhead();
-    // (ns, lanes, calls) per pass kind, over every artifact and round.
+    // (ns, lanes, calls) per step kind, over every artifact and round.
     let mut kinds: BTreeMap<String, (f64, u64, u64)> = BTreeMap::new();
-    let (mut run_ns, mut pass_ns) = (0f64, 0f64);
+    let (mut run_ns, mut step_ns) = (0f64, 0f64);
     let mut artifacts = 0;
     for isa in fpir::machine::ALL_ISAS {
         let pf = pitchfork::Pitchfork::new(isa);
@@ -100,7 +101,7 @@ fn pass_kinds_ns_per_lane_in_images() {
                     (img.lanes(), img.width(), dx, dy)
                 })
                 .collect();
-            let n = exe.pass_count();
+            let n = exe.step_count();
             let mut t = Timer {
                 start: Instant::now(),
                 ns: vec![0; n],
@@ -137,13 +138,13 @@ fn pass_kinds_ns_per_lane_in_images() {
                 }
             }
             run_ns += busy.as_nanos() as f64 - overhead * t.calls.iter().sum::<u64>() as f64;
-            for p in 0..n {
-                let ns = t.ns[p] as f64 - overhead * t.calls[p] as f64;
-                pass_ns += ns;
-                let e = kinds.entry(exe.pass_kind(p)).or_default();
+            for i in 0..n {
+                let ns = t.ns[i] as f64 - overhead * t.calls[i] as f64;
+                step_ns += ns;
+                let e = kinds.entry(exe.step_kind(i)).or_default();
                 e.0 += ns;
-                e.1 += t.lanes[p];
-                e.2 += t.calls[p];
+                e.1 += t.lanes[i];
+                e.2 += t.calls[i];
             }
             artifacts += 1;
         }
@@ -151,15 +152,15 @@ fn pass_kinds_ns_per_lane_in_images() {
     assert_eq!(artifacts, 64);
     let mut rows: Vec<_> = kinds.into_iter().collect();
     rows.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0));
-    println!("timer overhead {overhead:.1} ns per pass, subtracted");
+    println!("timer overhead {overhead:.1} ns per step, subtracted");
     println!(
-        "passes {:.1}% of {:.1} ms of runs ({} rounds)",
-        100.0 * pass_ns / run_ns,
+        "steps {:.1}% of {:.1} ms of runs ({} rounds)",
+        100.0 * step_ns / run_ns,
         run_ns / 1e6,
         ROUNDS
     );
-    println!("{:>8} {:>6} {:>10}  pass kind", "ns/lane", "share", "calls");
+    println!("{:>8} {:>6} {:>10}  step kind", "ns/lane", "share", "calls");
     for (kind, (ns, lanes, calls)) in rows {
-        println!("{:>8.2} {:>5.1}% {:>10}  {kind}", ns / lanes as f64, 100.0 * ns / pass_ns, calls);
+        println!("{:>8.2} {:>5.1}% {:>10}  {kind}", ns / lanes as f64, 100.0 * ns / step_ns, calls);
     }
 }
