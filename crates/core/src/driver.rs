@@ -98,12 +98,7 @@ impl Artifact {
     ///
     /// [`DriverError::Emit`] or [`DriverError::Link`].
     pub fn from_lowered(lowered: RcExpr, isa: Isa) -> Result<Artifact, DriverError> {
-        let t = target(isa);
-        let program = emit(&lowered, t).map_err(|e| DriverError::Emit(e.to_string()))?;
-        let cycles = cycle_cost(&program, t);
-        let exe = Executable::link_with(&program, t, &ExecConfig::FAST)
-            .map_err(|e| DriverError::Link(e.to_string()))?;
-        Ok(Artifact { isa, lowered, program, cycles, exe })
+        finish(lowered, isa, &mut |_| true)
     }
 
     /// A deterministic estimate of the artifact's resident size in
@@ -161,20 +156,30 @@ pub fn compile_to_executable_with(
             CompileInterrupt::Lower(e) => DriverError::Select(e),
             CompileInterrupt::Cancelled(p) => DriverError::Cancelled(Phase::Select(p)),
         })?;
+    let art = finish(compiled.lowered.clone(), pf.config().isa, keep_going)?;
+    Ok((art, compiled))
+}
+
+/// The tail every artifact shares, whichever selector lowered it: emit,
+/// price, then link through the FAST link (superinstruction fusion),
+/// consulting `keep_going` before emission and before linking.
+fn finish(
+    lowered: RcExpr,
+    isa: Isa,
+    keep_going: &mut dyn FnMut(Phase) -> bool,
+) -> Result<Artifact, DriverError> {
     if !keep_going(Phase::Emit) {
         return Err(DriverError::Cancelled(Phase::Emit));
     }
-    let isa = pf.config().isa;
     let t = target(isa);
-    let program = emit(&compiled.lowered, t).map_err(|e| DriverError::Emit(e.to_string()))?;
+    let program = emit(&lowered, t).map_err(|e| DriverError::Emit(e.to_string()))?;
     let cycles = cycle_cost(&program, t);
     if !keep_going(Phase::Link) {
         return Err(DriverError::Cancelled(Phase::Link));
     }
     let exe = Executable::link_with(&program, t, &ExecConfig::FAST)
         .map_err(|e| DriverError::Link(e.to_string()))?;
-    let lowered = compiled.lowered.clone();
-    Ok((Artifact { isa, lowered, program, cycles, exe }, compiled))
+    Ok(Artifact { isa, lowered, program, cycles, exe })
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //!                          │ wakeup pipe              │ submit_batch
 //!                  ┌───────┴──────────────────────────▼───────────┐
 //!                  │        dispatch workers (TaskQueue)          │
-//!                  │   Service::handle — disk, owner, or compile  │
+//!                  │   Service::reply — disk, owner, or compile   │
 //!                  └──────────────────────────────────────────────┘
 //! ```
 //!
@@ -39,6 +39,12 @@
 //! preserves the exact serial request→response ordering v1 clients
 //! assume.
 //!
+//! **Replies.** Every answer — a memo hit, a cache hit, a worker's
+//! completion or a transport error — reaches the writer as one rendered
+//! body through one rule: the request's tag is spliced in as the last
+//! member, and a body past the 16 MiB frame limit is answered with a
+//! structured `internal` error instead, on a connection that carries on.
+//!
 //! **Backpressure.** Reads pause while a connection's pending frames
 //! or output backlog are over budget; a connection whose output queue
 //! overflows (a client that pipelines but never reads) is sealed with
@@ -57,11 +63,11 @@ use crate::json::Json;
 use crate::peer::Fleet;
 use crate::poll::{lower_thread_priority, poll_fds, wake_pipe, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{
-    attach_tag, attach_tag_rendered, decode_frame, error_response, parse_request, request_tag,
+    attach_tag_rendered, decode_frame, error_response, frame_too_large, parse_request, request_tag,
     write_frame, FrameReader, FrameWriter, Request, MAX_FRAME,
 };
 use crate::server::{Endpoint, StopFlag};
-use crate::service::{CacheDecision, FastReply, Resolved, Service};
+use crate::service::{CacheDecision, Resolved, Service};
 use crate::stats::Stats;
 use fpir_pool::{Task, TaskQueue};
 use std::collections::{HashMap, VecDeque};
@@ -234,6 +240,8 @@ struct HotCache {
 }
 
 struct HotEntry {
+    /// The tagged response; never over [`HOT_MAX_BYTES`], so never over
+    /// the frame limit either.
     body: String,
     untagged: bool,
     /// The rule-set generation the body was rendered under.
@@ -249,10 +257,12 @@ impl HotCache {
         self.map.get(raw).filter(|e| e.rules_gen == self.gen)
     }
 
-    fn insert(&mut self, raw: Vec<u8>, body: String, untagged: bool) {
+    fn insert(&mut self, raw: Vec<u8>, mut body: String, untagged: bool) {
         if body.len() > HOT_MAX_BYTES {
             return;
         }
+        // The tag splice grew the body's buffer; an entry lives long.
+        body.shrink_to_fit();
         if self.map.len() >= HOT_MAX_ENTRIES {
             self.map.clear();
         }
@@ -447,41 +457,20 @@ impl Conn {
         }
     }
 
-    /// Queue one response, echoing the tag. Overflow seals the
-    /// connection with a final untagged `overloaded` frame.
-    fn queue_reply(&mut self, reply: FastReply, tag: Option<&Json>) {
+    /// Queue one rendered response, echoing the tag as its last member.
+    /// A body too large for one frame (a huge pipeline output) is
+    /// answered with a structured error instead, and the connection
+    /// carries on. Overflow seals the connection with a final untagged
+    /// `overloaded` frame.
+    fn queue_reply(&mut self, body: String, tag: Option<&Json>) {
         if self.poisoned || self.dead {
             return;
         }
-        let queued = match reply {
-            FastReply::Raw(mut body) => {
-                if let Some(t) = tag {
-                    attach_tag_rendered(&mut body, t);
-                }
-                self.writer.queue_rendered(body)
-            }
-            FastReply::Json(mut v) => {
-                if let Some(t) = tag {
-                    attach_tag(&mut v, t);
-                }
-                let body = v.render();
-                if body.len() > MAX_FRAME {
-                    // An oversized response (a huge pipeline output)
-                    // must not become a malformed frame; substitute a
-                    // structured error.
-                    let e =
-                        ServiceError::Internal("response exceeds the 16 MiB frame limit".into());
-                    let mut err = error_response(&e);
-                    if let Some(t) = tag {
-                        attach_tag(&mut err, t);
-                    }
-                    self.writer.queue_rendered(err.render())
-                } else {
-                    self.writer.queue_rendered(body)
-                }
-            }
-        };
-        if queued.is_err() {
+        let mut body = tagged(body, tag);
+        if body.len() > MAX_FRAME {
+            body = tagged(error_response(&frame_too_large()).render(), tag);
+        }
+        if self.writer.queue_rendered(body).is_err() {
             self.poisoned = true;
             self.draining = true;
             self.pending.clear();
@@ -498,6 +487,14 @@ impl Conn {
             self.dead = true;
         }
     }
+}
+
+/// `body` with `tag` spliced in as its last member.
+fn tagged(mut body: String, tag: Option<&Json>) -> String {
+    if let Some(t) = tag {
+        attach_tag_rendered(&mut body, t);
+    }
+    body
 }
 
 /// One ready request bound for a dispatch worker.
@@ -519,7 +516,7 @@ struct DispatchItem {
 /// keeps only what is left, and a request with nothing left is answered
 /// `timeout` without compiling. `fleet` is `None` once the daemon is
 /// stopping, so a stopping daemon starts no peer fetch.
-fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>) -> FastReply {
+fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>) -> String {
     if let Request::Compile(spec)
     | Request::Run { spec, .. }
     | Request::RunPipeline { spec, .. }
@@ -530,7 +527,7 @@ fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>)
             if left.is_zero() {
                 Stats::bump(&service.stats().requests);
                 Stats::bump(&service.stats().timeouts);
-                return FastReply::Json(error_response(&ServiceError::Timeout { budget_ms }));
+                return error_response(&ServiceError::Timeout { budget_ms }).render();
             }
             // Round up: a request is refused only once its deadline
             // has passed.
@@ -545,7 +542,7 @@ struct Completion {
     conn: u64,
     tag: Option<Json>,
     untagged: bool,
-    reply: FastReply,
+    reply: String,
 }
 
 /// What the loop and the dispatch workers share.
@@ -593,7 +590,7 @@ fn pump(
                 Stats::bump(&stats.requests);
                 Stats::bump(&stats.cache_hits);
                 Stats::bump(&stats.hot_hits);
-                conn.queue_reply(FastReply::Raw(body), None);
+                conn.queue_reply(body, None);
                 stats
                     .record_latency_us(u64::try_from(f.arrived.elapsed().as_micros()).unwrap_or(0));
             }
@@ -601,7 +598,7 @@ fn pump(
                 // Transport-level rejects (unparseable request or tag):
                 // answered inline, not counted as service traffic —
                 // same as the v1 per-connection loop.
-                conn.queue_reply(FastReply::Json(error_response(&e)), f.tag.as_ref());
+                conn.queue_reply(error_response(&e).render(), f.tag.as_ref());
                 if f.close_after {
                     conn.draining = true;
                     conn.pending.clear();
@@ -610,30 +607,21 @@ fn pump(
             }
             Work::Parsed(Ok(req)) => {
                 if matches!(req, Request::Shutdown) {
-                    let reply = service.handle_local(&req);
-                    conn.queue_reply(FastReply::Json(reply), f.tag.as_ref());
+                    conn.queue_reply(service.reply(&req, None, None), f.tag.as_ref());
                     stop.request();
                     continue;
                 }
-                let resolved = match service.classify(&req) {
-                    CacheDecision::Reply(FastReply::Raw(mut body)) => {
-                        // A compile served from the artifact cache:
-                        // splice the tag, then memoize the finished
-                        // bytes under the frame's raw bytes.
-                        if let Some(t) = &f.tag {
-                            attach_tag_rendered(&mut body, t);
+                let resolved = match service.classify_memo(&req) {
+                    (CacheDecision::Reply(body), hit) => {
+                        // A compile served from the artifact cache is
+                        // memoized, tagged, under the frame's raw bytes.
+                        if let (true, Some(raw)) = (hit, f.raw) {
+                            hot.insert(raw, tagged(body.clone(), f.tag.as_ref()), untagged);
                         }
-                        if let Some(raw) = f.raw {
-                            hot.insert(raw, body.clone(), untagged);
-                        }
-                        conn.queue_reply(FastReply::Raw(body), None);
+                        conn.queue_reply(body, f.tag.as_ref());
                         continue;
                     }
-                    CacheDecision::Reply(fast) => {
-                        conn.queue_reply(fast, f.tag.as_ref());
-                        continue;
-                    }
-                    CacheDecision::Dispatch(resolved) => resolved,
+                    (CacheDecision::Dispatch(resolved), _) => resolved,
                 };
                 conn.inflight += 1;
                 if untagged {
@@ -693,10 +681,7 @@ fn submit(
             }
             Stats::bump(&service.stats().requests);
             Stats::bump(&service.stats().sheds);
-            conn.queue_reply(
-                FastReply::Json(error_response(&ServiceError::Overloaded)),
-                tag.as_ref(),
-            );
+            conn.queue_reply(error_response(&ServiceError::Overloaded).render(), tag.as_ref());
         }
     }
 }
@@ -879,4 +864,36 @@ pub(crate) fn run(
     Stats::set(&service.stats().inflight_frames, 0);
     Stats::set(&service.stats().dispatch_queue_depth, 0);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{attach_tag, ok_response};
+
+    #[test]
+    fn an_oversized_reply_is_an_error_frame_on_a_live_connection() {
+        let (ours, mut theirs) = UnixStream::pair().unwrap();
+        let mut conn = Conn::new(Stream::Unix(ours), &ServeOptions::default());
+        let tagged = |mut v: Json, tag: i128| {
+            attach_tag(&mut v, &Json::Int(tag));
+            v
+        };
+        let huge = ok_response(vec![("x".into(), Json::str("a".repeat(MAX_FRAME)))]);
+        conn.queue_reply(huge.render(), Some(&Json::Int(7)));
+        assert!(!conn.poisoned && !conn.draining && !conn.writer.is_sealed());
+        assert_eq!(conn.writer.queued_frames(), 1);
+        let pong = ok_response(vec![("pong".into(), Json::Bool(true))]);
+        conn.queue_reply(pong.render(), Some(&Json::Int(8)));
+        assert_eq!(conn.writer.queued_frames(), 2, "a following reply still queues");
+        conn.flush();
+        assert!(conn.writer.is_empty() && !conn.dead);
+        drop(conn);
+
+        let mut reader = FrameReader::new();
+        let error = error_response(&frame_too_large());
+        assert_eq!(reader.next_frame(&mut theirs).unwrap(), Some(tagged(error, 7)));
+        assert_eq!(reader.next_frame(&mut theirs).unwrap(), Some(tagged(pong, 8)));
+        assert_eq!(reader.next_frame(&mut theirs).unwrap(), None);
+    }
 }

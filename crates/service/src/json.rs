@@ -145,14 +145,20 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_to(out);
+                    write_member(out, k, v);
                 }
                 out.push('}');
             }
         }
     }
+}
+
+/// Write one object member, `"name":value`, exactly as an object's
+/// rendering writes it.
+pub(crate) fn write_member(out: &mut String, name: &str, value: &Json) {
+    write_escaped(out, name);
+    out.push(':');
+    value.write_to(out);
 }
 
 fn write_escaped(out: &mut String, s: &str) {

@@ -36,6 +36,13 @@
 //! workers). Untagged v1 traffic keeps its strict serial ordering. See
 //! [`protocol`] for the request vocabulary and `docs/service.md` for
 //! the full protocol reference.
+//!
+//! Every answer is one rendered body: [`Service`] renders it once (a
+//! cached artifact keeps its `compile`-hit body, and every other answer
+//! about it splices its own members into that body), and the event loop
+//! splices in the tag and applies one size rule — a body past the
+//! 16 MiB frame cap is answered with a structured `internal` error on a
+//! connection that stays open.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -65,6 +72,6 @@ pub use protocol::{
 pub use server::{
     install_signal_handlers, request_stop, reset_signal_stop, serve_with, Client, Endpoint,
 };
-pub use service::{CacheDecision, FastReply, Resolved, Service, ServiceConfig};
+pub use service::{CacheDecision, Resolved, Service, ServiceConfig};
 pub use stats::{LatencySummary, Stats};
 pub use store::{DiskStore, StoreError};

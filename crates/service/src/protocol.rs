@@ -374,13 +374,25 @@ pub fn attach_tag(resp: &mut Json, tag: &Json) {
 }
 
 /// Echo `tag` into an already-rendered response object by splicing
-/// `,"tag":<tag>` before the closing brace — the cache-hit fast path
-/// tags its pre-rendered bytes without reparsing them.
+/// `,"tag":<tag>` before the closing brace — the event loop tags every
+/// rendered reply this way, without reparsing it.
 pub fn attach_tag_rendered(body: &mut String, tag: &Json) {
-    debug_assert!(body.starts_with('{') && body.ends_with('}'), "rendered response object");
+    splice_members(body, &[("tag", tag)]);
+}
+
+/// Append `members` to an already-rendered response object, before its
+/// closing brace: byte for byte what rendering the object with them
+/// appended gives.
+pub(crate) fn splice_members(body: &mut String, members: &[(&str, &Json)]) {
+    debug_assert!(
+        body.len() > 2 && body.starts_with('{') && body.ends_with('}'),
+        "a rendered object with members"
+    );
     body.pop();
-    body.push_str(",\"tag\":");
-    body.push_str(&tag.render());
+    for (name, value) in members {
+        body.push(',');
+        crate::json::write_member(body, name, value);
+    }
     body.push('}');
 }
 
@@ -652,6 +664,12 @@ pub fn peer_get_frame(key: &crate::key::CacheKey) -> Json {
         members.insert(5, ("leave_out".into(), Json::str(l.clone())));
     }
     Json::Object(members)
+}
+
+/// The error answered in place of a response that would not fit in one
+/// frame.
+pub(crate) fn frame_too_large() -> ServiceError {
+    ServiceError::Internal("response exceeds the 16 MiB frame limit".into())
 }
 
 /// The `{"ok": false, ...}` response for an error.

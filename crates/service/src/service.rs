@@ -29,6 +29,17 @@
 //! Admission control lives in the event loop's bounded dispatch queue;
 //! the service owns no threads.
 //!
+//! **One rendered body per answer.** Every answer is a rendered JSON
+//! object, built once. An artifact enters the cache with its
+//! `compile`-hit response rendered beside it; every `compile`, `run` and
+//! `run_pipeline` answer about it is that body with its leading
+//! `"cached"`/`"source"` members swapped and its own members spliced in
+//! before the closing brace. The lowered expression is printed once, on
+//! the way in, and the print stops at the 16 MiB frame limit: a DAG
+//! prints as a tree, which can be exponentially longer than its unique
+//! nodes, so an artifact whose print would not fit in a frame is
+//! answered with an error and never cached or spilled.
+//!
 //! Served results are **bit-identical** to a direct
 //! [`pitchfork::compile_to_executable`] call with the same
 //! configuration — the cache stores exactly what the driver produced,
@@ -39,7 +50,10 @@ use crate::error::ServiceError;
 use crate::json::Json;
 use crate::key::{ruleset_fingerprint, CacheKey};
 use crate::peer::{Fetched, Fleet};
-use crate::protocol::{error_response, ok_response, CompileSpec, ImageSpec, Request, StatsFormat};
+use crate::protocol::{
+    error_response, frame_too_large, ok_response, splice_members, CompileSpec, ImageSpec, Request,
+    StatsFormat, MAX_FRAME,
+};
 use crate::stats::Stats;
 use crate::store::{self, DiskStore, Lookup};
 use fpir::expr::RcExpr;
@@ -47,6 +61,7 @@ use fpir::interp::{Env, Value};
 use fpir_halide::{run_tiled_exe, Image, Pipeline};
 use pitchfork::{compile_to_executable_with, Artifact, Config, DriverError, Pitchfork};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -100,78 +115,175 @@ struct Selector {
 /// the expression and the deadline).
 type SelectorKey = (fpir::Isa, bool, Option<String>);
 
-/// What the cache stores for one key: the driver's artifact plus the
-/// response strings rendered once at insert time, so a cache hit clones
-/// bytes instead of re-rendering the program on every request.
+/// What the cache stores for one key: the driver's artifact plus its
+/// `compile`-hit response, rendered once at insert time, so no answer
+/// prints the expression or renders the program again.
 #[derive(Debug)]
 struct Served {
     art: Artifact,
-    lowered: String,
-    program: String,
-    /// Bytes charged against the cache budget: the artifact's estimate
-    /// plus the rendered strings kept alongside it, computed once (the
-    /// estimate walks the expression DAG). The pre-rendered hit body is
-    /// excluded so the echoed `artifact_bytes` member is identical for
-    /// hits and misses; it is the same order of magnitude as `program`,
-    /// which is charged.
-    bytes: usize,
-    /// The complete `compile`-hit response, rendered once at insert
-    /// time. The event loop answers a warm `compile` by splicing a tag
-    /// into a clone of these bytes — no JSON tree is built or rendered
-    /// on the hot path.
+    /// The complete `compile`-hit response. Its `artifact_bytes` member
+    /// is the size the cache charges (the artifact's estimate plus the
+    /// printed `lowered` and `program` members), so hits and misses echo
+    /// the same value.
     hit_body: String,
 }
 
 impl Served {
     /// The cache value for `art` and its charged size.
-    fn new(art: Artifact, key_fp: u64) -> (Served, usize) {
-        let lowered = art.lowered.to_string();
+    ///
+    /// # Errors
+    ///
+    /// The frame-limit error when the lowered expression prints past
+    /// [`MAX_FRAME`].
+    fn new(art: Artifact, key_fp: u64) -> Result<(Served, usize), ServiceError> {
+        let lowered = print_lowered(&art.lowered)?;
         let program = art.program.render();
         let bytes = art.approx_bytes() + lowered.len() + program.len();
-        let mut served = Served { art, lowered, program, bytes, hit_body: String::new() };
-        served.hit_body =
-            ok_response(Service::compile_members(key_fp, &served, Source::Hit)).render();
-        (served, bytes)
+        let mut hit_body = format!("{}}}", source_prefix(Source::Hit));
+        splice_members(
+            &mut hit_body,
+            &[
+                ("key", &Json::str(format!("{key_fp:016x}"))),
+                ("isa", &Json::str(art.isa.short_name())),
+                ("lowered", &Json::Str(lowered)),
+                ("program", &Json::Str(program)),
+                ("cycles", &Json::Int(art.cycles.into())),
+                ("ops", &Json::Int(art.exe.op_count() as i128)),
+                ("artifact_bytes", &Json::Int(bytes as i128)),
+            ],
+        );
+        Ok((Served { art, hit_body }, bytes))
     }
 
-    /// The `compile` response for an artifact obtained as `source`: the
-    /// hit body with its leading `"cached"`/`"source"` members swapped,
-    /// byte-identical to rendering the members again, so a miss renders
-    /// its program once.
-    fn compile_body(&self, source: Source) -> String {
-        if source == Source::Hit {
-            return self.hit_body.clone();
-        }
-        let hit = source_prefix(Source::Hit);
-        debug_assert!(self.hit_body.starts_with(&hit), "the hit body leads with its source");
-        let mut body = source_prefix(source);
-        body.push_str(&self.hit_body[hit.len()..]);
+    /// The response for this artifact obtained as `source`, with `extra`
+    /// members after the artifact's: the hit body with its leading
+    /// `"cached"`/`"source"` members swapped and `extra` spliced in, byte
+    /// for byte what rendering every member again gives.
+    fn body(&self, source: Source, extra: &[(&str, &Json)]) -> String {
+        let artifact_members = &self.hit_body[source_prefix(Source::Hit).len()..];
+        let mut body = [source_prefix(source), artifact_members].concat();
+        splice_members(&mut body, extra);
         body
     }
+
+    /// Execute the artifact over one environment of vectors: the `run`
+    /// response.
+    fn run(
+        &self,
+        expr: &RcExpr,
+        source: Source,
+        inputs: &[(String, Vec<i128>)],
+    ) -> Result<String, ServiceError> {
+        // Bind every free variable, validating counts and ranges before
+        // constructing `Value`s (whose constructors panic on bad data).
+        // Inputs may be keyed either by the bare variable name (`a`) or
+        // by its printed, type-suffixed form (`a_u8`).
+        let mut env = Env::new();
+        for (name, ty) in expr.free_vars() {
+            let printed = format!("{name}_{}", ty.elem);
+            let lanes = inputs
+                .iter()
+                .find(|(n, _)| *n == name || *n == printed)
+                .map(|(_, v)| v)
+                .ok_or_else(|| ServiceError::BadRequest(format!("missing input `{name}`")))?;
+            if lanes.len() != ty.lanes as usize {
+                return Err(ServiceError::BadRequest(format!(
+                    "input `{name}` has {} lanes, expected {}",
+                    lanes.len(),
+                    ty.lanes
+                )));
+            }
+            if let Some(&v) = lanes.iter().find(|&&v| !ty.elem.contains(v)) {
+                return Err(ServiceError::BadRequest(format!(
+                    "input `{name}`: {v} does not fit in {}",
+                    ty.elem
+                )));
+            }
+            env.insert(name, Value::new(ty, lanes.clone()));
+        }
+        let mut ctx = self.art.exe.new_ctx();
+        let out = self
+            .art
+            .exe
+            .run(&mut ctx, &env)
+            .map_err(|e| ServiceError::Internal(format!("execution failed: {e}")))?;
+        let elem = Json::str(out.ty().elem.to_string());
+        let output = Json::Array(out.lanes().iter().map(|&v| Json::Int(v)).collect());
+        Ok(self.body(source, &[("elem", &elem), ("output", &output)]))
+    }
+
+    /// Run the artifact as a stencil pipeline over whole images: the
+    /// `run_pipeline` response.
+    fn run_pipeline(
+        &self,
+        expr: &RcExpr,
+        source: Source,
+        inputs: &[(String, ImageSpec)],
+        jobs: usize,
+    ) -> Result<String, ServiceError> {
+        let pipe = Pipeline::try_new("served", expr.clone())
+            .map_err(|e| ServiceError::BadRequest(e.what))?;
+        let mut images = BTreeMap::new();
+        for (name, img) in inputs {
+            // `ImageSpec` is validated at parse time (rectangular,
+            // in-range for its element type), which is exactly what
+            // `Image::from_rows` requires.
+            images.insert(name.clone(), Image::from_rows(img.elem, &img.rows));
+        }
+        let out = run_tiled_exe(&pipe, &self.art.exe, &images, jobs)
+            .map_err(|e| ServiceError::BadRequest(e.what))?;
+        let rows = Json::Array(
+            (0..out.height())
+                .map(|y| {
+                    Json::Array(
+                        (0..out.width())
+                            .map(|x| Json::Int(out.get_clamped(x as i64, y as i64)))
+                            .collect(),
+                    )
+                })
+                .collect(),
+        );
+        Ok(self.body(
+            source,
+            &[
+                ("elem", &Json::str(out.elem().to_string())),
+                ("width", &Json::Int(out.width() as i128)),
+                ("height", &Json::Int(out.height() as i128)),
+                ("rows", &rows),
+            ],
+        ))
+    }
 }
 
-/// The members every `compile` response leads with: whether the artifact
-/// was cached, and where it came from.
-fn source_members(source: Source) -> Vec<(String, Json)> {
-    vec![
-        ("cached".into(), Json::Bool(source == Source::Hit)),
-        (
-            "source".into(),
-            Json::str(match source {
-                Source::Hit => "hit",
-                Source::Computed => "computed",
-                Source::Joined => "joined",
-            }),
-        ),
-    ]
+/// Print the lowered expression for the `lowered` member. The printer
+/// writes the DAG as a tree, which can be exponentially longer than its
+/// unique nodes, so the sink refuses text past [`MAX_FRAME`] (no frame
+/// could carry it) and the printer's `?` ends the walk there.
+fn print_lowered(lowered: &RcExpr) -> Result<String, ServiceError> {
+    struct Bounded(String);
+    impl fmt::Write for Bounded {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            if self.0.len() + s.len() > MAX_FRAME {
+                return Err(fmt::Error);
+            }
+            self.0.push_str(s);
+            Ok(())
+        }
+    }
+    let mut out = Bounded(String::new());
+    write!(out, "{lowered}").map_err(|_| frame_too_large())?;
+    Ok(out.0)
 }
 
-/// A rendered `compile` response up to the end of its
-/// [`source_members`]: the object left open.
-fn source_prefix(source: Source) -> String {
-    let mut prefix = ok_response(source_members(source)).render();
-    prefix.pop();
-    prefix
+/// The rendered start of every artifact-bearing response, up to its
+/// `"cached"`/`"source"` members (whether the artifact was cached, and
+/// where it came from): the object left open.
+fn source_prefix(source: Source) -> &'static str {
+    match source {
+        Source::Hit => r#"{"ok":true,"cached":true,"source":"hit""#,
+        Source::Computed => r#"{"ok":true,"cached":false,"source":"computed""#,
+        Source::Joined => r#"{"ok":true,"cached":false,"source":"joined""#,
+    }
 }
 
 /// A compile-bearing request as [`Service::classify`] resolved it: the
@@ -193,24 +305,14 @@ impl Resolved {
     }
 }
 
-/// How the event loop answers a request that did not need a worker:
-/// either a JSON value to render, or response bytes pre-rendered at
-/// cache-insert time (a warm `compile`).
-#[derive(Debug)]
-pub enum FastReply {
-    /// Render-and-send.
-    Json(Json),
-    /// Already-rendered response object; send the bytes verbatim.
-    Raw(String),
-}
-
 /// How the event loop should treat one ready frame: answer it from
 /// warm state, or hand it to a worker. A dispatched compile, run or
 /// pipeline request carries its [`Resolved`] form for the worker.
 #[derive(Debug)]
 pub enum CacheDecision {
-    /// Answerable right now; no worker needed.
-    Reply(FastReply),
+    /// Answerable right now with this rendered response body; no worker
+    /// needed.
+    Reply(String),
     /// Needs a worker (a cache miss, warm pipeline execution, or a
     /// sibling's `peer_get`, which carries no resolution).
     Dispatch(Option<Resolved>),
@@ -272,8 +374,10 @@ impl Service {
         }
         if let Some(store) = &svc.store {
             let report = store.scan(|key, art| {
-                let (served, bytes) = Served::new(art, key.fingerprint());
+                let (served, bytes) =
+                    Served::new(art, key.fingerprint()).map_err(|e| e.to_string())?;
                 svc.cache.insert(key, served, bytes);
+                Ok(())
             });
             svc.stats.disk_loaded.fetch_add(report.loaded, Ordering::Relaxed);
             svc.stats.disk_rejected.fetch_add(report.rejected, Ordering::Relaxed);
@@ -346,66 +450,52 @@ impl Service {
     /// requests share one compile (single-flight). Never panics on
     /// request content; all failures become `{"ok": false}` frames.
     pub fn handle_local(&self, req: &Request) -> Json {
-        self.handle(req, None, None)
+        crate::json::parse(&self.reply(req, None, None)).expect("a rendered response parses")
     }
 
-    /// [`handle`](Self::handle) for the event loop's workers: a
-    /// `compile` answers with its response bytes, built from the cached
-    /// hit body ([`Served::compile_body`]) instead of a JSON tree the
-    /// loop would render again.
+    /// Answer one request with its rendered response body, on the
+    /// calling thread: the worker entry behind
+    /// [`handle_local`](Self::handle_local). The event loop's workers
+    /// also pass what [`classify`](Self::classify) resolved for this same
+    /// request and, on a daemon in a fleet that is not stopping, the
+    /// fleet whose key owners a miss may fetch from.
     pub(crate) fn reply(
         &self,
         req: &Request,
         resolved: Option<Resolved>,
         fleet: Option<&Fleet>,
-    ) -> FastReply {
-        let Request::Compile(spec) = req else {
-            return FastReply::Json(self.handle(req, resolved, fleet));
-        };
-        Stats::bump(&self.stats.requests);
-        let started = Instant::now();
-        match self.artifact(spec, resolved, fleet) {
-            Ok((_, _, served, source)) => {
-                self.stats.record_latency_us(started.elapsed().as_micros() as u64);
-                FastReply::Raw(served.compile_body(source))
-            }
-            Err(e) => FastReply::Json(self.finish(started, Err(e))),
-        }
-    }
-
-    /// [`handle_local`](Self::handle_local), given what
-    /// [`classify`](Self::classify) resolved for this same request and,
-    /// on a daemon in a fleet that is not stopping, the fleet whose key
-    /// owners a miss may fetch from (the event loop's workers pass
-    /// both).
-    pub(crate) fn handle(
-        &self,
-        req: &Request,
-        resolved: Option<Resolved>,
-        fleet: Option<&Fleet>,
-    ) -> Json {
+    ) -> String {
         Stats::bump(&self.stats.requests);
         let started = Instant::now();
         let out = match req {
-            Request::Ping => Ok(ok_response(vec![("pong".into(), Json::Bool(true))])),
+            Request::Ping => Ok(ok_response(vec![("pong".into(), Json::Bool(true))]).render()),
             Request::Stats { format } => Ok(match format {
-                StatsFormat::Json => self.stats_response(),
+                StatsFormat::Json => ok_response(self.stat_members()),
                 StatsFormat::Text => ok_response(vec![
                     ("format".into(), Json::str("text")),
                     ("text".into(), Json::str(self.stats_text())),
                 ]),
-            }),
+            }
+            .render()),
             Request::Shutdown => {
                 // The transport layer watches for this op; the core just
                 // acknowledges it.
-                Ok(ok_response(vec![("stopping".into(), Json::Bool(true))]))
+                Ok(ok_response(vec![("stopping".into(), Json::Bool(true))]).render())
             }
-            Request::Compile(spec) => self.handle_compile(spec, resolved, fleet),
-            Request::Run { spec, inputs } => self.handle_run(spec, resolved, fleet, inputs),
+            Request::Compile(spec) => self
+                .artifact(spec, resolved, fleet)
+                .map(|(_, served, source)| served.body(source, &[])),
+            Request::Run { spec, inputs } => self
+                .artifact(spec, resolved, fleet)
+                .and_then(|(expr, served, source)| served.run(&expr, source, inputs)),
             Request::RunPipeline { spec, inputs, jobs } => {
-                self.handle_run_pipeline(spec, resolved, fleet, inputs, *jobs)
+                self.artifact(spec, resolved, fleet).and_then(|(expr, served, source)| {
+                    served.run_pipeline(&expr, source, inputs, *jobs)
+                })
             }
-            Request::PeerGet { spec, rules_fp } => self.handle_peer_get(spec, *rules_fp),
+            Request::PeerGet { spec, rules_fp } => {
+                self.handle_peer_get(spec, *rules_fp).map(|v| v.render())
+            }
         };
         self.finish(started, out)
     }
@@ -414,10 +504,17 @@ impl Service {
     /// dispatch it to a worker with what was resolved for it. Never
     /// blocks on a compile.
     pub fn classify(&self, req: &Request) -> CacheDecision {
+        self.classify_memo(req).0
+    }
+
+    /// [`classify`](Self::classify), also saying whether its reply is a
+    /// `compile` answered from the artifact cache: the only reply the
+    /// event loop's hot memo may replay for the same request bytes.
+    pub(crate) fn classify_memo(&self, req: &Request) -> (CacheDecision, bool) {
         let spec = match req {
             // Control ops never compile; answer inline.
             Request::Ping | Request::Stats { .. } | Request::Shutdown => {
-                return CacheDecision::Reply(FastReply::Json(self.handle_local(req)));
+                return (CacheDecision::Reply(self.reply(req, None, None)), false);
             }
             Request::Compile(spec)
             | Request::Run { spec, .. }
@@ -425,56 +522,48 @@ impl Service {
             // A sibling's lookup is answered by a worker and is never
             // forwarded again — ownership is a function of the key, so
             // a second hop could only be a routing loop.
-            Request::PeerGet { .. } => return CacheDecision::Dispatch(None),
+            Request::PeerGet { .. } => return (CacheDecision::Dispatch(None), false),
         };
         let started = Instant::now();
         let Ok(expr) = fpir::parser::parse_expr(&spec.expr, spec.lanes) else {
             // Malformed expressions are cheap to reject inline.
-            return CacheDecision::Reply(FastReply::Json(self.handle_local(req)));
+            return (CacheDecision::Reply(self.reply(req, None, None)), false);
         };
         let selector = self.selector(spec);
         let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
         let Some(served) = self.cache.try_get(&key) else {
-            return CacheDecision::Dispatch(Some(Resolved::new(expr, selector, key)));
+            return (CacheDecision::Dispatch(Some(Resolved::new(expr, selector, key))), false);
         };
-        match req {
-            Request::Compile(_) => {
-                Stats::bump(&self.stats.requests);
-                Stats::bump(&self.stats.cache_hits);
-                let body = served.hit_body.clone();
-                self.stats.record_latency_us(started.elapsed().as_micros() as u64);
-                CacheDecision::Reply(FastReply::Raw(body))
-            }
-            Request::Run { inputs, .. } => {
-                Stats::bump(&self.stats.requests);
-                Stats::bump(&self.stats.cache_hits);
-                let out = self.run_response(&expr, key.fingerprint(), &served, Source::Hit, inputs);
-                CacheDecision::Reply(FastReply::Json(self.finish(started, out)))
-            }
+        let out = match req {
+            Request::Compile(_) => Ok(served.body(Source::Hit, &[])),
+            Request::Run { inputs, .. } => served.run(&expr, Source::Hit, inputs),
             // Whole-image runs are real work even when the artifact is
             // warm; always dispatch (the worker's own accounting
             // applies — counting here too would double-book).
             Request::RunPipeline { .. } => {
-                CacheDecision::Dispatch(Some(Resolved::new(expr, selector, key)))
+                return (CacheDecision::Dispatch(Some(Resolved::new(expr, selector, key))), false)
             }
             _ => unreachable!("filtered above"),
-        }
+        };
+        Stats::bump(&self.stats.requests);
+        Stats::bump(&self.stats.cache_hits);
+        (CacheDecision::Reply(self.finish(started, out)), matches!(req, Request::Compile(_)))
     }
 
     /// Success records a latency sample; failure maps onto the timeout
     /// / error counters and the structured error frame.
-    fn finish(&self, started: Instant, out: Result<Json, ServiceError>) -> Json {
+    fn finish(&self, started: Instant, out: Result<String, ServiceError>) -> String {
         match out {
-            Ok(v) => {
+            Ok(body) => {
                 self.stats.record_latency_us(started.elapsed().as_micros() as u64);
-                v
+                body
             }
             Err(e) => {
                 match e {
                     ServiceError::Timeout { .. } => Stats::bump(&self.stats.timeouts),
                     _ => Stats::bump(&self.stats.errors),
                 }
-                error_response(&e)
+                error_response(&e).render()
             }
         }
     }
@@ -490,14 +579,13 @@ impl Service {
 
     /// Fetch-or-compile the artifact for `spec`, resolving it here unless
     /// [`classify`](Self::classify) already did. Also returns the parsed
-    /// expression and the key's fingerprint (the response members echo
-    /// it).
+    /// expression (`run` and `run_pipeline` execute over it).
     fn artifact(
         &self,
         spec: &CompileSpec,
         resolved: Option<Resolved>,
         fleet: Option<&Fleet>,
-    ) -> Result<(RcExpr, u64, Arc<Served>, Source), ServiceError> {
+    ) -> Result<(RcExpr, Arc<Served>, Source), ServiceError> {
         let Resolved { expr, selector, key, key_fp } = match resolved {
             Some(r) => r,
             None => self.resolve(spec)?,
@@ -511,12 +599,14 @@ impl Service {
             // refills from disk, then the key's owner in the fleet may
             // have it. Concurrent requests join either exactly like a
             // compile.
-            if let Some(art) = self.fetch_from_disk(&key) {
-                return Ok(Served::new(art, key_fp));
+            if let Some(served) = self.fetch_from_disk(&key, key_fp) {
+                return Ok(served);
             }
-            if let Some(art) = fleet.and_then(|f| self.fetch_from_peer(f, &key, key_fp, deadline)) {
-                self.spill(&key, &art);
-                return Ok(Served::new(art, key_fp));
+            if let Some(served) =
+                fleet.and_then(|f| self.fetch_from_peer(f, &key, key_fp, deadline))
+            {
+                self.spill(&key, &served.0.art);
+                return Ok(served);
             }
             let r = self.compile(&selector, &expr, key_fp, deadline, timeout_ms);
             if let Ok((served, _)) = &r {
@@ -531,7 +621,7 @@ impl Service {
                     Source::Computed => Stats::bump(&self.stats.cache_misses),
                     Source::Joined => Stats::bump(&self.stats.flight_joins),
                 }
-                Ok((expr, key_fp, art, source))
+                Ok((expr, art, source))
             }
             Err(CacheError::Compute(e)) => Err(e),
             Err(CacheError::TimedOut) => {
@@ -564,7 +654,7 @@ impl Service {
                 if let Err(v) = fpir_sim::verify_executable(&art.exe) {
                     panic!("refusing to cache an unverifiable artifact: {v}");
                 }
-                Ok(Served::new(art, key_fp))
+                Served::new(art, key_fp)
             }
             Err(DriverError::Cancelled(_)) => {
                 Err(ServiceError::Timeout { budget_ms: timeout_ms.unwrap_or(0) })
@@ -574,20 +664,23 @@ impl Service {
     }
 
     /// Leader-side disk probe: a validated spill entry becomes the
-    /// flight's value without compiling.
-    fn fetch_from_disk(&self, key: &CacheKey) -> Option<Artifact> {
-        match self.store.as_ref()?.load(key) {
-            Lookup::Missing => None,
-            Lookup::Hit(art) => {
-                Stats::bump(&self.stats.disk_hits);
-                Some(*art)
-            }
-            Lookup::Rejected(e) => {
-                Stats::bump(&self.stats.disk_rejected);
-                eprintln!("pitchforkd: rejected spill entry {:016x}: {e}", key.fingerprint());
-                None
-            }
-        }
+    /// flight's value without compiling. An entry the cache cannot hold
+    /// (its print passes the frame limit) counts as rejected.
+    fn fetch_from_disk(&self, key: &CacheKey, key_fp: u64) -> Option<(Served, usize)> {
+        let rejected = match self.store.as_ref()?.load(key) {
+            Lookup::Missing => return None,
+            Lookup::Hit(art) => match Served::new(*art, key_fp) {
+                Ok(served) => {
+                    Stats::bump(&self.stats.disk_hits);
+                    return Some(served);
+                }
+                Err(e) => e.to_string(),
+            },
+            Lookup::Rejected(e) => e.to_string(),
+        };
+        Stats::bump(&self.stats.disk_rejected);
+        eprintln!("pitchforkd: rejected spill entry {key_fp:016x}: {rejected}");
+        None
     }
 
     /// Write-through to the disk store. Failure is logged and swallowed
@@ -610,31 +703,33 @@ impl Service {
 
     /// Leader-side fleet fetch: ask the key's owner, then treat its
     /// answer as untrusted input. The payload is decoded, rebuilt and
-    /// verified end to end (see [`store::decode_artifact_json`]), and
-    /// its embedded key must equal the one asked for. `None` (after
-    /// counting why) sends the leader on to a local compile.
+    /// verified end to end (see [`store::decode_artifact_json`]), its
+    /// embedded key must equal the one asked for, and its print must fit
+    /// in a frame. `None` (after counting why) sends the leader on to a
+    /// local compile.
     fn fetch_from_peer(
         &self,
         fleet: &Fleet,
         key: &CacheKey,
         key_fp: u64,
         deadline: Option<Instant>,
-    ) -> Option<Artifact> {
+    ) -> Option<(Served, usize)> {
         let counter = match fleet.fetch(key, key_fp, deadline)? {
-            Fetched::Artifact(body) => match store::decode_artifact_json(&body) {
-                Ok((got, art)) if got == *key => {
-                    Stats::bump(&self.stats.peer_hits);
-                    return Some(art);
-                }
-                Ok(_) => {
-                    eprintln!("pitchforkd: peer answered {key_fp:016x} for a different key");
-                    &self.stats.peer_errors
-                }
-                Err(e) => {
-                    eprintln!("pitchforkd: peer artifact for {key_fp:016x} rejected: {e}");
-                    &self.stats.peer_errors
-                }
-            },
+            Fetched::Artifact(body) => {
+                let rejected = match store::decode_artifact_json(&body) {
+                    Ok((got, art)) if got == *key => match Served::new(art, key_fp) {
+                        Ok(served) => {
+                            Stats::bump(&self.stats.peer_hits);
+                            return Some(served);
+                        }
+                        Err(e) => e.to_string(),
+                    },
+                    Ok(_) => "it is for a different key".to_string(),
+                    Err(e) => e.to_string(),
+                };
+                eprintln!("pitchforkd: peer artifact for {key_fp:016x} rejected: {rejected}");
+                &self.stats.peer_errors
+            }
             Fetched::Missing => &self.stats.peer_misses,
             Fetched::TimedOut => &self.stats.peer_timeouts,
             Fetched::Failed => &self.stats.peer_errors,
@@ -663,136 +758,13 @@ impl Service {
         }
         let resolved = self.resolve(spec)?;
         let key = resolved.key.clone();
-        let (_, _, served, _) = self.artifact(spec, Some(resolved), None)?;
+        let (_, served, _) = self.artifact(spec, Some(resolved), None)?;
         match store::encode_artifact_json(&key, &served.art) {
             Ok(body) => {
                 Ok(ok_response(vec![("found".into(), Json::Bool(true)), ("artifact".into(), body)]))
             }
             Err(e) => not_found(&e.to_string()),
         }
-    }
-
-    fn compile_members(key_fp: u64, served: &Served, source: Source) -> Vec<(String, Json)> {
-        let mut members = source_members(source);
-        members.extend([
-            ("key".into(), Json::str(format!("{key_fp:016x}"))),
-            ("isa".into(), Json::str(served.art.isa.short_name())),
-            ("lowered".into(), Json::str(served.lowered.clone())),
-            ("program".into(), Json::str(served.program.clone())),
-            ("cycles".into(), Json::Int(served.art.cycles.into())),
-            ("ops".into(), Json::Int(served.art.exe.op_count() as i128)),
-            ("artifact_bytes".into(), Json::Int(served.bytes as i128)),
-        ]);
-        members
-    }
-
-    fn handle_compile(
-        &self,
-        spec: &CompileSpec,
-        resolved: Option<Resolved>,
-        fleet: Option<&Fleet>,
-    ) -> Result<Json, ServiceError> {
-        let (_, key_fp, served, source) = self.artifact(spec, resolved, fleet)?;
-        Ok(ok_response(Self::compile_members(key_fp, &served, source)))
-    }
-
-    fn handle_run(
-        &self,
-        spec: &CompileSpec,
-        resolved: Option<Resolved>,
-        fleet: Option<&Fleet>,
-        inputs: &[(String, Vec<i128>)],
-    ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, resolved, fleet)?;
-        self.run_response(&expr, key_fp, &served, source, inputs)
-    }
-
-    /// Execute a warm artifact over one environment of vectors.
-    fn run_response(
-        &self,
-        expr: &RcExpr,
-        key_fp: u64,
-        served: &Served,
-        source: Source,
-        inputs: &[(String, Vec<i128>)],
-    ) -> Result<Json, ServiceError> {
-        // Bind every free variable, validating counts and ranges before
-        // constructing `Value`s (whose constructors panic on bad data).
-        // Inputs may be keyed either by the bare variable name (`a`) or
-        // by its printed, type-suffixed form (`a_u8`).
-        let mut env = Env::new();
-        for (name, ty) in expr.free_vars() {
-            let printed = format!("{name}_{}", ty.elem);
-            let lanes = inputs
-                .iter()
-                .find(|(n, _)| *n == name || *n == printed)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ServiceError::BadRequest(format!("missing input `{name}`")))?;
-            if lanes.len() != ty.lanes as usize {
-                return Err(ServiceError::BadRequest(format!(
-                    "input `{name}` has {} lanes, expected {}",
-                    lanes.len(),
-                    ty.lanes
-                )));
-            }
-            if let Some(&v) = lanes.iter().find(|&&v| !ty.elem.contains(v)) {
-                return Err(ServiceError::BadRequest(format!(
-                    "input `{name}`: {v} does not fit in {}",
-                    ty.elem
-                )));
-            }
-            env.insert(name, Value::new(ty, lanes.clone()));
-        }
-        let mut ctx = served.art.exe.new_ctx();
-        let out = served
-            .art
-            .exe
-            .run(&mut ctx, &env)
-            .map_err(|e| ServiceError::Internal(format!("execution failed: {e}")))?;
-        let mut members = Self::compile_members(key_fp, served, source);
-        members.push(("elem".into(), Json::str(out.ty().elem.to_string())));
-        members.push((
-            "output".into(),
-            Json::Array(out.lanes().iter().map(|&v| Json::Int(v)).collect()),
-        ));
-        Ok(ok_response(members))
-    }
-
-    fn handle_run_pipeline(
-        &self,
-        spec: &CompileSpec,
-        resolved: Option<Resolved>,
-        fleet: Option<&Fleet>,
-        inputs: &[(String, ImageSpec)],
-        jobs: usize,
-    ) -> Result<Json, ServiceError> {
-        let (expr, key_fp, served, source) = self.artifact(spec, resolved, fleet)?;
-        let pipe = Pipeline::try_new("served", expr.clone())
-            .map_err(|e| ServiceError::BadRequest(e.what))?;
-        let mut images = BTreeMap::new();
-        for (name, img) in inputs {
-            // `ImageSpec` is validated at parse time (rectangular,
-            // in-range for its element type), which is exactly what
-            // `Image::from_rows` requires.
-            images.insert(name.clone(), Image::from_rows(img.elem, &img.rows));
-        }
-        let out = run_tiled_exe(&pipe, &served.art.exe, &images, jobs)
-            .map_err(|e| ServiceError::BadRequest(e.what))?;
-        let mut members = Self::compile_members(key_fp, &served, source);
-        members.push(("elem".into(), Json::str(out.elem().to_string())));
-        members.push(("width".into(), Json::Int(out.width() as i128)));
-        members.push(("height".into(), Json::Int(out.height() as i128)));
-        let rows: Vec<Json> = (0..out.height())
-            .map(|y| {
-                Json::Array(
-                    (0..out.width())
-                        .map(|x| Json::Int(out.get_clamped(x as i64, y as i64)))
-                        .collect(),
-                )
-            })
-            .collect();
-        members.push(("rows".into(), Json::Array(rows)));
-        Ok(ok_response(members))
     }
 
     /// Every stat as `(name, integer)` — the shared source for both the
@@ -845,11 +817,6 @@ impl Service {
         ]
     }
 
-    /// The `/stats` payload.
-    fn stats_response(&self) -> Json {
-        ok_response(self.stat_members())
-    }
-
     /// The Prometheus-style plaintext scrape: one `pitchforkd_<name>
     /// <value>` line per stat, same names and order as the JSON form.
     pub fn stats_text(&self) -> String {
@@ -870,7 +837,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_request;
+    use crate::protocol::{attach_tag_rendered, parse_request};
 
     fn service() -> Service {
         Service::new(ServiceConfig {
@@ -921,27 +888,148 @@ mod tests {
 
     #[test]
     fn compile_bodies_match_the_rendered_members() {
-        // A miss's reply is the hit body with its source swapped: byte
-        // for byte what rendering the members again gives, for every
-        // source.
+        // Every artifact-bearing reply is the hit body with its source
+        // swapped and its own members spliced in, tagged by the event
+        // loop's splice: byte for byte `ok_response` of the full member
+        // list, tag last, for every source.
         let svc = service();
-        let req = format!(r#"{{"op":"compile","expr":"{SAT_ADD}","lanes":16,"isa":"hvx"}}"#);
-        let request = parse_request(&crate::json::parse(&req).unwrap()).unwrap();
-        let FastReply::Raw(computed) = svc.reply(&request, None, None) else {
-            panic!("a compile replies with rendered bytes");
+        let tag = Json::str("t-1");
+        let tagged = |mut body: String| {
+            attach_tag_rendered(&mut body, &tag);
+            body
         };
-        let Request::Compile(spec) = &request else { unreachable!() };
-        let (_, key_fp, served, source) = svc.artifact(spec, None, None).unwrap();
-        assert_eq!(source, Source::Hit);
-        let render =
-            |source| ok_response(Service::compile_members(key_fp, &served, source)).render();
-        assert_eq!(computed, render(Source::Computed));
-        for source in [Source::Hit, Source::Computed, Source::Joined] {
-            assert_eq!(served.compile_body(source), render(source), "{source:?}");
+        let ints = |lanes: &[i128]| Json::Array(lanes.iter().map(|&v| Json::Int(v)).collect());
+        let cases: [(String, Vec<(&str, Json)>); 3] = [
+            (format!(r#"{{"op":"compile","expr":"{SAT_ADD}","lanes":16,"isa":"hvx"}}"#), vec![]),
+            (
+                format!(
+                    r#"{{"op":"run","expr":"{SAT_ADD}","lanes":4,"isa":"arm",
+                        "inputs":{{"a_u8":[250,1,128,255],"b_u8":[10,2,128,255]}}}}"#
+                ),
+                vec![("elem", Json::str("u8")), ("output", ints(&[255, 3, 255, 255]))],
+            ),
+            (
+                r#"{"op":"run_pipeline","expr":"rounding_halving_add(in__p0_p0_u8, in__p1_p0_u8)",
+                    "lanes":4,"isa":"hvx","inputs":{"in":{"elem":"u8","rows":[[10,20,30,40]]}}}"#
+                    .to_string(),
+                vec![
+                    ("elem", Json::str("u8")),
+                    ("width", Json::Int(4)),
+                    ("height", Json::Int(1)),
+                    ("rows", Json::Array(vec![ints(&[15, 25, 35, 40])])),
+                ],
+            ),
+        ];
+        for (src, extra) in cases {
+            let request = parse_request(&crate::json::parse(&src).unwrap()).unwrap();
+            let computed = svc.reply(&request, None, None);
+            let hit = svc.reply(&request, None, None);
+            let (Request::Compile(spec)
+            | Request::Run { spec, .. }
+            | Request::RunPipeline { spec, .. }) = &request
+            else {
+                unreachable!()
+            };
+            let key_fp = svc.resolve(spec).unwrap().key_fp;
+            let (expr, served, source) = svc.artifact(spec, None, None).unwrap();
+            assert_eq!(source, Source::Hit);
+            let (art, lowered, program) =
+                (&served.art, served.art.lowered.to_string(), served.art.program.render());
+            let bytes = art.approx_bytes() + lowered.len() + program.len();
+            let render = |source| {
+                let name = match source {
+                    Source::Hit => "hit",
+                    Source::Computed => "computed",
+                    Source::Joined => "joined",
+                };
+                let mut members = vec![
+                    ("cached".into(), Json::Bool(source == Source::Hit)),
+                    ("source".into(), Json::str(name)),
+                ];
+                members.extend([
+                    ("key".into(), Json::str(format!("{key_fp:016x}"))),
+                    ("isa".into(), Json::str(art.isa.short_name())),
+                    ("lowered".into(), Json::str(lowered.clone())),
+                    ("program".into(), Json::str(program.clone())),
+                    ("cycles".into(), Json::Int(art.cycles.into())),
+                    ("ops".into(), Json::Int(art.exe.op_count() as i128)),
+                    ("artifact_bytes".into(), Json::Int(bytes as i128)),
+                ]);
+                members.extend(extra.iter().map(|(k, v)| (k.to_string(), v.clone())));
+                members.push(("tag".into(), tag.clone()));
+                ok_response(members).render()
+            };
+            assert_eq!(svc.handle_local(&request).render(), hit, "{src}");
+            assert_eq!(tagged(computed), render(Source::Computed), "{src}");
+            assert_eq!(tagged(hit), render(Source::Hit), "{src}");
+            // A joined reply takes the worker's path with its own source.
+            for source in [Source::Hit, Source::Computed, Source::Joined] {
+                let body = match &request {
+                    Request::Compile(_) => served.body(source, &[]),
+                    Request::Run { inputs, .. } => served.run(&expr, source, inputs).unwrap(),
+                    Request::RunPipeline { inputs, jobs, .. } => {
+                        served.run_pipeline(&expr, source, inputs, *jobs).unwrap()
+                    }
+                    _ => unreachable!(),
+                };
+                assert_eq!(tagged(body), render(source), "{src} {source:?}");
+            }
         }
-        // And a hit through the worker path is the cached body itself.
-        let FastReply::Raw(hit) = svc.reply(&request, None, None) else { unreachable!() };
-        assert_eq!(hit, handle_src(&svc, &req).render());
+    }
+
+    #[test]
+    fn a_lowered_print_past_the_frame_limit_is_an_error() {
+        // Nested `absd` lowers on x86 to a DAG whose unique nodes grow
+        // linearly with the depth while its printed tree grows about 3x
+        // per level: 60 MB at depth 16. The print stops at the frame
+        // limit, the request gets the oversized-response error, and
+        // nothing is cached.
+        let svc = service();
+        for depth in [16, 24] {
+            let spec = CompileSpec {
+                expr: nested_absd(depth),
+                lanes: 32,
+                isa: fpir::Isa::X86Avx2,
+                synthesized_rules: true,
+                leave_out: None,
+                timeout_ms: None,
+            };
+            let v = svc.handle_local(&Request::Compile(spec));
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "depth {depth}");
+            assert_eq!(v.get("code").unwrap().as_str(), Some("internal"), "depth {depth}");
+            assert_eq!(
+                v.get("error").unwrap().as_str(),
+                Some(error_response(&frame_too_large()).get("error").unwrap().as_str().unwrap())
+            );
+        }
+        assert_eq!(Stats::read(&svc.stats().compiles), 2);
+        assert_eq!(svc.cache_stats().resident_count, 0, "nothing is cached");
+        let v = handle_src(
+            &svc,
+            &format!(r#"{{"op":"compile","expr":"{SAT_ADD}","lanes":16,"isa":"x86"}}"#),
+        );
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{v:?}");
+    }
+
+    /// `depth` nested `absd(…, b_u8)` around `a_u8`.
+    fn nested_absd(depth: usize) -> String {
+        (0..depth).fold("a_u8".to_string(), |e, _| format!("absd({e}, b_u8)"))
+    }
+
+    #[test]
+    fn a_spilled_artifact_past_the_print_bound_is_rejected_at_startup() {
+        let dir = std::env::temp_dir().join(format!("pfservice-bound-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pf = Pitchfork::new(fpir::Isa::X86Avx2);
+        let expr = fpir::parser::parse_expr(&nested_absd(16), 32).unwrap();
+        let art = pitchfork::compile_to_executable(&pf, &expr).unwrap();
+        DiskStore::open(&dir).unwrap().spill(&CacheKey::for_compile(&pf, &expr), &art).unwrap();
+        let svc = Service::new(ServiceConfig { cache_dir: Some(dir.clone()), ..service().config });
+        assert_eq!(Stats::read(&svc.stats().disk_rejected), 1);
+        assert_eq!(Stats::read(&svc.stats().disk_loaded), 0);
+        assert_eq!(svc.cache_stats().resident_count, 0, "nothing is cached");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the entry is unlinked");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub struct Stats {
     /// (restart-warm).
     pub disk_loaded: AtomicU64,
     /// Spill-store entries that failed validation (checksum, version,
-    /// decode) and were unlinked — nonzero values warrant a look.
+    /// decode) and were unlinked, or whose lowered expression prints
+    /// past the frame limit — nonzero values warrant a look.
     pub disk_rejected: AtomicU64,
     /// Spill-store entries unlinked by the size/age GC sweep.
     pub disk_evicted: AtomicU64,
@@ -50,7 +51,9 @@ pub struct Stats {
     pub peer_misses: AtomicU64,
     /// Peer lookups abandoned at the peer deadline (→ local compile).
     pub peer_timeouts: AtomicU64,
-    /// Peer connect/transport/decode failures (→ local compile).
+    /// Peer connect/transport/decode failures, and peer artifacts
+    /// whose lowered expression prints past the frame limit (→ local
+    /// compile).
     pub peer_errors: AtomicU64,
     /// `peer_get` requests this daemon answered for its siblings.
     pub peer_serves: AtomicU64,

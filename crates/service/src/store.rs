@@ -598,9 +598,12 @@ impl DiskStore {
 
     /// Scan the directory at startup: revalidate every `.pfa` entry and
     /// hand the good ones to `admit`; unlink (and count) every entry
-    /// that fails validation and every tmp leftover from a crashed
-    /// write. Never panics on file content.
-    pub fn scan(&self, mut admit: impl FnMut(CacheKey, Artifact)) -> ScanReport {
+    /// that fails validation or that `admit` refuses, and every tmp
+    /// leftover from a crashed write. Never panics on file content.
+    pub fn scan(
+        &self,
+        mut admit: impl FnMut(CacheKey, Artifact) -> Result<(), String>,
+    ) -> ScanReport {
         let mut report = ScanReport::default();
         let entries = match fs::read_dir(&self.dir) {
             Ok(e) => e,
@@ -623,13 +626,15 @@ impl DiskStore {
             if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
                 continue;
             }
-            let decoded = fs::read(&path)
+            let admitted = fs::read(&path)
                 .map_err(|e| StoreError::Io(e.to_string()))
-                .and_then(|bytes| decode_entry(&bytes));
-            match decoded {
-                Ok((key, art)) => {
-                    self.index.lock().expect("store index lock").insert(key.clone());
-                    admit(key, art);
+                .and_then(|bytes| decode_entry(&bytes))
+                .and_then(|(key, art)| {
+                    admit(key.clone(), art).map(|()| key).map_err(StoreError::Body)
+                });
+            match admitted {
+                Ok(key) => {
+                    self.index.lock().expect("store index lock").insert(key);
                     report.loaded += 1;
                 }
                 Err(e) => {
@@ -814,7 +819,10 @@ mod tests {
         // A fresh store over the same directory scans it back in.
         let store2 = DiskStore::open(&dir).unwrap();
         let mut admitted = Vec::new();
-        let report = store2.scan(|k, a| admitted.push((k, a)));
+        let report = store2.scan(|k, a| {
+            admitted.push((k, a));
+            Ok(())
+        });
         assert_eq!((report.loaded, report.rejected), (1, 0));
         assert_eq!(admitted[0].0, key);
         assert!(store2.contains(&key));
@@ -971,7 +979,10 @@ mod tests {
 
         let store2 = DiskStore::open(&dir).unwrap();
         let mut admitted = 0;
-        let report = store2.scan(|_, _| admitted += 1);
+        let report = store2.scan(|_, _| {
+            admitted += 1;
+            Ok(())
+        });
         assert_eq!((report.loaded, report.rejected), (1, 2));
         assert_eq!(admitted, 1);
         let left: Vec<String> = fs::read_dir(&dir)

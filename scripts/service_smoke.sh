@@ -3,7 +3,9 @@
 # compile + run + stats round-trip with pitchfork-cli, verify the
 # second compile of the same key is a cache hit, exercise protocol v2
 # (a tagged compile, a pipelined three-request exchange, and the
-# Prometheus-style stats rendering), then assert a clean shutdown on
+# Prometheus-style stats rendering), check that a response past the
+# frame limit is a structured error on a daemon that keeps serving,
+# then assert a clean shutdown on
 # SIGTERM (exit 0, socket unlinked). Then: a restart-warm round trip
 # (SIGTERM + relaunch on the same --cache-dir makes the second
 # process serve the key as a hit without recompiling), a 2-daemon
@@ -103,6 +105,19 @@ echo "== stats --text"
 OUT=$("$CLI" --socket "$SOCK" stats --text)
 echo "$OUT" | grep -q 'pitchforkd_requests' || fail "no text-format counters: $OUT"
 echo "$OUT" | grep -q 'pitchforkd_open_connections' || fail "no event-loop gauges: $OUT"
+
+echo "== oversized response (16 nested absd on x86)"
+# The lowered DAG prints as a tree past the 16 MiB frame limit: the
+# request gets a structured error and the daemon keeps serving.
+DEEP='a_u8'
+for _ in $(seq 1 16); do DEEP="absd($DEEP, b_u8)"; done
+if OUT=$("$CLI" --socket "$SOCK" compile --expr "$DEEP" --lanes 32 --isa x86); then
+    fail "an oversized response was answered ok: ${OUT:0:200}"
+fi
+echo "$OUT" | grep -q '"code":"internal"' || fail "oversized response: ${OUT:0:200}"
+"$CLI" --socket "$SOCK" ping | grep -q '"pong":true' || fail "ping after the oversized response"
+OUT=$("$CLI" --socket "$SOCK" compile --expr "$EXPR" --lanes 16 --isa arm)
+echo "$OUT" | grep -q '"source":"hit"' || fail "cache hit after the oversized response: $OUT"
 
 echo "== SIGTERM"
 term_and_wait "$PID"
