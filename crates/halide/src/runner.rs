@@ -11,13 +11,16 @@
 //! * [`run_tiled`] — the FAST path: the program is
 //!   [linked once](fpir_sim::exec::Executable), the taps behind each
 //!   input slot are parsed once, and the image rows are split into chunks
-//!   dealt out to workers on an [`fpir_pool::Pool`]. Each worker gathers
-//!   its strips' inputs at the samples' own width and reuses one
-//!   execution context for every chunk it is dealt — steady-state strips
-//!   allocate nothing — and writes each chunk's rows in place into the
-//!   one output buffer, so the output is **bit-identical for any worker
-//!   count** (and to the reference runner; the end-to-end and
-//!   differential tests pin both).
+//!   dealt out to workers on an [`fpir_pool::Pool`]. Every linked kernel
+//!   is lane-wise, so a worker runs each row in segments of up to
+//!   [`RUN_LANES`] lanes, not in vectors of the pipeline's declared
+//!   width: per segment it gathers each input slot once, at the samples'
+//!   own width, and makes one run, and the last segment of a row takes
+//!   exactly the lanes that remain. It reuses one execution context for
+//!   every chunk it is dealt — steady-state segments allocate nothing —
+//!   and writes each chunk's rows in place into the one output buffer, so
+//!   the output is **bit-identical for any worker count** (and to the
+//!   reference runner; the end-to-end and differential tests pin both).
 
 use crate::image::Image;
 use crate::pipeline::{parse_tap, Pipeline, PipelineError};
@@ -25,7 +28,7 @@ use fpir_isa::{Lanes, Target};
 use fpir_pool::Pool;
 use fpir_sim::program::Program;
 use fpir_sim::vm::execute;
-use fpir_sim::Executable;
+use fpir_sim::{Executable, RUN_LANES};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -119,8 +122,9 @@ fn gather(buf: &mut Lanes, img: &Image, y: usize, start: i64, lanes: usize) {
 /// over `jobs` workers.
 ///
 /// The program is linked once; each worker owns one execution context
-/// whose register file and lane buffers are recycled across every strip
-/// of its chunks, and writes its rows in place into the output image.
+/// whose register file and lane buffers are recycled across every row
+/// segment of its chunks, and writes its rows in place into the output
+/// image.
 /// Rows are pure functions of the inputs, so the output is bit-identical
 /// for any `jobs` — `run_tiled(.., 1)` equals `run_tiled(.., n)` equals
 /// [`run_program_reference`].
@@ -160,7 +164,7 @@ pub fn run_tiled_exe(
 ) -> Result<Image, PipelineError> {
     let (w, h) = output_shape(pipe, inputs)?;
 
-    // Resolve each input slot to (image, offset) once, for every strip.
+    // Resolve each input slot to (image, offset) once, for every segment.
     let mut sources: Vec<SlotSource<'_>> = Vec::with_capacity(exe.inputs().len());
     for slot in exe.inputs() {
         let t = parse_tap(&slot.name, slot.ty.elem)
@@ -176,7 +180,10 @@ pub fn run_tiled_exe(
         sources.push(SlotSource { img, dx: t.dx as i64, dy: t.dy as i64 });
     }
 
-    let lanes = pipe.lanes() as usize;
+    // One run per row segment of up to `RUN_LANES` lanes. An executable
+    // without input slots has nothing to set the run width: it runs at
+    // its linked width, the pipeline's.
+    let seg = if exe.inputs().is_empty() { pipe.lanes() as usize } else { RUN_LANES };
     let out_elem = pipe.out_elem();
 
     // Several chunks per worker, dealt round-robin: chunk `c` goes to
@@ -204,11 +211,12 @@ pub fn run_tiled_exe(
         for (c, rows) in share {
             for (dy, mut out_row) in rows.into_chunks(w).enumerate() {
                 let y = c * rows_per + dy;
-                for x0 in (0..w).step_by(lanes) {
+                for x0 in (0..w).step_by(seg) {
+                    let n = seg.min(w - x0);
                     for (src, slot) in sources.iter().zip(exe.inputs()) {
                         let mut buf = ctx.take_lanes(slot.ty.elem);
                         let ry = (y as i64 + src.dy).clamp(0, src.img.height() as i64 - 1);
-                        gather(&mut buf, src.img, ry as usize, x0 as i64 + src.dx, lanes);
+                        gather(&mut buf, src.img, ry as usize, x0 as i64 + src.dx, n);
                         slots.push(buf);
                     }
                     let v = exe
@@ -222,7 +230,6 @@ pub fn run_tiled_exe(
                             ),
                         });
                     }
-                    let n = lanes.min(w - x0);
                     out_row.slice_mut(x0..x0 + n).copy_from(v.slice(0..n));
                     for s in slots.drain(..) {
                         ctx.recycle_lanes(s);
@@ -315,6 +322,43 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn row_segments_and_tails_match_the_reference_runner() {
+        // One lane, one lane past a window, and a row of one full
+        // segment plus a 52-lane tail, at one worker and at three.
+        let pipe = blur_pipeline(16);
+        let p = compile(&pipe, Isa::ArmNeon);
+        let tgt = target(Isa::ArmNeon);
+        let mut rng = StdRng::seed_from_u64(12);
+        for w in [1, 129, RUN_LANES + 52] {
+            let mut inputs = BTreeMap::new();
+            inputs.insert("in".to_string(), Image::random(&mut rng, S::U8, w, 5));
+            let want = run_program_reference(&pipe, &p, tgt, &inputs).unwrap();
+            for jobs in [1, 3] {
+                let got = run_tiled(&pipe, &p, tgt, &inputs, jobs).unwrap();
+                assert_eq!(got, want, "width {w}, jobs {jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_executable_without_input_slots_fills_the_image() {
+        // Nothing sets the run width, so each run covers the linked
+        // width and the row's last run is cut to the lanes that remain.
+        let pipe = blur_pipeline(16);
+        let t = target(Isa::ArmNeon);
+        let seven = build::constant(7, fpir::types::VectorType::new(S::U8, 16));
+        let p = emit(&legalize(&seven, t).unwrap(), t).unwrap();
+        let exe = Executable::link_with(&p, t, &fpir_sim::ExecConfig::FAST).unwrap();
+        assert!(exe.inputs().is_empty());
+        let mut inputs = BTreeMap::new();
+        inputs.insert("in".to_string(), Image::filled(S::U8, 37, 3, 0));
+        for jobs in [1, 3] {
+            let out = run_tiled_exe(&pipe, &exe, &inputs, jobs).unwrap();
+            assert_eq!(out, Image::filled(S::U8, 37, 3, 7), "jobs {jobs}");
+        }
     }
 
     #[test]

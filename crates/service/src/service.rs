@@ -38,7 +38,9 @@
 //! the way in, and the print stops at the 16 MiB frame limit: a DAG
 //! prints as a tree, which can be exponentially longer than its unique
 //! nodes, so an artifact whose print would not fit in a frame is
-//! answered with an error and never cached or spilled.
+//! answered with an error and never cached or spilled. Its key is
+//! remembered instead (a bounded set of refused keys), so a repeat gets
+//! the same error frame without compiling and printing again.
 //!
 //! Served results are **bit-identical** to a direct
 //! [`pitchfork::compile_to_executable`] call with the same
@@ -60,7 +62,7 @@ use fpir::expr::RcExpr;
 use fpir::interp::{Env, Value};
 use fpir_halide::{run_tiled_exe, Image, Pipeline};
 use pitchfork::{compile_to_executable_with, Artifact, Config, DriverError, Pitchfork};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,6 +112,9 @@ struct Selector {
     pf: Pitchfork,
     rules_fp: u64,
 }
+
+/// How many refused keys a service remembers; a full set starts over.
+const REFUSED_CAP: usize = 256;
 
 /// The part of a [`CompileSpec`] that picks a selector (everything but
 /// the expression and the deadline).
@@ -324,6 +329,10 @@ pub struct Service {
     config: ServiceConfig,
     selectors: Mutex<HashMap<SelectorKey, Arc<Selector>>>,
     cache: Cache<CacheKey, Served, ServiceError>,
+    /// Keys whose compiled artifact prints past the frame limit: a
+    /// repeat answers the same error without compiling. At most
+    /// [`REFUSED_CAP`] keys; a full set is cleared.
+    refused: Mutex<HashSet<CacheKey>>,
     store: Option<DiskStore>,
     stats: Stats,
     /// Monotonic rule-set generation. Anything memoizing *rendered
@@ -355,6 +364,7 @@ impl Service {
         });
         let svc = Service {
             cache: Cache::new(config.cache_bytes),
+            refused: Mutex::new(HashSet::new()),
             stats: Stats::new(),
             selectors: Mutex::new(HashMap::new()),
             store,
@@ -532,7 +542,13 @@ impl Service {
         let selector = self.selector(spec);
         let key = CacheKey::for_spec(spec, &expr, selector.rules_fp);
         let Some(served) = self.cache.try_get(&key) else {
-            return (CacheDecision::Dispatch(Some(Resolved::new(expr, selector, key))), false);
+            // A refused key's error frame needs no worker.
+            let refused = self.is_refused(&key);
+            let resolved = Some(Resolved::new(expr, selector, key));
+            if refused {
+                return (CacheDecision::Reply(self.reply(req, resolved, None)), false);
+            }
+            return (CacheDecision::Dispatch(resolved), false);
         };
         let out = match req {
             Request::Compile(_) => Ok(served.body(Source::Hit, &[])),
@@ -590,6 +606,9 @@ impl Service {
             Some(r) => r,
             None => self.resolve(spec)?,
         };
+        if self.is_refused(&key) {
+            return Err(frame_too_large());
+        }
         let timeout_ms = spec.timeout_ms.or(self.config.default_timeout_ms);
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
@@ -608,7 +627,7 @@ impl Service {
                 self.spill(&key, &served.0.art);
                 return Ok(served);
             }
-            let r = self.compile(&selector, &expr, key_fp, deadline, timeout_ms);
+            let r = self.compile(&selector, &expr, &key, key_fp, deadline, timeout_ms);
             if let Ok((served, _)) = &r {
                 self.spill(&key, &served.art);
             }
@@ -630,13 +649,21 @@ impl Service {
         }
     }
 
+    /// Whether `key`'s artifact was refused for its print's size.
+    fn is_refused(&self, key: &CacheKey) -> bool {
+        self.refused.lock().expect("refused-key lock").contains(key)
+    }
+
     /// The single-flight leader's compute, on the calling thread: run
     /// the driver under the deadline and map its result onto
-    /// cache-insertable state, auditing the artifact in debug builds.
+    /// cache-insertable state, auditing the artifact in debug builds. An
+    /// artifact refused for its print's size leaves its key in the
+    /// refused set.
     fn compile(
         &self,
         selector: &Selector,
         expr: &RcExpr,
+        key: &CacheKey,
         key_fp: u64,
         deadline: Option<Instant>,
         timeout_ms: Option<u64>,
@@ -654,7 +681,13 @@ impl Service {
                 if let Err(v) = fpir_sim::verify_executable(&art.exe) {
                     panic!("refusing to cache an unverifiable artifact: {v}");
                 }
-                Served::new(art, key_fp)
+                Served::new(art, key_fp).inspect_err(|_| {
+                    let mut refused = self.refused.lock().expect("refused-key lock");
+                    if refused.len() == REFUSED_CAP {
+                        refused.clear();
+                    }
+                    refused.insert(key.clone());
+                })
             }
             Err(DriverError::Cancelled(_)) => {
                 Err(ServiceError::Timeout { budget_ms: timeout_ms.unwrap_or(0) })
@@ -1009,6 +1042,36 @@ mod tests {
             &format!(r#"{{"op":"compile","expr":"{SAT_ADD}","lanes":16,"isa":"x86"}}"#),
         );
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{v:?}");
+    }
+
+    #[test]
+    fn a_refused_key_is_answered_again_without_compiling() {
+        // The same oversized request twice, through the worker entry and
+        // through `classify`, then as a `run`: one compile, the same error
+        // frame each time, and the refused key answers inline.
+        let svc = service();
+        let spec = CompileSpec {
+            expr: nested_absd(16),
+            lanes: 32,
+            isa: fpir::Isa::X86Avx2,
+            synthesized_rules: true,
+            leave_out: None,
+            timeout_ms: None,
+        };
+        let want = error_response(&frame_too_large()).render();
+        let compile = Request::Compile(spec.clone());
+        assert_eq!(svc.handle_local(&compile).render(), want);
+        assert_eq!(Stats::read(&svc.stats().compiles), 1);
+        assert_eq!(svc.handle_local(&compile).render(), want);
+        match svc.classify(&compile) {
+            CacheDecision::Reply(body) => assert_eq!(body, want),
+            other => panic!("a refused key needs no worker: {other:?}"),
+        }
+        let run = Request::Run { spec, inputs: Vec::new() };
+        assert_eq!(svc.handle_local(&run).render(), want);
+        assert_eq!(Stats::read(&svc.stats().compiles), 1, "the key compiled once");
+        assert_eq!(Stats::read(&svc.stats().errors), 4);
+        assert_eq!(svc.cache_stats().resident_count, 0, "nothing is cached");
     }
 
     /// `depth` nested `absd(…, b_u8)` around `a_u8`.

@@ -73,11 +73,21 @@ fn shutdown(path: &Path) {
 /// A `run_pipeline` request over a `rows`×`cols` image — enough pixels
 /// that the tiled runner spends real time on a worker thread.
 fn image_run(tag: &str, rows: usize, cols: usize) -> Json {
+    deep_image_run(tag, rows, cols, 1)
+}
+
+/// [`image_run`] of `depth` nested `rounding_halving_add`s: a worker's
+/// time per pixel grows with `depth`, the loop thread's parse time does
+/// not.
+fn deep_image_run(tag: &str, rows: usize, cols: usize, depth: usize) -> Json {
     let row: Vec<String> = (0..cols).map(|c| ((c * 7) % 256).to_string()).collect();
     let row = format!("[{}]", row.join(","));
     let rows_json = vec![row; rows].join(",");
+    let expr = (0..depth).fold("in__p0_p0_u8".to_string(), |e, _| {
+        format!("rounding_halving_add({e}, in__p1_p0_u8)")
+    });
     parse(&format!(
-        r#"{{"op":"run_pipeline","expr":"rounding_halving_add(in__p0_p0_u8, in__p1_p0_u8)",
+        r#"{{"op":"run_pipeline","expr":"{expr}",
             "lanes":4,"isa":"arm","inputs":{{"in":{{"elem":"u8","rows":[{rows_json}]}}}},
             "jobs":1,"tag":"{tag}"}}"#
     ))
@@ -193,13 +203,17 @@ fn time_waiting_for_a_worker_counts_against_the_deadline() {
     let path = sock("deadline");
     // One service worker gives two dispatch workers; two image runs
     // occupy both, so a cold compile queued behind them spends its
-    // whole 5 ms budget waiting and is refused without compiling.
+    // whole 5 ms budget waiting and is refused without compiling. The
+    // first run must outlast the loop thread's parse of the second
+    // frame, so each pixel takes 32 nested averages: the tiled runner
+    // runs a row per call, and one average per pixel costs a worker
+    // less than the parse of that pixel.
     let server = start(&path, ServeOptions::default(), 1);
     let (mut stream, mut reader) = (connect_with_retry(&path), FrameReader::new());
 
     let mut burst = Vec::new();
-    write_frame(&mut burst, &image_run("big-a", 128, 1024)).unwrap();
-    write_frame(&mut burst, &image_run("big-b", 128, 1024)).unwrap();
+    write_frame(&mut burst, &deep_image_run("big-a", 128, 1024, 32)).unwrap();
+    write_frame(&mut burst, &deep_image_run("big-b", 128, 1024, 32)).unwrap();
     write_frame(
         &mut burst,
         &parse(

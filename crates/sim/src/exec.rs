@@ -5,8 +5,8 @@
 //! opcode up in the [`Target`] table, resolves input names through a
 //! string-keyed environment, materializes splat constants, and clones
 //! every operand `Value` out of the register vector. That is faithful and
-//! simple, but an end-to-end experiment executes the same program tens of
-//! thousands of times (once per vector strip of an image), repaying the
+//! simple, but an end-to-end experiment executes the same program
+//! thousands of times (once per row segment of an image), repaying the
 //! same resolution work on every invocation.
 //!
 //! Linking ([`Executable::link_with`], built in [`crate::fuse`]) performs
@@ -36,7 +36,19 @@
 //!   a REFERENCE link gives each instruction one step, a FAST link fuses
 //!   chains into longer kernels. [`Executable::run`] converts [`Value`]s
 //!   at the engine's boundary; [`Executable::run_lanes`] takes native
-//!   inputs and lends out the native result.
+//!   inputs and lends out the native result;
+//! * **the run sets the width** — every semantic is lane-wise
+//!   ([`fpir_isa::check_shape`] gives every operand the result's lane
+//!   count), so lane `i` of a result reads only lane `i` of each operand
+//!   and a run may cover any number of lanes. [`Executable::run_lanes`]
+//!   takes slots of any common lane count from 1 to [`RUN_LANES`], and
+//!   registers, scratch rows and pool constants take the run's width, not
+//!   the declared one. A tiled image run makes one call per row segment,
+//!   so each step's fixed cost (staging, the indirect call, the storage
+//!   matches, the loop prologue) is paid once per up to [`RUN_LANES`]
+//!   lanes instead of once per declared vector. The linked pool keeps
+//!   the declared width; the context materializes its splats at the run
+//!   width.
 //!
 //! The linked engine is differentially gated against the reference
 //! engine everywhere [`crate::difftest`] runs: on every environment the
@@ -64,6 +76,13 @@ pub(crate) const MAX_STEPS: usize = 32;
 
 /// Element types: a scratchpad row per step and type.
 const KINDS: usize = 8;
+
+/// The most lanes one [`Executable::run_lanes`] call takes. A tiled
+/// image run covers a row in segments of this many lanes (the last takes
+/// what remains), so each step's fixed cost is paid once per segment.
+/// Of the widths measured on the figure artifacts (128 to 2048), 2048
+/// ran fastest.
+pub const RUN_LANES: usize = 2048;
 
 /// A run of entries in one of an [`Executable`]'s flat arrays:
 /// `array[start..start + len]`. Operand lists, steps and step sources
@@ -245,16 +264,18 @@ pub(crate) enum OutLoc {
 ///   scalar) and is only ever called through `&`, so sharing one across
 ///   threads needs no lock, and cloning the executable shares it;
 /// * the **splat constant pool** (`consts`, [`Lanes`] at each constant's
-///   own width) is materialized once at link time and only ever read
-///   afterwards — every execution path takes `&self.consts[..]`, so
-///   concurrent invocations share the pool without copies or locks;
+///   own width and the declared lane count) is materialized once at link
+///   time and only ever read afterwards: a run reads each entry's type
+///   and value and takes its lanes at the run width from its own
+///   context, so concurrent invocations share the pool without locks;
 /// * `inputs` is owned, never-mutated `String` data.
 ///
 /// All *mutable* execution state lives in the per-thread [`ExecCtx`]
 /// (which is `Send` but deliberately not shared): the register file, the
-/// recycled buffer pool and the scratchpad. Sharing the `Executable` is free; sharing a
-/// context would be a data race, which the `&mut ExecCtx` receiver on
-/// [`Executable::run`] rules out at compile time.
+/// recycled buffer pool, the scratchpad and the run-width splats.
+/// Sharing the `Executable` is free; sharing a context would be a data
+/// race, which the `&mut ExecCtx` receiver on [`Executable::run`] rules
+/// out at compile time.
 #[derive(Debug, Clone)]
 pub struct Executable {
     pub(crate) isa: Isa,
@@ -285,11 +306,19 @@ pub struct ExecCtx {
     spare: Vec<Lanes>,
     /// The inputs [`Executable::run`] converts its [`Value`]s into.
     ins: Vec<Lanes>,
-    /// Kernel scratchpad: one strip-width row per step index and element
-    /// type (step `j` at type `t` is row `j · KINDS + t`, by the
-    /// [`ScalarType`] discriminant), sized on first use and reused by
-    /// every dispatch thereafter (steady-state runs allocate nothing).
+    /// Kernel scratchpad: one row per step index and element type (step
+    /// `j` at type `t` is row `j · KINDS + t`, by the [`ScalarType`]
+    /// discriminant), kept at the widest run so far and sliced to each
+    /// run, so a shorter run neither shrinks nor re-zeroes it
+    /// (steady-state runs allocate nothing).
     scratch: Vec<Lanes>,
+    /// Pool constants at the run width: one splat per element type and
+    /// value, kept at the widest run so far and sliced to each run. The
+    /// key is the value, not a pool index, so one context serves any
+    /// executable.
+    splats: Vec<(i128, Lanes)>,
+    /// For the current run: the `splats` entry of each pool constant.
+    pool: Vec<usize>,
     buffer_allocs: u64,
 }
 
@@ -319,6 +348,29 @@ impl ExecCtx {
     /// Hand a no-longer-needed lane buffer back for reuse.
     pub fn recycle_lanes(&mut self, l: Lanes) {
         self.spare.push(l);
+    }
+
+    /// Point `pool` at a splat of each of `consts`' values, at least `n`
+    /// lanes long.
+    fn bind_pool(&mut self, consts: &[Lanes], n: usize) {
+        self.pool.clear();
+        for c in consts {
+            let (elem, v) = (c.elem(), c.get(0));
+            let i = match self.splats.iter().position(|(x, l)| *x == v && l.elem() == elem) {
+                Some(i) => i,
+                None => {
+                    self.buffer_allocs += 1;
+                    self.splats.push((v, Lanes::new(elem)));
+                    self.splats.len() - 1
+                }
+            };
+            let l = &mut self.splats[i].1;
+            if l.len() < n {
+                l.resize(n);
+                l.as_mut().fill(v);
+            }
+            self.pool.push(i);
+        }
     }
 }
 
@@ -442,7 +494,8 @@ impl Executable {
     /// Run on an environment (input names resolved to slots here; prefer
     /// [`Executable::run_lanes`] in hot loops that can pre-resolve). The
     /// inputs are converted into the context's own buffers, and the
-    /// result into a fresh [`Value`].
+    /// result into a fresh [`Value`]. Every binding must have its input's
+    /// declared type, lane count included, as in [`crate::vm::execute`].
     ///
     /// # Errors
     ///
@@ -467,7 +520,7 @@ impl Executable {
             Ok(())
         });
         let out = bound.map(|()| {
-            let s = self.run_resolved(ctx, &ins, &mut ());
+            let s = self.run_resolved(ctx, &ins, self.linked_lanes(), &mut ());
             let mut lanes = Vec::with_capacity(s.len());
             s.write_to(&mut lanes);
             // Semantics wrap/saturate into the result type, so the lanes
@@ -490,8 +543,8 @@ impl Executable {
         slots: &'a [Lanes],
         obs: &mut impl PassObserver,
     ) -> Result<Slice<'a>, ExecError> {
-        self.check_lanes(slots)?;
-        Ok(self.run_resolved(ctx, slots, obs))
+        let n = self.check_lanes(slots)?;
+        Ok(self.run_resolved(ctx, slots, n, obs))
     }
 
     /// What step `i` (below [`Executable::step_count`]) computes: its
@@ -513,34 +566,58 @@ impl Executable {
     /// Run on positionally-bound inputs held at their own width:
     /// `slots[i]` binds [`Executable::inputs`]`[i]`. The engine's native
     /// entry point: nothing converts, and the result is borrowed from the
-    /// context (or from the inputs or the constant pool) until the next
-    /// run.
+    /// context (or from the inputs) until the next run.
+    ///
+    /// The slots may hold any common lane count `n` from 1 to
+    /// [`RUN_LANES`], whatever width the program was linked at: every
+    /// semantic is lane-wise, so the result's `n` lanes are those that
+    /// runs at the linked width over the same lanes compute. An
+    /// executable without input slots runs at its linked width.
     ///
     /// # Errors
     ///
-    /// Mistyped or missing slots ([`ExecError::UnboundInput`] names the
-    /// first missing one), or more slots than inputs
-    /// ([`ExecError::ExtraSlots`]): a slot's lanes must have its declared
-    /// element type and lane count.
+    /// Missing slots ([`ExecError::UnboundInput`] names the first missing
+    /// one), more slots than inputs ([`ExecError::ExtraSlots`]), a slot
+    /// whose element type is not its input's
+    /// ([`ExecError::InputTypeMismatch`]), or lane counts a run cannot
+    /// take ([`ExecError::RunLanes`]): none, more than [`RUN_LANES`], or
+    /// unlike the first slot's.
     pub fn run_lanes<'a>(
         &'a self,
         ctx: &'a mut ExecCtx,
         slots: &'a [Lanes],
     ) -> Result<Slice<'a>, ExecError> {
-        self.check_lanes(slots)?;
-        Ok(self.run_resolved(ctx, slots, &mut ()))
+        let n = self.check_lanes(slots)?;
+        Ok(self.run_resolved(ctx, slots, n, &mut ()))
     }
 
-    /// The input checks of [`Executable::run_lanes`].
-    fn check_lanes(&self, slots: &[Lanes]) -> Result<(), ExecError> {
+    /// The input checks of [`Executable::run_lanes`]; the run's lane
+    /// count.
+    fn check_lanes(&self, slots: &[Lanes]) -> Result<usize, ExecError> {
         self.check_count(slots.len())?;
+        let Some(first) = slots.first() else { return Ok(self.linked_lanes()) };
+        let n = first.len();
         for (l, slot) in slots.iter().zip(&self.inputs) {
-            let ty = lanes_ty(&l.as_slice());
-            if ty != slot.ty {
-                return Err(self.mistyped(slot, ty));
+            if l.elem() != slot.ty.elem {
+                return Err(self.mistyped(slot, lanes_ty(&l.as_slice())));
+            }
+            let run = (l.len() != n).then_some(n);
+            if run.is_some() || !(1..=RUN_LANES).contains(&n) {
+                return Err(ExecError::RunLanes { name: slot.name.clone(), lanes: l.len(), run });
             }
         }
-        Ok(())
+        Ok(n)
+    }
+
+    /// The lane count the program was linked at: what [`Executable::run`]
+    /// and a run without input slots compute.
+    fn linked_lanes(&self) -> usize {
+        match (self.code.last(), self.output) {
+            (Some(inst), _) => inst.ty.lanes as usize,
+            (None, OutLoc::Const(c)) => self.consts[c as usize].len(),
+            (None, OutLoc::In(s)) => self.inputs[s as usize].ty.lanes as usize,
+            (None, OutLoc::Reg(_)) => unreachable!("an output register no instruction writes"),
+        }
     }
 
     /// The slot-count checks of [`Executable::run_lanes`].
@@ -569,15 +646,17 @@ impl Executable {
     }
 
     /// The hot loop: direct dispatch over resolved operands, recycled
-    /// register file, zero steady-state allocation. It cannot fail: the
-    /// link checked every kernel's shapes (arity, lane counts, widening
-    /// widths), and external operand types are fixed by the link and
-    /// re-checked at binding, so each step is one call into its compiled
-    /// vector kernel with no per-step validation.
+    /// register file, zero steady-state allocation, every step over the
+    /// run's `n` lanes (every input slot holds `n`). It cannot fail: the
+    /// link checked every kernel's shapes (arity, lane-wise operands,
+    /// widening widths), and external operand types are fixed by the link
+    /// and re-checked at binding, so each step is one call into its
+    /// compiled vector kernel with no per-step validation.
     fn run_resolved<'a>(
         &'a self,
         ctx: &'a mut ExecCtx,
         ins: &'a [Lanes],
+        n: usize,
         obs: &mut impl PassObserver,
     ) -> Slice<'a> {
         if ctx.regs.len() < self.phys_regs {
@@ -588,7 +667,10 @@ impl Executable {
             kinds.sort_by_key(|&t| t as usize);
             ctx.scratch.extend((0..MAX_STEPS).flat_map(|_| kinds.map(Lanes::new)));
         }
-        let ExecCtx { regs, spare, scratch, buffer_allocs, .. } = ctx;
+        ctx.bind_pool(&self.consts, n);
+        let ExecCtx { regs, spare, scratch, splats, pool, buffer_allocs, .. } = ctx;
+        let (splats, pool) = (&*splats, &*pool);
+        let konst = |c: u16| splats[pool[c as usize]].1.as_slice().slice(0..n);
         for inst in &self.code {
             // Reclaim the destination's previous (dead by liveness)
             // value; the allocator guarantees the destination never
@@ -607,21 +689,20 @@ impl Executable {
                             .expect("linked instructions define registers before use")
                             .as_slice(),
                         Operand::In(s) => ins[s as usize].as_slice(),
-                        Operand::Const(c) => self.consts[c as usize].as_slice(),
+                        Operand::Const(c) => konst(c),
                     };
                 }
                 // Each step runs over lanes at their own width, its
                 // intermediates staying in the context scratchpad. The
                 // verifier's fused-shape check audits the wiring.
-                let lanes = inst.ty.lanes as usize;
                 let steps = &self.steps[inst.steps.range()];
                 let root = steps.len() - 1;
                 // Size the destination without zeroing it: the root step
                 // overwrites every lane (operand and scratch slices are
-                // exactly `lanes` long, and every compiled kernel writes
+                // exactly `n` lanes long, and every compiled kernel writes
                 // its full output slice), so recycled contents never
                 // leak.
-                buf.resize(lanes);
+                buf.resize(n);
                 for (j, step) in steps.iter().enumerate() {
                     let i = inst.steps.start as usize + j;
                     obs.before(i);
@@ -635,19 +716,19 @@ impl Executable {
                         buf.as_mut()
                     } else {
                         let row = &mut hi[step.ty.elem as usize];
-                        if row.len() != lanes {
-                            // First dispatch at this width; the row is
-                            // kept for every later run.
-                            row.resize(lanes);
+                        if row.len() < n {
+                            // The widest run so far; the row is kept at
+                            // this length for every later run.
+                            row.resize(n);
                         }
-                        row.as_mut()
+                        row.as_mut().split_at(n).0
                     };
                     macro_rules! src {
                         ($k:expr) => {
                             match srcs[$k] {
                                 FSrc::Arg(a) => xs[a as usize],
                                 FSrc::Tmp(t) => {
-                                    lo[t as usize * KINDS + tys[$k] as usize].as_slice()
+                                    lo[t as usize * KINDS + tys[$k] as usize].as_slice().slice(0..n)
                                 }
                             }
                         };
@@ -669,7 +750,7 @@ impl Executable {
                             (step.eval)(&ys[..srcs.len()], dst);
                         }
                     }
-                    obs.after(i, lanes);
+                    obs.after(i, n);
                 }
             }
             if inst.dst_dead {
@@ -683,7 +764,7 @@ impl Executable {
                 regs[r as usize].as_ref().expect("the output register was just written").as_slice()
             }
             OutLoc::In(s) => ins[s as usize].as_slice(),
-            OutLoc::Const(c) => self.consts[c as usize].as_slice(),
+            OutLoc::Const(c) => konst(c),
         }
     }
 
@@ -795,19 +876,22 @@ pub(crate) mod tests {
 
     /// Run `exe` 101 times through [`Executable::run_lanes`], every input
     /// slot bound to `value` in buffers taken from the context and
-    /// recycled after each run, as the tiled runner does: after the first
-    /// run, the context allocates no lane buffer.
+    /// recycled after each run, as the tiled runner does, alternating a
+    /// full run of [`RUN_LANES`] lanes and a short tail run: after the
+    /// first run, the context allocates no lane buffer.
     pub(crate) fn assert_steady_state_is_allocation_free(exe: &Executable, value: i128) {
         let mut ctx = exe.new_ctx();
         let mut slots = Vec::with_capacity(exe.inputs().len());
         let mut primed = None;
-        for _ in 0..101 {
+        for run in 0..101 {
+            let n = if run % 2 == 0 { RUN_LANES } else { 52 };
             for slot in exe.inputs() {
                 let mut l = ctx.take_lanes(slot.ty.elem);
-                l.extend_from(&vec![value; slot.ty.lanes as usize]);
+                l.extend_from(&vec![value; n]);
                 slots.push(l);
             }
-            exe.run_lanes(&mut ctx, &slots).unwrap();
+            let out = exe.run_lanes(&mut ctx, &slots).unwrap();
+            assert_eq!(out.len(), n, "{exe}");
             for l in slots.drain(..) {
                 ctx.recycle_lanes(l);
             }
@@ -960,6 +1044,16 @@ pub(crate) mod tests {
             exe.run_lanes(&mut ctx, &slots[..1]).unwrap_err(),
             ExecError::UnboundInput { .. }
         ));
+        // The run sets the width: any common lane count from 1 to
+        // `RUN_LANES`, whatever width the program was linked at.
+        for n in [1, 5, 129, RUN_LANES] {
+            let x: Vec<i128> = (0..n as i128).map(|i| i % 256).collect();
+            let slots = [Lanes::from_lanes(S::U8, &x), Lanes::splat(S::U8, 1, n)];
+            out.clear();
+            exe.run_lanes(&mut ctx, &slots).unwrap().write_to(&mut out);
+            let want: Vec<i128> = x.iter().map(|&v| (v - 1).rem_euclid(256)).collect();
+            assert_eq!(out, want, "{n} lanes");
+        }
     }
 
     #[test]
@@ -977,14 +1071,92 @@ pub(crate) mod tests {
             for cfg in [ExecConfig::REFERENCE, ExecConfig::FAST] {
                 let exe = Executable::link_with(&p, target(isa), &cfg).unwrap();
                 assert_eq!(exe.inputs().len(), inputs);
-                let slots = vec![Lanes::splat(S::U8, 1, 4); inputs + 1];
-                let err = exe.run_lanes(&mut exe.new_ctx(), &slots).unwrap_err();
-                assert_eq!(err, ExecError::ExtraSlots { given: inputs + 1, inputs }, "{cfg:?}");
-                let msg = err.to_string();
-                assert!(msg.contains(&format!("{} values", inputs + 1)), "{msg}");
-                assert!(msg.contains(&format!("{inputs} input slots")), "{msg}");
-                // The exact count still runs.
-                assert!(exe.run_lanes(&mut exe.new_ctx(), &slots[..inputs]).is_ok(), "{cfg:?}");
+                for n in [4, 9] {
+                    let slots = vec![Lanes::splat(S::U8, 1, n); inputs + 1];
+                    let err = exe.run_lanes(&mut exe.new_ctx(), &slots).unwrap_err();
+                    assert_eq!(err, ExecError::ExtraSlots { given: inputs + 1, inputs }, "{cfg:?}");
+                    let msg = err.to_string();
+                    assert!(msg.contains(&format!("{} values", inputs + 1)), "{msg}");
+                    assert!(msg.contains(&format!("{inputs} input slots")), "{msg}");
+                    // The exact count still runs: at the slots' width, or
+                    // at the linked width without slots.
+                    let mut ctx = exe.new_ctx();
+                    let out = exe.run_lanes(&mut ctx, &slots[..inputs]).unwrap();
+                    assert_eq!(out.len(), if inputs == 0 { 4 } else { n }, "{cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_lanes_rejects_lane_counts_a_run_cannot_take() {
+        let t = V::new(S::U8, 4);
+        let e = build::add(build::var("x", t), build::var("y", t));
+        let p = emit(&legalize(&e, target(Isa::ArmNeon)).unwrap(), target(Isa::ArmNeon)).unwrap();
+        let u8s = |n: usize| Lanes::splat(S::U8, 1, n);
+        let over = RUN_LANES + 1;
+        let cases = [
+            ([u8s(4), u8s(5)], ExecError::RunLanes { name: "y".into(), lanes: 5, run: Some(4) }),
+            ([u8s(5), u8s(4)], ExecError::RunLanes { name: "y".into(), lanes: 4, run: Some(5) }),
+            ([u8s(4), u8s(0)], ExecError::RunLanes { name: "y".into(), lanes: 0, run: Some(4) }),
+            ([u8s(0), u8s(0)], ExecError::RunLanes { name: "x".into(), lanes: 0, run: None }),
+            (
+                [u8s(over), u8s(over)],
+                ExecError::RunLanes { name: "x".into(), lanes: over, run: None },
+            ),
+            (
+                [u8s(4), Lanes::splat(S::U16, 1, 4)],
+                ExecError::InputTypeMismatch {
+                    name: "y".into(),
+                    pos: 1,
+                    reg: 1,
+                    declared: t,
+                    bound: V::new(S::U16, 4),
+                },
+            ),
+        ];
+        for cfg in [ExecConfig::REFERENCE, ExecConfig::FAST] {
+            let exe = Executable::link_with(&p, target(Isa::ArmNeon), &cfg).unwrap();
+            let mut ctx = exe.new_ctx();
+            for (slots, want) in &cases {
+                assert_eq!(exe.run_lanes(&mut ctx, slots).unwrap_err(), *want, "{cfg:?}");
+            }
+            let msg = cases[0].1.to_string();
+            assert!(msg.contains("`y` bound with 5 lanes, the first input with 4"), "{msg}");
+            let msg = cases[4].1.to_string();
+            assert!(msg.contains(&format!("a run takes 1 to {RUN_LANES}")), "{msg}");
+            // The context still runs after every refusal.
+            let mut out = Vec::new();
+            exe.run_lanes(&mut ctx, &[u8s(RUN_LANES), u8s(RUN_LANES)]).unwrap().write_to(&mut out);
+            assert_eq!(out, vec![2; RUN_LANES], "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn one_context_serves_executables_with_different_pools() {
+        // Three executables whose one pool constant differs in value or
+        // type, run in turn on one context at three widths: each reads
+        // its own splat. `c - x` keeps the constant out of the kernel
+        // (only a last operand is captured), so the run reads its lanes.
+        let exes: Vec<(Executable, i128)> = [(S::U8, 3), (S::U8, 5), (S::U16, 3)]
+            .into_iter()
+            .map(|(elem, c)| {
+                let t = V::new(elem, 4);
+                let e = build::sub(build::constant(c, t), build::var("x", t));
+                let exe = link_expr(&e, Isa::ArmNeon).1;
+                assert!(exe.steps.iter().all(|s| s.captured.is_none()), "{exe}");
+                assert_eq!(exe.const_count(), 1, "{exe}");
+                (exe, (c - 250).rem_euclid(1 << elem.bits()))
+            })
+            .collect();
+        let mut ctx = ExecCtx::new();
+        let mut out = Vec::new();
+        for n in [3, 300, 7] {
+            for (exe, want) in &exes {
+                let slots = [Lanes::splat(exe.inputs()[0].ty.elem, 250, n)];
+                out.clear();
+                exe.run_lanes(&mut ctx, &slots).unwrap().write_to(&mut out);
+                assert_eq!(out, vec![*want; n], "{n} lanes\n{exe}");
             }
         }
     }

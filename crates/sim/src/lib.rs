@@ -24,7 +24,7 @@ pub mod verify;
 pub mod vm;
 
 pub use difftest::{check_program, Counterexample};
-pub use exec::{ExecCtx, Executable, InputSlot, PassObserver};
+pub use exec::{ExecCtx, Executable, InputSlot, PassObserver, RUN_LANES};
 pub use fuse::ExecConfig;
 pub use program::{cycle_cost, emit, EmitError, PInst, PKind, Program, LOAD_COST};
 pub use verify::{verify_executable, ArtifactCheck, ArtifactError};

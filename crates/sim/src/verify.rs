@@ -278,8 +278,10 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
             operand_tys.push(ty);
         }
 
-        // Every operand must have the result's lane count: a kernel
-        // walks exactly `inst.ty.lanes` lanes of every external source.
+        // Every operand must have the result's lane count: the kernel is
+        // lane-wise, so a run walks the same `n` lanes (the run's width,
+        // whatever the declared one) of every external source and of its
+        // result.
         for (k, ty) in operand_tys.iter().enumerate() {
             if ty.lanes != inst.ty.lanes {
                 return Err(err(

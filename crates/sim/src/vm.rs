@@ -78,6 +78,18 @@ pub enum ExecError {
         /// How many input slots the executable has.
         inputs: usize,
     },
+    /// A slot bound to [`crate::exec::Executable::run_lanes`] holds a
+    /// lane count the run cannot take.
+    RunLanes {
+        /// Input name.
+        name: String,
+        /// How many lanes the slot holds.
+        lanes: usize,
+        /// The first slot's lane count, when this slot's differs from
+        /// it; `None` when the run's count is outside `1..=`
+        /// [`crate::exec::RUN_LANES`].
+        run: Option<usize>,
+    },
     /// Linking needs more entries in one index space than a linked
     /// operand's 16-bit index can address.
     IndexOverflow {
@@ -114,6 +126,16 @@ impl fmt::Display for ExecError {
             }
             ExecError::ExtraSlots { given, inputs } => {
                 write!(f, "{given} values bound to an executable with {inputs} input slots")
+            }
+            ExecError::RunLanes { name, lanes, run: Some(run) } => {
+                write!(f, "input `{name}` bound with {lanes} lanes, the first input with {run}")
+            }
+            ExecError::RunLanes { name, lanes, run: None } => {
+                write!(
+                    f,
+                    "input `{name}` bound with {lanes} lanes; a run takes 1 to {}",
+                    crate::exec::RUN_LANES
+                )
             }
             ExecError::IndexOverflow { space, limit } => {
                 write!(f, "the link needs more than {limit} {space}")

@@ -1,8 +1,10 @@
 //! The pass-timer probe: what each kind of kernel step costs per lane
 //! inside real image runs. Every step is one compiled pass over the
 //! lanes. The probe runs the 64 figure artifacts (16 kernels × 4 ISAs,
-//! as pfbench's `exec-images` does) over seeded 512×128 images, one
-//! strip at a time through [`Executable::run_lanes_observed`], times
+//! as pfbench's `exec-images` does) over seeded 512×128 images, one row
+//! segment of up to [`RUN_LANES`] lanes at a time (here the whole
+//! 512-lane row, as the tiled runner makes it) through
+//! [`Executable::run_lanes_observed`], times
 //! every step, and prints ns/lane per step kind, its share of the step
 //! time, and the steps' share of the whole run. The timer's own cost per
 //! step is measured and subtracted.
@@ -16,7 +18,7 @@
 //! ```
 
 use fpir_isa::Lanes;
-use fpir_sim::{ExecCtx, Executable, PassObserver};
+use fpir_sim::{ExecCtx, Executable, PassObserver, RUN_LANES};
 use fpir_workloads::all_workloads;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -91,7 +93,7 @@ fn step_kinds_ns_per_lane_in_images() {
             let exe: Executable =
                 pitchfork::compile_to_executable(&pf, &wl.pipeline.expr).unwrap().exe;
             let images = wl.random_inputs(WIDTH, HEIGHT, 7 + w as u64);
-            let lanes = wl.pipeline.lanes() as usize;
+            let seg = RUN_LANES.min(WIDTH);
             let slots: Vec<(&Lanes, usize, i64, i64)> = exe
                 .inputs()
                 .iter()
@@ -113,7 +115,8 @@ fn step_kinds_ns_per_lane_in_images() {
             let mut busy = Duration::ZERO;
             for _ in 0..ROUNDS {
                 for y in 0..HEIGHT as i64 {
-                    for x0 in (0..WIDTH as i64).step_by(lanes) {
+                    for x0 in (0..WIDTH as i64).step_by(seg) {
+                        let lanes = seg.min(WIDTH - x0 as usize);
                         for l in ins.drain(..) {
                             ctx.recycle_lanes(l);
                         }

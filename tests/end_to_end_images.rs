@@ -36,11 +36,18 @@ fn run_compiled(pipeline: &Pipeline, inputs: &BTreeMap<String, Image>, isa: Isa)
 /// The image gate for one workload: on every ISA × selector, the fused
 /// artifact and the plain link of its program verify statically, and the
 /// reference runner, the plain link at one worker and the fused artifact
-/// at one and three workers all equal the interpreter's image.
+/// at one and three workers all equal the interpreter's image, on
+/// 256×4 images and on 300×3 ones, whose rows are not a whole number of
+/// the pipeline's vectors.
 fn check_workload(wl: &Workload, seed: u64) {
-    let inputs = wl.random_inputs(256, 4, seed);
+    for (w, h) in [(256, 4), (300, 3)] {
+        check_images(wl, &wl.random_inputs(w, h, seed), &format!("{w}x{h}"));
+    }
+}
+
+fn check_images(wl: &Workload, inputs: &BTreeMap<String, Image>, size: &str) {
     let reference =
-        wl.pipeline.run_reference(&inputs).unwrap_or_else(|e| panic!("{}: {e}", wl.name()));
+        wl.pipeline.run_reference(inputs).unwrap_or_else(|e| panic!("{}: {e}", wl.name()));
     for isa in ALL_ISAS {
         let tgt = target(isa);
         for compiler in
@@ -49,7 +56,7 @@ fn check_workload(wl: &Workload, seed: u64) {
             if compiler == Compiler::Rake && !rake_supports(isa) {
                 continue;
             }
-            let row = format!("{}/{isa}/{compiler}", wl.name());
+            let row = format!("{}/{isa}/{compiler} {size}", wl.name());
             let art = run(wl, isa, &compiler).unwrap_or_else(|e| panic!("{row}: {e}")).artifact;
             let linked = Executable::link_with(&art.program, tgt, &ExecConfig::REFERENCE)
                 .unwrap_or_else(|e| panic!("{row}: {e}"));
@@ -59,11 +66,11 @@ fn check_workload(wl: &Workload, seed: u64) {
             let images = [
                 (
                     "reference runner",
-                    run_program_reference(&wl.pipeline, &art.program, tgt, &inputs),
+                    run_program_reference(&wl.pipeline, &art.program, tgt, inputs),
                 ),
-                ("linked(1)", run_tiled_exe(&wl.pipeline, &linked, &inputs, 1)),
-                ("fused(1)", run_tiled_exe(&wl.pipeline, &art.exe, &inputs, 1)),
-                ("fused(3)", run_tiled_exe(&wl.pipeline, &art.exe, &inputs, 3)),
+                ("linked(1)", run_tiled_exe(&wl.pipeline, &linked, inputs, 1)),
+                ("fused(1)", run_tiled_exe(&wl.pipeline, &art.exe, inputs, 1)),
+                ("fused(3)", run_tiled_exe(&wl.pipeline, &art.exe, inputs, 3)),
             ];
             for (engine, image) in images {
                 let image = image.unwrap_or_else(|e| panic!("{row} {engine}: {e}"));
