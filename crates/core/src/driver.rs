@@ -108,8 +108,8 @@ impl Artifact {
     /// nodes) at fixed per-item weights, so equal artifacts always weigh
     /// the same.
     pub fn approx_bytes(&self) -> usize {
-        // Per-item weights: a PInst and an LInst are a few machine words
-        // plus an operand box; a constant-pool lane is an i128; a unique
+        // Per-item weights: a PInst and a linked kernel are a few machine
+        // words plus an operand box; a constant-pool lane is an i128; a unique
         // expression node is an Rc'd Expr. Exact heap accounting is not
         // the point — stable, monotone-in-size charging is.
         const INST: usize = 96;

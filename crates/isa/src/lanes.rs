@@ -60,6 +60,7 @@ macro_rules! storage_enums {
             }
 
             /// Number of lanes.
+            #[inline]
             pub fn len(&self) -> usize {
                 match self { $(Lanes::$v(v) => v.len()),* }
             }
@@ -109,11 +110,13 @@ macro_rules! storage_enums {
             }
 
             /// All lanes, borrowed.
+            #[inline]
             pub fn as_slice(&self) -> Slice<'_> {
                 match self { $(Lanes::$v(v) => Slice::$v(v)),* }
             }
 
             /// All lanes, mutably borrowed.
+            #[inline]
             pub fn as_mut(&mut self) -> SliceMut<'_> {
                 match self { $(Lanes::$v(v) => SliceMut::$v(v)),* }
             }
@@ -145,6 +148,7 @@ macro_rules! storage_enums {
             }
 
             /// The lanes in `r`.
+            #[inline]
             pub fn slice(self, r: Range<usize>) -> Slice<'a> {
                 match self { $(Slice::$v(v) => Slice::$v(&v[r])),* }
             }
@@ -176,6 +180,7 @@ macro_rules! storage_enums {
             /// # Panics
             ///
             /// Panics if `mid > self.len()`.
+            #[inline]
             pub fn split_at(self, mid: usize) -> (SliceMut<'a>, SliceMut<'a>) {
                 match self {
                     $(SliceMut::$v(v) => {

@@ -59,4 +59,5 @@ pub use lanes::{Lanes, Slice, SliceMut};
 pub use legalize::{legalize, legalize_uncached, LowerError};
 pub use sem::{
     check_shape, eval_sem, eval_sem_into, sem_slice_fn, sem_slice_fn_splat, MachSem, SemSliceFn,
+    MAX_ARITY,
 };

@@ -156,7 +156,7 @@ impl MachSem {
 }
 
 /// The most operands any semantic takes ([`MachSem::DotAcc4`]).
-const MAX_ARITY: usize = 9;
+pub const MAX_ARITY: usize = 9;
 
 /// Execute one instruction.
 ///

@@ -517,6 +517,8 @@ struct DispatchItem {
 /// `timeout` without compiling. `fleet` is `None` once the daemon is
 /// stopping, so a stopping daemon starts no peer fetch.
 fn dispatch_one(service: &Service, it: &mut DispatchItem, fleet: Option<&Fleet>) -> String {
+    #[cfg(test)]
+    tests::hold(it.tag.as_ref());
     if let Request::Compile(spec)
     | Request::Run { spec, .. }
     | Request::RunPipeline { spec, .. }
@@ -869,7 +871,107 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{attach_tag, ok_response};
+    use crate::protocol::{attach_tag, ok_response, write_frame};
+    use crate::server::serve_with;
+    use crate::service::ServiceConfig;
+    use std::sync::Condvar;
+
+    /// Set once a test lets the held dispatch items run.
+    static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
+    /// The seam in [`dispatch_one`]: a worker that takes an item tagged
+    /// `"held-…"` waits until [`GATE`] opens, so a test can keep dispatch
+    /// workers busy for as long as it needs, in any build profile.
+    pub(super) fn hold(tag: Option<&Json>) {
+        if tag.and_then(Json::as_str).is_some_and(|t| t.starts_with("held-")) {
+            let (open, cv) = &GATE;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn time_waiting_for_a_worker_counts_against_the_deadline() {
+        let path = std::env::temp_dir()
+            .join(format!("pitchfork-eventloop-deadline-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        // One service worker gives two dispatch workers.
+        let svc = Arc::new(Service::new(ServiceConfig {
+            cache_bytes: 8 << 20,
+            workers: 1,
+            default_timeout_ms: None,
+            cache_dir: None,
+            cache_max_bytes: None,
+            cache_max_age: None,
+        }));
+        let server = {
+            let (svc, ep) = (svc.clone(), Endpoint::Unix(path.clone()));
+            std::thread::spawn(move || serve_with(svc, &ep, &ServeOptions::default()))
+        };
+        let mut stream = (0..100)
+            .find_map(|_| {
+                let s = UnixStream::connect(&path);
+                if s.is_err() {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                s.ok()
+            })
+            .expect("the server comes up");
+        let parse = |src: &str| crate::json::parse(src).unwrap();
+
+        // Two held image runs occupy both dispatch workers, so a cold
+        // compile queued behind them spends its whole 5 ms budget waiting
+        // and is refused without compiling.
+        let run = |tag: &str| {
+            parse(&format!(
+                r#"{{"op":"run_pipeline","expr":"rounding_halving_add(in__p0_p0_u8, in__p1_p0_u8)",
+                    "lanes":4,"isa":"arm","inputs":{{"in":{{"elem":"u8","rows":[[1,2,3,4,5,6,7,8]]}}}},
+                    "jobs":1,"tag":"{tag}"}}"#
+            ))
+        };
+        let late = parse(
+            r#"{"op":"compile","expr":"u8(min(u16(a_u8) + u16(b_u8), 255))","lanes":16,
+                "isa":"x86","timeout_ms":5,"tag":"late"}"#,
+        );
+        let mut burst = Vec::new();
+        for frame in [run("held-a"), run("held-b"), late] {
+            write_frame(&mut burst, &frame).unwrap();
+        }
+        stream.write_all(&burst).unwrap();
+        // Open the gate once all three are dispatched and the compile has
+        // waited past its budget.
+        while Stats::read(&svc.stats().inflight_frames) < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        let (open, cv) = &GATE;
+        *open.lock().unwrap() = true;
+        cv.notify_all();
+
+        let mut reader = FrameReader::new();
+        let mut next =
+            |stream: &mut UnixStream| reader.next_frame(stream).unwrap().expect("a response");
+        let mut late = None;
+        for _ in 0..3 {
+            let v = next(&mut stream);
+            if v.get("tag").and_then(Json::as_str) == Some("late") {
+                late = Some(v);
+            } else {
+                assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+            }
+        }
+        let late = late.expect("the deadlined compile must be answered");
+        assert_eq!(late.get("code").and_then(Json::as_str), Some("timeout"), "{late:?}");
+        assert_eq!(Stats::read(&svc.stats().timeouts), 1);
+        assert_eq!(Stats::read(&svc.stats().compiles), 1, "only the image kernel");
+
+        write_frame(&mut stream, &parse(r#"{"op":"shutdown"}"#)).unwrap();
+        let bye = next(&mut stream);
+        assert_eq!(bye.get("stopping").and_then(Json::as_bool), Some(true), "{bye:?}");
+        server.join().unwrap().unwrap();
+    }
 
     #[test]
     fn an_oversized_reply_is_an_error_frame_on_a_live_connection() {

@@ -15,25 +15,30 @@
 //! * **input slots** — distinct `Load` names become dense slot indices;
 //!   an invocation binds a slice of values positionally instead of
 //!   hashing strings (and re-checks only the types, O(inputs));
-//! * **direct dispatch** — each instruction carries its [`MachSem`]
-//!   resolved from the table at link time, its operand shapes checked
-//!   ([`fpir_isa::check_shape`]) and its kernel compiled; the hot loop
+//! * **one tape of steps** — the linked code is a flat list of steps in
+//!   evaluation order, one per program instruction the link keeps. Each
+//!   step carries its [`MachSem`] resolved from the table at link time,
+//!   its operand shapes checked ([`fpir_isa::check_shape`]) and its strip
+//!   loop compiled; each of its sources names an input slot, a pool
+//!   constant or a row directly, and it writes one row. The hot loop
 //!   never touches the [`Target`] again;
 //! * **shared constants** — splats are materialized once into a constant
 //!   pool owned by the executable and shared by every invocation (the
 //!   cycle model already treats them as loop-invariant and free);
-//! * **liveness + register recycling** — a linear-scan over last uses
-//!   maps virtual registers onto a small physical register file. A dead
-//!   register's lane buffer is reclaimed and refilled by a later
-//!   instruction, so the per-instruction loop performs **zero heap
-//!   allocation** in steady state — operands are read by reference, and
-//!   the result stays in its register until the next run reclaims it;
-//! * **lanes at their own width** — every register, spare buffer,
-//!   fused-kernel scratch row and pool constant holds its lanes at its
-//!   element type's width ([`Lanes`]): a `u8` lane is one byte. Every
-//!   linked instruction is a kernel of one or more steps, and each step
-//!   is one call into a strip loop built for exactly its storage types —
-//!   a REFERENCE link gives each instruction one step, a FAST link fuses
+//! * **liveness + one typed row file** — a linear scan over last uses
+//!   maps virtual registers onto a small physical register file. The
+//!   context holds one row per row index and element type: kernel temp
+//!   rows first (row `j` for a kernel's `j`-th step), then register `r`
+//!   as row `MAX_STEPS + r`, so every row a step reads or writes is known
+//!   at link time. A step that writes a register row ends its kernel.
+//!   Each row is kept at the widest run so far and written in place, so
+//!   the run loop performs **zero heap allocation** in steady state, and
+//!   the result stays in its row until the next run overwrites it;
+//! * **lanes at their own width** — every row, recycled input buffer and
+//!   pool constant holds its lanes at its element type's width
+//!   ([`Lanes`]): a `u8` lane is one byte. Each step is one call into a
+//!   strip loop built for exactly its storage types — a REFERENCE link
+//!   makes every program instruction a one-step kernel, a FAST link fuses
 //!   chains into longer kernels. [`Executable::run`] converts [`Value`]s
 //!   at the engine's boundary; [`Executable::run_lanes`] takes native
 //!   inputs and lends out the native result;
@@ -42,13 +47,12 @@
 //!   count), so lane `i` of a result reads only lane `i` of each operand
 //!   and a run may cover any number of lanes. [`Executable::run_lanes`]
 //!   takes slots of any common lane count from 1 to [`RUN_LANES`], and
-//!   registers, scratch rows and pool constants take the run's width, not
-//!   the declared one. A tiled image run makes one call per row segment,
-//!   so each step's fixed cost (staging, the indirect call, the storage
-//!   matches, the loop prologue) is paid once per up to [`RUN_LANES`]
-//!   lanes instead of once per declared vector. The linked pool keeps
-//!   the declared width; the context materializes its splats at the run
-//!   width.
+//!   rows and pool constants take the run's width, not the declared one.
+//!   A tiled image run makes one call per row segment, so each step's
+//!   fixed cost (the indirect call, the storage matches, the loop
+//!   prologue) is paid once per up to [`RUN_LANES`] lanes instead of once
+//!   per declared vector. The linked pool keeps the declared width; the
+//!   context materializes its splats at the run width.
 //!
 //! The linked engine is differentially gated against the reference
 //! engine everywhere [`crate::difftest`] runs: on every environment the
@@ -60,21 +64,17 @@ use crate::vm::ExecError;
 use fpir::interp::{Env, Value};
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
-use fpir_isa::{Lanes, MachSem, Slice, Target};
+use fpir_isa::{Lanes, MachSem, Slice, Target, MAX_ARITY};
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
 
-/// A kernel's external operands are staged in a stack array of this
-/// width. One instruction reads at most 9 (`DotAcc4`); the fuser caps a
-/// group's distinct external sources at this width.
-pub(crate) const MAX_OPERANDS: usize = 32;
-
-/// Upper bound on the number of steps in one kernel; the context's
-/// scratchpad holds a row per step.
+/// Upper bound on the number of steps in one kernel: its steps before
+/// the last write temp rows `0..MAX_STEPS`, and register `r` is row
+/// `MAX_STEPS + r`.
 pub(crate) const MAX_STEPS: usize = 32;
 
-/// Element types: a scratchpad row per step and type.
+/// Element types: the row file holds every row once per type.
 const KINDS: usize = 8;
 
 /// The most lanes one [`Executable::run_lanes`] call takes. A tiled
@@ -85,9 +85,9 @@ const KINDS: usize = 8;
 pub const RUN_LANES: usize = 2048;
 
 /// A run of entries in one of an [`Executable`]'s flat arrays:
-/// `array[start..start + len]`. Operand lists, steps and step sources
-/// live in per-executable arrays addressed by spans, so a link makes a
-/// fixed number of allocations for them however long the program is.
+/// `array[start..start + len]`. Step sources live in per-executable
+/// arrays addressed by spans, so a link makes a fixed number of
+/// allocations for them however long the program is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Span {
     pub(crate) start: u32,
@@ -112,56 +112,58 @@ impl Span {
         let start = self.start as usize;
         start..start + self.len as usize
     }
-
-    pub(crate) fn len(self) -> usize {
-        self.len as usize
-    }
 }
 
-/// Where a linked operand reads from.
+/// Where a step's operand lanes come from; also where the executable's
+/// result is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Operand {
-    /// A physical register (defined by an earlier linked instruction).
-    Reg(u16),
+pub(crate) enum FSrc {
     /// An input slot bound at invocation time.
     In(u16),
     /// An entry of the link-time constant pool.
     Const(u16),
+    /// A row of the context's row file, at the source's element type: a
+    /// temp row (below [`MAX_STEPS`]) written by an earlier step of the
+    /// same kernel, or register `r`'s row `MAX_STEPS + r`.
+    Row(u32),
 }
 
-/// Where a kernel step's operand lanes come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FSrc {
-    /// An external operand's lane slice (`LInst::args[k]` — a register,
-    /// input slot, or pool constant resolved by the engine).
-    Arg(u16),
-    /// The scratchpad row written by an earlier step in the same kernel.
-    Tmp(u16),
+impl FSrc {
+    /// The register this source reads, if it reads one.
+    pub(crate) fn reg(self) -> Option<usize> {
+        match self {
+            FSrc::Row(r) => (r as usize).checked_sub(MAX_STEPS),
+            _ => None,
+        }
+    }
 }
 
-/// One program instruction inside a linked kernel, and the compiled strip
-/// loop that runs it. The original opcode, program position, and virtual
-/// register ride along so the verifier can audit the chain and blame the
-/// exact source instruction.
+/// One program instruction on the tape, and the compiled strip loop that
+/// runs it. The original opcode, program position, and virtual register
+/// ride along so the verifier can audit the tape and blame the exact
+/// source instruction.
 #[derive(Clone)]
 pub(crate) struct FStep {
-    /// Original opcode of the absorbed instruction.
+    /// Original opcode of the instruction.
     pub(crate) op: MachOp,
     /// Its semantics — the audited source of truth for `eval`.
     pub(crate) sem: MachSem,
-    /// Its result type (all steps share the kernel's lane count).
+    /// Its result type.
     pub(crate) ty: VectorType,
-    /// Scalar sources, one per operand, and the element type of each,
+    /// Sources, one per operand, and the element type each is read at,
     /// precomputed at link time: a span of [`Executable::srcs`] and of
     /// [`Executable::tys`].
     pub(crate) srcs: Span,
-    /// Position of the absorbed instruction in the source program.
+    /// The row it writes at its result's element type: its index within
+    /// its kernel for a temp, or `MAX_STEPS + r` for register `r`, which
+    /// ends the kernel.
+    pub(crate) dst: u32,
+    /// Position of the instruction in the source program.
     pub(crate) pos: u32,
     /// Its destination virtual register in the source program.
     pub(crate) reg: Reg,
     /// The source whose splat constant `eval` captured, if any
-    /// ([`fpir_isa::sem_slice_fn_splat`]); it names an external operand
-    /// that is a pool constant.
+    /// ([`fpir_isa::sem_slice_fn_splat`]); it reads a pool constant.
     pub(crate) captured: Option<u8>,
     /// The compiled strip loop, built once at link time from the audited
     /// `sem`/`srcs`/`ty` fields: [`fpir_isa::sem_slice_fn_splat`] when a
@@ -172,6 +174,13 @@ pub(crate) struct FStep {
     pub(crate) eval: fpir_isa::SemSliceFn,
 }
 
+impl FStep {
+    /// The register this step writes, if it ends its kernel.
+    pub(crate) fn dst_reg(&self) -> Option<usize> {
+        FSrc::Row(self.dst).reg()
+    }
+}
+
 impl fmt::Debug for FStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FStep")
@@ -179,40 +188,12 @@ impl fmt::Debug for FStep {
             .field("sem", &self.sem)
             .field("ty", &self.ty)
             .field("srcs", &self.srcs)
+            .field("dst", &self.dst)
             .field("pos", &self.pos)
             .field("reg", &self.reg)
             .field("captured", &self.captured)
             .finish()
     }
-}
-
-/// One linked instruction: a kernel of one or more steps, its operands
-/// resolved, its destination a physical register. A REFERENCE link gives
-/// every instruction one step; a FAST link collapses a chain of
-/// program instructions into one kernel (a fused superinstruction), so
-/// it runs as one dispatch with its intermediates in the context's
-/// scratchpad, and only the root's result reaches the register file.
-#[derive(Debug, Clone)]
-pub(crate) struct LInst {
-    /// Opcode (kept for error reports and rendering): the root step's.
-    pub(crate) op: MachOp,
-    /// The kernel's steps in evaluation order, a span of
-    /// [`Executable::steps`]; the last is the root and matches this
-    /// instruction's `op`/`ty`/`pos`/`reg`.
-    pub(crate) steps: Span,
-    /// Result type.
-    pub(crate) ty: VectorType,
-    /// Destination physical register.
-    pub(crate) dst: u16,
-    /// Resolved operands, a span of [`Executable::operands`].
-    pub(crate) args: Span,
-    /// Position of the instruction in the source program.
-    pub(crate) pos: u32,
-    /// Destination virtual register in the source program.
-    pub(crate) reg: Reg,
-    /// True when the result has no consumer (the value is computed for
-    /// its error semantics and its buffer reclaimed immediately).
-    pub(crate) dst_dead: bool,
 }
 
 /// One input slot: a distinct `Load` name with its declared type and the
@@ -229,17 +210,6 @@ pub struct InputSlot {
     pub reg: Reg,
 }
 
-/// Where the executable's result lives after the last instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OutLoc {
-    /// A physical register (moved out, not cloned).
-    Reg(u16),
-    /// An input slot (the program is a plain load).
-    In(u16),
-    /// A constant-pool entry.
-    Const(u16),
-}
-
 /// A [`Program`] linked for repeated execution. See the [module
 /// docs](self) for what linking resolves.
 ///
@@ -251,18 +221,17 @@ pub(crate) enum OutLoc {
 /// tiled runner and the `pitchfork-service` cache both rely on this.
 /// The audit, pinned by a compile-time assertion in the tests:
 ///
-/// * `code` (`LInst`) holds only plain data — [`MachOp`], a `Copy`
-///   [`MachSem`] (an enum of opcodes and constants, no function
-///   pointers or interior mutability), a [`VectorType`], and spans;
-/// * the flat arrays the spans address hold plain data too: `operands`
-///   (index operands), and `srcs` and `tys` (step sources and their
-///   element types);
-/// * `steps` is the one array holding code: beside its audited record,
-///   each step's `eval` is an `Arc<dyn Fn + Send + Sync>` closure
-///   ([`fpir_isa::SemSliceFn`]) compiled once at link time. A closure
-///   captures only `Copy` data (element types, shift widths, a splat
-///   scalar) and is only ever called through `&`, so sharing one across
-///   threads needs no lock, and cloning the executable shares it;
+/// * `steps` is the one array holding code: beside its audited record
+///   (a [`MachOp`], a `Copy` [`MachSem`] — an enum of opcodes and
+///   constants, no function pointers or interior mutability — a
+///   [`VectorType`], a span and row indices), each step's `eval` is an
+///   `Arc<dyn Fn + Send + Sync>` closure ([`fpir_isa::SemSliceFn`])
+///   compiled once at link time. A closure captures only `Copy` data
+///   (element types, shift widths, a splat scalar) and is only ever
+///   called through `&`, so sharing one across threads needs no lock,
+///   and cloning the executable shares it;
+/// * the flat arrays the spans address hold plain data: `srcs` and `tys`
+///   (step sources and their element types);
 /// * the **splat constant pool** (`consts`, [`Lanes`] at each constant's
 ///   own width and the declared lane count) is materialized once at link
 ///   time and only ever read afterwards: a run reads each entry's type
@@ -271,47 +240,46 @@ pub(crate) enum OutLoc {
 /// * `inputs` is owned, never-mutated `String` data.
 ///
 /// All *mutable* execution state lives in the per-thread [`ExecCtx`]
-/// (which is `Send` but deliberately not shared): the register file, the
-/// recycled buffer pool, the scratchpad and the run-width splats.
-/// Sharing the `Executable` is free; sharing a context would be a data
-/// race, which the `&mut ExecCtx` receiver on [`Executable::run`] rules
-/// out at compile time.
+/// (which is `Send` but deliberately not shared): the row file, the
+/// recycled input buffers and the run-width splats. Sharing the
+/// `Executable` is free; sharing a context would be a data race, which
+/// the `&mut ExecCtx` receiver on [`Executable::run`] rules out at
+/// compile time.
 #[derive(Debug, Clone)]
 pub struct Executable {
     pub(crate) isa: Isa,
     pub(crate) inputs: Vec<InputSlot>,
     pub(crate) consts: Vec<Lanes>,
-    pub(crate) code: Vec<LInst>,
-    /// Operand lists of `code`, addressed by [`LInst::args`].
-    pub(crate) operands: Vec<Operand>,
-    /// Steps of every kernel, addressed by [`LInst::steps`].
+    /// The tape: every kernel's steps in evaluation order.
     pub(crate) steps: Vec<FStep>,
     /// Sources of steps, addressed by [`FStep::srcs`], and the element
-    /// type of each (`tys[i]` is the type of `srcs[i]`).
+    /// type each is read at (`tys[i]` is the type of `srcs[i]`).
     pub(crate) srcs: Vec<FSrc>,
     pub(crate) tys: Vec<ScalarType>,
     pub(crate) phys_regs: usize,
-    pub(crate) output: OutLoc,
+    /// Where the result is read after the last step, and at which type.
+    pub(crate) output: FSrc,
+    pub(crate) out_elem: ScalarType,
 }
 
-/// Reusable per-thread execution state: the physical register file and a
-/// pool of recycled lane buffers, every one at its element type's own
-/// width ([`Lanes`]). Steady-state invocations allocate nothing —
-/// [`ExecCtx::buffer_allocs`] stops growing after warm-up (the regression
-/// tests pin this).
+/// Reusable per-thread execution state: the row file, a pool of recycled
+/// input buffers and the run-width splats, every one at its element
+/// type's own width ([`Lanes`]). Steady-state invocations allocate
+/// nothing — [`ExecCtx::buffer_allocs`] stops growing after warm-up (the
+/// regression tests pin this).
 #[derive(Debug, Default)]
 pub struct ExecCtx {
-    regs: Vec<Option<Lanes>>,
-    /// Recycled lane buffers, of any element type.
+    /// Recycled lane buffers, of any element type: the inputs handed out
+    /// by [`ExecCtx::take_lanes`] and those of [`Executable::run`].
     spare: Vec<Lanes>,
     /// The inputs [`Executable::run`] converts its [`Value`]s into.
     ins: Vec<Lanes>,
-    /// Kernel scratchpad: one row per step index and element type (step
-    /// `j` at type `t` is row `j · KINDS + t`, by the [`ScalarType`]
-    /// discriminant), kept at the widest run so far and sliced to each
-    /// run, so a shorter run neither shrinks nor re-zeroes it
-    /// (steady-state runs allocate nothing).
-    scratch: Vec<Lanes>,
+    /// The row file: row `r` at type `t` is `rows[r · KINDS + t]`, by the
+    /// [`ScalarType`] discriminant — kernel temp rows, then one row per
+    /// physical register. Each is kept at the widest run so far and
+    /// sliced to each run, so a shorter run neither shrinks nor re-zeroes
+    /// it (steady-state runs allocate nothing).
+    rows: Vec<Lanes>,
     /// Pool constants at the run width: one splat per element type and
     /// value, kept at the widest run so far and sliced to each run. The
     /// key is the value, not a pool index, so one context serves any
@@ -340,14 +308,32 @@ impl ExecCtx {
     /// [`Executable::run_lanes`], built without allocating in steady
     /// state.
     pub fn take_lanes(&mut self, elem: ScalarType) -> Lanes {
-        let mut l = reuse_lanes(&mut self.spare, &mut self.buffer_allocs, elem);
-        l.clear();
-        l
+        match self.spare.iter().rposition(|l| l.elem() == elem) {
+            Some(i) => {
+                let mut l = self.spare.swap_remove(i);
+                l.clear();
+                l
+            }
+            None => {
+                self.buffer_allocs += 1;
+                Lanes::new(elem)
+            }
+        }
     }
 
     /// Hand a no-longer-needed lane buffer back for reuse.
     pub fn recycle_lanes(&mut self, l: Lanes) {
         self.spare.push(l);
+    }
+
+    /// Grow the row file to at least `rows` rows, each empty at every
+    /// element type (allocating no lanes).
+    fn fit_rows(&mut self, rows: usize) {
+        let mut kinds = fpir::types::ALL_SCALAR_TYPES;
+        kinds.sort_by_key(|&t| t as usize);
+        while self.rows.len() < rows * KINDS {
+            self.rows.extend(kinds.map(Lanes::new));
+        }
     }
 
     /// Point `pool` at a splat of each of `consts`' values, at least `n`
@@ -392,27 +378,46 @@ impl PassObserver for () {
     fn after(&mut self, _: usize, _: usize) {}
 }
 
-/// A recycled buffer for lanes of `elem`, its old lanes left in place
-/// for the caller to overwrite, or a fresh one.
-fn reuse_lanes(pool: &mut Vec<Lanes>, allocs: &mut u64, elem: ScalarType) -> Lanes {
-    match pool.iter().rposition(|l| l.elem() == elem) {
-        Some(i) => pool.swap_remove(i),
-        None => {
-            *allocs += 1;
-            Lanes::new(elem)
-        }
-    }
-}
-
 /// The vector type of `lanes`.
 pub(crate) fn lanes_ty(lanes: &Slice<'_>) -> VectorType {
     VectorType::new(lanes.elem(), lanes.len() as u32)
 }
 
+/// What a step reads its sources from: the row file around the step's
+/// own row `at` (rows `..at` in `below`, rows `at + 1..` in `above`),
+/// the input slots, and the run-width splats of the pool constants
+/// (`pool` names each constant's entry of `splats`).
+#[derive(Clone, Copy)]
+struct Sources<'a> {
+    below: &'a [Lanes],
+    above: &'a [Lanes],
+    at: usize,
+    ins: &'a [Lanes],
+    splats: &'a [(i128, Lanes)],
+    pool: &'a [usize],
+}
+
+impl<'a> Sources<'a> {
+    /// `n` lanes of `src` read at type `elem`. Reading row `at` itself
+    /// panics: the linker never lets a step read the row it writes, and
+    /// the verifier's `dst-aliasing` check audits that.
+    fn read(self, src: FSrc, elem: ScalarType, n: usize) -> Slice<'a> {
+        match src {
+            FSrc::Row(r) => {
+                let i = r as usize * KINDS + elem as usize;
+                let row = if i < self.at { &self.below[i] } else { &self.above[i - self.at - 1] };
+                row.as_slice().slice(0..n)
+            }
+            FSrc::In(s) => self.ins[s as usize].as_slice(),
+            FSrc::Const(c) => self.splats[self.pool[c as usize]].1.as_slice().slice(0..n),
+        }
+    }
+}
+
 impl Executable {
     /// Link a program against its target: resolve names to slots,
     /// opcodes to semantics, splats to a constant pool, and virtual
-    /// registers to a recycled physical register file, through
+    /// registers to rows of a small physical register file, through
     /// [`crate::fuse`]'s pipeline. [`crate::fuse::ExecConfig::FAST`]
     /// first cleans the program's def-use graph up (copy propagation,
     /// constant folding, dead-write elimination) and fuses it into
@@ -451,22 +456,22 @@ impl Executable {
         &self.inputs
     }
 
-    /// Number of linked instructions — one per dispatch in the hot loop,
-    /// so for a fused executable this is the per-invocation dispatch
-    /// count, not the original op count (see
-    /// [`Executable::step_count`]).
+    /// Number of kernels: the steps that write a register row, each the
+    /// last of its kernel. A REFERENCE link has one per program
+    /// instruction; a FAST link's fused kernels hold several steps each
+    /// (see [`Executable::step_count`]).
     pub fn op_count(&self) -> usize {
-        self.code.len()
+        self.steps.iter().filter(|s| s.dst_reg().is_some()).count()
     }
 
     /// Number of fused superinstructions (kernels of ≥ 2 steps). Zero
     /// for an unfused link.
     pub fn fused_count(&self) -> usize {
-        self.code.iter().filter(|i| i.steps.len() >= 2).count()
+        self.kernels().filter(|k| k.len() >= 2).count()
     }
 
-    /// Total original instructions represented: the steps of every
-    /// kernel, each one compiled strip loop. For an unfused link this
+    /// Number of steps on the tape: the program instructions the link
+    /// kept, each one compiled strip loop. For an unfused link this
     /// equals [`Executable::op_count`].
     pub fn step_count(&self) -> usize {
         self.steps.len()
@@ -477,9 +482,9 @@ impl Executable {
         self.consts.len()
     }
 
-    /// Peak size of the physical register file: how many registers a
-    /// context allocates, and the figure reported next to `cycle_cost`
-    /// in the Figure 3 listings.
+    /// Peak size of the physical register file: how many register rows a
+    /// context holds, and the figure reported next to `cycle_cost` in the
+    /// Figure 3 listings.
     pub fn peak_regs(&self) -> usize {
         self.phys_regs
     }
@@ -487,8 +492,36 @@ impl Executable {
     /// A fresh execution context shaped for this executable.
     pub fn new_ctx(&self) -> ExecCtx {
         let mut ctx = ExecCtx::new();
-        ctx.regs.resize_with(self.phys_regs, || None);
+        ctx.fit_rows(MAX_STEPS + self.phys_regs);
         ctx
+    }
+
+    /// The steps of each kernel in tape order: a kernel ends at the step
+    /// that writes a register row.
+    pub(crate) fn kernels(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut start = 0;
+        self.steps.iter().enumerate().filter(|(_, s)| s.dst_reg().is_some()).map(move |(i, _)| {
+            let kernel = start..i + 1;
+            start = i + 1;
+            kernel
+        })
+    }
+
+    /// A kernel's external operands: the sources of its steps that are
+    /// not temp rows, distinct and in first-use order — or, for a
+    /// one-step kernel, as the step lists them, repeats included.
+    pub(crate) fn kernel_operands(&self, kernel: Range<usize>) -> Vec<FSrc> {
+        let single = kernel.len() == 1;
+        let mut ext = Vec::new();
+        for s in &self.steps[kernel] {
+            for &src in &self.srcs[s.srcs.range()] {
+                let temp = matches!(src, FSrc::Row(r) if (r as usize) < MAX_STEPS);
+                if !temp && (single || !ext.contains(&src)) {
+                    ext.push(src);
+                }
+            }
+        }
+        ext
     }
 
     /// Run on an environment (input names resolved to slots here; prefer
@@ -612,11 +645,11 @@ impl Executable {
     /// The lane count the program was linked at: what [`Executable::run`]
     /// and a run without input slots compute.
     fn linked_lanes(&self) -> usize {
-        match (self.code.last(), self.output) {
-            (Some(inst), _) => inst.ty.lanes as usize,
-            (None, OutLoc::Const(c)) => self.consts[c as usize].len(),
-            (None, OutLoc::In(s)) => self.inputs[s as usize].ty.lanes as usize,
-            (None, OutLoc::Reg(_)) => unreachable!("an output register no instruction writes"),
+        match (self.steps.last(), self.output) {
+            (Some(step), _) => step.ty.lanes as usize,
+            (None, FSrc::Const(c)) => self.consts[c as usize].len(),
+            (None, FSrc::In(s)) => self.inputs[s as usize].ty.lanes as usize,
+            (None, FSrc::Row(_)) => unreachable!("an output row no step writes"),
         }
     }
 
@@ -645,13 +678,12 @@ impl Executable {
         }
     }
 
-    /// The hot loop: direct dispatch over resolved operands, recycled
-    /// register file, zero steady-state allocation, every step over the
-    /// run's `n` lanes (every input slot holds `n`). It cannot fail: the
-    /// link checked every kernel's shapes (arity, lane-wise operands,
-    /// widening widths), and external operand types are fixed by the link
-    /// and re-checked at binding, so each step is one call into its
-    /// compiled vector kernel with no per-step validation.
+    /// The hot loop: one pass over the tape, every step over the run's
+    /// `n` lanes (every input slot holds `n`), zero steady-state
+    /// allocation. It cannot fail: the link checked every step's shapes
+    /// (arity, lane-wise operands, widening widths), and source types are
+    /// fixed by the link and re-checked at binding, so each step is one
+    /// call into its compiled vector kernel with no per-step validation.
     fn run_resolved<'a>(
         &'a self,
         ctx: &'a mut ExecCtx,
@@ -659,119 +691,56 @@ impl Executable {
         n: usize,
         obs: &mut impl PassObserver,
     ) -> Slice<'a> {
-        if ctx.regs.len() < self.phys_regs {
-            ctx.regs.resize_with(self.phys_regs, || None);
-        }
-        if ctx.scratch.is_empty() {
-            let mut kinds = fpir::types::ALL_SCALAR_TYPES;
-            kinds.sort_by_key(|&t| t as usize);
-            ctx.scratch.extend((0..MAX_STEPS).flat_map(|_| kinds.map(Lanes::new)));
-        }
+        ctx.fit_rows(MAX_STEPS + self.phys_regs);
         ctx.bind_pool(&self.consts, n);
-        let ExecCtx { regs, spare, scratch, splats, pool, buffer_allocs, .. } = ctx;
-        let (splats, pool) = (&*splats, &*pool);
-        let konst = |c: u16| splats[pool[c as usize]].1.as_slice().slice(0..n);
-        for inst in &self.code {
-            // Reclaim the destination's previous (dead by liveness)
-            // value; the allocator guarantees the destination never
-            // aliases an operand of this instruction.
-            if let Some(old) = regs[inst.dst as usize].take() {
-                spare.push(old);
+        let ExecCtx { rows, splats, pool, buffer_allocs, .. } = ctx;
+        for (i, step) in self.steps.iter().enumerate() {
+            obs.before(i);
+            let at = step.dst as usize * KINDS + step.ty.elem as usize;
+            let (below, rest) = rows.split_at_mut(at);
+            let (dst, above) = rest.split_first_mut().expect("the row file holds every row");
+            if dst.len() < n {
+                // The widest run so far; the row is kept at this length
+                // for every later run. Its stale lanes are never read:
+                // every compiled kernel writes its full output slice.
+                *buffer_allocs += u64::from(dst.is_empty());
+                dst.resize(n);
             }
-            let mut buf = reuse_lanes(spare, buffer_allocs, inst.ty.elem);
-            {
-                let args = &self.operands[inst.args.range()];
-                let mut xs: [Slice<'_>; MAX_OPERANDS] = [Slice::U8(&[]); MAX_OPERANDS];
-                for (x, a) in xs.iter_mut().zip(args) {
-                    *x = match *a {
-                        Operand::Reg(r) => regs[r as usize]
-                            .as_ref()
-                            .expect("linked instructions define registers before use")
-                            .as_slice(),
-                        Operand::In(s) => ins[s as usize].as_slice(),
-                        Operand::Const(c) => konst(c),
-                    };
-                }
-                // Each step runs over lanes at their own width, its
-                // intermediates staying in the context scratchpad. The
-                // verifier's fused-shape check audits the wiring.
-                let steps = &self.steps[inst.steps.range()];
-                let root = steps.len() - 1;
-                // Size the destination without zeroing it: the root step
-                // overwrites every lane (operand and scratch slices are
-                // exactly `n` lanes long, and every compiled kernel writes
-                // its full output slice), so recycled contents never
-                // leak.
-                buf.resize(n);
-                for (j, step) in steps.iter().enumerate() {
-                    let i = inst.steps.start as usize + j;
-                    obs.before(i);
-                    let range = step.srcs.range();
-                    let (srcs, tys) = (&self.srcs[range.clone()], &self.tys[range]);
-                    // The root writes the destination buffer directly;
-                    // earlier steps fill their own row at their result
-                    // type. Sources are rows of earlier steps.
-                    let (lo, hi) = scratch.split_at_mut(j * KINDS);
-                    let dst = if j == root {
-                        buf.as_mut()
-                    } else {
-                        let row = &mut hi[step.ty.elem as usize];
-                        if row.len() < n {
-                            // The widest run so far; the row is kept at
-                            // this length for every later run.
-                            row.resize(n);
-                        }
-                        row.as_mut().split_at(n).0
-                    };
-                    macro_rules! src {
-                        ($k:expr) => {
-                            match srcs[$k] {
-                                FSrc::Arg(a) => xs[a as usize],
-                                FSrc::Tmp(t) => {
-                                    lo[t as usize * KINDS + tys[$k] as usize].as_slice().slice(0..n)
-                                }
-                            }
-                        };
+            let range = step.srcs.range();
+            let (srcs, tys) = (&self.srcs[range.clone()], &self.tys[range]);
+            let file = Sources { below, above, at, ins, splats, pool };
+            let src = |k: usize| file.read(srcs[k], tys[k], n);
+            let out = dst.as_mut().split_at(n).0;
+            // Stage exactly the step's operands: almost every step reads
+            // 1–4 sources, and the fixed-size arrays keep the staging cost
+            // off the widest semantics' arity.
+            match srcs.len() {
+                1 => (step.eval)(&[src(0)], out),
+                2 => (step.eval)(&[src(0), src(1)], out),
+                3 => (step.eval)(&[src(0), src(1), src(2)], out),
+                4 => (step.eval)(&[src(0), src(1), src(2), src(3)], out),
+                len => {
+                    let mut xs = [Slice::U8(&[]); MAX_ARITY];
+                    for (k, x) in xs.iter_mut().enumerate().take(len) {
+                        *x = src(k);
                     }
-                    // Stage exactly the step's operands: almost every
-                    // step reads 1–4 sources, and the fixed-size array
-                    // keeps the staging cost off the `MAX_OPERANDS`-wide
-                    // worst case.
-                    match srcs.len() {
-                        1 => (step.eval)(&[src!(0)], dst),
-                        2 => (step.eval)(&[src!(0), src!(1)], dst),
-                        3 => (step.eval)(&[src!(0), src!(1), src!(2)], dst),
-                        4 => (step.eval)(&[src!(0), src!(1), src!(2), src!(3)], dst),
-                        _ => {
-                            let mut ys = [Slice::U8(&[]); MAX_OPERANDS];
-                            for (y, k) in ys.iter_mut().zip(0..srcs.len()) {
-                                *y = src!(k);
-                            }
-                            (step.eval)(&ys[..srcs.len()], dst);
-                        }
-                    }
-                    obs.after(i, n);
+                    (step.eval)(&xs[..len], out);
                 }
             }
-            if inst.dst_dead {
-                spare.push(buf);
-            } else {
-                regs[inst.dst as usize] = Some(buf);
-            }
+            obs.after(i, n);
         }
-        match self.output {
-            OutLoc::Reg(r) => {
-                regs[r as usize].as_ref().expect("the output register was just written").as_slice()
-            }
-            OutLoc::In(s) => ins[s as usize].as_slice(),
-            OutLoc::Const(c) => konst(c),
-        }
+        let at = rows.len();
+        Sources { below: rows, above: &[], at, ins, splats, pool }.read(
+            self.output,
+            self.out_elem,
+            n,
+        )
     }
 
     /// An assembly-like listing of the linked form: input slots (`sN`),
-    /// constant pool (`cN`), instructions over physical registers (`rN`)
-    /// and the returned location. Deterministic: a pure function of the
-    /// linked structure.
+    /// constant pool (`cN`), one line per kernel writing a physical
+    /// register (`rN`) from its external operands, and the returned
+    /// location. Deterministic: a pure function of the linked structure.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -780,7 +749,7 @@ impl Executable {
             self.isa,
             self.inputs.len(),
             self.consts.len(),
-            self.code.len(),
+            self.op_count(),
             self.phys_regs
         );
         for (i, s) in self.inputs.iter().enumerate() {
@@ -789,36 +758,34 @@ impl Executable {
         for (i, c) in self.consts.iter().enumerate() {
             let _ = writeln!(out, "const     c{i}.{}, #{}", lanes_ty(&c.as_slice()), c.get(0));
         }
-        for inst in &self.code {
-            let srcs = self.operands[inst.args.range()]
-                .iter()
-                .map(|a| operand_name(*a))
+        for kernel in self.kernels() {
+            let srcs = self
+                .kernel_operands(kernel.clone())
+                .into_iter()
+                .map(src_name)
                 .collect::<Vec<_>>()
                 .join(", ");
             // A kernel lists its steps' opcodes in evaluation order, root
             // last: a one-step kernel is its own opcode.
-            let chain = self.steps[inst.steps.range()]
-                .iter()
-                .map(|s| s.op.name)
-                .collect::<Vec<_>>()
-                .join("+");
-            let _ = writeln!(out, "{:<9} r{}.{}, {}", chain, inst.dst, inst.ty, srcs);
+            let steps = &self.steps[kernel];
+            let chain = steps.iter().map(|s| s.op.name).collect::<Vec<_>>().join("+");
+            let root = steps.last().expect("a kernel has a step");
+            let dst = src_name(FSrc::Row(root.dst));
+            let _ = writeln!(out, "{:<9} {dst}.{}, {srcs}", chain, root.ty);
         }
-        let ret = match self.output {
-            OutLoc::Reg(r) => format!("r{r}"),
-            OutLoc::In(s) => format!("s{s}"),
-            OutLoc::Const(c) => format!("c{c}"),
-        };
-        let _ = writeln!(out, "ret       {ret}");
+        let _ = writeln!(out, "ret       {}", src_name(self.output));
         out
     }
 }
 
-fn operand_name(a: Operand) -> String {
-    match a {
-        Operand::Reg(r) => format!("r{r}"),
-        Operand::In(s) => format!("s{s}"),
-        Operand::Const(c) => format!("c{c}"),
+/// A source's name in listings and reports: `sN`, `cN`, a register
+/// `rN`, or a temp row `tN`.
+pub(crate) fn src_name(s: FSrc) -> String {
+    match (s, s.reg()) {
+        (_, Some(r)) => format!("r{r}"),
+        (FSrc::In(s), _) => format!("s{s}"),
+        (FSrc::Const(c), _) => format!("c{c}"),
+        (FSrc::Row(t), None) => format!("t{t}"),
     }
 }
 
@@ -851,23 +818,56 @@ pub(crate) mod tests {
     }
 
     /// A stable serialization of a linked artifact by value, whatever the
-    /// layout of its flat arrays: the listing, each input slot's and
-    /// instruction's blame fields, and per step its opcode, semantics,
-    /// type, blame fields, sources and their types, and the operand whose
-    /// splat constant its compiled kernel captured.
+    /// layout of its flat arrays: the listing, each input slot's blame
+    /// fields, per kernel its root's blame fields and whether nothing
+    /// reads its result, and per step its opcode, semantics, type, blame
+    /// fields, sources and their types, and the operand whose splat
+    /// constant its compiled kernel captured. A source prints as
+    /// `Tmp(t)` for temp row `t`, else as `Arg(k)`: the `k`-th of its
+    /// kernel's external operands, or the step's `k`-th source in a
+    /// one-step kernel.
     pub(crate) fn canonical(exe: &Executable) -> String {
         let mut out = exe.render();
         for s in &exe.inputs {
             let _ = writeln!(out, "slot #{} v{}", s.pos, s.reg);
         }
-        for inst in &exe.code {
-            let _ = writeln!(out, "inst #{} v{} dead {}", inst.pos, inst.reg, inst.dst_dead);
-            for s in &exe.steps[inst.steps.range()] {
+        for kernel in exe.kernels() {
+            let root = &exe.steps[kernel.end - 1];
+            let r = root.dst_reg();
+            // Dead: no later step reads the register before it is
+            // written again, and it is not the output.
+            let read = exe.steps[kernel.end..].iter().find_map(|s| {
+                if exe.srcs[s.srcs.range()].iter().any(|x| x.reg() == r) {
+                    Some(true)
+                } else {
+                    (s.dst_reg() == r).then_some(false)
+                }
+            });
+            let dead = !read.unwrap_or(exe.output.reg() == r);
+            let _ = writeln!(out, "inst #{} v{} dead {dead}", root.pos, root.reg);
+            let ext = exe.kernel_operands(kernel.clone());
+            let single = kernel.len() == 1;
+            for s in &exe.steps[kernel] {
                 let (srcs, tys) = (&exe.srcs[s.srcs.range()], &exe.tys[s.srcs.range()]);
+                let srcs: Vec<String> = srcs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &x)| match x {
+                        FSrc::Row(t) if x.reg().is_none() => format!("Tmp({t})"),
+                        _ if single => format!("Arg({k})"),
+                        _ => format!("Arg({})", ext.iter().position(|&e| e == x).unwrap()),
+                    })
+                    .collect();
                 let _ = writeln!(
                     out,
-                    "step {:?} {:?} {} #{} v{} {srcs:?} {tys:?} captured {:?}",
-                    s.op, s.sem, s.ty, s.pos, s.reg, s.captured
+                    "step {:?} {:?} {} #{} v{} [{}] {tys:?} captured {:?}",
+                    s.op,
+                    s.sem,
+                    s.ty,
+                    s.pos,
+                    s.reg,
+                    srcs.join(", "),
+                    s.captured
                 );
             }
         }
@@ -1135,28 +1135,55 @@ pub(crate) mod tests {
     #[test]
     fn one_context_serves_executables_with_different_pools() {
         // Three executables whose one pool constant differs in value or
-        // type, run in turn on one context at three widths: each reads
-        // its own splat. `c - x` keeps the constant out of the kernel
-        // (only a last operand is captured), so the run reads its lanes.
-        let exes: Vec<(Executable, i128)> = [(S::U8, 3), (S::U8, 5), (S::U16, 3)]
+        // type. `c - x` keeps the constant out of the kernel (only a last
+        // operand is captured), so the run reads its lanes.
+        let mut cases: Vec<(Program, Executable)> = [(S::U8, 3), (S::U8, 5), (S::U16, 3)]
             .into_iter()
             .map(|(elem, c)| {
                 let t = V::new(elem, 4);
                 let e = build::sub(build::constant(c, t), build::var("x", t));
-                let exe = link_expr(&e, Isa::ArmNeon).1;
+                let (p, exe) = link_expr(&e, Isa::ArmNeon);
                 assert!(exe.steps.iter().all(|s| s.captured.is_none()), "{exe}");
                 assert_eq!(exe.const_count(), 1, "{exe}");
-                (exe, (c - 250).rem_euclid(1 << elem.bits()))
+                (p, exe)
             })
             .collect();
+        // Two whose register r0 holds a u8 value and later a u16 one, or
+        // the other way round: each type is its own row of the row file.
+        let t = V::new(S::U8, 4);
+        let (a, b) = (build::var("a", t), build::var("b", t));
+        let narrow_first = build::add(
+            build::widening_add(build::rounding_halving_add(a.clone(), b.clone()), b.clone()),
+            build::widening_add(a.clone(), b.clone()),
+        );
+        let wide_first = build::rounding_halving_add(
+            build::saturating_cast(S::U8, build::widening_add(a.clone(), b)),
+            a,
+        );
+        for e in [narrow_first, wide_first] {
+            let (p, exe) = link_expr(&e, Isa::ArmNeon);
+            let r0: Vec<S> =
+                exe.steps.iter().filter(|s| s.dst_reg() == Some(0)).map(|s| s.ty.elem).collect();
+            assert!(r0.len() == 2 && r0[0] != r0[1], "{exe}");
+            cases.push((p, exe));
+        }
+        // All run in turn on one context at three widths: each reads its
+        // own splats and rows.
         let mut ctx = ExecCtx::new();
         let mut out = Vec::new();
         for n in [3, 300, 7] {
-            for (exe, want) in &exes {
-                let slots = [Lanes::splat(exe.inputs()[0].ty.elem, 250, n)];
+            for (i, (p, exe)) in cases.iter().enumerate() {
+                let v = 250 - 37 * i as i128;
+                let env = exe
+                    .inputs()
+                    .iter()
+                    .fold(Env::new(), |env, s| env.bind(&s.name, Value::splat(v, s.ty)));
+                let want = execute(p, &env, target(Isa::ArmNeon)).unwrap().lanes()[0];
+                let slots: Vec<Lanes> =
+                    exe.inputs().iter().map(|s| Lanes::splat(s.ty.elem, v, n)).collect();
                 out.clear();
                 exe.run_lanes(&mut ctx, &slots).unwrap().write_to(&mut out);
-                assert_eq!(out, vec![*want; n], "{n} lanes\n{exe}");
+                assert_eq!(out, vec![want; n], "{n} lanes\n{exe}");
             }
         }
     }
@@ -1289,9 +1316,7 @@ pub(crate) mod tests {
             assert_eq!(exe.op_count(), p.op_count(), "{isa}");
             assert_eq!(exe.step_count(), p.op_count(), "{isa}");
             assert_eq!(exe.fused_count(), 0, "{isa}");
-            for inst in &exe.code {
-                assert_eq!(inst.steps.len(), 1, "{isa}\n{exe}");
-            }
+            assert!(exe.kernels().all(|k| k.len() == 1), "{isa}\n{exe}");
         }
     }
 

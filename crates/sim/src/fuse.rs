@@ -50,42 +50,40 @@
 //!    producer once *every* live consumer of that producer is inside:
 //!    single-use chains (arith chains, widening-mul/acc ladders,
 //!    splat-feeding ops) and multi-use diamonds alike. Lane counts must
-//!    match, the kernel must stay within `MAX_STEPS` steps and
-//!    `MAX_OPERANDS` external operands, and the program's output is
-//!    never absorbed. Candidates are visited in descending node order,
-//!    round after round, until a round absorbs nothing; a candidate over
-//!    the operand budget is retried in the next round, since a later
-//!    absorption can free operands.
+//!    match, the kernel must stay within `MAX_STEPS` steps, and the
+//!    program's output is never absorbed. Candidates are visited once, in
+//!    descending node order: absorbing a group exposes only producers
+//!    below it, and a candidate over the step budget stays over it, since
+//!    the group only grows.
 //!
 //!    The grouping is a worklist. Only a producer of a member can become
 //!    absorbable, so a node's count of consumers inside the group is
 //!    bumped as members join, and the producer becomes a candidate when
 //!    the count reaches its number of distinct live consumers.
-//!    Membership and the external-operand set are stamps over nodes,
-//!    inputs and constants; groups are intrusive lists, spliced in O(1).
-//!    A trial or an absorption walks only the candidate's own group.
-//!    A group holds at most `MAX_STEPS` nodes and grows in at most
-//!    `MAX_STEPS` rounds, so every per-root cost is bounded by a
-//!    constant and the stage is linear in the program.
+//!    Membership is a stamp over nodes; groups are intrusive lists,
+//!    spliced in O(1). An absorption walks only the candidate's own
+//!    group. A group holds at most `MAX_STEPS` nodes, so every per-root
+//!    cost is bounded by a constant and the stage is linear in the
+//!    program.
 //! 6. **Emission and register allocation** — each surviving root
-//!    becomes one kernel, its group's members as steps, each step one
-//!    compiled strip loop: internal edges are scratchpad rows, and a
-//!    splat-constant operand may be baked into a step's loop as a
-//!    captured scalar. A group of one node is a
-//!    one-step kernel that reads its operands as the program lists
-//!    them, repeats included — every kernel of a REFERENCE link. A
-//!    root's members (in node order) and its external operands (in
-//!    first-use order over them) are computed once and serve liveness,
-//!    operand staging and the allocator. Registers are allocated by a
-//!    linear scan over the emitted code, so a fused link's `peak_regs`
-//!    reflects the shorter lifetimes (in practice it only shrinks against
-//!    the REFERENCE link). A root nothing reads that is not the output
-//!    (only a REFERENCE link keeps one) is computed and its register
-//!    freed at once. Operand lists, steps and step sources are appended
-//!    to the executable's flat arrays, sized up front from the roots:
-//!    the stage allocates once per array plus one compiled closure per
-//!    step, never per operand. Last, the pool is compacted to the
-//!    constants still referenced.
+//!    becomes one kernel on the tape, its group's members as steps in
+//!    node order, each step one compiled strip loop. A member writes the
+//!    temp row of its index in the kernel; the root writes its register
+//!    row, which ends the kernel. A source that is an internal edge reads
+//!    the producer's temp row; any other names its register row, input
+//!    slot or pool constant directly, and a splat-constant source may be
+//!    baked into the step's loop as a captured scalar. Every kernel of a
+//!    REFERENCE link is one step reading its operands as the program
+//!    lists them, repeats included. Registers are allocated by a linear
+//!    scan over the kernels, so a fused link's `peak_regs` reflects the
+//!    shorter lifetimes (in practice it only shrinks against the
+//!    REFERENCE link). A root nothing reads that is not the output (only
+//!    a REFERENCE link keeps one) writes its register, which is free
+//!    again at once. Steps and their sources are appended to the
+//!    executable's flat arrays, sized up front from the roots: the stage
+//!    allocates once per array plus one compiled closure per step, never
+//!    per source. Last, the pool is compacted to the constants still
+//!    referenced.
 //!
 //! **Why bit-identity holds.** Every step of either configuration runs a
 //! kernel compiled by `fpir-isa` ([`fpir_isa::sem_slice_fn`], or its
@@ -101,15 +99,13 @@
 //! both configurations — unbound/mistyped inputs blame the same load,
 //! position, and register either way.
 
-use crate::exec::{
-    Executable, FSrc, FStep, InputSlot, LInst, Operand, OutLoc, Span, MAX_OPERANDS, MAX_STEPS,
-};
+use crate::exec::{Executable, FSrc, FStep, InputSlot, Span, MAX_STEPS};
 use crate::program::{PKind, Program, Reg};
 use crate::vm::ExecError;
 use fpir::interp::Value;
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
-use fpir_isa::{check_shape, eval_sem_into, Lanes, MachSem, Target};
+use fpir_isa::{check_shape, eval_sem_into, Lanes, MachSem, Target, MAX_ARITY};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
@@ -356,7 +352,7 @@ impl Graph {
                     buf.resize(ty.lanes as usize, v);
                     fold_args.push(Value::trusted(ty, buf));
                 }
-                let mut refs: [&Value; MAX_OPERANDS] = [&fold_args[0]; MAX_OPERANDS];
+                let mut refs: [&Value; MAX_ARITY] = [&fold_args[0]; MAX_ARITY];
                 for (r, v) in refs.iter_mut().zip(&fold_args) {
                     *r = v;
                 }
@@ -407,21 +403,6 @@ impl Graph {
         }
     }
 
-    /// A dense index over every source: nodes, then input slots, then
-    /// pool constants.
-    fn key(&self, s: Src) -> usize {
-        match s {
-            Src::Node(j) => j,
-            Src::In(k) => self.nodes.len() + k as usize,
-            Src::Const(c) => self.nodes.len() + self.inputs.len() + c as usize,
-        }
-    }
-
-    /// How many distinct [`Graph::key`]s there are.
-    fn key_count(&self) -> usize {
-        self.nodes.len() + self.inputs.len() + self.consts.len()
-    }
-
     fn ty(&self, s: Src) -> VectorType {
         match s {
             Src::Node(j) => self.nodes[j].ty,
@@ -429,25 +410,12 @@ impl Graph {
             Src::Const(c) => self.consts[c as usize].0,
         }
     }
-
-    /// The scalar of each external operand that is a pool constant (a
-    /// splat by construction), so compiled steps can keep it in a
-    /// register instead of streaming a constant row.
-    fn splats(&self, ext: &[Src], out: &mut Vec<Option<i128>>) {
-        out.clear();
-        out.extend(ext.iter().map(|&s| match s {
-            Src::Const(c) => Some(self.consts[c as usize].1),
-            _ => None,
-        }));
-    }
 }
 
 /// A link's code as it is built, the flat arrays of an [`Executable`]:
 /// stage 6's output.
 #[derive(Default)]
 struct Emitted {
-    code: Vec<LInst>,
-    operands: Vec<Operand>,
     steps: Vec<FStep>,
     srcs: Vec<FSrc>,
     tys: Vec<ScalarType>,
@@ -455,18 +423,19 @@ struct Emitted {
 }
 
 impl Emitted {
-    /// Append the step of node `n` reading `srcs`, each with its element
-    /// type, and compile its strip loop. The first source that is a
-    /// splat-constant external operand (`arg_splat`) and that `n`'s
-    /// semantics can capture becomes a captured scalar
+    /// Append the step of node `n` writing row `dst` from `srcs`, each
+    /// with its element type, and compile its strip loop. The first
+    /// source that is a pool constant (its splat value in `consts`) and
+    /// that `n`'s semantics can capture becomes a captured scalar
     /// ([`fpir_isa::sem_slice_fn_splat`]): the step keeps the same
     /// audited sources, but the compiled loop never reads the constant
     /// row.
     fn push_step(
         &mut self,
         n: &Node,
+        dst: u32,
         srcs: impl IntoIterator<Item = (FSrc, ScalarType)>,
-        arg_splat: &[Option<i128>],
+        consts: &[(VectorType, i128)],
     ) {
         let src0 = self.srcs.len();
         for (src, t) in srcs {
@@ -478,29 +447,26 @@ impl Emitted {
             .iter()
             .enumerate()
             .find_map(|(k, s)| {
-                let FSrc::Arg(a) = *s else { return None };
-                let c = arg_splat[a as usize]?;
+                let FSrc::Const(c) = *s else { return None };
+                let c = consts[c as usize].1;
                 Some((Some(k as u8), fpir_isa::sem_slice_fn_splat(n.sem, tys, ty, k, c)?))
             })
             .unwrap_or_else(|| (None, fpir_isa::sem_slice_fn(n.sem, tys, ty)));
         let srcs = Span::of(src0, self.srcs.len());
         let (op, sem, ty, pos, reg) = (n.op, n.sem, n.ty, n.pos, n.reg);
-        self.steps.push(FStep { op, sem, ty, srcs, pos, reg, captured, eval });
+        self.steps.push(FStep { op, sem, ty, srcs, dst, pos, reg, captured, eval });
     }
 
     /// Drop the pool entries nothing references any more (folding may
     /// have appended, baking may have orphaned) and assemble the
     /// executable, each pool constant materialized at its own width.
-    fn assemble(mut self, graph: Graph, output: OutLoc) -> Executable {
+    fn assemble(mut self, graph: Graph, mut output: FSrc, out_elem: ScalarType) -> Executable {
         let Graph { isa, inputs, mut consts, .. } = graph;
         let mut used = vec![false; consts.len()];
-        for a in &self.operands {
-            if let Operand::Const(c) = *a {
+        for s in self.srcs.iter().chain([&output]) {
+            if let FSrc::Const(c) = *s {
                 used[c as usize] = true;
             }
-        }
-        if let OutLoc::Const(c) = output {
-            used[c as usize] = true;
         }
         // `retain` visits the entries in order, so each kept one learns
         // its new index as it goes.
@@ -515,19 +481,15 @@ impl Emitted {
             c += 1;
             keep
         });
-        for a in &mut self.operands {
-            if let Operand::Const(c) = a {
+        for s in self.srcs.iter_mut().chain([&mut output]) {
+            if let FSrc::Const(c) = s {
                 *c = remap[*c as usize];
             }
         }
-        let output = match output {
-            OutLoc::Const(c) => OutLoc::Const(remap[c as usize]),
-            other => other,
-        };
-        let Emitted { code, operands, steps, srcs, tys, phys_regs } = self;
+        let Emitted { steps, srcs, tys, phys_regs } = self;
         let consts =
             consts.iter().map(|&(ty, v)| Lanes::splat(ty.elem, v, ty.lanes as usize)).collect();
-        Executable { isa, inputs, consts, code, operands, steps, srcs, tys, phys_regs, output }
+        Executable { isa, inputs, consts, steps, srcs, tys, phys_regs, output, out_elem }
     }
 }
 
@@ -564,27 +526,9 @@ struct Grouper<'a> {
     /// `inside_at`.
     inside: Vec<u32>,
     inside_at: Vec<usize>,
-    /// The root whose group reads a source (by key) as an external
-    /// operand, and how many the group being grown reads.
-    ext_at: Vec<usize>,
-    n_ext: usize,
-    /// Per-trial stamps deduplicating a candidate's external operands.
-    seen: Vec<usize>,
-    trial: usize,
     /// The group's candidates: producers all of whose live consumers are
     /// inside it.
     ready: Vec<usize>,
-}
-
-/// A budget check's verdict on one candidate.
-enum Fit {
-    /// Absorb it now.
-    Yes,
-    /// Over the operand budget; a later absorption may shrink the
-    /// group's operands, so retry in the next round.
-    Later,
-    /// Over the step budget, which only tightens as the group grows.
-    Never,
 }
 
 impl<'a> Grouper<'a> {
@@ -601,7 +545,6 @@ impl<'a> Grouper<'a> {
                 }
             }
         }
-        let keys = graph.key_count();
         Grouper {
             graph,
             consumers,
@@ -611,10 +554,6 @@ impl<'a> Grouper<'a> {
             len: vec![1; n],
             inside: vec![0; n],
             inside_at: vec![NONE; n],
-            ext_at: vec![NONE; keys],
-            n_ext: 0,
-            seen: vec![0; keys],
-            trial: 0,
             ready: Vec::new(),
         }
     }
@@ -628,86 +567,30 @@ impl<'a> Grouper<'a> {
         Groups { owner: self.owner, next: self.next }
     }
 
-    /// Grow the group rooted at `i`. Each round walks the candidates in
-    /// descending node order, and rounds repeat until one absorbs
-    /// nothing. Absorbing a group exposes only producers below it, so
-    /// every candidate is visited in the round that exposes it.
+    /// Grow the group rooted at `i`: take the highest candidate until
+    /// none is left, absorbing each that keeps the group within the step
+    /// budget. Absorbing a group exposes only producers below it, so
+    /// this visits every candidate once, in descending node order.
     fn grow(&mut self, i: usize) {
-        self.n_ext = 0;
         self.join(i, i);
-        loop {
-            let mut grew = false;
-            let mut cursor = i;
-            while let Some(x) = (0..self.ready.len())
-                .filter(|&x| self.ready[x] < cursor)
-                .max_by_key(|&x| self.ready[x])
-            {
-                let j = self.ready[x];
-                cursor = j;
-                match self.fit(i, j) {
-                    Fit::Yes => {
-                        self.ready.swap_remove(x);
-                        self.join(i, j);
-                        grew = true;
-                    }
-                    Fit::Later => {}
-                    Fit::Never => {
-                        self.ready.swap_remove(x);
-                    }
-                }
+        while let Some(x) = (0..self.ready.len()).max_by_key(|&x| self.ready[x]) {
+            let j = self.ready.swap_remove(x);
+            if self.len[i] + self.len[j] <= MAX_STEPS {
+                self.join(i, j);
             }
-            if !grew {
-                break;
-            }
-        }
-        self.ready.clear();
-    }
-
-    /// Whether absorbing root `j`'s group keeps `i`'s within both
-    /// budgets. The merged operands are `i`'s without `j`, plus `j`'s
-    /// group's own: every other member of `j`'s group is read only
-    /// inside it, and nothing in `j`'s group reads a member of `i`'s.
-    fn fit(&mut self, i: usize, j: usize) -> Fit {
-        if self.len[i] + self.len[j] > MAX_STEPS {
-            return Fit::Never;
-        }
-        let graph = self.graph;
-        self.trial += 1;
-        let mut n_ext = self.n_ext - 1;
-        let mut m = j;
-        while m != NONE {
-            for &a in graph.args(m) {
-                if matches!(a, Src::Node(p) if self.owner[p] == j) {
-                    continue;
-                }
-                let k = graph.key(a);
-                if self.ext_at[k] != i && self.seen[k] != self.trial {
-                    self.seen[k] = self.trial;
-                    n_ext += 1;
-                }
-            }
-            m = self.next[m];
-        }
-        if n_ext <= MAX_OPERANDS {
-            Fit::Yes
-        } else {
-            Fit::Later
         }
     }
 
     /// Absorb root `j`'s group into `i`'s (`j == i` starts `i`'s group):
-    /// splice `j`'s list onto `i`'s, relabel its members, add their
-    /// operands, and count them as consumers of their producers,
-    /// exposing each producer whose every consumer is now inside.
+    /// splice `j`'s list onto `i`'s, relabel its members, and count them
+    /// as consumers of their producers, exposing each producer whose
+    /// every consumer is now inside.
     fn join(&mut self, i: usize, j: usize) {
         let graph = self.graph;
         if j != i {
             self.next[self.tail[i]] = j;
             self.tail[i] = self.tail[j];
             self.len[i] += self.len[j];
-            // `j` was an external operand; from now on it is internal.
-            self.ext_at[graph.key(Src::Node(j))] = NONE;
-            self.n_ext -= 1;
             let mut m = j;
             while m != NONE {
                 self.owner[m] = i;
@@ -719,15 +602,10 @@ impl<'a> Grouper<'a> {
         while m != NONE {
             let args = graph.args(m);
             for (k, &a) in args.iter().enumerate() {
-                if args[..k].contains(&a) || matches!(a, Src::Node(p) if self.owner[p] == i) {
+                let Src::Node(p) = a else { continue };
+                if args[..k].contains(&a) || self.owner[p] == i {
                     continue;
                 }
-                let key = graph.key(a);
-                if self.ext_at[key] != i {
-                    self.ext_at[key] = i;
-                    self.n_ext += 1;
-                }
-                let Src::Node(p) = a else { continue };
                 if self.inside_at[p] != i {
                     self.inside_at[p] = i;
                     self.inside[p] = 0;
@@ -748,34 +626,25 @@ impl<'a> Grouper<'a> {
     }
 }
 
-/// One root to emit: its members in ascending (evaluation) order, and its
-/// external operands, as ranges into shared buffers. A group's external
-/// operands are its members' distinct outside sources in first-use order;
-/// a single instruction keeps its operand list as the program lists it,
-/// repeats included.
-struct Root {
-    node: usize,
-    members: Range<usize>,
-    ext: Range<usize>,
+/// Register `r`'s row in the row file.
+pub(crate) fn reg_row(r: u16) -> u32 {
+    MAX_STEPS as u32 + u32::from(r)
 }
 
-/// Stage 6: emit one instruction per root into the executable's flat
-/// arrays, allocating registers by linear scan.
+/// Stage 6: emit each root's kernel onto the tape, allocating registers
+/// by linear scan.
 fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
     let nodes = &graph.nodes;
     let owner = &groups.owner;
     let internal = |s: Src, r: usize| matches!(s, Src::Node(p) if owner[p] == r);
 
-    // Each root's members and external operands, computed once, and the
+    // Each root's members in ascending node order, computed once, and the
     // sizes of the arrays they fill.
-    let mut roots: Vec<Root> = Vec::with_capacity(nodes.len());
+    let mut roots: Vec<(usize, Range<usize>)> = Vec::with_capacity(nodes.len());
     let mut member_buf: Vec<usize> = Vec::with_capacity(nodes.len());
-    let mut ext_buf: Vec<Src> = Vec::with_capacity(graph.args.len());
-    let mut seen = vec![NONE; graph.key_count()];
-    let mut out = Emitted::default();
-    let (mut n_operands, mut n_steps, mut n_srcs) = (0, 0, 0);
+    let mut n_srcs = 0;
     for r in (0..nodes.len()).filter(|&r| graph.live[r] && owner[r] == r) {
-        let (m0, e0) = (member_buf.len(), ext_buf.len());
+        let m0 = member_buf.len();
         let mut m = r;
         while m != NONE {
             member_buf.push(m);
@@ -784,34 +653,25 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
         // Ascending node ids are dependency order (args always refer to
         // earlier nodes), with the root last.
         member_buf[m0..].sort_unstable();
-        let single = member_buf.len() - m0 == 1;
-        for &m in &member_buf[m0..] {
-            for &a in graph.args(m) {
-                let k = graph.key(a);
-                if !internal(a, r) && (single || seen[k] != r) {
-                    seen[k] = r;
-                    ext_buf.push(a);
-                }
-            }
-        }
-        n_operands += ext_buf.len() - e0;
-        n_steps += member_buf.len() - m0;
         n_srcs += member_buf[m0..].iter().map(|&m| graph.args(m).len()).sum::<usize>();
-        roots.push(Root { node: r, members: m0..member_buf.len(), ext: e0..ext_buf.len() });
+        roots.push((r, m0..member_buf.len()));
     }
-    out.code.reserve_exact(roots.len());
-    out.operands.reserve_exact(n_operands);
-    out.steps.reserve_exact(n_steps);
+    let mut out = Emitted::default();
+    out.steps.reserve_exact(member_buf.len());
     out.srcs.reserve_exact(n_srcs);
     out.tys.reserve_exact(n_srcs);
 
-    // Last use of each root, in emission order; the output is used
-    // "after the end".
+    // Last use of each root, by kernel; the output is used "after the
+    // end".
     let mut last_use = vec![NONE; nodes.len()];
-    for (t, root) in roots.iter().enumerate() {
-        for &s in &ext_buf[root.ext.clone()] {
-            if let Src::Node(j) = s {
-                last_use[j] = t;
+    for (t, (r, members)) in roots.iter().enumerate() {
+        for &m in &member_buf[members.clone()] {
+            for &a in graph.args(m) {
+                if let Src::Node(j) = a {
+                    if !internal(a, *r) {
+                        last_use[j] = t;
+                    }
+                }
             }
         }
     }
@@ -819,41 +679,16 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
         last_use[out] = roots.len();
     }
 
-    // Where each member and external operand sits in its root's kernel.
-    let mut local = vec![0u16; nodes.len()];
-    let mut arg_of = vec![0u16; graph.key_count()];
+    // Each member's index in its kernel: the temp row it writes.
+    let mut local = vec![0u32; nodes.len()];
     let mut phys_of: Vec<Option<u16>> = vec![None; nodes.len()];
     let mut free: Vec<u16> = Vec::new();
     let mut next_phys = 0;
-    let mut arg_splat: Vec<Option<i128>> = Vec::with_capacity(MAX_OPERANDS);
-    for (t, root) in roots.iter().enumerate() {
-        let r = root.node;
-        let group = &member_buf[root.members.clone()];
-        let ext = &ext_buf[root.ext.clone()];
-        // Internal edges become scratchpad temps, everything else
-        // (registers, inputs, pool constants) an external operand; a
-        // single instruction reads its operands in place.
-        for (x, &m) in group.iter().enumerate() {
-            local[m] = x as u16;
-        }
-        for (x, &s) in ext.iter().enumerate() {
-            arg_of[graph.key(s)] = x as u16;
-        }
-        graph.splats(ext, &mut arg_splat);
-        let steps0 = out.steps.len();
-        for &m in group {
-            let srcs = graph.args(m).iter().enumerate().map(|(k, &a)| match a {
-                Src::Node(j) if internal(a, r) => (FSrc::Tmp(local[j]), nodes[j].ty.elem),
-                other if group.len() == 1 => (FSrc::Arg(k as u16), graph.ty(other).elem),
-                other => (FSrc::Arg(arg_of[graph.key(other)]), graph.ty(other).elem),
-            });
-            out.push_step(&nodes[m], srcs, &arg_splat);
-        }
-        let steps = Span::of(steps0, out.steps.len());
-        let args = Span::push(&mut out.operands, ext.iter().map(|&a| operand_of(a, &phys_of)));
-        // Allocate the destination BEFORE freeing dying operands — the
-        // engine reclaims the destination's buffer before reading
-        // operands, so the two must never share a register.
+    for (t, (r, members)) in roots.iter().enumerate() {
+        let (r, group) = (*r, &member_buf[members.clone()]);
+        // Allocate the destination BEFORE freeing dying operands: the
+        // engine takes the destination row out of the file while the root
+        // runs, so the root must never read its own register.
         let dst = match free.pop() {
             Some(d) => d,
             None => {
@@ -862,52 +697,51 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
                 d
             }
         };
-        phys_of[r] = Some(dst);
-        for &s in ext {
-            if let Src::Node(j) = s {
-                if last_use[j] == t {
-                    if let Some(ph) = phys_of[j].take() {
-                        free.push(ph);
+        for (x, &m) in group.iter().enumerate() {
+            local[m] = x as u32;
+            let srcs = graph.args(m).iter().map(|&a| {
+                let src = match a {
+                    Src::Node(j) if internal(a, r) => FSrc::Row(local[j]),
+                    Src::Node(j) => {
+                        FSrc::Row(reg_row(phys_of[j].expect("operands are defined before use")))
+                    }
+                    Src::In(k) => FSrc::In(k),
+                    Src::Const(c) => FSrc::Const(c),
+                };
+                (src, graph.ty(a).elem)
+            });
+            let row = if m == r { reg_row(dst) } else { local[m] };
+            out.push_step(&nodes[m], row, srcs, &graph.consts);
+        }
+        // Free each dying operand once, in first-use order.
+        for &m in group {
+            for &a in graph.args(m) {
+                if let Src::Node(j) = a {
+                    if last_use[j] == t {
+                        free.extend(phys_of[j].take());
                     }
                 }
             }
         }
         // A result nothing reads is computed for its error semantics and
-        // its register freed at once. Only a REFERENCE link keeps such a
-        // node: with fusion, every live node but the output has a live
-        // consumer.
-        let dst_dead = last_use[r] == NONE;
-        if dst_dead {
-            phys_of[r] = None;
+        // its register is free again at once. Only a REFERENCE link keeps
+        // such a node: with fusion, every live node but the output has a
+        // live consumer.
+        if last_use[r] == NONE {
             free.push(dst);
+        } else {
+            phys_of[r] = Some(dst);
         }
-        out.code.push(LInst {
-            op: nodes[r].op,
-            steps,
-            ty: nodes[r].ty,
-            dst,
-            args,
-            pos: nodes[r].pos,
-            reg: nodes[r].reg,
-            dst_dead,
-        });
     }
     out.phys_regs = next_phys;
 
     let output = match graph.out_src {
-        Src::Node(r) => OutLoc::Reg(phys_of[r].expect("the output register stays live")),
-        Src::In(s) => OutLoc::In(s),
-        Src::Const(c) => OutLoc::Const(c),
+        Src::Node(r) => FSrc::Row(reg_row(phys_of[r].expect("the output register stays live"))),
+        Src::In(s) => FSrc::In(s),
+        Src::Const(c) => FSrc::Const(c),
     };
-    Ok(out.assemble(graph, output))
-}
-
-fn operand_of(s: Src, phys_of: &[Option<u16>]) -> Operand {
-    match s {
-        Src::Node(j) => Operand::Reg(phys_of[j].expect("external operands are defined before use")),
-        Src::In(k) => Operand::In(k),
-        Src::Const(c) => Operand::Const(c),
-    }
+    let out_elem = graph.ty(graph.out_src).elem;
+    Ok(out.assemble(graph, output, out_elem))
 }
 
 /// Intern a folded splat into the pool, deduplicating by type and lane
@@ -954,10 +788,10 @@ mod tests {
     use rand::SeedableRng;
 
     /// The reference stages 5–6: for every node, each round rescans
-    /// every earlier node, tests membership with `contains`, and
-    /// recomputes a trial group's external operands from scratch
-    /// (quadratic); emission recomputes them per root and finds local
-    /// indices with `position`. [`link`] must match it exactly.
+    /// every earlier node and tests membership with `contains`, until a
+    /// round absorbs nothing (quadratic); emission recomputes each
+    /// group's external operands per root and finds temp rows with
+    /// `position`. [`link`] must match it exactly.
     fn link_rescan(p: &Program, target: &Target) -> Executable {
         let graph = Graph::build(p, target, true).unwrap();
         let (nodes, live) = (&graph.nodes, &graph.live);
@@ -993,9 +827,7 @@ mod tests {
                         cand.extend(groups[j].iter().copied());
                         cand.sort_unstable();
                         cand.dedup();
-                        if cand.len() <= MAX_STEPS
-                            && external_srcs(&cand, &graph).len() <= MAX_OPERANDS
-                        {
+                        if cand.len() <= MAX_STEPS {
                             for &m in &groups[j] {
                                 absorbed[m] = true;
                             }
@@ -1030,44 +862,33 @@ mod tests {
         let mut out = Emitted::default();
         for (t, &r) in roots.iter().enumerate() {
             let g = &groups[r];
-            let ext = external_srcs(g, &graph);
-            let arg_splat: Vec<Option<i128>> = ext
-                .iter()
-                .map(|&s| match s {
-                    Src::Const(c) => Some(graph.consts[c as usize].1),
-                    _ => None,
-                })
-                .collect();
-            let steps0 = out.steps.len();
-            for &m in g {
-                let mut srcs = Vec::new();
-                for (k, &a) in graph.args(m).iter().enumerate() {
-                    match a {
-                        Src::Node(j) if g.contains(&j) => {
-                            let local = g.iter().position(|&x| x == j).unwrap();
-                            srcs.push((FSrc::Tmp(local as u16), nodes[j].ty.elem));
-                        }
-                        other => {
-                            let x = if g.len() == 1 {
-                                k
-                            } else {
-                                ext.iter().position(|&x| x == other).unwrap()
-                            };
-                            srcs.push((FSrc::Arg(x as u16), graph.ty(other).elem));
-                        }
-                    }
-                }
-                out.push_step(&nodes[m], srcs, &arg_splat);
-            }
-            let steps = Span::of(steps0, out.steps.len());
-            let args = Span::push(&mut out.operands, ext.iter().map(|&a| operand_of(a, &phys_of)));
             let dst = free.pop().unwrap_or_else(|| {
                 let d = next_phys;
                 next_phys += 1;
                 d
             });
+            for &m in g {
+                let mut srcs = Vec::new();
+                for &a in graph.args(m) {
+                    let src = match a {
+                        Src::Node(j) if g.contains(&j) => {
+                            FSrc::Row(g.iter().position(|&x| x == j).unwrap() as u32)
+                        }
+                        Src::Node(j) => FSrc::Row(reg_row(phys_of[j].unwrap())),
+                        Src::In(k) => FSrc::In(k),
+                        Src::Const(c) => FSrc::Const(c),
+                    };
+                    srcs.push((src, graph.ty(a).elem));
+                }
+                let row = if m == r {
+                    reg_row(dst)
+                } else {
+                    g.iter().position(|&x| x == m).unwrap() as u32
+                };
+                out.push_step(&nodes[m], row, srcs, &graph.consts);
+            }
             phys_of[r] = Some(dst);
-            for s in ext {
+            for s in external_srcs(g, &graph) {
                 if let Src::Node(j) = s {
                     if last_use[j] == t {
                         if let Some(ph) = phys_of[j].take() {
@@ -1076,24 +897,15 @@ mod tests {
                     }
                 }
             }
-            out.code.push(LInst {
-                op: nodes[r].op,
-                steps,
-                ty: nodes[r].ty,
-                dst,
-                args,
-                pos: nodes[r].pos,
-                reg: nodes[r].reg,
-                dst_dead: false,
-            });
         }
         out.phys_regs = next_phys as usize;
         let output = match graph.out_src {
-            Src::Node(r) => OutLoc::Reg(phys_of[r].expect("the output register stays live")),
-            Src::In(s) => OutLoc::In(s),
-            Src::Const(c) => OutLoc::Const(c),
+            Src::Node(r) => FSrc::Row(reg_row(phys_of[r].unwrap())),
+            Src::In(s) => FSrc::In(s),
+            Src::Const(c) => FSrc::Const(c),
         };
-        out.assemble(graph, output)
+        let out_elem = graph.ty(graph.out_src).elem;
+        out.assemble(graph, output, out_elem)
     }
 
     /// The distinct external sources of a group, in first-use order; a
@@ -1259,41 +1071,15 @@ mod tests {
     }
 
     /// 64 products of distinct inputs and constants: the groups run into
-    /// both budgets, so candidates are rejected for good (steps) or
-    /// retried in later rounds (operands).
+    /// the step budget, so candidates over it are rejected for good.
     #[test]
     fn budget_edges_match_the_rescan_oracle() {
         let t = V::new(S::U16, 8);
         let e = sum_of_products(64, t);
         for isa in fpir::machine::ALL_ISAS {
             let fused = assert_matches_rescan(&program(&e, isa), target(isa), &format!("{isa}"));
-            let (steps, operands) = fused
-                .code
-                .iter()
-                .fold((0, 0), |(s, a), i| (s.max(i.steps.len()), a.max(i.args.len())));
+            let steps = fused.kernels().map(|k| k.len()).max().unwrap();
             assert!(steps >= MAX_STEPS - 1, "{isa}: {steps} steps\n{fused}");
-            assert_eq!(operands, MAX_OPERANDS, "{isa}\n{fused}");
-        }
-    }
-
-    /// `(x0 + x1) + b`, where `b` (a chain of selects: 21 steps reading
-    /// 32 inputs) first overflows the operand budget. Absorbing
-    /// `x0 + x1`, whose operands `b` reads too, frees one, and `b` fits
-    /// when it is retried in the next round: the whole program becomes
-    /// one kernel.
-    #[test]
-    fn rejected_candidates_fit_in_a_later_round() {
-        let t = V::new(S::U8, 16);
-        let x = |k: usize| build::var(&format!("x{k}"), t);
-        let mut b = build::select(build::lt(x(0), x(1)), x(2), x(3));
-        for k in 0..9 {
-            b = build::select(build::lt(x(4 + 3 * k), x(5 + 3 * k)), x(6 + 3 * k), b);
-        }
-        let e = build::add(build::add(x(0), x(1)), build::add(x(31), b));
-        for isa in fpir::machine::ALL_ISAS {
-            let fused = assert_matches_rescan(&program(&e, isa), target(isa), &format!("{isa}"));
-            assert_eq!(fused.op_count(), 1, "{isa}\n{fused}");
-            assert_eq!(fused.code[0].args.len(), MAX_OPERANDS, "{isa}\n{fused}");
         }
     }
 

@@ -2,45 +2,46 @@
 //! of what [`Executable::link_with`] produced, without running anything.
 //!
 //! The linked engine trades the reference VM's per-step checks for raw
-//! speed: operands are raw indices, dispatch is direct, and the hot loop
-//! `expect`s invariants the linker is supposed to have established. A
-//! linker bug therefore shows up as a panic deep in the hot loop (or,
-//! worse, as silently wrong lanes when a recycled register is read). The
-//! verifier re-derives those invariants from the artifact alone:
+//! speed: sources are raw row, slot and pool indices, dispatch is direct,
+//! and the hot loop indexes the row file on invariants the linker is
+//! supposed to have established. A linker bug therefore shows up as a
+//! panic deep in the hot loop (or, worse, as silently wrong lanes when a
+//! stale row is read). The verifier walks the tape once, in order, and
+//! re-derives those invariants from the artifact alone:
 //!
-//! * **`def-before-use`** — every physical-register read is dominated by
-//!   a live (non-recycled) write in program order, and every input-slot
-//!   read happens after the slot's load position; the final output
-//!   location is defined;
-//! * **`dst-aliasing`** — no instruction's destination register is also
-//!   one of its own register operands (the engine reclaims the
-//!   destination's buffer *before* reading operands);
-//! * **`operand-index`** — register / input-slot / constant-pool indices
-//!   are in range, including the output location, and each
-//!   instruction's operand list lies inside the executable's operand
-//!   array;
+//! * **`def-before-use`** — every register row a step reads holds a live
+//!   value of the type it is read at (the register's last write was at
+//!   that type), every input-slot read comes after the slot's load
+//!   position, and the output location is defined at the end;
+//! * **`dst-aliasing`** — no step that writes a register reads that
+//!   register (the engine takes the destination row out of the file
+//!   while the step runs);
+//! * **`operand-index`** — register rows, input slots and pool constants
+//!   named by a source, a destination or the output are in range;
 //! * **`slot-order`** — input slots are in strictly increasing first-load
-//!   program order and instruction positions strictly increase, so blame
-//!   reports (`pos`, `reg`) point at real, ordered program points;
+//!   program order and the positions of the register-writing steps
+//!   strictly increase, so blame reports (`pos`, `reg`) point at real,
+//!   ordered program points;
 //! * **`const-pool`** — every pool entry is a genuine splat (all lanes
 //!   equal), matching what linking is allowed to materialize;
-//! * **`sem-table`** — each kernel step's resolved [`fpir_isa::MachSem`]
-//!   agrees with what the ISA's table currently maps its opcode to;
-//! * **`sem-signature`** — every external operand has the result's lane
-//!   count, and each step's operands pass [`fpir_isa::check_shape`]:
-//!   one per the semantics' arity, all at the step's lane count, and the
-//!   widening accumulator shapes hold (`WideningMulAcc` 2×, `DotAcc4`
-//!   4×) — the rule the linker applies to every instruction, so
-//!   no compiled step kernel sees operands its semantics reject;
-//! * **`fused-shape`** — a kernel's audit trail holds together: its
-//!   1..=32 steps and their sources lie inside the executable's flat
-//!   arrays, temp references point at *earlier* steps, external-operand
-//!   indices are in range with element types matching the recorded
-//!   per-step types, every step has the kernel's lane count, step
-//!   positions strictly increase, every external operand is read, a
-//!   step's captured operand is a source that reads a pool constant, and
-//!   the final step is the instruction's own op/type/position — so the
-//!   compiled step kernels, built from the same lane table as
+//! * **`sem-table`** — each step's resolved [`fpir_isa::MachSem`] agrees
+//!   with what the ISA's table currently maps its opcode to;
+//! * **`sem-signature`** — each step's operands pass
+//!   [`fpir_isa::check_shape`]: one per the semantics' arity, all at the
+//!   step's lane count, and the widening accumulator shapes hold
+//!   (`WideningMulAcc` 2×, `DotAcc4` 4×) — the rule the linker applies to
+//!   every instruction, so no compiled step kernel sees operands its
+//!   semantics reject;
+//! * **`fused-shape`** — the kernels on the tape hold together: each step
+//!   writes either the temp row of its index in its kernel (below
+//!   `MAX_STEPS`) or a register row, which ends the kernel, and the tape
+//!   ends with a register write; a temp source reads a row an earlier
+//!   step of the *same* kernel wrote (temp definedness resets at every
+//!   kernel boundary); every source records the element type of what it
+//!   reads; step and source spans lie inside the executable's flat
+//!   arrays; step positions strictly increase within a kernel; and a
+//!   step's captured operand is a source that reads a pool constant — so
+//!   the compiled step kernels, built from the same lane table as
 //!   [`fpir_isa::eval_sem_into`], run exactly the program instructions
 //!   they stand for.
 //!
@@ -51,9 +52,8 @@
 //! at the artifact boundary, with a named check and a program position,
 //! not as a scrambled image three layers up.
 
-use crate::exec::{lanes_ty, Executable, FSrc, LInst, Operand, OutLoc, MAX_OPERANDS, MAX_STEPS};
-use fpir::types::VectorType;
-use fpir_isa::Target;
+use crate::exec::{lanes_ty, src_name, Executable, FSrc, MAX_STEPS};
+use fpir::types::{ScalarType, VectorType};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -61,21 +61,22 @@ use std::fmt;
 /// is the stable identifier fixtures and reports key on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactCheck {
-    /// A register or input slot read before it is written/loaded.
+    /// A row read before it holds a live value of its type, or an input
+    /// slot read before it is loaded.
     DefBeforeUse,
-    /// An instruction's destination aliases one of its own operands.
+    /// A step reads the register it writes.
     DstAliasing,
     /// A register, input-slot, or constant-pool index out of range.
     OperandIndex,
-    /// Input slots or instruction positions out of program order.
+    /// Input slots or kernel positions out of program order.
     SlotOrder,
     /// A constant-pool entry that is not a splat.
     ConstPool,
-    /// An instruction's semantics disagree with the ISA table.
+    /// A step's semantics disagree with the ISA table.
     SemTable,
     /// Operand shape the semantics would reject at run time.
     SemSignature,
-    /// A fused superinstruction whose step chain is malformed.
+    /// A kernel on the tape whose steps are malformed.
     FusedShape,
 }
 
@@ -147,7 +148,7 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
     }
 
     // Slot/blame order: inputs in strictly increasing first-load
-    // position, no duplicate names, instructions in strictly increasing
+    // position, no duplicate names, kernels in strictly increasing
     // program position.
     for w in exe.inputs.windows(2) {
         if w[1].pos <= w[0].pos {
@@ -171,211 +172,32 @@ pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
             ));
         }
     }
-    for w in exe.code.windows(2) {
-        if w[1].pos <= w[0].pos {
-            return Err(err(
-                C::SlotOrder,
-                Some(w[1].pos as usize),
-                format!("instruction positions out of order: #{} after #{}", w[1].pos, w[0].pos),
-            ));
+    let mut roots = exe.steps.iter().filter(|s| s.dst_reg().is_some()).map(|s| s.pos);
+    if let Some(mut last) = roots.next() {
+        for pos in roots {
+            if pos <= last {
+                return Err(err(
+                    C::SlotOrder,
+                    Some(pos as usize),
+                    format!("kernel positions out of order: #{pos} after #{last}"),
+                ));
+            }
+            last = pos;
         }
     }
 
-    // Per-instruction checks, simulating definedness in program order.
-    // `defined[r]` is the type of the live value in physical register
-    // `r`, or `None` when it was never written or its last write was
-    // immediately recycled (`dst_dead`) — exactly the states in which
-    // the engine's `regs[r].as_ref().expect(..)` would panic.
+    // One pass over the tape, simulating definedness in order. `regs[r]`
+    // is the type of register `r`'s live value (`None` before its first
+    // write), and `temps[t]` the type of temp row `t`, written by step
+    // `t` of the current kernel: it empties at each kernel boundary, and
+    // its length is the next step's index in its kernel.
     let table = fpir_isa::target(exe.isa);
-    let mut defined = vec![None; exe.phys_regs];
-    let mut operand_tys = Vec::new();
-    for inst in &exe.code {
-        let pos = inst.pos as usize;
-        let args = exe.operands.get(inst.args.range()).ok_or_else(|| {
-            err(
-                C::OperandIndex,
-                Some(pos),
-                format!(
-                    "operand list {:?} outside the operand array of {}",
-                    inst.args.range(),
-                    exe.operands.len()
-                ),
-            )
-        })?;
-
-        if (inst.dst as usize) >= exe.phys_regs {
-            return Err(err(
-                C::OperandIndex,
-                Some(pos),
-                format!("destination r{} outside the register file of {}", inst.dst, exe.phys_regs),
-            ));
-        }
-        operand_tys.clear();
-        for a in args {
-            let ty = match *a {
-                Operand::Reg(r) => {
-                    if (r as usize) >= exe.phys_regs {
-                        return Err(err(
-                            C::OperandIndex,
-                            Some(pos),
-                            format!("operand r{r} outside the register file of {}", exe.phys_regs),
-                        ));
-                    }
-                    if r == inst.dst {
-                        return Err(err(
-                            C::DstAliasing,
-                            Some(pos),
-                            format!(
-                                "{} reads r{r} while also writing it; the engine reclaims the \
-                                 destination before reading operands",
-                                inst.op
-                            ),
-                        ));
-                    }
-                    match defined[r as usize] {
-                        Some(ty) => ty,
-                        None => {
-                            return Err(err(
-                                C::DefBeforeUse,
-                                Some(pos),
-                                format!("r{r} read by {} before any live write", inst.op),
-                            ));
-                        }
-                    }
-                }
-                Operand::In(s) => {
-                    let slot = exe.inputs.get(s as usize).ok_or_else(|| {
-                        err(
-                            C::OperandIndex,
-                            Some(pos),
-                            format!("input slot s{s} out of range ({} slots)", exe.inputs.len()),
-                        )
-                    })?;
-                    if slot.pos >= pos {
-                        return Err(err(
-                            C::DefBeforeUse,
-                            Some(pos),
-                            format!(
-                                "slot s{s} (`{}`) loads at #{}, after its use",
-                                slot.name, slot.pos
-                            ),
-                        ));
-                    }
-                    slot.ty
-                }
-                Operand::Const(c) => exe
-                    .consts
-                    .get(c as usize)
-                    .ok_or_else(|| {
-                        err(
-                            C::OperandIndex,
-                            Some(pos),
-                            format!("constant c{c} out of range ({} entries)", exe.consts.len()),
-                        )
-                    })
-                    .map(|c| lanes_ty(&c.as_slice()))?,
-            };
-            operand_tys.push(ty);
-        }
-
-        // Every operand must have the result's lane count: the kernel is
-        // lane-wise, so a run walks the same `n` lanes (the run's width,
-        // whatever the declared one) of every external source and of its
-        // result.
-        for (k, ty) in operand_tys.iter().enumerate() {
-            if ty.lanes != inst.ty.lanes {
-                return Err(err(
-                    C::SemSignature,
-                    Some(pos),
-                    format!(
-                        "operand {k} has {} lanes, result type {} has {}",
-                        ty.lanes, inst.ty, inst.ty.lanes
-                    ),
-                ));
-            }
-        }
-
-        verify_kernel(exe, inst, args, &operand_tys, table)?;
-
-        defined[inst.dst as usize] = if inst.dst_dead { None } else { Some(inst.ty) };
-    }
-
-    // The output location must be defined at the end of the program.
-    match exe.output {
-        OutLoc::Reg(r) => {
-            if (r as usize) >= exe.phys_regs {
-                return Err(err(
-                    C::OperandIndex,
-                    None,
-                    format!("output r{r} outside the register file of {}", exe.phys_regs),
-                ));
-            }
-            if defined[r as usize].is_none() {
-                return Err(err(
-                    C::DefBeforeUse,
-                    None,
-                    format!("output register r{r} holds no live value at the end of the program"),
-                ));
-            }
-        }
-        OutLoc::In(s) => {
-            if (s as usize) >= exe.inputs.len() {
-                return Err(err(
-                    C::OperandIndex,
-                    None,
-                    format!("output slot s{s} out of range ({} slots)", exe.inputs.len()),
-                ));
-            }
-        }
-        OutLoc::Const(c) => {
-            if (c as usize) >= exe.consts.len() {
-                return Err(err(
-                    C::OperandIndex,
-                    None,
-                    format!("output constant c{c} out of range ({} entries)", exe.consts.len()),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The per-kernel audit: a kernel carries the program instructions it
-/// stands for (op, sem, type, position, register per step), and this
-/// check re-proves everything the link relied on — so the compiled step
-/// kernels, sinks over the same lane table as
-/// [`fpir_isa::eval_sem_into`], run exactly those instructions.
-fn verify_kernel(
-    exe: &Executable,
-    inst: &LInst,
-    args: &[Operand],
-    operand_tys: &[VectorType],
-    table: &Target,
-) -> Result<(), ArtifactError> {
-    use ArtifactCheck as C;
-    let pos = inst.pos as usize;
-    let fail = |detail: String| err(C::FusedShape, Some(pos), detail);
-    // Every span must lie inside its array, and a source span inside
-    // both parallel arrays, before anything is read through it.
-    let steps = exe.steps.get(inst.steps.range()).ok_or_else(|| {
-        fail(format!(
-            "steps {:?} outside the step array of {}",
-            inst.steps.range(),
-            exe.steps.len()
-        ))
-    })?;
-
-    if steps.is_empty() || steps.len() > MAX_STEPS {
-        return Err(fail(format!("kernel has {} steps (1..={MAX_STEPS} allowed)", steps.len())));
-    }
-    let n_args = operand_tys.len();
-    if n_args > MAX_OPERANDS {
-        return Err(fail(format!(
-            "kernel reads {n_args} external operands ({MAX_OPERANDS} allowed)"
-        )));
-    }
-    let mut arg_read = [false; MAX_OPERANDS];
-    for (j, step) in steps.iter().enumerate() {
+    let mut regs = vec![None; exe.phys_regs];
+    let mut temps: Vec<VectorType> = Vec::with_capacity(MAX_STEPS);
+    let mut operand_tys = Vec::with_capacity(fpir_isa::MAX_ARITY);
+    for (i, step) in exe.steps.iter().enumerate() {
+        let pos = step.pos as usize;
+        let fail = |detail: String| err(C::FusedShape, Some(pos), detail);
         // The semantics the table resolves the opcode to today must be
         // the semantics baked into the step at link time.
         match table.def(step.op) {
@@ -383,7 +205,7 @@ fn verify_kernel(
             Some(def) => {
                 return Err(err(
                     C::SemTable,
-                    Some(step.pos as usize),
+                    Some(pos),
                     format!(
                         "step {} linked as {:?} but the {} table says {:?}",
                         step.op, step.sem, exe.isa, def.sem
@@ -393,105 +215,175 @@ fn verify_kernel(
             None => {
                 return Err(err(
                     C::SemTable,
-                    Some(step.pos as usize),
+                    Some(pos),
                     format!("step {} is not in the {} table", step.op, exe.isa),
                 ));
             }
         }
+        // A source span must lie inside both parallel arrays before
+        // anything is read through it.
         let range = step.srcs.range();
         let (Some(srcs), Some(tys)) = (exe.srcs.get(range.clone()), exe.tys.get(range.clone()))
         else {
             return Err(fail(format!(
-                "step {j} sources {range:?} outside the source arrays ({} sources, {} types)",
+                "step {i} sources {range:?} outside the source arrays ({} sources, {} types)",
                 exe.srcs.len(),
                 exe.tys.len()
             )));
         };
-        if step.ty.lanes != inst.ty.lanes {
-            return Err(fail(format!(
-                "step {j} has {} lanes, the kernel walks {}",
-                step.ty.lanes, inst.ty.lanes
-            )));
+        let j = temps.len();
+        match step.dst_reg() {
+            Some(r) if r >= exe.phys_regs => {
+                return Err(err(
+                    C::OperandIndex,
+                    Some(pos),
+                    format!("step {i} writes r{r} outside the register file of {}", exe.phys_regs),
+                ));
+            }
+            _ if j >= MAX_STEPS => {
+                return Err(fail(format!("step {i} runs its kernel past {MAX_STEPS} steps")));
+            }
+            None if step.dst as usize != j => {
+                return Err(fail(format!(
+                    "step {i} writes temp row {}, not row {j} of its place in its kernel",
+                    step.dst
+                )));
+            }
+            _ => {}
         }
-        for (k, (&src, &ty)) in srcs.iter().zip(tys).enumerate() {
-            match src {
-                FSrc::Arg(a) => {
-                    let a = a as usize;
-                    if a >= n_args {
-                        return Err(fail(format!(
-                            "step {j} source {k} reads external operand {a} of {n_args}"
-                        )));
-                    }
-                    arg_read[a] = true;
-                    if operand_tys[a].elem != ty {
-                        return Err(fail(format!(
-                            "step {j} source {k} records type {ty} for operand {a} of type {}",
-                            operand_tys[a].elem
-                        )));
-                    }
-                }
-                FSrc::Tmp(t) => {
-                    let t = t as usize;
-                    if t >= j {
-                        return Err(fail(format!(
-                            "step {j} source {k} reads temp {t}, defined at or after it"
-                        )));
-                    }
-                    if steps[t].ty.elem != ty {
-                        return Err(fail(format!(
-                            "step {j} source {k} records type {ty} for temp {t} of type {}",
-                            steps[t].ty.elem
-                        )));
-                    }
-                }
+        operand_tys.clear();
+        for (k, (&src, &elem)) in srcs.iter().zip(tys).enumerate() {
+            operand_tys.push(source_ty(exe, src, elem, &regs, &temps, Some(pos))?);
+            if src.reg().is_some() && src.reg() == step.dst_reg() {
+                return Err(err(
+                    C::DstAliasing,
+                    Some(pos),
+                    format!(
+                        "{} (step {i}) source {k} reads {} while also writing it; the engine takes \
+                         the destination row out while the step runs",
+                        step.op,
+                        src_name(src)
+                    ),
+                ));
             }
         }
         // A captured operand must be a pool constant: the compiled loop
-        // holds its splat scalar and never reads the operand.
+        // holds its splat scalar and never reads the source.
         if let Some(k) = step.captured {
-            let reads_const = match srcs.get(k as usize) {
-                Some(&FSrc::Arg(a)) => matches!(args[a as usize], Operand::Const(_)),
-                _ => false,
-            };
-            if !reads_const {
+            if !matches!(srcs.get(k as usize), Some(FSrc::Const(_))) {
                 return Err(fail(format!(
-                    "step {j} captures source {k}, which reads no pool constant"
+                    "step {i} captures source {k}, which reads no pool constant"
                 )));
             }
         }
-        let operand = |src: &FSrc| match *src {
-            FSrc::Arg(a) => operand_tys[a as usize],
-            FSrc::Tmp(t) => steps[t as usize].ty,
-        };
-        fpir_isa::check_shape(step.sem, srcs.iter().map(operand), step.ty).map_err(|what| {
-            err(C::SemSignature, Some(step.pos as usize), format!("{} (step {j}): {what}", step.op))
+        fpir_isa::check_shape(step.sem, operand_tys.iter().copied(), step.ty).map_err(|what| {
+            err(C::SemSignature, Some(pos), format!("{} (step {i}): {what}", step.op))
         })?;
-        if j > 0 && step.pos <= steps[j - 1].pos {
+        if j > 0 && step.pos <= exe.steps[i - 1].pos {
             return Err(fail(format!(
-                "step positions out of order: #{} after #{}",
+                "step positions out of order in a kernel: #{} after #{}",
                 step.pos,
-                steps[j - 1].pos
+                exe.steps[i - 1].pos
             )));
         }
+        match step.dst_reg() {
+            Some(r) => {
+                regs[r] = Some(step.ty);
+                temps.clear();
+            }
+            None => temps.push(step.ty),
+        }
     }
-    let last = steps.last().expect("non-empty");
-    if last.op != inst.op || last.ty != inst.ty || last.pos != inst.pos || last.reg != inst.reg {
-        return Err(fail(format!(
-            "the final step ({} {} #{}) is not the instruction's own root ({} {} #{})",
-            last.op, last.ty, last.pos, inst.op, inst.ty, inst.pos
-        )));
+    if !temps.is_empty() {
+        return Err(err(
+            C::FusedShape,
+            None,
+            format!(
+                "the tape ends inside a kernel: its last {} steps write no register",
+                temps.len()
+            ),
+        ));
     }
-    if let Some(a) = arg_read[..n_args].iter().position(|&r| !r) {
-        return Err(fail(format!("external operand {a} is never read by any step")));
+    // The output location must be defined at the end of the program.
+    source_ty(exe, exe.output, exe.out_elem, &regs, &[], None).map(|_| ())
+}
+
+/// The type `src` holds when a step at `pos` (the output, when `None`)
+/// reads it at `elem`: in range (`operand-index`), defined
+/// (`def-before-use`, against the register types `regs` and the current
+/// kernel's `temps`), and read at its own element type (`fused-shape`).
+fn source_ty(
+    exe: &Executable,
+    src: FSrc,
+    elem: ScalarType,
+    regs: &[Option<VectorType>],
+    temps: &[VectorType],
+    pos: Option<usize>,
+) -> Result<VectorType, ArtifactError> {
+    use ArtifactCheck as C;
+    let fail = |check, detail| Err(err(check, pos, detail));
+    let ty = match (src, src.reg()) {
+        (_, Some(r)) => match regs.get(r) {
+            None => {
+                return fail(
+                    C::OperandIndex,
+                    format!("r{r} outside the register file of {}", exe.phys_regs),
+                )
+            }
+            Some(None) => return fail(C::DefBeforeUse, format!("r{r} read before any write")),
+            Some(&Some(ty)) if ty.elem != elem => {
+                return fail(C::DefBeforeUse, format!("r{r} read at {elem} holds a {ty} value"))
+            }
+            Some(&Some(ty)) => ty,
+        },
+        (FSrc::In(s), _) => match exe.inputs.get(s as usize) {
+            None => {
+                return fail(
+                    C::OperandIndex,
+                    format!("input slot s{s} out of range ({} slots)", exe.inputs.len()),
+                )
+            }
+            Some(slot) if pos.is_some_and(|p| slot.pos >= p) => {
+                return fail(
+                    C::DefBeforeUse,
+                    format!("slot s{s} (`{}`) loads at #{}, after its use", slot.name, slot.pos),
+                )
+            }
+            Some(slot) => slot.ty,
+        },
+        (FSrc::Const(c), _) => match exe.consts.get(c as usize) {
+            None => {
+                return fail(
+                    C::OperandIndex,
+                    format!("constant c{c} out of range ({} entries)", exe.consts.len()),
+                )
+            }
+            Some(l) => lanes_ty(&l.as_slice()),
+        },
+        (FSrc::Row(t), None) => match temps.get(t as usize) {
+            None => {
+                return fail(
+                    C::FusedShape,
+                    format!("temp row {t} read before an earlier step of its kernel writes it"),
+                )
+            }
+            Some(&ty) => ty,
+        },
+    };
+    if ty.elem != elem {
+        return fail(
+            C::FusedShape,
+            format!("a source records type {elem} for {} of type {ty}", src_name(src)),
+        );
     }
-    Ok(())
+    Ok(ty)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::Span;
-    use crate::fuse::ExecConfig;
+    use crate::fuse::{reg_row, ExecConfig};
     use crate::program::emit;
     use fpir::build;
     use fpir::types::{ScalarType as S, VectorType as V};
@@ -547,67 +439,56 @@ mod tests {
         assert!(e.to_string().contains(name), "{e}");
     }
 
+    /// The first source reading a register, as (step, source index).
+    fn first_register_read(exe: &Executable) -> (usize, usize) {
+        (0..exe.srcs.len())
+            .find(|&k| exe.srcs[k].reg().is_some())
+            .map(|k| (exe.steps.iter().position(|s| s.srcs.range().contains(&k)).unwrap(), k))
+            .expect("some step reads a register")
+    }
+
     #[test]
     fn corrupt_register_read_fails_def_before_use() {
         let mut exe = sample();
-        // Point the first instruction's first register operand (if any)
-        // at a register nothing has written yet; otherwise retarget an
-        // input operand to a fresh register.
+        // Point the first step's first source at a register nothing has
+        // written yet.
         let grow = exe.phys_regs as u16;
         exe.phys_regs += 1;
-        let k = exe.code[0].args.start as usize;
-        exe.operands[k] = Operand::Reg(grow);
+        let k = exe.steps[0].srcs.start as usize;
+        exe.srcs[k] = FSrc::Row(reg_row(grow));
         assert_flags(&exe, "def-before-use");
     }
 
     #[test]
     fn corrupt_dead_destination_fails_def_before_use() {
         let mut exe = sample();
-        // Mark an intermediate destination dead: the engine recycles the
-        // value immediately, so the later consumer reads a vacant slot.
-        // Pick a write whose register is read again before being
-        // rewritten, so the corruption is observable.
-        let victim = (0..exe.code.len())
-            .find(|&i| {
-                let r = exe.code[i].dst;
-                exe.code[i + 1..]
-                    .iter()
-                    .take_while(|j| j.dst != r)
-                    .any(|j| exe.operands[j.args.range()].contains(&Operand::Reg(r)))
-            })
-            .expect("some intermediate value is consumed");
-        exe.code[victim].dst_dead = true;
+        // Send a register's first write to a fresh register: its value is
+        // dead where it lands, and the later consumer reads a register
+        // nothing wrote.
+        let (_, k) = first_register_read(&exe);
+        let r = exe.srcs[k];
+        let victim = exe.steps.iter().position(|s| FSrc::Row(s.dst) == r).unwrap();
+        exe.steps[victim].dst = reg_row(exe.phys_regs as u16);
+        exe.phys_regs += 1;
         assert_flags(&exe, "def-before-use");
     }
 
     #[test]
     fn corrupt_self_referential_destination_fails_dst_aliasing() {
         let mut exe = sample();
-        let (pos, r) = exe
-            .code
-            .iter()
-            .enumerate()
-            .find_map(|(i, inst)| {
-                exe.operands[inst.args.range()].iter().find_map(|a| match *a {
-                    Operand::Reg(r) => Some((i, r)),
-                    _ => None,
-                })
-            })
-            .expect("some instruction reads a register");
-        exe.code[pos].dst = r;
+        let (step, k) = first_register_read(&exe);
+        exe.steps[step].dst = match exe.srcs[k] {
+            FSrc::Row(r) => r,
+            other => panic!("not a register: {other:?}"),
+        };
         assert_flags(&exe, "dst-aliasing");
     }
 
     #[test]
     fn corrupt_constant_index_fails_operand_index() {
         let mut exe = sample();
-        let k = exe
-            .code
-            .iter()
-            .flat_map(|i| i.args.range())
-            .find(|&k| matches!(exe.operands[k], Operand::Const(_)))
-            .expect("some instruction reads the pool");
-        exe.operands[k] = Operand::Const(u16::MAX);
+        let k = exe.srcs.iter().position(|s| matches!(s, FSrc::Const(_))).expect("a pool read");
+        exe.srcs[k] = FSrc::Const(u16::MAX);
         assert_flags(&exe, "operand-index");
     }
 
@@ -644,8 +525,7 @@ mod tests {
     #[test]
     fn corrupt_semantics_fail_sem_table() {
         let mut exe = sample();
-        let step = exe.code[0].steps.start as usize;
-        corrupt_sem(&mut exe, step);
+        corrupt_sem(&mut exe, 0);
         assert_flags(&exe, "sem-table");
     }
 
@@ -664,8 +544,7 @@ mod tests {
     #[test]
     fn corrupt_operand_count_fails_sem_signature() {
         let mut exe = sample();
-        let step = exe.code[0].steps.start as usize;
-        add_source(&mut exe, step);
+        add_source(&mut exe, 0);
         assert_flags(&exe, "sem-signature");
     }
 
@@ -689,10 +568,8 @@ mod tests {
             .expect("umlal is selected");
         let acc = exe.steps[step].srcs.start as usize;
         exe.tys[acc] = S::U8;
-        let FSrc::Arg(a) = exe.srcs[acc] else { panic!("a plain step reads operands") };
-        let k = exe.code.iter().find(|i| i.steps.start as usize == step).unwrap().args.start;
-        match exe.operands[k as usize + a as usize] {
-            Operand::In(s) => exe.inputs[s as usize].ty = t,
+        match exe.srcs[acc] {
+            FSrc::In(s) => exe.inputs[s as usize].ty = t,
             other => panic!("the accumulator is an input, not {other:?}"),
         }
         assert_flags(&exe, "sem-signature");
@@ -701,10 +578,10 @@ mod tests {
     #[test]
     fn corrupt_lane_count_fails_sem_signature() {
         let mut exe = sample();
-        // Halve the result lane count of the first instruction; its
-        // operands keep the full vector width.
-        let ty = exe.code[0].ty;
-        exe.code[0].ty = V::new(ty.elem, ty.lanes / 2);
+        // Halve the result lane count of the first step; its operands
+        // keep the full vector width.
+        let ty = exe.steps[0].ty;
+        exe.steps[0].ty = V::new(ty.elem, ty.lanes / 2);
         assert_flags(&exe, "sem-signature");
     }
 
@@ -713,64 +590,45 @@ mod tests {
         let mut exe = sample();
         // Claim a step's kernel captured an operand read from a register:
         // only a pool constant has a splat scalar to capture.
-        let (step, k) = exe
-            .code
-            .iter()
-            .find_map(|inst| {
-                let step = inst.steps.start as usize;
-                let srcs = &exe.srcs[exe.steps[step].srcs.range()];
-                srcs.iter()
-                    .position(|s| match *s {
-                        FSrc::Arg(a) => {
-                            matches!(
-                                exe.operands[inst.args.start as usize + a as usize],
-                                Operand::Reg(_)
-                            )
-                        }
-                        FSrc::Tmp(_) => false,
-                    })
-                    .map(|k| (step, k))
-            })
-            .expect("some step reads a register");
-        exe.steps[step].captured = Some(k as u8);
+        let (step, k) = first_register_read(&exe);
+        exe.steps[step].captured = Some((k - exe.steps[step].srcs.start as usize) as u8);
         assert_flags(&exe, "fused-shape");
     }
 
     #[test]
     fn corrupt_output_register_is_flagged() {
         let mut exe = sample();
-        exe.output = OutLoc::Reg(u16::MAX);
+        exe.output = FSrc::Row(reg_row(u16::MAX));
         assert_flags(&exe, "operand-index");
     }
 
     // Fused-artifact fixtures: a fused sample must verify clean, and
-    // hand-corrupting the step chain must be flagged by `fused-shape`
+    // hand-corrupting a kernel's steps must be flagged by `fused-shape`
     // (or `sem-table` for a step whose opcode no longer means its sem,
     // and `sem-signature` for a step whose operands its sem rejects).
 
-    fn fused_sample() -> Executable {
-        let t = V::new(S::U8, 16);
-        let e = build::saturating_cast(
-            S::U8,
-            build::widening_add(
-                build::rounding_halving_add(build::var("a", t), build::var("b", t)),
-                build::constant(3, t),
-            ),
-        );
+    fn fused(e: &fpir::RcExpr) -> Executable {
         let tgt = target(Isa::ArmNeon);
-        let p = emit(&legalize(&e, tgt).unwrap(), tgt).unwrap();
+        let p = emit(&legalize(e, tgt).unwrap(), tgt).unwrap();
         let exe = Executable::link_with(&p, tgt, &ExecConfig::FAST).unwrap();
         assert!(exe.fused_count() >= 1, "the sample chain must fuse:\n{exe}");
         exe
     }
 
-    /// The first fused instruction, and its steps.
-    fn first_fused(exe: &Executable) -> (usize, std::ops::Range<usize>) {
-        exe.code
-            .iter()
-            .enumerate()
-            .find_map(|(i, inst)| (inst.steps.len() >= 2).then(|| (i, inst.steps.range())))
-            .expect("a fused instruction")
+    fn fused_sample() -> Executable {
+        let t = V::new(S::U8, 16);
+        fused(&build::saturating_cast(
+            S::U8,
+            build::widening_add(
+                build::rounding_halving_add(build::var("a", t), build::var("b", t)),
+                build::constant(3, t),
+            ),
+        ))
+    }
+
+    /// The steps of the first fused kernel.
+    fn first_fused(exe: &Executable) -> std::ops::Range<usize> {
+        exe.kernels().find(|k| k.len() >= 2).expect("a fused kernel")
     }
 
     #[test]
@@ -782,24 +640,49 @@ mod tests {
     #[test]
     fn corrupt_fused_temp_order_fails_fused_shape() {
         let mut exe = fused_sample();
-        let (_, steps) = first_fused(&exe);
-        // Point some step's temp reference at itself (a temp defined at
-        // or after its use can never have been computed).
+        let steps = first_fused(&exe);
+        // Point some step's temp read at the row it writes itself (a temp
+        // written at or after its use can never have been computed).
         let (j, k) = steps
-            .enumerate()
-            .find_map(|(j, s)| {
-                let srcs = exe.steps[s].srcs.range();
-                srcs.clone().find(|&k| matches!(exe.srcs[k], FSrc::Tmp(_))).map(|k| (j, k))
+            .clone()
+            .find_map(|s| {
+                let k = exe.steps[s].srcs.range().find(|&k| exe.srcs[k] == FSrc::Row(0))?;
+                Some((s - steps.start, k))
             })
             .expect("a step reads a temp");
-        exe.srcs[k] = FSrc::Tmp(j as u16);
+        exe.srcs[k] = FSrc::Row(j as u32);
+        assert_flags(&exe, "fused-shape");
+    }
+
+    /// A temp row holds its value only inside its kernel: a step that
+    /// reads a temp row an earlier kernel wrote, at the type it was
+    /// written, is flagged. A chain of 35 adds fuses into a kernel of 32
+    /// steps and one of 3.
+    #[test]
+    fn corrupt_temp_read_across_kernels_fails_fused_shape() {
+        let t = V::new(S::U8, 16);
+        let mut e = build::add(build::var("a", t), build::var("b", t));
+        for _ in 0..34 {
+            e = build::add(e, build::var("b", t));
+        }
+        let mut exe = fused(&e);
+        let kernels: Vec<_> = exe.kernels().collect();
+        assert_eq!(kernels.iter().map(|k| k.len()).collect::<Vec<_>>(), [MAX_STEPS, 3], "{exe}");
+        verify_executable(&exe).unwrap_or_else(|v| panic!("{v}\n{exe}"));
+        // The second kernel's first step reads the first kernel's result
+        // from its register; read temp row 5 instead, which the first
+        // kernel wrote at the same type.
+        let first = kernels[1].start;
+        let k = exe.steps[first].srcs.range().find(|&k| exe.srcs[k].reg().is_some()).unwrap();
+        assert_eq!(exe.steps[kernels[0].start + 5].ty.elem, exe.tys[k]);
+        exe.srcs[k] = FSrc::Row(5);
         assert_flags(&exe, "fused-shape");
     }
 
     #[test]
     fn corrupt_fused_step_sem_fails_sem_table() {
         let mut exe = fused_sample();
-        let (_, steps) = first_fused(&exe);
+        let steps = first_fused(&exe);
         corrupt_sem(&mut exe, steps.start);
         assert_flags(&exe, "sem-table");
     }
@@ -807,7 +690,7 @@ mod tests {
     #[test]
     fn corrupt_fused_step_arity_fails_sem_signature() {
         let mut exe = fused_sample();
-        let (_, steps) = first_fused(&exe);
+        let steps = first_fused(&exe);
         add_source(&mut exe, steps.start);
         assert_flags(&exe, "sem-signature");
     }
@@ -815,23 +698,24 @@ mod tests {
     #[test]
     fn corrupt_fused_root_mismatch_fails_fused_shape() {
         let mut exe = fused_sample();
-        let (i, _) = first_fused(&exe);
-        // Drop the final step: the kernel no longer ends in the
-        // instruction's own root.
-        exe.code[i].steps.len -= 1;
+        let steps = first_fused(&exe);
+        assert_eq!(steps.end, exe.steps.len(), "the sample is one kernel:\n{exe}");
+        // Drop the kernel's final step: the tape ends inside the kernel,
+        // which no longer writes its register.
+        exe.steps.pop();
         assert_flags(&exe, "fused-shape");
     }
 
     #[test]
     fn corrupt_fused_operand_type_fails_fused_shape() {
         let mut exe = fused_sample();
-        let (_, steps) = first_fused(&exe);
-        // Mis-record an external operand's element type: the step's
-        // claimed type must match the linked operand it reads.
+        let steps = first_fused(&exe);
+        // Mis-record an input's or a constant's element type: the step's
+        // claimed type must match what it reads.
         let k = steps
             .flat_map(|s| exe.steps[s].srcs.range())
-            .find(|&k| matches!(exe.srcs[k], FSrc::Arg(_)))
-            .expect("a step reads an external operand");
+            .find(|&k| matches!(exe.srcs[k], FSrc::In(_) | FSrc::Const(_)))
+            .expect("a step reads an input or a constant");
         exe.tys[k] = if exe.tys[k] == S::I64 { S::U8 } else { S::I64 };
         assert_flags(&exe, "fused-shape");
     }
@@ -839,10 +723,10 @@ mod tests {
     #[test]
     fn verifier_rejects_instructions_reordered_by_position() {
         let mut exe = sample();
-        assert!(exe.code.len() >= 2);
-        let p0 = exe.code[0].pos;
-        exe.code[0].pos = exe.code[1].pos;
-        exe.code[1].pos = p0;
+        assert!(exe.steps.len() >= 2);
+        let p0 = exe.steps[0].pos;
+        exe.steps[0].pos = exe.steps[1].pos;
+        exe.steps[1].pos = p0;
         assert_flags(&exe, "slot-order");
     }
 }
