@@ -11,10 +11,10 @@ use crate::lift::lift_rules;
 use crate::lower::lower_rules;
 use fpir::expr::RcExpr;
 use fpir::Isa;
-use fpir_isa::{legalize, target, LowerError, TargetCost};
+use fpir_isa::{legalize, legalize_uncached, target, LowerError, TargetCost};
 use fpir_trs::cost::AgnosticCost;
-use fpir_trs::rewrite::{Engine, RewriteStats, Rewriter};
-use fpir_trs::rule::RuleSet;
+use fpir_trs::rewrite::{rewrite_reference, RewriteStats, Rewriter};
+use fpir_trs::rule::{RuleClass, RuleSet};
 
 /// Compiler configuration.
 #[derive(Debug, Clone)]
@@ -27,21 +27,12 @@ pub struct Config {
     /// Exclude rules synthesized from this benchmark (the leave-one-out
     /// protocol of §5).
     pub leave_out: Option<String>,
-    /// The rewrite engine (fast by default; the reference engine exists
-    /// only as a differential-testing oracle).
-    pub engine: Engine,
 }
 
 impl Config {
     /// Default configuration for a target: full rule set.
     pub fn new(isa: Isa) -> Config {
-        Config { isa, synthesized_rules: true, leave_out: None, engine: Engine::Fast }
-    }
-
-    /// Select the rewrite engine.
-    pub fn with_engine(mut self, engine: Engine) -> Config {
-        self.engine = engine;
-        self
+        Config { isa, synthesized_rules: true, leave_out: None }
     }
 
     /// Disable synthesized rules (hand-written only).
@@ -152,7 +143,7 @@ impl Pitchfork {
             lift = lift.leaving_out(bench);
             lower = lower.leaving_out(bench);
         }
-        let predicated = lower.of_class(fpir_trs::rule::RuleClass::Predicated);
+        let predicated = lower.of_class(RuleClass::Predicated);
         Pitchfork { config, lift, lower, predicated }
     }
 
@@ -173,7 +164,7 @@ impl Pitchfork {
 
     /// Lift only (the target-agnostic phase — Figure 2b to Figure 2c).
     pub fn lift(&self, expr: &RcExpr) -> (RcExpr, RewriteStats) {
-        let mut rw = Rewriter::with_engine(&self.lift, AgnosticCost, self.config.engine);
+        let mut rw = Rewriter::new(&self.lift, AgnosticCost);
         let lifted = rw.run(expr);
         (lifted, rw.stats)
     }
@@ -218,57 +209,55 @@ impl Pitchfork {
         expr: &RcExpr,
         keep_going: &mut dyn FnMut(CompilePhase) -> bool,
     ) -> Result<Compiled, CompileInterrupt> {
-        let engine = self.config.engine;
-        let fast = engine == Engine::Fast;
         if !keep_going(CompilePhase::Lift) {
             return Err(CompileInterrupt::Cancelled(CompilePhase::Lift));
         }
-        let mut rw0 = Rewriter::with_engine(&self.lift, AgnosticCost, engine);
+        let mut rw0 = Rewriter::new(&self.lift, AgnosticCost);
         let lifted = rw0.run(expr);
         let lift_stats = rw0.stats.clone();
         if !keep_going(CompilePhase::LowerPredicated) {
             return Err(CompileInterrupt::Cancelled(CompilePhase::LowerPredicated));
         }
-        // The reference engine reproduces the pre-optimization compile
-        // path, which filtered the predicated subset out of the lowering
-        // rules on every call; the fast engine uses the precomputed set.
-        let predicated_owned;
-        let predicated = if fast {
-            &self.predicated
-        } else {
-            predicated_owned = self.lower.of_class(fpir_trs::rule::RuleClass::Predicated);
-            &predicated_owned
-        };
-        let mut rw1 = Rewriter::with_engine(predicated, TargetCost::new(self.config.isa), engine);
-        if fast {
-            // Bounds inference is a pure per-node analysis and the phases
-            // share `Arc` identities (lifting preserves converged subtrees),
-            // so the fast engine threads one §3.3 query cache through all
-            // three rewriting phases. The reference engine keeps the
-            // original fresh-context-per-phase behaviour.
-            rw1.bounds = std::mem::take(&mut rw0.bounds);
-        }
+        let mut rw1 = Rewriter::new(&self.predicated, TargetCost::new(self.config.isa));
+        // Bounds inference is a pure per-node analysis and the phases
+        // share `Arc` identities (lifting preserves converged subtrees), so
+        // one §3.3 query cache is threaded through all three rewriting
+        // phases.
+        rw1.bounds = std::mem::take(&mut rw0.bounds);
         let after_predicated = rw1.run(&lifted);
         if !keep_going(CompilePhase::Lower) {
             return Err(CompileInterrupt::Cancelled(CompilePhase::Lower));
         }
-        let mut rw = Rewriter::with_engine(&self.lower, TargetCost::new(self.config.isa), engine);
-        if fast {
-            rw.bounds = std::mem::take(&mut rw1.bounds);
-        }
+        let mut rw = Rewriter::new(&self.lower, TargetCost::new(self.config.isa));
+        rw.bounds = std::mem::take(&mut rw1.bounds);
         let partially_lowered = rw.run(&after_predicated);
         let mut lower_stats = rw1.stats.clone();
         lower_stats.merge(&rw.stats);
         if !keep_going(CompilePhase::Legalize) {
             return Err(CompileInterrupt::Cancelled(CompilePhase::Legalize));
         }
-        // The DAG-memoized legalizer belongs to the fast engine; reference
-        // mode keeps the original tree-walking pass.
-        let lowered = if fast {
-            legalize(&partially_lowered, target(self.config.isa))?
-        } else {
-            fpir_isa::legalize_uncached(&partially_lowered, target(self.config.isa))?
-        };
+        let lowered = legalize(&partially_lowered, target(self.config.isa))?;
+        Ok(Compiled { lifted, lowered, lift_stats, lower_stats })
+    }
+
+    /// The differential oracle for [`Pitchfork::compile`]: the same
+    /// phases with every cache off. Lift, predicated lowering and full
+    /// lowering each run through [`rewrite_reference`] (a fresh bounds
+    /// context per phase; the predicated subset filtered again here),
+    /// and [`legalize_uncached`] finishes. Its stats carry only what the
+    /// reference rewriter counts.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pitchfork::compile`].
+    pub fn compile_reference(&self, expr: &RcExpr) -> Result<Compiled, LowerError> {
+        let cost = TargetCost::new(self.config.isa);
+        let (lifted, lift_stats) = rewrite_reference(&self.lift, &AgnosticCost, expr);
+        let predicated = self.lower.of_class(RuleClass::Predicated);
+        let (after_predicated, mut lower_stats) = rewrite_reference(&predicated, &cost, &lifted);
+        let (partially_lowered, full) = rewrite_reference(&self.lower, &cost, &after_predicated);
+        lower_stats.merge(&full);
+        let lowered = legalize_uncached(&partially_lowered, target(self.config.isa))?;
         Ok(Compiled { lifted, lowered, lift_stats, lower_stats })
     }
 }

@@ -185,7 +185,6 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::Config;
     use fpir::build;
     use fpir::types::{ScalarType as S, VectorType as V};
 
@@ -278,12 +277,10 @@ mod tests {
     #[test]
     fn reference_engine_artifact_is_identical() {
         let e = sat_add(16);
-        let fast = Pitchfork::new(fpir::Isa::ArmNeon);
-        let reference = Pitchfork::with_config(
-            Config::new(fpir::Isa::ArmNeon).with_engine(crate::Engine::Reference),
-        );
-        let a = compile_to_executable(&fast, &e).unwrap();
-        let b = compile_to_executable(&reference, &e).unwrap();
+        let pf = Pitchfork::new(fpir::Isa::ArmNeon);
+        let a = compile_to_executable(&pf, &e).unwrap();
+        let reference = pf.compile_reference(&e).unwrap();
+        let b = Artifact::from_lowered(reference.lowered, fpir::Isa::ArmNeon).unwrap();
         assert_eq!(a.program.render(), b.program.render());
         assert_eq!(a.exe.render(), b.exe.render());
     }

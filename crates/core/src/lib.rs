@@ -43,7 +43,6 @@ pub mod registry;
 
 pub use compiler::{CompileInterrupt, CompilePhase, Compiled, Config, Pitchfork};
 pub use driver::{compile_to_executable, compile_to_executable_with, Artifact, DriverError, Phase};
-pub use fpir_trs::rewrite::Engine;
 pub use lift::{hand_written_lift_rules, lift_rules};
 pub use lower::lower_rules;
 pub use registry::{all_rule_sets, RegisteredRuleSet, RuleSetKind};

@@ -16,7 +16,9 @@
 //!   their predicate needs an operand with headroom below its type's
 //!   maximum and no input in either corpus has one;
 //! - `hvx-vmpa-acc-mul-{mul,shl}`: they fire only under the
-//!   hand-written-only configuration, and both digests use the full one.
+//!   hand-written-only configuration, and both digests use the full one
+//!   (`engine_differential.rs` compares that configuration against the
+//!   reference compile).
 //!
 //! Expressions are serialized by structural value numbering, one line
 //! per distinct subtree in first post-order occurrence, so a digest is a

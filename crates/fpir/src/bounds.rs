@@ -154,20 +154,10 @@ impl BoundsCtx {
         iv
     }
 
-    /// Whether `expr`'s value always fits in `t` — the `upper_bounded` /
+    /// Whether `expr`'s value always fits in `t` — the
     /// safe-reinterpretation predicate of the paper's lowering rules.
     pub fn fits(&mut self, expr: &RcExpr, t: ScalarType) -> bool {
         self.interval(expr).fits(t)
-    }
-
-    /// Whether `expr` is always `<= k`.
-    pub fn upper_bounded(&mut self, expr: &RcExpr, k: i128) -> bool {
-        self.interval(expr).max <= k
-    }
-
-    /// Whether `expr` is always `>= k`.
-    pub fn lower_bounded(&mut self, expr: &RcExpr, k: i128) -> bool {
-        self.interval(expr).min >= k
     }
 
     fn compute(&mut self, expr: &RcExpr) -> Interval {
@@ -423,7 +413,7 @@ mod tests {
         let e = add(add(w("a"), mul(w("b"), constant(2, V::new(S::U16, 8)))), w("c"));
         let mut ctx = BoundsCtx::new();
         assert_eq!(ctx.interval(&e), Interval::new(0, 1020));
-        assert!(ctx.upper_bounded(&e, i16::MAX as i128));
+        assert!(ctx.fits(&e, S::I16));
     }
 
     #[test]

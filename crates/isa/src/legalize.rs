@@ -51,15 +51,20 @@ type ExpansionKey = (Isa, FpirOp, Vec<(VectorType, Option<i128>)>);
 /// FPIR expansion skeletons: `(isa, op, operand shapes)` → the fully
 /// legalized expansion over placeholder variables.
 ///
-/// Like a rule set's `RuleIndex`, this is a
-/// fixed per-target table computed lazily: the set of reachable keys is
-/// bounded by operator × type combinations, and the skeleton for a key
-/// never changes. Caching it process-wide amortizes the table across
-/// every compilation against the target, not just within one legalize
-/// run. See [`expand_legalized`] for the soundness argument.
+/// The skeleton for a key never changes, so caching it process-wide
+/// amortizes the table across every compilation against the target, not
+/// just within one legalize run. See [`expand_legalized`] for the
+/// soundness argument. The table holds at most [`SKELETON_CAP`] entries.
 static SKELETONS: std::sync::OnceLock<
     std::sync::Mutex<std::collections::HashMap<ExpansionKey, RcExpr>>,
 > = std::sync::OnceLock::new();
+
+/// The most entries [`SKELETONS`] holds. Keys carry the lane count and
+/// literal operand values, which a served request chooses, so the set of
+/// reachable keys is unbounded; a full table is cleared, and a cleared
+/// skeleton is recomputed on its next use. The figure and unrolled
+/// kernels on all four targets need fewer than a hundred entries.
+const SKELETON_CAP: usize = 4096;
 
 impl Memo {
     fn enabled() -> Memo {
@@ -516,7 +521,11 @@ fn expand_legalized(
                 .map_err(|e| LowerError::new(isa, e.to_string()))?;
             let folded = memo.const_fold(&expanded);
             let skeleton = legalize_memo(&folded, t, memo)?;
-            cache.lock().expect("skeleton cache lock").insert(key, skeleton.clone());
+            let mut table = cache.lock().expect("skeleton cache lock");
+            if table.len() >= SKELETON_CAP {
+                table.clear();
+            }
+            table.insert(key, skeleton.clone());
             skeleton
         }
     };
@@ -718,5 +727,28 @@ mod tests {
             }
         }
         assert!(checked > 200, "only {checked} legalizations checked");
+    }
+
+    #[test]
+    fn skeleton_table_stays_within_its_cap() {
+        // Each literal is its own skeleton key: legalize past the cap and
+        // check every result against the uncached legalizer.
+        let t = V::new(S::I32, 8);
+        let tg = target(Isa::X86Avx2);
+        let len = || SKELETONS.get().map_or(0, |m| m.lock().expect("skeleton cache lock").len());
+        let (mut last, mut cleared) = (len(), false);
+        for c in 0..SKELETON_CAP as i128 + 64 {
+            let e = build::saturating_add(build::var("x", t), build::constant(c, t));
+            assert_eq!(
+                legalize(&e, tg).unwrap(),
+                legalize_uncached(&e, tg).unwrap(),
+                "literal {c}"
+            );
+            let now = len();
+            assert!(now <= SKELETON_CAP, "{now} skeletons");
+            cleared |= now < last;
+            last = now;
+        }
+        assert!(cleared, "the sweep never filled the skeleton table");
     }
 }

@@ -13,8 +13,8 @@
 //! * **error** — some instantiation of a rule keys to a bucket the rule is
 //!   not in (IDX002), or the rule's depth-1 operand prefilter or the
 //!   bucket's compiled operand masks refuse it (IDX003), so indexed
-//!   dispatch would silently skip a matching rule and fast/reference
-//!   engines would diverge;
+//!   dispatch would silently skip a matching rule and the rewriter would
+//!   diverge from its linear-scan oracle, `fpir_trs::rewrite_reference`;
 //! * **note** — a rule landed in the wildcard bucket (its pattern is
 //!   rooted at a wildcard, constant wildcard, or literal). Such rules are
 //!   tried at *every* node, which is correct but defeats the index; a

@@ -18,7 +18,7 @@
 use crate::diagnostic::{Analysis, Diagnostic, Severity};
 use fpir_trs::pattern::MAX_WILDS;
 use fpir_trs::rule::{collect_const_wilds, collect_type_vars, Rule, RuleSet};
-use fpir_trs::{Pat, Predicate, Template, TyRef, TypePat};
+use fpir_trs::{Pat, Predicate, Template, TyRef};
 
 /// Run the predicate analysis over one rule set.
 pub fn check(set: &RuleSet) -> Vec<Diagnostic> {
@@ -116,8 +116,7 @@ fn check_rule(rule: &Rule, ruleset: &str, out: &mut Vec<Diagnostic>) {
 
     // --- template references resolve --------------------------------------
     let mut t_exprs = Vec::new();
-    let mut t_tyvars = Vec::new();
-    collect_template_refs(&rule.rhs, &mut t_exprs, &mut t_tyvars);
+    collect_template_refs(&rule.rhs, &mut t_exprs);
     for id in t_exprs {
         if id as usize >= MAX_WILDS {
             diag(
@@ -133,15 +132,6 @@ fn check_rule(rule: &Rule, ruleset: &str, out: &mut Vec<Diagnostic>) {
                     "template references wildcard x{id}, which the pattern never binds — \
                      substitution fails on every match"
                 ),
-            );
-        }
-    }
-    for id in t_tyvars {
-        if !type_vars.contains(&id) {
-            diag(
-                "PRED006",
-                Severity::Error,
-                format!("template references type variable t{id}, which the pattern never binds"),
             );
         }
     }
@@ -232,9 +222,6 @@ fn contradicts(a: &Predicate, b: &Predicate) -> Option<String> {
             (IsPow2(i1), ConstInRange { id: i2, hi, .. }) if i1 == i2 && *hi < 1 => {
                 return Some(format!("c{i1} must be a power of two but is bounded above by {hi}"));
             }
-            (IsUnsigned(i1), IsSigned(i2)) if i1 == i2 => {
-                return Some(format!("x{i1} cannot be both unsigned and signed"));
-            }
             _ => {}
         }
     }
@@ -277,69 +264,43 @@ fn has_empty_all(p: &Predicate) -> bool {
     }
 }
 
-fn tyref_var(t: &TyRef, exprs: &mut Vec<u8>, tyvars: &mut Vec<u8>) {
+fn tyref_var(t: &TyRef, exprs: &mut Vec<u8>) {
     match t {
         TyRef::OfWild(i)
         | TyRef::WidenOfWild(i)
         | TyRef::NarrowOfWild(i)
-        | TyRef::UnsignedOfWild(i)
-        | TyRef::SignedOfWild(i)
         | TyRef::WidenSignedOfWild(i)
         | TyRef::NarrowUnsignedOfWild(i) => exprs.push(*i),
-        TyRef::Pat(tp) => {
-            if let Some(i) = typat_var(tp) {
-                tyvars.push(i);
-            }
-        }
         TyRef::Exact(_) => {}
     }
 }
 
-fn typat_var(tp: &TypePat) -> Option<u8> {
-    match tp {
-        TypePat::Any | TypePat::Exact(_) => None,
-        TypePat::Var(i)
-        | TypePat::WidenOf(i)
-        | TypePat::Widen2Of(i)
-        | TypePat::NarrowOf(i)
-        | TypePat::SignedOf(i)
-        | TypePat::UnsignedOf(i)
-        | TypePat::SameWidthAs(i)
-        | TypePat::WidenSignedOf(i)
-        | TypePat::NarrowUnsignedOf(i)
-        | TypePat::AnyUnsigned(i)
-        | TypePat::AnySigned(i) => Some(*i),
-    }
-}
-
-/// Every wildcard / type-variable a template reads.
-fn collect_template_refs(t: &Template, exprs: &mut Vec<u8>, tyvars: &mut Vec<u8>) {
+/// Every wildcard a template reads.
+fn collect_template_refs(t: &Template, exprs: &mut Vec<u8>) {
     match t {
         Template::Wild(i) => exprs.push(*i),
         Template::Const { of, ty, .. } => {
             exprs.push(*of);
-            tyref_var(ty, exprs, tyvars);
+            tyref_var(ty, exprs);
         }
-        Template::Lit { ty, .. } => tyref_var(ty, exprs, tyvars),
+        Template::Lit { ty, .. } => tyref_var(ty, exprs),
         Template::Bin(_, a, b) | Template::Cmp(_, a, b) => {
-            collect_template_refs(a, exprs, tyvars);
-            collect_template_refs(b, exprs, tyvars);
+            collect_template_refs(a, exprs);
+            collect_template_refs(b, exprs);
         }
         Template::Select(a, b, c) => {
-            collect_template_refs(a, exprs, tyvars);
-            collect_template_refs(b, exprs, tyvars);
-            collect_template_refs(c, exprs, tyvars);
+            collect_template_refs(a, exprs);
+            collect_template_refs(b, exprs);
+            collect_template_refs(c, exprs);
         }
         Template::Cast(ty, a) | Template::Reinterpret(ty, a) | Template::SatCast(ty, a) => {
-            tyref_var(ty, exprs, tyvars);
-            collect_template_refs(a, exprs, tyvars);
+            tyref_var(ty, exprs);
+            collect_template_refs(a, exprs);
         }
-        Template::Fpir(_, args) => {
-            args.iter().for_each(|a| collect_template_refs(a, exprs, tyvars));
-        }
+        Template::Fpir(_, args) => args.iter().for_each(|a| collect_template_refs(a, exprs)),
         Template::Mach { ty, args, .. } => {
-            tyref_var(ty, exprs, tyvars);
-            args.iter().for_each(|a| collect_template_refs(a, exprs, tyvars));
+            tyref_var(ty, exprs);
+            args.iter().for_each(|a| collect_template_refs(a, exprs));
         }
     }
 }

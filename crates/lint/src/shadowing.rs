@@ -126,13 +126,11 @@ fn ty_ctor(tp: &TypePat) -> Option<(u8, u8)> {
         TypePat::WidenOf(i) => (1, *i),
         TypePat::Widen2Of(i) => (2, *i),
         TypePat::NarrowOf(i) => (3, *i),
-        TypePat::SignedOf(i) => (4, *i),
-        TypePat::UnsignedOf(i) => (5, *i),
-        TypePat::SameWidthAs(i) => (6, *i),
-        TypePat::WidenSignedOf(i) => (7, *i),
-        TypePat::NarrowUnsignedOf(i) => (8, *i),
-        TypePat::AnyUnsigned(i) => (9, *i),
-        TypePat::AnySigned(i) => (10, *i),
+        TypePat::SameWidthAs(i) => (4, *i),
+        TypePat::WidenSignedOf(i) => (5, *i),
+        TypePat::NarrowUnsignedOf(i) => (6, *i),
+        TypePat::AnyUnsigned(i) => (7, *i),
+        TypePat::AnySigned(i) => (8, *i),
     })
 }
 
@@ -376,15 +374,6 @@ fn translate_leaf(g: &Predicate, m: &SubMap) -> Option<Predicate> {
             Predicate::Pow2Link { id: const_id(id)?, of: const_id(of)? }
         }
         Predicate::FitsSignedSameWidth(id) => Predicate::FitsSignedSameWidth(expr_id(id)?),
-        Predicate::FitsNarrow(id) => Predicate::FitsNarrow(expr_id(id)?),
-        Predicate::IsUnsigned(id) => Predicate::IsUnsigned(expr_id(id)?),
-        Predicate::IsSigned(id) => Predicate::IsSigned(expr_id(id)?),
-        Predicate::UpperBounded { id, bound } => {
-            Predicate::UpperBounded { id: expr_id(id)?, bound: *bound }
-        }
-        Predicate::LowerBounded { id, bound } => {
-            Predicate::LowerBounded { id: expr_id(id)?, bound: *bound }
-        }
         Predicate::AddConstFits { x, c } => {
             Predicate::AddConstFits { x: expr_id(x)?, c: const_id(c)? }
         }

@@ -4,11 +4,11 @@
 //! the expression (printed structural form — two structurally equal
 //! expressions print identically), its lane count, the target ISA, the
 //! rule-provenance toggles, and a fingerprint of the loaded rule sets.
-//! (The rewrite engine is not part of it: a served compile always runs
-//! the fast engine.) The key is an exact structured value (`Eq + Hash`),
-//! so the cache can never confuse two different compilations — the
-//! 64-bit FNV fingerprint is only a *display* handle and a cheap way to
-//! invalidate across rule-set changes, never the identity itself.
+//! (No engine choice is part of it: the selector has one rewriter.) The
+//! key is an exact structured value (`Eq + Hash`), so the cache can
+//! never confuse two different compilations — the 64-bit FNV fingerprint
+//! is only a *display* handle and a cheap way to invalidate across
+//! rule-set changes, never the identity itself.
 
 use crate::protocol::CompileSpec;
 use fpir::expr::RcExpr;

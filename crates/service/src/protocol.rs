@@ -519,7 +519,7 @@ fn parse_spec(v: &Json) -> Result<CompileSpec, ServiceError> {
     let isa = parse_isa(
         v.get("isa").and_then(Json::as_str).ok_or_else(|| bad("missing string field `isa`"))?,
     )?;
-    // Served compiles always run the fast engine.
+    // The selector has one rewriter: there is no engine to choose.
     if v.get("engine").is_some() {
         return Err(bad("`engine` is not a request option"));
     }

@@ -34,7 +34,7 @@
 //! 3. **Constant folding** — instructions whose operands are all splat
 //!    constants are evaluated once at link time through the reference
 //!    VM's evaluator, [`fpir_isa::eval_sem_into`], and interned
-//!    into the constant pool by `(type, lane)` through a map. A lane-wise
+//!    into the constant pool by `(type, lane)` through stage 1's map. A lane-wise
 //!    function of splats is a splat, so the pool's splat invariant is
 //!    preserved. A fold that would need a pool index past `u16::MAX` is
 //!    skipped and the instruction stays.
@@ -109,8 +109,7 @@ use fpir_isa::{check_shape, eval_sem_into, Lanes, MachSem, Target, MAX_ARITY};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
-/// Engine selection for linking, mirroring the selection engine's
-/// `Engine::{Fast, Reference}`: [`ExecConfig::FAST`] links through the
+/// Which link runs: [`ExecConfig::FAST`] links through the
 /// whole pipeline (see the [module docs](self)), and
 /// [`ExecConfig::REFERENCE`] through stages 1 and 6 only, one kernel per
 /// program instruction. Outputs are bit-identical; only speed differs.
@@ -263,14 +262,9 @@ impl Graph {
                         s
                     }
                 }),
-                PKind::Splat { value } => Src::Const(match const_of.entry((inst.ty, *value)) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let c = index16(consts.len(), "pool constants")?;
-                        consts.push((inst.ty, *value));
-                        *e.insert(c)
-                    }
-                }),
+                PKind::Splat { value } => {
+                    Src::Const(intern_const(&mut consts, &mut const_of, inst.ty, *value)?)
+                }
                 PKind::Op { op, args: regs } => {
                     let (pos, reg) = (i, inst.dst);
                     let sem =
@@ -311,7 +305,6 @@ impl Graph {
             }
             s
         }
-        let mut pool_index = None;
         let mut lanes: Vec<i128> = Vec::new();
         // A fold's operands as `Value`s, on recycled buffers.
         let mut fold_args: Vec<Value> = Vec::new();
@@ -362,7 +355,7 @@ impl Graph {
                     .expect("stage 1 checked the shapes");
                 fold_bufs.extend(fold_args.drain(..).map(Value::into_lanes));
                 if lanes.iter().all(|&x| x == lanes[0]) {
-                    if let Some(c) = intern_const(&mut consts, &mut pool_index, node.ty, lanes[0]) {
+                    if let Ok(c) = intern_const(&mut consts, &mut const_of, node.ty, lanes[0]) {
                         rep[i] = Some(Src::Const(c));
                     }
                 }
@@ -744,30 +737,22 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
     Ok(out.assemble(graph, output, out_elem))
 }
 
-/// Intern a folded splat into the pool, deduplicating by type and lane
-/// value like stage 1. `index` is built on the first fold, so
-/// a program that folds nothing never pays for it. `None` when a new
-/// entry would not fit a 16-bit pool index: the fold is then skipped and
-/// the instruction stays.
+/// Intern a splat into the pool, deduplicating by type and lane value:
+/// stage 1's splats and stage 3's folds share one `index`. Fails when a
+/// new entry would not fit a 16-bit pool index; a fold then stays an
+/// instruction.
 fn intern_const(
     consts: &mut Vec<(VectorType, i128)>,
-    index: &mut Option<HashMap<(VectorType, i128), u16>>,
+    index: &mut HashMap<(VectorType, i128), u16>,
     ty: VectorType,
     lane: i128,
-) -> Option<u16> {
-    let index = index.get_or_insert_with(|| {
-        let mut m = HashMap::with_capacity(consts.len());
-        for (c, &x) in consts.iter().enumerate() {
-            m.entry(x).or_insert(c as u16);
-        }
-        m
-    });
+) -> Result<u16, ExecError> {
     match index.entry((ty, lane)) {
-        Entry::Occupied(e) => Some(*e.get()),
+        Entry::Occupied(e) => Ok(*e.get()),
         Entry::Vacant(e) => {
-            let c = u16::try_from(consts.len()).ok()?;
+            let c = index16(consts.len(), "pool constants")?;
             consts.push((ty, lane));
-            Some(*e.insert(c))
+            Ok(*e.insert(c))
         }
     }
 }

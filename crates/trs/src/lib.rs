@@ -61,6 +61,6 @@ pub use cost::{AgnosticCost, Cost, CostModel};
 pub use index::{OpKey, RuleIndex};
 pub use pattern::{match_pat, Bindings, Pat, TypePat};
 pub use predicate::Predicate;
-pub use rewrite::{Engine, RewriteStats, Rewriter};
+pub use rewrite::{rewrite_reference, RewriteStats, Rewriter};
 pub use rule::{instantiate_lhs, Provenance, Rule, RuleClass, RuleSet};
 pub use template::{substitute, CFn, SubstError, Template, TyRef};

@@ -40,10 +40,6 @@ pub enum TypePat {
     Widen2Of(u8),
     /// The halved-width type of variable `tN` (same signedness).
     NarrowOf(u8),
-    /// The signed type with variable `tN`'s width.
-    SignedOf(u8),
-    /// The unsigned type with variable `tN`'s width.
-    UnsignedOf(u8),
     /// Any type with variable `tN`'s width (either signedness).
     SameWidthAs(u8),
     /// The *signed* type with double variable `tN`'s width (the cast
@@ -86,12 +82,6 @@ impl TypePat {
                     None => false,
                 },
             },
-            TypePat::SignedOf(i) => {
-                t.is_signed() && b.ty(i).is_some_and(|base| base.bits() == t.bits())
-            }
-            TypePat::UnsignedOf(i) => {
-                !t.is_signed() && b.ty(i).is_some_and(|base| base.bits() == t.bits())
-            }
             TypePat::SameWidthAs(i) => b.ty(i).is_some_and(|base| base.bits() == t.bits()),
             // These two cannot recover the base type from the target alone
             // (both signednesses of the base produce the same target), so
@@ -105,28 +95,6 @@ impl TypePat {
             }
             TypePat::AnyUnsigned(i) => !t.is_signed() && b.bind_ty(i, t),
             TypePat::AnySigned(i) => t.is_signed() && b.bind_ty(i, t),
-        }
-    }
-
-    /// Resolve the pattern to a concrete type given bindings (used when a
-    /// template references a type pattern).
-    pub fn resolve(self, b: &Bindings) -> Option<ScalarType> {
-        match self {
-            TypePat::Any => None,
-            TypePat::Exact(e) => Some(e),
-            TypePat::Var(i) | TypePat::AnyUnsigned(i) | TypePat::AnySigned(i) => b.ty(i),
-            TypePat::WidenOf(i) => b.ty(i).and_then(ScalarType::widen),
-            TypePat::Widen2Of(i) => b.ty(i).and_then(ScalarType::widen).and_then(ScalarType::widen),
-            TypePat::WidenSignedOf(i) => {
-                b.ty(i).and_then(ScalarType::widen).map(ScalarType::with_signed)
-            }
-            TypePat::NarrowUnsignedOf(i) => {
-                b.ty(i).and_then(ScalarType::narrow).map(ScalarType::with_unsigned)
-            }
-            TypePat::NarrowOf(i) => b.ty(i).and_then(ScalarType::narrow),
-            TypePat::SignedOf(i) => b.ty(i).map(ScalarType::with_signed),
-            TypePat::UnsignedOf(i) => b.ty(i).map(ScalarType::with_unsigned),
-            TypePat::SameWidthAs(i) => b.ty(i),
         }
     }
 }
@@ -345,8 +313,6 @@ impl std::fmt::Display for TypePat {
             TypePat::WidenOf(i) => write!(f, "widen(t{i})"),
             TypePat::Widen2Of(i) => write!(f, "widen2(t{i})"),
             TypePat::NarrowOf(i) => write!(f, "narrow(t{i})"),
-            TypePat::SignedOf(i) => write!(f, "signed(t{i})"),
-            TypePat::UnsignedOf(i) => write!(f, "unsigned(t{i})"),
             TypePat::SameWidthAs(i) => write!(f, "width(t{i})"),
             TypePat::WidenSignedOf(i) => write!(f, "widen_signed(t{i})"),
             TypePat::NarrowUnsignedOf(i) => write!(f, "narrow_unsigned(t{i})"),

@@ -2,8 +2,8 @@
 //!
 //! Simple predicates constrain bound constants (`is_pow2(c0)`,
 //! `0 < c0 < 256`); the powerful ones are *bounds queries* answered by
-//! interval analysis (§3.3), such as `upper_bounded(x_u16, INT16_MAX)`,
-//! which licenses the saturating-narrow instructions in Figure 3(c).
+//! interval analysis (§3.3), such as `fits_narrow(rounding_shr(x0, c1))`,
+//! which licenses the fused shift-round-narrow instructions (§5.3.1).
 
 use crate::pattern::Bindings;
 use fpir::bounds::BoundsCtx;
@@ -96,27 +96,6 @@ pub enum Predicate {
         /// Constant (shift count) wildcard.
         c: u8,
     },
-    /// Bounds query: the expression bound to wildcard `N` always fits its
-    /// *narrowed* type (safe truncation, §4.3 #4).
-    FitsNarrow(u8),
-    /// Bounds query: `expr_N <= bound` for every input.
-    UpperBounded {
-        /// Expression wildcard index.
-        id: u8,
-        /// Inclusive bound.
-        bound: i128,
-    },
-    /// Bounds query: `expr_N >= bound` for every input.
-    LowerBounded {
-        /// Expression wildcard index.
-        id: u8,
-        /// Inclusive bound.
-        bound: i128,
-    },
-    /// The expression bound to wildcard `N` has an unsigned lane type.
-    IsUnsigned(u8),
-    /// The expression bound to wildcard `N` has a signed lane type.
-    IsSigned(u8),
 }
 
 impl Predicate {
@@ -198,17 +177,6 @@ impl Predicate {
                     _ => false,
                 }
             }
-            Predicate::FitsNarrow(id) => {
-                b.expr(*id).is_some_and(|e| e.elem().narrow().is_some_and(|n| ctx.fits(e, n)))
-            }
-            Predicate::UpperBounded { id, bound } => {
-                b.expr(*id).is_some_and(|e| ctx.upper_bounded(e, *bound))
-            }
-            Predicate::LowerBounded { id, bound } => {
-                b.expr(*id).is_some_and(|e| ctx.lower_bounded(e, *bound))
-            }
-            Predicate::IsUnsigned(id) => b.expr(*id).is_some_and(|e| !e.elem().is_signed()),
-            Predicate::IsSigned(id) => b.expr(*id).is_some_and(|e| e.elem().is_signed()),
         }
     }
 
@@ -320,12 +288,9 @@ impl Predicate {
             matches!(
                 p,
                 Predicate::FitsSignedSameWidth(_)
-                    | Predicate::FitsNarrow(_)
                     | Predicate::AddConstFits { .. }
                     | Predicate::RoundTermAddFits { .. }
                     | Predicate::FitsNarrowAfterRoundShr { .. }
-                    | Predicate::UpperBounded { .. }
-                    | Predicate::LowerBounded { .. }
             )
         })
     }
@@ -363,17 +328,12 @@ impl Predicate {
     }
 
     /// Wildcard ids this predicate reads as bound *expressions* (bounds
-    /// queries and sign tests).
+    /// queries).
     pub fn expr_refs(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for leaf in self.conjuncts() {
             match leaf {
-                Predicate::FitsSignedSameWidth(id)
-                | Predicate::FitsNarrow(id)
-                | Predicate::UpperBounded { id, .. }
-                | Predicate::LowerBounded { id, .. }
-                | Predicate::IsUnsigned(id)
-                | Predicate::IsSigned(id) => out.push(*id),
+                Predicate::FitsSignedSameWidth(id) => out.push(*id),
                 Predicate::AddConstFits { x, .. }
                 | Predicate::RoundTermAddFits { x, .. }
                 | Predicate::FitsNarrowAfterRoundShr { x, .. } => out.push(*x),
@@ -427,11 +387,6 @@ impl fmt::Display for Predicate {
             Predicate::RoundTermAddFits { x, c } => {
                 write!(f, "no_overflow(x{x} + (1 << (c{c} - 1)))")
             }
-            Predicate::FitsNarrow(id) => write!(f, "fits_narrow(x{id})"),
-            Predicate::UpperBounded { id, bound } => write!(f, "upper_bounded(x{id}, {bound})"),
-            Predicate::LowerBounded { id, bound } => write!(f, "lower_bounded(x{id}, {bound})"),
-            Predicate::IsUnsigned(id) => write!(f, "is_unsigned(x{id})"),
-            Predicate::IsSigned(id) => write!(f, "is_signed(x{id})"),
         }
     }
 }
@@ -462,8 +417,6 @@ mod tests {
         let b = match_pat(&wild(0), &e).unwrap();
         let mut ctx = BoundsCtx::new();
         assert!(Predicate::FitsSignedSameWidth(0).eval(&b, &mut ctx));
-        assert!(Predicate::UpperBounded { id: 0, bound: 510 }.eval(&b, &mut ctx));
-        assert!(!Predicate::UpperBounded { id: 0, bound: 509 }.eval(&b, &mut ctx));
         // A raw u16 variable does not provably fit i16.
         let e = build::var("x", V::new(S::U16, 4));
         let b = match_pat(&wild(0), &e).unwrap();
@@ -475,7 +428,7 @@ mod tests {
         let b = crate::pattern::Bindings::new();
         let mut ctx = BoundsCtx::new();
         assert!(!Predicate::IsPow2(0).eval(&b, &mut ctx));
-        assert!(!Predicate::FitsNarrow(2).eval(&b, &mut ctx));
+        assert!(!Predicate::FitsSignedSameWidth(2).eval(&b, &mut ctx));
     }
 
     #[test]
@@ -539,11 +492,6 @@ mod tests {
             Predicate::AddConstFits { x: 3, c: 4 },
             Predicate::RoundTermAddFits { x: 3, c: 4 },
             Predicate::FitsNarrowAfterRoundShr { x: 3, c: 4 },
-            Predicate::FitsNarrow(3),
-            Predicate::UpperBounded { id: 3, bound: 10 },
-            Predicate::LowerBounded { id: 3, bound: 0 },
-            Predicate::IsUnsigned(3),
-            Predicate::IsSigned(3),
         ];
         for p in leaves {
             assert!(!p.eval(&b, &mut ctx), "{p:?} must be false when x3/c3 is unbound");

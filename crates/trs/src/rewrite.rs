@@ -5,11 +5,11 @@
 //! by rule order), and repeats until the expression converges to a fixed
 //! point — termination is guaranteed by the strict cost descent.
 //!
-//! # The fast engine
+//! # Keeping selection linear
 //!
 //! Selection cost is kept linear in *unique* DAG nodes — not tree nodes
-//! times rules — by three coordinated mechanisms, all on in
-//! [`Engine::Fast`]:
+//! times rules — by three coordinated mechanisms, which [`Rewriter`]
+//! always runs:
 //!
 //! * **DAG memoization** — stencil workloads share subexpressions
 //!   pervasively (`Arc<Expr>` handles are aliased, and tree size can be
@@ -32,9 +32,10 @@
 //!   per-node subtree costs by identity makes each candidate comparison
 //!   O(new template nodes) instead of O(subtree).
 //!
-//! [`Engine::Reference`] disables all three, reproducing the original
-//! tree-walking engine. It exists only as a differential oracle: tests
-//! assert the two engines produce bit-identical output.
+//! [`rewrite_reference`] is the original tree-walking engine with none of
+//! the three. It exists only as a differential oracle: tests assert that
+//! both produce bit-identical output and fire the same rules in the same
+//! order.
 
 use crate::cost::{Cost, CostModel};
 use crate::index::{OpKey, RuleIndex};
@@ -45,17 +46,9 @@ use fpir::identity::IdMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Which rewrite engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// DAG memoization, indexed dispatch and cached subtree costs — the
-    /// production engine.
-    #[default]
-    Fast,
-    /// The original tree-walking, linear-scan engine, kept only as the
-    /// differential-testing oracle.
-    Reference,
-}
+/// The bound on fixpoint passes. Cost descent already guarantees
+/// termination; the bound is defence in depth and is generous at 16.
+const MAX_PASSES: usize = 16;
 
 /// Per-run statistics: work done and cache effectiveness.
 #[derive(Debug, Clone, Default)]
@@ -127,22 +120,17 @@ impl RewriteStats {
 pub struct Rewriter<'a, C> {
     rules: &'a RuleSet,
     cost: C,
-    /// Whether the fast engine runs (memo, index and cost cache all on).
-    fast: bool,
     /// The rule set's root-operator index — borrowed from the set's lazy
-    /// cache so constructing a rewriter never rebuilds it. `None` for the
-    /// reference engine, which neither builds nor consults an index,
-    /// exactly like the pre-index code.
-    index: Option<&'a RuleIndex>,
-    /// Whether leaves are fixpoints outright: memoizing with an index
-    /// that has no rule for leaves.
+    /// cache so constructing a rewriter never rebuilds it.
+    index: &'a RuleIndex,
+    /// Whether leaves are fixpoints outright: the index has no rule for
+    /// leaves.
     leaves_fixed: bool,
     /// Bounds-inference context shared across the run (the §3.3 query
     /// cache lives in here).
     pub bounds: BoundsCtx,
     /// Statistics for the last [`Rewriter::run`].
     pub stats: RewriteStats,
-    max_passes: usize,
     // Rewrite memo: node identity -> (node kept alive, one-pass result).
     // Sound across passes because `pass` is a pure function of the input
     // subtree for a fixed rule set / cost model / bounds. A `None` result
@@ -154,26 +142,16 @@ pub struct Rewriter<'a, C> {
 }
 
 impl<'a, C: CostModel> Rewriter<'a, C> {
-    /// Create a rewriter with the fast engine. `max_passes` bounds the
-    /// fixpoint loop (cost descent already guarantees termination; the
-    /// bound is defence in depth and is generous at 16).
+    /// Create a rewriter for `rules` priced by `cost`.
     pub fn new(rules: &'a RuleSet, cost: C) -> Rewriter<'a, C> {
-        Rewriter::with_engine(rules, cost, Engine::Fast)
-    }
-
-    /// Create a rewriter running `engine`.
-    pub fn with_engine(rules: &'a RuleSet, cost: C, engine: Engine) -> Rewriter<'a, C> {
-        let fast = engine == Engine::Fast;
-        let index = fast.then(|| rules.index());
+        let index = rules.index();
         Rewriter {
             rules,
             cost,
-            fast,
             index,
-            leaves_fixed: index.is_some_and(|ix| !ix.has_candidates(OpKey::Leaf)),
+            leaves_fixed: !index.has_candidates(OpKey::Leaf),
             bounds: BoundsCtx::new(),
             stats: RewriteStats::default(),
-            max_passes: 16,
             memo: IdMap::default(),
             cost_memo: IdMap::default(),
         }
@@ -187,7 +165,7 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
         self.cost_memo.clear();
         let (bh0, bm0) = self.bounds.cache_stats();
         let mut current = expr.clone();
-        for _ in 0..self.max_passes {
+        for _ in 0..MAX_PASSES {
             self.stats.passes += 1;
             let before = self.stats.applications;
             current = self.pass(&current);
@@ -220,13 +198,6 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
         if self.leaves_fixed && expr.arity() == 0 {
             self.stats.nodes_visited += 1;
             return expr.clone();
-        }
-        if !self.fast {
-            // The reference engine: a tree walk that rebuilds every node.
-            self.stats.nodes_visited += 1;
-            let children = expr.children();
-            let new_children: Vec<RcExpr> = children.iter().map(|c| self.pass(c)).collect();
-            return self.rewrite_root(expr.with_children(new_children));
         }
         let tried = match self.memo.get(&Expr::ptr_id(expr)) {
             Some((_, Some(out))) => {
@@ -284,31 +255,29 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
     /// Apply rules at `node`'s root until none fires. When several rules
     /// match the same node, the lowest-cost output is preferred (§3.2's
     /// ordering rule), with ties broken by rule order — candidates are
-    /// tried in ascending rule order, so the strict `<` in
-    /// [`Rewriter::try_rule`] implements the tie-break in both dispatch
-    /// modes.
+    /// admitted in ascending rule order, so the strict `<` implements the
+    /// tie-break.
     fn rewrite_root(&mut self, mut node: RcExpr) -> RcExpr {
+        let (rules, index) = (self.rules, self.index);
         loop {
-            // The fast engine prices the node lazily, on the first
-            // candidate that matches — an empty bucket prices nothing.
-            // The reference engine keeps the original behaviour: a full
-            // (uncached) subtree pricing at every iteration.
-            let mut node_cost: Option<Cost> =
-                if self.fast { None } else { Some(self.cost_of(&node)) };
+            // The node is priced lazily, on the first candidate that
+            // matches — an empty bucket prices nothing.
+            let mut node_cost: Option<Cost> = None;
             let mut best: Option<(Cost, u32, RcExpr)> = None;
-            match self.index {
-                Some(ix) => {
-                    // The operand masks refuse only candidates whose full
-                    // match is guaranteed to fail, so skipping them cannot
-                    // change which rule fires.
-                    for ri in ix.admitted(&node) {
-                        self.try_rule(ri, &node, &mut node_cost, &mut best);
-                    }
-                }
-                None => {
-                    for ri in 0..self.rules.len() as u32 {
-                        self.try_rule(ri, &node, &mut node_cost, &mut best);
-                    }
+            // The operand masks refuse only candidates whose full match is
+            // guaranteed to fail, so skipping them cannot change which
+            // rule fires.
+            for ri in index.admitted(&node) {
+                let Some(out) = rules.rules()[ri as usize].apply(&node, &mut self.bounds) else {
+                    continue;
+                };
+                let nc = match node_cost {
+                    Some(c) => c,
+                    None => *node_cost.insert(self.cost_of(&node)),
+                };
+                let out_cost = self.cost_of(&out);
+                if out_cost < nc && best.as_ref().is_none_or(|(c, _, _)| out_cost < *c) {
+                    best = Some((out_cost, ri, out));
                 }
             }
             let Some((_, ri, out)) = best else { return node };
@@ -319,33 +288,8 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
         }
     }
 
-    /// Try rule `ri` at `node`, keeping its output in `best` when it is
-    /// cheaper than both the node and every earlier candidate.
-    fn try_rule(
-        &mut self,
-        ri: u32,
-        node: &RcExpr,
-        node_cost: &mut Option<Cost>,
-        best: &mut Option<(Cost, u32, RcExpr)>,
-    ) {
-        let rules = self.rules;
-        let Some(out) = rules.rules()[ri as usize].apply(node, &mut self.bounds) else { return };
-        let nc = match *node_cost {
-            Some(c) => c,
-            None => *node_cost.insert(self.cost_of(node)),
-        };
-        let out_cost = self.cost_of(&out);
-        if out_cost < nc && best.as_ref().is_none_or(|(c, _, _)| out_cost < *c) {
-            *best = Some((out_cost, ri, out));
-        }
-    }
-
-    /// The cost of `e`'s subtree, memoized by node identity in the fast
-    /// engine.
+    /// The cost of `e`'s subtree, memoized by node identity.
     fn cost_of(&mut self, e: &RcExpr) -> Cost {
-        if !self.fast {
-            return self.cost.cost(e);
-        }
         if let Some((_, c)) = self.cost_memo.get(&Expr::ptr_id(e)) {
             self.stats.cost_cache_hits += 1;
             return *c;
@@ -358,6 +302,58 @@ impl<'a, C: CostModel> Rewriter<'a, C> {
         self.cost_memo.insert(Expr::ptr_id(e), (e.clone(), total));
         total
     }
+}
+
+/// The differential oracle for [`Rewriter`]: the original tree-walking
+/// engine. Each pass rebuilds every node bottom-up, tries every rule in
+/// rule order at each node (the same strict-`<` tie-break) and prices
+/// every cost from scratch, with a fresh bounds context per call.
+///
+/// Returns the fixpoint and the statistics the differential tests
+/// compare: [`RewriteStats::fired_seq`], `applications` and `passes`
+/// (every other counter stays zero). A subexpression shared in the DAG
+/// is rewritten once per occurrence in the tree.
+pub fn rewrite_reference<C: CostModel>(
+    rules: &RuleSet,
+    cost: &C,
+    expr: &RcExpr,
+) -> (RcExpr, RewriteStats) {
+    fn pass<C: CostModel>(
+        rules: &RuleSet,
+        cost: &C,
+        bounds: &mut BoundsCtx,
+        stats: &mut RewriteStats,
+        expr: &RcExpr,
+    ) -> RcExpr {
+        let children = (0..expr.arity()).map(|i| pass(rules, cost, bounds, stats, expr.child(i)));
+        let mut node = expr.with_children(children.collect());
+        loop {
+            let node_cost = cost.cost(&node);
+            let mut best: Option<(Cost, u32, RcExpr)> = None;
+            for (ri, rule) in rules.rules().iter().enumerate() {
+                let Some(out) = rule.apply(&node, bounds) else { continue };
+                let out_cost = cost.cost(&out);
+                if out_cost < node_cost && best.as_ref().is_none_or(|(c, _, _)| out_cost < *c) {
+                    best = Some((out_cost, ri as u32, out));
+                }
+            }
+            let Some((_, ri, out)) = best else { return node };
+            stats.fired_seq.push(ri);
+            stats.applications += 1;
+            node = out;
+        }
+    }
+    let (mut bounds, mut stats) = (BoundsCtx::new(), RewriteStats::default());
+    let mut current = expr.clone();
+    for _ in 0..MAX_PASSES {
+        stats.passes += 1;
+        let before = stats.applications;
+        current = pass(rules, cost, &mut bounds, &mut stats, &current);
+        if stats.applications == before {
+            break;
+        }
+    }
+    (current, stats)
 }
 
 #[cfg(test)]
@@ -498,13 +494,14 @@ mod tests {
             build::add(build::widen(build::var("b", t)), build::var("c", V::new(S::U16, 16))),
         );
         let mut fast = Rewriter::new(&rules, ShapeCost);
-        let mut reference = Rewriter::with_engine(&rules, ShapeCost, Engine::Reference);
         let out = fast.run(&e);
+        let (want, reference) = rewrite_reference(&rules, &ShapeCost, &e);
         assert_eq!(out.to_string(), "c_u16 + widening_add(a_u8, b_u8)");
-        assert_eq!(out, reference.run(&e));
+        assert_eq!(out, want);
         assert_eq!(fast.stats.fired_seq(), &[3, 1, 4]);
-        assert_eq!(fast.stats.fired_seq(), reference.stats.fired_seq());
+        assert_eq!(fast.stats.fired_seq(), reference.fired_seq());
         assert_eq!(fast.stats.passes, 3);
+        assert_eq!(reference.passes, 3);
     }
 
     #[test]
@@ -606,11 +603,11 @@ mod tests {
         let e = build::min(sum.clone(), sum);
         let rules = demo_rules();
         let mut fast = Rewriter::new(&rules, AgnosticCost);
-        let mut reference = Rewriter::with_engine(&rules, AgnosticCost, Engine::Reference);
-        assert_eq!(fast.run(&e).to_string(), reference.run(&e).to_string());
-        // The reference engine rewrites the shared redex once per
-        // occurrence; the fast engine once in total.
-        assert_eq!(reference.stats.applications, 2);
+        let (want, reference) = rewrite_reference(&rules, &AgnosticCost, &e);
+        assert_eq!(fast.run(&e).to_string(), want.to_string());
+        // The reference rewrites the shared redex once per occurrence;
+        // the rewriter once in total.
+        assert_eq!(reference.applications, 2);
         assert_eq!(fast.stats.applications, 1);
     }
 

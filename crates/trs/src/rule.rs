@@ -424,8 +424,6 @@ pub fn collect_type_vars(pat: &Pat) -> Vec<u8> {
             TypePat::Var(i)
             | TypePat::WidenOf(i)
             | TypePat::NarrowOf(i)
-            | TypePat::SignedOf(i)
-            | TypePat::UnsignedOf(i)
             | TypePat::SameWidthAs(i)
             | TypePat::Widen2Of(i)
             | TypePat::WidenSignedOf(i)
@@ -497,8 +495,6 @@ fn build_instance(
                 Some(assignment.get(i).copied()?.narrow()?.with_unsigned())
             }
             TypePat::NarrowOf(i) => assignment.get(i).copied()?.narrow(),
-            TypePat::SignedOf(i) => Some(assignment.get(i).copied()?.with_signed()),
-            TypePat::UnsignedOf(i) => Some(assignment.get(i).copied()?.with_unsigned()),
             TypePat::SameWidthAs(i) => Some(assignment.get(i).copied()?),
         }
     };

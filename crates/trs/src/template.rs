@@ -7,7 +7,7 @@
 //! across the rule, e.g. `umlal x y (1 << c0)`), and type references
 //! ([`TyRef`]) derive concrete types from bound operands.
 
-use crate::pattern::{Bindings, TypePat};
+use crate::pattern::Bindings;
 use fpir::expr::{BinOp, CmpOp, Expr, FpirOp, RcExpr};
 use fpir::types::{ScalarType, VectorType};
 use fpir::MachOp;
@@ -22,16 +22,10 @@ pub enum TyRef {
     WidenOfWild(u8),
     /// The narrowed element type of wildcard `N`'s binding.
     NarrowOfWild(u8),
-    /// The unsigned same-width type of wildcard `N`'s binding.
-    UnsignedOfWild(u8),
-    /// The signed same-width type of wildcard `N`'s binding.
-    SignedOfWild(u8),
     /// The widened *signed* type of wildcard `N`'s binding.
     WidenSignedOfWild(u8),
     /// The narrowed *unsigned* type of wildcard `N`'s binding.
     NarrowUnsignedOfWild(u8),
-    /// A type pattern resolved through type-variable bindings.
-    Pat(TypePat),
     /// A concrete type.
     Exact(ScalarType),
 }
@@ -44,15 +38,12 @@ impl TyRef {
             TyRef::OfWild(i) => of(i),
             TyRef::WidenOfWild(i) => of(i)?.widen().ok_or(SubstError::NoSuchType),
             TyRef::NarrowOfWild(i) => of(i)?.narrow().ok_or(SubstError::NoSuchType),
-            TyRef::UnsignedOfWild(i) => Ok(of(i)?.with_unsigned()),
-            TyRef::SignedOfWild(i) => Ok(of(i)?.with_signed()),
             TyRef::WidenSignedOfWild(i) => {
                 Ok(of(i)?.widen().ok_or(SubstError::NoSuchType)?.with_signed())
             }
             TyRef::NarrowUnsignedOfWild(i) => {
                 Ok(of(i)?.narrow().ok_or(SubstError::NoSuchType)?.with_unsigned())
             }
-            TyRef::Pat(p) => p.resolve(b).ok_or(SubstError::NoSuchType),
             TyRef::Exact(t) => Ok(t),
         }
     }
@@ -69,17 +60,13 @@ pub enum CFn {
     Pow2,
     /// `1 << (c - 1)` — the rounding term of a shift by `c`.
     Pow2AddHalf,
-    /// `-c`.
-    Neg,
     /// `c + k`.
     Add(i128),
-    /// `bits(c's type) - c`.
-    BitsMinus,
 }
 
 impl CFn {
-    /// Apply to a constant of element type `t`.
-    pub fn apply(self, c: i128, t: ScalarType) -> Result<i128, SubstError> {
+    /// Apply to a constant.
+    pub fn apply(self, c: i128) -> Result<i128, SubstError> {
         Ok(match self {
             CFn::Id => c,
             CFn::Log2 => {
@@ -100,9 +87,7 @@ impl CFn {
                 }
                 1i128 << (c - 1)
             }
-            CFn::Neg => -c,
             CFn::Add(k) => c + k,
-            CFn::BitsMinus => t.bits() as i128 - c,
         })
     }
 }
@@ -200,8 +185,7 @@ pub fn substitute(t: &Template, b: &Bindings, lanes: u32) -> Result<RcExpr, Subs
         Template::Wild(i) => b.expr(*i).cloned().ok_or(SubstError::UnboundWild(*i)),
         Template::Const { f, of, ty } => {
             let c = b.const_value(*of).ok_or(SubstError::NotConst(*of))?;
-            let src_ty = b.expr(*of).expect("const_value implies bound").elem();
-            let v = f.apply(c, src_ty)?;
+            let v = f.apply(c)?;
             let elem = ty.resolve(b)?;
             Expr::constant(v, VectorType::new(elem, lanes)).map_err(Into::into)
         }
@@ -250,11 +234,8 @@ impl fmt::Display for TyRef {
             TyRef::OfWild(i) => write!(f, "type(x{i})"),
             TyRef::WidenOfWild(i) => write!(f, "widen(x{i})"),
             TyRef::NarrowOfWild(i) => write!(f, "narrow(x{i})"),
-            TyRef::UnsignedOfWild(i) => write!(f, "unsigned(x{i})"),
-            TyRef::SignedOfWild(i) => write!(f, "signed(x{i})"),
             TyRef::WidenSignedOfWild(i) => write!(f, "widen_signed(x{i})"),
             TyRef::NarrowUnsignedOfWild(i) => write!(f, "narrow_unsigned(x{i})"),
-            TyRef::Pat(p) => write!(f, "{p}"),
             TyRef::Exact(t) => write!(f, "{t}"),
         }
     }
@@ -269,10 +250,8 @@ impl fmt::Display for Template {
                 CFn::Log2 => write!(f, "log2(c{of})"),
                 CFn::Pow2 => write!(f, "(1 << c{of})"),
                 CFn::Pow2AddHalf => write!(f, "(1 << (c{of} - 1))"),
-                CFn::Neg => write!(f, "-c{of}"),
                 CFn::Add(k) if *k >= 0 => write!(f, "(c{of} + {k})"),
                 CFn::Add(k) => write!(f, "(c{of} - {})", -k),
-                CFn::BitsMinus => write!(f, "(bits - c{of})"),
             },
             Template::Lit { value, .. } => write!(f, "{value}"),
             Template::Bin(op, a, b) if op.is_call_syntax() => {
@@ -312,7 +291,7 @@ impl fmt::Display for Template {
 mod tests {
     use super::*;
     use crate::dsl::*;
-    use crate::pattern::match_pat;
+    use crate::pattern::{match_pat, TypePat};
     use fpir::build;
     use fpir::types::{ScalarType as S, VectorType as V};
 
@@ -353,9 +332,8 @@ mod tests {
 
     #[test]
     fn cfn_apply() {
-        assert_eq!(CFn::Pow2.apply(3, S::U8).unwrap(), 8);
-        assert_eq!(CFn::Neg.apply(3, S::U8).unwrap(), -3);
-        assert_eq!(CFn::Add(-1).apply(3, S::U8).unwrap(), 2);
-        assert_eq!(CFn::BitsMinus.apply(3, S::U16).unwrap(), 13);
+        assert_eq!(CFn::Pow2.apply(3).unwrap(), 8);
+        assert_eq!(CFn::Pow2AddHalf.apply(3).unwrap(), 4);
+        assert_eq!(CFn::Add(-1).apply(3).unwrap(), 2);
     }
 }

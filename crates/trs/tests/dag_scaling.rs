@@ -6,7 +6,7 @@
 //! engine must process each unique node once per pass — a deeply shared
 //! chain that would take longer than the age of the universe to walk as a
 //! tree must rewrite instantly. (Nothing here may call `size()`,
-//! `to_string()`, or the reference engine: those are all tree walks.)
+//! `to_string()`, or `rewrite_reference`: those are all tree walks.)
 
 use fpir::build;
 use fpir::expr::Expr;
