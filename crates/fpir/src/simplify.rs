@@ -163,11 +163,15 @@ mod tests {
 
     #[test]
     fn fold_preserves_semantics_on_random_exprs() {
+        // The shared fold, with one memo across every expression as the
+        // legalizer keeps one per run, equals the tree fold.
         let mut rng = StdRng::seed_from_u64(21);
         let cfg = GenConfig::default();
+        let mut memo = crate::identity::IdMap::default();
         for _ in 0..100 {
             let e = gen_expr(&mut rng, &cfg, S::I32);
             let folded = const_fold(&e);
+            assert_eq!(const_fold_shared(&e, &mut memo), folded, "{e}");
             let env = random_env(&mut rng, &e);
             assert_eq!(eval(&e, &env).unwrap(), eval(&folded, &env).unwrap());
         }

@@ -12,10 +12,9 @@
 //! * [`Pipeline`] — a named output expression over taps, with a reference
 //!   executor (the "run the algorithm in Halide's interpreter" ground
 //!   truth) and per-row environments for driving compiled kernels;
-//! * [`runner`] — whole-image execution of compiled programs: the
-//!   strip-by-strip reference path ([`run_program_reference`]) and the
-//!   linked, parallel tiled path ([`run_tiled`]), bit-identical to each
-//!   other at any worker count.
+//! * [`runner`] — whole-image execution of a linked program
+//!   ([`run_tiled_exe`]): row segments fanned out over workers,
+//!   bit-identical at any worker count to the interpreter's image.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,4 +26,4 @@ pub mod runner;
 
 pub use image::Image;
 pub use pipeline::{tap, Pipeline, Tap};
-pub use runner::{run_program_reference, run_tiled, run_tiled_exe};
+pub use runner::run_tiled_exe;

@@ -182,6 +182,19 @@ impl Pipeline {
         Ok(env)
     }
 
+    /// Output dimensions: those of the pipeline's first input.
+    pub(crate) fn output_shape(
+        &self,
+        inputs: &BTreeMap<String, Image>,
+    ) -> Result<(usize, usize), PipelineError> {
+        let first = self
+            .inputs()
+            .first()
+            .and_then(|n| inputs.get(n))
+            .ok_or_else(|| PipelineError { what: "pipeline reads no inputs".into() })?;
+        Ok((first.width(), first.height()))
+    }
+
     /// Execute the whole pipeline with the reference interpreter.
     ///
     /// The output has the dimensions of the first input; the image width
@@ -191,12 +204,7 @@ impl Pipeline {
     ///
     /// Fails on missing/mistyped inputs or evaluation errors.
     pub fn run_reference(&self, inputs: &BTreeMap<String, Image>) -> Result<Image, PipelineError> {
-        let first = self
-            .inputs()
-            .first()
-            .and_then(|n| inputs.get(n))
-            .ok_or_else(|| PipelineError { what: "pipeline reads no inputs".into() })?;
-        let (w, h) = (first.width(), first.height());
+        let (w, h) = self.output_shape(inputs)?;
         let mut out = Image::filled(self.out_elem(), w, h, 0);
         let lanes = self.lanes() as usize;
         for y in 0..h {

@@ -1,79 +1,27 @@
 //! Whole-image execution of compiled pipelines.
 //!
-//! Two runners over the same compiled [`Program`]:
-//!
-//! * [`run_program_reference`] — the REFERENCE path: per vector strip it
-//!   rebuilds a string-keyed environment ([`Pipeline::env_at`]) and
-//!   interprets the program with the reference VM
-//!   ([`fpir_sim::vm::execute`]), table lookups and all. Faithful and
-//!   slow: it repays name resolution and constant materialization on
-//!   every strip.
-//! * [`run_tiled`] — the FAST path: the program is
-//!   [linked once](fpir_sim::exec::Executable), the taps behind each
-//!   input slot are parsed once, and the image rows are split into chunks
-//!   dealt out to workers on an [`fpir_pool::Pool`]. Every linked kernel
-//!   is lane-wise, so a worker runs each row in segments of up to
-//!   [`RUN_LANES`] lanes, not in vectors of the pipeline's declared
-//!   width: per segment it gathers each input slot once, at the samples'
-//!   own width, and makes one run, and the last segment of a row takes
-//!   exactly the lanes that remain. It reuses one execution context for
-//!   every chunk it is dealt — steady-state segments allocate nothing —
-//!   and writes each chunk's rows in place into the one output buffer, so
-//!   the output is **bit-identical for any worker count** (and to the
-//!   reference runner; the end-to-end and differential tests pin both).
+//! [`run_tiled_exe`] runs a linked [`Executable`] over whole images: the
+//! taps behind each input slot are parsed once, and the image rows are
+//! split into chunks dealt out to workers on an [`fpir_pool::Pool`].
+//! Every linked kernel is lane-wise, so a worker runs each row in
+//! segments of up to [`RUN_LANES`] lanes, not in vectors of the
+//! pipeline's declared width: per segment it gathers each input slot
+//! once, at the samples' own width, and makes one run, and the last
+//! segment of a row takes exactly the lanes that remain. It reuses one
+//! execution context for every chunk it is dealt — steady-state segments
+//! allocate nothing — and writes each chunk's rows in place into the one
+//! output buffer, so the output is **bit-identical for any worker
+//! count**. Its one oracle is the interpreter's image,
+//! [`Pipeline::run_reference`]: the runner tests and the end-to-end
+//! image tests compare every image against it.
 
 use crate::image::Image;
 use crate::pipeline::{parse_tap, Pipeline, PipelineError};
-use fpir_isa::{Lanes, Target};
+use fpir_isa::Lanes;
 use fpir_pool::Pool;
-use fpir_sim::program::Program;
-use fpir_sim::vm::execute;
 use fpir_sim::{Executable, RUN_LANES};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-
-/// Output dimensions: those of the pipeline's first input.
-fn output_shape(
-    pipe: &Pipeline,
-    inputs: &BTreeMap<String, Image>,
-) -> Result<(usize, usize), PipelineError> {
-    let first = pipe
-        .inputs()
-        .first()
-        .and_then(|n| inputs.get(n))
-        .ok_or_else(|| PipelineError { what: "pipeline reads no inputs".into() })?;
-    Ok((first.width(), first.height()))
-}
-
-/// Execute a compiled pipeline over whole images with the reference VM,
-/// one string-keyed environment per vector strip.
-///
-/// # Errors
-///
-/// Fails on missing or mistyped inputs, or execution errors.
-pub fn run_program_reference(
-    pipe: &Pipeline,
-    program: &Program,
-    target: &Target,
-    inputs: &BTreeMap<String, Image>,
-) -> Result<Image, PipelineError> {
-    let (w, h) = output_shape(pipe, inputs)?;
-    let mut out = Image::filled(pipe.out_elem(), w, h, 0);
-    let lanes = pipe.lanes() as usize;
-    for y in 0..h {
-        let mut x0 = 0usize;
-        while x0 < w {
-            let env = pipe.env_at(inputs, x0 as i64, y as i64)?;
-            let v = execute(program, &env, target)
-                .map_err(|e| PipelineError { what: e.to_string() })?;
-            for i in 0..lanes.min(w - x0) {
-                out.set(x0 + i, y, v.lane(i));
-            }
-            x0 += lanes;
-        }
-    }
-    Ok(out)
-}
 
 /// One linked input slot, fully resolved: which image, at what offset.
 struct SlotSource<'a> {
@@ -117,41 +65,19 @@ fn gather(buf: &mut Lanes, img: &Image, y: usize, start: i64, lanes: usize) {
     gather!(U8, I8, U16, I16, U32, I32, U64, I64)
 }
 
-/// Execute a compiled pipeline over whole images on the linked engine
-/// (the FAST link, with superinstruction fusion), rows fanned out
-/// over `jobs` workers.
+/// Execute a linked pipeline over whole images, rows fanned out over
+/// `jobs` workers.
 ///
-/// The program is linked once; each worker owns one execution context
-/// whose register file and lane buffers are recycled across every row
-/// segment of its chunks, and writes its rows in place into the output
-/// image.
+/// Linking is pure per-program work, so a caller links once and runs
+/// many images: a serving layer that caches one [`Executable`] per
+/// compiled pipeline fans every request out over the shared artifact
+/// (the executable is `Send + Sync`; each worker gets its own context)
+/// without re-linking per request. Each worker owns one execution context
+/// whose row file and lane buffers are recycled across every row segment
+/// of its chunks, and writes its rows in place into the output image.
 /// Rows are pure functions of the inputs, so the output is bit-identical
-/// for any `jobs` — `run_tiled(.., 1)` equals `run_tiled(.., n)` equals
-/// [`run_program_reference`].
-///
-/// # Errors
-///
-/// Fails on missing or mistyped inputs, linking or execution errors.
-pub fn run_tiled(
-    pipe: &Pipeline,
-    program: &Program,
-    target: &Target,
-    inputs: &BTreeMap<String, Image>,
-    jobs: usize,
-) -> Result<Image, PipelineError> {
-    let exe = Executable::link_with(program, target, &fpir_sim::ExecConfig::FAST)
-        .map_err(|e| PipelineError { what: format!("linking failed: {e}") })?;
-    run_tiled_exe(pipe, &exe, inputs, jobs)
-}
-
-/// [`run_tiled`] over an **already-linked** executable.
-///
-/// Linking is pure per-program work; a serving layer that caches one
-/// [`Executable`] per compiled pipeline calls this to fan every request
-/// out over the shared artifact (the executable is `Send + Sync`; each
-/// worker gets its own context) without re-linking per request. The
-/// output is bit-identical to [`run_tiled`] on the program the
-/// executable was linked from, for any worker count.
+/// for any `jobs`, and equals [`Pipeline::run_reference`] on the
+/// pipeline the executable was compiled from.
 ///
 /// # Errors
 ///
@@ -162,7 +88,7 @@ pub fn run_tiled_exe(
     inputs: &BTreeMap<String, Image>,
     jobs: usize,
 ) -> Result<Image, PipelineError> {
-    let (w, h) = output_shape(pipe, inputs)?;
+    let (w, h) = pipe.output_shape(inputs)?;
 
     // Resolve each input slot to (image, offset) once, for every segment.
     let mut sources: Vec<SlotSource<'_>> = Vec::with_capacity(exe.inputs().len());
@@ -253,7 +179,7 @@ mod tests {
     use fpir::types::ScalarType as S;
     use fpir::Isa;
     use fpir_isa::{legalize, target};
-    use fpir_sim::emit;
+    use fpir_sim::{emit, ExecConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -263,25 +189,26 @@ mod tests {
         Pipeline::new("blur", build::rounding_halving_add(a, b))
     }
 
-    fn compile(pipe: &Pipeline, isa: Isa) -> Program {
+    /// The pipeline legalized, emitted and linked FAST for `isa`.
+    fn link(pipe: &Pipeline, isa: Isa) -> Executable {
         let t = target(isa);
-        emit(&legalize(&pipe.expr, t).unwrap(), t).unwrap()
+        let p = emit(&legalize(&pipe.expr, t).unwrap(), t).unwrap();
+        Executable::link_with(&p, t, &ExecConfig::FAST).unwrap()
+    }
+
+    fn one_input(img: Image) -> BTreeMap<String, Image> {
+        BTreeMap::from([("in".to_string(), img)])
     }
 
     #[test]
     fn tiled_matches_reference_runner_and_interpreter() {
         let pipe = blur_pipeline(8);
         let mut rng = StdRng::seed_from_u64(7);
-        let img = Image::random(&mut rng, S::U8, 37, 19);
-        let mut inputs = BTreeMap::new();
-        inputs.insert("in".to_string(), img);
-        let interp = pipe.run_reference(&inputs).unwrap();
+        let inputs = one_input(Image::random(&mut rng, S::U8, 37, 19));
+        let want = pipe.run_reference(&inputs).unwrap();
         for isa in fpir::machine::ALL_ISAS {
-            let p = compile(&pipe, isa);
-            let reference = run_program_reference(&pipe, &p, target(isa), &inputs).unwrap();
-            let fast = run_tiled(&pipe, &p, target(isa), &inputs, 3).unwrap();
-            assert_eq!(reference, interp, "{isa}");
-            assert_eq!(fast, reference, "{isa}");
+            let got = run_tiled_exe(&pipe, &link(&pipe, isa), &inputs, 3).unwrap();
+            assert_eq!(got, want, "{isa}");
         }
     }
 
@@ -289,14 +216,12 @@ mod tests {
     fn tiled_output_is_worker_count_invariant() {
         let pipe = blur_pipeline(16);
         let mut rng = StdRng::seed_from_u64(8);
-        let img = Image::random(&mut rng, S::U8, 64, 33);
-        let mut inputs = BTreeMap::new();
-        inputs.insert("in".to_string(), img);
-        let p = compile(&pipe, Isa::ArmNeon);
-        let tgt = target(Isa::ArmNeon);
-        let one = run_tiled(&pipe, &p, tgt, &inputs, 1).unwrap();
+        let inputs = one_input(Image::random(&mut rng, S::U8, 64, 33));
+        let exe = link(&pipe, Isa::ArmNeon);
+        let one = run_tiled_exe(&pipe, &exe, &inputs, 1).unwrap();
+        assert_eq!(one, pipe.run_reference(&inputs).unwrap());
         for jobs in [2, 4, 7, 64] {
-            assert_eq!(run_tiled(&pipe, &p, tgt, &inputs, jobs).unwrap(), one, "jobs={jobs}");
+            assert_eq!(run_tiled_exe(&pipe, &exe, &inputs, jobs).unwrap(), one, "jobs={jobs}");
         }
     }
 
@@ -304,16 +229,12 @@ mod tests {
     fn prelinked_runner_matches_and_shares_across_threads() {
         // One linked executable served to several "request" threads by
         // reference — the cache's sharing pattern — each produces the
-        // same image as the link-per-call runner.
+        // interpreter's image.
         let pipe = blur_pipeline(8);
         let mut rng = StdRng::seed_from_u64(11);
-        let img = Image::random(&mut rng, S::U8, 41, 13);
-        let mut inputs = BTreeMap::new();
-        inputs.insert("in".to_string(), img);
-        let p = compile(&pipe, Isa::ArmNeon);
-        let tgt = target(Isa::ArmNeon);
-        let exe = Executable::link_with(&p, tgt, &fpir_sim::ExecConfig::REFERENCE).unwrap();
-        let want = run_tiled(&pipe, &p, tgt, &inputs, 2).unwrap();
+        let inputs = one_input(Image::random(&mut rng, S::U8, 41, 13));
+        let exe = link(&pipe, Isa::ArmNeon);
+        let want = pipe.run_reference(&inputs).unwrap();
         std::thread::scope(|s| {
             for jobs in [1, 2, 3] {
                 let (exe, pipe, inputs, want) = (&exe, &pipe, &inputs, &want);
@@ -329,15 +250,13 @@ mod tests {
         // One lane, one lane past a window, and a row of one full
         // segment plus a 52-lane tail, at one worker and at three.
         let pipe = blur_pipeline(16);
-        let p = compile(&pipe, Isa::ArmNeon);
-        let tgt = target(Isa::ArmNeon);
+        let exe = link(&pipe, Isa::ArmNeon);
         let mut rng = StdRng::seed_from_u64(12);
         for w in [1, 129, RUN_LANES + 52] {
-            let mut inputs = BTreeMap::new();
-            inputs.insert("in".to_string(), Image::random(&mut rng, S::U8, w, 5));
-            let want = run_program_reference(&pipe, &p, tgt, &inputs).unwrap();
+            let inputs = one_input(Image::random(&mut rng, S::U8, w, 5));
+            let want = pipe.run_reference(&inputs).unwrap();
             for jobs in [1, 3] {
-                let got = run_tiled(&pipe, &p, tgt, &inputs, jobs).unwrap();
+                let got = run_tiled_exe(&pipe, &exe, &inputs, jobs).unwrap();
                 assert_eq!(got, want, "width {w}, jobs {jobs}");
             }
         }
@@ -351,10 +270,9 @@ mod tests {
         let t = target(Isa::ArmNeon);
         let seven = build::constant(7, fpir::types::VectorType::new(S::U8, 16));
         let p = emit(&legalize(&seven, t).unwrap(), t).unwrap();
-        let exe = Executable::link_with(&p, t, &fpir_sim::ExecConfig::FAST).unwrap();
+        let exe = Executable::link_with(&p, t, &ExecConfig::FAST).unwrap();
         assert!(exe.inputs().is_empty());
-        let mut inputs = BTreeMap::new();
-        inputs.insert("in".to_string(), Image::filled(S::U8, 37, 3, 0));
+        let inputs = one_input(Image::filled(S::U8, 37, 3, 0));
         for jobs in [1, 3] {
             let out = run_tiled_exe(&pipe, &exe, &inputs, jobs).unwrap();
             assert_eq!(out, Image::filled(S::U8, 37, 3, 7), "jobs {jobs}");
@@ -364,22 +282,19 @@ mod tests {
     #[test]
     fn missing_input_errors_in_both_runners() {
         let pipe = blur_pipeline(8);
-        let p = compile(&pipe, Isa::X86Avx2);
-        let tgt = target(Isa::X86Avx2);
+        let exe = link(&pipe, Isa::X86Avx2);
         let empty = BTreeMap::new();
-        assert!(run_program_reference(&pipe, &p, tgt, &empty).is_err());
-        assert!(run_tiled(&pipe, &p, tgt, &empty, 2).is_err());
+        assert!(pipe.run_reference(&empty).is_err());
+        assert!(run_tiled_exe(&pipe, &exe, &empty, 2).is_err());
     }
 
     #[test]
     fn mistyped_input_errors_in_both_runners() {
         let pipe = blur_pipeline(8);
-        let p = compile(&pipe, Isa::X86Avx2);
-        let tgt = target(Isa::X86Avx2);
-        let mut inputs = BTreeMap::new();
-        inputs.insert("in".to_string(), Image::filled(S::U16, 8, 8, 0));
-        let r = run_program_reference(&pipe, &p, tgt, &inputs);
-        let t = run_tiled(&pipe, &p, tgt, &inputs, 2);
+        let exe = link(&pipe, Isa::X86Avx2);
+        let inputs = one_input(Image::filled(S::U16, 8, 8, 0));
+        let r = pipe.run_reference(&inputs);
+        let t = run_tiled_exe(&pipe, &exe, &inputs, 2);
         assert!(r.is_err() && t.is_err());
         assert_eq!(r.unwrap_err().what, t.unwrap_err().what);
     }
@@ -387,12 +302,8 @@ mod tests {
     #[test]
     fn image_smaller_than_a_vector_strip() {
         let pipe = blur_pipeline(16);
-        let img = Image::from_rows(S::U8, &[vec![10, 200, 30]]);
-        let mut inputs = BTreeMap::new();
-        inputs.insert("in".to_string(), img);
-        let p = compile(&pipe, Isa::HexagonHvx);
-        let tgt = target(Isa::HexagonHvx);
-        let fast = run_tiled(&pipe, &p, tgt, &inputs, 4).unwrap();
+        let inputs = one_input(Image::from_rows(S::U8, &[vec![10, 200, 30]]));
+        let fast = run_tiled_exe(&pipe, &link(&pipe, Isa::HexagonHvx), &inputs, 4).unwrap();
         assert_eq!(fast, pipe.run_reference(&inputs).unwrap());
     }
 }

@@ -20,6 +20,7 @@ use fpir::expr::{BinOp, CmpOp, Expr, ExprKind, FpirOp, RcExpr};
 use fpir::identity::IdMap;
 use fpir::types::{ScalarType, VectorType};
 use fpir::Isa;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -33,8 +34,10 @@ use std::sync::Arc;
 /// whose operands were already legalized, which without the memo re-walks
 /// those subtrees once per enclosing expansion.
 ///
-/// A disabled memo ([`legalize_uncached`]) reproduces the original
-/// tree-walking legalizer for differential testing and benchmarking.
+/// A disabled memo ([`legalize_uncached`]) keeps no identity map and
+/// skips the process-wide [`SKELETONS`] table. Those two caches are the
+/// only difference between the two legalizers, so the uncached one is
+/// the oracle for both.
 #[derive(Debug, Default)]
 struct Memo {
     map: Option<IdMap<(RcExpr, RcExpr)>>,
@@ -89,14 +92,9 @@ impl Memo {
         }
     }
 
-    /// Fold constants in an expansion: DAG-shared when the memo is on,
-    /// the original whole-tree walk when it is off.
+    /// Fold constants in an expansion, sharing folds across the run.
     fn const_fold(&mut self, e: &RcExpr) -> RcExpr {
-        if self.is_enabled() {
-            fpir::simplify::const_fold_shared(e, &mut self.folds)
-        } else {
-            fpir::simplify::const_fold(e)
-        }
+        fpir::simplify::const_fold_shared(e, &mut self.folds)
     }
 }
 
@@ -135,9 +133,11 @@ pub fn legalize(expr: &RcExpr, t: &Target) -> Result<RcExpr, LowerError> {
     legalize_memo(expr, t, &mut Memo::enabled())
 }
 
-/// [`legalize`] without the identity memo — the original tree-walking
-/// legalizer, preserved as the pre-optimization baseline for differential
-/// tests and the reference rewrite engine.
+/// [`legalize`] without its two caches, the identity memo and the
+/// process-wide table of FPIR expansion skeletons: every node is
+/// legalized afresh and every expansion is built over its real operands.
+/// The legalizer of `Pitchfork::compile_reference`, and the oracle the
+/// caches are checked against.
 ///
 /// # Errors
 ///
@@ -166,8 +166,7 @@ fn legalize_memo(expr: &RcExpr, t: &Target, memo: &mut Memo) -> Result<RcExpr, L
     let out = match expr.kind() {
         ExprKind::Var(_) | ExprKind::Const(_) => expr.clone(),
         ExprKind::Mach(op, _) => {
-            let unchanged = memo.is_enabled()
-                && expr.children().iter().zip(&children).all(|(a, b)| Arc::ptr_eq(a, b));
+            let unchanged = expr.children().iter().zip(&children).all(|(a, b)| Arc::ptr_eq(a, b));
             let node = if unchanged { expr.clone() } else { expr.with_children(children) };
             let def =
                 t.def(*op).ok_or_else(|| LowerError::new(isa, format!("unknown opcode {op}")))?;
@@ -178,12 +177,12 @@ fn legalize_memo(expr: &RcExpr, t: &Target, memo: &mut Memo) -> Result<RcExpr, L
         ExprKind::Cmp(op, ..) => legalize_cmp(*op, expr.ty(), children, t, memo)?,
         ExprKind::Select(..) => {
             let width = children[1].elem().bits();
-            let def = find_usable(t, MachSem::Select, width, false, &children, memo)
+            let def = find_usable(t, MachSem::Select, width, false, &children)
                 .ok_or_else(|| LowerError::new(isa, format!("no select at {width} bits")))?;
             Expr::mach(def.op, expr.ty(), children)
         }
-        ExprKind::Cast(_) => legalize_cast(expr.ty().elem, children.remove_first(), t, memo)?,
-        ExprKind::Reinterpret(_) => reinterpret_node(expr.ty(), children.remove_first(), t, memo),
+        ExprKind::Cast(_) => legalize_cast(expr.ty().elem, children.remove_first(), t)?,
+        ExprKind::Reinterpret(_) => reinterpret_node(expr.ty(), children.remove_first(), t),
         ExprKind::Fpir(op, _) => legalize_fpir(*op, expr.ty(), children, t, memo)?,
     };
     memo.insert(expr, &out);
@@ -220,20 +219,16 @@ fn check_width(ty: VectorType, t: &Target) -> Result<(), LowerError> {
 
 /// Find the cheapest row with this semantics that is legal at the width,
 /// signedness, *and* whose const-operand requirements are satisfied by
-/// the actual operands.
-///
-/// The memoized legalizer resolves rows through the target's
-/// per-semantics index ([`Target::defs_with_sem`], cheapest first);
-/// [`legalize_uncached`] keeps the original full-table scan so the
-/// benchmark baseline stays faithful to the pre-optimization pass. Both
-/// select the same row.
+/// the actual operands: the first legal row of the target's
+/// per-semantics index ([`Target::defs_with_sem`], cheapest first, ties
+/// in table order), which is the row a cost-minimal scan of the full
+/// table picks (pinned by `first_legal_row_is_the_cost_minimal_row`).
 fn find_usable<'t>(
     t: &'t Target,
     sem: MachSem,
     width: u32,
     signed: bool,
     args: &[RcExpr],
-    memo: &Memo,
 ) -> Option<&'t InstDef> {
     let legal = |d: &InstDef| {
         d.widths.contains(&width)
@@ -244,12 +239,7 @@ fn find_usable<'t>(
             }
             && d.needs_const.iter().all(|&i| args.get(i).is_some_and(|a| a.as_const().is_some()))
     };
-    if memo.is_enabled() {
-        // Rows arrive cheapest-first: the first legal one wins.
-        t.defs_with_sem(sem).find(|d| legal(d))
-    } else {
-        t.defs().iter().filter(|d| d.sem == sem && legal(d)).min_by_key(|d| d.cost)
-    }
+    t.defs_with_sem(sem).find(|d| legal(d))
 }
 
 fn validate_mach(node: &RcExpr, def: &InstDef, t: &Target) -> Result<(), LowerError> {
@@ -287,16 +277,12 @@ fn validate_mach(node: &RcExpr, def: &InstDef, t: &Target) -> Result<(), LowerEr
     Ok(())
 }
 
-fn reinterpret_node(ty: VectorType, arg: RcExpr, t: &Target, memo: &Memo) -> RcExpr {
+fn reinterpret_node(ty: VectorType, arg: RcExpr, t: &Target) -> RcExpr {
     if arg.ty() == ty {
         return arg;
     }
-    let def = if memo.is_enabled() {
-        t.defs_with_sem(MachSem::Reinterpret).next()
-    } else {
-        t.defs().iter().find(|d| d.sem == MachSem::Reinterpret)
-    }
-    .expect("every target has a reinterpret alias");
+    let def =
+        t.defs_with_sem(MachSem::Reinterpret).next().expect("every target has a reinterpret alias");
     Expr::mach(def.op, ty, vec![arg])
 }
 
@@ -346,7 +332,7 @@ fn legalize_bin(
         _ => {}
     }
 
-    if let Some(def) = find_usable(t, MachSem::Bin(op), width, signed, &args, memo) {
+    if let Some(def) = find_usable(t, MachSem::Bin(op), width, signed, &args) {
         return Ok(Expr::mach(def.op, ty, args));
     }
 
@@ -366,10 +352,10 @@ fn legalize_bin(
         if check_width(ty.with_elem(wider), t).is_ok() {
             let wide_args = args
                 .into_iter()
-                .map(|a| legalize_cast(wider, a, t, memo))
+                .map(|a| legalize_cast(wider, a, t))
                 .collect::<Result<Vec<_>, _>>()?;
             let wide = legalize_bin(op, ty.with_elem(wider), wide_args, t, memo)?;
-            return legalize_cast(ty.elem, wide, t, memo);
+            return legalize_cast(ty.elem, wide, t);
         }
     }
     Err(LowerError::new(isa, format!("no `{}` instruction at {width} bits", op.symbol())))
@@ -409,7 +395,7 @@ fn legalize_cmp(
             not(eq, t, memo)
         }
         CmpOp::Gt | CmpOp::Eq => {
-            if let Some(def) = find_usable(t, MachSem::Cmp(op), width, signed, &args, memo) {
+            if let Some(def) = find_usable(t, MachSem::Cmp(op), width, signed, &args) {
                 Ok(Expr::mach(def.op, ty, args))
             } else {
                 Err(LowerError::new(
@@ -422,47 +408,23 @@ fn legalize_cmp(
 }
 
 /// Legalize a wrapping cast by chaining single-step extends / truncations.
-fn legalize_cast(
-    to: ScalarType,
-    arg: RcExpr,
-    t: &Target,
-    memo: &mut Memo,
-) -> Result<RcExpr, LowerError> {
-    let isa = t.isa;
+fn legalize_cast(to: ScalarType, arg: RcExpr, t: &Target) -> Result<RcExpr, LowerError> {
     let from = arg.elem();
     check_width(arg.ty().with_elem(to), t)?;
-    if from.bits() == to.bits() {
-        return Ok(reinterpret_node(arg.ty().with_elem(to), arg, t, memo));
-    }
-    if from.bits() < to.bits() {
-        // One extension step, preserving source signedness (that is what a
-        // wrapping cast does), then recurse.
-        let step = from.widen().expect("from < to implies widenable");
-        let def = find_usable(
-            t,
-            MachSem::ExtendTo,
-            from.bits(),
-            from.is_signed(),
-            std::slice::from_ref(&arg),
-            memo,
-        )
-        .ok_or_else(|| LowerError::new(isa, format!("no extension from {} bits", from.bits())))?;
-        let widened = Expr::mach(def.op, arg.ty().with_elem(step), vec![arg]);
-        legalize_cast(to, widened, t, memo)
-    } else {
-        let step = from.narrow().expect("from > to implies narrowable");
-        let def = find_usable(
-            t,
-            MachSem::TruncTo,
-            from.bits(),
-            from.is_signed(),
-            std::slice::from_ref(&arg),
-            memo,
-        )
-        .ok_or_else(|| LowerError::new(isa, format!("no truncation from {} bits", from.bits())))?;
-        let narrowed = Expr::mach(def.op, arg.ty().with_elem(step), vec![arg]);
-        legalize_cast(to, narrowed, t, memo)
-    }
+    // One extension or truncation step, preserving source signedness
+    // (that is what a wrapping cast does), then recurse.
+    let (sem, step, what) = match from.bits().cmp(&to.bits()) {
+        Ordering::Equal => return Ok(reinterpret_node(arg.ty().with_elem(to), arg, t)),
+        Ordering::Less => {
+            (MachSem::ExtendTo, from.widen().expect("from < to implies widenable"), "extension")
+        }
+        Ordering::Greater => {
+            (MachSem::TruncTo, from.narrow().expect("from > to implies narrowable"), "truncation")
+        }
+    };
+    let def = find_usable(t, sem, from.bits(), from.is_signed(), std::slice::from_ref(&arg))
+        .ok_or_else(|| LowerError::new(t.isa, format!("no {what} from {} bits", from.bits())))?;
+    legalize_cast(to, Expr::mach(def.op, arg.ty().with_elem(step), vec![arg]), t)
 }
 
 /// Expand an FPIR instruction with no native row into its primitive
@@ -583,13 +545,13 @@ fn legalize_fpir(
         let src = args[0].elem();
         if src.narrow() == Some(target_elem) {
             if let Some(def) =
-                find_usable(t, MachSem::Fpir(FpirOp::SaturatingNarrow), width, signed, &args, memo)
+                find_usable(t, MachSem::Fpir(FpirOp::SaturatingNarrow), width, signed, &args)
             {
                 return Ok(Expr::mach(def.op, ty, args));
             }
             // Signed-to-unsigned narrow (sqxtun).
             if src.is_signed() && !target_elem.is_signed() {
-                if let Some(def) = find_usable(t, MachSem::SatCastTo, width, signed, &args, memo) {
+                if let Some(def) = find_usable(t, MachSem::SatCastTo, width, signed, &args) {
                     return Ok(Expr::mach(def.op, ty, args));
                 }
             }
@@ -597,9 +559,7 @@ fn legalize_fpir(
         return expand_legalized(op, &args, t, memo);
     }
 
-    // `saturating_narrow` reaches here only as its own node.
-    let lookup_op = if op == FpirOp::SaturatingNarrow { FpirOp::SaturatingNarrow } else { op };
-    if let Some(def) = find_usable(t, MachSem::Fpir(lookup_op), width, signed, &args, memo) {
+    if let Some(def) = find_usable(t, MachSem::Fpir(op), width, signed, &args) {
         return Ok(Expr::mach(def.op, ty, args));
     }
 
@@ -727,6 +687,62 @@ mod tests {
             }
         }
         assert!(checked > 200, "only {checked} legalizations checked");
+    }
+
+    #[test]
+    fn first_legal_row_is_the_cost_minimal_row() {
+        // For every ISA × semantics × width × signedness × pattern of
+        // constant operands, the index's first legal row is the row a
+        // scan of the whole table picks: the cheapest legal row, the
+        // first in table order among equals.
+        let (mut cases, mut ties) = (0, 0);
+        for isa in fpir::machine::ALL_ISAS {
+            let t = target(isa);
+            let mut sems: Vec<MachSem> = Vec::new();
+            for d in t.defs() {
+                if !sems.contains(&d.sem) {
+                    sems.push(d.sem);
+                }
+            }
+            for sem in sems {
+                let arity = sem.arity();
+                for (elem, consts) in fpir::types::ALL_SCALAR_TYPES
+                    .into_iter()
+                    .flat_map(|e| (0..1u32 << arity).map(move |c| (e, c)))
+                {
+                    let (width, signed, ty) = (elem.bits(), elem.is_signed(), V::new(elem, 8));
+                    let args: Vec<RcExpr> = (0..arity)
+                        .map(|i| match consts >> i & 1 {
+                            1 => Expr::constant(1, ty).unwrap(),
+                            _ => Expr::var(format!("a{i}"), ty),
+                        })
+                        .collect();
+                    let legal = |d: &&InstDef| {
+                        d.sem == sem
+                            && d.widths.contains(&width)
+                            && !matches!(
+                                (d.sign, signed),
+                                (SignReq::Signed, false) | (SignReq::Unsigned, true)
+                            )
+                            && d.needs_const.iter().all(|&i| consts >> i & 1 == 1)
+                    };
+                    let want = t.defs().iter().filter(legal).min_by_key(|d| d.cost);
+                    let got = find_usable(t, sem, width, signed, &args);
+                    let what = format!("{isa} {sem:?} on {elem}, constant operands {consts:#b}");
+                    assert_eq!(got.map(|d| d.op), want.map(|d| d.op), "{what}");
+                    let cheapest = want.map_or(0, |w| {
+                        t.defs().iter().filter(legal).filter(|d| d.cost == w.cost).count()
+                    });
+                    ties += usize::from(cheapest > 1);
+                    cases += 1;
+                }
+            }
+            let alias = t.defs().iter().find(|d| d.sem == MachSem::Reinterpret).map(|d| d.op);
+            let indexed = t.defs_with_sem(MachSem::Reinterpret).next().map(|d| d.op);
+            assert!(alias.is_some(), "{isa} has no reinterpret alias");
+            assert_eq!(indexed, alias, "{isa}: the reinterpret alias");
+        }
+        assert!(ties > 0, "no cost tie among {cases} cases: the tie-break goes unchecked");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   loop compiled; each of its sources names an input slot, a pool
 //!   constant or a row directly, and it writes one row. The hot loop
 //!   never touches the [`Target`] again;
-//! * **shared constants** — splats are materialized once into a constant
+//! * **shared constants** — splats are interned once into a constant
 //!   pool owned by the executable and shared by every invocation (the
 //!   cycle model already treats them as loop-invariant and free);
 //! * **liveness + one typed row file** — a linear scan over last uses
@@ -35,7 +35,7 @@
 //!   the run loop performs **zero heap allocation** in steady state, and
 //!   the result stays in its row until the next run overwrites it;
 //! * **lanes at their own width** — every row, recycled input buffer and
-//!   pool constant holds its lanes at its element type's width
+//!   run-width splat holds its lanes at its element type's width
 //!   ([`Lanes`]): a `u8` lane is one byte. Each step is one call into a
 //!   strip loop built for exactly its storage types — a REFERENCE link
 //!   makes every program instruction a one-step kernel, a FAST link fuses
@@ -51,8 +51,8 @@
 //!   A tiled image run makes one call per row segment, so each step's
 //!   fixed cost (the indirect call, the storage matches, the loop
 //!   prologue) is paid once per up to [`RUN_LANES`] lanes instead of once
-//!   per declared vector. The linked pool keeps the declared width; the
-//!   context materializes its splats at the run width.
+//!   per declared vector. The linked pool holds each constant as its type
+//!   and value; the context materializes its splats at the run width.
 //!
 //! The linked engine is differentially gated against the reference
 //! engine everywhere [`crate::difftest`] runs: on every environment the
@@ -232,11 +232,11 @@ pub struct InputSlot {
 ///   and cloning the executable shares it;
 /// * the flat arrays the spans address hold plain data: `srcs` and `tys`
 ///   (step sources and their element types);
-/// * the **splat constant pool** (`consts`, [`Lanes`] at each constant's
-///   own width and the declared lane count) is materialized once at link
-///   time and only ever read afterwards: a run reads each entry's type
-///   and value and takes its lanes at the run width from its own
-///   context, so concurrent invocations share the pool without locks;
+/// * the **splat constant pool** (`consts`, each entry a constant's
+///   declared type and lane value) is interned once at link time and only
+///   ever read afterwards: a run takes each entry's lanes at the run
+///   width from its own context, so concurrent invocations share the pool
+///   without locks;
 /// * `inputs` is owned, never-mutated `String` data.
 ///
 /// All *mutable* execution state lives in the per-thread [`ExecCtx`]
@@ -249,7 +249,8 @@ pub struct InputSlot {
 pub struct Executable {
     pub(crate) isa: Isa,
     pub(crate) inputs: Vec<InputSlot>,
-    pub(crate) consts: Vec<Lanes>,
+    /// The splat pool: each constant's declared type and lane value.
+    pub(crate) consts: Vec<(VectorType, i128)>,
     /// The tape: every kernel's steps in evaluation order.
     pub(crate) steps: Vec<FStep>,
     /// Sources of steps, addressed by [`FStep::srcs`], and the element
@@ -338,10 +339,9 @@ impl ExecCtx {
 
     /// Point `pool` at a splat of each of `consts`' values, at least `n`
     /// lanes long.
-    fn bind_pool(&mut self, consts: &[Lanes], n: usize) {
+    fn bind_pool(&mut self, consts: &[(VectorType, i128)], n: usize) {
         self.pool.clear();
-        for c in consts {
-            let (elem, v) = (c.elem(), c.get(0));
+        for &(VectorType { elem, .. }, v) in consts {
             let i = match self.splats.iter().position(|(x, l)| *x == v && l.elem() == elem) {
                 Some(i) => i,
                 None => {
@@ -379,7 +379,7 @@ impl PassObserver for () {
 }
 
 /// The vector type of `lanes`.
-pub(crate) fn lanes_ty(lanes: &Slice<'_>) -> VectorType {
+fn lanes_ty(lanes: &Slice<'_>) -> VectorType {
     VectorType::new(lanes.elem(), lanes.len() as u32)
 }
 
@@ -419,8 +419,8 @@ impl Executable {
     /// opcodes to semantics, splats to a constant pool, and virtual
     /// registers to rows of a small physical register file, through
     /// [`crate::fuse`]'s pipeline. [`crate::fuse::ExecConfig::FAST`]
-    /// first cleans the program's def-use graph up (copy propagation,
-    /// constant folding, dead-write elimination) and fuses it into
+    /// first cleans the program's def-use graph up (constant folding,
+    /// dead-write elimination) and fuses it into
     /// superinstructions; [`crate::fuse::ExecConfig::REFERENCE`] makes
     /// every instruction a one-step kernel. The two are bit-identical on
     /// every environment — gated by difftest, the fused proptests, and
@@ -647,7 +647,7 @@ impl Executable {
     fn linked_lanes(&self) -> usize {
         match (self.steps.last(), self.output) {
             (Some(step), _) => step.ty.lanes as usize,
-            (None, FSrc::Const(c)) => self.consts[c as usize].len(),
+            (None, FSrc::Const(c)) => self.consts[c as usize].0.lanes as usize,
             (None, FSrc::In(s)) => self.inputs[s as usize].ty.lanes as usize,
             (None, FSrc::Row(_)) => unreachable!("an output row no step writes"),
         }
@@ -755,8 +755,8 @@ impl Executable {
         for (i, s) in self.inputs.iter().enumerate() {
             let _ = writeln!(out, "in        s{i}.{}, [{}]", s.ty, s.name);
         }
-        for (i, c) in self.consts.iter().enumerate() {
-            let _ = writeln!(out, "const     c{i}.{}, #{}", lanes_ty(&c.as_slice()), c.get(0));
+        for (i, (ty, v)) in self.consts.iter().enumerate() {
+            let _ = writeln!(out, "const     c{i}.{ty}, #{v}");
         }
         for kernel in self.kernels() {
             let srcs = self

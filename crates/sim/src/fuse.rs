@@ -11,7 +11,7 @@
 //! context's scratch rows at their own width, a single register write at
 //! the root. It builds its graph straight from the program and allocates
 //! registers once, for the fused code. [`ExecConfig::REFERENCE`] runs the
-//! same pipeline with stages 2–5 off: every instruction of the program,
+//! same pipeline with stages 2–4 off: every instruction of the program,
 //! dead or alive, becomes its own one-step kernel.
 //!
 //! The pipeline, in order:
@@ -26,26 +26,20 @@
 //!    one, so slot order, pool order and every link error before register
 //!    allocation are the same for both configurations. Without fusion the
 //!    graph stops here, every node live.
-//! 2. **Copy propagation** — single-operand wrap/saturate instructions
-//!    whose operand already has the result's exact [`VectorType`]
-//!    (`Reinterpret`, `ExtendTo`, `TruncTo`, `SatCastTo`, `Splat` at
-//!    their own type) are identities on canonical lanes — the `Value`
-//!    invariant — and are bypassed.
-//! 3. **Constant folding** — instructions whose operands are all splat
+//! 2. **Constant folding** — instructions whose operands are all pool
 //!    constants are evaluated once at link time through the reference
-//!    VM's evaluator, [`fpir_isa::eval_sem_into`], and interned
-//!    into the constant pool by `(type, lane)` through stage 1's map. A lane-wise
-//!    function of splats is a splat, so the pool's splat invariant is
-//!    preserved. A fold that would need a pool index past `u16::MAX` is
-//!    skipped and the instruction stays.
-//! 4. **Dead-write elimination** — nodes unreachable from the output
+//!    VM's evaluator, [`fpir_isa::eval_sem_into`]. A lane-wise function
+//!    of splats is a splat, so the result is interned into the pool as
+//!    its `(type, lane)` through stage 1's map. A fold that would need a
+//!    pool index past `u16::MAX` is skipped and the instruction stays.
+//! 3. **Dead-write elimination** — nodes unreachable from the output
 //!    are dropped. This is observationally safe because every lane
 //!    helper is a *total* function (`x / 0 == 0`, shifts wrap) and
 //!    stage 1 checks every instruction's shapes, dead or alive
 //!    ([`fpir_isa::check_shape`]), so a linked executable cannot raise
 //!    [`crate::vm::ExecError::Sem`] at run time: removing an instruction
 //!    can never remove an error.
-//! 5. **Fusion grouping** — each live node, in program order, grows a
+//! 4. **Fusion grouping** — each live node, in program order, grows a
 //!    group rooted at itself by absorbing the whole group of an earlier
 //!    producer once *every* live consumer of that producer is inside:
 //!    single-use chains (arith chains, widening-mul/acc ladders,
@@ -65,7 +59,7 @@
 //!    group. A group holds at most `MAX_STEPS` nodes, so every per-root
 //!    cost is bounded by a constant and the stage is linear in the
 //!    program.
-//! 6. **Emission and register allocation** — each surviving root
+//! 5. **Emission and register allocation** — each surviving root
 //!    becomes one kernel on the tape, its group's members as steps in
 //!    node order, each step one compiled strip loop. A member writes the
 //!    temp row of its index in the kernel; the root writes its register
@@ -105,13 +99,13 @@ use crate::vm::ExecError;
 use fpir::interp::Value;
 use fpir::types::{ScalarType, VectorType};
 use fpir::{Isa, MachOp};
-use fpir_isa::{check_shape, eval_sem_into, Lanes, MachSem, Target, MAX_ARITY};
+use fpir_isa::{check_shape, eval_sem_into, MachSem, Target, MAX_ARITY};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
 /// Which link runs: [`ExecConfig::FAST`] links through the
 /// whole pipeline (see the [module docs](self)), and
-/// [`ExecConfig::REFERENCE`] through stages 1 and 6 only, one kernel per
+/// [`ExecConfig::REFERENCE`] through stages 1 and 5 only, one kernel per
 /// program instruction. Outputs are bit-identical; only speed differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
@@ -162,7 +156,7 @@ struct Node {
 /// "No node": ends a group list and marks an unset stamp.
 const NONE: usize = usize::MAX;
 
-/// The program as a def-use graph after stages 1–4, carrying the input
+/// The program as a def-use graph after stages 1–3, carrying the input
 /// slots and the pool through to the executable.
 struct Graph {
     isa: Isa,
@@ -200,8 +194,8 @@ pub(crate) fn link(
 }
 
 impl Graph {
-    /// Stages 1–4: graph construction, then, when `fuse` is set, copy
-    /// propagation, constant folding and dead-write elimination.
+    /// Stages 1–3: graph construction, then, when `fuse` is set,
+    /// constant folding and dead-write elimination.
     ///
     /// # Errors
     ///
@@ -291,48 +285,24 @@ impl Graph {
             return Ok(Graph { isa: target.isa, inputs, consts, nodes, args, live, out_src });
         }
 
-        // ---- 2+3. copy propagation and constant folding -----------
-        // One in-order pass: operands resolve through earlier
-        // replacements, so cast-of-cast chains collapse and a cast of a
-        // constant folds.
-        let mut rep: Vec<Option<Src>> = vec![None; nodes.len()];
-        fn resolve(rep: &[Option<Src>], mut s: Src) -> Src {
-            while let Src::Node(j) = s {
-                match rep[j] {
-                    Some(r) => s = r,
-                    None => break,
-                }
+        // ---- 2. constant folding ----------------------------------
+        // One in-order pass: each folded node becomes a pool constant,
+        // so its consumers see a constant operand and may fold in turn.
+        let mut folded: Vec<Option<u16>> = vec![None; nodes.len()];
+        fn resolve(folded: &[Option<u16>], s: Src) -> Src {
+            match s {
+                Src::Node(j) => folded[j].map_or(s, Src::Const),
+                _ => s,
             }
-            s
         }
         let mut lanes: Vec<i128> = Vec::new();
         // A fold's operands as `Value`s, on recycled buffers.
         let mut fold_args: Vec<Value> = Vec::new();
         let mut fold_bufs: Vec<Vec<i128>> = Vec::new();
-        for i in 0..nodes.len() {
-            let node = &nodes[i];
+        for (i, node) in nodes.iter().enumerate() {
             let a = &mut args[node.args.range()];
             for s in a.iter_mut() {
-                *s = resolve(&rep, *s);
-            }
-            let src_ty = |s: Src| match s {
-                Src::Node(j) => nodes[j].ty,
-                Src::In(k) => inputs[k as usize].ty,
-                Src::Const(c) => consts[c as usize].0,
-            };
-            // Identity copies: a same-type wrap or saturate of a
-            // canonical value is the value (the `Value` lane invariant).
-            let copyish = matches!(
-                node.sem,
-                MachSem::ExtendTo
-                    | MachSem::TruncTo
-                    | MachSem::Reinterpret
-                    | MachSem::SatCastTo
-                    | MachSem::Splat
-            );
-            if copyish && a.len() == 1 && src_ty(a[0]) == node.ty {
-                rep[i] = Some(a[0]);
-                continue;
+                *s = resolve(&folded, *s);
             }
             // Fold all-constant operands through the engine's own
             // evaluator.
@@ -350,20 +320,18 @@ impl Graph {
                     *r = v;
                 }
                 // Lane-wise semantics on splats always yield a splat;
-                // checked anyway so a non-splat can never enter the pool.
+                // checked anyway, since the pool keeps one lane per entry.
                 eval_sem_into(node.sem, &refs[..a.len()], node.ty, &mut lanes)
                     .expect("stage 1 checked the shapes");
                 fold_bufs.extend(fold_args.drain(..).map(Value::into_lanes));
                 if lanes.iter().all(|&x| x == lanes[0]) {
-                    if let Ok(c) = intern_const(&mut consts, &mut const_of, node.ty, lanes[0]) {
-                        rep[i] = Some(Src::Const(c));
-                    }
+                    folded[i] = intern_const(&mut consts, &mut const_of, node.ty, lanes[0]).ok();
                 }
             }
         }
-        out_src = resolve(&rep, out_src);
+        out_src = resolve(&folded, out_src);
 
-        // ---- 4. dead-write elimination (reachability) -------------
+        // ---- 3. dead-write elimination (reachability) -------------
         // Operands always name earlier nodes, so one backward sweep
         // marks everything the output reaches.
         let mut live = vec![false; nodes.len()];
@@ -406,7 +374,7 @@ impl Graph {
 }
 
 /// A link's code as it is built, the flat arrays of an [`Executable`]:
-/// stage 6's output.
+/// stage 5's output.
 #[derive(Default)]
 struct Emitted {
     steps: Vec<FStep>,
@@ -452,7 +420,7 @@ impl Emitted {
 
     /// Drop the pool entries nothing references any more (folding may
     /// have appended, baking may have orphaned) and assemble the
-    /// executable, each pool constant materialized at its own width.
+    /// executable.
     fn assemble(mut self, graph: Graph, mut output: FSrc, out_elem: ScalarType) -> Executable {
         let Graph { isa, inputs, mut consts, .. } = graph;
         let mut used = vec![false; consts.len()];
@@ -480,13 +448,11 @@ impl Emitted {
             }
         }
         let Emitted { steps, srcs, tys, phys_regs } = self;
-        let consts =
-            consts.iter().map(|&(ty, v)| Lanes::splat(ty.elem, v, ty.lanes as usize)).collect();
         Executable { isa, inputs, consts, steps, srcs, tys, phys_regs, output, out_elem }
     }
 }
 
-/// Stage 5's result: every group as an intrusive list headed by its
+/// Stage 4's result: every group as an intrusive list headed by its
 /// root.
 struct Groups {
     /// The root of the group holding each node; a node heads its own
@@ -504,7 +470,7 @@ impl Groups {
     }
 }
 
-/// Worklist state of stage 5. The per-group fields are stamped with the
+/// Worklist state of stage 4. The per-group fields are stamped with the
 /// root being grown, so nothing is cleared between roots.
 struct Grouper<'a> {
     graph: &'a Graph,
@@ -624,7 +590,7 @@ pub(crate) fn reg_row(r: u16) -> u32 {
     MAX_STEPS as u32 + u32::from(r)
 }
 
-/// Stage 6: emit each root's kernel onto the tape, allocating registers
+/// Stage 5: emit each root's kernel onto the tape, allocating registers
 /// by linear scan.
 fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
     let nodes = &graph.nodes;
@@ -738,7 +704,7 @@ fn emit(graph: Graph, groups: &Groups) -> Result<Executable, ExecError> {
 }
 
 /// Intern a splat into the pool, deduplicating by type and lane value:
-/// stage 1's splats and stage 3's folds share one `index`. Fails when a
+/// stage 1's splats and stage 2's folds share one `index`. Fails when a
 /// new entry would not fit a 16-bit pool index; a fold then stays an
 /// instruction.
 fn intern_const(
@@ -772,7 +738,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The reference stages 5–6: for every node, each round rescans
+    /// The reference stages 4–5: for every node, each round rescans
     /// every earlier node and tests membership with `contains`, until a
     /// round absorbs nothing (quadratic); emission recomputes each
     /// group's external operands per root and finds temp rows with

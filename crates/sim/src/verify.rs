@@ -22,8 +22,6 @@
 //!   program order and the positions of the register-writing steps
 //!   strictly increase, so blame reports (`pos`, `reg`) point at real,
 //!   ordered program points;
-//! * **`const-pool`** — every pool entry is a genuine splat (all lanes
-//!   equal), matching what linking is allowed to materialize;
 //! * **`sem-table`** — each step's resolved [`fpir_isa::MachSem`] agrees
 //!   with what the ISA's table currently maps its opcode to;
 //! * **`sem-signature`** — each step's operands pass
@@ -52,7 +50,7 @@
 //! at the artifact boundary, with a named check and a program position,
 //! not as a scrambled image three layers up.
 
-use crate::exec::{lanes_ty, src_name, Executable, FSrc, MAX_STEPS};
+use crate::exec::{src_name, Executable, FSrc, MAX_STEPS};
 use fpir::types::{ScalarType, VectorType};
 use std::collections::HashSet;
 use std::fmt;
@@ -70,8 +68,6 @@ pub enum ArtifactCheck {
     OperandIndex,
     /// Input slots or kernel positions out of program order.
     SlotOrder,
-    /// A constant-pool entry that is not a splat.
-    ConstPool,
     /// A step's semantics disagree with the ISA table.
     SemTable,
     /// Operand shape the semantics would reject at run time.
@@ -88,7 +84,6 @@ impl ArtifactCheck {
             ArtifactCheck::DstAliasing => "dst-aliasing",
             ArtifactCheck::OperandIndex => "operand-index",
             ArtifactCheck::SlotOrder => "slot-order",
-            ArtifactCheck::ConstPool => "const-pool",
             ArtifactCheck::SemTable => "sem-table",
             ArtifactCheck::SemSignature => "sem-signature",
             ArtifactCheck::FusedShape => "fused-shape",
@@ -138,14 +133,6 @@ fn err(check: ArtifactCheck, pos: Option<usize>, detail: String) -> ArtifactErro
 /// The first violation in check-then-program order.
 pub fn verify_executable(exe: &Executable) -> Result<(), ArtifactError> {
     use ArtifactCheck as C;
-
-    // Constant pool: splats only (that is all linking materializes, and
-    // the cycle model prices them as loop-invariant and free).
-    for (i, c) in exe.consts.iter().enumerate() {
-        if c.is_empty() || (0..c.len()).any(|k| c.get(k) != c.get(0)) {
-            return Err(err(C::ConstPool, None, format!("constant c{i} is not a splat: {c:?}")));
-        }
-    }
 
     // Slot/blame order: inputs in strictly increasing first-load
     // position, no duplicate names, kernels in strictly increasing
@@ -358,7 +345,7 @@ fn source_ty(
                     format!("constant c{c} out of range ({} entries)", exe.consts.len()),
                 )
             }
-            Some(l) => lanes_ty(&l.as_slice()),
+            Some(&(ty, _)) => ty,
         },
         (FSrc::Row(t), None) => match temps.get(t as usize) {
             None => {
@@ -499,16 +486,6 @@ mod tests {
         exe.inputs.swap(0, 1);
         // Swapping breaks first-load order but leaves indices valid.
         assert_flags(&exe, "slot-order");
-    }
-
-    #[test]
-    fn corrupt_pool_entry_fails_const_pool() {
-        let mut exe = sample();
-        assert!(!exe.consts.is_empty(), "sample has a splat constant");
-        let c = &mut exe.consts[0];
-        let v = c.get(0);
-        c.set(0, v.wrapping_add(1) & 0x7f);
-        assert_flags(&exe, "const-pool");
     }
 
     /// Claim a step computes something other than what the table says

@@ -4,39 +4,35 @@
 //! figure, extra and unrolled workload is compiled for every ISA by every
 //! selector (LLVM-like baseline, Rake where it has a backend, Pitchfork
 //! with the figures' leave-one-out rules and with the full rule set the
-//! service serves) and run on every engine: the strip-by-strip reference
-//! runner, the plain linked executable, and the fused executable the
-//! driver ships, at one worker and at several. Both link shapes also pass
-//! the static artifact verifier, which a release `link` skips.
+//! service serves) and run on both link shapes through the tiled runner:
+//! the plain linked executable, and the fused executable that
+//! `compile_to_executable` ships, at one worker and at several. Both link
+//! shapes also pass the static artifact verifier, which a release `link`
+//! skips.
 
 use fpir::machine::ALL_ISAS;
 use fpir::Isa;
 use fpir_bench::{rake_supports, run, Compiler};
-use fpir_halide::runner::{run_program_reference, run_tiled_exe};
+use fpir_halide::runner::run_tiled_exe;
 use fpir_halide::{Image, Pipeline};
 use fpir_isa::target;
-use fpir_sim::{emit, verify_executable, ExecConfig, Executable, Program};
+use fpir_sim::{verify_executable, ExecConfig, Executable};
 use fpir_workloads::{all_workloads, extra_workloads, unrolled_workloads, workload, Workload};
-use pitchfork::Pitchfork;
+use pitchfork::{compile_to_executable, Pitchfork};
 use std::collections::BTreeMap;
 
-fn compile(pipeline: &Pipeline, isa: Isa) -> Program {
-    let compiled = Pitchfork::new(isa)
-        .compile(&pipeline.expr)
-        .unwrap_or_else(|e| panic!("{}: {e}", pipeline.name));
-    emit(&compiled.lowered, target(isa)).expect("emits")
-}
-
-/// Run a compiled pipeline over images through the reference VM runner.
+/// Compile a pipeline to the artifact `compile_to_executable` ships and
+/// run it over images through the tiled runner.
 fn run_compiled(pipeline: &Pipeline, inputs: &BTreeMap<String, Image>, isa: Isa) -> Image {
-    let program = compile(pipeline, isa);
-    run_program_reference(pipeline, &program, target(isa), inputs).expect("runs")
+    let art = compile_to_executable(&Pitchfork::new(isa), &pipeline.expr)
+        .unwrap_or_else(|e| panic!("{}: {e}", pipeline.name));
+    run_tiled_exe(pipeline, &art.exe, inputs, 1).expect("runs")
 }
 
 /// The image gate for one workload: on every ISA × selector, the fused
 /// artifact and the plain link of its program verify statically, and the
-/// reference runner, the plain link at one worker and the fused artifact
-/// at one and three workers all equal the interpreter's image, on
+/// plain link at one worker and the fused artifact at one and three
+/// workers all equal the interpreter's image, on
 /// 256×4 images and on 300×3 ones, whose rows are not a whole number of
 /// the pipeline's vectors.
 fn check_workload(wl: &Workload, seed: u64) {
@@ -64,10 +60,6 @@ fn check_images(wl: &Workload, inputs: &BTreeMap<String, Image>, size: &str) {
                 verify_executable(exe).unwrap_or_else(|e| panic!("{row} {shape}: {e}"));
             }
             let images = [
-                (
-                    "reference runner",
-                    run_program_reference(&wl.pipeline, &art.program, tgt, inputs),
-                ),
                 ("linked(1)", run_tiled_exe(&wl.pipeline, &linked, inputs, 1)),
                 ("fused(1)", run_tiled_exe(&wl.pipeline, &art.exe, inputs, 1)),
                 ("fused(3)", run_tiled_exe(&wl.pipeline, &art.exe, inputs, 3)),
