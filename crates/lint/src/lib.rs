@@ -50,7 +50,6 @@ pub mod diagnostic;
 pub mod indexcheck;
 pub mod predicates;
 pub mod shadowing;
-pub mod skeleton;
 pub mod soundness;
 pub mod termination;
 

@@ -17,7 +17,7 @@
 
 use crate::diagnostic::{Analysis, Diagnostic, Severity};
 use fpir_trs::pattern::MAX_WILDS;
-use fpir_trs::rule::{collect_const_wilds, collect_type_vars, Rule, RuleSet};
+use fpir_trs::rule::{collect_const_wilds, collect_type_vars, first_uses, Rule, RuleSet};
 use fpir_trs::{Pat, Predicate, Template, TyRef};
 
 /// Run the predicate analysis over one rule set.
@@ -115,9 +115,7 @@ fn check_rule(rule: &Rule, ruleset: &str, out: &mut Vec<Diagnostic>) {
     }
 
     // --- template references resolve --------------------------------------
-    let mut t_exprs = Vec::new();
-    collect_template_refs(&rule.rhs, &mut t_exprs);
-    for id in t_exprs {
+    for id in collect_template_refs(&rule.rhs) {
         if id as usize >= MAX_WILDS {
             diag(
                 "PRED001",
@@ -230,30 +228,10 @@ fn contradicts(a: &Predicate, b: &Predicate) -> Option<String> {
 
 /// The expression-wildcard ids bound by a pattern.
 fn collect_expr_wilds(pat: &Pat) -> Vec<u8> {
-    let mut out = Vec::new();
-    fn walk(p: &Pat, out: &mut Vec<u8>) {
-        match p {
-            Pat::Wild { id, .. } => {
-                if !out.contains(id) {
-                    out.push(*id);
-                }
-            }
-            Pat::ConstWild { .. } | Pat::Lit(..) => {}
-            Pat::Bin(_, a, b) | Pat::Cmp(_, a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Pat::Select(a, b, c) => {
-                walk(a, out);
-                walk(b, out);
-                walk(c, out);
-            }
-            Pat::Cast(_, a) | Pat::Reinterpret(_, a) | Pat::SatCast(_, a) => walk(a, out),
-            Pat::Fpir(_, args) | Pat::Mach(_, args) => args.iter().for_each(|a| walk(a, out)),
-        }
-    }
-    walk(pat, &mut out);
-    out
+    first_uses(pat.subterms().filter_map(|p| match p {
+        Pat::Wild { id, .. } => Some(*id),
+        _ => None,
+    }))
 }
 
 /// Is `All([])` present anywhere in the predicate tree?
@@ -264,45 +242,18 @@ fn has_empty_all(p: &Predicate) -> bool {
     }
 }
 
-fn tyref_var(t: &TyRef, exprs: &mut Vec<u8>) {
-    match t {
-        TyRef::OfWild(i)
-        | TyRef::WidenOfWild(i)
-        | TyRef::NarrowOfWild(i)
-        | TyRef::WidenSignedOfWild(i)
-        | TyRef::NarrowUnsignedOfWild(i) => exprs.push(*i),
-        TyRef::Exact(_) => {}
+/// Every wildcard a template reads, in pre-order: a node's own
+/// reference (a substituted or constant wildcard, then its type's
+/// wildcard) before its operands'.
+fn collect_template_refs(t: &Template) -> Vec<u8> {
+    let mut refs = Vec::new();
+    for node in t.subterms() {
+        if let Template::Wild(i) | Template::Const { of: i, .. } = node {
+            refs.push(*i);
+        }
+        refs.extend(node.ty_ref().and_then(TyRef::wild));
     }
-}
-
-/// Every wildcard a template reads.
-fn collect_template_refs(t: &Template, exprs: &mut Vec<u8>) {
-    match t {
-        Template::Wild(i) => exprs.push(*i),
-        Template::Const { of, ty, .. } => {
-            exprs.push(*of);
-            tyref_var(ty, exprs);
-        }
-        Template::Lit { ty, .. } => tyref_var(ty, exprs),
-        Template::Bin(_, a, b) | Template::Cmp(_, a, b) => {
-            collect_template_refs(a, exprs);
-            collect_template_refs(b, exprs);
-        }
-        Template::Select(a, b, c) => {
-            collect_template_refs(a, exprs);
-            collect_template_refs(b, exprs);
-            collect_template_refs(c, exprs);
-        }
-        Template::Cast(ty, a) | Template::Reinterpret(ty, a) | Template::SatCast(ty, a) => {
-            tyref_var(ty, exprs);
-            collect_template_refs(a, exprs);
-        }
-        Template::Fpir(_, args) => args.iter().for_each(|a| collect_template_refs(a, exprs)),
-        Template::Mach { ty, args, .. } => {
-            tyref_var(ty, exprs);
-            args.iter().for_each(|a| collect_template_refs(a, exprs));
-        }
-    }
+    refs
 }
 
 #[cfg(test)]

@@ -237,22 +237,7 @@ pub fn generalize_pair(
 }
 
 fn template_uses_log2(t: &Template, id: u8) -> bool {
-    match t {
-        Template::Const { f: CFn::Log2, of, .. } => *of == id,
-        Template::Bin(_, a, b) | Template::Cmp(_, a, b) => {
-            template_uses_log2(a, id) || template_uses_log2(b, id)
-        }
-        Template::Select(a, b, c) => {
-            template_uses_log2(a, id) || template_uses_log2(b, id) || template_uses_log2(c, id)
-        }
-        Template::Cast(_, a) | Template::Reinterpret(_, a) | Template::SatCast(_, a) => {
-            template_uses_log2(a, id)
-        }
-        Template::Fpir(_, args) | Template::Mach { args, .. } => {
-            args.iter().any(|a| template_uses_log2(a, id))
-        }
-        _ => false,
-    }
+    t.subterms().any(|t| matches!(t, Template::Const { f: CFn::Log2, of, .. } if *of == id))
 }
 
 /// Binary search the largest valid interval of constant `id` around the

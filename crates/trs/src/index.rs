@@ -24,6 +24,7 @@
 
 use crate::pattern::Pat;
 use crate::rule::RuleSet;
+use crate::template::Template;
 use fpir::expr::{BinOp, CmpOp, Expr, ExprKind, FpirOp, RcExpr};
 use fpir::identity::FnvMap;
 use fpir::Isa;
@@ -87,6 +88,35 @@ impl OpKey {
             Pat::Mach(op, _) => Some(OpKey::Mach(op.isa, op.code)),
         }
     }
+
+    /// The key of the node a template builds, or `None` for a wildcard
+    /// substitution or a constant.
+    pub fn of_template(t: &Template) -> Option<OpKey> {
+        match t {
+            Template::Wild(_) | Template::Const { .. } | Template::Lit { .. } => None,
+            Template::Bin(op, ..) => Some(OpKey::Bin(*op)),
+            Template::Cmp(op, ..) => Some(OpKey::Cmp(*op)),
+            Template::Select(..) => Some(OpKey::Select),
+            Template::Cast(..) => Some(OpKey::Cast),
+            Template::Reinterpret(..) => Some(OpKey::Reinterpret),
+            Template::SatCast(..) | Template::Fpir(FpirOp::SaturatingCast(_), _) => {
+                Some(OpKey::SatCast)
+            }
+            Template::Fpir(op, _) => Some(OpKey::Fpir(*op)),
+            Template::Mach { op, .. } => Some(OpKey::Mach(op.isa, op.code)),
+        }
+    }
+
+    /// Whether the matcher also tries a two-operand node of this head
+    /// with its operands swapped: commutative primitive operators and
+    /// two-operand commutative FPIR instructions.
+    pub fn is_commutative(self) -> bool {
+        match self {
+            OpKey::Bin(op) => op.is_commutative(),
+            OpKey::Fpir(op) => op.is_commutative() && op.arity() == 2,
+            _ => false,
+        }
+    }
 }
 
 /// A conservative requirement on one operand's root, derived from the
@@ -136,42 +166,23 @@ impl ChildReq {
 enum ChildFilter {
     /// Nothing to check (wildcard root, or every operand is `Any`).
     Trivial,
-    /// A two-operand root; the flag is whether matching also tries the
-    /// swapped operand order.
-    Pair([ChildReq; 2], bool),
-    /// An ordered operand list (selects, FPIR/machine calls, casts).
+    /// A two-operand commutative root, which matching also tries with
+    /// its operands swapped.
+    Pair([ChildReq; 2]),
+    /// An ordered operand list.
     Seq(Vec<ChildReq>),
 }
 
 impl ChildFilter {
     fn of_rule(lhs: &Pat) -> ChildFilter {
-        let filter = match lhs {
-            Pat::Bin(op, a, b) => {
-                ChildFilter::Pair([ChildReq::of_pat(a), ChildReq::of_pat(b)], op.is_commutative())
-            }
-            Pat::Cmp(_, a, b) => {
-                ChildFilter::Pair([ChildReq::of_pat(a), ChildReq::of_pat(b)], false)
-            }
-            Pat::Fpir(op, pats) if op.is_commutative() && pats.len() == 2 => {
-                ChildFilter::Pair([ChildReq::of_pat(&pats[0]), ChildReq::of_pat(&pats[1])], true)
-            }
-            Pat::Fpir(_, pats) | Pat::Mach(_, pats) => {
-                ChildFilter::Seq(pats.iter().map(ChildReq::of_pat).collect())
-            }
-            Pat::Select(c, t, f) => ChildFilter::Seq(vec![
-                ChildReq::of_pat(c),
-                ChildReq::of_pat(t),
-                ChildReq::of_pat(f),
-            ]),
-            Pat::Cast(_, inner) | Pat::Reinterpret(_, inner) | Pat::SatCast(_, inner) => {
-                ChildFilter::Seq(vec![ChildReq::of_pat(inner)])
-            }
-            Pat::Wild { .. } | Pat::ConstWild { .. } | Pat::Lit(..) => ChildFilter::Trivial,
-        };
-        if filter.reqs().iter().all(|r| *r == ChildReq::Any) {
+        let reqs: Vec<ChildReq> =
+            (0..lhs.arity()).map(|i| ChildReq::of_pat(lhs.child(i))).collect();
+        if reqs.iter().all(|r| *r == ChildReq::Any) {
             ChildFilter::Trivial
+        } else if reqs.len() == 2 && OpKey::of_pat(lhs).is_some_and(OpKey::is_commutative) {
+            ChildFilter::Pair([reqs[0], reqs[1]])
         } else {
-            filter
+            ChildFilter::Seq(reqs)
         }
     }
 
@@ -179,7 +190,7 @@ impl ChildFilter {
     fn reqs(&self) -> &[ChildReq] {
         match self {
             ChildFilter::Trivial => &[],
-            ChildFilter::Pair(reqs, _) => reqs,
+            ChildFilter::Pair(reqs) => reqs,
             ChildFilter::Seq(reqs) => reqs,
         }
     }
@@ -187,12 +198,12 @@ impl ChildFilter {
     fn admits(&self, e: &RcExpr) -> bool {
         match self {
             ChildFilter::Trivial => true,
-            ChildFilter::Pair([ra, rb], swappable) => {
+            ChildFilter::Pair([ra, rb]) => {
                 if e.arity() != 2 {
                     return false;
                 }
                 let (a, b) = (e.child(0), e.child(1));
-                (ra.admits(a) && rb.admits(b)) || (*swappable && ra.admits(b) && rb.admits(a))
+                (ra.admits(a) && rb.admits(b)) || (ra.admits(b) && rb.admits(a))
             }
             ChildFilter::Seq(reqs) => {
                 reqs.len() == e.arity()
@@ -321,7 +332,7 @@ impl Arena {
                 arity[reqs.len()] = at as u32;
             }
             set(&mut self.words, &mut arity[reqs.len()], j);
-            if let ChildFilter::Pair(_, true) = f {
+            if let ChildFilter::Pair(_) = f {
                 set(&mut self.words, &mut swap, j);
             }
             for (p, req) in reqs.iter().enumerate() {
@@ -559,7 +570,6 @@ mod tests {
     use super::*;
     use crate::dsl::*;
     use crate::rule::{Rule, RuleClass};
-    use crate::template::Template;
     use fpir::build;
     use fpir::types::{ScalarType as S, VectorType as V};
 

@@ -55,6 +55,22 @@ pub enum TypePat {
 }
 
 impl TypePat {
+    /// The type variable the constraint binds or reads, if any.
+    pub fn var(self) -> Option<u8> {
+        match self {
+            TypePat::Any | TypePat::Exact(_) => None,
+            TypePat::Var(i)
+            | TypePat::WidenOf(i)
+            | TypePat::Widen2Of(i)
+            | TypePat::NarrowOf(i)
+            | TypePat::SameWidthAs(i)
+            | TypePat::WidenSignedOf(i)
+            | TypePat::NarrowUnsignedOf(i)
+            | TypePat::AnyUnsigned(i)
+            | TypePat::AnySigned(i) => Some(i),
+        }
+    }
+
     /// Match `t` against the pattern, updating `b` on success.
     fn matches(self, t: ScalarType, b: &mut Bindings) -> bool {
         match self {
@@ -137,6 +153,67 @@ pub enum Pat {
     SatCast(TypePat, Box<Pat>),
     /// A machine instruction (used by peephole passes over lowered code).
     Mach(MachOp, Vec<Pat>),
+}
+
+impl Pat {
+    /// Number of operand patterns (0 for wildcards and constants).
+    pub fn arity(&self) -> usize {
+        match self {
+            Pat::Wild { .. } | Pat::ConstWild { .. } | Pat::Lit(..) => 0,
+            Pat::Cast(..) | Pat::Reinterpret(..) | Pat::SatCast(..) => 1,
+            Pat::Bin(..) | Pat::Cmp(..) => 2,
+            Pat::Select(..) => 3,
+            Pat::Fpir(_, args) | Pat::Mach(_, args) => args.len(),
+        }
+    }
+
+    /// The `i`-th operand pattern, in operand order.
+    ///
+    /// # Panics
+    ///
+    /// If `i >= self.arity()`.
+    pub fn child(&self, i: usize) -> &Pat {
+        match (self, i) {
+            (
+                Pat::Bin(_, a, _)
+                | Pat::Cmp(_, a, _)
+                | Pat::Select(a, _, _)
+                | Pat::Cast(_, a)
+                | Pat::Reinterpret(_, a)
+                | Pat::SatCast(_, a),
+                0,
+            ) => a,
+            (Pat::Bin(_, _, b) | Pat::Cmp(_, _, b) | Pat::Select(_, b, _), 1) => b,
+            (Pat::Select(_, _, c), 2) => c,
+            (Pat::Fpir(_, args) | Pat::Mach(_, args), i) => &args[i],
+            _ => panic!("child index {i} out of range"),
+        }
+    }
+
+    /// This node's own type constraint: a leaf's type, or a cast-like
+    /// node's target type.
+    pub fn type_pat(&self) -> Option<TypePat> {
+        match self {
+            Pat::Wild { ty, .. }
+            | Pat::ConstWild { ty, .. }
+            | Pat::Lit(_, ty)
+            | Pat::Cast(ty, _)
+            | Pat::Reinterpret(ty, _)
+            | Pat::SatCast(ty, _) => Some(*ty),
+            Pat::Bin(..) | Pat::Cmp(..) | Pat::Select(..) | Pat::Fpir(..) | Pat::Mach(..) => None,
+        }
+    }
+
+    /// This node and every node below it, in pre-order with operands in
+    /// operand order.
+    pub fn subterms(&self) -> impl Iterator<Item = &Pat> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || {
+            let p = stack.pop()?;
+            stack.extend((0..p.arity()).rev().map(|i| p.child(i)));
+            Some(p)
+        })
+    }
 }
 
 /// Wildcard and type-variable bindings produced by a successful match.
@@ -445,6 +522,44 @@ mod tests {
         let x = build::var("x", V::new(S::U16, 4));
         assert!(match_pat(&p, &build::add(x.clone(), build::splat(255, &x))).is_some());
         assert!(match_pat(&p, &build::add(x.clone(), build::splat(254, &x))).is_none());
+    }
+
+    /// One fixture per variant whose operands are `x0, x1, ...` in order:
+    /// the walk reports them through `arity`/`child` and `subterms`, and
+    /// the node's own type through `type_pat`.
+    #[test]
+    fn walk_visits_every_variants_operands_in_order() {
+        use fpir::{BinOp, CmpOp, Isa, MachOp};
+        let ty = TypePat::Var(3);
+        let xs = |n: u8| (0..n).map(wild).collect::<Vec<_>>();
+        let x = |i| Box::new(wild(i));
+        let mach = MachOp { isa: Isa::ArmNeon, code: 0, name: "op" };
+        let cases = [
+            (wild_t(7, ty), 0, Some(ty)),
+            (cwild_t(7, ty), 0, Some(ty)),
+            (lit_t(3, ty), 0, Some(ty)),
+            (Pat::Bin(BinOp::Sub, x(0), x(1)), 2, None),
+            (Pat::Cmp(CmpOp::Lt, x(0), x(1)), 2, None),
+            (Pat::Select(x(0), x(1), x(2)), 3, None),
+            (Pat::Cast(ty, x(0)), 1, Some(ty)),
+            (Pat::Reinterpret(ty, x(0)), 1, Some(ty)),
+            (Pat::Fpir(FpirOp::MulShr, xs(3)), 3, None),
+            (Pat::SatCast(ty, x(0)), 1, Some(ty)),
+            (Pat::Mach(mach, xs(4)), 4, None),
+        ];
+        for (p, n, own) in &cases {
+            assert_eq!(p.arity(), *n, "{p}");
+            let operands: Vec<Pat> = (0..p.arity()).map(|i| p.child(i).clone()).collect();
+            assert_eq!(operands, xs(*n as u8), "{p}");
+            let walked: Vec<&Pat> = p.subterms().collect();
+            assert_eq!(walked[0], p);
+            assert_eq!(walked[1..].iter().map(|q| (*q).clone()).collect::<Vec<_>>(), operands);
+            assert_eq!(p.type_pat(), *own, "{p}");
+        }
+        // Pre-order: a node's operands come right after it.
+        let nested = Pat::Select(Box::new(pat_add(wild(0), wild(1))), x(2), x(3));
+        let order: Vec<String> = nested.subterms().skip(1).map(|q| q.to_string()).collect();
+        assert_eq!(order, ["(x0 + x1)", "x0", "x1", "x2", "x3"]);
     }
 
     #[test]

@@ -383,85 +383,29 @@ fn instance_for_assignment(
     None
 }
 
-/// The constant-wildcard ids used in a pattern.
+/// The constant-wildcard ids used in a pattern, in first-use order.
 pub fn collect_const_wilds(pat: &Pat) -> Vec<u8> {
-    fn walk(p: &Pat, out: &mut Vec<u8>) {
-        match p {
-            Pat::ConstWild { id, .. } => {
-                if !out.contains(id) {
-                    out.push(*id);
-                }
-            }
-            Pat::Wild { .. } | Pat::Lit(..) => {}
-            Pat::Bin(_, a, b) | Pat::Cmp(_, a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Pat::Select(a, b, c) => {
-                walk(a, out);
-                walk(b, out);
-                walk(c, out);
-            }
-            Pat::Cast(_, a) | Pat::Reinterpret(_, a) | Pat::SatCast(_, a) => walk(a, out),
-            Pat::Fpir(_, args) | Pat::Mach(_, args) => {
-                for a in args {
-                    walk(a, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(pat, &mut out);
-    out
+    first_uses(pat.subterms().filter_map(|p| match p {
+        Pat::ConstWild { id, .. } => Some(*id),
+        _ => None,
+    }))
 }
 
 /// The type-variable ids referenced anywhere in a pattern, in first-use
 /// order (the instantiation search enumerates candidate types per id, and
 /// static analyses use it to bound wildcard indices).
 pub fn collect_type_vars(pat: &Pat) -> Vec<u8> {
-    fn ty_vars(t: &TypePat, out: &mut Vec<u8>) {
-        match t {
-            TypePat::Var(i)
-            | TypePat::WidenOf(i)
-            | TypePat::NarrowOf(i)
-            | TypePat::SameWidthAs(i)
-            | TypePat::Widen2Of(i)
-            | TypePat::WidenSignedOf(i)
-            | TypePat::NarrowUnsignedOf(i)
-            | TypePat::AnyUnsigned(i)
-            | TypePat::AnySigned(i) => {
-                if !out.contains(i) {
-                    out.push(*i);
-                }
-            }
-            TypePat::Any | TypePat::Exact(_) => {}
-        }
-    }
-    fn walk(p: &Pat, out: &mut Vec<u8>) {
-        match p {
-            Pat::Wild { ty, .. } | Pat::ConstWild { ty, .. } | Pat::Lit(_, ty) => ty_vars(ty, out),
-            Pat::Bin(_, a, b) | Pat::Cmp(_, a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Pat::Select(a, b, c) => {
-                walk(a, out);
-                walk(b, out);
-                walk(c, out);
-            }
-            Pat::Cast(ty, a) | Pat::Reinterpret(ty, a) | Pat::SatCast(ty, a) => {
-                ty_vars(ty, out);
-                walk(a, out);
-            }
-            Pat::Fpir(_, args) | Pat::Mach(_, args) => {
-                for a in args {
-                    walk(a, out);
-                }
-            }
-        }
-    }
+    first_uses(pat.subterms().filter_map(|p| p.type_pat()?.var()))
+}
+
+/// `ids` with repeats dropped, each kept at its first occurrence.
+pub fn first_uses(ids: impl IntoIterator<Item = u8>) -> Vec<u8> {
     let mut out = Vec::new();
-    walk(pat, &mut out);
+    for id in ids {
+        if !out.contains(&id) {
+            out.push(id);
+        }
+    }
     out
 }
 

@@ -31,6 +31,18 @@ pub enum TyRef {
 }
 
 impl TyRef {
+    /// The wildcard whose binding the type is derived from, if any.
+    pub fn wild(self) -> Option<u8> {
+        match self {
+            TyRef::OfWild(i)
+            | TyRef::WidenOfWild(i)
+            | TyRef::NarrowOfWild(i)
+            | TyRef::WidenSignedOfWild(i)
+            | TyRef::NarrowUnsignedOfWild(i) => Some(i),
+            TyRef::Exact(_) => None,
+        }
+    }
+
     /// Resolve to a concrete element type.
     pub fn resolve(self, b: &Bindings) -> Result<ScalarType, SubstError> {
         let of = |id: u8| b.expr(id).map(|e| e.elem()).ok_or(SubstError::UnboundWild(id));
@@ -136,6 +148,71 @@ pub enum Template {
         /// Operands.
         args: Vec<Template>,
     },
+}
+
+impl Template {
+    /// Number of operand templates (0 for wildcards and constants).
+    pub fn arity(&self) -> usize {
+        match self {
+            Template::Wild(_) | Template::Const { .. } | Template::Lit { .. } => 0,
+            Template::Cast(..) | Template::Reinterpret(..) | Template::SatCast(..) => 1,
+            Template::Bin(..) | Template::Cmp(..) => 2,
+            Template::Select(..) => 3,
+            Template::Fpir(_, args) | Template::Mach { args, .. } => args.len(),
+        }
+    }
+
+    /// The `i`-th operand template, in operand order.
+    ///
+    /// # Panics
+    ///
+    /// If `i >= self.arity()`.
+    pub fn child(&self, i: usize) -> &Template {
+        match (self, i) {
+            (
+                Template::Bin(_, a, _)
+                | Template::Cmp(_, a, _)
+                | Template::Select(a, _, _)
+                | Template::Cast(_, a)
+                | Template::Reinterpret(_, a)
+                | Template::SatCast(_, a),
+                0,
+            ) => a,
+            (Template::Bin(_, _, b) | Template::Cmp(_, _, b) | Template::Select(_, b, _), 1) => b,
+            (Template::Select(_, _, c), 2) => c,
+            (Template::Fpir(_, args) | Template::Mach { args, .. }, i) => &args[i],
+            _ => panic!("child index {i} out of range"),
+        }
+    }
+
+    /// This node's own type: a constant's type, or the result type of a
+    /// cast-like or machine node.
+    pub fn ty_ref(&self) -> Option<TyRef> {
+        match self {
+            Template::Const { ty, .. }
+            | Template::Lit { ty, .. }
+            | Template::Cast(ty, _)
+            | Template::Reinterpret(ty, _)
+            | Template::SatCast(ty, _)
+            | Template::Mach { ty, .. } => Some(*ty),
+            Template::Wild(_)
+            | Template::Bin(..)
+            | Template::Cmp(..)
+            | Template::Select(..)
+            | Template::Fpir(..) => None,
+        }
+    }
+
+    /// This node and every node below it, in pre-order with operands in
+    /// operand order.
+    pub fn subterms(&self) -> impl Iterator<Item = &Template> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || {
+            let t = stack.pop()?;
+            stack.extend((0..t.arity()).rev().map(|i| t.child(i)));
+            Some(t)
+        })
+    }
 }
 
 /// Substitution failure — indicates a mis-authored rule (the rewriter
@@ -328,6 +405,45 @@ mod tests {
     fn unbound_wildcard_fails() {
         let b = Bindings::new();
         assert_eq!(substitute(&Template::Wild(3), &b, 4), Err(SubstError::UnboundWild(3)));
+    }
+
+    /// One fixture per variant whose operands are `x0, x1, ...` in order:
+    /// the walk reports them through `arity`/`child` and `subterms`, and
+    /// the node's own type through `ty_ref`.
+    #[test]
+    fn walk_visits_every_variants_operands_in_order() {
+        use fpir::{Isa, MachOp};
+        let ty = TyRef::WidenOfWild(5);
+        let xs = |n: u8| (0..n).map(Template::Wild).collect::<Vec<_>>();
+        let x = |i| Box::new(Template::Wild(i));
+        let op = MachOp { isa: Isa::HexagonHvx, code: 0, name: "op" };
+        let cases = [
+            (Template::Wild(7), 0, None),
+            (Template::Const { f: CFn::Log2, of: 7, ty }, 0, Some(ty)),
+            (Template::Lit { value: 3, ty }, 0, Some(ty)),
+            (Template::Bin(BinOp::Sub, x(0), x(1)), 2, None),
+            (Template::Cmp(CmpOp::Lt, x(0), x(1)), 2, None),
+            (Template::Select(x(0), x(1), x(2)), 3, None),
+            (Template::Cast(ty, x(0)), 1, Some(ty)),
+            (Template::Reinterpret(ty, x(0)), 1, Some(ty)),
+            (Template::Fpir(FpirOp::MulShr, xs(3)), 3, None),
+            (Template::SatCast(ty, x(0)), 1, Some(ty)),
+            (Template::Mach { op, ty, args: xs(4) }, 4, Some(ty)),
+        ];
+        for (t, n, own) in &cases {
+            assert_eq!(t.arity(), *n, "{t}");
+            let operands: Vec<Template> = (0..t.arity()).map(|i| t.child(i).clone()).collect();
+            assert_eq!(operands, xs(*n as u8), "{t}");
+            let walked: Vec<&Template> = t.subterms().collect();
+            assert_eq!(walked[0], t);
+            assert_eq!(walked[1..].iter().map(|u| (*u).clone()).collect::<Vec<_>>(), operands);
+            assert_eq!(t.ty_ref(), *own, "{t}");
+        }
+        // Pre-order: a node's operands come right after it.
+        let sum = Template::Bin(BinOp::Add, x(0), x(1));
+        let nested = Template::Select(Box::new(sum), x(2), x(3));
+        let order: Vec<String> = nested.subterms().skip(1).map(|u| u.to_string()).collect();
+        assert_eq!(order, ["(x0 + x1)", "x0", "x1", "x2", "x3"]);
     }
 
     #[test]
