@@ -871,7 +871,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{attach_tag, ok_response, write_frame};
+    use crate::protocol::{ok_response, write_frame};
     use crate::server::serve_with;
     use crate::service::ServiceConfig;
     use std::sync::Condvar;
@@ -977,9 +977,12 @@ mod tests {
     fn an_oversized_reply_is_an_error_frame_on_a_live_connection() {
         let (ours, mut theirs) = UnixStream::pair().unwrap();
         let mut conn = Conn::new(Stream::Unix(ours), &ServeOptions::default());
-        let tagged = |mut v: Json, tag: i128| {
-            attach_tag(&mut v, &Json::Int(tag));
-            v
+        let tagged = |v: Json, tag: i128| match v {
+            Json::Object(mut members) => {
+                members.push(("tag".into(), Json::Int(tag)));
+                Json::Object(members)
+            }
+            other => panic!("a reply is an object: {other:?}"),
         };
         let huge = ok_response(vec![("x".into(), Json::str("a".repeat(MAX_FRAME)))]);
         conn.queue_reply(huge.render(), Some(&Json::Int(7)));

@@ -35,19 +35,6 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Build the key for compiling `expr` with `pf`.
-    pub fn for_compile(pf: &Pitchfork, expr: &RcExpr) -> CacheKey {
-        let cfg = pf.config();
-        CacheKey {
-            expr: expr.to_string(),
-            lanes: expr.ty().lanes,
-            isa: cfg.isa,
-            synthesized_rules: cfg.synthesized_rules,
-            leave_out: cfg.leave_out.clone(),
-            rules_fp: ruleset_fingerprint(pf),
-        }
-    }
-
     /// The key for compiling `spec`, whose expression parsed to `expr`,
     /// with a selector whose rule-set fingerprint is `rules_fp`.
     pub fn for_spec(spec: &CompileSpec, expr: &RcExpr, rules_fp: u64) -> CacheKey {
@@ -108,11 +95,24 @@ fn write_prefixed(h: &mut FnvHasher, bytes: &[u8]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fpir::build;
     use fpir::types::{ScalarType as S, VectorType as V};
     use pitchfork::Config;
+
+    /// The key a daemon computes for compiling `expr` under `cfg`.
+    pub(crate) fn key_for(cfg: &Config, expr: &RcExpr) -> CacheKey {
+        let spec = CompileSpec {
+            expr: expr.to_string(),
+            lanes: expr.ty().lanes,
+            isa: cfg.isa,
+            synthesized_rules: cfg.synthesized_rules,
+            leave_out: cfg.leave_out.clone(),
+            timeout_ms: None,
+        };
+        CacheKey::for_spec(&spec, expr, ruleset_fingerprint(&Pitchfork::with_config(cfg.clone())))
+    }
 
     fn sat_add(lanes: u32) -> RcExpr {
         let t = V::new(S::U8, lanes);
@@ -122,27 +122,21 @@ mod tests {
 
     #[test]
     fn structurally_equal_expressions_share_a_key() {
-        let pf = Pitchfork::new(Isa::ArmNeon);
-        let a = CacheKey::for_compile(&pf, &sat_add(16));
-        let b = CacheKey::for_compile(&pf, &sat_add(16));
+        let cfg = Config::new(Isa::ArmNeon);
+        let a = key_for(&cfg, &sat_add(16));
+        let b = key_for(&cfg, &sat_add(16));
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn every_config_axis_changes_the_key() {
-        let base = CacheKey::for_compile(&Pitchfork::new(Isa::ArmNeon), &sat_add(16));
+        let base = key_for(&Config::new(Isa::ArmNeon), &sat_add(16));
         let variants = [
-            CacheKey::for_compile(&Pitchfork::new(Isa::ArmNeon), &sat_add(32)),
-            CacheKey::for_compile(&Pitchfork::new(Isa::X86Avx2), &sat_add(16)),
-            CacheKey::for_compile(
-                &Pitchfork::with_config(Config::new(Isa::ArmNeon).hand_written_only()),
-                &sat_add(16),
-            ),
-            CacheKey::for_compile(
-                &Pitchfork::with_config(Config::new(Isa::ArmNeon).leaving_out("blur")),
-                &sat_add(16),
-            ),
+            key_for(&Config::new(Isa::ArmNeon), &sat_add(32)),
+            key_for(&Config::new(Isa::X86Avx2), &sat_add(16)),
+            key_for(&Config::new(Isa::ArmNeon).hand_written_only(), &sat_add(16)),
+            key_for(&Config::new(Isa::ArmNeon).leaving_out("blur"), &sat_add(16)),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base, *v, "variant {i} must not collide with the base key");
@@ -168,15 +162,9 @@ mod tests {
         // store on both counts, never load an artifact compiled under
         // other rules.
         let e = sat_add(16);
-        let full = CacheKey::for_compile(&Pitchfork::new(Isa::ArmNeon), &e);
-        let hand = CacheKey::for_compile(
-            &Pitchfork::with_config(Config::new(Isa::ArmNeon).hand_written_only()),
-            &e,
-        );
-        let leave = CacheKey::for_compile(
-            &Pitchfork::with_config(Config::new(Isa::ArmNeon).leaving_out("blur")),
-            &e,
-        );
+        let full = key_for(&Config::new(Isa::ArmNeon), &e);
+        let hand = key_for(&Config::new(Isa::ArmNeon).hand_written_only(), &e);
+        let leave = key_for(&Config::new(Isa::ArmNeon).leaving_out("blur"), &e);
         assert_ne!(full.fingerprint(), hand.fingerprint());
         assert_ne!(full.fingerprint(), leave.fingerprint());
         assert_ne!(full.rules_fp, hand.rules_fp, "the toggle reloads a different rule set");
@@ -187,7 +175,7 @@ mod tests {
         use crate::store::{DiskStore, Lookup, EXTENSION};
         let pf = Pitchfork::new(Isa::ArmNeon);
         let e = sat_add(16);
-        let none = CacheKey::for_compile(&pf, &e);
+        let none = key_for(pf.config(), &e);
         let empty = CacheKey { leave_out: Some(String::new()), ..none.clone() };
         assert_ne!(none.fingerprint(), empty.fingerprint());
         // Each key spills to its own file, so neither overwrites the other.

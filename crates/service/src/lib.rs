@@ -66,8 +66,8 @@ pub use eventloop::ServeOptions;
 pub use json::Json;
 pub use key::CacheKey;
 pub use protocol::{
-    attach_tag, attach_tag_rendered, parse_request, request_tag, write_frame, CompileSpec,
-    FrameReader, FrameWriter, Request, StatsFormat, WriteOverflow,
+    attach_tag_rendered, parse_request, request_tag, write_frame, CompileSpec, FrameReader,
+    FrameWriter, Request, StatsFormat, WriteOverflow,
 };
 pub use server::{
     install_signal_handlers, request_stop, reset_signal_stop, serve_with, Client, Endpoint,

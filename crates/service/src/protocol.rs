@@ -253,25 +253,16 @@ impl FrameWriter {
         self.sealed
     }
 
-    /// Queue one value as a frame.
+    /// Queue one rendered JSON body as a frame — the cache-hit fast path
+    /// renders a response once at insert time and replays the bytes here
+    /// without re-rendering.
     ///
     /// # Errors
     ///
     /// [`WriteOverflow`] if the backlog is over budget or the writer is
-    /// sealed.
-    pub fn queue(&mut self, v: &Json) -> Result<(), WriteOverflow> {
-        self.queue_rendered(v.render())
-    }
-
-    /// Queue one already-rendered JSON body as a frame — the cache-hit
-    /// fast path renders a response once at insert time and replays the
-    /// bytes here without re-rendering.
-    ///
-    /// # Errors
-    ///
-    /// [`WriteOverflow`] as for [`queue`](Self::queue). A body over
-    /// [`MAX_FRAME`] is also refused (the caller substitutes an error
-    /// response; it must never be split into a malformed frame).
+    /// sealed. A body over [`MAX_FRAME`] is also refused (the caller
+    /// substitutes an error response; it must never be split into a
+    /// malformed frame).
     pub fn queue_rendered(&mut self, body: String) -> Result<(), WriteOverflow> {
         if self.sealed || body.len() > MAX_FRAME {
             return Err(WriteOverflow);
@@ -363,13 +354,6 @@ pub fn request_tag(frame: &Json) -> Result<Option<Json>, ServiceError> {
         Some(Json::Str(s)) if s.len() <= MAX_TAG_STRING => Ok(Some(Json::str(s.clone()))),
         Some(Json::Str(_)) => Err(bad(format!("`tag` string exceeds {MAX_TAG_STRING} bytes"))),
         Some(_) => Err(bad("`tag` must be an integer or a string")),
-    }
-}
-
-/// Echo `tag` as the final member of a response object.
-pub fn attach_tag(resp: &mut Json, tag: &Json) {
-    if let Json::Object(members) = resp {
-        members.push(("tag".into(), tag.clone()));
     }
 }
 
@@ -803,13 +787,14 @@ mod tests {
         let long = format!(r#"{{"op":"ping","tag":"{}"}}"#, "x".repeat(MAX_TAG_STRING + 1));
         assert!(request_tag(&parse(&long).unwrap()).is_err());
 
-        // Attaching to a value and splicing into its rendering agree.
-        let mut resp = ok_response(vec![("pong".into(), Json::Bool(true))]);
-        let mut rendered = resp.render();
-        attach_tag(&mut resp, &Json::Int(7));
+        // Splicing into a rendering gives the object with the tag as
+        // its final member.
+        let mut rendered = ok_response(vec![("pong".into(), Json::Bool(true))]).render();
         attach_tag_rendered(&mut rendered, &Json::Int(7));
-        assert_eq!(resp.render(), rendered);
-        assert_eq!(resp.get("tag"), Some(&Json::Int(7)));
+        let tagged =
+            ok_response(vec![("pong".into(), Json::Bool(true)), ("tag".into(), Json::Int(7))]);
+        assert_eq!(tagged.render(), rendered);
+        assert_eq!(parse(&rendered).unwrap().get("tag"), Some(&Json::Int(7)));
     }
 
     #[test]
@@ -845,7 +830,7 @@ mod tests {
         for cap in [1, 3, 7, 64] {
             let mut w = FrameWriter::new(1 << 20);
             for f in &frames {
-                w.queue(f).unwrap();
+                w.queue_rendered(f.render()).unwrap();
             }
             let mut sink = ChokedSink { out: Vec::new(), cap, ready: false };
             while !w.is_empty() {
@@ -865,14 +850,14 @@ mod tests {
     fn frame_writer_bounds_backlog_but_admits_one_frame() {
         let mut w = FrameWriter::new(16);
         // First frame always admitted, even over budget.
-        w.queue(&Json::str("a".repeat(64))).unwrap();
+        w.queue_rendered(Json::str("a".repeat(64)).render()).unwrap();
         // Second refused: backlog over 16 bytes.
-        assert_eq!(w.queue(&Json::Bool(true)), Err(WriteOverflow));
+        assert_eq!(w.queue_rendered(Json::Bool(true).render()), Err(WriteOverflow));
         // Drain, then small frames fit again.
         let mut out = Vec::new();
         w.write_some(&mut out).unwrap();
         assert!(w.is_empty());
-        w.queue(&Json::Bool(true)).unwrap();
+        w.queue_rendered(Json::Bool(true).render()).unwrap();
     }
 
     #[test]
@@ -897,8 +882,8 @@ mod tests {
         let sealed_with = parse(r#"{"ok":false,"code":"overloaded"}"#).unwrap();
 
         let mut w = FrameWriter::new(1 << 20);
-        w.queue(&a).unwrap();
-        w.queue(&b).unwrap();
+        w.queue_rendered(a.render()).unwrap();
+        w.queue_rendered(b.render()).unwrap();
         // One byte of `a` reaches the wire, then the socket jams.
         let mut sink = OneByte(Vec::new(), false);
         w.write_some(&mut sink).unwrap();
@@ -906,7 +891,11 @@ mod tests {
 
         w.seal(&sealed_with);
         assert!(w.is_sealed());
-        assert_eq!(w.queue(&Json::Null), Err(WriteOverflow), "sealed writers refuse frames");
+        assert_eq!(
+            w.queue_rendered(Json::Null.render()),
+            Err(WriteOverflow),
+            "sealed writers refuse frames"
+        );
         // Finish the stream: the partial front frame completes, `b` is
         // gone, the seal frame is last.
         let mut rest = Vec::new();
@@ -925,7 +914,7 @@ mod tests {
     #[test]
     fn seal_with_nothing_written_sends_only_the_seal() {
         let mut w = FrameWriter::new(1 << 20);
-        w.queue(&Json::str("undelivered")).unwrap();
+        w.queue_rendered(Json::str("undelivered").render()).unwrap();
         let sealed_with = parse(r#"{"ok":false,"code":"overloaded"}"#).unwrap();
         w.seal(&sealed_with);
         let mut out = Vec::new();
@@ -1052,15 +1041,13 @@ mod tests {
 
     #[test]
     fn peer_get_frame_round_trips_the_key() {
-        use crate::key::CacheKey;
-        use pitchfork::{Config, Pitchfork};
+        use crate::key::{tests::key_for, CacheKey};
+        use pitchfork::Config;
         let expr = fpir::parser::parse_expr("u8(min(u16(a_u8) + u16(b_u8), 255))", 16).unwrap();
-        let full = Pitchfork::new(Isa::ArmNeon);
-        let left_out = Pitchfork::with_config(
-            Config::new(Isa::X86Avx2).hand_written_only().leaving_out("blur"),
-        );
-        for pf in [full, left_out] {
-            let key = CacheKey::for_compile(&pf, &expr);
+        let full = Config::new(Isa::ArmNeon);
+        let left_out = Config::new(Isa::X86Avx2).hand_written_only().leaving_out("blur");
+        for cfg in [full, left_out] {
+            let key = key_for(&cfg, &expr);
             let frame = peer_get_frame(&key);
             assert!(frame.get("engine").is_none(), "peer_get no longer names an engine");
             let Ok(Request::PeerGet { spec, rules_fp }) = parse_request(&frame) else {

@@ -9,10 +9,11 @@
 mod common;
 
 use pitchfork::{compile_to_executable, Pitchfork};
+use pitchfork_service::key::ruleset_fingerprint;
 use pitchfork_service::peer::owner_index;
 use pitchfork_service::{
-    attach_tag, serve_with, store, write_frame, CacheKey, Client, Endpoint, FrameReader, Json,
-    ServeOptions, Service, ServiceConfig, Stats,
+    serve_with, store, write_frame, CacheKey, Client, Endpoint, FrameReader, Json, ServeOptions,
+    Service, ServiceConfig, Stats,
 };
 use std::io::{self, Write};
 use std::os::unix::net::UnixListener;
@@ -235,9 +236,9 @@ fn fake_owner(
                 let _ = release.recv();
             }
             Script::Answer(mut v) => {
-                // Echo a tag, as a real daemon does.
-                if let Some(tag) = req.get("tag") {
-                    attach_tag(&mut v, tag);
+                // Echo a tag as the last member, as a real daemon does.
+                if let (Some(tag), Json::Object(members)) = (req.get("tag"), &mut v) {
+                    members.push(("tag".into(), tag.clone()));
                 }
                 write_frame(&mut conn, &v).unwrap();
             }
@@ -250,7 +251,7 @@ fn fake_owner(
 /// The cache key a daemon computes for a suite key's compile request.
 fn cache_key(key: &common::Key) -> CacheKey {
     let expr = fpir::parser::parse_expr(&key.expr, fpir_workloads::LANES).unwrap();
-    CacheKey::for_compile(&Pitchfork::new(key.isa), &expr)
+    CacheKey::for_spec(&key.spec(true), &expr, ruleset_fingerprint(&Pitchfork::new(key.isa)))
 }
 
 /// One compile, on a daemon whose only peer is a fake owner following

@@ -10,9 +10,7 @@
 //! reader.
 
 use pitchfork_service::protocol::{decode_frame, MAX_FRAME};
-use pitchfork_service::{
-    attach_tag, attach_tag_rendered, FrameReader, FrameWriter, Json, WriteOverflow,
-};
+use pitchfork_service::{attach_tag_rendered, FrameReader, FrameWriter, Json, WriteOverflow};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,7 +115,7 @@ proptest! {
 
         let mut w = FrameWriter::new(MAX_FRAME);
         for f in &frames {
-            w.queue(f).unwrap();
+            w.queue_rendered(f.render()).unwrap();
         }
         let bytes = drain_writer(&mut w, &mut rng);
 
@@ -147,7 +145,7 @@ proptest! {
 
         let mut w = FrameWriter::new(MAX_FRAME);
         for f in &frames {
-            w.queue(f).unwrap();
+            w.queue_rendered(f.render()).unwrap();
         }
         let bytes = drain_writer(&mut w, &mut rng);
 
@@ -183,17 +181,16 @@ proptest! {
         let n = rng.gen_range(0..5);
         let mut members = vec![("ok".to_string(), Json::Bool(true))];
         members.extend((0..n).map(|i| (format!("m{i}"), gen_value(&mut rng, 2))));
-        let mut resp = Json::Object(members);
         let tag = if rng.gen_bool(0.5) {
             Json::Int(rng.gen_range(-1000..1000))
         } else {
             Json::Str(gen_string(&mut rng))
         };
 
-        let mut rendered = resp.render();
-        attach_tag(&mut resp, &tag);
+        let mut rendered = Json::Object(members.clone()).render();
         attach_tag_rendered(&mut rendered, &tag);
-        prop_assert_eq!(resp.render(), rendered);
+        members.push(("tag".to_string(), tag));
+        prop_assert_eq!(Json::Object(members).render(), rendered);
     }
 
     /// The byte budget never refuses the first frame, never admits a
@@ -207,7 +204,7 @@ proptest! {
         let mut admitted = 0usize;
         for i in 0..rng.gen_range(1..20) {
             let body = Json::Str("x".repeat(rng.gen_range(0..64)));
-            match w.queue(&body) {
+            match w.queue_rendered(body.render()) {
                 Ok(()) => admitted += 1,
                 Err(WriteOverflow) => {
                     prop_assert!(admitted >= 1, "frame {i}: first frame must be admitted");
@@ -218,7 +215,7 @@ proptest! {
         let seal = Json::Str("sealed".to_string());
         w.seal(&seal);
         prop_assert!(w.is_sealed());
-        prop_assert_eq!(w.queue(&Json::Null), Err(WriteOverflow));
+        prop_assert_eq!(w.queue_rendered(Json::Null.render()), Err(WriteOverflow));
         // Nothing was written, so the seal replaced the whole backlog.
         prop_assert_eq!(w.queued_frames(), 1);
         let bytes = drain_writer(&mut w, &mut rng);
