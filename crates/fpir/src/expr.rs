@@ -508,6 +508,7 @@ impl Expr {
     }
 
     /// Number of children, without allocating.
+    #[inline]
     pub fn arity(&self) -> usize {
         match &self.kind {
             ExprKind::Var(_) | ExprKind::Const(_) => 0,
@@ -523,6 +524,7 @@ impl Expr {
     /// # Panics
     ///
     /// Panics if `i >= self.arity()`.
+    #[inline]
     pub fn child(&self, i: usize) -> &RcExpr {
         match (&self.kind, i) {
             (ExprKind::Bin(_, a, _) | ExprKind::Cmp(_, a, _), 0) => a,

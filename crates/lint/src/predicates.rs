@@ -18,7 +18,7 @@
 use crate::diagnostic::{Analysis, Diagnostic, Severity};
 use fpir_trs::pattern::MAX_WILDS;
 use fpir_trs::rule::{collect_const_wilds, collect_type_vars, first_uses, Rule, RuleSet};
-use fpir_trs::{Pat, Predicate, Template, TyRef};
+use fpir_trs::{Pat, Predicate, Template, Term, TyRef};
 
 /// Run the predicate analysis over one rule set.
 pub fn check(set: &RuleSet) -> Vec<Diagnostic> {

@@ -17,13 +17,15 @@
 //!   per-instruction and a tie merely means the rule is unreachable);
 //! * **rewrite cycles** — strongly connected components of the abstract
 //!   rewrite-reachability graph (rule A → rule B iff B's LHS may match at
-//!   a node A's RHS builds; see `may_match`). A cycle whose members all
-//!   provably descend is harmless — the cost measure breaks it — so only
-//!   cycles containing an unproven rule are reported.
+//!   a node A's RHS builds). `may_match` is the selector's own walk,
+//!   [`fpir_trs::match_with`], with hooks that erase types: a wildcard
+//!   on either side matches. A cycle whose members all provably descend
+//!   is harmless — the cost measure breaks it — so only cycles containing
+//!   an unproven rule are reported.
 
 use crate::diagnostic::{Analysis, Diagnostic, Severity};
 use fpir_trs::rule::{instantiate_lhs_all, Rule, RuleSet};
-use fpir_trs::{AgnosticCost, CostModel, OpKey, Pat, Template};
+use fpir_trs::{match_with, AgnosticCost, CostModel, Hooks, Pat, Template, Term};
 use pitchfork::{RegisteredRuleSet, RuleSetKind};
 
 /// Whether strict cost descent was established for a rule.
@@ -185,23 +187,22 @@ fn reachability_graph(rules: &[Rule]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Can `p` match some expression that `t` can build?
-///
-/// Types and predicates are erased, so this over-approximates: a wildcard
-/// on either side matches anything, constant patterns match exactly the
-/// constant templates, and operator nodes need equal [`OpKey`] heads and
-/// operands that may match pairwise, also swapped under a commutative
-/// head. No rewrite cycle escapes the graph built from it.
+/// Can `p` match some expression that `t` can build? Types and
+/// predicates are erased, so this over-approximates: a wildcard on either
+/// side matches anything, and every other pair goes through the shared
+/// walk, where a constant pattern matches exactly the constant templates
+/// (neither has a head). No rewrite cycle escapes the graph built from it.
 fn may_match(p: &Pat, t: &Template) -> bool {
-    if matches!(p, Pat::Wild { .. }) || matches!(t, Template::Wild(_)) {
-        return true;
+    struct TypesErased;
+    impl Hooks<Pat, Template> for TypesErased {
+        type Saved = ();
+        fn save(&self) {}
+        fn restore(&mut self, _: ()) {}
+        fn leaf(&mut self, p: &Pat, t: &Template) -> Option<bool> {
+            (matches!(p, Pat::Wild { .. }) || matches!(t, Template::Wild(_))).then_some(true)
+        }
     }
-    let head = OpKey::of_pat(p);
-    if head != OpKey::of_template(t) || p.arity() != t.arity() {
-        return false;
-    }
-    let operands = |swap: usize| (0..p.arity()).all(|i| may_match(p.child(i), t.child(i ^ swap)));
-    operands(0) || (p.arity() == 2 && head.is_some_and(OpKey::is_commutative) && operands(1))
+    match_with(&mut TypesErased, p, t)
 }
 
 /// Iterative Tarjan SCC. Returns components in some order; each component

@@ -21,6 +21,7 @@ use fpir_trs::pattern::{Pat, TypePat};
 use fpir_trs::predicate::Predicate;
 use fpir_trs::rule::{Rule, RuleClass};
 use fpir_trs::template::{CFn, Template, TyRef};
+use fpir_trs::Term;
 use std::collections::BTreeMap;
 
 /// Failure to generalize a pair.

@@ -24,12 +24,13 @@
 
 use crate::pattern::Pat;
 use crate::rule::RuleSet;
-use crate::template::Template;
+use crate::term::Term;
 use fpir::expr::{BinOp, CmpOp, Expr, ExprKind, FpirOp, RcExpr};
 use fpir::identity::FnvMap;
 use fpir::Isa;
 
-/// The head-operator class of an expression node or pattern root.
+/// The head-operator class of a term: an expression node, a pattern or a
+/// template ([`Term::head`]).
 ///
 /// This is deliberately coarser than the node itself: every
 /// `saturating_cast<T>` collapses to [`OpKey::SatCast`] (patterns constrain
@@ -58,7 +59,8 @@ pub enum OpKey {
 }
 
 impl OpKey {
-    /// The key of an expression node.
+    /// The key of an expression node, which is its [`Term::head`].
+    #[inline]
     pub fn of_expr(e: &Expr) -> OpKey {
         match e.kind() {
             ExprKind::Var(_) | ExprKind::Const(_) => OpKey::Leaf,
@@ -70,40 +72,6 @@ impl OpKey {
             ExprKind::Fpir(FpirOp::SaturatingCast(_), _) => OpKey::SatCast,
             ExprKind::Fpir(op, _) => OpKey::Fpir(*op),
             ExprKind::Mach(op, _) => OpKey::Mach(op.isa, op.code),
-        }
-    }
-
-    /// The key a pattern discriminates on, or `None` when the pattern can
-    /// match any node (wildcards, constant wildcards, literals).
-    pub fn of_pat(p: &Pat) -> Option<OpKey> {
-        match p {
-            Pat::Wild { .. } | Pat::ConstWild { .. } | Pat::Lit(..) => None,
-            Pat::Bin(op, ..) => Some(OpKey::Bin(*op)),
-            Pat::Cmp(op, ..) => Some(OpKey::Cmp(*op)),
-            Pat::Select(..) => Some(OpKey::Select),
-            Pat::Cast(..) => Some(OpKey::Cast),
-            Pat::Reinterpret(..) => Some(OpKey::Reinterpret),
-            Pat::SatCast(..) | Pat::Fpir(FpirOp::SaturatingCast(_), _) => Some(OpKey::SatCast),
-            Pat::Fpir(op, _) => Some(OpKey::Fpir(*op)),
-            Pat::Mach(op, _) => Some(OpKey::Mach(op.isa, op.code)),
-        }
-    }
-
-    /// The key of the node a template builds, or `None` for a wildcard
-    /// substitution or a constant.
-    pub fn of_template(t: &Template) -> Option<OpKey> {
-        match t {
-            Template::Wild(_) | Template::Const { .. } | Template::Lit { .. } => None,
-            Template::Bin(op, ..) => Some(OpKey::Bin(*op)),
-            Template::Cmp(op, ..) => Some(OpKey::Cmp(*op)),
-            Template::Select(..) => Some(OpKey::Select),
-            Template::Cast(..) => Some(OpKey::Cast),
-            Template::Reinterpret(..) => Some(OpKey::Reinterpret),
-            Template::SatCast(..) | Template::Fpir(FpirOp::SaturatingCast(_), _) => {
-                Some(OpKey::SatCast)
-            }
-            Template::Fpir(op, _) => Some(OpKey::Fpir(*op)),
-            Template::Mach { op, .. } => Some(OpKey::Mach(op.isa, op.code)),
         }
     }
 
@@ -141,7 +109,7 @@ impl ChildReq {
         match p {
             Pat::Wild { .. } => ChildReq::Any,
             Pat::ConstWild { .. } | Pat::Lit(..) => ChildReq::Const,
-            _ => OpKey::of_pat(p).map_or(ChildReq::Any, ChildReq::Op),
+            _ => p.head().map_or(ChildReq::Any, ChildReq::Op),
         }
     }
 
@@ -179,7 +147,7 @@ impl ChildFilter {
             (0..lhs.arity()).map(|i| ChildReq::of_pat(lhs.child(i))).collect();
         if reqs.iter().all(|r| *r == ChildReq::Any) {
             ChildFilter::Trivial
-        } else if reqs.len() == 2 && OpKey::of_pat(lhs).is_some_and(OpKey::is_commutative) {
+        } else if reqs.len() == 2 && lhs.head().is_some_and(OpKey::is_commutative) {
             ChildFilter::Pair([reqs[0], reqs[1]])
         } else {
             ChildFilter::Seq(reqs)
@@ -451,8 +419,7 @@ pub struct RuleIndex {
 impl RuleIndex {
     /// Build the index for `rules`.
     pub fn build(rules: &RuleSet) -> RuleIndex {
-        let keys: Vec<Option<OpKey>> =
-            rules.rules().iter().map(|r| OpKey::of_pat(&r.lhs)).collect();
+        let keys: Vec<Option<OpKey>> = rules.rules().iter().map(|r| r.lhs.head()).collect();
         let filters: Vec<ChildFilter> =
             rules.rules().iter().map(|r| ChildFilter::of_rule(&r.lhs)).collect();
         let wildcard: Vec<u32> =
@@ -570,6 +537,7 @@ mod tests {
     use super::*;
     use crate::dsl::*;
     use crate::rule::{Rule, RuleClass};
+    use crate::template::Template;
     use fpir::build;
     use fpir::types::{ScalarType as S, VectorType as V};
 
@@ -618,7 +586,7 @@ mod tests {
     fn saturating_cast_patterns_share_a_bucket() {
         use crate::pattern::{Pat, TypePat};
         let sat_pat = Pat::SatCast(TypePat::Any, Box::new(wild(0)));
-        assert_eq!(OpKey::of_pat(&sat_pat), Some(OpKey::SatCast));
+        assert_eq!(sat_pat.head(), Some(OpKey::SatCast));
         let e = build::saturating_cast(S::U8, build::var("x", V::new(S::U16, 8)));
         assert_eq!(OpKey::of_expr(&e), OpKey::SatCast);
     }

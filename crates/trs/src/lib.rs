@@ -9,6 +9,8 @@
 //!   wildcards, constant wildcards, and relational type constraints;
 //! * **templates** ([`template`]) that rebuild expressions from match
 //!   bindings, including computed constants (`log2(c0)`, `1 << c0`);
+//! * one **term view** and match walk ([`term`]) over expressions,
+//!   patterns and templates, shared by the selector and `rulecheck`;
 //! * **predicates** ([`predicate`]) — including the bounds queries of
 //!   §3.3, answered by `fpir`'s interval analysis;
 //! * **cost models** ([`cost`]): the paper's lexicographic target-agnostic
@@ -56,6 +58,7 @@ pub mod predicate;
 pub mod rewrite;
 pub mod rule;
 pub mod template;
+pub mod term;
 
 pub use cost::{AgnosticCost, Cost, CostModel};
 pub use index::{OpKey, RuleIndex};
@@ -64,3 +67,4 @@ pub use predicate::Predicate;
 pub use rewrite::{rewrite_reference, RewriteStats, Rewriter};
 pub use rule::{instantiate_lhs, Provenance, Rule, RuleClass, RuleSet};
 pub use template::{substitute, CFn, SubstError, Template, TyRef};
+pub use term::{match_with, Hooks, Term};

@@ -13,9 +13,14 @@
 //! ([`Pat::ConstWild`], the paper's `c0`), and type variables in one
 //! [`Bindings`] structure.
 //!
-//! Matching handles commutativity automatically: `x + widening_shl(y, c)`
-//! also matches `widening_shl(y, c) + x`.
+//! [`match_pat`] is the shared walk [`match_with`] with [`Bindings`] as
+//! its hooks: they bind wildcards and constants at the leaves and check a
+//! cast-like node's target type after its operand. The walk handles
+//! commutativity: `x + widening_shl(y, c)` also matches
+//! `widening_shl(y, c) + x`.
 
+use crate::index::OpKey;
+use crate::term::{match_with, Hooks, Term};
 use fpir::expr::{BinOp, CmpOp, Expr, ExprKind, FpirOp, RcExpr};
 use fpir::types::ScalarType;
 use fpir::MachOp;
@@ -72,6 +77,7 @@ impl TypePat {
     }
 
     /// Match `t` against the pattern, updating `b` on success.
+    #[inline]
     fn matches(self, t: ScalarType, b: &mut Bindings) -> bool {
         match self {
             TypePat::Any => true,
@@ -155,9 +161,26 @@ pub enum Pat {
     Mach(MachOp, Vec<Pat>),
 }
 
-impl Pat {
-    /// Number of operand patterns (0 for wildcards and constants).
-    pub fn arity(&self) -> usize {
+impl Term for Pat {
+    /// `None` for patterns that can match any node (wildcards, constant
+    /// wildcards, literals); every saturating cast is [`OpKey::SatCast`].
+    #[inline]
+    fn head(&self) -> Option<OpKey> {
+        match self {
+            Pat::Wild { .. } | Pat::ConstWild { .. } | Pat::Lit(..) => None,
+            Pat::Bin(op, ..) => Some(OpKey::Bin(*op)),
+            Pat::Cmp(op, ..) => Some(OpKey::Cmp(*op)),
+            Pat::Select(..) => Some(OpKey::Select),
+            Pat::Cast(..) => Some(OpKey::Cast),
+            Pat::Reinterpret(..) => Some(OpKey::Reinterpret),
+            Pat::SatCast(..) | Pat::Fpir(FpirOp::SaturatingCast(_), _) => Some(OpKey::SatCast),
+            Pat::Fpir(op, _) => Some(OpKey::Fpir(*op)),
+            Pat::Mach(op, _) => Some(OpKey::Mach(op.isa, op.code)),
+        }
+    }
+
+    #[inline]
+    fn arity(&self) -> usize {
         match self {
             Pat::Wild { .. } | Pat::ConstWild { .. } | Pat::Lit(..) => 0,
             Pat::Cast(..) | Pat::Reinterpret(..) | Pat::SatCast(..) => 1,
@@ -167,12 +190,8 @@ impl Pat {
         }
     }
 
-    /// The `i`-th operand pattern, in operand order.
-    ///
-    /// # Panics
-    ///
-    /// If `i >= self.arity()`.
-    pub fn child(&self, i: usize) -> &Pat {
+    #[inline]
+    fn child(&self, i: usize) -> &Pat {
         match (self, i) {
             (
                 Pat::Bin(_, a, _)
@@ -189,7 +208,9 @@ impl Pat {
             _ => panic!("child index {i} out of range"),
         }
     }
+}
 
+impl Pat {
     /// This node's own type constraint: a leaf's type, or a cast-like
     /// node's target type.
     pub fn type_pat(&self) -> Option<TypePat> {
@@ -203,17 +224,6 @@ impl Pat {
             Pat::Bin(..) | Pat::Cmp(..) | Pat::Select(..) | Pat::Fpir(..) | Pat::Mach(..) => None,
         }
     }
-
-    /// This node and every node below it, in pre-order with operands in
-    /// operand order.
-    pub fn subterms(&self) -> impl Iterator<Item = &Pat> {
-        let mut stack = vec![self];
-        std::iter::from_fn(move || {
-            let p = stack.pop()?;
-            stack.extend((0..p.arity()).rev().map(|i| p.child(i)));
-            Some(p)
-        })
-    }
 }
 
 /// Wildcard and type-variable bindings produced by a successful match.
@@ -221,6 +231,9 @@ impl Pat {
 pub struct Bindings {
     exprs: [Option<RcExpr>; MAX_WILDS],
     tys: [Option<ScalarType>; MAX_WILDS],
+    /// Which slots are bound: wildcard `i` is bit `i`, type variable `i`
+    /// is bit `MAX_WILDS + i`.
+    bound: u32,
 }
 
 impl Bindings {
@@ -244,21 +257,25 @@ impl Bindings {
         self.tys[id as usize]
     }
 
+    #[inline]
     fn bind_expr(&mut self, id: u8, e: &RcExpr) -> bool {
         match &self.exprs[id as usize] {
             Some(prev) => Expr::dag_eq(prev, e),
             None => {
                 self.exprs[id as usize] = Some(e.clone());
+                self.bound |= 1 << id;
                 true
             }
         }
     }
 
+    #[inline]
     fn bind_ty(&mut self, id: u8, t: ScalarType) -> bool {
         match self.tys[id as usize] {
             Some(prev) => prev == t,
             None => {
                 self.tys[id as usize] = Some(t);
+                self.bound |= 1 << (MAX_WILDS + id as usize);
                 true
             }
         }
@@ -270,115 +287,61 @@ impl Bindings {
 /// Commutative operators are tried in both operand orders.
 pub fn match_pat(pat: &Pat, expr: &RcExpr) -> Option<Bindings> {
     let mut b = Bindings::new();
-    matches_inner(pat, expr, &mut b).then_some(b)
+    match_with(&mut b, pat, expr).then_some(b)
 }
 
-fn matches_inner(pat: &Pat, expr: &RcExpr, b: &mut Bindings) -> bool {
-    match pat {
-        Pat::Wild { id, ty } => ty.matches(expr.elem(), b) && b.bind_expr(*id, expr),
-        Pat::ConstWild { id, ty } => {
-            expr.as_const().is_some() && ty.matches(expr.elem(), b) && b.bind_expr(*id, expr)
-        }
-        Pat::Lit(v, ty) => expr.as_const() == Some(*v) && ty.matches(expr.elem(), b),
-        Pat::Bin(op, pa, pb) => match expr.kind() {
-            ExprKind::Bin(eop, ea, eb) if eop == op => {
-                match2(pa, pb, ea, eb, op.is_commutative(), b)
-            }
-            _ => false,
-        },
-        Pat::Cmp(op, pa, pb) => match expr.kind() {
-            ExprKind::Cmp(eop, ea, eb) if eop == op => {
-                let snapshot = b.clone();
-                if matches_inner(pa, ea, b) && matches_inner(pb, eb, b) {
-                    return true;
-                }
-                *b = snapshot;
-                false
-            }
-            _ => false,
-        },
-        Pat::Select(pc, pt, pf) => match expr.kind() {
-            ExprKind::Select(ec, et, ef) => {
-                let snapshot = b.clone();
-                if matches_inner(pc, ec, b) && matches_inner(pt, et, b) && matches_inner(pf, ef, b)
-                {
-                    return true;
-                }
-                *b = snapshot;
-                false
-            }
-            _ => false,
-        },
-        // Cast-like patterns match the operand first so that type
-        // variables are bound before the target type is constrained.
-        Pat::Cast(ty, inner) => match expr.kind() {
-            ExprKind::Cast(arg) => matches_inner(inner, arg, b) && ty.matches(expr.elem(), b),
-            _ => false,
-        },
-        Pat::Reinterpret(ty, inner) => match expr.kind() {
-            ExprKind::Reinterpret(arg) => {
-                matches_inner(inner, arg, b) && ty.matches(expr.elem(), b)
-            }
-            _ => false,
-        },
-        Pat::SatCast(ty, inner) => match expr.kind() {
-            ExprKind::Fpir(FpirOp::SaturatingCast(t), args) => {
-                matches_inner(inner, &args[0], b) && ty.matches(*t, b)
-            }
-            _ => false,
-        },
-        Pat::Fpir(op, pats) => match expr.kind() {
-            ExprKind::Fpir(eop, args) if eop == op && args.len() == pats.len() => {
-                if *op == FpirOp::SaturatingCast(ScalarType::U8) {
-                    // Concrete saturating casts still go through SatCast
-                    // patterns for clarity; an exact-op match is fine too.
-                }
-                if op.is_commutative() && pats.len() == 2 {
-                    match2(&pats[0], &pats[1], &args[0], &args[1], true, b)
-                } else {
-                    match_seq(pats, args, b)
-                }
-            }
-            _ => false,
-        },
-        Pat::Mach(op, pats) => match expr.kind() {
-            ExprKind::Mach(eop, args) if eop == op && args.len() == pats.len() => {
-                match_seq(pats, args, b)
-            }
-            _ => false,
-        },
+impl Hooks<Pat, RcExpr> for Bindings {
+    /// The bound slots. Bindings only grow, so undoing a failed first
+    /// order clears the slots bound since.
+    type Saved = u32;
+
+    #[inline]
+    fn save(&self) -> u32 {
+        self.bound
     }
-}
 
-fn match_seq(pats: &[Pat], args: &[RcExpr], b: &mut Bindings) -> bool {
-    let snapshot = b.clone();
-    for (p, a) in pats.iter().zip(args) {
-        if !matches_inner(p, a, b) {
-            *b = snapshot;
-            return false;
+    #[inline]
+    fn restore(&mut self, saved: u32) {
+        let mut since = self.bound & !saved;
+        while since != 0 {
+            let i = since.trailing_zeros() as usize;
+            match i.checked_sub(MAX_WILDS) {
+                None => self.exprs[i] = None,
+                Some(i) => self.tys[i] = None,
+            }
+            since &= since - 1;
+        }
+        self.bound = saved;
+    }
+
+    #[inline]
+    fn leaf(&mut self, pat: &Pat, expr: &RcExpr) -> Option<bool> {
+        Some(match pat {
+            Pat::Wild { id, ty } => ty.matches(expr.elem(), self) && self.bind_expr(*id, expr),
+            Pat::ConstWild { id, ty } => {
+                expr.as_const().is_some()
+                    && ty.matches(expr.elem(), self)
+                    && self.bind_expr(*id, expr)
+            }
+            Pat::Lit(v, ty) => expr.as_const() == Some(*v) && ty.matches(expr.elem(), self),
+            _ => return None,
+        })
+    }
+
+    #[inline]
+    fn node(&mut self, pat: &Pat, expr: &RcExpr) -> bool {
+        match pat {
+            // A cast-like node's target type; a saturating cast's is the
+            // node's element type.
+            Pat::Cast(ty, _) | Pat::Reinterpret(ty, _) | Pat::SatCast(ty, _) => {
+                ty.matches(expr.elem(), self)
+            }
+            // The head folds every saturating cast; an exact one must
+            // also name the expression's target type.
+            Pat::Fpir(op, _) => matches!(expr.kind(), ExprKind::Fpir(eop, _) if eop == op),
+            _ => true,
         }
     }
-    true
-}
-
-fn match2(
-    pa: &Pat,
-    pb: &Pat,
-    ea: &RcExpr,
-    eb: &RcExpr,
-    commutative: bool,
-    b: &mut Bindings,
-) -> bool {
-    let snapshot = b.clone();
-    if matches_inner(pa, ea, b) && matches_inner(pb, eb, b) {
-        return true;
-    }
-    *b = snapshot.clone();
-    if commutative && matches_inner(pa, eb, b) && matches_inner(pb, ea, b) {
-        return true;
-    }
-    *b = snapshot;
-    false
 }
 
 impl std::fmt::Display for TypePat {
@@ -476,6 +439,19 @@ mod tests {
         let e = build::mul(x.clone(), build::splat(5, &x));
         let b = match_pat(&p, &e).unwrap();
         assert_eq!(b.const_value(0), Some(5));
+        // Pattern: x + c; expression: 5 + y. The first order binds x to 5
+        // before failing, and the swapped retry must not see that binding.
+        let p = pat_add(wild(0), cwild(1));
+        let y = build::var("y", t8());
+        let b = match_pat(&p, &build::add(build::splat(5, &y), y.clone())).unwrap();
+        assert_eq!((b.expr(0), b.const_value(1)), (Some(&y), Some(5)));
+        // The first order binds t0 to i8 before failing; the retry binds
+        // it to u8.
+        let cast = |p| Pat::Cast(TypePat::Any, Box::new(p));
+        let p = pat_add(cast(wild_t(0, TypePat::Var(0))), cast(wild_t(1, TypePat::AnySigned(1))));
+        let (a, b) = (build::var("a", V::new(S::I8, 8)), build::var("b", t8()));
+        let e = build::add(fpir::Expr::cast(S::U16, a), fpir::Expr::cast(S::U16, b));
+        assert_eq!(match_pat(&p, &e).and_then(|b| b.ty(0)), Some(S::U8));
     }
 
     #[test]
@@ -514,6 +490,11 @@ mod tests {
         // Narrowing by two steps does not match NarrowOf.
         let e = build::saturating_cast(S::U8, build::var("x", V::new(S::U32, 8)));
         assert!(match_pat(&p, &e).is_none());
+        // An exact saturating cast shares the head but names its type.
+        let exact = Pat::Fpir(FpirOp::SaturatingCast(S::U8), vec![wild(0)]);
+        let x = build::var("x", V::new(S::I16, 8));
+        assert!(match_pat(&exact, &build::saturating_cast(S::U8, x.clone())).is_some());
+        assert!(match_pat(&exact, &build::saturating_cast(S::I8, x)).is_none());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::pattern::{match_pat, Pat, TypePat};
 use crate::predicate::Predicate;
 use crate::template::{substitute, Template};
+use crate::term::Term;
 use fpir::expr::{Expr, RcExpr};
 use fpir::types::{ScalarType, VectorType};
 use std::collections::BTreeMap;
@@ -359,8 +360,7 @@ fn instance_for_assignment(
             .collect();
     }
     for overrides in combos {
-        let Some(inst) =
-            build_instance(&rule.lhs, assignment, lanes, &overrides, &rule.pred, &mut 0)
+        let Some(inst) = build_instance(&rule.lhs, assignment, lanes, &overrides, &rule.pred)
         else {
             continue;
         };
@@ -411,14 +411,12 @@ pub fn first_uses(ids: impl IntoIterator<Item = u8>) -> Vec<u8> {
 
 /// Build one expression instance of a pattern under a type-variable
 /// assignment. Returns `None` when the assignment is inconsistent.
-#[allow(clippy::only_used_in_recursion)]
 fn build_instance(
     pat: &Pat,
     assignment: &BTreeMap<u8, ScalarType>,
     lanes: u32,
     const_overrides: &BTreeMap<u8, i128>,
     pred: &Predicate,
-    fresh: &mut u32,
 ) -> Option<RcExpr> {
     let resolve = |t: &TypePat| -> Option<ScalarType> {
         match t {
@@ -442,6 +440,7 @@ fn build_instance(
             TypePat::SameWidthAs(i) => Some(assignment.get(i).copied()?),
         }
     };
+    let build = |p: &Pat| build_instance(p, assignment, lanes, const_overrides, pred);
     match pat {
         Pat::Wild { id, ty } => {
             let elem = resolve(ty)?;
@@ -460,44 +459,15 @@ fn build_instance(
             let elem = resolve(ty)?;
             Expr::constant(*v, VectorType::new(elem, lanes)).ok()
         }
-        Pat::Bin(op, a, b) => {
-            let a = build_instance(a, assignment, lanes, const_overrides, pred, fresh)?;
-            let b = build_instance(b, assignment, lanes, const_overrides, pred, fresh)?;
-            Expr::bin(*op, a, b).ok()
+        Pat::Bin(op, a, b) => Expr::bin(*op, build(a)?, build(b)?).ok(),
+        Pat::Cmp(op, a, b) => Expr::cmp(*op, build(a)?, build(b)?).ok(),
+        Pat::Select(c, t, f) => Expr::select(build(c)?, build(t)?, build(f)?).ok(),
+        Pat::Cast(ty, a) => Some(Expr::cast(resolve(ty)?, build(a)?)),
+        Pat::Reinterpret(ty, a) => Expr::reinterpret(resolve(ty)?, build(a)?).ok(),
+        Pat::SatCast(ty, a) => {
+            Expr::fpir(fpir::FpirOp::SaturatingCast(resolve(ty)?), vec![build(a)?]).ok()
         }
-        Pat::Cmp(op, a, b) => {
-            let a = build_instance(a, assignment, lanes, const_overrides, pred, fresh)?;
-            let b = build_instance(b, assignment, lanes, const_overrides, pred, fresh)?;
-            Expr::cmp(*op, a, b).ok()
-        }
-        Pat::Select(c, t, f) => {
-            let c = build_instance(c, assignment, lanes, const_overrides, pred, fresh)?;
-            let t = build_instance(t, assignment, lanes, const_overrides, pred, fresh)?;
-            let f = build_instance(f, assignment, lanes, const_overrides, pred, fresh)?;
-            Expr::select(c, t, f).ok()
-        }
-        Pat::Cast(ty, inner) => {
-            let elem = resolve(ty)?;
-            let inner = build_instance(inner, assignment, lanes, const_overrides, pred, fresh)?;
-            Some(Expr::cast(elem, inner))
-        }
-        Pat::Reinterpret(ty, inner) => {
-            let elem = resolve(ty)?;
-            let inner = build_instance(inner, assignment, lanes, const_overrides, pred, fresh)?;
-            Expr::reinterpret(elem, inner).ok()
-        }
-        Pat::SatCast(ty, inner) => {
-            let elem = resolve(ty)?;
-            let inner = build_instance(inner, assignment, lanes, const_overrides, pred, fresh)?;
-            Expr::fpir(fpir::FpirOp::SaturatingCast(elem), vec![inner]).ok()
-        }
-        Pat::Fpir(op, args) => {
-            let args = args
-                .iter()
-                .map(|a| build_instance(a, assignment, lanes, const_overrides, pred, fresh))
-                .collect::<Option<Vec<_>>>()?;
-            Expr::fpir(*op, args).ok()
-        }
+        Pat::Fpir(op, args) => Expr::fpir(*op, args.iter().map(build).collect::<Option<_>>()?).ok(),
         Pat::Mach(..) => None,
     }
 }

@@ -7,7 +7,9 @@
 //! across the rule, e.g. `umlal x y (1 << c0)`), and type references
 //! ([`TyRef`]) derive concrete types from bound operands.
 
+use crate::index::OpKey;
 use crate::pattern::Bindings;
+use crate::term::Term;
 use fpir::expr::{BinOp, CmpOp, Expr, FpirOp, RcExpr};
 use fpir::types::{ScalarType, VectorType};
 use fpir::MachOp;
@@ -150,9 +152,26 @@ pub enum Template {
     },
 }
 
-impl Template {
-    /// Number of operand templates (0 for wildcards and constants).
-    pub fn arity(&self) -> usize {
+impl Term for Template {
+    /// `None` for a wildcard substitution or a constant; every saturating
+    /// cast is [`OpKey::SatCast`].
+    fn head(&self) -> Option<OpKey> {
+        match self {
+            Template::Wild(_) | Template::Const { .. } | Template::Lit { .. } => None,
+            Template::Bin(op, ..) => Some(OpKey::Bin(*op)),
+            Template::Cmp(op, ..) => Some(OpKey::Cmp(*op)),
+            Template::Select(..) => Some(OpKey::Select),
+            Template::Cast(..) => Some(OpKey::Cast),
+            Template::Reinterpret(..) => Some(OpKey::Reinterpret),
+            Template::SatCast(..) | Template::Fpir(FpirOp::SaturatingCast(_), _) => {
+                Some(OpKey::SatCast)
+            }
+            Template::Fpir(op, _) => Some(OpKey::Fpir(*op)),
+            Template::Mach { op, .. } => Some(OpKey::Mach(op.isa, op.code)),
+        }
+    }
+
+    fn arity(&self) -> usize {
         match self {
             Template::Wild(_) | Template::Const { .. } | Template::Lit { .. } => 0,
             Template::Cast(..) | Template::Reinterpret(..) | Template::SatCast(..) => 1,
@@ -162,12 +181,7 @@ impl Template {
         }
     }
 
-    /// The `i`-th operand template, in operand order.
-    ///
-    /// # Panics
-    ///
-    /// If `i >= self.arity()`.
-    pub fn child(&self, i: usize) -> &Template {
+    fn child(&self, i: usize) -> &Template {
         match (self, i) {
             (
                 Template::Bin(_, a, _)
@@ -184,7 +198,9 @@ impl Template {
             _ => panic!("child index {i} out of range"),
         }
     }
+}
 
+impl Template {
     /// This node's own type: a constant's type, or the result type of a
     /// cast-like or machine node.
     pub fn ty_ref(&self) -> Option<TyRef> {
@@ -201,17 +217,6 @@ impl Template {
             | Template::Select(..)
             | Template::Fpir(..) => None,
         }
-    }
-
-    /// This node and every node below it, in pre-order with operands in
-    /// operand order.
-    pub fn subterms(&self) -> impl Iterator<Item = &Template> {
-        let mut stack = vec![self];
-        std::iter::from_fn(move || {
-            let t = stack.pop()?;
-            stack.extend((0..t.arity()).rev().map(|i| t.child(i)));
-            Some(t)
-        })
     }
 }
 
