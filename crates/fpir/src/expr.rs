@@ -17,6 +17,7 @@
 //! terser helpers in [`crate::build`]); ill-typed trees are rejected with a
 //! [`TypeError`].
 
+use crate::identity::IdSet;
 use crate::machine::MachOp;
 use crate::types::{ScalarType, VectorType};
 use std::fmt;
@@ -682,20 +683,16 @@ impl Expr {
     /// shared subexpression once per occurrence — this walks it as a DAG,
     /// calling `f` exactly once per distinct `Arc` allocation.
     pub fn visit_unique(e: &RcExpr, f: &mut impl FnMut(&RcExpr)) {
-        fn walk(
-            e: &RcExpr,
-            seen: &mut std::collections::HashSet<usize>,
-            f: &mut impl FnMut(&RcExpr),
-        ) {
+        fn walk(e: &RcExpr, seen: &mut IdSet, f: &mut impl FnMut(&RcExpr)) {
             if !seen.insert(Expr::ptr_id(e)) {
                 return;
             }
             f(e);
-            for c in e.children() {
-                walk(c, seen, f);
+            for i in 0..e.arity() {
+                walk(e.child(i), seen, f);
             }
         }
-        walk(e, &mut std::collections::HashSet::new(), f);
+        walk(e, &mut IdSet::default(), f);
     }
 
     /// Number of unique nodes (by allocation identity) in the DAG.

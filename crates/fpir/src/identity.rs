@@ -12,7 +12,7 @@
 //! single multiply-and-fold mix (Fibonacci hashing), which benchmarks
 //! several times faster per probe and needs no external crates.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A hasher for `usize` identity keys: one Fibonacci multiply, then fold
@@ -42,6 +42,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` over identity keys using [`IdHasher`].
 pub type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of identity keys using [`IdHasher`].
+pub type IdSet = HashSet<usize, BuildHasherDefault<IdHasher>>;
 
 /// FNV-1a for small structured keys (operator keys, type tuples).
 ///

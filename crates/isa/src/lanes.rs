@@ -216,6 +216,8 @@ macro_rules! storage_enums {
         $(
             impl Native for $t {
                 const ELEM: ScalarType = ScalarType::$v;
+                const LO: i128 = <$t>::MIN as i128;
+                const HI: i128 = <$t>::MAX as i128;
                 #[inline]
                 fn of<'a>(s: Slice<'a>) -> &'a [$t] {
                     match s {
@@ -265,6 +267,9 @@ natives!(storage_enums);
 pub(crate) trait Native: Copy + Default + Send + Sync + 'static {
     /// The element type stored.
     const ELEM: ScalarType;
+    /// The least and greatest lanes.
+    const LO: i128;
+    const HI: i128;
     /// The lanes of a slice built for this type (a kernel reads only
     /// the types it was built for; the verifier audits the sources).
     fn of(s: Slice<'_>) -> &[Self];
@@ -272,8 +277,10 @@ pub(crate) trait Native: Copy + Default + Send + Sync + 'static {
     /// The lane in a 64-bit word: exact for every type but `u64`, whose
     /// kernels compute at `i128`.
     fn load(self) -> i64;
-    /// The lane in a 32-bit word: exact for lanes of 16 bits or fewer,
-    /// the only ones whose kernels compute there.
+    /// The lane in a 32-bit word: exact for every type of 32 bits or
+    /// fewer but `u32`, whose lanes above `i32::MAX` wrap. A kernel reads
+    /// a `u32` lane there only for a result that keeps 32 bits or fewer
+    /// of a wrapping computation, which the wrap leaves exact.
     fn load32(self) -> i32;
     /// The lane in a 128-bit word.
     fn wide(self) -> i128;

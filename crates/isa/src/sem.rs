@@ -21,9 +21,9 @@
 //!
 //! The table builds *type-specialized* closures: whatever depends only on
 //! the element types is computed once, when the closure is built, and
-//! never per lane. A saturation is a pair of captured bounds, and a
-//! semantic that saturates twice (`ShrRndSatNarrow`) clamps once to their
-//! intersection. The shift family — `Bin(Shl|Shr)`, `ShrNarrow`,
+//! never per lane. A saturation is a pair of captured bounds (or the
+//! store clamp's constant ones, below), and a semantic that saturates
+//! twice (`ShrRndSatNarrow`) clamps once to their intersection. The shift family — `Bin(Shl|Shr)`, `ShrNarrow`,
 //! `ShrRndSatNarrow`, FPIR `WideningShl/Shr`, `RoundingShl/Shr`,
 //! `SaturatingShl`, `MulShr` and `RoundingMulShr`, and `QRDMulH`'s fixed
 //! shift — splits each lane into resolving the count (clamping,
@@ -43,17 +43,33 @@
 //! semantic from its operand and result types (every operand and clamp
 //! bound, each sum, product and rounding bias, each shift), and the
 //! closure is built at the narrowest word that holds it and has a typed
-//! loop for the shape: `i32` for shapes whose lanes are 16 bits or fewer,
-//! `i64` for shapes with a 32-bit lane. The typed loops are generic over
-//! the storage types but are built only for the shapes each family of
-//! semantics takes — a storage *class*: operands at one type,
+//! loop for the shape: `i32` whenever 32 bits suffice — every shape of
+//! 8- and 16-bit lanes, and the 32-bit shapes whose intermediates fit
+//! (`Min`, `Max`, `Cmp` and `Select` at `i32`, the saturating narrows
+//! from `i32`, the wrapping ops) — and `i64` for the 32-bit shapes that
+//! need more (a `u32` lane's clamps, a shift by a count,
+//! `ShrRndSatNarrow` and `QRDMulH` at 32 bits). The typed loops are
+//! generic over the storage types but are built only for the shapes each
+//! family of semantics takes — a storage *class*: operands at one type,
 //! or an accumulator or constants at the result's, and a result the same
-//! width or 2×, ½ or 4× as wide — at one word each, never the product of
-//! semantics, storage types and words. Everything else — a 64-bit lane,
-//! a shape outside its class, a word trap (an `i32` `MulShr` count
-//! clamped to 64, a `u32 × u32` product) — runs the closure at `i128` in
-//! a chunked loop that converts any storage. The whole-vector evaluator,
-//! the oracle, always computes at `i128` over [`Value`]s.
+//! width or 2×, ½ or 4× as wide — never the product of semantics,
+//! storage types and words. Everything else — a 64-bit lane, a shape
+//! outside its class, a word trap (an `i32` `MulShr` count clamped to 64,
+//! a `u32 × u32` product) — runs the closure at `i128` in a chunked loop
+//! that converts any storage. The whole-vector evaluator, the oracle,
+//! always computes at `i128` over [`Value`]s.
+//!
+//! **The store clamp.** A semantic that ends by saturating into its
+//! result type's whole range — `SatCastTo`, `PackSatSignedTo`, and FPIR
+//! `SaturatingCast` (at its own type), `SaturatingNarrow`,
+//! `SaturatingAdd` and `SaturatingSub` — hands its sink the unclamped
+//! closure and the result's bounds. A typed loop clamps at the store, to
+//! its result storage's own bounds, which are constants of the loop, so
+//! the compiler emits the target's clamps and saturating packs (SSE2's
+//! `paddsw`, `packssdw`) where bounds captured at run time would keep
+//! compares and selects; the bounds are equal, since the storage is the
+//! result type's. The chunked loop and the oracle clamp to the captured
+//! bounds, as the closure did.
 //!
 //! The interpreter's generic lane helpers (`fpir::interp::bin_op_lane`,
 //! `cmp_op_lane` and `fpir_op_lane`) are the arithmetic oracle: the tests
@@ -340,6 +356,19 @@ trait LaneSink: Sized {
     /// The 4-, 5- and 9-operand semantics.
     fn wide<W: Word, C: Class, const N: usize>(self, f: impl Fn([W; N]) -> W + Lane) -> Self::Out;
 
+    /// A unary semantic that ends by saturating into the result type's
+    /// whole range: `f` unclamped, and `sat` that range
+    /// (`Sat::of(result)`). By default the closure clamps to `sat`'s
+    /// bounds; a typed loop clamps at the store instead ([`Word::store_sat`]).
+    fn unary_sat<W: Word, C: Class>(self, f: impl Fn(W) -> W + Lane, sat: Sat<W>) -> Self::Out {
+        self.unary::<W, C>(move |x| sat.apply(f(x)))
+    }
+
+    /// [`LaneSink::unary_sat`] for a binary semantic.
+    fn binary_sat<W: Word, C: Class>(self, f: impl Fn(W, W) -> W + Lane, sat: Sat<W>) -> Self::Out {
+        self.binary::<W, C>(move |x, y| sat.apply(f(x, y)))
+    }
+
     /// A binary shift-family semantic whose operand 1 is a count:
     /// `resolve` turns a count into the parameters `apply` shifts operand
     /// 0 by. Resolved per lane, unless the sink binds the count to a
@@ -402,6 +431,17 @@ trait Word:
     fn load<T: Native>(x: T) -> Self;
     /// Truncated to a native lane.
     fn store<T: Native>(self) -> T;
+    /// Clamped to `T`'s range, then stored: the store clamp. The bounds
+    /// are constants of the loop, not captured values, so a typed loop
+    /// compiles to the target's own clamps. They are clipped to the word,
+    /// which changes nothing where the word rule builds a clamp (its
+    /// bounds fit the word).
+    #[inline(always)]
+    fn store_sat<T: Native>(self) -> T {
+        let lo = Self::of(T::LO.max(Self::MIN.lane()));
+        let hi = Self::of(T::HI.min(Self::MAX.lane()));
+        self.max(lo).min(hi).store()
+    }
     /// The kernel `b` builds for the shape `tys → result`: at `i32` and
     /// `i64`, its typed loop, which class `C` must have at the word; at
     /// `i128`, its chunked loop.
@@ -626,6 +666,14 @@ impl<W: Word, C: Class, S: LaneSink> At<W, C, S> {
 
     fn wide<const N: usize>(self, f: impl Fn([W; N]) -> W + Lane) -> S::Out {
         self.sink.wide::<W, C, N>(f)
+    }
+
+    fn unary_sat(self, f: impl Fn(W) -> W + Lane, sat: Sat<W>) -> S::Out {
+        self.sink.unary_sat::<W, C>(f, sat)
+    }
+
+    fn binary_sat(self, f: impl Fn(W, W) -> W + Lane, sat: Sat<W>) -> S::Out {
+        self.sink.binary_sat::<W, C>(f, sat)
     }
 
     fn by_count<P: Lane>(
@@ -912,14 +960,13 @@ fn lane_table<S: LaneSink>(
         MachSem::ExtendTo | MachSem::TruncTo | MachSem::Reinterpret | MachSem::Splat => {
             at_word!(Cast, needed, sink, s => s.unary(|x| x))
         }
-        MachSem::SatCastTo => at_word!(Narrower, needed, sink, s => {
-            let sat = Sat::of(result);
-            s.unary(move |x| sat.apply(x))
-        }),
+        MachSem::SatCastTo => {
+            at_word!(Narrower, needed, sink, s => s.unary_sat(|x| x, Sat::of(result)))
+        }
         // Reads its operand's bits as the signed type of its width.
         MachSem::PackSatSignedTo => at_word!(Narrower, needed, sink, s => {
-            let (signed, sat) = (WrapTo::of(t.with_signed()), Sat::of(result));
-            s.unary(move |x| sat.apply(signed.apply(x)))
+            let signed = WrapTo::of(t.with_signed());
+            s.unary_sat(move |x| signed.apply(x), Sat::of(result))
         }),
         MachSem::Fpir(op) => fpir_lanes(op, tys, result, needed, sink),
         MachSem::MulHigh => at_word!(Same, needed, sink, s => mul_high(s, t, tys[1])),
@@ -1028,22 +1075,25 @@ fn fpir_lanes<S: LaneSink>(
         }
         FpirOp::Abs => at_word!(Same, needed, sink, s => s.unary(|x| x.abs())),
         FpirOp::Absd => at_word!(Same, needed, sink, s => s.binary(|x, y| (x - y).abs())),
+        // FPIR types the cast at `to`; at any other result type the stored
+        // lane is the clamped value wrapped, so the closure clamps.
         FpirOp::SaturatingCast(to) => at_word!(Narrower, needed, sink, s => {
             let sat = Sat::of(to);
-            s.unary(move |x| sat.apply(x))
+            if to == result {
+                s.unary_sat(|x| x, sat)
+            } else {
+                s.unary(move |x| sat.apply(x))
+            }
         }),
-        FpirOp::SaturatingNarrow => at_word!(Narrower, needed, sink, s => {
-            let sat = Sat::of(result);
-            s.unary(move |x| sat.apply(x))
-        }),
-        FpirOp::SaturatingAdd => at_word!(Same, needed, sink, s => {
-            let sat = Sat::of(result);
-            s.binary(move |x, y| sat.apply(x + y))
-        }),
-        FpirOp::SaturatingSub => at_word!(Same, needed, sink, s => {
-            let sat = Sat::of(result);
-            s.binary(move |x, y| sat.apply(x - y))
-        }),
+        FpirOp::SaturatingNarrow => {
+            at_word!(Narrower, needed, sink, s => s.unary_sat(|x| x, Sat::of(result)))
+        }
+        FpirOp::SaturatingAdd => {
+            at_word!(Same, needed, sink, s => s.binary_sat(|x, y| x + y, Sat::of(result)))
+        }
+        FpirOp::SaturatingSub => {
+            at_word!(Same, needed, sink, s => s.binary_sat(|x, y| x - y, Sat::of(result)))
+        }
         // `floor_div(v, 2)` is an arithmetic shift.
         FpirOp::HalvingAdd => at_word!(Same, needed, sink, s => s.binary(|x, y| (x + y) >> 1)),
         FpirOp::HalvingSub => at_word!(Same, needed, sink, s => s.binary(|x, y| (x - y) >> 1)),
@@ -1092,22 +1142,23 @@ fn storage(tys: &[ScalarType], result: ScalarType) -> Option<(ScalarType, Scalar
 /// The type shapes a family of semantics can take, each with a typed
 /// strip loop built for it: operands at one type `A` (or, in the masked
 /// positions, at the result type `R`), and `R` the same width as `A`, or
-/// 2×, ½ or 4× as wide — never wider than 32 bits. A shape whose lanes
-/// are all 16 bits or narrower gets its loop at the `i32` word, which
-/// SSE2 compares, clamps and multiplies four lanes at a time; one with a
-/// 32-bit lane at `i64`. A shape outside its class runs its closure at
-/// `i128` in the chunked loop instead. The classes keep the typed loops a
-/// closure is built in to the shapes its semantics take, at one word
-/// each, not the product of every storage type and word.
+/// 2×, ½ or 4× as wide — never wider than 32 bits. Every shape gets its
+/// loop at the `i32` word, which SSE2 compares, clamps and multiplies
+/// four lanes at a time; a shape with a 32-bit lane gets one at `i64` as
+/// well, for the semantics whose intermediates need more than 32 bits
+/// there (the word rule picks). A shape outside its class runs its
+/// closure at `i128` in the chunked loop instead. The classes keep the
+/// typed loops a closure is built in to the shapes its semantics take,
+/// not the product of every storage type and word.
 trait Class {
-    /// `b`'s typed loop at `i32` for `tys → result`, or `b` back when
-    /// the class has none.
+    /// `b`'s typed loop at `i32` for `tys → result` (any listed pair),
+    /// or `b` back when the class has none.
     fn narrow<W: Word, B: Build<W>>(
         tys: &[ScalarType],
         result: ScalarType,
         b: B,
     ) -> Result<B::Out, B>;
-    /// `b`'s typed loop at `i64`, likewise.
+    /// `b`'s typed loop at `i64` (a 32-bit pair), likewise.
     fn wide<W: Word, B: Build<W>>(
         tys: &[ScalarType],
         result: ScalarType,
@@ -1137,8 +1188,9 @@ macro_rules! native {
     };
 }
 
-/// A [`Class`] over the listed `A R` storage pairs at `i32` and at `i64`,
-/// each at every listed mask.
+/// A [`Class`] over the listed `A R` storage pairs, each at every listed
+/// mask: the 8- and 16-bit pairs at `i32`, the 32-bit pairs at `i32` and
+/// at `i64`.
 macro_rules! class {
     ($(#[$doc:meta])* $name:ident, [$($m:literal),+], $narrow:tt, $wide:tt) => {
         $(#[$doc])*
@@ -1151,7 +1203,8 @@ macro_rules! class {
             ) -> Result<B::Out, B> {
                 let Some(shape) = storage(tys, result) else { return Err(b) };
                 $(if shape.2 == $m {
-                    return class!(@pairs $m, shape, b, $narrow);
+                    return class!(@pairs $m, shape, b, $narrow)
+                        .or_else(|b| class!(@pairs $m, shape, b, $wide));
                 })+
                 Err(b)
             }
@@ -1380,13 +1433,52 @@ macro_rules! convert_words {
 
 natives!(convert_words);
 
-/// A unary closure's loop.
-struct L1<F>(F);
+/// How the unary and binary loops store a closure's result.
+trait Store<W: Word>: Lane {
+    /// A typed loop's store into the result storage `R`.
+    fn typed<R: Native>(self, v: W) -> R;
+    /// The chunked loop's word, which its store truncates.
+    fn chunked(self, v: W) -> W;
+}
 
-impl<W: Word, F: Fn(W) -> W + Lane> Build<W> for L1<F> {
+/// The plain store: truncation, which is a wrapping result's wrap.
+#[derive(Clone, Copy)]
+struct Wraps;
+
+impl<W: Word> Store<W> for Wraps {
+    #[inline(always)]
+    fn typed<R: Native>(self, v: W) -> R {
+        v.store()
+    }
+    #[inline(always)]
+    fn chunked(self, v: W) -> W {
+        v
+    }
+}
+
+/// The store clamp, for a result saturated into the result type's whole
+/// range: a typed loop clamps to its result storage's constant bounds
+/// ([`Word::store_sat`]), which are `self`'s, since `R` is the result
+/// type's own storage; the chunked loop clamps to `self`, as the closure
+/// did.
+impl<W: Word> Store<W> for Sat<W> {
+    #[inline(always)]
+    fn typed<R: Native>(self, v: W) -> R {
+        v.store_sat()
+    }
+    #[inline(always)]
+    fn chunked(self, v: W) -> W {
+        self.apply(v)
+    }
+}
+
+/// A unary closure's loop, storing through `St`.
+struct L1<F, St>(F, St);
+
+impl<W: Word, F: Fn(W) -> W + Lane, St: Store<W>> Build<W> for L1<F, St> {
     type Out = SemSliceFn;
     fn typed<A: Native, R: Native, const M: u16>(self) -> SemSliceFn {
-        let f = self.0;
+        let L1(f, st) = self;
         kernel(move |xs, out| {
             // A copy on the stack: the closure's captures stay in
             // registers instead of being reloaded through the kernel's
@@ -1396,23 +1488,23 @@ impl<W: Word, F: Fn(W) -> W + Lane> Build<W> for L1<F> {
             let n = out.len();
             let x = Col::<A, R>::new(at_r(M, 0), xs[0], n);
             for (i, o) in out.iter_mut().enumerate() {
-                *o = f(x.get(at_r(M, 0), i)).store();
+                *o = st.typed(f(x.get(at_r(M, 0), i)));
             }
         })
     }
     fn chunked(self) -> SemSliceFn {
-        let f = self.0;
-        kernel(move |xs, out| chunked(move |[x]: [W; 1]| f(x), xs, out))
+        let L1(f, st) = self;
+        kernel(move |xs, out| chunked(move |[x]: [W; 1]| st.chunked(f(x)), xs, out))
     }
 }
 
-/// A binary closure's loop.
-struct L2<F>(F);
+/// A binary closure's loop, storing through `St`.
+struct L2<F, St>(F, St);
 
-impl<W: Word, F: Fn(W, W) -> W + Lane> Build<W> for L2<F> {
+impl<W: Word, F: Fn(W, W) -> W + Lane, St: Store<W>> Build<W> for L2<F, St> {
     type Out = SemSliceFn;
     fn typed<A: Native, R: Native, const M: u16>(self) -> SemSliceFn {
-        let f = self.0;
+        let L2(f, st) = self;
         kernel(move |xs, out| {
             // A copy on the stack: the closure's captures stay in
             // registers instead of being reloaded through the kernel's
@@ -1423,13 +1515,13 @@ impl<W: Word, F: Fn(W, W) -> W + Lane> Build<W> for L2<F> {
             let x = Col::<A, R>::new(at_r(M, 0), xs[0], n);
             let y = Col::<A, R>::new(at_r(M, 1), xs[1], n);
             for (i, o) in out.iter_mut().enumerate() {
-                *o = f(x.get(at_r(M, 0), i), y.get(at_r(M, 1), i)).store();
+                *o = st.typed(f(x.get(at_r(M, 0), i), y.get(at_r(M, 1), i)));
             }
         })
     }
     fn chunked(self) -> SemSliceFn {
-        let f = self.0;
-        kernel(move |xs, out| chunked(move |[x, y]: [W; 2]| f(x, y), xs, out))
+        let L2(f, st) = self;
+        kernel(move |xs, out| chunked(move |[x, y]: [W; 2]| st.chunked(f(x, y)), xs, out))
     }
 }
 
@@ -1551,16 +1643,26 @@ impl LaneSink for Strip<'_> {
         admits::<C>(self.tys, self.result, bits)
     }
     fn unary<W: Word, C: Class>(self, f: impl Fn(W) -> W + Lane) -> SemSliceFn {
-        W::kernel::<C, _>(self.tys, self.result, L1(f))
+        W::kernel::<C, _>(self.tys, self.result, L1(f, Wraps))
     }
     fn binary<W: Word, C: Class>(self, f: impl Fn(W, W) -> W + Lane) -> SemSliceFn {
-        W::kernel::<C, _>(self.tys, self.result, L2(f))
+        W::kernel::<C, _>(self.tys, self.result, L2(f, Wraps))
     }
     fn ternary<W: Word, C: Class>(self, f: impl Fn(W, W, W) -> W + Lane) -> SemSliceFn {
         W::kernel::<C, _>(self.tys, self.result, L3(f))
     }
     fn wide<W: Word, C: Class, const N: usize>(self, f: impl Fn([W; N]) -> W + Lane) -> SemSliceFn {
         W::kernel::<C, _>(self.tys, self.result, LN(f))
+    }
+    fn unary_sat<W: Word, C: Class>(self, f: impl Fn(W) -> W + Lane, sat: Sat<W>) -> SemSliceFn {
+        W::kernel::<C, _>(self.tys, self.result, L1(f, sat))
+    }
+    fn binary_sat<W: Word, C: Class>(
+        self,
+        f: impl Fn(W, W) -> W + Lane,
+        sat: Sat<W>,
+    ) -> SemSliceFn {
+        W::kernel::<C, _>(self.tys, self.result, L2(f, sat))
     }
 }
 
@@ -1585,15 +1687,17 @@ impl LaneSink for Capture<'_> {
         Some(kernel(move |_, mut out| out.fill(c)))
     }
     fn binary<W: Word, C: Class>(self, f: impl Fn(W, W) -> W + Lane) -> Self::Out {
-        let bound = move |c| L1(move |x| f(x, c));
-        Some(W::capture::<C, _, _>(self.tys, self.result, self.c, L2(f), bound))
+        self.bind2::<W, C>(f, Wraps)
     }
     fn ternary<W: Word, C: Class>(self, f: impl Fn(W, W, W) -> W + Lane) -> Self::Out {
-        let bound = move |c| L2(move |x, y| f(x, y, c));
+        let bound = move |c| L2(move |x, y| f(x, y, c), Wraps);
         Some(W::capture::<C, _, _>(self.tys, self.result, self.c, L3(f), bound))
     }
     fn wide<W: Word, C: Class, const N: usize>(self, _: impl Fn([W; N]) -> W + Lane) -> Self::Out {
         None
+    }
+    fn binary_sat<W: Word, C: Class>(self, f: impl Fn(W, W) -> W + Lane, sat: Sat<W>) -> Self::Out {
+        self.bind2::<W, C>(f, sat)
     }
     /// A captured count is resolved here, once, instead of per lane.
     fn by_count<W: Word, C: Class, P: Lane>(
@@ -1601,10 +1705,10 @@ impl LaneSink for Capture<'_> {
         resolve: impl Fn(W) -> P + Lane,
         apply: impl Fn(W, P) -> W + Lane,
     ) -> Self::Out {
-        let streamed = L2(move |x, y| apply(x, resolve(y)));
+        let streamed = L2(move |x, y| apply(x, resolve(y)), Wraps);
         let bound = move |c| {
             let p = resolve(c);
-            L1(move |x| apply(x, p))
+            L1(move |x| apply(x, p), Wraps)
         };
         Some(W::capture::<C, _, _>(self.tys, self.result, self.c, streamed, bound))
     }
@@ -1616,9 +1720,21 @@ impl LaneSink for Capture<'_> {
         let streamed = L3(move |x, y, z| apply(x, y, resolve(z)));
         let bound = move |c| {
             let p = resolve(c);
-            L2(move |x, y| apply(x, y, p))
+            L2(move |x, y| apply(x, y, p), Wraps)
         };
         Some(W::capture::<C, _, _>(self.tys, self.result, self.c, streamed, bound))
+    }
+}
+
+impl Capture<'_> {
+    /// A binary closure with `c` bound at operand 1, storing through `st`.
+    fn bind2<W: Word, C: Class>(
+        self,
+        f: impl Fn(W, W) -> W + Lane,
+        st: impl Store<W>,
+    ) -> Option<SemSliceFn> {
+        let bound = move |c| L1(move |x| f(x, c), st);
+        Some(W::capture::<C, _, _>(self.tys, self.result, self.c, L2(f, st), bound))
     }
 }
 
@@ -2083,8 +2199,9 @@ mod tests {
     }
 
     /// The lane table's probe, deciding as the strip sink does: the word
-    /// a semantic's closure is built at, and the operand and result storage
-    /// of its typed loop (`None` for the chunked loop).
+    /// a semantic's closure is built at, the operand and result storage
+    /// of its typed loop (`None` for the chunked loop), and whether the
+    /// result is saturated at the store ([`LaneSink::unary_sat`]).
     struct Probe<'a> {
         tys: &'a [S],
         result: S,
@@ -2092,11 +2209,11 @@ mod tests {
         storage: std::cell::Cell<Option<(S, S)>>,
     }
 
-    type Built = (u32, Option<(S, S)>);
+    type Built = (u32, Option<(S, S)>, bool);
 
     impl Probe<'_> {
-        fn built(&self) -> Built {
-            (self.bits.get(), self.storage.get())
+        fn built(&self, clamp: bool) -> Built {
+            (self.bits.get(), self.storage.get(), clamp)
         }
     }
 
@@ -2111,16 +2228,22 @@ mod tests {
             storage.is_some()
         }
         fn unary<W: Word, C: Class>(self, _: impl Fn(W) -> W + Lane) -> Built {
-            self.built()
+            self.built(false)
         }
         fn binary<W: Word, C: Class>(self, _: impl Fn(W, W) -> W + Lane) -> Built {
-            self.built()
+            self.built(false)
         }
         fn ternary<W: Word, C: Class>(self, _: impl Fn(W, W, W) -> W + Lane) -> Built {
-            self.built()
+            self.built(false)
         }
         fn wide<W: Word, C: Class, const N: usize>(self, _: impl Fn([W; N]) -> W + Lane) -> Built {
-            self.built()
+            self.built(false)
+        }
+        fn unary_sat<W: Word, C: Class>(self, _: impl Fn(W) -> W + Lane, _: Sat<W>) -> Built {
+            self.built(true)
+        }
+        fn binary_sat<W: Word, C: Class>(self, _: impl Fn(W, W) -> W + Lane, _: Sat<W>) -> Built {
+            self.built(true)
         }
         fn built_at(&self, bits: u32) {
             self.bits.set(bits);
@@ -2189,34 +2312,178 @@ mod tests {
     }
 
     #[test]
-    fn word_rule_builds_hot_kinds_at_i64_and_traps_at_i128() {
-        // The profiled hot kinds must compute in `i64`: a silent fallback
-        // to `i128` is invisible to every correctness test.
+    fn word_rule_pins_hot_kinds_at_32_or_64_bits_with_the_store_clamp_and_traps_at_128() {
+        // The profiled hot kinds must compute at the narrowest word their
+        // intermediates fit, and a result saturated into its type's whole
+        // range must be clamped at the store: a silent fallback to a wider
+        // word or to the closure's clamp is invisible to every correctness
+        // test. (sem, operand types, result, word, store clamp)
         let fp = MachSem::Fpir;
-        let narrow = [
-            (MachSem::Bin(BinOp::Shl), vec![S::I16; 2], S::I16),
-            (MachSem::Bin(BinOp::Shr), vec![S::I32; 2], S::I32),
-            (MachSem::Bin(BinOp::Shr), vec![S::U32; 2], S::U32),
-            (MachSem::ShrRndSatNarrow, vec![S::U16; 2], S::U8),
-            (MachSem::ShrRndSatNarrow, vec![S::I32; 2], S::I16),
-            (fp(FpirOp::SaturatingAdd), vec![S::I16; 2], S::I16),
-            (fp(FpirOp::SaturatingSub), vec![S::I16; 2], S::I16),
-            (MachSem::QRDMulH, vec![S::I32; 2], S::I32),
-            (MachSem::PackSatSignedTo, vec![S::I32], S::I16),
-            (MachSem::WideningMulAcc, vec![S::U16, S::U8, S::U8], S::U16),
+        let hot = [
+            // Intermediates of 32 bits or fewer.
+            (MachSem::Bin(BinOp::Add), vec![S::I16; 2], S::I16, 32, false),
+            (MachSem::Bin(BinOp::Shl), vec![S::I16; 2], S::I16, 32, false),
+            (MachSem::Bin(BinOp::Min), vec![S::I32; 2], S::I32, 32, false),
+            (MachSem::Bin(BinOp::Max), vec![S::I32; 2], S::I32, 32, false),
+            (MachSem::ShrRndSatNarrow, vec![S::U16; 2], S::U8, 32, false),
+            (fp(FpirOp::SaturatingAdd), vec![S::I16; 2], S::I16, 32, true),
+            (fp(FpirOp::SaturatingSub), vec![S::I16; 2], S::I16, 32, true),
+            (MachSem::PackSatSignedTo, vec![S::I32], S::I16, 32, true),
+            (MachSem::PackSatSignedTo, vec![S::I16], S::U8, 32, true),
+            (fp(FpirOp::SaturatingNarrow), vec![S::I32], S::I16, 32, true),
+            (MachSem::SatCastTo, vec![S::I32], S::I16, 32, true),
+            (MachSem::SatCastTo, vec![S::U16], S::U8, 32, true),
+            (MachSem::WideningMulAcc, vec![S::U16, S::U8, S::U8], S::U16, 32, false),
+            // A `u32` lane's clamps, a shift by a count, and products and
+            // rounding terms past 32 bits.
+            (MachSem::Bin(BinOp::Min), vec![S::U32; 2], S::U32, 64, false),
+            (fp(FpirOp::SaturatingNarrow), vec![S::U32], S::U16, 64, true),
+            (MachSem::ShrRndSatNarrow, vec![S::I32; 2], S::I16, 64, false),
+            (MachSem::QRDMulH, vec![S::I32; 2], S::I32, 64, false),
+            (MachSem::Bin(BinOp::Shr), vec![S::I32; 2], S::I32, 64, false),
+            (MachSem::Bin(BinOp::Shr), vec![S::U32; 2], S::U32, 64, false),
         ];
-        for (sem, tys, result) in narrow {
-            // Lanes of 16 bits or fewer compute at `i32`, 32-bit ones at
-            // `i64`.
-            let wide = tys.iter().chain([&result]).any(|t| t.bits() == 32);
-            let want = if wide { 64 } else { 32 };
-            assert_eq!(word_bits(sem, &tys, result), want, "{sem:?} at {tys:?} -> {result}");
+        for (sem, tys, result, bits, clamp) in hot {
+            let (got, storage, got_clamp) = built(sem, &tys, result);
+            let at = format!("{sem:?} at {tys:?} -> {result}");
+            assert_eq!(got, bits, "{at}: word");
+            assert!(storage.is_some(), "{at}: typed loop");
+            assert_eq!(got_clamp, clamp, "{at}: store clamp");
         }
         for (sem, tys, result, _) in word_traps() {
             assert_eq!(word_bits(sem, &tys, result), 128, "{sem:?} at {tys:?} -> {result}");
         }
-        // Wrapping arithmetic needs only the wrap's bits.
-        assert_eq!(word_bits(MachSem::Bin(BinOp::Add), &[S::I16; 2], S::I16), 32);
+    }
+
+    /// A sink that declines every typed loop, so the inner sink builds
+    /// the chunked loop at `i128` for a shape that has a typed one.
+    struct Chunked<K>(K);
+
+    impl<K: LaneSink> LaneSink for Chunked<K> {
+        type Out = K::Out;
+        fn typed<C: Class>(&self, _: u32) -> bool {
+            false
+        }
+        fn unary<W: Word, C: Class>(self, f: impl Fn(W) -> W + Lane) -> K::Out {
+            self.0.unary::<W, C>(f)
+        }
+        fn binary<W: Word, C: Class>(self, f: impl Fn(W, W) -> W + Lane) -> K::Out {
+            self.0.binary::<W, C>(f)
+        }
+        fn ternary<W: Word, C: Class>(self, f: impl Fn(W, W, W) -> W + Lane) -> K::Out {
+            self.0.ternary::<W, C>(f)
+        }
+        fn wide<W: Word, C: Class, const N: usize>(self, f: impl Fn([W; N]) -> W + Lane) -> K::Out {
+            self.0.wide::<W, C, N>(f)
+        }
+        fn unary_sat<W: Word, C: Class>(self, f: impl Fn(W) -> W + Lane, sat: Sat<W>) -> K::Out {
+            self.0.unary_sat::<W, C>(f, sat)
+        }
+        fn binary_sat<W: Word, C: Class>(
+            self,
+            f: impl Fn(W, W) -> W + Lane,
+            sat: Sat<W>,
+        ) -> K::Out {
+            self.0.binary_sat::<W, C>(f, sat)
+        }
+    }
+
+    #[test]
+    fn store_clamp_edges_match_the_interpreter() {
+        // Every semantic that saturates at the store, at every operand and
+        // result type whose strip has a typed loop: lanes whose unclamped
+        // result is one below, at, and one above each end of the result's
+        // range, wherever the operand types reach them, through the typed
+        // loop and the chunked one, streamed and with the last operand
+        // captured, against the interpreter's lane helpers.
+        use FpirOp as F;
+        let mut cases = 0usize;
+        let mut shapes = 0usize;
+        for t in fpir::types::ALL_SCALAR_TYPES {
+            for r in fpir::types::ALL_SCALAR_TYPES {
+                let sems = [
+                    MachSem::SatCastTo,
+                    MachSem::PackSatSignedTo,
+                    MachSem::Fpir(F::SaturatingCast(r)),
+                    MachSem::Fpir(F::SaturatingNarrow),
+                    MachSem::Fpir(F::SaturatingAdd),
+                    MachSem::Fpir(F::SaturatingSub),
+                ];
+                for sem in sems {
+                    let tys = vec![t; sem.arity()];
+                    let at = format!("{sem:?} at {tys:?} -> {r}");
+                    let (_, storage, clamp) = built(sem, &tys, r);
+                    if storage.is_none() {
+                        continue;
+                    }
+                    assert!(clamp, "{at}: no store clamp");
+                    shapes += 1;
+                    // Operand lanes whose unclamped result is `v`.
+                    let lanes_of = |v: i128| -> Option<Vec<i128>> {
+                        let a = v.clamp(t.min_value(), t.max_value());
+                        let xs = match sem {
+                            // The lane whose signed reading is `v`.
+                            MachSem::PackSatSignedTo => {
+                                t.with_signed().contains(v).then(|| vec![t.wrap(v)])?
+                            }
+                            MachSem::Fpir(F::SaturatingAdd) => vec![a, v - a],
+                            MachSem::Fpir(F::SaturatingSub) => vec![a, a - v],
+                            _ => vec![v],
+                        };
+                        xs.iter().all(|&x| t.contains(x)).then_some(xs)
+                    };
+                    let want = |xs: &[i128]| match sem {
+                        MachSem::SatCastTo => r.saturate(xs[0]),
+                        MachSem::PackSatSignedTo => r.saturate(t.with_signed().wrap(xs[0])),
+                        MachSem::Fpir(op) => fpir_op_lane(op, xs, &tys, r),
+                        _ => unreachable!("{sem:?}"),
+                    };
+                    let edges =
+                        [r.min_value() - 1, r.min_value(), r.max_value(), r.max_value() + 1];
+                    for xs in edges.into_iter().filter_map(lanes_of) {
+                        let at = format!("{at}, lanes {xs:?}");
+                        let cols: Vec<Vec<i128>> = xs.iter().map(|&x| vec![x]).collect();
+                        let args: Vec<Value> = xs.iter().map(|&x| v(V::new(t, 1), &[x])).collect();
+                        let want = [want(&xs)];
+                        assert_eq!(
+                            eval_sem(sem, &args, V::new(r, 1)).unwrap().lanes(),
+                            want,
+                            "{at}"
+                        );
+                        let (k, c) = (tys.len() - 1, xs[tys.len() - 1]);
+                        let kernels = [
+                            ("typed", sem_slice_fn(sem, &tys, r)),
+                            (
+                                "chunked",
+                                lane_table(sem, &tys, r, Chunked(Strip { tys: &tys, result: r })),
+                            ),
+                            ("typed, captured", sem_slice_fn_splat(sem, &tys, r, k, c).unwrap()),
+                            (
+                                "chunked, captured",
+                                lane_table(
+                                    sem,
+                                    &tys,
+                                    r,
+                                    Chunked(Capture { tys: &tys, result: r, c }),
+                                )
+                                .unwrap(),
+                            ),
+                        ];
+                        for (how, f) in kernels {
+                            assert_eq!(run(&f, &tys, &cols, r), want, "{at}: {how}");
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        // Pinned: 42 typed shapes, the four unary semantics at the eight
+        // narrowing pairs and the two binary ones at u8, u16, i16, u32 and
+        // i32; 144 edge rows, less than 4 × 42 where an unsigned operand
+        // cannot reach below 0 or an operand narrower than it needs
+        // cannot reach past an end (`PackSatSignedTo` reads its operand
+        // as signed, so it reaches all four).
+        assert_eq!((shapes, cases), (42, 144), "store-clamp coverage changed");
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! prints the assembly-like listings used by the Figure 3 report.
 
 use fpir::expr::{Expr, ExprKind, RcExpr};
-use fpir::identity::IdMap;
+use fpir::identity::{FnvMap, IdMap};
 use fpir::types::VectorType;
 use fpir::{Isa, MachOp};
 use fpir_isa::Target;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A virtual register id.
@@ -145,7 +144,7 @@ impl std::error::Error for EmitError {}
 /// table definition.
 pub fn emit(expr: &RcExpr, target: &Target) -> Result<Program, EmitError> {
     let mut e =
-        Emitter { target, insts: Vec::new(), seen: IdMap::default(), numbers: HashMap::new() };
+        Emitter { target, insts: Vec::new(), seen: IdMap::default(), numbers: FnvMap::default() };
     let output = e.emit(expr)?;
     Ok(Program { isa: target.isa, insts: e.insts, output })
 }
@@ -159,7 +158,7 @@ struct Emitter<'t> {
     seen: IdMap<Reg>,
     /// The register of every value number: a type and a payload over
     /// canonical operand registers.
-    numbers: HashMap<(VectorType, PKind), Reg>,
+    numbers: FnvMap<(VectorType, PKind), Reg>,
 }
 
 impl Emitter<'_> {
@@ -267,6 +266,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     fn lower(e: &RcExpr, isa: Isa) -> Program {
         let t = target(isa);
